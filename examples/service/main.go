@@ -27,7 +27,7 @@ import (
 )
 
 func main() {
-	mgr := service.NewManager(3, 16, nil)
+	mgr := service.NewManagerOpts(service.Options{Workers: 3, QueueCap: 16})
 	srv := service.NewServer(mgr)
 	if err := srv.Start("127.0.0.1:0"); err != nil {
 		fail(err)
@@ -115,7 +115,13 @@ func main() {
 	if err := os.WriteFile("service_frame.png", frames[0], 0o644); err == nil {
 		fmt.Println("wrote service_frame.png")
 	}
-	fmt.Print(string(get(base + "/metrics?format=flat")))
+	// /metrics is Prometheus text; print the samples without the
+	// HELP/TYPE headers and the per-bucket histogram series.
+	for _, line := range strings.Split(string(get(base+"/metrics")), "\n") {
+		if line != "" && !strings.HasPrefix(line, "#") && !strings.Contains(line, "_bucket{") {
+			fmt.Println(line)
+		}
+	}
 
 	// The flight recorder has been tracking every job all along: tail
 	// the steered job's event trace and break down where its time goes.

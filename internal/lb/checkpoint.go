@@ -301,12 +301,8 @@ func (s *Solver) Restore(r io.Reader) error {
 	if err != nil {
 		return err
 	}
-	if ci.Sites != s.n || ci.Q != s.M.Q {
-		return fmt.Errorf("lb: checkpoint is for %d sites Q=%d, solver has %d Q=%d",
-			ci.Sites, ci.Q, s.n, s.M.Q)
-	}
-	if ci.Iolets != len(s.ioletRho) {
-		return fmt.Errorf("lb: checkpoint has %d iolets, domain has %d", ci.Iolets, len(s.ioletRho))
+	if err := s.checkShape(ci, s.n); err != nil {
+		return err
 	}
 	iolets, f, err := readCheckpointBody(br, ci, raw)
 	if err != nil {
@@ -336,7 +332,7 @@ func (st *CheckpointState) EncodeTo(w io.Writer) error {
 // nothing. States filled here are private to the caller; they do not
 // carry the read-only sharing convention DecodeCheckpoint states do.
 func (d *Dist) GatherState(st *CheckpointState) *CheckpointState {
-	q := d.M
+	q := d.M.Q
 	if d.Comm.Size() == 1 {
 		// A single rank owns every site in ascending global order, so
 		// its population vector already is the global-site-major body:
@@ -371,7 +367,7 @@ func (d *Dist) GatherState(st *CheckpointState) *CheckpointState {
 // densities for a gather at the current step.
 func (d *Dist) prepState(st *CheckpointState) *CheckpointState {
 	n := d.Dom.NumSites()
-	q := d.M
+	q := d.M.Q
 	if st == nil {
 		st = &CheckpointState{}
 	}
@@ -407,12 +403,8 @@ func (d *Dist) Checkpoint(w io.Writer) error {
 // the same (shared, read-only) state before any rank steps.
 func (d *Dist) RestoreState(st *CheckpointState) error {
 	ci := st.Info
-	if ci.Sites != d.Dom.NumSites() || ci.Q != d.M {
-		return fmt.Errorf("lb: checkpoint is for %d sites Q=%d, dist has %d Q=%d",
-			ci.Sites, ci.Q, d.Dom.NumSites(), d.M)
-	}
-	if ci.Iolets != len(d.ioletRho) {
-		return fmt.Errorf("lb: checkpoint has %d iolets, domain has %d", ci.Iolets, len(d.ioletRho))
+	if err := d.checkShape(ci, d.Dom.NumSites()); err != nil {
+		return err
 	}
 	for li, g := range d.Owned {
 		copy(d.f[li*ci.Q:(li+1)*ci.Q], st.F[g*ci.Q:(g+1)*ci.Q])

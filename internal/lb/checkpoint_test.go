@@ -98,7 +98,7 @@ func TestDistRestoreContinuesBitExact(t *testing.T) {
 		mu.Unlock()
 	})
 	for g := 0; g < dom.NumSites(); g++ {
-		if math.Abs(rho[g]-serial.Density(g)) > 1e-11 {
+		if math.Float64bits(rho[g]) != math.Float64bits(serial.Density(g)) {
 			t.Fatalf("site %d: rho %v vs serial %v", g, rho[g], serial.Density(g))
 		}
 	}

@@ -1,6 +1,10 @@
 package lb
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/lattice"
+)
 
 // Collision selects the collision operator. HemeLB ships several
 // kernels; we provide the two standard single-node ones.
@@ -39,15 +43,15 @@ func tauMinus(tauPlus float64) float64 {
 	return 0.5 + magicLambda/(tauPlus-0.5)
 }
 
-// collideSite relaxes the Q populations of one site in place given the
-// precomputed moments. feqBuf must have length Q; it is scratch space.
-// The post-collision values are written back into f[base:base+Q].
+// collideSite relaxes the Q populations f of one site in place given
+// the precomputed moments. feqBuf must have length Q; it is scratch
+// space.
 //
 // BGK:  f' = f - (f - feq)/tau
 // TRT:  split f and feq into symmetric/antisymmetric parts over
 //
 //	opposite-direction pairs and relax each with its own rate.
-func collideSite(kind Collision, m modelView, f []float64, base int, rho, ux, uy, uz, invTauPlus, invTauMinus float64, feqBuf []float64) {
+func collideSite(kind Collision, m *lattice.Model, f []float64, rho, ux, uy, uz, invTauPlus, invTauMinus float64, feqBuf []float64) {
 	u2 := ux*ux + uy*uy + uz*uz
 	for q := 0; q < m.Q; q++ {
 		c := m.C[q]
@@ -56,34 +60,25 @@ func collideSite(kind Collision, m modelView, f []float64, base int, rho, ux, uy
 	}
 	if kind == BGK {
 		for q := 0; q < m.Q; q++ {
-			f[base+q] -= invTauPlus * (f[base+q] - feqBuf[q])
+			f[q] -= invTauPlus * (f[q] - feqBuf[q])
 		}
 		return
 	}
 	// TRT: process pairs (q, opp) once; the rest population is purely
 	// symmetric.
-	f[base] -= invTauPlus * (f[base] - feqBuf[0])
+	f[0] -= invTauPlus * (f[0] - feqBuf[0])
 	for q := 1; q < m.Q; q++ {
 		qo := m.Opp[q]
 		if qo < q {
 			continue // pair already handled
 		}
-		fp := 0.5 * (f[base+q] + f[base+qo])
-		fm := 0.5 * (f[base+q] - f[base+qo])
+		fp := 0.5 * (f[q] + f[qo])
+		fm := 0.5 * (f[q] - f[qo])
 		ep := 0.5 * (feqBuf[q] + feqBuf[qo])
 		em := 0.5 * (feqBuf[q] - feqBuf[qo])
 		fp -= invTauPlus * (fp - ep)
 		fm -= invTauMinus * (fm - em)
-		f[base+q] = fp + fm
-		f[base+qo] = fp - fm
+		f[q] = fp + fm
+		f[qo] = fp - fm
 	}
-}
-
-// modelView is the subset of lattice.Model the collision kernel needs,
-// avoiding an import cycle in tests.
-type modelView struct {
-	Q   int
-	C   [][3]int
-	W   []float64
-	Opp []int
 }

@@ -2,7 +2,6 @@ package lb
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/geometry"
 	"repro/internal/par"
@@ -12,58 +11,34 @@ import (
 // tagHalo is the message tag used for population exchange.
 const tagHalo = par.TagUser + 101
 
-// streamCrossBase encodes cross-rank streaming targets in the stream
-// table: entries <= streamCrossBase represent slot
-// (streamCrossBase - value) in the packed send buffer. Boundary
-// encodings (wall, iolets) occupy (streamCrossBase, 0).
-const streamCrossBase = int32(-(1 << 20))
-
 // Dist runs the sparse LBM solver distributed over the ranks of a par
 // communicator according to a partition: rank r owns the sites with
-// Parts[site] == r. Each step is collide+stream on owned sites followed
-// by halo exchange of the populations that crossed rank boundaries —
-// the communication structure whose cost the scaling experiments (E7)
+// Parts[site] == r. It is a kernel over the owned sites plus what
+// distribution adds: the ownership maps, the halo plan and the gathers.
+// Each step is the kernel's collide+stream on owned sites followed by
+// halo exchange of the populations that crossed rank boundaries — the
+// communication structure whose cost the scaling experiments (E7)
 // measure.
 type Dist struct {
+	*kernel
 	Comm *par.Comm
 	Dom  *geometry.Domain
-	Tau  float64
-	Kind Collision
-	M    int // model Q
 
 	// Owned maps local index -> global site id (ascending).
 	Owned []int
 	// local maps global site id -> local index (or -1).
 	local []int32
 
-	f, fNew  []float64
-	stream   []int32
-	ioletRho []float64
-	pulses   []*Pulse
+	// packBuf is the reusable payload for field and state gathers, so
+	// steady-state snapshots and checkpoints allocate no transport.
+	packBuf []float64
 
-	// scratch holds one private (post, feqBuf) pair per worker — the
-	// shared pair was the data race that forbade tiling the kernel.
-	scratch []kernelScratch
-	// threads is the normalised worker count (>= 1); pool tiles the
-	// collide+stream pass over persistent workers when threads > 1
-	// (nil = serial). Close parks it.
-	threads int
-	pool    *tilePool
-	// rhoIoBuf holds the per-step effective iolet densities; packBuf is
-	// the reusable payload for state gathers (snapshots, checkpoints).
-	// Both exist so steady-state stepping allocates nothing.
-	rhoIoBuf []float64
-	packBuf  []float64
-
-	// sendBuf is packed by CollideStream; sendTo[r] gives the slot
+	// The kernel packs sendBuf; sendOff[r]:sendOff[r+1] is the slot
 	// range destined for rank r. recvFix[r] lists the local fNew flat
 	// indices to scatter rank r's message into, in sender order.
-	sendBuf   []float64
 	sendOff   []int // len K+1
 	recvFix   [][]int32
 	neighbors []int // ranks we exchange with
-
-	step int
 }
 
 // NewDist builds the distributed solver. All ranks must pass identical
@@ -80,226 +55,75 @@ func NewDist(comm *par.Comm, dom *geometry.Domain, part *partition.Partition, p 
 	}
 	me := comm.Rank()
 	K := comm.Size()
-	m := dom.Model
+	Q := dom.Model.Q
 
-	d := &Dist{
-		Comm:     comm,
-		Dom:      dom,
-		Tau:      p.Tau,
-		Kind:     p.Kind,
-		M:        m.Q,
-		local:    make([]int32, dom.NumSites()),
-		ioletRho: make([]float64, len(dom.Iolets)),
-		pulses:   make([]*Pulse, len(dom.Iolets)),
-		scratch:  newScratch(p.workers(), m.Q),
-		threads:  p.workers(),
-		rhoIoBuf: make([]float64, len(dom.Iolets)),
-	}
-	for k, io := range dom.Iolets {
-		d.ioletRho[k] = 1 + io.Pressure
-	}
-	for i := range d.local {
-		d.local[i] = -1
-	}
-	for g := 0; g < dom.NumSites(); g++ {
+	d := &Dist{Comm: comm, Dom: dom, local: make([]int32, dom.NumSites())}
+	for g := range d.local {
+		d.local[g] = -1
 		if int(part.Parts[g]) == me {
 			d.local[g] = int32(len(d.Owned))
 			d.Owned = append(d.Owned, g)
 		}
 	}
-	n := len(d.Owned)
-	d.f = make([]float64, n*m.Q)
-	d.fNew = make([]float64, n*m.Q)
-	d.stream = make([]int32, n*m.Q)
-	if d.threads > 1 {
-		d.pool = newTilePool(d.threads, n, d.stepTile)
-	}
+	var cross []crossLink
+	d.kernel, cross = newKernel(dom, p, d.Owned, d.local)
 
-	// Build stream table and the cross-rank send plan. Slots are
-	// ordered by destination rank, then (global source site, dir) —
-	// the same order the receiver reconstructs.
-	type crossLink struct {
-		srcGlobal int
-		q         int
-		li        int // local source index
-	}
-	crossByRank := make([][]crossLink, K)
-	for li, g := range d.Owned {
-		base := li * m.Q
-		d.stream[base] = int32(base)
-		for q := 1; q < m.Q; q++ {
-			link := dom.Sites[g].Links[q-1]
-			switch link.Type {
-			case geometry.LinkFluid:
-				j := dom.Neighbour(g, q)
-				owner := int(part.Parts[j])
-				if owner == me {
-					d.stream[base+q] = int32(int(d.local[j])*m.Q + q)
-				} else {
-					crossByRank[owner] = append(crossByRank[owner], crossLink{g, q, li})
-					d.stream[base+q] = 0 // patched below once slots are assigned
-				}
-			case geometry.LinkWall:
-				d.stream[base+q] = streamWall
-			default:
-				d.stream[base+q] = int32(encodeIolet - link.Iolet)
-			}
-		}
-	}
+	// Send plan: slots are ordered by destination rank, then (global
+	// source site, dir) — the order cross already has, and the order
+	// the receiver reconstructs below.
 	d.sendOff = make([]int, K+1)
-	slot := 0
-	for r := 0; r < K; r++ {
-		d.sendOff[r] = slot
-		links := crossByRank[r]
-		sort.Slice(links, func(a, b int) bool {
-			if links[a].srcGlobal != links[b].srcGlobal {
-				return links[a].srcGlobal < links[b].srcGlobal
-			}
-			return links[a].q < links[b].q
-		})
-		for _, cl := range links {
-			d.stream[cl.li*m.Q+cl.q] = streamCrossBase - int32(slot)
-			slot++
-		}
-		if len(links) > 0 {
-			d.neighbors = append(d.neighbors, r)
-		}
+	for _, cl := range cross {
+		d.sendOff[part.Parts[cl.dst]+1]++
 	}
-	d.sendOff[K] = slot
-	d.sendBuf = make([]float64, slot)
+	for r := 0; r < K; r++ {
+		d.sendOff[r+1] += d.sendOff[r]
+	}
+	d.sendBuf = make([]float64, d.sendOff[K])
+	next := append([]int(nil), d.sendOff[:K]...)
+	for _, cl := range cross {
+		r := part.Parts[cl.dst]
+		d.stream[cl.li*Q+cl.q] = streamCrossBase - int32(next[r])
+		next[r]++
+	}
 
-	// Receive plan: for each rank r, enumerate the links (i owned by r,
-	// dir q) whose target j is owned by me, ordered by (i, q) — exactly
-	// the sender's packing order.
+	// Receive plan: for each rank r this rank exchanges with, the links
+	// (g owned by r, dir q) whose target is owned by me, in (g, q) order
+	// — exactly the sender's packing order. Lattice links are
+	// symmetric, so the ranks that send to me are the ranks I send to;
+	// the sites of every other rank are skipped unread.
 	d.recvFix = make([][]int32, K)
-	recvFrom := map[int]bool{}
-	for _, r := range d.incomingRanks(part) {
-		var links []crossLink
-		for g := 0; g < dom.NumSites(); g++ {
-			if int(part.Parts[g]) != r {
+	for g := range dom.Sites {
+		r := int(part.Parts[g])
+		if d.sendOff[r+1] == d.sendOff[r] {
+			continue // me, or a rank sharing no link with me
+		}
+		for q := 1; q < Q; q++ {
+			if dom.Sites[g].Links[q-1].Type != geometry.LinkFluid {
 				continue
 			}
-			for q := 1; q < m.Q; q++ {
-				if dom.Sites[g].Links[q-1].Type != geometry.LinkFluid {
-					continue
-				}
-				j := dom.Neighbour(g, q)
-				if int(part.Parts[j]) == me {
-					links = append(links, crossLink{g, q, int(d.local[j])})
-				}
+			if lj := d.local[dom.Neighbour(g, q)]; lj >= 0 {
+				d.recvFix[r] = append(d.recvFix[r], lj*int32(Q)+int32(q))
 			}
 		}
-		sort.Slice(links, func(a, b int) bool {
-			if links[a].srcGlobal != links[b].srcGlobal {
-				return links[a].srcGlobal < links[b].srcGlobal
-			}
-			return links[a].q < links[b].q
-		})
-		fix := make([]int32, len(links))
-		for i, cl := range links {
-			fix[i] = int32(cl.li*m.Q + cl.q)
-		}
-		d.recvFix[r] = fix
-		recvFrom[r] = true
 	}
-	// neighbors = union of send and receive partners (symmetric for
-	// undirected lattice links, but keep it robust).
-	seen := map[int]bool{}
-	for _, r := range d.neighbors {
-		seen[r] = true
-	}
-	for r := range recvFrom {
-		if !seen[r] {
+	for r := 0; r < K; r++ {
+		if d.sendOff[r+1] > d.sendOff[r] {
 			d.neighbors = append(d.neighbors, r)
 		}
 	}
-	sort.Ints(d.neighbors)
-
-	d.InitEquilibrium(p.initialRho())
 	return d, nil
 }
 
-// incomingRanks lists ranks owning at least one site adjacent to mine.
-func (d *Dist) incomingRanks(part *partition.Partition) []int {
-	me := d.Comm.Rank()
-	set := map[int]bool{}
-	m := d.Dom.Model
-	for _, g := range d.Owned {
-		for q := 1; q < m.Q; q++ {
-			if d.Dom.Sites[g].Links[q-1].Type != geometry.LinkFluid {
-				continue
-			}
-			j := d.Dom.Neighbour(g, q)
-			if o := int(part.Parts[j]); o != me {
-				set[o] = true
-			}
-		}
-	}
-	out := make([]int, 0, len(set))
-	for r := range set {
-		out = append(out, r)
-	}
-	sort.Ints(out)
-	return out
-}
-
-// InitEquilibrium resets all owned sites to zero-velocity equilibrium.
-func (d *Dist) InitEquilibrium(rho float64) {
-	m := d.Dom.Model
-	for li := range d.Owned {
-		for q := 0; q < m.Q; q++ {
-			d.f[li*m.Q+q] = rho * m.W[q]
-		}
-	}
-	d.step = 0
-}
-
 // NumOwned returns the number of sites owned by this rank.
-func (d *Dist) NumOwned() int { return len(d.Owned) }
+func (d *Dist) NumOwned() int { return d.n }
 
-// StepCount returns completed steps.
-func (d *Dist) StepCount() int { return d.step }
-
-// SetIoletDensity overrides the imposed density of iolet k on this
-// rank; steering calls it on every rank.
-func (d *Dist) SetIoletDensity(k int, rho float64) error {
-	if k < 0 || k >= len(d.ioletRho) {
-		return fmt.Errorf("lb: iolet %d out of range", k)
-	}
-	d.ioletRho[k] = rho
-	return nil
-}
-
-// SetPulse attaches a sinusoidal modulation to iolet k on this rank;
-// all ranks must call it identically.
-func (d *Dist) SetPulse(k int, p *Pulse) error {
-	if k < 0 || k >= len(d.pulses) {
-		return fmt.Errorf("lb: iolet %d out of range", k)
-	}
-	if p != nil && p.Period <= 0 {
-		return fmt.Errorf("lb: pulse period must be positive")
-	}
-	d.pulses[k] = p
-	return nil
-}
-
-// Step advances one time step: fused collide+stream on owned sites
-// (cross-rank populations packed into sendBuf), halo exchange, scatter,
-// swap. With Params.Threads > 1 the collide+stream pass is tiled over
-// the worker pool — results stay bit-identical to serial for any worker
-// count (disjoint writes, per-site arithmetic unchanged); the halo
-// exchange stays on the calling goroutine so the par runtime sees the
-// usual one-goroutine-per-rank SPMD structure.
+// Step advances one time step: the kernel's fused collide+stream on
+// owned sites (cross-rank populations packed into sendBuf), halo
+// exchange, scatter, swap. Tiling (Params.Threads > 1) happens inside
+// the kernel pass; the halo exchange stays on the calling goroutine so
+// the par runtime sees the usual one-goroutine-per-rank SPMD structure.
 func (d *Dist) Step() {
-	rhoIo := d.rhoIoBuf
-	for k := range rhoIo {
-		rhoIo[k] = effectiveIoletRho(d.ioletRho[k], d.pulses[k], d.step)
-	}
-	if d.pool != nil {
-		d.pool.step()
-	} else {
-		d.stepTile(0, 0, len(d.Owned))
-	}
+	d.collideStream()
 	// Halo exchange: send packed slices, receive and scatter. The
 	// transport copies cycle through the runtime's buffer pool, so the
 	// per-step exchange allocates nothing once warm.
@@ -323,91 +147,7 @@ func (d *Dist) Step() {
 		}
 		d.Comm.Recycle(data)
 	}
-	d.f, d.fNew = d.fNew, d.f
-	d.step++
-}
-
-// stepTile runs the fused collide+stream pass over owned sites
-// [lo, hi) using worker w's private scratch. Every write — fNew fluid
-// destinations, wall/iolet bounces into the source site's own opposite
-// slot, pre-assigned sendBuf slots for cross-rank links — is disjoint
-// per (source site, direction), so tiles need no locks.
-func (d *Dist) stepTile(w, lo, hi int) {
-	m := d.Dom.Model
-	Q := m.Q
-	mv := modelView{Q: m.Q, C: m.C, W: m.W, Opp: m.Opp}
-	invTauPlus := 1.0 / d.Tau
-	invTauMinus := 1.0 / tauMinus(d.Tau)
-	rhoIo := d.rhoIoBuf
-	sc := &d.scratch[w]
-	for li := lo; li < hi; li++ {
-		base := li * Q
-		var rho, ux, uy, uz float64
-		for q := 0; q < Q; q++ {
-			v := d.f[base+q]
-			rho += v
-			c := &m.C[q]
-			ux += v * float64(c[0])
-			uy += v * float64(c[1])
-			uz += v * float64(c[2])
-		}
-		if rho > 0 {
-			ux /= rho
-			uy /= rho
-			uz /= rho
-		}
-		u2 := ux*ux + uy*uy + uz*uz
-		copy(sc.post, d.f[base:base+Q])
-		collideSite(d.Kind, mv, sc.post, 0, rho, ux, uy, uz, invTauPlus, invTauMinus, sc.feqBuf)
-		for q := 0; q < Q; q++ {
-			post := sc.post[q]
-			dst := d.stream[base+q]
-			switch {
-			case dst >= 0:
-				d.fNew[dst] = post
-			case dst <= streamCrossBase:
-				d.sendBuf[streamCrossBase-dst] = post
-			case dst == streamWall:
-				d.fNew[base+m.Opp[q]] = post
-			default:
-				k := int(encodeIolet - dst)
-				c := &m.C[q]
-				cu := ux*float64(c[0]) + uy*float64(c[1]) + uz*float64(c[2])
-				d.fNew[base+m.Opp[q]] = -post + 2*feqSym(m.W[q], rhoIo[k], cu, u2)
-			}
-		}
-	}
-}
-
-// Threads returns the worker count stepping this rank (1 = serial).
-func (d *Dist) Threads() int { return d.threads }
-
-// SampleTiles arms per-worker tile timing for the next Step only; read
-// the result with TileNanos afterwards. Serial solvers ignore it — the
-// run loop times serial steps with the ordinary step phase already.
-func (d *Dist) SampleTiles() {
-	if d.pool != nil {
-		d.pool.timing = true
-	}
-}
-
-// TileNanos returns the per-worker tile durations of the most recent
-// armed Step (nil when serial). The slice is reused across samples;
-// callers must consume it before the next armed Step.
-func (d *Dist) TileNanos() []int64 {
-	if d.pool == nil {
-		return nil
-	}
-	return d.pool.tileNs
-}
-
-// Close parks the worker pool (no-op for serial ranks). The Dist keeps
-// working after Close — stepping just falls back to serial.
-func (d *Dist) Close() {
-	if d.pool != nil {
-		d.pool.close()
-		d.pool = nil
-	}
+	d.swap()
 }
 
 // Advance runs n steps.
@@ -417,49 +157,11 @@ func (d *Dist) Advance(n int) {
 	}
 }
 
-// Density returns density at local site li.
-func (d *Dist) Density(li int) float64 {
-	rho := 0.0
-	base := li * d.M
-	for q := 0; q < d.M; q++ {
-		rho += d.f[base+q]
-	}
-	return rho
-}
-
-// Velocity returns the velocity at local site li.
-func (d *Dist) Velocity(li int) (ux, uy, uz float64) {
-	m := d.Dom.Model
-	base := li * m.Q
-	rho := 0.0
-	for q := 0; q < m.Q; q++ {
-		v := d.f[base+q]
-		rho += v
-		c := &m.C[q]
-		ux += v * float64(c[0])
-		uy += v * float64(c[1])
-		uz += v * float64(c[2])
-	}
-	if rho > 0 {
-		ux /= rho
-		uy /= rho
-		uz /= rho
-	}
-	return
-}
-
 // WallShearStress estimates the wall shear stress magnitude at local
-// site li (0 for non-wall sites) — the distributed counterpart of
-// Solver.WallShearStress, sharing its kernel.
+// site li (0 for non-wall sites).
 func (d *Dist) WallShearStress(li int) float64 {
-	g := d.Owned[li]
-	site := &d.Dom.Sites[g]
-	if site.Flags&geometry.FlagWall == 0 {
-		return 0
-	}
-	base := li * d.M
-	rho, ux, uy, uz := momentsAt(d.Dom.Model, d.f, base)
-	return wallShearStressAt(d.Dom.Model, site, d.f, base, d.Tau, rho, ux, uy, uz)
+	_, _, _, _, wss := d.fields(li, &d.Dom.Sites[d.Owned[li]])
+	return wss
 }
 
 // TotalMass returns the global mass (allreduce over ranks).
@@ -507,27 +209,16 @@ func (d *Dist) gatherFields(root int, withWSS bool) (rho, ux, uy, uz, wss []floa
 	if withWSS {
 		stride = 6
 	}
-	n := len(d.Owned)
-	m := d.Dom.Model
-	buf := d.pack(stride * n)
+	buf := d.pack(stride * d.n)
 	for li, g := range d.Owned {
-		// One moment pass per site: density and velocity come from the
-		// same momentsAt call, and the WSS kernel takes the precomputed
-		// moments instead of recomputing them.
-		rho0, vx, vy, vz := momentsAt(m, d.f, li*m.Q)
+		// One moment pass per site: the WSS kernel reuses the moments
+		// density and velocity came from.
 		at := stride * li
 		buf[at] = float64(g)
-		buf[at+1] = rho0
-		buf[at+2] = vx
-		buf[at+3] = vy
-		buf[at+4] = vz
 		if withWSS {
-			site := &d.Dom.Sites[g]
-			if site.Flags&geometry.FlagWall != 0 {
-				buf[at+5] = wallShearStressAt(m, site, d.f, li*m.Q, d.Tau, rho0, vx, vy, vz)
-			} else {
-				buf[at+5] = 0
-			}
+			buf[at+1], buf[at+2], buf[at+3], buf[at+4], buf[at+5] = d.fields(li, &d.Dom.Sites[g])
+		} else {
+			buf[at+1], buf[at+2], buf[at+3], buf[at+4] = d.moments(li)
 		}
 	}
 	if d.Comm.Rank() != root {
@@ -558,8 +249,7 @@ func (d *Dist) gatherFields(root int, withWSS bool) (rho, ux, uy, uz, wss []floa
 // as (ux, uy, uz) indexed by global site id; non-root ranks receive
 // nils. Used by the naive (non-in-situ) post-processing baseline.
 func (d *Dist) GatherVelocity(root int) (ux, uy, uz []float64) {
-	n := len(d.Owned)
-	buf := make([]float64, 4*n)
+	buf := make([]float64, 4*d.n)
 	for li, g := range d.Owned {
 		vx, vy, vz := d.Velocity(li)
 		buf[4*li] = float64(g)

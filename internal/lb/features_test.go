@@ -120,7 +120,7 @@ func TestDistTRTMatchesSerialTRT(t *testing.T) {
 		}
 		d.Advance(30)
 		for li, g := range d.Owned {
-			if math.Abs(d.Density(li)-serial.Density(g)) > 1e-11 {
+			if math.Float64bits(d.Density(li)) != math.Float64bits(serial.Density(g)) {
 				panic("TRT dist/serial mismatch")
 			}
 		}
@@ -348,7 +348,7 @@ func TestRedistributeContinuesExactly(t *testing.T) {
 		}
 		nd.Advance(20)
 		for li, gid := range nd.Owned {
-			if math.Abs(nd.Density(li)-serial.Density(gid)) > 1e-11 {
+			if math.Float64bits(nd.Density(li)) != math.Float64bits(serial.Density(gid)) {
 				panic("redistribution perturbed the solution")
 			}
 		}

@@ -1,0 +1,134 @@
+package lb
+
+import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
+	"hash/fnv"
+	"math"
+	"runtime"
+	"testing"
+
+	"repro/internal/geometry"
+	"repro/internal/lattice"
+	"repro/internal/par"
+	"repro/internal/partition"
+)
+
+// stateHash is FNV-1a over the little-endian Float64bits of a
+// population vector: any single-bit change in any population moves it.
+func stateHash(f []float64) uint64 {
+	h := fnv.New64a()
+	var b [8]byte
+	for _, v := range f {
+		binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+		h.Write(b[:])
+	}
+	return h.Sum64()
+}
+
+// goldenStepper is what a golden case drives; Solver and Dist both
+// satisfy it, so one script runs against either.
+type goldenStepper interface {
+	Advance(int)
+	SetIoletDensity(int, float64) error
+	SetPulse(int, *Pulse) error
+}
+
+// TestGoldenStateHash pins the kernel's arithmetic: the hashes below
+// were recorded on the commit *before* Solver and Dist were merged onto
+// one collide+stream loop, and every later kernel rewrite (ROADMAP item
+// 2) must reproduce them — from the serial solver, from the distributed
+// one at 1/2/3 ranks, tiled and untiled — or bump the checkpoint magic
+// deliberately. It also pins that serial and distributed checkpoints
+// are the same bytes.
+func TestGoldenStateHash(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		// The constants are amd64 values (default GOAMD64=v1). On arm64,
+		// ppc64le, s390x, riscv64 — and amd64 built with GOAMD64=v3 — the
+		// Go compiler may fuse x*y+z into one rounding, which legitimately
+		// changes the low bits.
+		t.Skipf("golden hashes are amd64 values; %s may fuse multiply-add", runtime.GOARCH)
+	}
+	voxelise := func(v *geometry.Vessel, m *lattice.Model) *geometry.Domain {
+		dom, err := geometry.Voxelise(v, 1.0, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return dom
+	}
+	must := func(err error) {
+		if err != nil {
+			panic(err)
+		}
+	}
+	advance40 := func(s goldenStepper) { s.Advance(40) }
+	cases := []struct {
+		name  string
+		dom   *geometry.Domain
+		kind  Collision
+		drive func(goldenStepper)
+		want  uint64
+	}{
+		{"pipe-bgk", voxelise(geometry.Pipe(16, 3), lattice.D3Q19()), BGK, advance40, goldenPipeBGK},
+		{"pipe-trt", voxelise(geometry.Pipe(16, 3), lattice.D3Q19()), TRT, advance40, goldenPipeTRT},
+		{"aneurysm-pulsed-steered", voxelise(geometry.Aneurysm(16, 3, 5), lattice.D3Q19()), BGK, func(s goldenStepper) {
+			must(s.SetPulse(0, &Pulse{Amp: 0.01, Period: 20}))
+			s.Advance(25)
+			must(s.SetIoletDensity(1, 0.99))
+			s.Advance(25)
+		}, goldenAneurysm},
+		{"pipe-d3q15", voxelise(geometry.Pipe(16, 3), lattice.D3Q15()), BGK, advance40, goldenPipeD3Q15},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var serialCkpt bytes.Buffer
+			for _, threads := range []int{1, 3} {
+				s, err := New(tc.dom, Params{Tau: 0.9, Kind: tc.kind, Threads: threads})
+				if err != nil {
+					t.Fatal(err)
+				}
+				tc.drive(s)
+				if got := stateHash(s.F()); got != tc.want {
+					t.Errorf("Solver threads=%d: state hash %#016x, want %#016x", threads, got, tc.want)
+				}
+				if threads == 1 {
+					must(s.Checkpoint(&serialCkpt))
+				}
+				s.Close()
+			}
+			for _, k := range []int{1, 2, 3} {
+				part := pipePartition(t, tc.dom, k, partition.MethodMultilevel)
+				for _, threads := range []int{1, 3} {
+					var got uint64
+					var ckpt bytes.Buffer
+					par.NewRuntime(k).Run(func(c *par.Comm) {
+						d, err := NewDist(c, tc.dom, part, Params{Tau: 0.9, Kind: tc.kind, Threads: threads})
+						must(err)
+						defer d.Close()
+						tc.drive(d)
+						if st := d.GatherState(nil); st != nil {
+							got = stateHash(st.F)
+						}
+						must(d.Checkpoint(&ckpt))
+					})
+					id := fmt.Sprintf("Dist ranks=%d threads=%d", k, threads)
+					if got != tc.want {
+						t.Errorf("%s: state hash %#016x, want %#016x", id, got, tc.want)
+					}
+					if !bytes.Equal(ckpt.Bytes(), serialCkpt.Bytes()) {
+						t.Errorf("%s: checkpoint bytes differ from Solver.Checkpoint", id)
+					}
+				}
+			}
+		})
+	}
+}
+
+// Recorded on the parent of the one-kernel refactor (amd64, go1.22+).
+const (
+	goldenPipeBGK   uint64 = 0x2a0f49f0e9dd6a85
+	goldenPipeTRT   uint64 = 0x89307dbcba249480
+	goldenAneurysm  uint64 = 0x0912fa7e1eeb2b2e
+	goldenPipeD3Q15 uint64 = 0x76d3481885d6ac39
+)

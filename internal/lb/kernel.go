@@ -1,0 +1,406 @@
+package lb
+
+import (
+	"fmt"
+	"math"
+
+	"repro/internal/geometry"
+	"repro/internal/lattice"
+)
+
+// Streaming targets are encoded in the stream table: values >= 0 are
+// flat destination indices into fNew; negative values encode what
+// happens at the source site instead. Boundary encodings (wall,
+// iolets) occupy (streamCrossBase, 0); entries <= streamCrossBase are
+// cross-rank links, slot (streamCrossBase - value) of the packed send
+// buffer. A serial Solver has no cross-rank links, so its table never
+// holds one.
+const (
+	streamWall      = -1 // halfway bounce-back
+	encodeIolet     = -2 // -(2+k) = anti-bounce-back against iolet k
+	streamCrossBase = int32(-(1 << 20))
+)
+
+// Pulse is a sinusoidal iolet-density modulation: the imposed density
+// becomes base + Amp*sin(2π step/Period). Cardiac inflow wave-forms
+// are the paper's motivating unsteadiness; pathlines and streak-lines
+// only differ from streamlines in such flows.
+type Pulse struct {
+	Amp    float64
+	Period float64
+}
+
+// kernelScratch is one worker's private collision scratch (the
+// post-collision copy and the equilibrium buffer). Sharing these
+// across workers was the data race that forbade tiling; every worker
+// owns its own pair.
+type kernelScratch struct {
+	post, feqBuf []float64
+}
+
+// kernel is one rank's lattice-Boltzmann state and the only
+// collide+stream loop in the repository. Solver embeds one over the
+// whole domain; Dist embeds one over the sites its rank owns and adds
+// the halo exchange. Populations are stored site-major: f[i*Q+q] with
+// i the local site index.
+type kernel struct {
+	M    *lattice.Model
+	Tau  float64
+	Kind Collision
+
+	n      int       // local sites
+	f      []float64 // current populations
+	fNew   []float64 // streamed populations for the next step
+	stream []int32   // stream[i*Q+q] = destination flat index, or encoded (see above)
+	// sendBuf receives the populations leaving this rank, one
+	// pre-assigned slot per cross-rank link (empty for a Solver).
+	sendBuf []float64
+
+	// ioletRho[k] is the imposed boundary density of iolet k,
+	// adjustable at runtime by the steering layer; pulses holds optional
+	// sinusoidal modulation per iolet (nil entries = steady). rhoIo is
+	// the per-step effective density buffer and scratch one private pair
+	// per worker — both exist so steady-state stepping allocates nothing.
+	ioletRho []float64
+	pulses   []*Pulse
+	rhoIo    []float64
+	scratch  []kernelScratch
+	// pool tiles the collide+stream pass over persistent workers when
+	// Params.Threads > 1 (nil = serial). The kernel owns it; Close
+	// parks it.
+	pool *tilePool
+
+	step int
+}
+
+// crossLink is a fluid link whose target another rank owns: direction
+// q out of local site li into global site dst.
+type crossLink struct {
+	li, q, dst int
+}
+
+// newKernel builds the state for the local sites owned[0..n) (ascending
+// global ids) with local mapping a global id to its local index or -1;
+// both nil means the whole domain in global order. Links whose target
+// is not local are returned in (site, direction) order with their
+// stream entries left for the caller to patch once send slots are
+// assigned. p must already be validated.
+func newKernel(dom *geometry.Domain, p Params, owned []int, local []int32) (*kernel, []crossLink) {
+	m := dom.Model
+	n := dom.NumSites()
+	if owned != nil {
+		n = len(owned)
+	}
+	k := &kernel{
+		M:        m,
+		Tau:      p.Tau,
+		Kind:     p.Kind,
+		n:        n,
+		f:        make([]float64, n*m.Q),
+		fNew:     make([]float64, n*m.Q),
+		stream:   make([]int32, n*m.Q),
+		ioletRho: make([]float64, len(dom.Iolets)),
+		pulses:   make([]*Pulse, len(dom.Iolets)),
+		rhoIo:    make([]float64, len(dom.Iolets)),
+		scratch:  make([]kernelScratch, p.workers()),
+	}
+	for w := range k.scratch {
+		k.scratch[w] = kernelScratch{post: make([]float64, m.Q), feqBuf: make([]float64, m.Q)}
+	}
+	if w := p.workers(); w > 1 {
+		k.pool = newTilePool(w, n, k.stepTile)
+	}
+	for i, io := range dom.Iolets {
+		k.ioletRho[i] = 1 + io.Pressure
+	}
+	var cross []crossLink
+	for li := 0; li < n; li++ {
+		g := li
+		if owned != nil {
+			g = owned[li]
+		}
+		base := li * m.Q
+		k.stream[base] = int32(base) // rest population stays
+		for q := 1; q < m.Q; q++ {
+			link := dom.Sites[g].Links[q-1]
+			switch link.Type {
+			case geometry.LinkFluid:
+				j := dom.Neighbour(g, q)
+				lj := j
+				if local != nil {
+					lj = int(local[j])
+				}
+				if lj >= 0 {
+					k.stream[base+q] = int32(lj*m.Q + q)
+				} else {
+					cross = append(cross, crossLink{li, q, j})
+				}
+			case geometry.LinkWall:
+				k.stream[base+q] = streamWall
+			default: // inlet or outlet
+				k.stream[base+q] = int32(encodeIolet - link.Iolet)
+			}
+		}
+	}
+	k.InitEquilibrium(p.initialRho())
+	return k, cross
+}
+
+// InitEquilibrium sets every local site to the zero-velocity
+// equilibrium at density rho and rewinds the step counter.
+func (k *kernel) InitEquilibrium(rho float64) {
+	q := k.M.Q
+	for i := 0; i < k.n; i++ {
+		for d := 0; d < q; d++ {
+			k.f[i*q+d] = rho * k.M.W[d]
+		}
+	}
+	k.step = 0
+}
+
+// StepCount returns the number of completed time steps.
+func (k *kernel) StepCount() int { return k.step }
+
+// SetIoletDensity overrides the imposed density of iolet i (steering
+// hook: "change simulation parameters mid-run"). On a Dist, steering
+// calls it on every rank.
+func (k *kernel) SetIoletDensity(i int, rho float64) error {
+	if i < 0 || i >= len(k.ioletRho) {
+		return fmt.Errorf("lb: iolet %d out of range [0,%d)", i, len(k.ioletRho))
+	}
+	k.ioletRho[i] = rho
+	return nil
+}
+
+// SetPulse attaches a sinusoidal modulation to iolet i (nil removes
+// it). On a Dist, all ranks must call it identically.
+func (k *kernel) SetPulse(i int, p *Pulse) error {
+	if i < 0 || i >= len(k.pulses) {
+		return fmt.Errorf("lb: iolet %d out of range [0,%d)", i, len(k.pulses))
+	}
+	if p != nil && p.Period <= 0 {
+		return fmt.Errorf("lb: pulse period must be positive, got %g", p.Period)
+	}
+	k.pulses[i] = p
+	return nil
+}
+
+// effectiveIoletRho returns the imposed density of an iolet at the
+// given time step, including any pulse.
+func effectiveIoletRho(base float64, p *Pulse, step int) float64 {
+	if p == nil {
+		return base
+	}
+	return base + p.Amp*math.Sin(2*math.Pi*float64(step)/p.Period)
+}
+
+// feq computes the equilibrium for one direction given density rho;
+// cu = c·u, u2 = u·u.
+func feq(w, rho, cu, u2 float64) float64 {
+	return w * rho * (1 + 3*cu + 4.5*cu*cu - 1.5*u2)
+}
+
+// feqSym is the symmetric (even-in-c) part of the equilibrium, used by
+// the anti-bounce-back pressure boundary.
+func feqSym(w, rho, cu, u2 float64) float64 {
+	return w * rho * (1 + 4.5*cu*cu - 1.5*u2)
+}
+
+// collideStream performs one fused collide+stream pass over all local
+// sites, writing into fNew (and sendBuf), and counts the step. Callers
+// deposit any halo populations into fNew and then swap. With
+// Params.Threads > 1 the pass is tiled over the worker pool; results
+// are bit-identical to the serial pass for any thread count.
+func (k *kernel) collideStream() {
+	// Iolet densities for this step, including pulses — computed once
+	// before the tiles run, so every worker reads the same immutable
+	// values.
+	for i := range k.rhoIo {
+		k.rhoIo[i] = effectiveIoletRho(k.ioletRho[i], k.pulses[i], k.step)
+	}
+	if k.pool != nil {
+		k.pool.step()
+	} else {
+		k.stepTile(0, 0, k.n)
+	}
+	k.step++
+}
+
+// swap publishes fNew as the current distribution set.
+func (k *kernel) swap() { k.f, k.fNew = k.fNew, k.f }
+
+// stepTile runs the fused collide+stream pass over local sites
+// [lo, hi) using worker w's private scratch. Wall links bounce back;
+// iolet links apply the anti-bounce-back pressure condition
+// f'(opp) = -f*(q) + 2 w_q rho_io (1 + 4.5 (c·u)² - 1.5 u²), which
+// imposes the iolet density while letting momentum leave the domain.
+// Every write — fNew fluid destinations, wall/iolet bounces into the
+// source site's own opposite slot, pre-assigned sendBuf slots for
+// cross-rank links — is disjoint per (source site, direction), so
+// tiles need no locks.
+//
+// The floating-point operation order per site is a contract: the
+// golden state hashes (golden_test.go) and every stored checkpoint
+// depend on it.
+func (k *kernel) stepTile(w, lo, hi int) {
+	m := k.M
+	Q := m.Q
+	invTauPlus := 1.0 / k.Tau
+	invTauMinus := 1.0 / tauMinus(k.Tau)
+	rhoIo := k.rhoIo
+	sc := &k.scratch[w]
+	for i := lo; i < hi; i++ {
+		base := i * Q
+		rho, ux, uy, uz := k.moments(i)
+		u2 := ux*ux + uy*uy + uz*uz
+		copy(sc.post, k.f[base:base+Q])
+		collideSite(k.Kind, m, sc.post, rho, ux, uy, uz, invTauPlus, invTauMinus, sc.feqBuf)
+		for q := 0; q < Q; q++ {
+			post := sc.post[q]
+			dst := k.stream[base+q]
+			switch {
+			case dst >= 0:
+				k.fNew[dst] = post
+			case dst <= streamCrossBase:
+				k.sendBuf[streamCrossBase-dst] = post
+			case dst == streamWall:
+				k.fNew[base+m.Opp[q]] = post
+			default: // iolet anti-bounce-back
+				io := int(encodeIolet - dst)
+				c := &m.C[q]
+				cu := ux*float64(c[0]) + uy*float64(c[1]) + uz*float64(c[2])
+				k.fNew[base+m.Opp[q]] = -post + 2*feqSym(m.W[q], rhoIo[io], cu, u2)
+			}
+		}
+	}
+}
+
+// Threads returns the worker count stepping this kernel (1 = serial,
+// including after Close).
+func (k *kernel) Threads() int {
+	if k.pool == nil {
+		return 1
+	}
+	return k.pool.threads
+}
+
+// SampleTiles arms per-worker tile timing for the next step only; read
+// the result with TileNanos afterwards. Serial kernels ignore it — the
+// run loop times serial steps with the ordinary step phase already.
+func (k *kernel) SampleTiles() {
+	if k.pool != nil {
+		k.pool.timing = true
+	}
+}
+
+// TileNanos returns the per-worker tile durations of the most recent
+// armed step (nil when serial). The slice is reused across samples;
+// callers must consume it before the next armed step.
+func (k *kernel) TileNanos() []int64 {
+	if k.pool == nil {
+		return nil
+	}
+	return k.pool.tileNs
+}
+
+// Close parks the worker pool (no-op when serial). Stepping keeps
+// working after Close — it just falls back to serial.
+func (k *kernel) Close() {
+	if k.pool != nil {
+		k.pool.close()
+		k.pool = nil
+	}
+}
+
+// moments computes density and velocity at local site i from its
+// current populations.
+func (k *kernel) moments(i int) (rho, ux, uy, uz float64) {
+	m := k.M
+	base := i * m.Q
+	for q := 0; q < m.Q; q++ {
+		v := k.f[base+q]
+		rho += v
+		c := &m.C[q]
+		ux += v * float64(c[0])
+		uy += v * float64(c[1])
+		uz += v * float64(c[2])
+	}
+	if rho > 0 {
+		ux /= rho
+		uy /= rho
+		uz /= rho
+	}
+	return
+}
+
+// Density returns the density at local site i.
+func (k *kernel) Density(i int) float64 {
+	rho, _, _, _ := k.moments(i)
+	return rho
+}
+
+// Velocity returns the velocity at local site i.
+func (k *kernel) Velocity(i int) (ux, uy, uz float64) {
+	_, ux, uy, uz = k.moments(i)
+	return
+}
+
+// fields returns every macroscopic observable of local site i, whose
+// geometry record is site, from one moment pass: density, velocity and
+// the wall shear stress magnitude (0 off walls — the non-equilibrium
+// tensor is meaningless, and wasted work, there).
+//
+// WSS comes from the non-equilibrium momentum flux tensor:
+// sigma_ab = -(1 - 1/(2 tau)) sum_q c_qa c_qb f_neq. The traction
+// t = sigma·n is decomposed against the wall normal and the tangential
+// component's magnitude is returned. This is the physiological
+// observable ("wall stress distributions") the paper lists as a
+// primary post-processing target.
+func (k *kernel) fields(i int, site *geometry.Site) (rho, ux, uy, uz, wss float64) {
+	rho, ux, uy, uz = k.moments(i)
+	if site.Flags&geometry.FlagWall == 0 {
+		return
+	}
+	m := k.M
+	base := i * m.Q
+	u2 := ux*ux + uy*uy + uz*uz
+	var sigma [3][3]float64
+	for q := 0; q < m.Q; q++ {
+		c := &m.C[q]
+		cu := ux*float64(c[0]) + uy*float64(c[1]) + uz*float64(c[2])
+		fneq := k.f[base+q] - feq(m.W[q], rho, cu, u2)
+		for a := 0; a < 3; a++ {
+			for b := 0; b < 3; b++ {
+				sigma[a][b] += float64(c[a]) * float64(c[b]) * fneq
+			}
+		}
+	}
+	factor := -(1 - 1/(2*k.Tau))
+	nrm := [3]float64{site.WallNormal.X, site.WallNormal.Y, site.WallNormal.Z}
+	var traction [3]float64
+	for a := 0; a < 3; a++ {
+		for b := 0; b < 3; b++ {
+			traction[a] += factor * sigma[a][b] * nrm[b]
+		}
+	}
+	// Remove the normal component.
+	tn := traction[0]*nrm[0] + traction[1]*nrm[1] + traction[2]*nrm[2]
+	var tang [3]float64
+	for a := 0; a < 3; a++ {
+		tang[a] = traction[a] - tn*nrm[a]
+	}
+	wss = math.Sqrt(tang[0]*tang[0] + tang[1]*tang[1] + tang[2]*tang[2])
+	return
+}
+
+// checkShape rejects a checkpoint taken on a different domain: sites is
+// the global site count this kernel's domain has.
+func (k *kernel) checkShape(ci CheckpointInfo, sites int) error {
+	if ci.Sites != sites || ci.Q != k.M.Q {
+		return fmt.Errorf("lb: checkpoint is for %d sites Q=%d, domain has %d Q=%d", ci.Sites, ci.Q, sites, k.M.Q)
+	}
+	if ci.Iolets != len(k.ioletRho) {
+		return fmt.Errorf("lb: checkpoint has %d iolets, domain has %d", ci.Iolets, len(k.ioletRho))
+	}
+	return nil
+}

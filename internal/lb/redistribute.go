@@ -19,7 +19,7 @@ const tagRedist = par.TagUser + 102
 func (d *Dist) Redistribute(newPart *partition.Partition) (*Dist, error) {
 	// Threads carries over: the new solver tiles with the same worker
 	// count the old one used.
-	nd, err := NewDist(d.Comm, d.Dom, newPart, Params{Tau: d.Tau, Kind: d.Kind, Threads: d.threads})
+	nd, err := NewDist(d.Comm, d.Dom, newPart, Params{Tau: d.Tau, Kind: d.Kind, Threads: d.Threads()})
 	if err != nil {
 		return nil, err
 	}

@@ -1,14 +1,18 @@
 // Package lb implements the HemeLB-style sparse-geometry
-// lattice-Boltzmann solver: BGK (LBGK) collision on a D3Q19 lattice,
-// indirect addressing over fluid sites only, halfway bounce-back walls
-// and pressure (anti-bounce-back equilibrium) in/outlets, with the
-// macroscopic observables the paper's post-processing consumes
-// (density, velocity, wall shear stress).
+// lattice-Boltzmann solver: BGK or TRT collision on a D3Q19 (or D3Q15)
+// lattice, indirect addressing over fluid sites only, halfway
+// bounce-back walls and pressure (anti-bounce-back equilibrium)
+// in/outlets, with the macroscopic observables the paper's
+// post-processing consumes (density, velocity, wall shear stress).
 //
-// Solver is the single-rank kernel; Dist (dist.go) couples one Solver
-// subdomain per rank through halo exchange on the par runtime. Both
-// can checkpoint/restore their full state bit-exactly (checkpoint.go);
-// the on-disk binary format is specified in docs/CHECKPOINT_FORMAT.md.
+// There is one kernel (kernel.go): it owns a rank's populations, stream
+// table, iolet state and tile pool, and holds the only collide+stream
+// loop. Solver (this file) is a kernel over the whole domain plus the
+// serial diagnostics; Dist (dist.go) is a kernel over the sites one
+// rank of a par communicator owns plus the halo exchange and the
+// gathers. Both checkpoint/restore their full state bit-exactly and
+// interchangeably (checkpoint.go); the on-disk binary format is
+// specified in docs/CHECKPOINT_FORMAT.md.
 package lb
 
 import (
@@ -16,7 +20,6 @@ import (
 	"math"
 
 	"repro/internal/geometry"
-	"repro/internal/lattice"
 )
 
 // Params configures a solver.
@@ -55,23 +58,6 @@ func (p Params) workers() int {
 	return p.Threads
 }
 
-// kernelScratch is one worker's private collision scratch (the
-// post-collision copy and the equilibrium buffer). Sharing these
-// across workers was the data race that forbade tiling; every worker
-// owns its own pair.
-type kernelScratch struct {
-	post, feqBuf []float64
-}
-
-func newScratch(workers, q int) []kernelScratch {
-	sc := make([]kernelScratch, workers)
-	for w := range sc {
-		sc[w].post = make([]float64, q)
-		sc[w].feqBuf = make([]float64, q)
-	}
-	return sc
-}
-
 func (p Params) initialRho() float64 {
 	if p.InitialRho == 0 {
 		return 1
@@ -79,311 +65,71 @@ func (p Params) initialRho() float64 {
 	return p.InitialRho
 }
 
-// Solver advances the lattice-Boltzmann equation on the fluid sites of
-// a voxelised domain. Populations are stored site-major: f[i*Q+q].
+// Solver advances the lattice-Boltzmann equation on every fluid site of
+// a voxelised domain in one address space: a kernel whose local site
+// index is the global site id, plus the serial diagnostics.
 type Solver struct {
-	Dom  *geometry.Domain
-	M    *lattice.Model
-	Tau  float64
-	Kind Collision
-
-	n      int
-	f      []float64 // current populations
-	fNew   []float64 // streamed populations for the next step
-	stream []int32   // stream[i*Q+q] = destination flat index, or encoded BC
-
-	// ioletRho[k] is the imposed boundary density of iolet k,
-	// adjustable at runtime by the steering layer. pulses holds
-	// optional sinusoidal modulation per iolet (nil entries = steady).
-	ioletRho []float64
-	pulses   []*Pulse
-
-	// scratch holds one private (post, feqBuf) pair per worker; rhoIo
-	// is the reusable per-step effective iolet density buffer — both
-	// exist so steady-state stepping allocates nothing.
-	scratch []kernelScratch
-	rhoIo   []float64
-	// pool tiles the collide+stream pass over persistent workers when
-	// Params.Threads > 1 (nil = serial); Close parks it.
-	pool *tilePool
+	*kernel
+	Dom *geometry.Domain
 
 	// diverged latches that a diagnostic observed a non-finite
 	// velocity — a blown-up simulation must report loudly, not mask
 	// NaN behind a reassuring low max speed.
 	diverged bool
-
-	step int
 }
-
-// Pulse is a sinusoidal iolet-density modulation: the imposed density
-// becomes base + Amp*sin(2π step/Period). Cardiac inflow wave-forms
-// are the paper's motivating unsteadiness; pathlines and streak-lines
-// only differ from streamlines in such flows.
-type Pulse struct {
-	Amp    float64
-	Period float64
-}
-
-// Streaming targets are encoded in stream[]: values >= 0 are flat
-// destination indices into fNew; negative values encode boundary
-// handling at the source site.
-const (
-	streamWall  = -1 // halfway bounce-back
-	ioletBase   = -2 // -(2+k) = anti-bounce-back against iolet k
-	encodeIolet = -2
-)
 
 // New builds a solver over dom.
 func New(dom *geometry.Domain, p Params) (*Solver, error) {
 	if err := p.validate(); err != nil {
 		return nil, err
 	}
-	m := dom.Model
-	n := dom.NumSites()
-	s := &Solver{
-		Dom:      dom,
-		M:        m,
-		Tau:      p.Tau,
-		Kind:     p.Kind,
-		n:        n,
-		f:        make([]float64, n*m.Q),
-		fNew:     make([]float64, n*m.Q),
-		stream:   make([]int32, n*m.Q),
-		ioletRho: make([]float64, len(dom.Iolets)),
-		pulses:   make([]*Pulse, len(dom.Iolets)),
-		scratch:  newScratch(p.workers(), m.Q),
-		rhoIo:    make([]float64, len(dom.Iolets)),
-	}
-	if w := p.workers(); w > 1 {
-		s.pool = newTilePool(w, n, s.collideStreamTile)
-	}
-	for k, io := range dom.Iolets {
-		s.ioletRho[k] = 1 + io.Pressure
-	}
-	// Precompute streaming targets.
-	for i := 0; i < n; i++ {
-		s.stream[i*m.Q] = int32(i * m.Q) // rest population stays
-		for q := 1; q < m.Q; q++ {
-			link := dom.Sites[i].Links[q-1]
-			switch link.Type {
-			case geometry.LinkFluid:
-				j := dom.Neighbour(i, q)
-				s.stream[i*m.Q+q] = int32(j*m.Q + q)
-			case geometry.LinkWall:
-				s.stream[i*m.Q+q] = streamWall
-			default: // inlet or outlet
-				s.stream[i*m.Q+q] = int32(encodeIolet - link.Iolet)
-			}
-		}
-	}
-	s.InitEquilibrium(p.initialRho())
-	return s, nil
+	k, _ := newKernel(dom, p, nil, nil) // no ownership map: no link leaves the rank
+	return &Solver{kernel: k, Dom: dom}, nil
 }
 
 // InitEquilibrium sets every site to the zero-velocity equilibrium at
 // density rho.
 func (s *Solver) InitEquilibrium(rho float64) {
-	for i := 0; i < s.n; i++ {
-		for q := 0; q < s.M.Q; q++ {
-			s.f[i*s.M.Q+q] = rho * s.M.W[q]
-		}
-	}
-	s.step = 0
+	s.kernel.InitEquilibrium(rho)
 	s.diverged = false
 }
 
 // NumSites returns the number of fluid sites.
 func (s *Solver) NumSites() int { return s.n }
 
-// Step returns the number of completed time steps.
-func (s *Solver) StepCount() int { return s.step }
-
-// SetIoletDensity overrides the imposed density of iolet k (steering
-// hook: "change simulation parameters mid-run").
-func (s *Solver) SetIoletDensity(k int, rho float64) error {
-	if k < 0 || k >= len(s.ioletRho) {
-		return fmt.Errorf("lb: iolet %d out of range [0,%d)", k, len(s.ioletRho))
-	}
-	s.ioletRho[k] = rho
-	return nil
-}
-
 // IoletDensity returns the imposed (base) density of iolet k.
 func (s *Solver) IoletDensity(k int) float64 { return s.ioletRho[k] }
-
-// SetPulse attaches a sinusoidal modulation to iolet k (nil removes
-// it).
-func (s *Solver) SetPulse(k int, p *Pulse) error {
-	if k < 0 || k >= len(s.pulses) {
-		return fmt.Errorf("lb: iolet %d out of range [0,%d)", k, len(s.pulses))
-	}
-	if p != nil && p.Period <= 0 {
-		return fmt.Errorf("lb: pulse period must be positive, got %g", p.Period)
-	}
-	s.pulses[k] = p
-	return nil
-}
-
-// effectiveIoletRho returns the imposed density of iolet k at the
-// given time step, including any pulse.
-func effectiveIoletRho(base float64, p *Pulse, step int) float64 {
-	if p == nil {
-		return base
-	}
-	return base + p.Amp*math.Sin(2*math.Pi*float64(step)/p.Period)
-}
-
-// equilibrium computes f_eq for direction q given density rho and
-// velocity (ux,uy,uz); cu = c·u, u2 = u·u.
-func feq(w, rho, cu, u2 float64) float64 {
-	return w * rho * (1 + 3*cu + 4.5*cu*cu - 1.5*u2)
-}
-
-// Moments computes density and momentum at site i from populations f.
-func (s *Solver) moments(f []float64, i int) (rho, ux, uy, uz float64) {
-	return momentsAt(s.M, f, i*s.M.Q)
-}
-
-// momentsAt is the shared moment kernel over one site's populations
-// starting at flat index base.
-func momentsAt(m *lattice.Model, f []float64, base int) (rho, ux, uy, uz float64) {
-	for q := 0; q < m.Q; q++ {
-		v := f[base+q]
-		rho += v
-		c := &m.C[q]
-		ux += v * float64(c[0])
-		uy += v * float64(c[1])
-		uz += v * float64(c[2])
-	}
-	if rho > 0 {
-		ux /= rho
-		uy /= rho
-		uz /= rho
-	}
-	return
-}
 
 // Advance runs nSteps of collide-and-stream.
 func (s *Solver) Advance(nSteps int) {
 	for k := 0; k < nSteps; k++ {
-		s.CollideStreamLocal()
-		s.Swap()
+		s.collideStream()
+		s.swap()
 	}
 }
 
 // CollideStreamLocal performs one fused collide+stream pass over all
-// sites, writing into the internal fNew buffer. Wall links bounce back;
-// iolet links apply the anti-bounce-back pressure condition
-// f'(opp) = -f*(q) + 2 w_q rho_io (1 + 4.5 (c·u)² - 1.5 u²), which
-// imposes the iolet density while letting momentum leave the domain.
-// Distributed callers follow up with halo exchange before Swap.
-// With Params.Threads > 1 the pass is tiled over the worker pool;
-// results are bit-identical to the serial pass for any thread count.
-func (s *Solver) CollideStreamLocal() {
-	// Iolet densities for this step, including pulses — computed once
-	// into the reusable buffer before the tiles run, so every worker
-	// reads the same immutable values.
-	for k := range s.rhoIo {
-		s.rhoIo[k] = effectiveIoletRho(s.ioletRho[k], s.pulses[k], s.step)
-	}
-	if s.pool != nil {
-		s.pool.step()
-	} else {
-		s.collideStreamTile(0, 0, s.n)
-	}
-	s.step++
-}
+// sites into the staging buffer and counts the step; Swap publishes it.
+// Advance is the two in a loop — the split exists for callers that
+// time or inspect the pass on its own.
+func (s *Solver) CollideStreamLocal() { s.collideStream() }
 
-// collideStreamTile steps sites [lo, hi) using worker w's private
-// scratch. All writes — fNew fluid destinations, wall/iolet bounces —
-// are disjoint per (source site, direction), so tiles need no locks.
-func (s *Solver) collideStreamTile(w, lo, hi int) {
-	m := s.M
-	q := m.Q
-	mv := modelView{Q: m.Q, C: m.C, W: m.W, Opp: m.Opp}
-	invTauPlus := 1.0 / s.Tau
-	invTauMinus := 1.0 / tauMinus(s.Tau)
-	sc := &s.scratch[w]
-	rhoIo := s.rhoIo
-	for i := lo; i < hi; i++ {
-		base := i * q
-		rho, ux, uy, uz := s.moments(s.f, i)
-		u2 := ux*ux + uy*uy + uz*uz
-		copy(sc.post, s.f[base:base+q])
-		collideSite(s.Kind, mv, sc.post, 0, rho, ux, uy, uz, invTauPlus, invTauMinus, sc.feqBuf)
-		for d := 0; d < q; d++ {
-			post := sc.post[d]
-			dst := s.stream[base+d]
-			switch {
-			case dst >= 0:
-				s.fNew[dst] = post
-			case dst == streamWall:
-				s.fNew[base+m.Opp[d]] = post
-			default: // iolet anti-bounce-back
-				k := int(encodeIolet - dst)
-				c := &m.C[d]
-				cu := ux*float64(c[0]) + uy*float64(c[1]) + uz*float64(c[2])
-				s.fNew[base+m.Opp[d]] = -post + 2*feqSym(m.W[d], rhoIo[k], cu, u2)
-			}
-		}
-	}
-}
-
-// Threads returns the worker count stepping this solver (1 = serial).
-func (s *Solver) Threads() int {
-	if s.pool == nil {
-		return 1
-	}
-	return s.pool.threads
-}
-
-// Close parks the worker pool (no-op for serial solvers). The solver
-// keeps working after Close — stepping just falls back to serial.
-func (s *Solver) Close() {
-	if s.pool != nil {
-		s.pool.close()
-		s.pool = nil
-	}
-}
-
-// feqSym is the symmetric (even-in-c) part of the equilibrium, used by
-// the anti-bounce-back pressure boundary.
-func feqSym(w, rho, cu, u2 float64) float64 {
-	return w * rho * (1 + 4.5*cu*cu - 1.5*u2)
-}
-
-// Swap publishes fNew as the current distribution set.
-func (s *Solver) Swap() { s.f, s.fNew = s.fNew, s.f }
+// Swap publishes the staging buffer as the current distribution set.
+func (s *Solver) Swap() { s.swap() }
 
 // F returns the current population vector (site-major, length n*Q).
 // The in situ layer reads it zero-copy; callers must not mutate it.
 func (s *Solver) F() []float64 { return s.f }
 
-// FNew returns the staging buffer, used by the distributed driver to
-// deposit halo populations between CollideStreamLocal and Swap.
+// FNew returns the staging buffer CollideStreamLocal writes.
 func (s *Solver) FNew() []float64 { return s.fNew }
-
-// Density returns the density at site i.
-func (s *Solver) Density(i int) float64 {
-	rho, _, _, _ := s.moments(s.f, i)
-	return rho
-}
-
-// Velocity returns the velocity at site i.
-func (s *Solver) Velocity(i int) (ux, uy, uz float64) {
-	_, ux, uy, uz = s.moments(s.f, i)
-	return
-}
 
 // TotalMass returns the sum of density over all sites — exactly
 // conserved by collide + bounce-back in a closed (iolet-free) domain.
 func (s *Solver) TotalMass() float64 {
 	total := 0.0
-	for i := 0; i < s.n; i++ {
-		base := i * s.M.Q
-		for q := 0; q < s.M.Q; q++ {
-			total += s.f[base+q]
-		}
+	for _, v := range s.f {
+		total += v
 	}
 	return total
 }
@@ -394,13 +140,12 @@ func (s *Solver) Viscosity() float64 { return s.M.Cs2 * (s.Tau - 0.5) }
 // MaxSpeed returns the maximum velocity magnitude over all sites, a
 // stability diagnostic (should stay well below cs ≈ 0.577). A blown-up
 // simulation produces NaN velocities, and `v > maxV` is false for NaN —
-// the old code silently masked divergence behind a reassuring low max
-// speed. Any non-finite site speed now makes MaxSpeed return NaN and
-// latches the Diverged flag.
+// so any non-finite site speed makes MaxSpeed return NaN and latches
+// the Diverged flag instead of hiding behind a reassuring low maximum.
 func (s *Solver) MaxSpeed() float64 {
 	maxV := 0.0
 	for i := 0; i < s.n; i++ {
-		_, ux, uy, uz := s.moments(s.f, i)
+		_, ux, uy, uz := s.moments(i)
 		v2 := ux*ux + uy*uy + uz*uz
 		if math.IsNaN(v2) || math.IsInf(v2, 0) {
 			s.diverged = true
@@ -418,56 +163,10 @@ func (s *Solver) MaxSpeed() float64 {
 func (s *Solver) Diverged() bool { return s.diverged }
 
 // WallShearStress estimates the wall shear stress magnitude at site i
-// from the non-equilibrium momentum flux tensor:
-// sigma_ab = -(1 - 1/(2 tau)) sum_q c_qa c_qb f_neq. For wall sites the
-// traction t = sigma·n is decomposed against the wall normal; the
-// tangential component's magnitude is returned. Non-wall sites return
-// 0. This is the physiological observable ("wall stress distributions")
-// the paper lists as a primary post-processing target.
+// (0 for non-wall sites).
 func (s *Solver) WallShearStress(i int) float64 {
-	site := &s.Dom.Sites[i]
-	if site.Flags&geometry.FlagWall == 0 {
-		return 0
-	}
-	base := i * s.M.Q
-	rho, ux, uy, uz := momentsAt(s.M, s.f, base)
-	return wallShearStressAt(s.M, site, s.f, base, s.Tau, rho, ux, uy, uz)
-}
-
-// wallShearStressAt is the shared kernel behind Solver.WallShearStress
-// and the distributed gather path: populations for one site start at
-// flat index base in f. It takes the site's already-computed moments so
-// field extraction does one moment pass, not two — callers must check
-// the wall flag first (the non-equilibrium tensor is meaningless, and
-// wasted work, off walls).
-func wallShearStressAt(m *lattice.Model, site *geometry.Site, f []float64, base int, tau, rho, ux, uy, uz float64) float64 {
-	u2 := ux*ux + uy*uy + uz*uz
-	var sigma [3][3]float64
-	for q := 0; q < m.Q; q++ {
-		c := &m.C[q]
-		cu := ux*float64(c[0]) + uy*float64(c[1]) + uz*float64(c[2])
-		fneq := f[base+q] - feq(m.W[q], rho, cu, u2)
-		for a := 0; a < 3; a++ {
-			for b := 0; b < 3; b++ {
-				sigma[a][b] += float64(c[a]) * float64(c[b]) * fneq
-			}
-		}
-	}
-	factor := -(1 - 1/(2*tau))
-	nrm := [3]float64{site.WallNormal.X, site.WallNormal.Y, site.WallNormal.Z}
-	var traction [3]float64
-	for a := 0; a < 3; a++ {
-		for b := 0; b < 3; b++ {
-			traction[a] += factor * sigma[a][b] * nrm[b]
-		}
-	}
-	// Remove the normal component.
-	tn := traction[0]*nrm[0] + traction[1]*nrm[1] + traction[2]*nrm[2]
-	var tang [3]float64
-	for a := 0; a < 3; a++ {
-		tang[a] = traction[a] - tn*nrm[a]
-	}
-	return math.Sqrt(tang[0]*tang[0] + tang[1]*tang[1] + tang[2]*tang[2])
+	_, _, _, _, wss := s.fields(i, &s.Dom.Sites[i])
+	return wss
 }
 
 // Fields extracts the macroscopic fields for all sites into the given
@@ -475,30 +174,15 @@ func wallShearStressAt(m *lattice.Model, site *geometry.Site, f []float64, base 
 // shear stress. Returns the slices for chaining. This is the solver
 // half of the in situ "extract" stage.
 func (s *Solver) Fields(rho, ux, uy, uz, wss []float64) (r, x, y, z, w []float64) {
-	if rho == nil {
-		rho = make([]float64, s.n)
-	}
-	if ux == nil {
-		ux = make([]float64, s.n)
-	}
-	if uy == nil {
-		uy = make([]float64, s.n)
-	}
-	if uz == nil {
-		uz = make([]float64, s.n)
-	}
-	if wss == nil {
-		wss = make([]float64, s.n)
-	}
-	for i := 0; i < s.n; i++ {
-		r0, x0, y0, z0 := s.moments(s.f, i)
-		rho[i], ux[i], uy[i], uz[i] = r0, x0, y0, z0
-		site := &s.Dom.Sites[i]
-		if site.Flags&geometry.FlagWall != 0 {
-			wss[i] = wallShearStressAt(s.M, site, s.f, i*s.M.Q, s.Tau, r0, x0, y0, z0)
-		} else {
-			wss[i] = 0
+	orNew := func(v []float64) []float64 {
+		if v == nil {
+			return make([]float64, s.n)
 		}
+		return v
+	}
+	rho, ux, uy, uz, wss = orNew(rho), orNew(ux), orNew(uy), orNew(uz), orNew(wss)
+	for i := 0; i < s.n; i++ {
+		rho[i], ux[i], uy[i], uz[i], wss[i] = s.fields(i, &s.Dom.Sites[i])
 	}
 	return rho, ux, uy, uz, wss
 }

@@ -206,7 +206,7 @@ func TestFieldsSingleMomentPassConsistent(t *testing.T) {
 	rho, ux, uy, uz, wss := s.Fields(nil, nil, nil, nil, nil)
 	sawWall := false
 	for i := 0; i < s.NumSites(); i++ {
-		r, x, y, z := s.moments(s.F(), i)
+		r, x, y, z := s.moments(i)
 		if rho[i] != r || ux[i] != x || uy[i] != y || uz[i] != z {
 			t.Fatalf("site %d: Fields moments differ from accessors", i)
 		}

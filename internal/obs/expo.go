@@ -5,7 +5,6 @@ import (
 	"io"
 	"runtime"
 	"sort"
-	"strings"
 	"sync"
 )
 
@@ -13,8 +12,7 @@ import (
 // recorded in nanoseconds but exposed in seconds, per convention: a
 // histogram registered under base name "hemeserved_step_duration" is
 // emitted as hemeserved_step_duration_seconds with _bucket/_sum/_count
-// series. The legacy flat form exposes the same histogram as
-// <base>_p50_ns / _p95_ns / _p99_ns / _count lines instead.
+// series.
 
 // WriteCounter emits one counter with its HELP/TYPE header.
 func WriteCounter(w io.Writer, name, help string, v int64) {
@@ -79,16 +77,6 @@ func writeHistogramSeries(w io.Writer, name, extraLabels string, h *Histogram) {
 	}
 }
 
-// WriteHistogramFlat emits the legacy flat view of a histogram:
-// estimated p50/p95/p99 in nanoseconds plus count and sum.
-func WriteHistogramFlat(w io.Writer, base string, h *Histogram) {
-	fmt.Fprintf(w, "%s_p50_ns %d\n", base, h.Quantile(0.50))
-	fmt.Fprintf(w, "%s_p95_ns %d\n", base, h.Quantile(0.95))
-	fmt.Fprintf(w, "%s_p99_ns %d\n", base, h.Quantile(0.99))
-	fmt.Fprintf(w, "%s_count %d\n", base, h.Count())
-	fmt.Fprintf(w, "%s_sum_ns %d\n", base, h.SumNs())
-}
-
 // HistogramSet is a family of histograms keyed by one label value
 // (e.g. HTTP route). The zero value is ready to use. Get interns the
 // histogram for a label so callers can hold the pointer and skip the
@@ -129,46 +117,12 @@ func (s *HistogramSet) sorted() []labelledHist {
 	return out
 }
 
-// WriteFlat emits every member histogram in the flat form, the label
-// folded into the name (non-word characters collapsed to underscores).
-func (s *HistogramSet) WriteFlat(w io.Writer, base string) {
-	for _, kv := range s.sorted() {
-		WriteHistogramFlat(w, base+"_"+flatLabel(kv.label), kv.h)
-	}
-}
-
-func flatLabel(label string) string {
-	var b strings.Builder
-	prevUnderscore := false
-	for _, r := range strings.ToLower(label) {
-		ok := r >= 'a' && r <= 'z' || r >= '0' && r <= '9'
-		if ok {
-			b.WriteRune(r)
-			prevUnderscore = false
-		} else if !prevUnderscore && b.Len() > 0 {
-			b.WriteByte('_')
-			prevUnderscore = true
-		}
-	}
-	return strings.TrimSuffix(b.String(), "_")
-}
-
 // WriteRuntimeMetrics emits the Go runtime gauges every scrape should
-// carry: goroutine count, heap occupancy and GC activity. flat toggles
-// between the legacy `name value` form and full Prometheus exposition.
-func WriteRuntimeMetrics(w io.Writer, flat bool) {
+// carry: goroutine count, heap occupancy and GC activity.
+func WriteRuntimeMetrics(w io.Writer) {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
-	goroutines := int64(runtime.NumGoroutine())
-	if flat {
-		fmt.Fprintf(w, "go_goroutines %d\n", goroutines)
-		fmt.Fprintf(w, "go_memstats_heap_alloc_bytes %d\n", ms.HeapAlloc)
-		fmt.Fprintf(w, "go_memstats_heap_objects %d\n", ms.HeapObjects)
-		fmt.Fprintf(w, "go_gc_cycles_total %d\n", ms.NumGC)
-		fmt.Fprintf(w, "go_gc_pause_seconds_total %g\n", float64(ms.PauseTotalNs)/1e9)
-		return
-	}
-	WriteGauge(w, "go_goroutines", "Number of live goroutines.", goroutines)
+	WriteGauge(w, "go_goroutines", "Number of live goroutines.", int64(runtime.NumGoroutine()))
 	WriteGauge(w, "go_memstats_heap_alloc_bytes", "Bytes of allocated heap objects.", int64(ms.HeapAlloc))
 	WriteGauge(w, "go_memstats_heap_objects", "Number of allocated heap objects.", int64(ms.HeapObjects))
 	WriteCounter(w, "go_gc_cycles_total", "Completed GC cycles.", int64(ms.NumGC))

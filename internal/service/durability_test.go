@@ -200,9 +200,12 @@ func TestMissingCheckpointFileRestartsFromZero(t *testing.T) {
 	dir := t.TempDir()
 	spec := durableSpec(600)
 
-	// Two concurrent jobs, both checkpointed, then a kill.
+	// Two concurrent jobs, both checkpointed, then a kill. No write
+	// budget: once one job's write has priced a checkpoint, a slow
+	// fsync lets the governor skip every cadence point of these
+	// ~100 ms jobs, and the wait below never ends.
 	st1 := openStore(t, dir)
-	mgr1 := NewManagerOpts(Options{Workers: 2, QueueCap: 4, Store: st1})
+	mgr1 := NewManagerOpts(Options{Workers: 2, QueueCap: 4, Store: st1, CheckpointBudget: -1})
 	jA, err := mgr1.Submit(spec)
 	if err != nil {
 		t.Fatal(err)
@@ -212,9 +215,15 @@ func TestMissingCheckpointFileRestartsFromZero(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitCheckpoint(t, st1, jA.ID)
-	stepB := waitCheckpoint(t, st1, jB.ID)
+	waitCheckpoint(t, st1, jB.ID)
 	st1.Freeze()
 	mgr1.Close()
+	// B keeps checkpointing until the freeze cuts its writes, so its
+	// last durable step is only known afterwards (reads still work).
+	_, stepB, err := st1.Checkpoint(jB.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	// Job A loses its checkpoint file; job B keeps its tree intact.
 	if err := os.Remove(filepath.Join(dir, "jobs", jA.ID, "checkpoint.bin")); err != nil {

@@ -447,14 +447,9 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	w.Write([]byte("ok\n"))
 }
 
-// handleMetrics serves Prometheus text exposition by default; the
-// pre-histogram flat `name value` form survives under ?format=flat.
+// handleMetrics serves the Prometheus text exposition.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	if r.URL.Query().Get("format") == "flat" {
-		s.mgr.Metrics().WriteTo(w)
-		return
-	}
 	s.mgr.Metrics().WritePrometheus(w)
 }
 

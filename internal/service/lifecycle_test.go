@@ -170,7 +170,7 @@ func TestDoubleResume(t *testing.T) {
 // API and HTTP layers instead of accepting jobs that can never run.
 func TestSubmitAfterShutdown(t *testing.T) {
 	checkLeaks := goroutineBaseline(t)
-	mgr := NewManager(1, 4, nil)
+	mgr := NewManagerOpts(Options{Workers: 1, QueueCap: 4})
 	j, err := mgr.Submit(JobSpec{Preset: "pipe", Steps: 2000000, VizEvery: -1})
 	if err != nil {
 		t.Fatal(err)

@@ -442,9 +442,6 @@ type Options struct {
 	// concurrent submits can share one fsync. 0 (the default) commits
 	// as soon as the writer is free, which already batches under load.
 	JournalDelay time.Duration
-	// DisableJournal keeps spec/lifecycle writes on the per-file
-	// fsync+rename path instead of the group-commit journal.
-	DisableJournal bool
 	// Logger receives the manager's structured log stream (job
 	// lifecycle, recovery, store failures). Nil discards everything.
 	Logger *slog.Logger
@@ -561,12 +558,6 @@ type Manager struct {
 	wg sync.WaitGroup
 }
 
-// NewManager starts a manager with workers concurrency slots over a
-// queue of capacity queueCap; render pool and cache take defaults.
-func NewManager(workers, queueCap int, metrics *Metrics) *Manager {
-	return NewManagerOpts(Options{Workers: workers, QueueCap: queueCap, Metrics: metrics})
-}
-
 // NewManagerOpts starts a manager with explicit sizing for the solver
 // slots, render pool and frame cache.
 func NewManagerOpts(o Options) *Manager {
@@ -662,7 +653,7 @@ func NewManagerOpts(o Options) *Manager {
 	// materialized per-job files plus nothing stale. A journal that
 	// cannot come up degrades to the per-file fsync path rather than
 	// refusing to boot jobs that are already safely on disk.
-	if m.store != nil && !o.DisableJournal {
+	if m.store != nil {
 		m.store.SetGroupCommitObserver(func(records int) {
 			o.Metrics.JournalGroupCommits.Add(1)
 			o.Metrics.JournalGroupCommitRecords.Add(int64(records))

@@ -1,7 +1,6 @@
 package service
 
 import (
-	"fmt"
 	"io"
 	"sync/atomic"
 
@@ -9,10 +8,8 @@ import (
 )
 
 // Metrics are the service's counters, gauges and latency histograms.
-// /metrics serves them in Prometheus text exposition by default and in
-// the legacy flat `name value` form under ?format=flat; the histogram
-// base names below grow a _seconds suffix (Prometheus) or
-// _p50_ns/_p95_ns/_p99_ns/_count/_sum_ns suffixes (flat).
+// /metrics serves them in Prometheus text exposition — the one metrics
+// format; the histogram base names below grow a _seconds suffix there.
 type Metrics struct {
 	JobsSubmitted  atomic.Int64
 	JobsRejected   atomic.Int64
@@ -154,7 +151,7 @@ func (m *Metrics) RecordFrameLatency(ns int64) {
 	m.FrameLatencyCount.Add(1)
 }
 
-// counterRow pairs a flat metric name with its current value plus the
+// counterRow pairs a metric name with its current value plus the
 // HELP text and Prometheus type used by the exposition writer.
 type counterRow struct {
 	name string
@@ -180,7 +177,7 @@ func (m *Metrics) rows() []counterRow {
 		{"hemeserved_http_requests_total", m.HTTPRequests.Load(), "counter", "HTTP requests served."},
 		{"hemeserved_snapshots_total", m.SnapshotsTotal.Load(), "counter", "Field snapshots published by solvers."},
 		{"hemeserved_render_queue_depth", m.RenderQueueDepth.Load(), "gauge", "Render tasks accepted but not yet finished."},
-		{"hemeserved_frame_latency_ns_sum", m.FrameLatencyNs.Load(), "counter", "Total pool render latency in nanoseconds (legacy mean accumulator)."},
+		{"hemeserved_frame_latency_ns_sum", m.FrameLatencyNs.Load(), "counter", "Total pool render latency in nanoseconds (mean accumulator)."},
 		{"hemeserved_frame_latency_ns_count", m.FrameLatencyCount.Load(), "counter", "Samples in hemeserved_frame_latency_ns_sum."},
 		{"hemeserved_stream_clients", m.StreamClients.Load(), "gauge", "Live SSE subscribers."},
 		{"hemeserved_frames_streamed_total", m.FramesStreamed.Load(), "counter", "Frame events pushed to SSE subscribers."},
@@ -234,29 +231,8 @@ func (m *Metrics) histograms() []histogramRow {
 	}
 }
 
-// WriteTo emits the legacy flat `name value` view: counters, histogram
-// percentile lines, per-route HTTP latency and runtime gauges.
-func (m *Metrics) WriteTo(w io.Writer) (int64, error) {
-	var total int64
-	for _, c := range m.rows() {
-		n, err := fmt.Fprintf(w, "%s %d\n", c.name, c.v)
-		total += int64(n)
-		if err != nil {
-			return total, err
-		}
-	}
-	cw := &countingWriter{w: w}
-	for _, hr := range m.histograms() {
-		obs.WriteHistogramFlat(cw, hr.base, hr.h)
-	}
-	m.HTTPLatency.WriteFlat(cw, "hemeserved_http_request_duration")
-	obs.WriteRuntimeMetrics(cw, true)
-	total += cw.n
-	return total, cw.err
-}
-
 // WritePrometheus emits the full Prometheus text exposition (0.0.4):
-// every flat counter/gauge with HELP/TYPE headers, the latency
+// every counter/gauge with HELP/TYPE headers, the latency
 // histograms as _seconds bucket series, the per-route HTTP latency
 // family and the Go runtime gauges.
 func (m *Metrics) WritePrometheus(w io.Writer) {
@@ -271,24 +247,5 @@ func (m *Metrics) WritePrometheus(w io.Writer) {
 		obs.WriteHistogram(w, hr.base, hr.help, hr.h)
 	}
 	obs.WriteHistogramSet(w, "hemeserved_http_request_duration", "HTTP request latency by route.", "route", &m.HTTPLatency)
-	obs.WriteRuntimeMetrics(w, false)
-}
-
-// countingWriter tracks bytes written and the first error, letting
-// WriteTo keep its io.WriterTo-shaped signature across helpers that
-// don't return counts.
-type countingWriter struct {
-	w   io.Writer
-	n   int64
-	err error
-}
-
-func (c *countingWriter) Write(p []byte) (int, error) {
-	if c.err != nil {
-		return 0, c.err
-	}
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	c.err = err
-	return n, err
+	obs.WriteRuntimeMetrics(w)
 }

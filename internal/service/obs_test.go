@@ -126,7 +126,7 @@ func promParse(t *testing.T, body string) {
 
 // TestMetricsPrometheusValid runs a job to completion and validates the
 // default /metrics output as Prometheus text exposition, with the phase
-// histograms populated, plus the legacy flat form under ?format=flat.
+// histograms populated.
 func TestMetricsPrometheusValid(t *testing.T) {
 	_, base := startServer(t, 1, 4)
 	info := submit(t, base, shortSpec)
@@ -162,28 +162,6 @@ func TestMetricsPrometheusValid(t *testing.T) {
 			if v, _ := strconv.ParseFloat(strings.Fields(line)[1], 64); v < 1 {
 				t.Errorf("step duration histogram empty after a %s run: %s", info.ID, line)
 			}
-		}
-	}
-
-	// Legacy flat form: plain `name value` lines only, including the
-	// histogram percentile views and runtime gauges.
-	code, body = httpGetRaw(t, base+"/metrics?format=flat")
-	if code != http.StatusOK {
-		t.Fatalf("/metrics?format=flat status %d", code)
-	}
-	flat := strings.TrimSpace(string(body))
-	for i, line := range strings.Split(flat, "\n") {
-		f := strings.Fields(line)
-		if len(f) != 2 {
-			t.Fatalf("flat line %d not `name value`: %q", i+1, line)
-		}
-		if _, err := strconv.ParseFloat(f[1], 64); err != nil {
-			t.Fatalf("flat line %d bad value: %q", i+1, line)
-		}
-	}
-	for _, want := range []string{"hemeserved_step_duration_p99_ns ", "hemeserved_render_latency_p50_ns ", "go_goroutines "} {
-		if !strings.Contains(flat, want) {
-			t.Errorf("flat output missing %q", want)
 		}
 	}
 }

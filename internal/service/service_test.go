@@ -37,7 +37,7 @@ func goroutineBaseline(t *testing.T) func() {
 func startServer(t *testing.T, workers, queueCap int) (*Server, string) {
 	t.Helper()
 	t.Cleanup(goroutineBaseline(t))
-	mgr := NewManager(workers, queueCap, nil)
+	mgr := NewManagerOpts(Options{Workers: workers, QueueCap: queueCap})
 	srv := NewServer(mgr)
 	if err := srv.Start("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
@@ -435,7 +435,7 @@ func TestFrameCacheSingleFlight(t *testing.T) {
 // TestGracefulShutdownReapsPausedJob covers the nastiest lifecycle
 // corner: shutting down while a job is paused must still terminate it.
 func TestGracefulShutdownReapsPausedJob(t *testing.T) {
-	mgr := NewManager(1, 4, nil)
+	mgr := NewManagerOpts(Options{Workers: 1, QueueCap: 4})
 	srv := NewServer(mgr)
 	if err := srv.Start("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
