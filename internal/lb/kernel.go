@@ -6,18 +6,19 @@ import (
 
 	"repro/internal/geometry"
 	"repro/internal/lattice"
+	"repro/internal/vec"
 )
 
 // Streaming targets are encoded in the stream table: values >= 0 are
-// flat destination indices into fNew; negative values encode what
-// happens at the source site instead. Boundary encodings (wall,
-// iolets) occupy (streamCrossBase, 0); entries <= streamCrossBase are
-// cross-rank links, slot (streamCrossBase - value) of the packed send
-// buffer. A serial Solver has no cross-rank links, so its table never
-// holds one.
+// flat destination indices into fNew — the neighbour's slot for a fluid
+// link, the source site's own opposite slot for a wall link (halfway
+// bounce-back is just another destination). Negative values are the
+// rare links that need more than a store: iolet links occupy
+// (streamCrossBase, 0); entries <= streamCrossBase are cross-rank
+// links, slot (streamCrossBase - value) of the packed send buffer. A
+// serial Solver has no cross-rank links, so its table never holds one.
 const (
-	streamWall      = -1 // halfway bounce-back
-	encodeIolet     = -2 // -(2+k) = anti-bounce-back against iolet k
+	encodeIolet     = -1 // -(1+k) = anti-bounce-back against iolet k
 	streamCrossBase = int32(-(1 << 20))
 )
 
@@ -47,6 +48,10 @@ type kernel struct {
 	M    *lattice.Model
 	Tau  float64
 	Kind Collision
+	// d3q19 selects the unrolled bodies of kernel_d3q19.go; false (any
+	// other velocity set) runs the generic-Q loops, which are also the
+	// oracle the unrolled ones are tested against.
+	d3q19 bool
 
 	n      int       // local sites
 	f      []float64 // current populations
@@ -95,6 +100,7 @@ func newKernel(dom *geometry.Domain, p Params, owned []int, local []int32) (*ker
 		M:        m,
 		Tau:      p.Tau,
 		Kind:     p.Kind,
+		d3q19:    isD3Q19(m),
 		n:        n,
 		f:        make([]float64, n*m.Q),
 		fNew:     make([]float64, n*m.Q),
@@ -113,19 +119,24 @@ func newKernel(dom *geometry.Domain, p Params, owned []int, local []int32) (*ker
 	for i, io := range dom.Iolets {
 		k.ioletRho[i] = 1 + io.Pressure
 	}
+	off := make([]vec.I3, m.Q)
+	for q, c := range m.C {
+		off[q] = vec.I3{X: c[0], Y: c[1], Z: c[2]}
+	}
 	var cross []crossLink
 	for li := 0; li < n; li++ {
 		g := li
 		if owned != nil {
 			g = owned[li]
 		}
+		site := &dom.Sites[g]
 		base := li * m.Q
 		k.stream[base] = int32(base) // rest population stays
 		for q := 1; q < m.Q; q++ {
-			link := dom.Sites[g].Links[q-1]
+			link := &site.Links[q-1]
 			switch link.Type {
 			case geometry.LinkFluid:
-				j := dom.Neighbour(g, q)
+				j := dom.SiteAt(site.Pos.Add(off[q]))
 				lj := j
 				if local != nil {
 					lj = int(local[j])
@@ -136,7 +147,7 @@ func newKernel(dom *geometry.Domain, p Params, owned []int, local []int32) (*ker
 					cross = append(cross, crossLink{li, q, j})
 				}
 			case geometry.LinkWall:
-				k.stream[base+q] = streamWall
+				k.stream[base+q] = int32(base + m.Opp[q])
 			default: // inlet or outlet
 				k.stream[base+q] = int32(encodeIolet - link.Iolet)
 			}
@@ -150,9 +161,13 @@ func newKernel(dom *geometry.Domain, p Params, owned []int, local []int32) (*ker
 // equilibrium at density rho and rewinds the step counter.
 func (k *kernel) InitEquilibrium(rho float64) {
 	q := k.M.Q
-	for i := 0; i < k.n; i++ {
+	if k.n > 0 {
 		for d := 0; d < q; d++ {
-			k.f[i*q+d] = rho * k.M.W[d]
+			k.f[d] = rho * k.M.W[d]
+		}
+		// Every site is the same Q values: double the filled prefix.
+		for done := q; done < len(k.f); done *= 2 {
+			copy(k.f[done:], k.f[:done])
 		}
 	}
 	k.step = 0
@@ -230,49 +245,72 @@ func (k *kernel) collideStream() {
 func (k *kernel) swap() { k.f, k.fNew = k.fNew, k.f }
 
 // stepTile runs the fused collide+stream pass over local sites
-// [lo, hi) using worker w's private scratch. Wall links bounce back;
-// iolet links apply the anti-bounce-back pressure condition
-// f'(opp) = -f*(q) + 2 w_q rho_io (1 + 4.5 (c·u)² - 1.5 u²), which
-// imposes the iolet density while letting momentum leave the domain.
-// Every write — fNew fluid destinations, wall/iolet bounces into the
-// source site's own opposite slot, pre-assigned sendBuf slots for
-// cross-rank links — is disjoint per (source site, direction), so
-// tiles need no locks.
+// [lo, hi) using worker w's private scratch. Every write — fNew fluid
+// destinations, wall/iolet bounces into the source site's own opposite
+// slot, pre-assigned sendBuf slots for cross-rank links — is disjoint
+// per (source site, direction), so tiles need no locks.
 //
 // The floating-point operation order per site is a contract: the
 // golden state hashes (golden_test.go) and every stored checkpoint
-// depend on it.
+// depend on it. D3Q19 — every job the daemon runs — takes the unrolled
+// bodies, which keep that order; the generic loop serves any other
+// velocity set and is the oracle they are tested against.
 func (k *kernel) stepTile(w, lo, hi int) {
+	switch {
+	case !k.d3q19:
+		k.stepGeneric(w, lo, hi)
+	case k.Kind == BGK:
+		k.stepD3Q19BGK(lo, hi)
+	default:
+		k.stepD3Q19TRT(lo, hi)
+	}
+}
+
+// stepGeneric is stepTile for any velocity set, and the oracle the
+// unrolled bodies are tested against.
+func (k *kernel) stepGeneric(w, lo, hi int) {
 	m := k.M
 	Q := m.Q
 	invTauPlus := 1.0 / k.Tau
 	invTauMinus := 1.0 / tauMinus(k.Tau)
-	rhoIo := k.rhoIo
 	sc := &k.scratch[w]
 	for i := lo; i < hi; i++ {
 		base := i * Q
-		rho, ux, uy, uz := k.moments(i)
-		u2 := ux*ux + uy*uy + uz*uz
+		rho, ux, uy, uz := momentsGeneric(m, k.f[base:base+Q])
+		u := [4]float64{ux, uy, uz, ux*ux + uy*uy + uz*uz}
 		copy(sc.post, k.f[base:base+Q])
 		collideSite(k.Kind, m, sc.post, rho, ux, uy, uz, invTauPlus, invTauMinus, sc.feqBuf)
-		for q := 0; q < Q; q++ {
-			post := sc.post[q]
-			dst := k.stream[base+q]
-			switch {
-			case dst >= 0:
-				k.fNew[dst] = post
-			case dst <= streamCrossBase:
-				k.sendBuf[streamCrossBase-dst] = post
-			case dst == streamWall:
-				k.fNew[base+m.Opp[q]] = post
-			default: // iolet anti-bounce-back
-				io := int(encodeIolet - dst)
-				c := &m.C[q]
-				cu := ux*float64(c[0]) + uy*float64(c[1]) + uz*float64(c[2])
-				k.fNew[base+m.Opp[q]] = -post + 2*feqSym(m.W[q], rhoIo[io], cu, u2)
+		for q, p := range sc.post {
+			if dst := k.stream[base+q]; dst >= 0 {
+				k.fNew[dst] = p
+			} else {
+				k.boundaryLink(base, q, dst, p, &u)
 			}
 		}
 	}
+}
+
+// boundaryLink streams post-collision population p of direction q out
+// of the site at flat offset base through a link that is not a plain
+// store (dst < 0); u is the site's (ux, uy, uz, u·u). A cross-rank link
+// fills its send slot. An iolet link applies the anti-bounce-back
+// pressure condition f'(opp) = -f*(q) + 2 w_q rho_io (1 + 4.5 (c·u)² -
+// 1.5 u²), which imposes the iolet density while letting momentum leave
+// the domain. Never inlined: it is the cold path of every step body,
+// and inlining it would push their hot store out of the inliner's
+// budget.
+//
+//go:noinline
+func (k *kernel) boundaryLink(base, q int, dst int32, p float64, u *[4]float64) {
+	if dst <= streamCrossBase {
+		k.sendBuf[streamCrossBase-dst] = p
+		return
+	}
+	m := k.M
+	io := int(encodeIolet - dst)
+	c := &m.C[q]
+	cu := u[0]*float64(c[0]) + u[1]*float64(c[1]) + u[2]*float64(c[2])
+	k.fNew[base+m.Opp[q]] = -p + 2*feqSym(m.W[q], k.rhoIo[io], cu, u[3])
 }
 
 // Threads returns the worker count stepping this kernel (1 = serial,
@@ -315,10 +353,18 @@ func (k *kernel) Close() {
 // moments computes density and velocity at local site i from its
 // current populations.
 func (k *kernel) moments(i int) (rho, ux, uy, uz float64) {
-	m := k.M
-	base := i * m.Q
-	for q := 0; q < m.Q; q++ {
-		v := k.f[base+q]
+	Q := k.M.Q
+	f := k.f[i*Q : (i+1)*Q]
+	if k.d3q19 {
+		return momentsD3Q19(f)
+	}
+	return momentsGeneric(k.M, f)
+}
+
+// momentsGeneric is moments for one site's populations f under any
+// velocity set.
+func momentsGeneric(m *lattice.Model, f []float64) (rho, ux, uy, uz float64) {
+	for q, v := range f {
 		rho += v
 		c := &m.C[q]
 		ux += v * float64(c[0])
@@ -362,18 +408,12 @@ func (k *kernel) fields(i int, site *geometry.Site) (rho, ux, uy, uz, wss float6
 		return
 	}
 	m := k.M
-	base := i * m.Q
-	u2 := ux*ux + uy*uy + uz*uz
+	f := k.f[i*m.Q : (i+1)*m.Q]
 	var sigma [3][3]float64
-	for q := 0; q < m.Q; q++ {
-		c := &m.C[q]
-		cu := ux*float64(c[0]) + uy*float64(c[1]) + uz*float64(c[2])
-		fneq := k.f[base+q] - feq(m.W[q], rho, cu, u2)
-		for a := 0; a < 3; a++ {
-			for b := 0; b < 3; b++ {
-				sigma[a][b] += float64(c[a]) * float64(c[b]) * fneq
-			}
-		}
+	if k.d3q19 {
+		sigma = stressD3Q19(m, f, rho, ux, uy, uz)
+	} else {
+		sigma = stressGeneric(m, f, rho, ux, uy, uz)
 	}
 	factor := -(1 - 1/(2*k.Tau))
 	nrm := [3]float64{site.WallNormal.X, site.WallNormal.Y, site.WallNormal.Z}
@@ -391,6 +431,23 @@ func (k *kernel) fields(i int, site *geometry.Site) (rho, ux, uy, uz, wss float6
 	}
 	wss = math.Sqrt(tang[0]*tang[0] + tang[1]*tang[1] + tang[2]*tang[2])
 	return
+}
+
+// stressGeneric returns Σ_q c_qa c_qb (f_q - feq_q) for one site's
+// populations f and moments under any velocity set.
+func stressGeneric(m *lattice.Model, f []float64, rho, ux, uy, uz float64) (sigma [3][3]float64) {
+	u2 := ux*ux + uy*uy + uz*uz
+	for q, v := range f {
+		c := &m.C[q]
+		cu := ux*float64(c[0]) + uy*float64(c[1]) + uz*float64(c[2])
+		fneq := v - feq(m.W[q], rho, cu, u2)
+		for a := 0; a < 3; a++ {
+			for b := 0; b < 3; b++ {
+				sigma[a][b] += float64(c[a]) * float64(c[b]) * fneq
+			}
+		}
+	}
+	return sigma
 }
 
 // checkShape rejects a checkpoint taken on a different domain: sites is

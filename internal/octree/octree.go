@@ -9,9 +9,10 @@
 package octree
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/geometry"
 	"repro/internal/vec"
@@ -54,12 +55,15 @@ func (n *Node) Box() vec.Box {
 }
 
 // Tree is the level-indexed hierarchy. levels[0] holds the finest
-// cells; levels[len-1] holds the single root (or few roots if the
-// domain is not a power-of-two cube, in which case the top level may
-// contain several cells).
+// cells; levels[len-1] holds the single root. Each level is one slab of
+// cells in ascending Z-order, so a cell's children are a contiguous run
+// of the level below: firstChild[l][i] is where the run of cell i of
+// level l starts and firstChild[l][i+1] where it ends (firstChild[0] is
+// nil — sites have no children).
 type Tree struct {
-	levels []map[uint64]*Node
-	dims   vec.I3
+	levels     [][]Node
+	firstChild [][]int32
+	dims       vec.I3
 }
 
 // Fields carries per-site scalar inputs for aggregation. Velocity
@@ -71,7 +75,8 @@ type Fields struct {
 }
 
 // Build aggregates the fields of every fluid site of dom into a
-// multi-resolution tree.
+// multi-resolution tree. Children fold into their parent in Z-order, so
+// the same fields always give the same tree, bit for bit.
 func Build(dom *geometry.Domain, f Fields) (*Tree, error) {
 	n := dom.NumSites()
 	if len(f.Rho) != n || len(f.Ux) != n || len(f.Uy) != n || len(f.Uz) != n {
@@ -91,20 +96,29 @@ func Build(dom *geometry.Domain, f Fields) (*Tree, error) {
 	for (1 << (depth - 1)) < maxDim {
 		depth++
 	}
-	t := &Tree{levels: make([]map[uint64]*Node, depth), dims: dom.Dims}
-	for l := range t.levels {
-		t.levels[l] = map[uint64]*Node{}
+	t := &Tree{levels: make([][]Node, depth), firstChild: make([][]int32, depth), dims: dom.Dims}
+
+	// Finest level: one node per site, in Z-order.
+	type keyed struct {
+		key  uint64
+		site int32
 	}
-	// Finest level: one node per site.
-	for i, s := range dom.Sites {
-		key := morton(s.Pos.X, s.Pos.Y, s.Pos.Z)
+	order := make([]keyed, n)
+	for i := range dom.Sites {
+		p := dom.Sites[i].Pos
+		order[i] = keyed{morton(p.X, p.Y, p.Z), int32(i)}
+	}
+	slices.SortFunc(order, func(a, b keyed) int { return cmp.Compare(a.key, b.key) })
+	leaves := make([]Node, n)
+	for at, o := range order {
+		i := o.site
 		wss := 0.0
 		if f.WSS != nil {
 			wss = f.WSS[i]
 		}
-		t.levels[0][key] = &Node{
+		leaves[at] = Node{
 			Level:   0,
-			Key:     key,
+			Key:     o.key,
 			Count:   1,
 			MeanRho: f.Rho[i],
 			MeanU:   vec.New(f.Ux[i], f.Uy[i], f.Uz[i]),
@@ -112,15 +126,27 @@ func Build(dom *geometry.Domain, f Fields) (*Tree, error) {
 			MeanWSS: wss,
 		}
 	}
-	// Aggregate upward.
+	t.levels[0] = leaves
+
+	// Aggregate upward: siblings are adjacent in the level below.
 	for l := 1; l < depth; l++ {
-		for _, child := range t.levels[l-1] {
-			pk := child.Key >> 3
-			p := t.levels[l][pk]
-			if p == nil {
-				p = &Node{Level: l, Key: pk}
-				t.levels[l][pk] = p
+		kids := t.levels[l-1]
+		parents := 0
+		for i := range kids {
+			if i == 0 || kids[i].Key>>3 != kids[i-1].Key>>3 {
+				parents++
 			}
+		}
+		level := make([]Node, 0, parents)
+		first := make([]int32, 0, parents+1)
+		for i := range kids {
+			child := &kids[i]
+			pk := child.Key >> 3
+			if i == 0 || pk != kids[i-1].Key>>3 {
+				level = append(level, Node{Level: l, Key: pk})
+				first = append(first, int32(i))
+			}
+			p := &level[len(level)-1]
 			w := float64(child.Count)
 			pw := float64(p.Count)
 			tot := pw + w
@@ -132,6 +158,8 @@ func Build(dom *geometry.Domain, f Fields) (*Tree, error) {
 			}
 			p.Count += child.Count
 		}
+		t.levels[l] = level
+		t.firstChild[l] = append(first, int32(len(kids)))
 	}
 	return t, nil
 }
@@ -147,12 +175,23 @@ func (t *Tree) NodeCount(level int) int {
 	return len(t.levels[level])
 }
 
+// search returns the index in level of the first cell whose key is at
+// least key.
+func (t *Tree) search(level int, key uint64) int {
+	i, _ := slices.BinarySearchFunc(t.levels[level], key, func(n Node, key uint64) int { return cmp.Compare(n.Key, key) })
+	return i
+}
+
 // At returns the node with the given key at a level, or nil.
 func (t *Tree) At(level int, key uint64) *Node {
 	if level < 0 || level >= len(t.levels) {
 		return nil
 	}
-	return t.levels[level][key]
+	nodes := t.levels[level]
+	if i := t.search(level, key); i < len(nodes) && nodes[i].Key == key {
+		return &nodes[i]
+	}
+	return nil
 }
 
 // Level returns all cells of one level in ascending Z-order — the
@@ -161,28 +200,27 @@ func (t *Tree) Level(level int) []*Node {
 	if level < 0 || level >= len(t.levels) {
 		return nil
 	}
-	out := make([]*Node, 0, len(t.levels[level]))
-	for _, n := range t.levels[level] {
-		out = append(out, n)
+	nodes := t.levels[level]
+	out := make([]*Node, len(nodes))
+	for i := range nodes {
+		out[i] = &nodes[i]
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
 	return out
 }
 
 // Root returns the top-level node containing everything (key 0 at the
 // top level).
-func (t *Tree) Root() *Node { return t.levels[len(t.levels)-1][0] }
+func (t *Tree) Root() *Node { return t.At(len(t.levels)-1, 0) }
 
 // Children returns the up-to-8 children of a node in Z-order.
 func (t *Tree) Children(n *Node) []*Node {
-	if n.Level == 0 {
+	if n.Level <= 0 || n.Level >= len(t.levels) {
 		return nil
 	}
+	kids := t.levels[n.Level-1]
 	var out []*Node
-	for i := uint64(0); i < 8; i++ {
-		if c := t.levels[n.Level-1][n.Key<<3|i]; c != nil {
-			out = append(out, c)
-		}
+	for i := t.search(n.Level-1, n.Key<<3); i < len(kids) && kids[i].Key>>3 == n.Key; i++ {
+		out = append(out, &kids[i])
 	}
 	return out
 }
@@ -205,29 +243,24 @@ func (t *Tree) Query(roi ROI) ([]*Node, error) {
 		return nil, fmt.Errorf("octree: invalid ROI levels detail=%d context=%d depth=%d",
 			roi.DetailLevel, roi.ContextLevel, len(t.levels))
 	}
-	var out []*Node
-	var walk func(n *Node)
-	walk = func(n *Node) {
-		intersects := boxesIntersect(n.Box(), roi.Box)
-		if n.Level <= roi.ContextLevel && !intersects {
-			out = append(out, n)
-			return
-		}
-		if n.Level <= roi.DetailLevel {
-			out = append(out, n)
-			return
-		}
-		kids := t.Children(n)
-		if len(kids) == 0 {
-			out = append(out, n)
-			return
-		}
-		for _, c := range kids {
-			walk(c)
-		}
+	top := len(t.levels) - 1
+	if len(t.levels[top]) == 0 {
+		return nil, nil
 	}
-	walk(t.Root())
-	return out, nil
+	return t.cover(nil, &roi, top, 0), nil
+}
+
+// cover appends to out the cover of cell i of the given level.
+func (t *Tree) cover(out []*Node, roi *ROI, level, i int) []*Node {
+	n := &t.levels[level][i]
+	if level <= roi.DetailLevel || (level <= roi.ContextLevel && !boxesIntersect(n.Box(), roi.Box)) {
+		return append(out, n)
+	}
+	first := t.firstChild[level]
+	for c := int(first[i]); c < int(first[i+1]); c++ {
+		out = t.cover(out, roi, level-1, c)
+	}
+	return out
 }
 
 // CoverCount returns the total fluid sites covered by a node list —
@@ -294,7 +327,7 @@ func (t *Tree) SampleVelocity(p vec.I3, minLevel int) (vec.V3, bool) {
 	}
 	key := morton(p.X, p.Y, p.Z) >> (3 * uint(minLevel))
 	for l := minLevel; l < len(t.levels); l++ {
-		if n := t.levels[l][key]; n != nil {
+		if n := t.At(l, key); n != nil {
 			return n.MeanU, true
 		}
 		key >>= 3

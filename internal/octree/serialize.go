@@ -14,29 +14,21 @@ import (
 // aggregated fields as float32 — §V's reduced representation on the
 // wire.
 func EncodeNodes(nodes []*Node) []byte {
-	var buf bytes.Buffer
-	var tmp [8]byte
+	const perNode = 1 + 8 + 4 + 6*4
 	le := binary.LittleEndian
-	le.PutUint32(tmp[:4], uint32(len(nodes)))
-	buf.Write(tmp[:4])
-	putF32 := func(v float64) {
-		le.PutUint32(tmp[:4], math.Float32bits(float32(v)))
-		buf.Write(tmp[:4])
-	}
+	out := make([]byte, 4+perNode*len(nodes))
+	le.PutUint32(out, uint32(len(nodes)))
+	b := out[4:]
 	for _, n := range nodes {
-		buf.WriteByte(byte(n.Level))
-		le.PutUint64(tmp[:8], n.Key)
-		buf.Write(tmp[:8])
-		le.PutUint32(tmp[:4], uint32(n.Count))
-		buf.Write(tmp[:4])
-		putF32(n.MeanRho)
-		putF32(n.MeanU.X)
-		putF32(n.MeanU.Y)
-		putF32(n.MeanU.Z)
-		putF32(n.MaxWSS)
-		putF32(n.MeanWSS)
+		b[0] = byte(n.Level)
+		le.PutUint64(b[1:], n.Key)
+		le.PutUint32(b[9:], uint32(n.Count))
+		for i, v := range [6]float64{n.MeanRho, n.MeanU.X, n.MeanU.Y, n.MeanU.Z, n.MaxWSS, n.MeanWSS} {
+			le.PutUint32(b[13+4*i:], math.Float32bits(float32(v)))
+		}
+		b = b[perNode:]
 	}
-	return buf.Bytes()
+	return out
 }
 
 // DecodeNodes parses an EncodeNodes stream.

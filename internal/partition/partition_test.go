@@ -401,3 +401,59 @@ func BenchmarkMortonPipe8(b *testing.B) {
 		}
 	}
 }
+
+// TestOnePartIsAllZeros: at k = 1 every partitioner, run in full,
+// assigns every vertex to part 0 — which is what lets ByMethod skip
+// them — and ByMethod returns exactly that without walking the graph.
+func TestOnePartIsAllZeros(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	graphs := []*Graph{pipeGraph(t), gridGraph(1, 1)}
+	for i := 0; i < 4; i++ {
+		graphs = append(graphs, gridGraph(1+rng.Intn(12), 1+rng.Intn(12)))
+	}
+	full := map[Method]func(*Graph) (*Partition, error){
+		MethodBlock:      func(g *Graph) (*Partition, error) { return Block(g, 1) },
+		MethodMorton:     func(g *Graph) (*Partition, error) { return Morton(g, 1) },
+		MethodRCB:        func(g *Graph) (*Partition, error) { return RCB(g, 1) },
+		MethodMultilevel: func(g *Graph) (*Partition, error) { return MultilevelKWay(g, 1, MLOptions{Seed: 3}) },
+	}
+	allZero := func(who string, g *Graph, p *Partition, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%s: %v", who, err)
+		}
+		if p.K != 1 || len(p.Parts) != g.N {
+			t.Fatalf("%s: K=%d with %d parts for %d vertices", who, p.K, len(p.Parts), g.N)
+		}
+		for v, part := range p.Parts {
+			if part != 0 {
+				t.Fatalf("%s: vertex %d in part %d", who, v, part)
+			}
+		}
+	}
+	for _, g := range graphs {
+		for _, m := range Methods() {
+			p, err := full[m](g)
+			allZero(string(m)+" in full", g, p, err)
+			p, err = ByMethod(m, g, 1, 3)
+			allZero("ByMethod "+string(m), g, p, err)
+		}
+	}
+
+	big := pipeGraph(t)
+	for _, m := range Methods() {
+		if allocs := testing.AllocsPerRun(10, func() {
+			if _, err := ByMethod(m, big, 1, 3); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs > 3 {
+			t.Errorf("ByMethod(%s, k=1) makes %.0f allocations on a %d-vertex graph, want O(1)", m, allocs, big.N)
+		}
+	}
+	if _, err := ByMethod("nope", big, 1, 0); err == nil {
+		t.Error("unknown method must error at k=1 too")
+	}
+	if _, err := ByMethod(MethodMultilevel, &Graph{}, 1, 0); err == nil {
+		t.Error("empty graph must error at k=1 too")
+	}
+}

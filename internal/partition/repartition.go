@@ -3,6 +3,7 @@ package partition
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 )
 
 // Method names a partitioning algorithm for harnesses and CLIs.
@@ -16,8 +17,17 @@ const (
 	MethodMultilevel Method = "multilevel"
 )
 
-// ByMethod dispatches to a partitioner by name.
+// ByMethod dispatches to a partitioner by name. One part needs no
+// partitioner: every method puts all vertices in part 0, and the
+// multilevel one would coarsen the whole graph to find that out (it was
+// the largest line of a 1-rank job's setup).
 func ByMethod(m Method, g *Graph, k int, seed int64) (*Partition, error) {
+	if k == 1 && slices.Contains(Methods(), m) {
+		if err := checkArgs(g, k); err != nil {
+			return nil, err
+		}
+		return &Partition{K: 1, Parts: make([]int32, g.N)}, nil
+	}
 	switch m {
 	case MethodBlock:
 		return Block(g, k)

@@ -144,7 +144,10 @@ func TestKillAndResumeBitExact(t *testing.T) {
 func TestCorruptCheckpointFallsBackToStepZero(t *testing.T) {
 	t.Cleanup(goroutineBaseline(t))
 	dir := t.TempDir()
-	spec := durableSpec(600)
+	// Long enough that the job is still running when the store freezes
+	// (the first checkpoint lands at step 32; the D3Q19 kernel steps a
+	// pipe in ~30 µs).
+	spec := durableSpec(2400)
 
 	st1 := openStore(t, dir)
 	mgr1 := NewManagerOpts(Options{Workers: 1, QueueCap: 4, Store: st1})
@@ -198,7 +201,9 @@ func TestCorruptCheckpointFallsBackToStepZero(t *testing.T) {
 func TestMissingCheckpointFileRestartsFromZero(t *testing.T) {
 	t.Cleanup(goroutineBaseline(t))
 	dir := t.TempDir()
-	spec := durableSpec(600)
+	// Long enough that neither job finishes before the freeze: B keeps
+	// running while the test waits for A's first checkpoint.
+	spec := durableSpec(2400)
 
 	// Two concurrent jobs, both checkpointed, then a kill. No write
 	// budget: once one job's write has priced a checkpoint, a slow
