@@ -6,7 +6,10 @@
 //
 // Custom metrics carry the reproduction observables: comm bytes,
 // message counts, modelled efficiency, reduction percentages. The same
-// harnesses back cmd/vizbench and cmd/scalebench.
+// harnesses back cmd/vizbench and cmd/scalebench. These reproduce the
+// paper's tables (modelled or counted over simulated ranks); ns/op here
+// is not wall-clock evidence about the system — that is a paired
+// parent/change run of bash bench/run.sh.
 package repro
 
 import (

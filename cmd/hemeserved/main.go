@@ -57,10 +57,7 @@ func main() {
 	solverThreads := flag.Int("solver-threads", 1, "default per-rank collide+stream worker goroutines for jobs that leave threads at 0 (capped at 16; results are bit-identical to serial)")
 	dataDir := flag.String("data-dir", "", "durable job store directory (empty = in-memory only)")
 	checkpointEvery := flag.Int("checkpoint-every", 64, "default checkpoint cadence in steps for jobs that leave checkpoint_every at 0 (-1 = no default; jobs may still opt in)")
-	checkpointFullEvery := flag.Int("checkpoint-full-every", 0, "write a full checkpoint every Kth write, incremental deltas in between (0 = 8, 1 = full checkpoints only)")
-	checkpointDirtyMax := flag.Float64("checkpoint-dirty-max", 0, "dirty-tile ratio above which a delta falls back to a full checkpoint (0 = 1.0, negative = fulls only)")
 	checkpointBudget := flag.Float64("checkpoint-budget", 0, "cap per-job checkpoint write time to this fraction of its runtime (0 = 0.05, negative = no cap)")
-	journalDelay := flag.Duration("journal-delay", 0, "group-commit bounded-latency window for the submit/lifecycle journal (0 = commit as soon as the writer is free)")
 	authKeys := flag.String("auth-keys", "", "per-tenant API key file: 'tenant key [max_active=N] [rate=R] [burst=B]' per line (empty = no auth, everyone is anonymous)")
 	maxActive := flag.Int("max-active", 0, "default per-tenant cap on queued+running jobs (0 = unlimited)")
 	submitRate := flag.Float64("submit-rate", 0, "default per-tenant submit rate limit in jobs/sec (0 = unlimited)")
@@ -121,20 +118,17 @@ func main() {
 	}
 	metrics := &service.Metrics{}
 	mgr := service.NewManagerOpts(service.Options{
-		Workers:             *workers,
-		QueueCap:            *queue,
-		RenderWorkers:       *renderWorkers,
-		RenderQueue:         *renderQueue,
-		CacheEntries:        *cacheEntries,
-		SolverThreads:       *solverThreads,
-		Metrics:             metrics,
-		Store:               st,
-		CheckpointEvery:     *checkpointEvery,
-		CheckpointFullEvery: *checkpointFullEvery,
-		CheckpointDirtyMax:  *checkpointDirtyMax,
-		CheckpointBudget:    *checkpointBudget,
-		JournalDelay:        *journalDelay,
-		AuthKeys:            tenantCfgs,
+		Workers:          *workers,
+		QueueCap:         *queue,
+		RenderWorkers:    *renderWorkers,
+		RenderQueue:      *renderQueue,
+		CacheEntries:     *cacheEntries,
+		SolverThreads:    *solverThreads,
+		Metrics:          metrics,
+		Store:            st,
+		CheckpointEvery:  *checkpointEvery,
+		CheckpointBudget: *checkpointBudget,
+		AuthKeys:         tenantCfgs,
 		TenantDefaults: service.TenantLimits{
 			MaxActive: *maxActive,
 			Rate:      *submitRate,

@@ -5,12 +5,18 @@
 // It also prints the pre-processing sweeps: the two-level geometry
 // read (E8), the partitioner comparison, and viz-aware repartitioning
 // (E9), plus the multi-resolution reduction table (E10).
+//
+// Every number it emits is a model or an exact count over simulated
+// ranks, never wall-clock evidence: a wall-clock claim about this
+// repository is a paired parent/change run of bash bench/run.sh.
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"strconv"
@@ -19,9 +25,9 @@ import (
 	"repro/internal/experiments"
 )
 
-// runMeta stamps each BENCH_*.json with the environment it ran in —
-// two reports whose meta differs are measuring machines, not code, and
-// -compare prints both so the reader sees that before the deltas.
+// runMeta stamps a -json report with the environment it ran in: the
+// calibrated per-site compute term of the model, and the single-shot
+// host timings, are this machine's.
 type runMeta struct {
 	GoVersion  string  `json:"go_version"`
 	GOOS       string  `json:"goos"`
@@ -33,8 +39,7 @@ type runMeta struct {
 	Scale      float64 `json:"scale"`
 }
 
-// jsonPoint is one machine-readable scaling measurement, the trajectory
-// format future PRs record as BENCH_*.json.
+// jsonPoint is one machine-readable point of the modelled scaling curve.
 type jsonPoint struct {
 	Ranks         int     `json:"ranks"`
 	Sites         int     `json:"sites"`
@@ -80,54 +85,6 @@ type jsonMultires struct {
 	QueryNs      int64   `json:"query_ns"`
 }
 
-type jsonJobs struct {
-	Persist     bool    `json:"persist"`
-	Jobs        int     `json:"jobs"`
-	StepsPerJob int     `json:"steps_per_job"`
-	WallNs      int64   `json:"wall_ns"`
-	JobsPerSec  float64 `json:"jobs_per_sec"`
-	Checkpoints int64   `json:"checkpoints_written"`
-}
-
-type jsonCkpt struct {
-	FullEvery   int     `json:"full_every"`
-	DirtyMax    float64 `json:"dirty_max"`
-	Jobs        int     `json:"jobs"`
-	StepsPerJob int     `json:"steps_per_job"`
-	WallNs      int64   `json:"wall_ns"`
-	JobsPerSec  float64 `json:"jobs_per_sec"`
-	Checkpoints int64   `json:"checkpoints_written"`
-	Deltas      int64   `json:"deltas_written"`
-	CkptBytes   int64   `json:"checkpoint_bytes"`
-	DeltaBytes  int64   `json:"delta_bytes"`
-}
-
-type jsonSubmit struct {
-	Concurrency   int     `json:"concurrency"`
-	Jobs          int     `json:"jobs"`
-	WallNs        int64   `json:"wall_ns"`
-	SubmitsPerSec float64 `json:"submits_per_sec"`
-	GroupCommits  int64   `json:"group_commits"`
-	MeanBatch     float64 `json:"mean_batch"`
-}
-
-type jsonThreads struct {
-	Threads     int     `json:"threads"`
-	Sites       int     `json:"sites"`
-	Steps       int     `json:"steps"`
-	WallNs      int64   `json:"wall_ns"`
-	StepsPerSec float64 `json:"steps_per_sec"`
-	Speedup     float64 `json:"speedup"`
-}
-
-type jsonStream struct {
-	Subscribers    int     `json:"subscribers"`
-	StepsPerSec    float64 `json:"steps_per_sec"`
-	Frames         int64   `json:"frames_delivered"`
-	Renders        int64   `json:"renders_used"`
-	FrameLatencyNs int64   `json:"frame_latency_ns"`
-}
-
 func toJSONPoints(rows []experiments.ScalingRow) []jsonPoint {
 	pts := make([]jsonPoint, 0, len(rows))
 	for _, r := range rows {
@@ -148,113 +105,52 @@ func toJSONPoints(rows []experiments.ScalingRow) []jsonPoint {
 	return pts
 }
 
+// hostTimedNote labels the report's few host-timed columns so nobody
+// reads them as evidence next to the modelled and counted ones.
+const hostTimedNote = "gmy_read.wall_ns, partitioners.wall_ns and multires.query_ns are single-shot host timings, informational only"
+
 func main() {
-	ranksFlag := flag.String("ranks", "1,2,4,8,16,32,64", "rank counts to sweep")
-	steps := flag.Int("steps", 20, "solver steps per point")
-	scale := flag.Float64("scale", 1.2, "geometry scale")
-	weak := flag.Bool("weak", true, "also run weak scaling")
-	pre := flag.Bool("pre", true, "also run pre-processing sweeps (E8/E9/E10)")
-	stream := flag.Bool("stream", true, "also run the service frame-streaming sweep")
-	jobs := flag.Bool("jobs", true, "also run the service jobs-throughput sweep (with/without persistence)")
-	jobsBatches := flag.String("jobs-batches", "", "comma-separated batch sizes for the jobs sweep (empty = 4,16,64; small values make a CI-sized smoke run)")
-	threadsFlag := flag.String("threads", "", "comma-separated solver worker counts for the intra-rank tiling sweep (empty = skip; e.g. 1,2,4)")
-	threadSteps := flag.Int("thread-steps", 100, "solver steps per tiling-sweep point")
-	ckpt := flag.Bool("ckpt", false, "also run the checkpoint delta-policy grid and the submit-concurrency ladder")
-	ckptJobs := flag.Int("ckpt-jobs", 0, "jobs per checkpoint-grid point (0 = 12; small values make a CI-sized smoke run)")
-	submitConc := flag.String("submit-concurrency", "", "comma-separated client counts for the submit ladder (empty = 1,2,4,8,16)")
-	submitJobs := flag.Int("submit-jobs", 0, "submissions per submit-ladder rung (0 = 64)")
-	jsonOut := flag.String("json", "", "write machine-readable results to this file (\"-\" = stdout)")
-	compare := flag.Bool("compare", false, "compare two -json result files: scalebench -compare old.json new.json")
-	gate := flag.String("gate", "", "with -compare: fail (exit 1) when this section regresses past -gate-threshold; \"section\" gates the section's headline metric, \"section:metric\" a specific one")
-	gateThreshold := flag.Float64("gate-threshold", 10, "with -gate: tolerated regression in percent")
-	chaosMode := flag.Bool("chaos", false, "run the crash-consistency chaos soak instead of the scaling benches")
-	chaosSeed := flag.Int64("chaos-seed", 1, "chaos soak: first fault-injection seed")
-	chaosSeeds := flag.Int("chaos-seeds", 1, "chaos soak: number of consecutive seeds to sweep")
-	chaosCases := flag.Int("chaos-cases", 0, "chaos soak: cap on injected cases per fault kind (0 = every op of the reference run)")
-	overloadMode := flag.Bool("overload", false, "run the admission-control overload burst instead of the scaling benches")
-	overloadClients := flag.String("overload-clients", "", "comma-separated submitter counts for the overload burst (empty = 4,16)")
-	overloadSubmits := flag.Int("overload-submits", 0, "submissions per overload client (0 = 32)")
-	flag.Parse()
-
-	if *chaosMode {
-		if err := chaosSoak(os.Stdout, *chaosSeed, *chaosSeeds, *chaosCases); err != nil {
-			fail(err)
-		}
-		return
+	if err := run(os.Args[1:], os.Stdout); err != nil && !errors.Is(err, flag.ErrHelp) {
+		fmt.Fprintln(os.Stderr, "scalebench:", err)
+		os.Exit(1)
 	}
+}
 
-	if *overloadMode {
-		var clients []int
-		if *overloadClients != "" {
-			for _, s := range strings.Split(*overloadClients, ",") {
-				v, err := strconv.Atoi(strings.TrimSpace(s))
-				if err != nil || v < 1 {
-					fmt.Fprintln(os.Stderr, "scalebench: bad overload client count:", s)
-					os.Exit(2)
-				}
-				clients = append(clients, v)
-			}
-		}
-		fmt.Println("== service: admission-control overload burst ==")
-		orows, err := experiments.OverloadSweep(clients, *overloadSubmits)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Print(experiments.FormatOverload(orows))
-		return
-	}
-
-	if *compare {
-		if flag.NArg() != 2 {
-			fmt.Fprintln(os.Stderr, "scalebench: -compare wants exactly two files: old.json new.json")
-			os.Exit(2)
-		}
-		violations, err := compareReports(flag.Arg(0), flag.Arg(1), os.Stdout, *gate, *gateThreshold)
-		if err != nil {
-			fail(err)
-		}
-		if len(violations) > 0 {
-			for _, v := range violations {
-				fmt.Fprintln(os.Stderr, "scalebench: regression:", v)
-			}
-			os.Exit(1)
-		}
-		return
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("scalebench", flag.ContinueOnError)
+	ranksFlag := fs.String("ranks", "1,2,4,8,16,32,64", "rank counts to sweep")
+	steps := fs.Int("steps", 20, "solver steps per point")
+	scale := fs.Float64("scale", 1.2, "geometry scale")
+	weak := fs.Bool("weak", true, "also run weak scaling")
+	pre := fs.Bool("pre", true, "also run pre-processing sweeps (E8/E9/E10)")
+	jsonOut := fs.String("json", "", "write machine-readable results to this file (\"-\" = stdout)")
+	if err := fs.Parse(args); err != nil {
+		return err
 	}
 
 	var ranks []int
 	for _, s := range strings.Split(*ranksFlag, ",") {
 		v, err := strconv.Atoi(strings.TrimSpace(s))
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "scalebench: bad rank count:", s)
-			os.Exit(2)
+			return fmt.Errorf("bad rank count %q", s)
 		}
 		ranks = append(ranks, v)
 	}
-	var batches []int
-	if *jobsBatches != "" {
-		for _, s := range strings.Split(*jobsBatches, ",") {
-			v, err := strconv.Atoi(strings.TrimSpace(s))
-			if err != nil || v <= 0 {
-				fmt.Fprintln(os.Stderr, "scalebench: bad jobs batch size:", s)
-				os.Exit(2)
-			}
-			batches = append(batches, v)
-		}
-	}
 	cfg := experiments.ScalingConfig{RankCounts: ranks, Steps: *steps, Scale: *scale}
 
-	fmt.Println("== E7: strong scaling ==")
+	fmt.Fprintln(stdout, "== E7: strong scaling ==")
 	rows, err := experiments.StrongScaling(cfg)
 	if err != nil {
-		fail(err)
+		return err
 	}
-	fmt.Print(experiments.FormatScaling(rows, false))
+	fmt.Fprint(stdout, experiments.FormatScaling(rows, false))
 
 	report := map[string]any{
-		"bench": "scalebench",
-		"steps": cfg.Steps,
-		"scale": cfg.Scale,
+		"bench":      "scalebench",
+		"kind":       "modelled",
+		"host_timed": hostTimedNote,
+		"steps":      cfg.Steps,
+		"scale":      cfg.Scale,
 		"meta": runMeta{
 			GoVersion:  runtime.Version(),
 			GOOS:       runtime.GOOS,
@@ -269,67 +165,67 @@ func main() {
 	}
 
 	if *weak {
-		fmt.Println()
-		fmt.Println("== E7: weak scaling ==")
+		fmt.Fprintln(stdout)
+		fmt.Fprintln(stdout, "== E7: weak scaling ==")
 		wcfg := cfg
 		if len(wcfg.RankCounts) > 4 {
 			wcfg.RankCounts = wcfg.RankCounts[:4] // weak sweep grows the domain
 		}
 		wrows, err := experiments.WeakScaling(wcfg)
 		if err != nil {
-			fail(err)
+			return err
 		}
-		fmt.Print(experiments.FormatScaling(wrows, true))
+		fmt.Fprint(stdout, experiments.FormatScaling(wrows, true))
 		report["weak"] = toJSONPoints(wrows)
 	}
 
 	if *pre {
-		fmt.Println()
-		fmt.Println("== E8: two-level geometry read (reader-subset sweep) ==")
+		fmt.Fprintln(stdout)
+		fmt.Fprintln(stdout, "== E8: two-level geometry read (reader-subset sweep) ==")
 		grows, err := experiments.GmyReadSweep(8, []int{1, 2, 4, 8})
 		if err != nil {
-			fail(err)
+			return err
 		}
-		fmt.Print(experiments.FormatGmyRead(grows))
+		fmt.Fprint(stdout, experiments.FormatGmyRead(grows))
 		gj := make([]jsonGmyRead, 0, len(grows))
 		for _, r := range grows {
 			gj = append(gj, jsonGmyRead{r.Ranks, r.Readers, r.Wall.Nanoseconds(), r.DistBytes, r.BalanceMax})
 		}
 		report["gmy_read"] = gj
 
-		fmt.Println()
-		fmt.Println("== partitioner comparison (ParMETIS role) ==")
+		fmt.Fprintln(stdout)
+		fmt.Fprintln(stdout, "== partitioner comparison (ParMETIS role) ==")
 		prows, err := experiments.PartitionerComparison(8, *scale)
 		if err != nil {
-			fail(err)
+			return err
 		}
-		fmt.Print(experiments.FormatPartitioners(prows))
+		fmt.Fprint(stdout, experiments.FormatPartitioners(prows))
 		pj := make([]jsonPartitioner, 0, len(prows))
 		for _, r := range prows {
 			pj = append(pj, jsonPartitioner{string(r.Method), r.Wall.Nanoseconds(), r.EdgeCut, r.Imbalance, r.Boundary})
 		}
 		report["partitioners"] = pj
 
-		fmt.Println()
-		fmt.Println("== E9: visualisation-aware repartitioning ==")
+		fmt.Fprintln(stdout)
+		fmt.Fprintln(stdout, "== E9: visualisation-aware repartitioning ==")
 		rrows, err := experiments.RepartitionSweep(8, nil)
 		if err != nil {
-			fail(err)
+			return err
 		}
-		fmt.Print(experiments.FormatRepartition(rrows))
+		fmt.Fprint(stdout, experiments.FormatRepartition(rrows))
 		rj := make([]jsonRepartition, 0, len(rrows))
 		for _, r := range rrows {
 			rj = append(rj, jsonRepartition{r.Alpha, r.ImbalanceBefore, r.ImbalanceAfter, r.MigratedSites, r.MigrationShare})
 		}
 		report["repartition"] = rj
 
-		fmt.Println()
-		fmt.Println("== E10: multi-resolution reduction ==")
+		fmt.Fprintln(stdout)
+		fmt.Fprintln(stdout, "== E10: multi-resolution reduction ==")
 		mrows, err := experiments.MultiresSweep()
 		if err != nil {
-			fail(err)
+			return err
 		}
-		fmt.Print(experiments.FormatMultires(mrows))
+		fmt.Fprint(stdout, experiments.FormatMultires(mrows))
 		mj := make([]jsonMultires, 0, len(mrows))
 		for _, r := range mrows {
 			mj = append(mj, jsonMultires{r.Label, r.Nodes, r.Bytes, r.ReductionPct, r.QueryTime.Nanoseconds()})
@@ -337,122 +233,20 @@ func main() {
 		report["multires"] = mj
 	}
 
-	if *stream {
-		fmt.Println()
-		fmt.Println("== service: render offload / frame streaming ==")
-		srows, err := experiments.StreamSweep([]int{0, 1, 2, 4}, 0)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Print(experiments.FormatStream(srows))
-		sj := make([]jsonStream, 0, len(srows))
-		for _, r := range srows {
-			sj = append(sj, jsonStream{r.Subscribers, r.StepsPerSec, r.FramesDelivered,
-				r.RendersUsed, r.MeanFrameLatency.Nanoseconds()})
-		}
-		report["stream"] = sj
-	}
-
-	if *threadsFlag != "" {
-		var tcounts []int
-		for _, s := range strings.Split(*threadsFlag, ",") {
-			v, err := strconv.Atoi(strings.TrimSpace(s))
-			if err != nil || v < 1 {
-				fmt.Fprintln(os.Stderr, "scalebench: bad thread count:", s)
-				os.Exit(2)
-			}
-			tcounts = append(tcounts, v)
-		}
-		fmt.Println()
-		fmt.Println("== intra-rank tiling: collide+stream worker sweep ==")
-		trows, err := experiments.ThreadsSweep(tcounts, *threadSteps, *scale)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Print(experiments.FormatThreads(trows))
-		tj := make([]jsonThreads, 0, len(trows))
-		for _, r := range trows {
-			tj = append(tj, jsonThreads{r.Threads, r.Sites, r.Steps,
-				r.Wall.Nanoseconds(), r.StepsPerSec, r.Speedup})
-		}
-		report["threads"] = tj
-	}
-
-	if *jobs {
-		fmt.Println()
-		fmt.Println("== service: jobs throughput (durable vs in-memory) ==")
-		jrows, err := experiments.JobsThroughput(batches)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Print(experiments.FormatJobs(jrows))
-		jj := make([]jsonJobs, 0, len(jrows))
-		for _, r := range jrows {
-			jj = append(jj, jsonJobs{r.Persist, r.Jobs, r.StepsPerJob,
-				r.Wall.Nanoseconds(), r.JobsPerSec, r.Checkpoints})
-		}
-		report["jobs"] = jj
-	}
-
-	if *ckpt {
-		fmt.Println()
-		fmt.Println("== service: checkpoint delta policy (full-every-K x dirty-ratio cap) ==")
-		crows, err := experiments.CkptSweep(nil, nil, *ckptJobs)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Print(experiments.FormatCkpt(crows))
-		cj := make([]jsonCkpt, 0, len(crows))
-		for _, r := range crows {
-			cj = append(cj, jsonCkpt{r.FullEvery, r.DirtyMax, r.Jobs, r.StepsPerJob,
-				r.Wall.Nanoseconds(), r.JobsPerSec, r.Checkpoints, r.Deltas,
-				r.CkptBytes, r.DeltaBytes})
-		}
-		report["ckpt"] = cj
-
-		var concs []int
-		if *submitConc != "" {
-			for _, s := range strings.Split(*submitConc, ",") {
-				v, err := strconv.Atoi(strings.TrimSpace(s))
-				if err != nil || v < 1 {
-					fmt.Fprintln(os.Stderr, "scalebench: bad submit concurrency:", s)
-					os.Exit(2)
-				}
-				concs = append(concs, v)
-			}
-		}
-		fmt.Println()
-		fmt.Println("== service: durable submit ladder (journal group commit) ==")
-		urows, err := experiments.SubmitSweep(concs, *submitJobs)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Print(experiments.FormatSubmit(urows))
-		uj := make([]jsonSubmit, 0, len(urows))
-		for _, r := range urows {
-			uj = append(uj, jsonSubmit{r.Concurrency, r.Jobs, r.Wall.Nanoseconds(),
-				r.SubmitsPerSec, r.GroupCommits, r.MeanBatch})
-		}
-		report["submit"] = uj
-	}
-
 	if *jsonOut != "" {
 		data, err := json.MarshalIndent(report, "", "  ")
 		if err != nil {
-			fail(err)
+			return err
 		}
 		data = append(data, '\n')
 		if *jsonOut == "-" {
-			os.Stdout.Write(data)
-		} else if err := os.WriteFile(*jsonOut, data, 0o644); err != nil {
-			fail(err)
-		} else {
-			fmt.Printf("\nwrote %s\n", *jsonOut)
+			_, err = stdout.Write(data)
+			return err
 		}
+		if err := os.WriteFile(*jsonOut, data, 0o644); err != nil {
+			return err
+		}
+		fmt.Fprintf(stdout, "\nwrote %s\n", *jsonOut)
 	}
-}
-
-func fail(err error) {
-	fmt.Fprintln(os.Stderr, "scalebench:", err)
-	os.Exit(1)
+	return nil
 }

@@ -16,6 +16,10 @@ var (
 	chaosSeed = flag.Int64("chaos-seed", 1, "fault-injection seed")
 	chaosAt   = flag.Int64("chaos-at", 0, "inject at exactly this op index (reproduction mode; 0 = sweep)")
 	chaosKind = flag.String("chaos-kind", "crash", "fault kind: err, short, torn, crash")
+	// chaosSeeds turns TestChaosSoak on:
+	//
+	//	go test ./internal/chaos -run TestChaosSoak -chaos-seeds 5 [-chaos-seed S] [-chaos-ops K] -timeout 120m
+	chaosSeeds = flag.Int("chaos-seeds", 0, "TestChaosSoak: consecutive seeds to sweep from -chaos-seed (0 = skip the soak)")
 )
 
 func chaosConfig(t *testing.T) Config {
@@ -104,4 +108,36 @@ func TestChaosHookPoints(t *testing.T) {
 	if err := RunHooks(Config{Seed: *chaosSeed, Logf: t.Logf}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestChaosSoak is the long-running soak (on demand; see
+// .github/workflows/chaos-soak.yml): for each of -chaos-seeds seeds it
+// sweeps every fault kind across the reference run's I/O schedule
+// (-chaos-ops caps the cases per kind) and then the hook-point power
+// cuts. The first failure stops it; the harness's error is already a
+// one-line reproduction recipe (seed, op index, fault kind).
+func TestChaosSoak(t *testing.T) {
+	if *chaosSeeds <= 0 {
+		t.Skip("soak runs only with -chaos-seeds N")
+	}
+	t.Cleanup(leaktest.Check(t))
+	kinds := []faultfs.FaultKind{
+		faultfs.FaultCrash, faultfs.FaultErr, faultfs.FaultShortWrite, faultfs.FaultTornWrite,
+	}
+	total := 0
+	for seed := *chaosSeed; seed < *chaosSeed+int64(*chaosSeeds); seed++ {
+		for _, kind := range kinds {
+			rep, err := Run(Config{Seed: seed, Kind: kind, MaxCases: *chaosOps})
+			if err != nil {
+				t.Fatal(err)
+			}
+			total += rep.Cases
+			t.Logf("chaos: seed=%d kind=%-5s %3d/%3d cases fired over %d ref ops", seed, kind, rep.Fired, rep.Cases, rep.RefOps)
+		}
+		if err := RunHooks(Config{Seed: seed}); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("chaos: seed=%d hook-point crashes passed", seed)
+	}
+	t.Logf("chaos: soak clean: %d seeds, %d injected cases", *chaosSeeds, total)
 }

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -170,6 +171,63 @@ func TestAdmissionControl(t *testing.T) {
 	})
 	if n := metrics.JobsFailed.Load(); n != 0 {
 		t.Errorf("jobs_failed_total = %d after admission shedding, want 0", n)
+	}
+
+	t.Run("concurrent burst", testAdmissionBurst)
+}
+
+// testAdmissionBurst fires 16 concurrent SubmitAs clients at a manager
+// whose queue, tenant quota and token bucket are all far smaller than
+// the burst: every rejection must be a typed admission error, some of
+// the burst must be shed, and no accepted job may be harmed by it.
+func testAdmissionBurst(t *testing.T) {
+	t.Cleanup(goroutineBaseline(t))
+	const tenant, clients, submits = "load", 16, 32
+	mgr := NewManagerOpts(Options{
+		Workers: 2, QueueCap: 8,
+		AuthKeys: []TenantConfig{{Name: tenant, Key: "k-load", MaxActive: 4, Rate: 50, Burst: 8}},
+	})
+	defer mgr.Close()
+
+	var (
+		mu       sync.Mutex
+		accepted []*Job
+		shed     int
+	)
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < submits; i++ {
+				j, err := mgr.SubmitAs(tenant, JobSpec{Preset: "pipe", Steps: 32, VizEvery: -1})
+				mu.Lock()
+				switch {
+				case err == nil:
+					accepted = append(accepted, j)
+				case errors.Is(err, ErrQuotaExceeded), errors.Is(err, ErrRateLimited),
+					errors.Is(err, ErrQueueFull), errors.Is(err, ErrOverloaded):
+					shed++
+				default:
+					t.Errorf("submit failed with a non-admission error: %v", err)
+				}
+				mu.Unlock()
+			}
+		}()
+	}
+	wg.Wait()
+	if shed == 0 {
+		t.Errorf("burst of %d submits was never shed; admission control is not engaging", clients*submits)
+	}
+	t.Logf("burst: %d accepted, %d shed", len(accepted), shed)
+	if len(accepted) == 0 {
+		t.Error("burst admitted nothing; the finish check below would be vacuous")
+	}
+	for _, j := range accepted {
+		waitFor(t, "accepted job "+j.ID+" to finish", func() bool { return j.State().Terminal() })
+		if j.State() == StateFailed {
+			t.Errorf("accepted job %s failed under shed load", j.ID)
+		}
 	}
 }
 

@@ -413,16 +413,18 @@ type Options struct {
 	// checkpoint is a full one, the ones between are delta records over
 	// the previous persisted state. 0 means the built-in 8; 1 (or any
 	// smaller value) writes only full checkpoints. Ignored without
-	// Store.
+	// Store. Not a daemon flag: it stays as the seam the chaos driver
+	// and the delta-policy tests use to force compaction in a short run.
 	CheckpointFullEvery int
 	// CheckpointDirtyMax caps how dirty a delta may be before the
 	// writer falls back to a full checkpoint: a delta is written only
 	// when dirtyTiles/tiles <= CheckpointDirtyMax. 0 means the built-in
 	// 1.0 — deltas regardless of ratio, because a delta record skips
 	// the data fsync (see store.PutCheckpointDelta) and so beats a
-	// full even when every tile is dirty; lower it to trade chain disk
-	// footprint for earlier fulls. Negative writes fulls only. Ignored
-	// without Store.
+	// full even when every tile is dirty. Negative writes fulls only.
+	// Ignored without Store. Not a daemon flag either (measured dirty
+	// ratio is 1.0, so no value of the cap is tunable from evidence):
+	// a test seam, like CheckpointFullEvery.
 	CheckpointDirtyMax float64
 	// CheckpointBudget caps each job's cumulative checkpoint write time
 	// to this fraction of its elapsed run time (the Young/Daly
@@ -437,11 +439,6 @@ type Options struct {
 	// (every cadence write lands, the pre-budget behavior). Ignored
 	// without Store.
 	CheckpointBudget float64
-	// JournalDelay is the group-commit bounded-latency timer: how long
-	// the journal writer waits after the first record arrives so
-	// concurrent submits can share one fsync. 0 (the default) commits
-	// as soon as the writer is free, which already batches under load.
-	JournalDelay time.Duration
 	// Logger receives the manager's structured log stream (job
 	// lifecycle, recovery, store failures). Nil discards everything.
 	Logger *slog.Logger
@@ -658,7 +655,7 @@ func NewManagerOpts(o Options) *Manager {
 			o.Metrics.JournalGroupCommits.Add(1)
 			o.Metrics.JournalGroupCommitRecords.Add(int64(records))
 		})
-		if err := m.store.EnableJournal(o.JournalDelay); err != nil {
+		if err := m.store.EnableJournal(0); err != nil {
 			m.metrics.StoreErrors.Add(1)
 			m.log.Error("journal unavailable; falling back to per-file writes", "err", err)
 		}

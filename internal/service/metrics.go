@@ -32,10 +32,6 @@ type Metrics struct {
 	// RenderQueueDepth is a gauge: render tasks accepted by the pool
 	// but not yet finished.
 	RenderQueueDepth atomic.Int64
-	// FrameLatencyNs / FrameLatencyCount accumulate pool render
-	// latency (submit → PNG encoded); mean = sum / count.
-	FrameLatencyNs    atomic.Int64
-	FrameLatencyCount atomic.Int64
 	// StreamClients is a gauge of live SSE subscribers;
 	// FramesStreamed counts frame events pushed to them.
 	StreamClients  atomic.Int64
@@ -127,9 +123,9 @@ type Metrics struct {
 	// FieldGather the snapshot field gather, CheckpointGather the
 	// in-loop checkpoint state gather (the same time CheckpointStallNs
 	// accumulates). CheckpointWrite times the off-loop encode+fsync on
-	// the writer goroutine, RenderLatency the pool's submit→PNG path
-	// (the same samples FrameLatencyNs means over), and HTTPLatency is
-	// a per-route family fed by the server middleware.
+	// the writer goroutine, RenderLatency the pool's submit→PNG path,
+	// and HTTPLatency is a per-route family fed by the server
+	// middleware.
 	// TileDuration samples per-worker collide+stream tile durations on
 	// tiled solvers (same cadence as StepDuration): the spread between
 	// its p50 and p99 is intra-rank load imbalance the aggregate step
@@ -142,13 +138,6 @@ type Metrics struct {
 	RenderLatency    obs.Histogram
 	TileDuration     obs.Histogram
 	HTTPLatency      obs.HistogramSet
-}
-
-// RecordFrameLatency folds one pool render duration into the latency
-// accumulators.
-func (m *Metrics) RecordFrameLatency(ns int64) {
-	m.FrameLatencyNs.Add(ns)
-	m.FrameLatencyCount.Add(1)
 }
 
 // counterRow pairs a metric name with its current value plus the
@@ -177,8 +166,6 @@ func (m *Metrics) rows() []counterRow {
 		{"hemeserved_http_requests_total", m.HTTPRequests.Load(), "counter", "HTTP requests served."},
 		{"hemeserved_snapshots_total", m.SnapshotsTotal.Load(), "counter", "Field snapshots published by solvers."},
 		{"hemeserved_render_queue_depth", m.RenderQueueDepth.Load(), "gauge", "Render tasks accepted but not yet finished."},
-		{"hemeserved_frame_latency_ns_sum", m.FrameLatencyNs.Load(), "counter", "Total pool render latency in nanoseconds (mean accumulator)."},
-		{"hemeserved_frame_latency_ns_count", m.FrameLatencyCount.Load(), "counter", "Samples in hemeserved_frame_latency_ns_sum."},
 		{"hemeserved_stream_clients", m.StreamClients.Load(), "gauge", "Live SSE subscribers."},
 		{"hemeserved_frames_streamed_total", m.FramesStreamed.Load(), "counter", "Frame events pushed to SSE subscribers."},
 		{"hemeserved_checkpoints_written_total", m.CheckpointsWritten.Load(), "counter", "Solver checkpoints journaled to the data dir."},

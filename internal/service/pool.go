@@ -96,9 +96,7 @@ func (p *RenderPool) worker() {
 			r := p.render(t)
 			p.metrics.RenderQueueDepth.Add(-1)
 			if r.err == nil {
-				ns := time.Since(t.enqueued).Nanoseconds()
-				p.metrics.RecordFrameLatency(ns)
-				p.metrics.RenderLatency.Observe(ns)
+				p.metrics.RenderLatency.Observe(time.Since(t.enqueued).Nanoseconds())
 			}
 			t.res <- r // buffered; never blocks the worker
 		}
