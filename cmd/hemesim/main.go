@@ -11,8 +11,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
@@ -25,26 +27,36 @@ import (
 )
 
 func main() {
-	vessel := flag.String("vessel", "aneurysm", "geometry: pipe, bend, bifurcation, aneurysm, tree")
-	scale := flag.Float64("scale", 1.0, "geometry scale factor")
-	h := flag.Float64("h", 1.0, "lattice spacing")
-	tau := flag.Float64("tau", 0.9, "BGK relaxation time")
-	ranks := flag.Int("ranks", 4, "simulated MPI ranks")
-	method := flag.String("method", "multilevel", "partitioner: block, morton, rcb, multilevel")
-	steps := flag.Int("steps", 1000, "time steps")
-	vizEvery := flag.Int("viz-every", 100, "in situ render interval (0 = off)")
-	mode := flag.String("mode", "volume", "viz mode: volume, streamlines, lic")
-	imgOut := flag.String("image", "", "write the final in situ image here (.png or .ppm)")
-	steer := flag.String("steer", "", "steering server address (e.g. 127.0.0.1:7766)")
-	repartAt := flag.Int("repartition-at", 0, "viz-aware repartition at this step (0 = off)")
-	alpha := flag.Float64("viz-alpha", 1.0, "visualisation weight in the balance equation")
-	pulseAmp := flag.Float64("pulse-amp", 0, "sinusoidal inlet density amplitude (0 = steady)")
-	pulsePeriod := flag.Float64("pulse-period", 400, "inlet pulse period in steps")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout); err != nil && !errors.Is(err, flag.ErrHelp) {
+		fmt.Fprintln(os.Stderr, "hemesim:", err)
+		os.Exit(1)
+	}
+}
+
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("hemesim", flag.ContinueOnError)
+	vessel := fs.String("vessel", "aneurysm", "geometry: pipe, bend, bifurcation, aneurysm, tree")
+	scale := fs.Float64("scale", 1.0, "geometry scale factor")
+	h := fs.Float64("h", 1.0, "lattice spacing")
+	tau := fs.Float64("tau", 0.9, "BGK relaxation time")
+	ranks := fs.Int("ranks", 4, "simulated MPI ranks")
+	method := fs.String("method", "multilevel", "partitioner: block, morton, rcb, multilevel")
+	steps := fs.Int("steps", 1000, "time steps")
+	vizEvery := fs.Int("viz-every", 100, "in situ render interval (0 = off)")
+	mode := fs.String("mode", "volume", "viz mode: volume, streamlines, lic")
+	imgOut := fs.String("image", "", "write the final in situ image here (.png or .ppm)")
+	steer := fs.String("steer", "", "steering server address (e.g. 127.0.0.1:7766)")
+	repartAt := fs.Int("repartition-at", 0, "viz-aware repartition at this step (0 = off)")
+	alpha := fs.Float64("viz-alpha", 1.0, "visualisation weight in the balance equation")
+	pulseAmp := fs.Float64("pulse-amp", 0, "sinusoidal inlet density amplitude (0 = steady)")
+	pulsePeriod := fs.Float64("pulse-period", 400, "inlet pulse period in steps")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	v, err := geometry.VesselByName(*vessel, *scale)
 	if err != nil {
-		fail(err)
+		return err
 	}
 	req := insitu.DefaultRequest()
 	switch strings.ToLower(*mode) {
@@ -55,7 +67,7 @@ func main() {
 	case "lic":
 		req.Mode = insitu.ModeLIC
 	default:
-		fail(fmt.Errorf("unknown mode %q", *mode))
+		return fmt.Errorf("unknown mode %q", *mode)
 	}
 	req.Scalar = field.ScalarSpeed
 
@@ -72,29 +84,29 @@ func main() {
 		PulsePeriod:    *pulsePeriod,
 	})
 	if err != nil {
-		fail(err)
+		return err
 	}
 	defer sim.Close()
 
-	fmt.Printf("hemesim: %s, %d fluid sites (%.1f%% of lattice), %d ranks via %s\n",
+	fmt.Fprintf(stdout, "hemesim: %s, %d fluid sites (%.1f%% of lattice), %d ranks via %s\n",
 		v.Name, sim.Dom.NumSites(), 100*sim.Dom.FluidFraction(), *ranks, *method)
 	q := partition.Measure(sim.Graph, sim.Part)
-	fmt.Printf("partition: imbalance %.3f, edge cut %.0f, boundary sites %d\n",
+	fmt.Fprintf(stdout, "partition: imbalance %.3f, edge cut %.0f, boundary sites %d\n",
 		q.Imbalance, q.EdgeCut, q.Boundary)
 	if sim.Server != nil {
-		fmt.Printf("steering server listening on %s\n", sim.Server.Addr())
+		fmt.Fprintf(stdout, "steering server listening on %s\n", sim.Server.Addr())
 	}
 
 	t0 := time.Now()
 	if err := sim.Run(*steps); err != nil {
-		fail(err)
+		return err
 	}
 	el := time.Since(t0)
 	updates := float64(sim.Dom.NumSites()) * float64(sim.StepsDone)
-	fmt.Printf("ran %d steps in %s (%.2f Msite-updates/s), halo bytes %d\n",
+	fmt.Fprintf(stdout, "ran %d steps in %s (%.2f Msite-updates/s), halo bytes %d\n",
 		sim.StepsDone, el.Round(time.Millisecond), updates/el.Seconds()/1e6, sim.HaloBytes)
 	if sim.Repartition != nil {
-		fmt.Printf("repartitioned at step %d: imbalance %.3f -> %.3f, migrated %d sites\n",
+		fmt.Fprintf(stdout, "repartitioned at step %d: imbalance %.3f -> %.3f, migrated %d sites\n",
 			sim.Repartition.Step, sim.Repartition.ImbalanceBefore,
 			sim.Repartition.ImbalanceAfter, sim.Repartition.Migrated)
 	}
@@ -102,22 +114,20 @@ func main() {
 	if *imgOut != "" && sim.LastImage != nil {
 		f, err := os.Create(*imgOut)
 		if err != nil {
-			fail(err)
+			return err
 		}
-		defer f.Close()
 		if strings.HasSuffix(*imgOut, ".ppm") {
 			err = sim.LastImage.EncodePPM(f)
 		} else {
 			err = sim.LastImage.EncodePNG(f)
 		}
-		if err != nil {
-			fail(err)
+		if cerr := f.Close(); err == nil {
+			err = cerr
 		}
-		fmt.Printf("wrote %s (%dx%d)\n", *imgOut, sim.LastImage.W, sim.LastImage.H)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(stdout, "wrote %s (%dx%d)\n", *imgOut, sim.LastImage.W, sim.LastImage.H)
 	}
-}
-
-func fail(err error) {
-	fmt.Fprintln(os.Stderr, "hemesim:", err)
-	os.Exit(1)
+	return nil
 }

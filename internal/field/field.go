@@ -52,12 +52,9 @@ type Field struct {
 // Validate checks array lengths against the domain.
 func (f *Field) Validate() error {
 	n := f.Dom.NumSites()
-	for name, arr := range map[string][]float64{
-		"rho": f.Rho, "ux": f.Ux, "uy": f.Uy, "uz": f.Uz,
-	} {
-		if len(arr) != n {
-			return fmt.Errorf("field: %s has %d entries, domain has %d sites", name, len(arr), n)
-		}
+	if len(f.Rho) != n || len(f.Ux) != n || len(f.Uy) != n || len(f.Uz) != n {
+		return fmt.Errorf("field: rho/ux/uy/uz have %d/%d/%d/%d entries, domain has %d sites",
+			len(f.Rho), len(f.Ux), len(f.Uy), len(f.Uz), n)
 	}
 	if f.WSS != nil && len(f.WSS) != n {
 		return fmt.Errorf("field: wss has %d entries, domain has %d sites", len(f.WSS), n)
@@ -155,7 +152,7 @@ func (f *Field) ScalarAt(p vec.V3, s Scalar) (float64, bool) {
 					continue
 				}
 				found = true
-				acc += f.ScalarAtSite(id, s) * w
+				acc += float64(f.ScalarAtSite(id, s) * w) // rounded: no FMA, as viz's sampler
 			}
 		}
 	}

@@ -3,6 +3,7 @@ package geometry
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"repro/internal/lattice"
 	"repro/internal/vec"
@@ -75,6 +76,9 @@ type Domain struct {
 	// two-level format).
 	BlockDims       vec.I3
 	BlockFluidCount []int32
+
+	bricksOnce sync.Once
+	bricks     *Bricks
 }
 
 // NumSites returns the number of fluid sites.

@@ -28,6 +28,30 @@ func CameraFor(dims vec.I3, req Request) *vec.Camera {
 // snapshot long after the solver has moved on. ModeParticles needs the
 // pipeline's stateful tracer and is rejected here.
 func RenderField(f *field.Field, req Request) (*render.Image, error) {
+	return new(FrameBuffers).render(f, req)
+}
+
+// FrameBuffers is what one render worker keeps between frames: the
+// volume renderer's image and scalar table and the PNG encoder's state.
+// The zero value is ready; one goroutine at a time.
+type FrameBuffers struct {
+	vol viz.VolumeBuffers
+	png render.PNGEncoder
+}
+
+// FramePNG is RenderField followed by PNG encoding. Only the returned
+// bytes are freshly allocated (for a volume frame; the other modes still
+// allocate their image).
+func (b *FrameBuffers) FramePNG(f *field.Field, req Request) (png []byte, w, h int, err error) {
+	img, err := b.render(f, req)
+	if err != nil {
+		return nil, 0, 0, err
+	}
+	png, err = b.png.Encode(img)
+	return png, img.W, img.H, err
+}
+
+func (b *FrameBuffers) render(f *field.Field, req Request) (*render.Image, error) {
 	if f == nil || f.Dom == nil {
 		return nil, fmt.Errorf("insitu: nil field snapshot")
 	}
@@ -42,7 +66,7 @@ func RenderField(f *field.Field, req Request) (*render.Image, error) {
 	tf := render.BlueRed(0, maxS)
 	switch req.Mode {
 	case ModeVolume:
-		return viz.RenderVolume(f, viz.VolumeOptions{
+		return b.vol.Render(f, viz.VolumeOptions{
 			W: req.W, H: req.H, Camera: cam, TF: tf, Scalar: req.Scalar,
 		})
 	case ModeStreamlines:

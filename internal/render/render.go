@@ -11,7 +11,6 @@ import (
 	"bytes"
 	"fmt"
 	"image"
-	"image/color"
 	"image/png"
 	"io"
 	"math"
@@ -77,15 +76,20 @@ type Image struct {
 
 // NewImage allocates a transparent framebuffer with infinite depth.
 func NewImage(w, h int) *Image {
-	img := &Image{
-		W: w, H: h,
-		Pix:   make([]RGBA, w*h),
-		Depth: make([]float64, w*h),
-	}
-	for i := range img.Depth {
-		img.Depth[i] = math.Inf(1)
-	}
+	img := &Image{}
+	img.Reset(w, h)
 	return img
+}
+
+// Reset makes im a transparent w×h framebuffer with infinite depth,
+// keeping its storage when that is large enough.
+func (im *Image) Reset(w, h int) {
+	n := w * h
+	if cap(im.Pix) < n || cap(im.Depth) < n {
+		im.Pix, im.Depth = make([]RGBA, n), make([]float64, n)
+	}
+	im.W, im.H, im.Pix, im.Depth = w, h, im.Pix[:n], im.Depth[:n]
+	im.Fill(RGBA{})
 }
 
 // At returns the pixel at (x, y).
@@ -136,17 +140,6 @@ func (im *Image) Fill(c RGBA) {
 	}
 }
 
-// FlattenOnto returns a copy composited over an opaque background.
-func (im *Image) FlattenOnto(bg RGBA) *Image {
-	out := NewImage(im.W, im.H)
-	bg.A = 1
-	for i := range im.Pix {
-		out.Pix[i] = im.Pix[i].Over(bg)
-		out.Depth[i] = im.Depth[i]
-	}
-	return out
-}
-
 // Serialize packs the image (colour + depth) into a float64 slice for
 // transport over the par runtime: [r g b a depth]*.
 func (im *Image) Serialize() []float64 {
@@ -170,6 +163,12 @@ func DeserializeImage(w, h int, data []float64) (*Image, error) {
 	return im, nil
 }
 
+// rgb8 flattens pixel i over opaque black and quantises it.
+func (im *Image) rgb8(i int) (r, g, b uint8) {
+	p := im.Pix[i].Over(RGBA{0, 0, 0, 1})
+	return uint8(clamp01(p.R)*255 + 0.5), uint8(clamp01(p.G)*255 + 0.5), uint8(clamp01(p.B)*255 + 0.5)
+}
+
 // EncodePPM writes the image as binary PPM (P6) over an opaque black
 // background.
 func (im *Image) EncodePPM(w io.Writer) error {
@@ -177,51 +176,62 @@ func (im *Image) EncodePPM(w io.Writer) error {
 	if _, err := fmt.Fprintf(bw, "P6\n%d %d\n255\n", im.W, im.H); err != nil {
 		return err
 	}
-	flat := im.FlattenOnto(RGBA{0, 0, 0, 1})
-	buf := make([]byte, 0, im.W*3)
-	for y := 0; y < im.H; y++ {
-		buf = buf[:0]
-		for x := 0; x < im.W; x++ {
-			p := flat.At(x, y)
-			buf = append(buf,
-				byte(clamp01(p.R)*255+0.5),
-				byte(clamp01(p.G)*255+0.5),
-				byte(clamp01(p.B)*255+0.5))
-		}
-		if _, err := bw.Write(buf); err != nil {
+	for i := range im.Pix {
+		r, g, b := im.rgb8(i)
+		if _, err := bw.Write([]byte{r, g, b}); err != nil {
 			return err
 		}
 	}
 	return bw.Flush()
 }
 
-// EncodePNG writes the image as PNG over an opaque black background.
-func (im *Image) EncodePNG(w io.Writer) error {
-	flat := im.FlattenOnto(RGBA{0, 0, 0, 1})
-	out := image.NewRGBA(image.Rect(0, 0, im.W, im.H))
-	for y := 0; y < im.H; y++ {
-		for x := 0; x < im.W; x++ {
-			p := flat.At(x, y)
-			out.SetRGBA(x, y, color.RGBA{
-				R: uint8(clamp01(p.R)*255 + 0.5),
-				G: uint8(clamp01(p.G)*255 + 0.5),
-				B: uint8(clamp01(p.B)*255 + 0.5),
-				A: 255,
-			})
-		}
-	}
-	return png.Encode(w, out)
+// PNGEncoder encodes frames over an opaque black background, keeping
+// its 8-bit image, compressor state and output buffer between calls: a
+// render worker's encoder allocates only the bytes it returns. The zero
+// value is ready; it must not be used from two goroutines at once.
+type PNGEncoder struct {
+	rgba image.RGBA
+	enc  png.Encoder
+	zbuf pngBufferPool
+	out  bytes.Buffer
 }
+
+// pngBufferPool is a png.EncoderBufferPool of one.
+type pngBufferPool struct{ b *png.EncoderBuffer }
+
+func (p *pngBufferPool) Get() *png.EncoderBuffer  { return p.b }
+func (p *pngBufferPool) Put(b *png.EncoderBuffer) { p.b = b }
+
+// encodeTo writes im as PNG, flattening and quantising in one pass.
+func (e *PNGEncoder) encodeTo(w io.Writer, im *Image) error {
+	if n := 4 * len(im.Pix); cap(e.rgba.Pix) < n {
+		e.rgba.Pix = make([]uint8, n)
+	}
+	e.rgba.Pix, e.rgba.Stride, e.rgba.Rect = e.rgba.Pix[:4*len(im.Pix)], 4*im.W, image.Rect(0, 0, im.W, im.H)
+	for i := range im.Pix {
+		px := e.rgba.Pix[4*i : 4*i+4 : 4*i+4]
+		px[0], px[1], px[2] = im.rgb8(i)
+		px[3] = 255
+	}
+	e.enc.BufferPool = &e.zbuf
+	return e.enc.Encode(w, &e.rgba)
+}
+
+// Encode returns im as PNG bytes the caller owns.
+func (e *PNGEncoder) Encode(im *Image) ([]byte, error) {
+	e.out.Reset()
+	if err := e.encodeTo(&e.out, im); err != nil {
+		return nil, err
+	}
+	return append([]byte(nil), e.out.Bytes()...), nil
+}
+
+// EncodePNG writes the image as PNG over an opaque black background.
+func (im *Image) EncodePNG(w io.Writer) error { return new(PNGEncoder).encodeTo(w, im) }
 
 // EncodePNGBytes encodes the image to an in-memory PNG — the frame
 // format every service consumer (poll, stream, render pool) shares.
-func EncodePNGBytes(im *Image) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := im.EncodePNG(&buf); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
+func EncodePNGBytes(im *Image) ([]byte, error) { return new(PNGEncoder).Encode(im) }
 
 // CoveredFraction returns the share of pixels with non-negligible
 // alpha, a cheap "did we draw anything" check for tests and steering

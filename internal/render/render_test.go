@@ -2,6 +2,7 @@ package render
 
 import (
 	"bytes"
+	"image/png"
 	"math"
 	"math/rand"
 	"testing"
@@ -142,6 +143,50 @@ func TestEncodePNG(t *testing.T) {
 	}
 }
 
+// TestPNGEncoderReuse: one encoder across frames of changing size gives
+// the bytes a fresh encoder gives, the pixels survive a decode, and a
+// returned frame is not overwritten by the next one.
+func TestPNGEncoderReuse(t *testing.T) {
+	var enc PNGEncoder
+	var kept, keptWant []byte
+	for i, size := range [][2]int{{4, 4}, {9, 3}, {2, 2}, {9, 3}} {
+		img := NewImage(size[0], size[1])
+		img.Set(i%size[0], 1, RGBA{0.2, 0.4, 0.9, 1}, 0)
+		img.Reset(size[0], size[1]) // a reused image starts transparent again
+		img.Set(1, i%size[1], RGBA{1, 1, 1, 0.5}, 0)
+		got, err := enc.Encode(img)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := EncodePNGBytes(img)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("frame %d: reused encoder and fresh encoder disagree", i)
+		}
+		dec, err := png.Decode(bytes.NewReader(got))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b := dec.Bounds(); b.Dx() != size[0] || b.Dy() != size[1] {
+			t.Fatalf("frame %d decodes to %v", i, b)
+		}
+		if r, g, b, a := dec.At(1, i%size[1]).RGBA(); r>>8 != 128 || g>>8 != 128 || b>>8 != 128 || a>>8 != 255 {
+			t.Errorf("frame %d: drawn pixel decodes to %d %d %d %d", i, r>>8, g>>8, b>>8, a>>8)
+		}
+		if r, g, b, _ := dec.At(0, (i+1)%size[1]).RGBA(); r|g|b != 0 {
+			t.Errorf("frame %d: background pixel not black", i)
+		}
+		if i == 0 {
+			kept, keptWant = got, append([]byte(nil), got...)
+		}
+	}
+	if !bytes.Equal(kept, keptWant) {
+		t.Error("a later frame overwrote the first frame's bytes")
+	}
+}
+
 func TestTransferFunctionMapping(t *testing.T) {
 	tf := BlueRed(0, 1)
 	lo := tf.Map(0)
@@ -192,10 +237,12 @@ func TestCoveredFraction(t *testing.T) {
 func TestFillAndFlatten(t *testing.T) {
 	img := NewImage(2, 2)
 	img.Fill(RGBA{0.5, 0.5, 0.5, 1})
-	flat := img.FlattenOnto(RGBA{0, 0, 0, 1})
-	p := flat.At(0, 0)
-	if math.Abs(p.R-0.5) > 1e-12 || p.A != 1 {
-		t.Errorf("flatten = %+v", p)
+	img.Pix[1] = RGBA{1, 2, -1, 0.5} // half-covered, out-of-range channels
+	if r, g, b := img.rgb8(0); r != 128 || g != 128 || b != 128 {
+		t.Errorf("opaque grey flattens to %d %d %d", r, g, b)
+	}
+	if r, g, b := img.rgb8(1); r != 128 || g != 255 || b != 0 {
+		t.Errorf("half-covered pixel over black = %d %d %d, want 128 255 0", r, g, b)
 	}
 }
 

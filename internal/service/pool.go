@@ -9,7 +9,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/guard"
 	"repro/internal/insitu"
-	"repro/internal/render"
 )
 
 // ErrPoolClosed is returned by Render once the pool has shut down.
@@ -88,12 +87,13 @@ func (p *RenderPool) Render(snap *core.Snapshot, req insitu.Request) ([]byte, in
 
 func (p *RenderPool) worker() {
 	defer p.wg.Done()
+	var bufs insitu.FrameBuffers // this worker's image, scalar table and PNG state
 	for {
 		select {
 		case <-p.done:
 			return
 		case t := <-p.tasks:
-			r := p.render(t)
+			r := p.render(t, &bufs)
 			p.metrics.RenderQueueDepth.Add(-1)
 			if r.err == nil {
 				p.metrics.RenderLatency.Observe(time.Since(t.enqueued).Nanoseconds())
@@ -107,18 +107,10 @@ func (p *RenderPool) worker() {
 // (degenerate view, snapshot-shape bug) fails that one frame request
 // with an error instead of killing the worker — and with it, every
 // future frame of every job.
-func (p *RenderPool) render(t renderTask) (res renderResult) {
-	err := guard.Capture("render", func() error {
-		img, err := insitu.RenderField(t.snap.Field, t.req)
-		if err != nil {
-			return err
-		}
-		png, err := render.EncodePNGBytes(img)
-		if err != nil {
-			return err
-		}
-		res = renderResult{png: png, w: img.W, h: img.H}
-		return nil
+func (p *RenderPool) render(t renderTask, bufs *insitu.FrameBuffers) (res renderResult) {
+	err := guard.Capture("render", func() (err error) {
+		res.png, res.w, res.h, err = bufs.FramePNG(t.snap.Field, t.req)
+		return err
 	})
 	if err != nil {
 		var pe *guard.PanicError

@@ -18,7 +18,13 @@ import (
 // resulting field snapshot.
 func developedField(t testing.TB, steps int) *field.Field {
 	t.Helper()
-	dom, err := geometry.Voxelise(geometry.Aneurysm(16, 3, 4), 1.0, lattice.D3Q19())
+	return flowField(t, geometry.Aneurysm(16, 3, 4), steps)
+}
+
+// flowField voxelises a vessel at unit spacing and steps a flow on it.
+func flowField(t testing.TB, v *geometry.Vessel, steps int) *field.Field {
+	t.Helper()
+	dom, err := geometry.Voxelise(v, 1.0, lattice.D3Q19())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -459,19 +465,6 @@ func TestProjectBehindCamera(t *testing.T) {
 	}
 	if _, _, ok := project(cam, vec.New(0, 0, 5), 10, 10); !ok {
 		t.Error("point in front not projected")
-	}
-}
-
-func BenchmarkRenderVolume64(b *testing.B) {
-	f := developedField(b, 100)
-	cam := testCamera(f, 64, 64)
-	opt := VolumeOptions{W: 64, H: 64, Camera: cam,
-		TF: render.BlueRed(0, 0.1), Scalar: field.ScalarSpeed}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := RenderVolume(f, opt); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

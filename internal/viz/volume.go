@@ -11,6 +11,7 @@ import (
 	"math"
 
 	"repro/internal/field"
+	"repro/internal/geometry"
 	"repro/internal/par"
 	"repro/internal/render"
 	"repro/internal/vec"
@@ -64,6 +65,24 @@ func (o VolumeOptions) validate() error {
 // parallelise. The per-pixel depth of the first contribution supports
 // the later sort-last merge.
 func RenderVolume(f *field.Field, opt VolumeOptions) (*render.Image, error) {
+	return new(VolumeBuffers).Render(f, opt)
+}
+
+// VolumeBuffers is the storage one volume render needs — the image it
+// draws and the per-site scalar it samples — kept by a render worker so
+// that a frame allocates nothing. The zero value is ready; it must not
+// be used from two goroutines at once.
+type VolumeBuffers struct {
+	img    render.Image
+	scalar []float64
+	// Samples the last render evaluated and how many of them found
+	// fluid: the wasted-work ratio of the brick walk.
+	evaluated, fluid int
+}
+
+// Render is RenderVolume into b's own image, which is valid until the
+// next call.
+func (b *VolumeBuffers) Render(f *field.Field, opt VolumeOptions) (*render.Image, error) {
 	opt = opt.withDefaults()
 	if err := opt.validate(); err != nil {
 		return nil, err
@@ -71,49 +90,215 @@ func RenderVolume(f *field.Field, opt VolumeOptions) (*render.Image, error) {
 	if err := f.Validate(); err != nil {
 		return nil, err
 	}
-	img := render.NewImage(opt.W, opt.H)
-	dims := f.Dom.Dims
-	bounds := vec.NewBox(vec.New(0, 0, 0), vec.New(float64(dims.X), float64(dims.Y), float64(dims.Z)))
+	b.img.Reset(opt.W, opt.H)
+	c := newCaster(f, opt, &b.scalar)
 	for py := 0; py < opt.H; py++ {
 		v := (float64(py) + 0.5) / float64(opt.H)
 		for px := 0; px < opt.W; px++ {
 			u := (float64(px) + 0.5) / float64(opt.W)
-			origin, dir := opt.Camera.Ray(u, v)
-			t0, t1, hit := bounds.IntersectRay(origin, dir)
-			if !hit {
-				continue
-			}
-			if t0 < 0 {
-				t0 = 0
-			}
-			var acc render.RGBA
-			depth := math.Inf(1)
-			for t := t0; t < t1; t += opt.Step {
-				p := origin.Add(dir.Mul(t))
-				s, ok := f.ScalarAt(p, opt.Scalar)
-				if !ok {
-					continue
-				}
-				c := opt.TF.Map(s)
-				if c.A <= 0 {
-					continue
-				}
-				// Opacity correction for step length.
-				c.A = 1 - math.Pow(1-c.A, opt.Step)
-				acc = acc.Over(c) // front-to-back: acc stays in front
-				if math.IsInf(depth, 1) {
-					depth = t
-				}
-				if acc.A >= opt.MaxAlpha {
-					break
-				}
-			}
-			if acc.A > 0 {
-				img.Set(px, py, acc, depth)
+			if acc, depth := c.cast(opt.Camera.Ray(u, v)); acc.A > 0 {
+				b.img.Set(px, py, acc, depth)
 			}
 		}
 	}
-	return img, nil
+	b.evaluated, b.fluid = c.evaluated, c.fluid
+	return &b.img, nil
+}
+
+// caster holds what every ray of one render shares.
+type caster struct {
+	dom    *geometry.Domain
+	bricks *geometry.Bricks
+	owned  []bool
+	scalar []float64 // ScalarAtSite of every site
+	opt    VolumeOptions
+	bounds vec.Box
+	// maxSpan bounds the samples of one ray: the box diagonal in steps.
+	maxSpan          float64
+	evaluated, fluid int
+}
+
+// newCaster tabulates the scalar per site (one sqrt per site for speed,
+// not eight per sample), into *buf unless the field's own array serves.
+func newCaster(f *field.Field, opt VolumeOptions, buf *[]float64) *caster {
+	dims := f.Dom.Dims.F()
+	c := &caster{
+		dom: f.Dom, bricks: f.Dom.Bricks(), owned: f.Owned, opt: opt,
+		bounds:  vec.NewBox(vec.V3{}, dims),
+		maxSpan: dims.Len()/opt.Step + 2,
+	}
+	switch {
+	case opt.Scalar == field.ScalarRho:
+		c.scalar = f.Rho
+	case opt.Scalar == field.ScalarWSS && f.WSS != nil:
+		c.scalar = f.WSS
+	default:
+		n := f.Dom.NumSites()
+		if cap(*buf) < n {
+			*buf = make([]float64, n)
+		}
+		c.scalar = (*buf)[:n]
+		for id := range c.scalar {
+			c.scalar[id] = f.ScalarAtSite(id, opt.Scalar)
+		}
+	}
+	return c
+}
+
+// samples clips a ray to the bounding lattice: sample k of n sits at
+// t0 + k·step, below the exit. Positions are a function of the index,
+// not a running sum, so the brick walk can enter any interval without
+// marching up to it. A ray with no finite interval (zero or non-finite
+// direction, eye out of float range) has no samples.
+func (c *caster) samples(origin, dir vec.V3) (t0 float64, n int) {
+	t0, t1, hit := c.bounds.IntersectRay(origin, dir)
+	if !hit {
+		return 0, 0
+	}
+	if t0 < 0 {
+		t0 = 0
+	}
+	step := c.opt.Step
+	span := (t1 - t0) / step
+	if !(span >= 0 && span <= c.maxSpan) {
+		return 0, 0
+	}
+	n = int(span)
+	if sampleT(t0, n, step) < t1 {
+		n++
+	} else if n > 0 && !(sampleT(t0, n-1, step) < t1) {
+		n--
+	}
+	return t0, n
+}
+
+// sampleT and rayPoint round their product before the sum on every
+// platform (no fused multiply-add), so the walk and the reference march
+// agree bit for bit.
+func sampleT(t0 float64, k int, step float64) float64 { return t0 + float64(float64(k)*step) }
+
+func rayPoint(origin, dir vec.V3, t float64) vec.V3 {
+	return vec.V3{X: origin.X + float64(dir.X*t), Y: origin.Y + float64(dir.Y*t), Z: origin.Z + float64(dir.Z*t)}
+}
+
+// cast composites one ray front to back. A 3-D DDA walks the ray through
+// the domain's occupancy bricks and only the samples inside occupied
+// bricks are evaluated. Every evaluated sample still runs the full fluid
+// test, so the grid needs only to be conservative: a sample the walk
+// skips is one the full march would have discarded, and the image is
+// identical to marching every sample. The DDA's own rounding (far below
+// one cell) is covered by the one-cell dilation of the grid.
+func (c *caster) cast(origin, dir vec.V3) (acc render.RGBA, depth float64) {
+	depth = math.Inf(1)
+	t0, n := c.samples(origin, dir)
+	if n == 0 {
+		return acc, depth
+	}
+	const brick = geometry.BrickCells
+	step := c.opt.Step
+	g := rayPoint(origin, dir, t0)
+	pos := [3]float64{g.X + geometry.BrickMargin, g.Y + geometry.BrickMargin, g.Z + geometry.BrickMargin}
+	d := [3]float64{dir.X, dir.Y, dir.Z}
+	dims := [3]int{c.bricks.Dims.X, c.bricks.Dims.Y, c.bricks.Dims.Z}
+	var ix, inc [3]int
+	var tMax, tDelta [3]float64 // next boundary crossing per axis, and their spacing
+	for a := range pos {
+		ix[a] = int(pos[a] / brick)
+		if ix[a] < 0 {
+			ix[a] = 0
+		} else if ix[a] >= dims[a] {
+			ix[a] = dims[a] - 1
+		}
+		tMax[a] = math.Inf(1)
+		if d[a] > 0 {
+			inc[a], tDelta[a] = 1, brick/d[a]
+			tMax[a] = t0 + (float64(ix[a]+1)*brick-pos[a])/d[a]
+		} else if d[a] < 0 {
+			inc[a], tDelta[a] = -1, -brick/d[a]
+			tMax[a] = t0 + (float64(ix[a])*brick-pos[a])/d[a]
+		}
+	}
+	next, tIn := 0, t0 // first sample not yet evaluated; entry into the current brick
+	// Each step moves one index one way, so a ray visits at most the sum
+	// of the grid's extents; the count also ends a walk whose crossings
+	// are NaN.
+	for left := dims[0] + dims[1] + dims[2]; left > 0 && next < n; left-- {
+		a := 0
+		if tMax[1] < tMax[a] {
+			a = 1
+		}
+		if tMax[2] < tMax[a] {
+			a = 2
+		}
+		tOut := tMax[a]
+		if c.bricks.Occupied[(ix[2]*dims[1]+ix[1])*dims[0]+ix[0]] {
+			// Samples with t in [tIn, tOut], one more at the far end for
+			// the rounding of the division.
+			lo, hi := int((tIn-t0)/step), n-1
+			if lo < next {
+				lo = next
+			}
+			if x := (tOut - t0) / step; x < float64(hi) {
+				hi = int(x) + 1
+			}
+			for k := lo; k <= hi; k++ {
+				t := sampleT(t0, k, step)
+				s, ok := c.sample(rayPoint(origin, dir, t))
+				if !ok {
+					continue
+				}
+				col := c.opt.TF.Map(s)
+				if col.A <= 0 {
+					continue
+				}
+				// Opacity correction for step length.
+				col.A = 1 - math.Pow(1-col.A, step)
+				acc = acc.Over(col) // front-to-back: acc stays in front
+				if math.IsInf(depth, 1) {
+					depth = t
+				}
+				if acc.A >= c.opt.MaxAlpha {
+					return acc, depth
+				}
+			}
+			if hi >= next {
+				next = hi + 1
+			}
+		}
+		ix[a] += inc[a]
+		if ix[a] < 0 || ix[a] >= dims[a] {
+			break
+		}
+		tMax[a] += tDelta[a]
+		tIn = tOut
+	}
+	return acc, depth
+}
+
+// sample is field.ScalarAt over the tabulated scalar: same corner order,
+// zero-weight skip and Owned test, so the sum is the same to the bit.
+func (c *caster) sample(p vec.V3) (float64, bool) {
+	c.evaluated++
+	bx, by, bz := math.Floor(p.X), math.Floor(p.Y), math.Floor(p.Z)
+	var ids [8]int32
+	if !c.dom.CellSites(vec.I3{X: int(bx), Y: int(by), Z: int(bz)}, &ids) {
+		return 0, false
+	}
+	fx, fy, fz := p.X-bx, p.Y-by, p.Z-bz
+	wx, wy, wz := [2]float64{1 - fx, fx}, [2]float64{1 - fy, fy}, [2]float64{1 - fz, fz}
+	acc, found := 0.0, false
+	for i, id := range ids {
+		w := wx[i&1] * wy[i>>1&1] * wz[i>>2]
+		if w == 0 || id < 0 || (c.owned != nil && !c.owned[id]) {
+			continue
+		}
+		found = true
+		acc += float64(c.scalar[id] * w)
+	}
+	if found {
+		c.fluid++
+	}
+	return acc, found
 }
 
 // RenderVolumeDist renders each rank's owned sites locally and merges

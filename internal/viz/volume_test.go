@@ -1,0 +1,306 @@
+package viz
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+
+	"repro/internal/field"
+	"repro/internal/geometry"
+	"repro/internal/lattice"
+	"repro/internal/partition"
+	"repro/internal/render"
+	"repro/internal/vec"
+)
+
+// renderVolumeBrute is the reference RenderVolume is held to: every
+// sample of every ray through the whole bounding lattice, each read
+// with the generic field.ScalarAt. It shares only the definition of the
+// sample train (samples, sampleT, rayPoint) with the brick walk.
+func renderVolumeBrute(f *field.Field, opt VolumeOptions) *render.Image {
+	opt = opt.withDefaults()
+	img := render.NewImage(opt.W, opt.H)
+	c := newCaster(f, opt, new([]float64))
+	for py := 0; py < opt.H; py++ {
+		v := (float64(py) + 0.5) / float64(opt.H)
+		for px := 0; px < opt.W; px++ {
+			u := (float64(px) + 0.5) / float64(opt.W)
+			origin, dir := opt.Camera.Ray(u, v)
+			if acc, depth := c.bruteCast(f, origin, dir); acc.A > 0 {
+				img.Set(px, py, acc, depth)
+			}
+		}
+	}
+	return img
+}
+
+// bruteCast is cast without the bricks: the full march of one ray.
+func (c *caster) bruteCast(f *field.Field, origin, dir vec.V3) (acc render.RGBA, depth float64) {
+	depth = math.Inf(1)
+	t0, n := c.samples(origin, dir)
+	for k := 0; k < n; k++ {
+		t := sampleT(t0, k, c.opt.Step)
+		s, ok := f.ScalarAt(rayPoint(origin, dir, t), c.opt.Scalar)
+		if !ok {
+			continue
+		}
+		col := c.opt.TF.Map(s)
+		if col.A <= 0 {
+			continue
+		}
+		col.A = 1 - math.Pow(1-col.A, c.opt.Step)
+		acc = acc.Over(col)
+		if math.IsInf(depth, 1) {
+			depth = t
+		}
+		if acc.A >= c.opt.MaxAlpha {
+			break
+		}
+	}
+	return acc, depth
+}
+
+// firstDiff returns the first pixel whose colour or depth differs in any
+// bit (NaN payloads included), or "".
+func firstDiff(got, want *render.Image) string {
+	if got.W != want.W || got.H != want.H {
+		return fmt.Sprintf("size %dx%d, want %dx%d", got.W, got.H, want.W, want.H)
+	}
+	bits := math.Float64bits
+	for i := range want.Pix {
+		g, w := got.Pix[i], want.Pix[i]
+		if bits(g.R) != bits(w.R) || bits(g.G) != bits(w.G) || bits(g.B) != bits(w.B) ||
+			bits(g.A) != bits(w.A) || bits(got.Depth[i]) != bits(want.Depth[i]) {
+			return fmt.Sprintf("pixel (%d,%d): got %+v depth %v, want %+v depth %v",
+				i%want.W, i/want.W, g, got.Depth[i], w, want.Depth[i])
+		}
+	}
+	return ""
+}
+
+// noiseField fills a domain with seeded values: the renderer's contract
+// is about which sites it reads and in what order, not about physics.
+func noiseField(dom *geometry.Domain, rng *rand.Rand) *field.Field {
+	n := dom.NumSites()
+	f := &field.Field{Dom: dom, Rho: make([]float64, n), Ux: make([]float64, n),
+		Uy: make([]float64, n), Uz: make([]float64, n), WSS: make([]float64, n)}
+	for i := 0; i < n; i++ {
+		f.Rho[i] = 1 + 0.1*rng.Float64()
+		f.Ux[i], f.Uy[i], f.Uz[i] = 0.1*rng.NormFloat64(), 0.1*rng.NormFloat64(), 0.1*rng.NormFloat64()
+		f.WSS[i] = 0.01 * rng.Float64()
+	}
+	return f
+}
+
+// sweepCamera draws view i: orbits at seeded angles from inside the
+// lattice to far outside, and every fourth view looks straight down a
+// lattice axis so the centre ray of the (odd-sized) image has two zero
+// direction components.
+func sweepCamera(dims vec.I3, i int, rng *rand.Rand, aspect float64) *vec.Camera {
+	center := dims.F().Mul(0.5)
+	if i%4 == 3 {
+		axis := [...]vec.V3{{X: 1}, {X: -1}, {Y: 1}, {Y: -1}, {Z: 1}, {Z: -1}}[i/4%6]
+		eye := center.Sub(axis.Mul(dims.F().Len() * rng.Float64()))
+		return vec.NewCamera(eye, eye.Add(axis), vec.New(0, 0, 1), 40, aspect)
+	}
+	dist := [...]float64{0.05, 0.4, 1.6, 4}[rng.Intn(4)]
+	return vec.Orbit(center, float64(dims.Z)*dist, 2*math.Pi*rng.Float64(), 3*rng.Float64()-1.5, 40, aspect)
+}
+
+// TestVolumeSkipMatchesBruteForce is the renderer's exactness contract:
+// over seeded views × the six presets × the three scalars × odd image
+// sizes × whole fields and the Owned masks of a 2- and a 3-way
+// partition, the brick walk's image equals the full march in every bit
+// of Pix and Depth.
+func TestVolumeSkipMatchesBruteForce(t *testing.T) {
+	const seed = 20261001
+	sizes := [...][2]int{{37, 29}, {31, 41}, {45, 27}}
+	scalars := [...]field.Scalar{field.ScalarSpeed, field.ScalarRho, field.ScalarWSS}
+	for _, preset := range []string{"pipe", "bend", "bifurcation", "aneurysm", "tree", "stenosis"} {
+		v, err := geometry.VesselByName(preset, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dom, err := geometry.Voxelise(v, 1, lattice.D3Q19())
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(seed))
+		full := noiseField(dom, rng)
+		// Mask 0 is the whole field; 1-2 and 3-5 are the ranks of a 2-
+		// and a 3-way partition.
+		masks := [][]bool{nil}
+		for _, k := range []int{2, 3} {
+			p, err := partition.MultilevelKWay(partition.FromDomain(dom), k, partition.MLOptions{Seed: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for r := 0; r < k; r++ {
+				masks = append(masks, field.OwnedMask(p.Parts, r))
+			}
+		}
+		var bufs VolumeBuffers // reused across views, as a render worker does
+		for i := 0; i < 3*len(scalars)*len(masks); i++ {
+			f := *full
+			f.Owned = masks[i/len(scalars)%len(masks)]
+			if i%5 == 4 {
+				f.WSS = nil // ScalarWSS then reads as zero everywhere
+			}
+			size := sizes[i%len(sizes)]
+			opt := VolumeOptions{W: size[0], H: size[1], Scalar: scalars[i%len(scalars)],
+				Camera: sweepCamera(dom.Dims, i, rng, float64(size[0])/float64(size[1]))}
+			opt.TF = render.BlueRed(0, f.MaxScalar(opt.Scalar))
+			if i%2 == 1 {
+				opt.TF = render.Grayscale(0, f.MaxScalar(opt.Scalar))
+			}
+			got, err := bufs.Render(&f, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := renderVolumeBrute(&f, opt)
+			if d := firstDiff(got, want); d != "" {
+				t.Fatalf("%s seed %d view %d (%dx%d %v, mask %d, eye %+v): %s", preset, seed, i,
+					opt.W, opt.H, opt.Scalar, i/len(scalars)%len(masks), opt.Camera.Eye, d)
+			}
+			if i%4 != 3 && i/len(scalars)%len(masks) == 0 && want.CoveredFraction() == 0 && opt.Camera.Eye.Dist(dom.Dims.F().Mul(0.5)) > float64(dom.Dims.Z) {
+				t.Errorf("%s view %d: reference image is blank, the comparison proves nothing", preset, i)
+			}
+		}
+	}
+}
+
+// TestVolumeWalkDegenerateRays: the brick walk ends, indexes nothing out
+// of range and still equals the reference for the rays a DDA is known to
+// mishandle. Before the walk a zero direction inside the box marched
+// for ever.
+func TestVolumeWalkDegenerateRays(t *testing.T) {
+	dom, err := geometry.Voxelise(geometry.Aneurysm(16, 3, 4), 1.0, lattice.D3Q19())
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := noiseField(dom, rand.New(rand.NewSource(7)))
+	center := dom.Dims.F().Mul(0.5)
+	opt := VolumeOptions{W: 9, H: 7, Scalar: field.ScalarSpeed, TF: render.BlueRed(0, f.MaxScalar(field.ScalarSpeed))}.withDefaults()
+	nan, inf := math.NaN(), math.Inf(1)
+	nanField := *f
+	nanField.Ux = make([]float64, len(f.Ux))
+	for i := range nanField.Ux {
+		nanField.Ux[i] = nan
+	}
+
+	t.Run("views", func(t *testing.T) {
+		for name, tc := range map[string]struct {
+			f   *field.Field
+			cam *vec.Camera
+		}{
+			"eye inside the lattice":      {f, vec.NewCamera(center, center.Add(vec.New(1, 0.3, 0.2)), vec.New(0, 0, 1), 40, 9.0/7)},
+			"eye on a face, looking in":   {f, vec.NewCamera(vec.New(0, center.Y, center.Z), center, vec.New(0, 0, 1), 40, 9.0/7)},
+			"eye on a face, looking out":  {f, vec.NewCamera(vec.New(0, center.Y, center.Z), vec.New(-9, center.Y, center.Z), vec.New(0, 0, 1), 40, 9.0/7)},
+			"eye == target (zero dir)":    {f, vec.NewCamera(center, center, vec.New(0, 0, 1), 40, 9.0/7)},
+			"eye out of float range":      {f, vec.NewCamera(vec.New(1e300, 0, 0), center, vec.New(0, 0, 1), 40, 9.0/7)},
+			"non-finite eye":              {f, vec.NewCamera(vec.New(inf, nan, 0), center, vec.New(0, 0, 1), 40, 9.0/7)},
+			"diverged (NaN) velocity":     {&nanField, testCamera(f, 9, 7)},
+			"diverged field, eye inside":  {&nanField, vec.NewCamera(center, center.Add(vec.New(0, 0, 1)), vec.New(0, 1, 0), 40, 9.0/7)},
+			"axis-aligned through centre": {f, vec.NewCamera(vec.New(-20, center.Y, center.Z), center, vec.New(0, 0, 1), 40, 9.0/7)},
+		} {
+			o := opt
+			o.Camera = tc.cam
+			got, err := RenderVolume(tc.f, o)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if d := firstDiff(got, renderVolumeBrute(tc.f, o)); d != "" {
+				t.Errorf("%s: %s", name, d)
+			}
+		}
+	})
+
+	t.Run("rays", func(t *testing.T) {
+		c := newCaster(f, opt, new([]float64))
+		dx, dy := float64(dom.Dims.X), float64(dom.Dims.Y)
+		for name, ray := range map[string][2]vec.V3{
+			"t0 == t1: grazes the x=0,y=0 edge": {vec.New(-1, 1, center.Z), vec.New(1, -1, 0).Norm()},
+			"t0 == t1: leaves through a corner": {vec.New(dx, dy, 0), vec.New(1, 1, -1).Norm()},
+			"in the x=0 face, zero x direction": {vec.New(0, -3, center.Z), vec.New(0, 1, 0)},
+			"in the far face":                   {vec.New(dx, -3, center.Z), vec.New(0, 1, 0)},
+			"on a brick boundary plane":         {vec.New(geometry.BrickCells-geometry.BrickMargin, -3, center.Z), vec.New(0, 1, 0)},
+			"tiny direction component":          {vec.New(center.X, -3, center.Z), vec.New(1e-300, 1, -1e-300)},
+			"NaN direction":                     {center, vec.New(nan, 1, 0)},
+			"Inf direction":                     {center, vec.New(inf, 0, 0)},
+			"NaN origin":                        {vec.New(nan, 0, 0), vec.New(1, 0, 0)},
+			"zero direction":                    {center, vec.V3{}},
+		} {
+			acc, depth := c.cast(ray[0], ray[1])
+			if wantAcc, wantDepth := c.bruteCast(f, ray[0], ray[1]); acc != wantAcc || depth != wantDepth {
+				t.Errorf("%s: acc %+v depth %v, want %+v depth %v", name, acc, depth, wantAcc, wantDepth)
+			}
+		}
+	})
+
+	// A ray one ulp below a brick boundary plane: the walk adds the grid
+	// margin to the coordinate, the sum rounds onto the plane, and the
+	// walk is in the brick above the one floor(p) of its samples names.
+	// With a lone fluid site just below the plane, only the
+	// neighbour-cell dilation of the grid keeps those samples.
+	t.Run("one ulp below a brick plane", func(t *testing.T) {
+		model := lattice.D3Q19()
+		const plane = geometry.BrickCells - geometry.BrickMargin // 2: plane-ulp and plane-ulp+margin lie in different binades
+		lone := geometry.Site{Pos: vec.NewI(plane-1, plane-1, plane-1), Links: make([]geometry.Link, model.Q-1)}
+		dom, err := geometry.Reassemble(model, vec.NewI(16, 16, 16), vec.V3{}, 1, nil, []geometry.Site{lone})
+		if err != nil {
+			t.Fatal(err)
+		}
+		f := &field.Field{Dom: dom, Rho: []float64{1}, Ux: []float64{0.1}, Uy: []float64{0}, Uz: []float64{0}}
+		c := newCaster(f, opt, new([]float64))
+		for a := 0; a < 3; a++ {
+			var o, d [3]float64
+			o[a], o[(a+1)%3], o[(a+2)%3] = math.Nextafter(plane, 0), plane-0.75, -2
+			d[(a+2)%3] = 1
+			origin, dir := vec.New(o[0], o[1], o[2]), vec.New(d[0], d[1], d[2])
+			acc, depth := c.cast(origin, dir)
+			wantAcc, wantDepth := c.bruteCast(f, origin, dir)
+			if wantAcc.A == 0 {
+				t.Fatalf("axis %d: the reference march misses the lone site", a)
+			}
+			if acc != wantAcc || depth != wantDepth {
+				t.Errorf("axis %d: acc %+v depth %v, want %+v depth %v", a, acc, depth, wantAcc, wantDepth)
+			}
+		}
+	})
+}
+
+// BenchmarkRenderVolume renders the frame bench/ asks hemeserved for —
+// 256×192, default view, speed — on its two domains, with a worker's
+// reused buffers. samples/frame is what the brick walk evaluated,
+// fluid-share the part of it that found fluid: the walk's wasted work.
+func BenchmarkRenderVolume(b *testing.B) {
+	for _, d := range []struct {
+		preset string
+		scale  float64
+	}{{"tree", 3}, {"aneurysm", 2}} {
+		b.Run(fmt.Sprintf("%s@%.1f", d.preset, d.scale), func(b *testing.B) {
+			v, err := geometry.VesselByName(d.preset, d.scale)
+			if err != nil {
+				b.Fatal(err)
+			}
+			f := flowField(b, v, 40)
+			const w, h = 256, 192
+			opt := VolumeOptions{W: w, H: h, Camera: testCamera(f, w, h),
+				TF: render.BlueRed(0, f.MaxScalar(field.ScalarSpeed)), Scalar: field.ScalarSpeed}
+			var bufs VolumeBuffers
+			if _, err := bufs.Render(f, opt); err != nil { // builds the domain's bricks
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := bufs.Render(f, opt); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(bufs.evaluated), "samples/frame")
+			b.ReportMetric(float64(bufs.fluid)/float64(bufs.evaluated), "fluid-share")
+		})
+	}
+}
