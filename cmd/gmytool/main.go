@@ -11,8 +11,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/geometry"
@@ -22,56 +24,39 @@ import (
 )
 
 func main() {
-	if len(os.Args) < 2 {
-		usage()
-		os.Exit(2)
-	}
-	var err error
-	switch os.Args[1] {
-	case "gen":
-		err = runGen(os.Args[2:])
-	case "info":
-		err = runInfo(os.Args[2:])
-	case "ascii":
-		err = runASCII(os.Args[2:])
-	default:
-		usage()
-		os.Exit(2)
-	}
-	if err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "gmytool:", err)
+		if errors.Is(err, errUsage) {
+			os.Exit(2)
+		}
 		os.Exit(1)
 	}
 }
 
-func usage() {
-	fmt.Fprintln(os.Stderr, `usage: gmytool <gen|info|ascii> [flags]
+var errUsage = errors.New(`usage: gmytool <gen|info|ascii> [flags]
   gen   -vessel <name> -h <spacing> -out <file>   write a geometry file
   info  -in <file>                                print header and block stats
   ascii -vessel <name> -h <spacing> [-axis x|y|z] [-slice N]  lattice slice art`)
-}
 
-// vesselByName builds one of the synthetic vessels.
-func vesselByName(name string, scale float64) (*geometry.Vessel, error) {
-	switch name {
-	case "pipe":
-		return geometry.Pipe(20*scale, 4*scale), nil
-	case "bend":
-		return geometry.Bend(12*scale, 3*scale), nil
-	case "bifurcation":
-		return geometry.Bifurcation(12*scale, 10*scale, 3*scale, 0.6), nil
-	case "aneurysm":
-		return geometry.Aneurysm(20*scale, 3.5*scale, 5*scale), nil
-	case "tree":
-		return geometry.CerebralTree(scale), nil
-	case "stenosis":
-		return geometry.Stenosis(24*scale, 4*scale, 0.5), nil
+// run is the whole tool behind main: args without the program name,
+// everything it prints on stdout.
+func run(args []string, stdout io.Writer) error {
+	if len(args) < 1 {
+		return errUsage
 	}
-	return nil, fmt.Errorf("unknown vessel %q (pipe, bend, bifurcation, aneurysm, tree)", name)
+	switch args[0] {
+	case "gen":
+		return runGen(args[1:], stdout)
+	case "info":
+		return runInfo(args[1:], stdout)
+	case "ascii":
+		return runASCII(args[1:], stdout)
+	}
+	return errUsage
 }
 
-func runGen(args []string) error {
-	fs := flag.NewFlagSet("gen", flag.ExitOnError)
+func runGen(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("gen", flag.ContinueOnError)
 	vessel := fs.String("vessel", "aneurysm", "vessel name")
 	h := fs.Float64("h", 1.0, "lattice spacing")
 	scale := fs.Float64("scale", 1.0, "geometry scale factor")
@@ -79,7 +64,7 @@ func runGen(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	v, err := vesselByName(*vessel, *scale)
+	v, err := geometry.VesselByName(*vessel, *scale)
 	if err != nil {
 		return err
 	}
@@ -96,14 +81,14 @@ func runGen(args []string) error {
 		return err
 	}
 	st, _ := f.Stat()
-	fmt.Printf("%s: %d fluid sites (%.1f%% of %dx%dx%d lattice), %d blocks, %d bytes\n",
+	fmt.Fprintf(stdout, "%s: %d fluid sites (%.1f%% of %dx%dx%d lattice), %d blocks, %d bytes\n",
 		*out, dom.NumSites(), 100*dom.FluidFraction(),
 		dom.Dims.X, dom.Dims.Y, dom.Dims.Z, dom.NumBlocks(), st.Size())
 	return nil
 }
 
-func runInfo(args []string) error {
-	fs := flag.NewFlagSet("info", flag.ExitOnError)
+func runInfo(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("info", flag.ContinueOnError)
 	in := fs.String("in", "", "input file")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -128,29 +113,29 @@ func runInfo(args []string) error {
 			maxBlock = c
 		}
 	}
-	fmt.Printf("dims:        %dx%dx%d (spacing %g)\n", h.Dims.X, h.Dims.Y, h.Dims.Z, h.H)
-	fmt.Printf("model:       D3Q%d, block size %d\n", h.ModelQ, h.BlockSize)
-	fmt.Printf("iolets:      %d\n", len(h.Iolets))
+	fmt.Fprintf(stdout, "dims:        %dx%dx%d (spacing %g)\n", h.Dims.X, h.Dims.Y, h.Dims.Z, h.H)
+	fmt.Fprintf(stdout, "model:       D3Q%d, block size %d\n", h.ModelQ, h.BlockSize)
+	fmt.Fprintf(stdout, "iolets:      %d\n", len(h.Iolets))
 	for i, io := range h.Iolets {
 		kind := "outlet"
 		if io.IsInlet {
 			kind = "inlet"
 		}
-		fmt.Printf("  [%d] %s r=%.2f p=%.4f at (%.1f,%.1f,%.1f)\n",
+		fmt.Fprintf(stdout, "  [%d] %s r=%.2f p=%.4f at (%.1f,%.1f,%.1f)\n",
 			i, kind, io.Radius, io.Pressure, io.Center.X, io.Center.Y, io.Center.Z)
 	}
-	fmt.Printf("blocks:      %d total, %d occupied, max %d sites/block\n",
+	fmt.Fprintf(stdout, "blocks:      %d total, %d occupied, max %d sites/block\n",
 		h.NumBlocks(), occupied, maxBlock)
-	fmt.Printf("fluid sites: %d\n", fluid)
+	fmt.Fprintf(stdout, "fluid sites: %d\n", fluid)
 	// Initial balance preview over 8 ranks, the coarse-level use case.
 	assign := gmy.InitialBalance(h.BlockFluid, 8)
-	fmt.Printf("coarse balance over 8 ranks: max/mean = %.3f\n",
+	fmt.Fprintf(stdout, "coarse balance over 8 ranks: max/mean = %.3f\n",
 		gmy.BalanceQuality(h.BlockFluid, assign, 8))
 	return nil
 }
 
-func runASCII(args []string) error {
-	fs := flag.NewFlagSet("ascii", flag.ExitOnError)
+func runASCII(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("ascii", flag.ContinueOnError)
 	vessel := fs.String("vessel", "bifurcation", "vessel name")
 	h := fs.Float64("h", 1.0, "lattice spacing")
 	scale := fs.Float64("scale", 1.0, "geometry scale factor")
@@ -159,7 +144,7 @@ func runASCII(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	v, err := vesselByName(*vessel, *scale)
+	v, err := geometry.VesselByName(*vessel, *scale)
 	if err != nil {
 		return err
 	}
@@ -171,8 +156,8 @@ func runASCII(args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Print(art)
-	fmt.Println("legend: '.' solid  'o' bulk fluid  '#' wall-adjacent  'I' inlet  'O' outlet")
+	fmt.Fprint(stdout, art)
+	fmt.Fprintln(stdout, "legend: '.' solid  'o' bulk fluid  '#' wall-adjacent  'I' inlet  'O' outlet")
 	return nil
 }
 

@@ -90,7 +90,7 @@ func run(args []string, stdout io.Writer) error {
 
 	fmt.Fprintf(stdout, "hemesim: %s, %d fluid sites (%.1f%% of lattice), %d ranks via %s\n",
 		v.Name, sim.Dom.NumSites(), 100*sim.Dom.FluidFraction(), *ranks, *method)
-	q := partition.Measure(sim.Graph, sim.Part)
+	q := partition.Measure(sim.Graph(), sim.Part)
 	fmt.Fprintf(stdout, "partition: imbalance %.3f, edge cut %.0f, boundary sites %d\n",
 		q.Imbalance, q.EdgeCut, q.Boundary)
 	if sim.Server != nil {

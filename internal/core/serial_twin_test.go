@@ -15,8 +15,9 @@ func (s *lastStateSink) TakeBuffer() *lb.CheckpointState { return nil }
 func (s *lastStateSink) Deliver(st *lb.CheckpointState)  { s.last = st }
 
 // TestOneRankRunIsTheSerialSolver: a 1-rank Simulation gets the trivial
-// partition (all sites in part 0, whatever the method — core.New no
-// longer runs a partitioner to find that out) and its run ends in
+// partition (all sites in part 0, whatever the method — core.New runs
+// no partitioner and builds no site graph to find that out; Graph()
+// builds it on demand) and its run ends in
 // bitwise the populations a plain lb.Solver reaches on the same domain,
 // pulse and step count.
 func TestOneRankRunIsTheSerialSolver(t *testing.T) {
@@ -39,8 +40,8 @@ func TestOneRankRunIsTheSerialSolver(t *testing.T) {
 			t.Fatalf("site %d in part %d of a 1-rank run", g, p)
 		}
 	}
-	if sim.Graph == nil || sim.Graph.N != sim.Dom.NumSites() {
-		t.Error("1-rank Simulation lost its site graph (repartition and experiments read it)")
+	if g := sim.Graph(); g == nil || g.N != sim.Dom.NumSites() || g != sim.Graph() {
+		t.Error("1-rank Simulation's lazy Graph() must build one graph over every site (repartition and hemesim read it)")
 	}
 	if err := sim.Run(steps); err != nil {
 		t.Fatal(err)

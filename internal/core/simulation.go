@@ -9,6 +9,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"repro/internal/field"
@@ -32,6 +33,11 @@ type Config struct {
 	// Vessel geometry; voxelised at spacing H.
 	Vessel *geometry.Vessel
 	H      float64
+	// Domain, when set, is the already voxelised geometry and New skips
+	// pre-processing step 1 (Vessel and H are not read). The simulation
+	// only reads it, so any number of runs may share one Domain — the
+	// service hands every job of one geometry the same one.
+	Domain *geometry.Domain
 	// Tau is the BGK relaxation time.
 	Tau float64
 	// Ranks is the number of simulated MPI ranks (default 1).
@@ -171,7 +177,6 @@ func (c Config) withDefaults() Config {
 type Simulation struct {
 	Cfg    Config
 	Dom    *geometry.Domain
-	Graph  *partition.Graph
 	Part   *partition.Partition
 	RT     *par.Runtime
 	Server *steering.Server
@@ -188,6 +193,11 @@ type Simulation struct {
 	HaloBytes   int64
 	Imbalance   float64
 	Repartition *RepartitionReport
+
+	// graph is the site graph behind Graph(); New builds it only when
+	// there is something to partition.
+	graphOnce sync.Once
+	graph     *partition.Graph
 
 	// pendingImage / pendingData hold steering requests awaiting the
 	// next collective operation; only rank 0's goroutine touches them.
@@ -210,30 +220,36 @@ type RepartitionReport struct {
 // available at Run time.
 func New(cfg Config) (*Simulation, error) {
 	cfg = cfg.withDefaults()
-	if cfg.Vessel == nil {
-		return nil, fmt.Errorf("core: vessel required")
-	}
-	if cfg.H <= 0 {
-		return nil, fmt.Errorf("core: lattice spacing must be positive")
-	}
 	if cfg.Tau <= 0.5 {
 		return nil, fmt.Errorf("core: tau must exceed 0.5")
 	}
-	dom, err := geometry.Voxelise(cfg.Vessel, cfg.H, lattice.D3Q19())
-	if err != nil {
-		return nil, err
-	}
-	g := partition.FromDomain(dom)
-	p, err := partition.ByMethod(cfg.Method, g, cfg.Ranks, cfg.Seed)
-	if err != nil {
-		return nil, err
+	dom := cfg.Domain
+	var err error
+	if dom == nil {
+		if cfg.Vessel == nil {
+			return nil, fmt.Errorf("core: vessel required")
+		}
+		if cfg.H <= 0 {
+			return nil, fmt.Errorf("core: lattice spacing must be positive")
+		}
+		if dom, err = geometry.Voxelise(cfg.Vessel, cfg.H, lattice.D3Q19()); err != nil {
+			return nil, err
+		}
 	}
 	s := &Simulation{
-		Cfg:   cfg,
-		Dom:   dom,
-		Graph: g,
-		Part:  p,
-		RT:    par.NewRuntime(cfg.Ranks),
+		Cfg: cfg,
+		Dom: dom,
+		RT:  par.NewRuntime(cfg.Ranks),
+	}
+	if cfg.Ranks == 1 {
+		// Nothing to partition, so no graph either: Graph() builds it
+		// for whoever still asks.
+		s.Part, err = partition.OnePart(cfg.Method, dom.NumSites())
+	} else {
+		s.Part, err = partition.ByMethod(cfg.Method, s.Graph(), cfg.Ranks, cfg.Seed)
+	}
+	if err != nil {
+		return nil, err
 	}
 	s.Ctrl = cfg.Controller
 	if cfg.SteerAddr != "" {
@@ -250,6 +266,14 @@ func New(cfg Config) (*Simulation, error) {
 		s.Ctrl = srv.Controller()
 	}
 	return s, nil
+}
+
+// Graph returns the simulation's site graph, built from the domain on
+// first use. It belongs to this simulation alone (repartitioning writes
+// viz weights into it), unlike Dom, which may be shared.
+func (s *Simulation) Graph() *partition.Graph {
+	s.graphOnce.Do(func() { s.graph = partition.FromDomain(s.Dom) })
+	return s.graph
 }
 
 // Close releases the steering listener.
@@ -790,18 +814,19 @@ func (s *Simulation) repartition(c *par.Comm, d *lb.Dist, cur *partition.Partiti
 				vizCost[i] = 1
 			}
 		}
-		imbBefore := cur.Imbalance(s.Graph)
-		if err := s.Graph.ApplyVizWeights(vizCost, s.Cfg.VizWeightAlpha); err != nil {
+		g := s.Graph()
+		imbBefore := cur.Imbalance(g)
+		if err := g.ApplyVizWeights(vizCost, s.Cfg.VizWeightAlpha); err != nil {
 			panic(err)
 		}
-		newPart, err := partition.Repartition(s.Graph, cur, 1.05, s.Cfg.Seed)
+		newPart, err := partition.Repartition(g, cur, 1.05, s.Cfg.Seed)
 		if err != nil {
 			panic(err)
 		}
 		rep = &RepartitionReport{
 			Step:            d.StepCount(),
 			ImbalanceBefore: imbBefore,
-			ImbalanceAfter:  newPart.Imbalance(s.Graph),
+			ImbalanceAfter:  newPart.Imbalance(g),
 			Migrated:        partition.MigrationVolume(cur, newPart),
 		}
 		partsWire = make([]int, len(newPart.Parts))

@@ -317,14 +317,19 @@ func TestNeighbourSymmetry(t *testing.T) {
 
 func TestWallCrossingBisection(t *testing.T) {
 	s := Sphere{Center: vec.New(0, 0, 0), Radius: 1}
-	// Segment from centre to (2,0,0): wall at t=0.5.
-	tc := wallCrossing(s, vec.New(0, 0, 0), vec.New(2, 0, 0))
-	if math.Abs(tc-0.5) > 1e-4 {
-		t.Errorf("crossing = %v, want 0.5", tc)
-	}
-	// Segment entirely inside returns 1.
-	if tc := wallCrossing(s, vec.New(0, 0, 0), vec.New(0.5, 0, 0)); tc != 1.0 {
-		t.Errorf("inside crossing = %v, want 1", tc)
+	for name, crossing := range map[string]func(a, b vec.V3) float64{
+		"sign":   func(a, b vec.V3) float64 { return wallCrossing(newSignField(s), a, b) },
+		"oracle": func(a, b vec.V3) float64 { return wallCrossingOracle(s, a, b) },
+	} {
+		// Segment from centre to (2,0,0): wall at t=0.5.
+		tc := crossing(vec.New(0, 0, 0), vec.New(2, 0, 0))
+		if math.Abs(tc-0.5) > 1e-4 {
+			t.Errorf("%s: crossing = %v, want 0.5", name, tc)
+		}
+		// Segment entirely inside returns 1.
+		if tc := crossing(vec.New(0, 0, 0), vec.New(0.5, 0, 0)); tc != 1.0 {
+			t.Errorf("%s: inside crossing = %v, want 1", name, tc)
+		}
 	}
 }
 

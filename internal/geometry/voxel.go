@@ -3,7 +3,9 @@ package geometry
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/lattice"
 	"repro/internal/vec"
@@ -60,6 +62,10 @@ const BlockSize = 8
 // their link metadata, a dense site index, and the coarse block
 // decomposition used by the two-level file format and the initial
 // approximate load balance.
+//
+// A Domain is immutable once built: solvers, renderers and octrees of
+// any number of concurrent jobs read one Domain (the service caches
+// them per geometry), so nothing may write to it or to its slices.
 type Domain struct {
 	Model  *lattice.Model
 	Dims   vec.I3  // lattice extent
@@ -143,7 +149,24 @@ func (d *Domain) NumBlocks() int {
 // bisection-refined crossing distances, and in/outlet links where the
 // link crosses an iolet disk. It is the pre-processing step 1 of
 // section IV-B ("read in the geometry for blood vessel model").
+//
+// Both passes run on GOMAXPROCS goroutines; the result does not depend
+// on how many (see voxelise).
 func Voxelise(v *Vessel, h float64, model *lattice.Model) (*Domain, error) {
+	return voxelise(v, h, model, runtime.GOMAXPROCS(0))
+}
+
+// linkChunk is how many sites a worker classifies per claim in pass 2.
+const linkChunk = 512
+
+// voxelise is Voxelise on a given number of workers. Pass 1 scans the
+// lattice one block layer of z (BlockSize planes) per claim and keeps
+// each layer's fluid points in scan order; numbering the layers' points
+// one after another in z order is the serial scan order, so site ids,
+// index and BlockFluidCount are the same for any worker count. Pass 2
+// classifies the links of disjoint site ranges. Everything but the
+// wall normal needs only the sign of the SDF and asks a signField.
+func voxelise(v *Vessel, h float64, model *lattice.Model, workers int) (*Domain, error) {
 	if h <= 0 {
 		return nil, fmt.Errorf("geometry: lattice spacing must be positive, got %g", h)
 	}
@@ -173,68 +196,125 @@ func Voxelise(v *Vessel, h float64, model *lattice.Model) (*Domain, error) {
 		Z: (nz + BlockSize - 1) / BlockSize,
 	}
 	d.BlockFluidCount = make([]int32, d.NumBlocks())
+	sign := newSignField(v.Shape)
 
-	// Pass 1: classify fluid sites.
-	for i := range d.index {
-		d.index[i] = -1
-	}
-	var sites []Site
-	for z := 0; z < nz; z++ {
-		for y := 0; y < ny; y++ {
-			for x := 0; x < nx; x++ {
-				p := vec.I3{X: x, Y: y, Z: z}
-				if !v.Inside(d.World(p)) {
-					continue
+	// Pass 1: classify fluid sites, one block layer per claim. A layer
+	// owns its planes of index and its blocks of BlockFluidCount, so
+	// the workers share nothing they write.
+	layers := make([][]int32, d.BlockDims.Z) // fluid lattice offsets, scan order
+	forChunks(len(layers), workers, func(l int) {
+		var fluid []int32
+		for z := l * BlockSize; z < min((l+1)*BlockSize, nz); z++ {
+			for y := 0; y < ny; y++ {
+				row := (z*ny + y) * nx
+				for x := 0; x < nx; x++ {
+					d.index[row+x] = -1
+					if d.fluidAt(d.World(vec.I3{X: x, Y: y, Z: z}), sign) {
+						fluid = append(fluid, int32(row+x))
+					}
 				}
-				d.index[d.offset(p)] = int32(len(sites))
-				sites = append(sites, Site{Pos: p})
-				d.BlockFluidCount[d.BlockID(BlockOf(p))]++
 			}
 		}
+		layers[l] = fluid
+	})
+	first := make([]int, len(layers)+1) // site id of each layer's first point
+	for l, fluid := range layers {
+		first[l+1] = first[l] + len(fluid)
 	}
-	if len(sites) == 0 {
+	n := first[len(layers)]
+	if n == 0 {
 		return nil, fmt.Errorf("geometry: vessel %q produced no fluid sites at spacing %g", v.Name, h)
 	}
-	d.Sites = sites
+	d.Sites = make([]Site, n)
+	links := make([]Link, n*(model.Q-1)) // every site's Links, one allocation
+	forChunks(len(layers), workers, func(l int) {
+		for k, off := range layers[l] {
+			si := first[l] + k
+			p := vec.I3{X: int(off) % nx, Y: int(off) / nx % ny, Z: int(off) / (nx * ny)}
+			d.index[off] = int32(si)
+			d.Sites[si].Pos = p
+			d.BlockFluidCount[d.BlockID(BlockOf(p))]++
+		}
+	})
 
 	// Pass 2: link classification.
-	for si := range d.Sites {
-		s := &d.Sites[si]
-		s.Links = make([]Link, model.Q-1)
-		wp := d.World(s.Pos)
-		for q := 1; q < model.Q; q++ {
-			c := model.C[q]
-			np := s.Pos.Add(vec.I3{X: c[0], Y: c[1], Z: c[2]})
-			link := &s.Links[q-1]
-			link.Iolet = -1
-			if d.SiteAt(np) >= 0 {
-				link.Type = LinkFluid
-				continue
-			}
-			// The link leaves the fluid. Decide whether it crosses an
-			// iolet disk or the vessel wall, and where.
-			wn := d.World(np)
-			if idx, t := d.ioletCrossing(wp, wn); idx >= 0 {
-				if v.Iolets[idx].IsInlet {
-					link.Type = LinkInlet
-					s.Flags |= FlagInlet
-				} else {
-					link.Type = LinkOutlet
-					s.Flags |= FlagOutlet
+	forChunks((n+linkChunk-1)/linkChunk, workers, func(chunk int) {
+		for si := chunk * linkChunk; si < min((chunk+1)*linkChunk, n); si++ {
+			s := &d.Sites[si]
+			s.Links = links[si*(model.Q-1) : (si+1)*(model.Q-1) : (si+1)*(model.Q-1)]
+			wp := d.World(s.Pos)
+			for q := 1; q < model.Q; q++ {
+				c := model.C[q]
+				np := s.Pos.Add(vec.I3{X: c[0], Y: c[1], Z: c[2]})
+				link := &s.Links[q-1]
+				link.Iolet = -1
+				if d.SiteAt(np) >= 0 {
+					link.Type = LinkFluid
+					continue
 				}
-				link.Iolet = idx
-				link.Dist = t
-				continue
+				// The link leaves the fluid. Decide whether it crosses an
+				// iolet disk or the vessel wall, and where.
+				wn := d.World(np)
+				if idx, t := d.ioletCrossing(wp, wn); idx >= 0 {
+					if v.Iolets[idx].IsInlet {
+						link.Type = LinkInlet
+						s.Flags |= FlagInlet
+					} else {
+						link.Type = LinkOutlet
+						s.Flags |= FlagOutlet
+					}
+					link.Iolet = idx
+					link.Dist = t
+					continue
+				}
+				link.Type = LinkWall
+				link.Dist = wallCrossing(sign, wp, wn)
+				s.Flags |= FlagWall
 			}
-			link.Type = LinkWall
-			link.Dist = wallCrossing(v.Shape, wp, wn)
-			s.Flags |= FlagWall
+			if s.Flags&FlagWall != 0 {
+				s.WallNormal = sdfGradient(v.Shape, wp, d.H*0.5)
+			}
 		}
-		if s.Flags&FlagWall != 0 {
-			s.WallNormal = sdfGradient(v.Shape, wp, d.H*0.5)
+	})
+	return d, nil
+}
+
+// fluidAt reports whether world point p is fluid: on the interior side
+// of every iolet plane and inside the shape (Vessel.Inside, sign-only).
+func (d *Domain) fluidAt(p vec.V3, sign *signField) bool {
+	for i := range d.Iolets {
+		if d.Iolets[i].side(p) < 0 {
+			return false
 		}
 	}
-	return d, nil
+	return sign.negative(p)
+}
+
+// forChunks calls fn(0..n-1), each index once, on up to workers
+// goroutines that claim indices from a shared cursor, and returns when
+// all calls have.
+func forChunks(n, workers int, fn func(i int)) {
+	if workers > n {
+		workers = n
+	}
+	if workers <= 1 {
+		for i := 0; i < n; i++ {
+			fn(i)
+		}
+		return
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+				fn(i)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // ioletCrossing tests whether the segment a->b crosses any iolet disk
@@ -260,19 +340,18 @@ func (d *Domain) ioletCrossing(a, b vec.V3) (int, float64) {
 	return -1, 0
 }
 
-// wallCrossing bisects the SDF along the segment a->b to locate the
-// wall crossing fraction in (0,1]. a is fluid (SDF<0); b is expected
-// solid. If the SDF never becomes positive along the segment (possible
-// near iolet-clipped corners), 1.0 is returned.
-func wallCrossing(s Shape, a, b vec.V3) float64 {
-	fb := s.SDF(b)
-	if fb < 0 {
+// wallCrossing bisects the sign of the SDF along the segment a->b to
+// locate the wall crossing fraction in (0,1]. a is fluid (SDF<0); b is
+// expected solid. If the SDF never becomes positive along the segment
+// (possible near iolet-clipped corners), 1.0 is returned.
+func wallCrossing(s *signField, a, b vec.V3) float64 {
+	if s.negative(b) {
 		return 1.0
 	}
 	lo, hi := 0.0, 1.0
 	for iter := 0; iter < 20; iter++ {
 		mid := (lo + hi) / 2
-		if s.SDF(a.Lerp(b, mid)) < 0 {
+		if s.negative(a.Lerp(b, mid)) {
 			lo = mid
 		} else {
 			hi = mid

@@ -54,33 +54,29 @@ func FromDomain(d *geometry.Domain) *Graph {
 		VWgt:   make([]float64, n),
 		Coords: make([]vec.V3, n),
 	}
-	// Count degrees.
-	deg := make([]int32, n)
+	// A vertex's degree is its number of fluid links: counting them
+	// needs no neighbour lookup, so each link is resolved once, below.
 	for si := range d.Sites {
-		for q := 1; q < d.Model.Q; q++ {
-			if d.Neighbour(si, q) >= 0 {
-				deg[si]++
+		deg := int32(0)
+		for _, l := range d.Sites[si].Links {
+			if l.Type == geometry.LinkFluid {
+				deg++
 			}
 		}
-	}
-	for i := 0; i < n; i++ {
-		g.Xadj[i+1] = g.Xadj[i] + deg[i]
-		g.VWgt[i] = 1
-		g.Coords[i] = d.Sites[i].Pos.F()
+		g.Xadj[si+1] = g.Xadj[si] + deg
+		g.VWgt[si] = 1
+		g.Coords[si] = d.Sites[si].Pos.F()
 	}
 	g.Adjncy = make([]int32, g.Xadj[n])
 	g.EWgt = make([]float64, g.Xadj[n])
-	fill := make([]int32, n)
 	for si := range d.Sites {
+		at := g.Xadj[si]
 		for q := 1; q < d.Model.Q; q++ {
-			nb := d.Neighbour(si, q)
-			if nb < 0 {
-				continue
+			if nb := d.Neighbour(si, q); nb >= 0 {
+				g.Adjncy[at] = int32(nb)
+				g.EWgt[at] = 1
+				at++
 			}
-			at := g.Xadj[si] + fill[si]
-			g.Adjncy[at] = int32(nb)
-			g.EWgt[at] = 1
-			fill[si]++
 		}
 	}
 	return g

@@ -2,6 +2,7 @@ package partition
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -455,5 +456,69 @@ func TestOnePartIsAllZeros(t *testing.T) {
 	}
 	if _, err := ByMethod(MethodMultilevel, &Graph{}, 1, 0); err == nil {
 		t.Error("empty graph must error at k=1 too")
+	}
+}
+
+// fromDomainOld is FromDomain as it was: a SiteAt lookup per link to
+// count degrees and a second one to fill the adjacency.
+func fromDomainOld(d *geometry.Domain) *Graph {
+	n := d.NumSites()
+	g := &Graph{
+		N:      n,
+		Xadj:   make([]int32, n+1),
+		VWgt:   make([]float64, n),
+		Coords: make([]vec.V3, n),
+	}
+	deg := make([]int32, n)
+	for si := range d.Sites {
+		for q := 1; q < d.Model.Q; q++ {
+			if d.Neighbour(si, q) >= 0 {
+				deg[si]++
+			}
+		}
+	}
+	for i := 0; i < n; i++ {
+		g.Xadj[i+1] = g.Xadj[i] + deg[i]
+		g.VWgt[i] = 1
+		g.Coords[i] = d.Sites[i].Pos.F()
+	}
+	g.Adjncy = make([]int32, g.Xadj[n])
+	g.EWgt = make([]float64, g.Xadj[n])
+	fill := make([]int32, n)
+	for si := range d.Sites {
+		for q := 1; q < d.Model.Q; q++ {
+			nb := d.Neighbour(si, q)
+			if nb < 0 {
+				continue
+			}
+			at := g.Xadj[si] + fill[si]
+			g.Adjncy[at] = int32(nb)
+			g.EWgt[at] = 1
+			fill[si]++
+		}
+	}
+	return g
+}
+
+// TestFromDomainMatchesOldRoutine: counting degrees from the link types
+// and resolving each neighbour once yields the CSR graph the
+// two-lookup routine built.
+func TestFromDomainMatchesOldRoutine(t *testing.T) {
+	for _, dc := range []struct {
+		preset string
+		scale  float64
+	}{{"tree", 1.3}, {"aneurysm", 2.0}} {
+		v, err := geometry.VesselByName(dc.preset, dc.scale)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dom, err := geometry.Voxelise(v, 1, lattice.D3Q19())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := FromDomain(dom), fromDomainOld(dom); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s@%g: FromDomain differs from the old routine (N %d/%d, %d/%d edges)",
+				dc.preset, dc.scale, got.N, want.N, len(got.Adjncy), len(want.Adjncy))
+		}
 	}
 }

@@ -17,16 +17,27 @@ const (
 	MethodMultilevel Method = "multilevel"
 )
 
-// ByMethod dispatches to a partitioner by name. One part needs no
-// partitioner: every method puts all vertices in part 0, and the
-// multilevel one would coarsen the whole graph to find that out (it was
-// the largest line of a 1-rank job's setup).
+// OnePart is every method's answer at k = 1, all n vertices in part 0,
+// without the graph: a 1-rank run needs no partitioner (the multilevel
+// one would coarsen the whole graph to find that out — it was the
+// largest line of a 1-rank job's setup) and so no site graph either.
+func OnePart(m Method, n int) (*Partition, error) {
+	if !slices.Contains(Methods(), m) {
+		return nil, fmt.Errorf("partition: unknown method %q", m)
+	}
+	if n <= 0 {
+		return nil, fmt.Errorf("partition: empty graph")
+	}
+	return &Partition{K: 1, Parts: make([]int32, n)}, nil
+}
+
+// ByMethod dispatches to a partitioner by name; k = 1 is OnePart.
 func ByMethod(m Method, g *Graph, k int, seed int64) (*Partition, error) {
-	if k == 1 && slices.Contains(Methods(), m) {
-		if err := checkArgs(g, k); err != nil {
-			return nil, err
+	if k == 1 {
+		if g == nil {
+			return nil, fmt.Errorf("partition: empty graph")
 		}
-		return &Partition{K: 1, Parts: make([]int32, g.N)}, nil
+		return OnePart(m, g.N)
 	}
 	switch m {
 	case MethodBlock:

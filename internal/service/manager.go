@@ -15,8 +15,10 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/geometry"
 	"repro/internal/guard"
 	"repro/internal/insitu"
+	"repro/internal/lattice"
 	"repro/internal/obs"
 	"repro/internal/octree"
 	"repro/internal/render"
@@ -521,6 +523,8 @@ type Manager struct {
 	slots chan struct{}
 	cache *FrameCache
 	pool  *RenderPool
+	// domains shares voxelised geometries between jobs (read-only).
+	domains *domainCache
 	// Fault containment. degrader tracks disk-pressure degradation
 	// (nil without a store); tenants enforces per-tenant quotas and
 	// rate limits (never nil); memWM is the heap shed watermark (nil
@@ -617,6 +621,7 @@ func NewManagerOpts(o Options) *Manager {
 		slots:         make(chan struct{}, o.Workers),
 		cache:         NewFrameCache(o.Metrics, o.CacheEntries),
 		pool:          NewRenderPool(o.RenderWorkers, o.RenderQueue, o.Metrics),
+		domains:       newDomainCache(o.Metrics, domainCacheSites),
 		jobs:          make(map[string]*Job),
 		hubs:          make(map[string]*viewHub),
 		tenants:       newTenants(o.AuthKeys, o.TenantDefaults),
@@ -1033,6 +1038,9 @@ func (m *Manager) SubmitAs(tenant string, spec JobSpec) (*Job, error) {
 	}
 	spec = spec.withDefaults()
 	if m.memWM.Exceeded() {
+		// Shedding load and keeping geometries nobody runs resident
+		// would work against each other.
+		m.domains.purge()
 		m.metrics.SubmitsShed.Add(1)
 		m.metrics.JobsRejected.Add(1)
 		return nil, ErrOverloaded
@@ -1363,7 +1371,19 @@ func (m *Manager) run(j *Job) {
 	for _, ov := range steer.Iolets {
 		cfg.IoletOverrides = append(cfg.IoletOverrides, core.IoletOverride{Iolet: ov.Iolet, Density: ov.Density})
 	}
-	sim, err := core.New(cfg)
+	// Pre-processing: the voxelised geometry comes from the manager's
+	// domain cache — built here on a miss, shared read-only with every
+	// other job of the same (preset, scale, h) on a hit.
+	preStart := time.Now()
+	var hit bool
+	cfg.Domain, hit, err = m.domains.get(j.Spec.domainKey(), func() (*geometry.Domain, error) {
+		return geometry.Voxelise(cfg.Vessel, cfg.H, lattice.D3Q19())
+	})
+	voxelise := time.Since(preStart)
+	var sim *core.Simulation
+	if err == nil {
+		sim, err = core.New(cfg)
+	}
 	if err != nil {
 		if writer != nil {
 			writer.Close()
@@ -1371,18 +1391,24 @@ func (m *Manager) run(j *Job) {
 		m.finish(j, err, false)
 		return
 	}
+	pre := time.Since(preStart)
+	m.metrics.Preprocess.Observe(pre.Nanoseconds())
 	j.mu.Lock()
 	j.sim = sim
 	j.numSites = sim.Dom.NumSites()
 	resumeStep = j.resumeStep
 	j.mu.Unlock()
-	detail := ""
-	if resumeStep > 0 {
-		detail = "resumed from checkpoint"
+	detail := "cache=miss"
+	if hit {
+		detail = "cache=hit"
 	}
-	j.rec.Record(obs.EvDispatched, resumeStep, 0, detail)
+	detail += fmt.Sprintf(" voxelise_ms=%.3f", float64(voxelise.Nanoseconds())/1e6)
+	if resumeStep > 0 {
+		detail += "; resumed from checkpoint"
+	}
+	j.rec.Record(obs.EvDispatched, resumeStep, pre.Nanoseconds(), detail)
 	j.log.Info("job dispatched", "sites", sim.Dom.NumSites(), "resume_step", resumeStep,
-		"resume_paused", resumePaused)
+		"resume_paused", resumePaused, "domain_cache_hit", hit, "preprocess", pre)
 	if resumePaused {
 		// The run goroutine is about to park in the solver's pause loop;
 		// hand the concurrency slot back so queued work is not starved by

@@ -23,6 +23,11 @@ type Metrics struct {
 	// entries removed by per-job invalidation on terminal states.
 	FrameCacheEvict atomic.Int64
 	FrameCacheDrops atomic.Int64
+	// DomainCacheHits counts dispatches that found their voxelised
+	// geometry in the manager's domain cache (or waited for a sibling's
+	// build of it); DomainCacheMiss counts the ones that voxelised.
+	DomainCacheHits atomic.Int64
+	DomainCacheMiss atomic.Int64
 	SteerOps        atomic.Int64
 	DataRequests    atomic.Int64
 	HTTPRequests    atomic.Int64
@@ -125,7 +130,10 @@ type Metrics struct {
 	// accumulates). CheckpointWrite times the off-loop encode+fsync on
 	// the writer goroutine, RenderLatency the pool's submit→PNG path,
 	// and HTTPLatency is a per-route family fed by the server
-	// middleware.
+	// middleware. Preprocess times a dispatch from the domain-cache
+	// lookup to core.New returning (voxelise or cache hit, graph and
+	// partition for multi-rank jobs) — what stands between a worker
+	// slot and the first step.
 	// TileDuration samples per-worker collide+stream tile durations on
 	// tiled solvers (same cadence as StepDuration): the spread between
 	// its p50 and p99 is intra-rank load imbalance the aggregate step
@@ -137,6 +145,7 @@ type Metrics struct {
 	CheckpointWrite  obs.Histogram
 	RenderLatency    obs.Histogram
 	TileDuration     obs.Histogram
+	Preprocess       obs.Histogram
 	HTTPLatency      obs.HistogramSet
 }
 
@@ -161,6 +170,8 @@ func (m *Metrics) rows() []counterRow {
 		{"hemeserved_frame_cache_misses_total", m.FrameCacheMiss.Load(), "counter", "Frame cache misses."},
 		{"hemeserved_frame_cache_evictions_total", m.FrameCacheEvict.Load(), "counter", "Frame cache LRU evictions."},
 		{"hemeserved_frame_cache_invalidated_total", m.FrameCacheDrops.Load(), "counter", "Frame cache entries dropped by per-job invalidation."},
+		{"hemeserved_domain_cache_hits_total", m.DomainCacheHits.Load(), "counter", "Dispatches served a voxelised domain from the cache (or from a sibling's build in flight)."},
+		{"hemeserved_domain_cache_misses_total", m.DomainCacheMiss.Load(), "counter", "Dispatches that voxelised their geometry."},
 		{"hemeserved_steer_ops_total", m.SteerOps.Load(), "counter", "Steering commands applied."},
 		{"hemeserved_data_requests_total", m.DataRequests.Load(), "counter", "Reduced-data queries served."},
 		{"hemeserved_http_requests_total", m.HTTPRequests.Load(), "counter", "HTTP requests served."},
@@ -214,6 +225,7 @@ func (m *Metrics) histograms() []histogramRow {
 		{"hemeserved_checkpoint_gather", &m.CheckpointGather, "In-loop checkpoint state gather duration (rank 0)."},
 		{"hemeserved_checkpoint_write", &m.CheckpointWrite, "Checkpoint encode+fsync duration on the writer goroutine."},
 		{"hemeserved_render_latency", &m.RenderLatency, "Render pool latency, task submit to PNG encoded."},
+		{"hemeserved_preprocess", &m.Preprocess, "Job pre-processing at dispatch: domain cache lookup or voxelise, graph, partition."},
 		{"hemeserved_tile_duration", &m.TileDuration, "Per-worker collide+stream tile duration (rank 0, sampled; tiled solvers only)."},
 	}
 }
