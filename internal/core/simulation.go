@@ -193,6 +193,11 @@ type Simulation struct {
 	HaloBytes   int64
 	Imbalance   float64
 	Repartition *RepartitionReport
+	// PlanHit reports that New found the solver's plan of the Domain —
+	// the whole-domain stream table every rank's table is cut from —
+	// already kept on it; PlanTime is what finding or building it took.
+	PlanHit  bool
+	PlanTime time.Duration
 
 	// graph is the site graph behind Graph(); New builds it only when
 	// there is something to partition.
@@ -214,10 +219,13 @@ type RepartitionReport struct {
 }
 
 // New performs the pre-processing phase: voxelise the vessel, build the
-// site graph, partition it and set up the rank runtime. This is the
-// IV-B sequence (read geometry → partition for the fluid calculation →
-// fixed distribution), with the viz-weight and repartition extensions
-// available at Run time.
+// site graph, partition it, lay out the stream table and set up the
+// rank runtime. This is the IV-B sequence (read geometry → partition for
+// the fluid calculation → fixed distribution), with the viz-weight and
+// repartition extensions available at Run time. The stream table
+// depends on the geometry alone and is kept on the Domain (lb.Prepare):
+// a second simulation on the same Domain, and every Run of this one,
+// finds it there.
 func New(cfg Config) (*Simulation, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Tau <= 0.5 {
@@ -248,6 +256,12 @@ func New(cfg Config) (*Simulation, error) {
 	} else {
 		s.Part, err = partition.ByMethod(cfg.Method, s.Graph(), cfg.Ranks, cfg.Seed)
 	}
+	if err != nil {
+		return nil, err
+	}
+	planStart := time.Now()
+	s.PlanHit, err = lb.Prepare(dom)
+	s.PlanTime = time.Since(planStart)
 	if err != nil {
 		return nil, err
 	}
@@ -381,6 +395,15 @@ func (s *Simulation) Run(totalSteps int) error {
 			observe = nil
 		}
 		var phaseStart time.Time
+		// The command word rank 0 broadcasts at each steering boundary:
+		// [doViz, doQuit, doPause, doResume, ioletIdx+1, density,
+		//  az, el, dist, w, h, mode, scalar,
+		//  doData, roi min xyz, roi max xyz, detail, context,
+		//  snapPull]
+		// One rank reuses this one for the whole run; with more, every
+		// boundary rebinds it to the broadcast's private copy, so rank 0
+		// never writes a word a slower rank is still reading.
+		cmd := make([]float64, 23)
 
 		for step := startStep; step < totalSteps && !quit; step++ {
 			// Steering commands are handled at viz boundaries and while
@@ -472,11 +495,7 @@ func (s *Simulation) Run(totalSteps int) error {
 			}
 
 			// Rank 0 decides the actions this boundary; others follow.
-			// Command word: [doViz, doQuit, doPause, doResume, ioletIdx+1, density,
-			//                az, el, dist, w, h, mode, scalar,
-			//                doData, roi min xyz, roi max xyz, detail, context,
-			//                snapPull]
-			cmd := make([]float64, 23)
+			clear(cmd)
 			if master {
 				if vizDue {
 					cmd[0] = 1

@@ -43,12 +43,12 @@ func (sn *Snapshot) Octree() (*octree.Tree, error) {
 	return octree.Build(f.Dom, octree.Fields{Rho: f.Rho, Ux: f.Ux, Uy: f.Uy, Uz: f.Uz})
 }
 
-// QueryReduced encodes the context+detail cover of an ROI from a built
+// ReducedReply sizes the context+detail cover of an ROI from a built
 // octree — the shared §V query path behind both the in-loop steering
-// data reply and the snapshot-served HTTP data plane. A zero-size box
-// means the whole domain; detail/context levels are clamped to the
-// tree.
-func QueryReduced(tree *octree.Tree, dims vec.V3, roiMin, roiMax vec.V3, detail, ctx int) ([]byte, error) {
+// data reply and the snapshot-served HTTP data plane, which streams the
+// reply straight into its response. A zero-size box means the whole
+// domain; detail/context levels are clamped to the tree.
+func ReducedReply(tree *octree.Tree, dims vec.V3, roiMin, roiMax vec.V3, detail, ctx int) (octree.Reply, error) {
 	if ctx >= tree.Depth() {
 		ctx = tree.Depth() - 1
 	}
@@ -62,11 +62,16 @@ func QueryReduced(tree *octree.Tree, dims vec.V3, roiMin, roiMax vec.V3, detail,
 	if box.Size().Len2() == 0 {
 		box = vec.NewBox(vec.New(0, 0, 0), dims)
 	}
-	nodes, err := tree.Query(octree.ROI{Box: box, DetailLevel: detail, ContextLevel: ctx})
+	return tree.Encode(octree.ROI{Box: box, DetailLevel: detail, ContextLevel: ctx})
+}
+
+// QueryReduced is ReducedReply as one message.
+func QueryReduced(tree *octree.Tree, dims vec.V3, roiMin, roiMax vec.V3, detail, ctx int) ([]byte, error) {
+	reply, err := ReducedReply(tree, dims, roiMin, roiMax, detail, ctx)
 	if err != nil {
 		return nil, err
 	}
-	return octree.EncodeNodes(nodes), nil
+	return reply.Bytes(), nil
 }
 
 // CheckpointSink receives gathered solver state for durable

@@ -22,10 +22,12 @@ type Bricks struct {
 	Occupied []bool // (z*Dims.Y+y)*Dims.X + x
 }
 
+type bricksKey struct{}
+
 // Bricks returns the domain's occupancy grid, built from Sites on first
 // use and shared by everything that renders the domain.
 func (d *Domain) Bricks() *Bricks {
-	d.bricksOnce.Do(func() {
+	b, _ := d.Derive(bricksKey{}, func() any {
 		n := vec.I3{
 			X: (d.Dims.X+BrickMargin)/BrickCells + 1,
 			Y: (d.Dims.Y+BrickMargin)/BrickCells + 1,
@@ -45,9 +47,9 @@ func (d *Domain) Bricks() *Bricks {
 				}
 			}
 		}
-		d.bricks = b
+		return b
 	})
-	return d.bricks
+	return b.(*Bricks)
 }
 
 // CellSites fills ids with the site ids (-1: solid or outside) of the

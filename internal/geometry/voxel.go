@@ -83,8 +83,9 @@ type Domain struct {
 	BlockDims       vec.I3
 	BlockFluidCount []int32
 
-	bricksOnce sync.Once
-	bricks     *Bricks
+	// derived holds what is computed from the fields above on first use
+	// (see Derive).
+	derived derived
 }
 
 // NumSites returns the number of fluid sites.

@@ -13,36 +13,31 @@ const tagHalo = par.TagUser + 101
 
 // Dist runs the sparse LBM solver distributed over the ranks of a par
 // communicator according to a partition: rank r owns the sites with
-// Parts[site] == r. It is a kernel over the owned sites plus what
-// distribution adds: the ownership maps, the halo plan and the gathers.
-// Each step is the kernel's collide+stream on owned sites followed by
-// halo exchange of the populations that crossed rank boundaries — the
-// communication structure whose cost the scaling experiments (E7)
-// measure.
+// Parts[site] == r. It is a kernel on the rank's plan (ownership maps,
+// stream table, halo slots) plus what distribution adds at run time:
+// the halo exchange and the gathers. Each step is the kernel's
+// collide+stream on owned sites followed by halo exchange of the
+// populations that crossed rank boundaries — the communication
+// structure whose cost the scaling experiments (E7) measure.
 type Dist struct {
 	*kernel
 	Comm *par.Comm
 	Dom  *geometry.Domain
 
-	// Owned maps local index -> global site id (ascending).
+	// Owned maps local index -> global site id (ascending). It is the
+	// plan's — on one rank the Domain's own, shared with every solver on
+	// it: read-only.
 	Owned []int
-	// local maps global site id -> local index (or -1).
-	local []int32
 
 	// packBuf is the reusable payload for field and state gathers, so
 	// steady-state snapshots and checkpoints allocate no transport.
 	packBuf []float64
-
-	// The kernel packs sendBuf; sendOff[r]:sendOff[r+1] is the slot
-	// range destined for rank r. recvFix[r] lists the local fNew flat
-	// indices to scatter rank r's message into, in sender order.
-	sendOff   []int // len K+1
-	recvFix   [][]int32
-	neighbors []int // ranks we exchange with
 }
 
 // NewDist builds the distributed solver. All ranks must pass identical
-// dom, part and params (the usual SPMD contract).
+// dom, part and params (the usual SPMD contract). A 1-rank partition
+// steps the Domain's whole-domain plan; with more ranks the rank's plan
+// is cut out of that table for this solver alone.
 func NewDist(comm *par.Comm, dom *geometry.Domain, part *partition.Partition, p Params) (*Dist, error) {
 	if err := p.validate(); err != nil {
 		return nil, err
@@ -53,65 +48,11 @@ func NewDist(comm *par.Comm, dom *geometry.Domain, part *partition.Partition, p 
 	if len(part.Parts) != dom.NumSites() {
 		return nil, fmt.Errorf("lb: partition covers %d sites, domain has %d", len(part.Parts), dom.NumSites())
 	}
-	me := comm.Rank()
-	K := comm.Size()
-	Q := dom.Model.Q
-
-	d := &Dist{Comm: comm, Dom: dom, local: make([]int32, dom.NumSites())}
-	for g := range d.local {
-		d.local[g] = -1
-		if int(part.Parts[g]) == me {
-			d.local[g] = int32(len(d.Owned))
-			d.Owned = append(d.Owned, g)
-		}
+	pl, err := planFor(dom, part, comm.Rank())
+	if err != nil {
+		return nil, err
 	}
-	var cross []crossLink
-	d.kernel, cross = newKernel(dom, p, d.Owned, d.local)
-
-	// Send plan: slots are ordered by destination rank, then (global
-	// source site, dir) — the order cross already has, and the order
-	// the receiver reconstructs below.
-	d.sendOff = make([]int, K+1)
-	for _, cl := range cross {
-		d.sendOff[part.Parts[cl.dst]+1]++
-	}
-	for r := 0; r < K; r++ {
-		d.sendOff[r+1] += d.sendOff[r]
-	}
-	d.sendBuf = make([]float64, d.sendOff[K])
-	next := append([]int(nil), d.sendOff[:K]...)
-	for _, cl := range cross {
-		r := part.Parts[cl.dst]
-		d.stream[cl.li*Q+cl.q] = streamCrossBase - int32(next[r])
-		next[r]++
-	}
-
-	// Receive plan: for each rank r this rank exchanges with, the links
-	// (g owned by r, dir q) whose target is owned by me, in (g, q) order
-	// — exactly the sender's packing order. Lattice links are
-	// symmetric, so the ranks that send to me are the ranks I send to;
-	// the sites of every other rank are skipped unread.
-	d.recvFix = make([][]int32, K)
-	for g := range dom.Sites {
-		r := int(part.Parts[g])
-		if d.sendOff[r+1] == d.sendOff[r] {
-			continue // me, or a rank sharing no link with me
-		}
-		for q := 1; q < Q; q++ {
-			if dom.Sites[g].Links[q-1].Type != geometry.LinkFluid {
-				continue
-			}
-			if lj := d.local[dom.Neighbour(g, q)]; lj >= 0 {
-				d.recvFix[r] = append(d.recvFix[r], lj*int32(Q)+int32(q))
-			}
-		}
-	}
-	for r := 0; r < K; r++ {
-		if d.sendOff[r+1] > d.sendOff[r] {
-			d.neighbors = append(d.neighbors, r)
-		}
-	}
-	return d, nil
+	return &Dist{kernel: newKernel(dom, p, pl), Comm: comm, Dom: dom, Owned: pl.owned}, nil
 }
 
 // NumOwned returns the number of sites owned by this rank.

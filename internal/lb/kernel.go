@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/geometry"
 	"repro/internal/lattice"
-	"repro/internal/vec"
 )
 
 // Streaming targets are encoded in the stream table: values >= 0 are
@@ -40,11 +39,14 @@ type kernelScratch struct {
 }
 
 // kernel is one rank's lattice-Boltzmann state and the only
-// collide+stream loop in the repository. Solver embeds one over the
-// whole domain; Dist embeds one over the sites its rank owns and adds
-// the halo exchange. Populations are stored site-major: f[i*Q+q] with
-// i the local site index.
+// collide+stream loop in the repository: a shared, immutable plan (the
+// sites, the stream table, the halo slots — see plan.go) plus the
+// mutable state stepping it. Solver is a kernel on the whole-domain
+// plan; Dist is one on the plan of the sites its rank owns and adds the
+// halo exchange. Populations are stored site-major: f[i*Q+q] with i the
+// local site index.
 type kernel struct {
+	*plan
 	M    *lattice.Model
 	Tau  float64
 	Kind Collision
@@ -53,10 +55,8 @@ type kernel struct {
 	// oracle the unrolled ones are tested against.
 	d3q19 bool
 
-	n      int       // local sites
-	f      []float64 // current populations
-	fNew   []float64 // streamed populations for the next step
-	stream []int32   // stream[i*Q+q] = destination flat index, or encoded (see above)
+	f    []float64 // current populations
+	fNew []float64 // streamed populations for the next step
 	// sendBuf receives the populations leaving this rank, one
 	// pre-assigned slot per cross-rank link (empty for a Solver).
 	sendBuf []float64
@@ -78,33 +78,19 @@ type kernel struct {
 	step int
 }
 
-// crossLink is a fluid link whose target another rank owns: direction
-// q out of local site li into global site dst.
-type crossLink struct {
-	li, q, dst int
-}
-
-// newKernel builds the state for the local sites owned[0..n) (ascending
-// global ids) with local mapping a global id to its local index or -1;
-// both nil means the whole domain in global order. Links whose target
-// is not local are returned in (site, direction) order with their
-// stream entries left for the caller to patch once send slots are
-// assigned. p must already be validated.
-func newKernel(dom *geometry.Domain, p Params, owned []int, local []int32) (*kernel, []crossLink) {
+// newKernel allocates the state that steps pl on dom, at the initial
+// equilibrium. p must already be validated.
+func newKernel(dom *geometry.Domain, p Params, pl *plan) *kernel {
 	m := dom.Model
-	n := dom.NumSites()
-	if owned != nil {
-		n = len(owned)
-	}
 	k := &kernel{
+		plan:     pl,
 		M:        m,
 		Tau:      p.Tau,
 		Kind:     p.Kind,
 		d3q19:    isD3Q19(m),
-		n:        n,
-		f:        make([]float64, n*m.Q),
-		fNew:     make([]float64, n*m.Q),
-		stream:   make([]int32, n*m.Q),
+		f:        make([]float64, pl.n*m.Q),
+		fNew:     make([]float64, pl.n*m.Q),
+		sendBuf:  make([]float64, pl.sendOff[len(pl.sendOff)-1]),
 		ioletRho: make([]float64, len(dom.Iolets)),
 		pulses:   make([]*Pulse, len(dom.Iolets)),
 		rhoIo:    make([]float64, len(dom.Iolets)),
@@ -114,47 +100,13 @@ func newKernel(dom *geometry.Domain, p Params, owned []int, local []int32) (*ker
 		k.scratch[w] = kernelScratch{post: make([]float64, m.Q), feqBuf: make([]float64, m.Q)}
 	}
 	if w := p.workers(); w > 1 {
-		k.pool = newTilePool(w, n, k.stepTile)
+		k.pool = newTilePool(w, pl.n, k.stepTile)
 	}
 	for i, io := range dom.Iolets {
 		k.ioletRho[i] = 1 + io.Pressure
 	}
-	off := make([]vec.I3, m.Q)
-	for q, c := range m.C {
-		off[q] = vec.I3{X: c[0], Y: c[1], Z: c[2]}
-	}
-	var cross []crossLink
-	for li := 0; li < n; li++ {
-		g := li
-		if owned != nil {
-			g = owned[li]
-		}
-		site := &dom.Sites[g]
-		base := li * m.Q
-		k.stream[base] = int32(base) // rest population stays
-		for q := 1; q < m.Q; q++ {
-			link := &site.Links[q-1]
-			switch link.Type {
-			case geometry.LinkFluid:
-				j := dom.SiteAt(site.Pos.Add(off[q]))
-				lj := j
-				if local != nil {
-					lj = int(local[j])
-				}
-				if lj >= 0 {
-					k.stream[base+q] = int32(lj*m.Q + q)
-				} else {
-					cross = append(cross, crossLink{li, q, j})
-				}
-			case geometry.LinkWall:
-				k.stream[base+q] = int32(base + m.Opp[q])
-			default: // inlet or outlet
-				k.stream[base+q] = int32(encodeIolet - link.Iolet)
-			}
-		}
-	}
 	k.InitEquilibrium(p.initialRho())
-	return k, cross
+	return k
 }
 
 // InitEquilibrium sets every local site to the zero-velocity

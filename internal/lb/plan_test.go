@@ -1,0 +1,299 @@
+package lb
+
+import (
+	"fmt"
+	"math/rand"
+	"slices"
+	"sort"
+	"testing"
+
+	"repro/internal/geometry"
+	"repro/internal/partition"
+	"repro/internal/vec"
+)
+
+// oraclePlan is the plan the way newKernel + NewDist built it on every
+// call before plans were kept on the Domain: the rank's stream table
+// read off Site.Links, cross-rank links collected and patched in, the
+// receive side found by walking the neighbour ranks' link records. It
+// is the reference restrictPlan (which reads no link record) is compared
+// against, field by field.
+func oraclePlan(dom *geometry.Domain, part *partition.Partition, me int) *plan {
+	m := dom.Model
+	Q := m.Q
+	K := part.K
+	pl := &plan{local: make([]int32, dom.NumSites())}
+	for g := range pl.local {
+		pl.local[g] = -1
+		if int(part.Parts[g]) == me {
+			pl.local[g] = int32(len(pl.owned))
+			pl.owned = append(pl.owned, g)
+		}
+	}
+	pl.n = len(pl.owned)
+	pl.stream = make([]int32, pl.n*Q)
+	off := make([]vec.I3, Q)
+	for q, c := range m.C {
+		off[q] = vec.I3{X: c[0], Y: c[1], Z: c[2]}
+	}
+	type crossLink struct{ li, q, dst int }
+	var cross []crossLink
+	for li, g := range pl.owned {
+		site := &dom.Sites[g]
+		base := li * Q
+		pl.stream[base] = int32(base)
+		for q := 1; q < Q; q++ {
+			link := &site.Links[q-1]
+			switch link.Type {
+			case geometry.LinkFluid:
+				j := dom.SiteAt(site.Pos.Add(off[q]))
+				if lj := int(pl.local[j]); lj >= 0 {
+					pl.stream[base+q] = int32(lj*Q + q)
+				} else {
+					cross = append(cross, crossLink{li, q, j})
+				}
+			case geometry.LinkWall:
+				pl.stream[base+q] = int32(base + m.Opp[q])
+			default:
+				pl.stream[base+q] = int32(encodeIolet - link.Iolet)
+			}
+		}
+	}
+	pl.sendOff = make([]int, K+1)
+	for _, cl := range cross {
+		pl.sendOff[part.Parts[cl.dst]+1]++
+	}
+	for r := 0; r < K; r++ {
+		pl.sendOff[r+1] += pl.sendOff[r]
+	}
+	next := append([]int(nil), pl.sendOff[:K]...)
+	for _, cl := range cross {
+		r := part.Parts[cl.dst]
+		pl.stream[cl.li*Q+cl.q] = streamCrossBase - int32(next[r])
+		next[r]++
+	}
+	pl.recvFix = make([][]int32, K)
+	for g := range dom.Sites {
+		r := int(part.Parts[g])
+		if pl.sendOff[r+1] == pl.sendOff[r] {
+			continue
+		}
+		for q := 1; q < Q; q++ {
+			if dom.Sites[g].Links[q-1].Type != geometry.LinkFluid {
+				continue
+			}
+			if lj := pl.local[dom.Neighbour(g, q)]; lj >= 0 {
+				pl.recvFix[r] = append(pl.recvFix[r], lj*int32(Q)+int32(q))
+			}
+		}
+	}
+	for r := 0; r < K; r++ {
+		if pl.sendOff[r+1] > pl.sendOff[r] {
+			pl.neighbors = append(pl.neighbors, r)
+		}
+	}
+	return pl
+}
+
+// samePlan reports the first field in which got differs from want.
+func samePlan(got, want *plan) error {
+	if got.n != want.n {
+		return fmt.Errorf("n %d, oracle %d", got.n, want.n)
+	}
+	if !slices.Equal(got.owned, want.owned) {
+		return fmt.Errorf("owned differs")
+	}
+	for g := range want.local {
+		if got.localOf(g) != int(want.local[g]) {
+			return fmt.Errorf("local[%d] %d, oracle %d", g, got.localOf(g), want.local[g])
+		}
+	}
+	if len(got.stream) != len(want.stream) {
+		return fmt.Errorf("stream length %d, oracle %d", len(got.stream), len(want.stream))
+	}
+	for i := range want.stream {
+		if Q := len(want.stream) / want.n; got.stream[i] != want.stream[i] {
+			return fmt.Errorf("stream[site %d, q %d] %d, oracle %d", i/Q, i%Q, got.stream[i], want.stream[i])
+		}
+	}
+	if !slices.Equal(got.sendOff, want.sendOff) {
+		return fmt.Errorf("sendOff %v, oracle %v", got.sendOff, want.sendOff)
+	}
+	if !slices.Equal(got.neighbors, want.neighbors) {
+		return fmt.Errorf("neighbors %v, oracle %v", got.neighbors, want.neighbors)
+	}
+	if len(got.recvFix) != len(want.recvFix) {
+		return fmt.Errorf("recvFix for %d ranks, oracle %d", len(got.recvFix), len(want.recvFix))
+	}
+	for r := range want.recvFix {
+		if !slices.Equal(got.recvFix[r], want.recvFix[r]) {
+			return fmt.Errorf("recvFix[%d] differs (%d entries, oracle %d)", r, len(got.recvFix[r]), len(want.recvFix[r]))
+		}
+	}
+	return nil
+}
+
+// checkHalo is the brute-force oracle of the halo plan (ROADMAP 5(e)):
+// it lists every fluid link of the domain whose ends lie on different
+// ranks, O(links), sorts them into the wire order — sender, receiver,
+// source site, direction — and demands that the sender's table holds
+// exactly that slot for the link and the receiver scatters that slot
+// into the target site's q-th population.
+func checkHalo(dom *geometry.Domain, part *partition.Partition, plans []*plan) error {
+	Q := dom.Model.Q
+	type link struct{ from, to, g, q, j int }
+	var links []link
+	for g := range dom.Sites {
+		for q := 1; q < Q; q++ {
+			if j := dom.Neighbour(g, q); j >= 0 && part.Parts[j] != part.Parts[g] {
+				links = append(links, link{int(part.Parts[g]), int(part.Parts[j]), g, q, j})
+			}
+		}
+	}
+	sort.SliceStable(links, func(a, b int) bool {
+		if links[a].from != links[b].from {
+			return links[a].from < links[b].from
+		}
+		return links[a].to < links[b].to
+	})
+	at := 0 // position within the current (from, to) message
+	for i, l := range links {
+		if i > 0 && (links[i-1].from != l.from || links[i-1].to != l.to) {
+			at = 0
+		}
+		snd, rcv := plans[l.from], plans[l.to]
+		slot := snd.sendOff[l.to] + at
+		if got := snd.stream[snd.localOf(l.g)*Q+l.q]; got != streamCrossBase-int32(slot) {
+			return fmt.Errorf("link %d→%d dir %d: sender %d has entry %d, want slot %d", l.g, l.j, l.q, l.from, got, slot)
+		}
+		if at >= len(rcv.recvFix[l.from]) {
+			return fmt.Errorf("rank %d expects %d populations from %d, link %d→%d is the %d-th", l.to, len(rcv.recvFix[l.from]), l.from, l.g, l.j, at+1)
+		}
+		if got, want := rcv.recvFix[l.from][at], int32(rcv.localOf(l.j)*Q+l.q); got != want {
+			return fmt.Errorf("link %d→%d dir %d: receiver %d scatters to %d, want %d", l.g, l.j, l.q, l.to, got, want)
+		}
+		at++
+	}
+	total := 0
+	for _, pl := range plans {
+		total += pl.sendOff[len(pl.sendOff)-1]
+	}
+	if total != len(links) {
+		return fmt.Errorf("plans hold %d send slots, the domain has %d cross-rank links", total, len(links))
+	}
+	return nil
+}
+
+// TestPlanMatchesOracle generates its cases: every vessel preset at two
+// scales, K ∈ {1, 2, 3, 5}, three partitioners plus seeded random
+// assignments (ragged, many-neighbour decompositions no partitioner
+// would produce). The kept construction must equal the old one in every
+// field, and the halo plan must be the brute-force one.
+func TestPlanMatchesOracle(t *testing.T) {
+	presets := []string{"pipe", "bend", "bifurcation", "aneurysm", "tree", "stenosis"}
+	for _, name := range presets {
+		for _, scale := range []float64{0.7, 1.5} {
+			dom := presetDomain(t, name, scale)
+			whole, _, err := wholePlan(dom)
+			if err != nil {
+				t.Fatal(err)
+			}
+			graph := partition.FromDomain(dom)
+			rng := rand.New(rand.NewSource(int64(dom.NumSites())))
+			for _, k := range []int{1, 2, 3, 5} {
+				parts := map[string]*partition.Partition{}
+				for _, m := range []partition.Method{partition.MethodMultilevel, partition.MethodMorton, partition.MethodRCB} {
+					p, err := partition.ByMethod(m, graph, k, 7)
+					if err != nil {
+						t.Fatal(err)
+					}
+					parts[string(m)] = p
+				}
+				random := &partition.Partition{K: k, Parts: make([]int32, dom.NumSites())}
+				for g := range random.Parts {
+					random.Parts[g] = int32(rng.Intn(k))
+				}
+				parts["random"] = random
+				for label, part := range parts {
+					plans := make([]*plan, k)
+					for r := range plans {
+						if k == 1 {
+							plans[r] = whole
+						} else {
+							plans[r] = restrictPlan(whole, dom.Model.Q, part, r)
+						}
+						if err := samePlan(plans[r], oraclePlan(dom, part, r)); err != nil {
+							t.Fatalf("%s@%g k=%d %s rank %d: %v", name, scale, k, label, r, err)
+						}
+					}
+					if err := checkHalo(dom, part, plans); err != nil {
+						t.Fatalf("%s@%g k=%d %s: %v", name, scale, k, label, err)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestWholePlanRejectsInconsistentGeometry: a link record that claims a
+// fluid neighbour where there is none (a damaged geometry file) is an
+// error from New and NewDist, not a population streamed into slot 0.
+func TestWholePlanRejectsInconsistentGeometry(t *testing.T) {
+	good := pipeDomain(t, 8, 2, 1.0)
+	sites := make([]geometry.Site, len(good.Sites))
+	for i, s := range good.Sites {
+		sites[i] = s
+		sites[i].Links = append([]geometry.Link(nil), s.Links...)
+	}
+	broken := false
+	for i := range sites {
+		for q := range sites[i].Links {
+			if sites[i].Links[q].Type == geometry.LinkWall && !broken {
+				sites[i].Links[q].Type = geometry.LinkFluid
+				broken = true
+			}
+		}
+	}
+	dom, err := geometry.Reassemble(good.Model, good.Dims, good.Origin, good.H, good.Iolets, sites)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := New(dom, Params{Tau: 0.9}); err == nil {
+		t.Fatal("New accepted a fluid link with no site behind it")
+	}
+}
+
+// TestWholePlanIsKeptRankPlansAreNot: every solver on a Domain steps
+// the one whole-domain plan Prepare reports; a rank's plan of a
+// partition is cut for the solver that asks and kept nowhere.
+func TestWholePlanIsKeptRankPlansAreNot(t *testing.T) {
+	dom := pipeDomain(t, 16, 3, 1.0)
+	if hit, err := Prepare(dom); err != nil || hit {
+		t.Fatalf("first Prepare: hit=%v err=%v", hit, err)
+	}
+	if hit, err := Prepare(dom); err != nil || !hit {
+		t.Fatalf("second Prepare: hit=%v err=%v", hit, err)
+	}
+	s, err := New(dom, Params{Tau: 0.9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	one, err := partition.OnePart(partition.MethodMultilevel, dom.NumSites())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pl, _ := planFor(dom, one, 0); pl != s.plan {
+		t.Error("a 1-rank partition got a plan other than the Domain's")
+	}
+	part, err := partition.ByMethod(partition.MethodMultilevel, partition.FromDomain(dom), 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, _ := planFor(dom, part, 1)
+	b, _ := planFor(dom, part, 1)
+	if a == b || a == s.plan {
+		t.Error("a rank plan was shared")
+	} else if err := samePlan(a, b); err != nil {
+		t.Errorf("two cuts of one partition differ: %v", err)
+	}
+}

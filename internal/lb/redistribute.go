@@ -34,7 +34,8 @@ func (d *Dist) Redistribute(newPart *partition.Partition) (*Dist, error) {
 	for li, g := range d.Owned {
 		owner := int(newPart.Parts[g])
 		if owner == me {
-			copy(nd.f[int(nd.local[g])*Q:(int(nd.local[g])+1)*Q], d.f[li*Q:(li+1)*Q])
+			nl := nd.localOf(g)
+			copy(nd.f[nl*Q:(nl+1)*Q], d.f[li*Q:(li+1)*Q])
 			continue
 		}
 		rec := make([]float64, 0, Q+1)
@@ -46,7 +47,7 @@ func (d *Dist) Redistribute(newPart *partition.Partition) (*Dist, error) {
 	for _, data := range incoming {
 		for i := 0; i+Q+1 <= len(data); i += Q + 1 {
 			g := int(data[i])
-			li := int(nd.local[g])
+			li := nd.localOf(g)
 			if li < 0 {
 				return nil, fmt.Errorf("lb: redistribute received site %d not owned here", g)
 			}

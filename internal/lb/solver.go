@@ -5,12 +5,13 @@
 // in/outlets, with the macroscopic observables the paper's
 // post-processing consumes (density, velocity, wall shear stress).
 //
-// There is one kernel (kernel.go): it owns a rank's populations, stream
-// table, iolet state and tile pool, and holds the only collide+stream
-// loop. Solver (this file) is a kernel over the whole domain plus the
-// serial diagnostics; Dist (dist.go) is a kernel over the sites one
-// rank of a par communicator owns plus the halo exchange and the
-// gathers. Both checkpoint/restore their full state bit-exactly and
+// There is one kernel (kernel.go): it owns a rank's populations, iolet
+// state and tile pool, and holds the only collide+stream loop. What it
+// steps along — the stream table, the ownership maps, the halo slots —
+// is a plan (plan.go), built once per Domain and shared read-only.
+// Solver (this file) is a kernel over the whole domain plus the serial
+// diagnostics; Dist (dist.go) is a kernel over the sites one rank of a
+// par communicator owns plus the halo exchange and the gathers. Both checkpoint/restore their full state bit-exactly and
 // interchangeably (checkpoint.go); the on-disk binary format is
 // specified in docs/CHECKPOINT_FORMAT.md.
 package lb
@@ -83,8 +84,11 @@ func New(dom *geometry.Domain, p Params) (*Solver, error) {
 	if err := p.validate(); err != nil {
 		return nil, err
 	}
-	k, _ := newKernel(dom, p, nil, nil) // no ownership map: no link leaves the rank
-	return &Solver{kernel: k, Dom: dom}, nil
+	pl, _, err := wholePlan(dom) // no link leaves the rank
+	if err != nil {
+		return nil, err
+	}
+	return &Solver{kernel: newKernel(dom, p, pl), Dom: dom}, nil
 }
 
 // InitEquilibrium sets every site to the zero-velocity equilibrium at

@@ -1,9 +1,12 @@
 package octree
 
 import (
+	"cmp"
+	"io"
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/geometry"
@@ -96,6 +99,120 @@ func TestBuildMatchesMapReference(t *testing.T) {
 	}
 }
 
+// buildSorting is Build the way it was before the layout was kept on
+// the Domain: it sorts the sites into Z-order and discovers every
+// level's cells on each call. It is the node-for-node reference of the
+// memoised build.
+func buildSorting(dom *geometry.Domain, f Fields) *Tree {
+	n := dom.NumSites()
+	depth := 1
+	for (1 << (depth - 1)) < max(dom.Dims.X, dom.Dims.Y, dom.Dims.Z) {
+		depth++
+	}
+	t := &Tree{levels: make([][]Node, depth), firstChild: make([][]int32, depth), dims: dom.Dims}
+	type keyed struct {
+		key  uint64
+		site int32
+	}
+	order := make([]keyed, n)
+	for i := range dom.Sites {
+		p := dom.Sites[i].Pos
+		order[i] = keyed{morton(p.X, p.Y, p.Z), int32(i)}
+	}
+	slices.SortFunc(order, func(a, b keyed) int { return cmp.Compare(a.key, b.key) })
+	leaves := make([]Node, n)
+	for at, o := range order {
+		i := o.site
+		wss := 0.0
+		if f.WSS != nil {
+			wss = f.WSS[i]
+		}
+		leaves[at] = Node{
+			Level: 0, Key: o.key, Count: 1,
+			MeanRho: f.Rho[i], MeanU: vec.New(f.Ux[i], f.Uy[i], f.Uz[i]),
+			MaxWSS: wss, MeanWSS: wss,
+		}
+	}
+	t.levels[0] = leaves
+	for l := 1; l < depth; l++ {
+		kids := t.levels[l-1]
+		var level []Node
+		var first []int32
+		for i := range kids {
+			child := &kids[i]
+			pk := child.Key >> 3
+			if i == 0 || pk != kids[i-1].Key>>3 {
+				level = append(level, Node{Level: l, Key: pk})
+				first = append(first, int32(i))
+			}
+			p := &level[len(level)-1]
+			w := float64(child.Count)
+			pw := float64(p.Count)
+			tot := pw + w
+			p.MeanRho = (p.MeanRho*pw + child.MeanRho*w) / tot
+			p.MeanU = p.MeanU.Mul(pw / tot).Add(child.MeanU.Mul(w / tot))
+			p.MeanWSS = (p.MeanWSS*pw + child.MeanWSS*w) / tot
+			if child.MaxWSS > p.MaxWSS {
+				p.MaxWSS = child.MaxWSS
+			}
+			p.Count += child.Count
+		}
+		t.levels[l] = level
+		t.firstChild[l] = append(first, int32(len(kids)))
+	}
+	return t
+}
+
+// TestBuildMatchesSortingBuild: on both bench/ domains, with and
+// without wall shear stress, a Build along the kept layout — the one
+// that derives it and the ones that find it — is the sorting build node
+// for node and child run for child run.
+func TestBuildMatchesSortingBuild(t *testing.T) {
+	for _, dc := range []struct {
+		preset string
+		scale  float64
+	}{{"aneurysm", 2.0}, {"tree", 3.0}} {
+		v, err := geometry.VesselByName(dc.preset, dc.scale)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dom, err := geometry.Voxelise(v, 1.0, lattice.D3Q19())
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := dom.NumSites()
+		rng := rand.New(rand.NewSource(int64(n)))
+		f := Fields{Rho: make([]float64, n), Ux: make([]float64, n), Uy: make([]float64, n), Uz: make([]float64, n)}
+		for round := 0; round < 3; round++ {
+			for i := 0; i < n; i++ {
+				f.Rho[i], f.Ux[i], f.Uy[i], f.Uz[i] = 1+0.01*rng.Float64(), 0.01*rng.NormFloat64(), 0.01*rng.NormFloat64(), 0.05*rng.Float64()
+			}
+			if round == 2 {
+				f.WSS = make([]float64, n)
+				for i := range f.WSS {
+					f.WSS[i] = 0.001 * rng.Float64()
+				}
+			}
+			got, err := Build(dom, f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := buildSorting(dom, f)
+			if got.Depth() != want.Depth() {
+				t.Fatalf("%s@%g: depth %d, sorting build %d", dc.preset, dc.scale, got.Depth(), want.Depth())
+			}
+			for l := range want.levels {
+				if !slices.Equal(got.levels[l], want.levels[l]) {
+					t.Fatalf("%s@%g round %d: level %d differs from the sorting build", dc.preset, dc.scale, round, l)
+				}
+				if !slices.Equal(got.firstChild[l], want.firstChild[l]) {
+					t.Fatalf("%s@%g round %d: child runs of level %d differ", dc.preset, dc.scale, round, l)
+				}
+			}
+		}
+	}
+}
+
 // TestBuildIsDeterministic: two builds over the same fields are the
 // same tree bit for bit, so /data replies of one snapshot never differ.
 func TestBuildIsDeterministic(t *testing.T) {
@@ -117,14 +234,10 @@ func TestBuildIsDeterministic(t *testing.T) {
 	}
 }
 
-// TestDataSweepAllocationBudget guards the /data diet: one sweep of the
-// kernel-small domain (aneurysm@2.0) as the service runs it — build the
-// tree, query the eight octants at detail 0 / context 3, encode each
-// reply — stays under a byte and an object ceiling set about 20 % above
-// what it takes today (1.75 MB, 123 objects; the map build with
-// per-node heap objects took 4.4 MB and 21 700). Garbage here is what
-// puts a GC cycle inside a client's sweep.
-func TestDataSweepAllocationBudget(t *testing.T) {
+// benchSmallDomain is bench/'s kernel-small domain (aneurysm@2.0) with a
+// seeded field on it.
+func benchSmallDomain(t testing.TB) (*geometry.Domain, Fields) {
+	t.Helper()
 	v, err := geometry.VesselByName("aneurysm", 2.0)
 	if err != nil {
 		t.Fatal(err)
@@ -139,6 +252,23 @@ func TestDataSweepAllocationBudget(t *testing.T) {
 	for i := 0; i < n; i++ {
 		f.Rho[i], f.Ux[i], f.Uy[i], f.Uz[i] = 1+0.01*rng.Float64(), 0.01*rng.Float64(), 0.01*rng.Float64(), 0.05*rng.Float64()
 	}
+	return dom, f
+}
+
+// TestDataSweepAllocationBudget guards the /data diet: one sweep of the
+// kernel-small domain (aneurysm@2.0) as the service runs it — build the
+// tree along the kept layout, then size and stream the replies of the
+// eight octants at detail 0 / context 3 — stays under a byte and an
+// object ceiling set about 20 % above what it takes today (0.87 MB in
+// 10 objects, all of it the tree's node slabs: a reply allocates
+// nothing that grows with it. With a cover list and a full-size buffer
+// per reply, and the Z-order sorted per build, it was 1.75 MB in 123;
+// the map build with per-node heap objects took 4.4 MB and 21 700).
+// Garbage here is what puts a GC cycle inside a client's sweep, and
+// fresh buffers are what makes /data latency depend on the heap.
+func TestDataSweepAllocationBudget(t *testing.T) {
+	dom, f := benchSmallDomain(t)
+	n := dom.NumSites()
 	h := dom.Dims.F().Mul(0.5)
 	sweep := func() {
 		tree, err := Build(dom, f)
@@ -147,15 +277,12 @@ func TestDataSweepAllocationBudget(t *testing.T) {
 		}
 		for o := 0; o < 8; o++ {
 			lo := vec.New(float64(o&1)*h.X, float64(o>>1&1)*h.Y, float64(o>>2&1)*h.Z)
-			nodes, err := tree.Query(ROI{Box: vec.NewBox(lo, lo.Add(h)), DetailLevel: 0, ContextLevel: 3})
+			reply, err := tree.Encode(ROI{Box: vec.NewBox(lo, lo.Add(h)), DetailLevel: 0, ContextLevel: 3})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if CoverCount(nodes) != n {
-				t.Fatalf("octant %d covers %d of %d sites", o, CoverCount(nodes), n)
-			}
-			if len(EncodeNodes(nodes)) == 0 {
-				t.Fatal("empty reply")
+			if written, err := reply.WriteTo(io.Discard); err != nil || written != int64(reply.Size()) || reply.Nodes() == 0 {
+				t.Fatalf("octant %d: wrote %d of %d bytes (%d nodes), err %v", o, written, reply.Size(), reply.Nodes(), err)
 			}
 		}
 	}
@@ -170,7 +297,7 @@ func TestDataSweepAllocationBudget(t *testing.T) {
 	bytes := float64(after.TotalAlloc-before.TotalAlloc) / rounds
 	objects := float64(after.Mallocs-before.Mallocs) / rounds
 	t.Logf("one sweep of %d sites: %.0f bytes, %.0f objects", n, bytes, objects)
-	const maxBytes, maxObjects = 2.1e6, 150
+	const maxBytes, maxObjects = 1.05e6, 16
 	if bytes > maxBytes || objects > maxObjects {
 		t.Errorf("one /data sweep allocates %.0f bytes in %.0f objects, budget %.0f bytes / %d objects", bytes, objects, maxBytes, maxObjects)
 	}

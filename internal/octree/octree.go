@@ -59,7 +59,7 @@ func (n *Node) Box() vec.Box {
 // cells in ascending Z-order, so a cell's children are a contiguous run
 // of the level below: firstChild[l][i] is where the run of cell i of
 // level l starts and firstChild[l][i+1] where it ends (firstChild[0] is
-// nil — sites have no children).
+// nil — sites have no children); it is the domain layout's, shared.
 type Tree struct {
 	levels     [][]Node
 	firstChild [][]int32
@@ -74,9 +74,108 @@ type Fields struct {
 	WSS        []float64
 }
 
+// layout is the half of a Tree that depends on the geometry alone: the
+// Z-order of the sites and, per level, the cells' keys and child runs. It is derived once per Domain (the Morton sort was most
+// of a Build) and shared read-only by every tree over that domain.
+type layout struct {
+	// site[i] is the site id of the i-th leaf in Z-order.
+	site []int32
+	// keys[l] and firstChild[l] describe level l's cells in ascending
+	// Z-order (firstChild[0] is nil: a leaf has no children).
+	keys       [][]uint64
+	firstChild [][]int32
+}
+
+type layoutKey struct{}
+
+func layoutOf(dom *geometry.Domain) *layout {
+	v, _ := dom.Derive(layoutKey{}, func() any { return buildLayout(dom) })
+	return v.(*layout)
+}
+
+// keyed is a site under its Morton key.
+type keyed struct {
+	key  uint64
+	site int32
+}
+
+// sortByKey sorts a by key, of which only the low bits bits are used:
+// a least-significant-digit radix sort, 11 bits a pass, between a and
+// one scratch slice of its size (the result is whichever holds the last
+// pass). A comparison sort of the 80 k-site tree was most of deriving
+// its layout, which the first /data request on a domain waits for.
+func sortByKey(a []keyed, bits int) []keyed {
+	const digit = 11
+	b := make([]keyed, len(a))
+	var count [1 << digit]int
+	for shift := 0; shift < bits; shift += digit {
+		clear(count[:])
+		for i := range a {
+			count[a[i].key>>shift&(1<<digit-1)]++
+		}
+		at := 0
+		for d, c := range count {
+			count[d], at = at, at+c
+		}
+		for i := range a {
+			d := a[i].key >> shift & (1<<digit - 1)
+			b[count[d]] = a[i]
+			count[d]++
+		}
+		a, b = b, a
+	}
+	return a
+}
+
+func buildLayout(dom *geometry.Domain) *layout {
+	n := dom.NumSites()
+	maxDim := max(dom.Dims.X, dom.Dims.Y, dom.Dims.Z)
+	depth := 1
+	for (1 << (depth - 1)) < maxDim {
+		depth++
+	}
+	lay := &layout{
+		site:       make([]int32, n),
+		keys:       make([][]uint64, depth),
+		firstChild: make([][]int32, depth),
+	}
+	order := make([]keyed, n)
+	for i := range dom.Sites {
+		p := dom.Sites[i].Pos
+		order[i] = keyed{morton(p.X, p.Y, p.Z), int32(i)}
+	}
+	order = sortByKey(order, 3*(depth-1))
+	lay.keys[0] = make([]uint64, n)
+	for at, o := range order {
+		lay.site[at], lay.keys[0][at] = o.site, o.key
+	}
+	// Siblings are adjacent in the level below.
+	for l := 1; l < depth; l++ {
+		kids := lay.keys[l-1]
+		parents := 0
+		for i := range kids {
+			if i == 0 || kids[i]>>3 != kids[i-1]>>3 {
+				parents++
+			}
+		}
+		keys := make([]uint64, 0, parents)
+		first := make([]int32, 0, parents+1)
+		for i, k := range kids {
+			if i == 0 || k>>3 != kids[i-1]>>3 {
+				keys = append(keys, k>>3)
+				first = append(first, int32(i))
+			}
+		}
+		lay.keys[l], lay.firstChild[l] = keys, append(first, int32(len(kids)))
+	}
+	return lay
+}
+
 // Build aggregates the fields of every fluid site of dom into a
-// multi-resolution tree. Children fold into their parent in Z-order, so
-// the same fields always give the same tree, bit for bit.
+// multi-resolution tree. Which cells exist and in what order is the
+// domain's layout, derived on the first Build over dom; a Build is the
+// value aggregation along it. Children fold into their parent in
+// Z-order, so the same fields always give the same tree, bit for bit.
 func Build(dom *geometry.Domain, f Fields) (*Tree, error) {
 	n := dom.NumSites()
 	if len(f.Rho) != n || len(f.Ux) != n || len(f.Uy) != n || len(f.Uz) != n {
@@ -85,40 +184,19 @@ func Build(dom *geometry.Domain, f Fields) (*Tree, error) {
 	if f.WSS != nil && len(f.WSS) != n {
 		return nil, fmt.Errorf("octree: WSS length %d != %d", len(f.WSS), n)
 	}
-	maxDim := dom.Dims.X
-	if dom.Dims.Y > maxDim {
-		maxDim = dom.Dims.Y
-	}
-	if dom.Dims.Z > maxDim {
-		maxDim = dom.Dims.Z
-	}
-	depth := 1
-	for (1 << (depth - 1)) < maxDim {
-		depth++
-	}
-	t := &Tree{levels: make([][]Node, depth), firstChild: make([][]int32, depth), dims: dom.Dims}
+	lay := layoutOf(dom)
+	depth := len(lay.keys)
+	t := &Tree{levels: make([][]Node, depth), firstChild: lay.firstChild, dims: dom.Dims}
 
-	// Finest level: one node per site, in Z-order.
-	type keyed struct {
-		key  uint64
-		site int32
-	}
-	order := make([]keyed, n)
-	for i := range dom.Sites {
-		p := dom.Sites[i].Pos
-		order[i] = keyed{morton(p.X, p.Y, p.Z), int32(i)}
-	}
-	slices.SortFunc(order, func(a, b keyed) int { return cmp.Compare(a.key, b.key) })
 	leaves := make([]Node, n)
-	for at, o := range order {
-		i := o.site
+	for at, i := range lay.site {
 		wss := 0.0
 		if f.WSS != nil {
 			wss = f.WSS[i]
 		}
 		leaves[at] = Node{
 			Level:   0,
-			Key:     o.key,
+			Key:     lay.keys[0][at],
 			Count:   1,
 			MeanRho: f.Rho[i],
 			MeanU:   vec.New(f.Ux[i], f.Uy[i], f.Uz[i]),
@@ -128,38 +206,28 @@ func Build(dom *geometry.Domain, f Fields) (*Tree, error) {
 	}
 	t.levels[0] = leaves
 
-	// Aggregate upward: siblings are adjacent in the level below.
 	for l := 1; l < depth; l++ {
 		kids := t.levels[l-1]
-		parents := 0
-		for i := range kids {
-			if i == 0 || kids[i].Key>>3 != kids[i-1].Key>>3 {
-				parents++
+		first := lay.firstChild[l]
+		level := make([]Node, len(lay.keys[l]))
+		for i := range level {
+			p := &level[i]
+			p.Level, p.Key = l, lay.keys[l][i]
+			for c := first[i]; c < first[i+1]; c++ {
+				child := &kids[c]
+				w := float64(child.Count)
+				pw := float64(p.Count)
+				tot := pw + w
+				p.MeanRho = (p.MeanRho*pw + child.MeanRho*w) / tot
+				p.MeanU = p.MeanU.Mul(pw / tot).Add(child.MeanU.Mul(w / tot))
+				p.MeanWSS = (p.MeanWSS*pw + child.MeanWSS*w) / tot
+				if child.MaxWSS > p.MaxWSS {
+					p.MaxWSS = child.MaxWSS
+				}
+				p.Count += child.Count
 			}
-		}
-		level := make([]Node, 0, parents)
-		first := make([]int32, 0, parents+1)
-		for i := range kids {
-			child := &kids[i]
-			pk := child.Key >> 3
-			if i == 0 || pk != kids[i-1].Key>>3 {
-				level = append(level, Node{Level: l, Key: pk})
-				first = append(first, int32(i))
-			}
-			p := &level[len(level)-1]
-			w := float64(child.Count)
-			pw := float64(p.Count)
-			tot := pw + w
-			p.MeanRho = (p.MeanRho*pw + child.MeanRho*w) / tot
-			p.MeanU = p.MeanU.Mul(pw / tot).Add(child.MeanU.Mul(w / tot))
-			p.MeanWSS = (p.MeanWSS*pw + child.MeanWSS*w) / tot
-			if child.MaxWSS > p.MaxWSS {
-				p.MaxWSS = child.MaxWSS
-			}
-			p.Count += child.Count
 		}
 		t.levels[l] = level
-		t.firstChild[l] = append(first, int32(len(kids)))
 	}
 	return t, nil
 }
@@ -239,28 +307,40 @@ type ROI struct {
 // outside the ROI appear at ContextLevel; nodes intersecting it are
 // subdivided down to DetailLevel.
 func (t *Tree) Query(roi ROI) ([]*Node, error) {
-	if roi.DetailLevel < 0 || roi.ContextLevel >= len(t.levels) || roi.DetailLevel > roi.ContextLevel {
-		return nil, fmt.Errorf("octree: invalid ROI levels detail=%d context=%d depth=%d",
-			roi.DetailLevel, roi.ContextLevel, len(t.levels))
+	if err := t.checkROI(roi); err != nil {
+		return nil, err
 	}
-	top := len(t.levels) - 1
-	if len(t.levels[top]) == 0 {
-		return nil, nil
-	}
-	return t.cover(nil, &roi, top, 0), nil
+	var out []*Node
+	t.visit(&roi, func(n *Node) { out = append(out, n) })
+	return out, nil
 }
 
-// cover appends to out the cover of cell i of the given level.
-func (t *Tree) cover(out []*Node, roi *ROI, level, i int) []*Node {
+func (t *Tree) checkROI(roi ROI) error {
+	if roi.DetailLevel < 0 || roi.ContextLevel >= len(t.levels) || roi.DetailLevel > roi.ContextLevel {
+		return fmt.Errorf("octree: invalid ROI levels detail=%d context=%d depth=%d",
+			roi.DetailLevel, roi.ContextLevel, len(t.levels))
+	}
+	return nil
+}
+
+// visit calls fn on every node of roi's cover, in Z-order.
+func (t *Tree) visit(roi *ROI, fn func(*Node)) {
+	if top := len(t.levels) - 1; len(t.levels[top]) > 0 {
+		t.cover(roi, top, 0, fn)
+	}
+}
+
+// cover visits the cover of cell i of the given level.
+func (t *Tree) cover(roi *ROI, level, i int, fn func(*Node)) {
 	n := &t.levels[level][i]
 	if level <= roi.DetailLevel || (level <= roi.ContextLevel && !boxesIntersect(n.Box(), roi.Box)) {
-		return append(out, n)
+		fn(n)
+		return
 	}
 	first := t.firstChild[level]
 	for c := int(first[i]); c < int(first[i+1]); c++ {
-		out = t.cover(out, roi, level-1, c)
+		t.cover(roi, level-1, c, fn)
 	}
-	return out
 }
 
 // CoverCount returns the total fluid sites covered by a node list —

@@ -113,8 +113,13 @@ func (c *Comm) Bcast(root int, data any) any {
 }
 
 // BcastF64 broadcasts a float64 vector from root and returns a private
-// copy on every rank.
+// copy on every rank. On a one-rank communicator nobody else reads
+// data, so it is its own private copy and nothing is allocated.
 func (c *Comm) BcastF64(root int, data []float64) []float64 {
+	if c.size == 1 {
+		c.rt.traffic.addColl()
+		return data
+	}
 	out := c.Bcast(root, data)
 	if out == nil {
 		return nil

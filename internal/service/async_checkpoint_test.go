@@ -178,18 +178,23 @@ func TestDataServedFromSnapshotAfterTermination(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, "job to finish", func() bool { return j.State().Terminal() })
-	nodes, err := mgr.Data(j, [3]float64{}, [3]float64{}, 0, 3)
-	if err != nil {
-		t.Fatalf("post-mortem data query failed: %v", err)
+	query := func() []byte {
+		t.Helper()
+		reply, err := mgr.Data(j, [3]float64{}, [3]float64{}, 0, 3)
+		if err != nil {
+			t.Fatalf("post-mortem data query failed: %v", err)
+		}
+		var buf bytes.Buffer
+		if n, err := reply.WriteTo(&buf); err != nil || int(n) != reply.Size() || buf.Len() != reply.Size() {
+			t.Fatalf("reply of %d bytes wrote %d (%d buffered), err %v", reply.Size(), n, buf.Len(), err)
+		}
+		return buf.Bytes()
 	}
-	if len(nodes) == 0 {
+	nodes := query()
+	if len(nodes) <= 4 {
 		t.Fatal("post-mortem data query returned no nodes")
 	}
-	again, err := mgr.Data(j, [3]float64{}, [3]float64{}, 0, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(nodes, again) {
+	if !bytes.Equal(nodes, query()) {
 		t.Error("identical queries against one snapshot differ")
 	}
 }

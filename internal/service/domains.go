@@ -21,7 +21,8 @@ func (sp JobSpec) domainKey() domainKey {
 }
 
 // domainCacheSites bounds the fluid sites the cache keeps resident,
-// summed over its entries (≈ 0.6 kB a site, see docs/OPERATIONS.md):
+// summed over its entries (≈ 0.66 kB a site with the stream table and
+// octree layout a job leaves on its Domain; see docs/OPERATIONS.md):
 // room for the largest bench/ domain three times over. It is a
 // constant, not an option — a geometry that does not fit is still
 // built and handed to its job, just not kept.
@@ -30,8 +31,12 @@ const domainCacheSites = 1 << 18
 // domainCache shares voxelised domains between the jobs of one daemon:
 // a burst on one geometry, a steering session's restarts and the jobs
 // recovered together after a crash pre-process once. A Domain is
-// immutable, so sharing is by pointer and read-only; nothing
-// per-job (graph, partition, solver state) lives here. Concurrent
+// immutable, so sharing is by pointer and read-only. What jobs derive
+// from the geometry alone (the stream table, the octree layout) rides
+// the Domain itself (geometry.Domain.Derive) and goes when an entry is
+// dropped:
+// this is the only cache of pre-processing results, and nothing
+// per-job (graph, populations) lives here. Concurrent
 // requests for one key wait for a single build; completed entries are
 // evicted least recently used first once the site budget is exceeded.
 type domainCache struct {

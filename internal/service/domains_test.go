@@ -13,6 +13,7 @@ import (
 	"repro/internal/geometry"
 	"repro/internal/insitu"
 	"repro/internal/lattice"
+	"repro/internal/leaktest"
 	"repro/internal/obs"
 	"repro/internal/steering"
 )
@@ -266,5 +267,76 @@ func TestMemoryShedPurgesDomainCache(t *testing.T) {
 	}
 	if n := m.domains.lru.Len(); n != 0 {
 		t.Errorf("%d domains still cached after a memory shed", n)
+	}
+}
+
+// TestDerivedBound: what jobs derive from a cached Domain — the stream
+// table, the octree layout — rides that Domain and nothing else. Fifty
+// submits cycling seed and ranks leave it with one whole-domain plan and
+// one layout and nothing per configuration (partitions and rank plans
+// are their jobs'), however many were asked for; the dispatched events
+// and the plan counters tell the one miss from the hits; and once the
+// Domain leaves the cache — by LRU eviction or by the -mem-limit shed —
+// the cache reaches none of it.
+func TestDerivedBound(t *testing.T) {
+	t.Cleanup(goroutineBaseline(t))
+	m := NewManagerOpts(Options{Workers: 2, QueueCap: 64})
+	defer m.Close()
+	var jobs []*Job
+	for i := 0; i < 50; i++ {
+		// Seeds 1..3 and ranks 1..3 in step: 9 configurations, each
+		// coming back several times, never twice in a row.
+		j, err := m.Submit(JobSpec{Preset: "pipe", Steps: 24, VizEvery: -1, Ranks: 1 + i%3, Seed: int64(1 + i/3%3)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs = append(jobs, j)
+	}
+	for _, j := range jobs {
+		finalFields(t, j)
+		if d := dispatchDetail(t, j); !strings.Contains(d, " plan=") || !strings.Contains(d, " plan_ms=") {
+			t.Fatalf("%s dispatched with %q: no plan=hit|miss plan_ms=", j.ID, d)
+		}
+	}
+	if _, err := m.Data(jobs[0], [3]float64{}, [3]float64{}, 0, 3); err != nil { // derives the octree layout
+		t.Fatal(err)
+	}
+	hits, misses := m.metrics.SolverPlanHits.Load(), m.metrics.SolverPlanMiss.Load()
+	if hits != 49 || misses != 1 {
+		t.Errorf("plan hits %d, misses %d over 50 dispatches on one domain; want 49 and 1", hits, misses)
+	}
+	if len(m.domains.entries) != 1 {
+		t.Fatalf("%d domains cached, want the one pipe", len(m.domains.entries))
+	}
+	objects, _ := leaktest.Census(m.domains)
+	if objects["partition.Partition"] != 0 || objects["lb.plan"] != 1 || objects["octree.layout"] != 1 {
+		t.Errorf("after 50 submits over 9 configurations the cached domain reaches %d partitions, %d plans, %d layouts; want 0, 1, 1",
+			objects["partition.Partition"], objects["lb.plan"], objects["octree.layout"])
+	}
+
+	// The -mem-limit shed drops the Domain, and with it all of that.
+	m.domains.purge()
+	if objects, _ := leaktest.Census(m.domains); objects["geometry.Domain"]+objects["lb.plan"]+objects["partition.Partition"]+objects["octree.layout"] != 0 {
+		t.Errorf("after the purge the cache still reaches %v", objects)
+	}
+
+	// So does LRU eviction: room for either domain, not both.
+	pipe, _ := voxelised(t, "pipe")()
+	bend, _ := voxelised(t, "bend")()
+	c := newDomainCache(&Metrics{}, pipe.NumSites()+bend.NumSites()-1)
+	for _, p := range []string{"pipe", "bend"} {
+		dom, _, err := c.get(JobSpec{Preset: p}.domainKey(), voxelised(t, p))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sim, err := core.New(core.Config{Domain: dom, Tau: 0.9, Ranks: 2})
+		if err != nil || sim.PlanHit {
+			t.Fatalf("core.New on a fresh %s: hit=%v err=%v", p, sim != nil && sim.PlanHit, err)
+		}
+		sim.Close()
+	}
+	if objects, _ := leaktest.Census(c); objects["geometry.Domain"] != 1 || objects["lb.plan"] != 1 {
+		t.Errorf("after evicting pipe for bend the cache reaches %d domains, %d plans; want 1, 1",
+			objects["geometry.Domain"], objects["lb.plan"])
 	}
 }

@@ -397,13 +397,14 @@ func (s *Server) handleData(w http.ResponseWriter, r *http.Request) {
 	}
 	detail := parseIntDefault(q.Get("detail"), 0)
 	context := parseIntDefault(q.Get("context"), 3)
-	nodes, err := s.mgr.Data(j, roiMin, roiMax, detail, context)
+	reply, err := s.mgr.Data(j, roiMin, roiMax, detail, context)
 	if err != nil {
 		writeErr(w, err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Write(nodes)
+	w.Header().Set("Content-Length", strconv.Itoa(reply.Size()))
+	reply.WriteTo(w) // a failed write is a client that went away
 }
 
 // handleEvents serves the job's flight recorder: the most recent ring

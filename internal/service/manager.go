@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"io/fs"
 	"log/slog"
 	"sort"
@@ -1398,11 +1399,18 @@ func (m *Manager) run(j *Job) {
 	j.numSites = sim.Dom.NumSites()
 	resumeStep = j.resumeStep
 	j.mu.Unlock()
-	detail := "cache=miss"
+	detail, plan := "cache=miss", "miss"
 	if hit {
 		detail = "cache=hit"
 	}
-	detail += fmt.Sprintf(" voxelise_ms=%.3f", float64(voxelise.Nanoseconds())/1e6)
+	if sim.PlanHit {
+		plan = "hit"
+		m.metrics.SolverPlanHits.Add(1)
+	} else {
+		m.metrics.SolverPlanMiss.Add(1)
+	}
+	detail += fmt.Sprintf(" voxelise_ms=%.3f plan=%s plan_ms=%.3f",
+		float64(voxelise.Nanoseconds())/1e6, plan, float64(sim.PlanTime.Nanoseconds())/1e6)
 	if resumeStep > 0 {
 		detail += "; resumed from checkpoint"
 	}
@@ -1895,13 +1903,31 @@ func (m *Manager) Status(j *Job) (*steering.Status, error) {
 	return rep.Status, nil
 }
 
+// DataReply is a /data answer not yet written: Size bytes, produced by
+// WriteTo.
+type DataReply interface {
+	Size() int
+	io.WriterTo
+}
+
+// rawReply is a reply that arrived as one message.
+type rawReply []byte
+
+func (r rawReply) Size() int { return len(r) }
+func (r rawReply) WriteTo(w io.Writer) (int64, error) {
+	n, err := w.Write(r)
+	return int64(n), err
+}
+
 // Data fetches the §V reduced octree representation for an ROI.
 // Snapshot-capable jobs answer from the latest published snapshot
 // through the per-job octree memo — no solver-loop collective, and the
-// data plane keeps working while paused and after termination. Jobs
-// without a snapshot yet (or with snapshots disabled) fall back to the
-// legacy in-loop steering round-trip.
-func (m *Manager) Data(j *Job, roiMin, roiMax [3]float64, detail, context int) ([]byte, error) {
+// data plane keeps working while paused and after termination; the
+// reply is encoded as it is written, so a query holds no buffer of its
+// size. Jobs without a snapshot yet (or with snapshots disabled) fall
+// back to the legacy in-loop steering round-trip, whose reply is the
+// steering message's bytes.
+func (m *Manager) Data(j *Job, roiMin, roiMax [3]float64, detail, context int) (DataReply, error) {
 	m.metrics.DataRequests.Add(1)
 	if j.State() == StateQueued {
 		return nil, ErrNotRunning
@@ -1912,7 +1938,7 @@ func (m *Manager) Data(j *Job, roiMin, roiMax [3]float64, detail, context int) (
 			return nil, err
 		}
 		dom := snap.Field.Dom
-		return core.QueryReduced(tree, dom.Dims.F(),
+		return core.ReducedReply(tree, dom.Dims.F(),
 			vec.New(roiMin[0], roiMin[1], roiMin[2]),
 			vec.New(roiMax[0], roiMax[1], roiMax[2]), detail, context)
 	}
@@ -1923,7 +1949,7 @@ func (m *Manager) Data(j *Job, roiMin, roiMax [3]float64, detail, context int) (
 	if err != nil {
 		return nil, err
 	}
-	return rep.Nodes, nil
+	return rawReply(rep.Nodes), nil
 }
 
 // Frame produces the current frame for a request through the shared

@@ -28,9 +28,14 @@ type Metrics struct {
 	// build of it); DomainCacheMiss counts the ones that voxelised.
 	DomainCacheHits atomic.Int64
 	DomainCacheMiss atomic.Int64
-	SteerOps        atomic.Int64
-	DataRequests    atomic.Int64
-	HTTPRequests    atomic.Int64
+	// SolverPlanHits counts dispatches that found the solver's stream
+	// table kept on the Domain (core.Simulation.PlanHit); SolverPlanMiss
+	// the ones that built it.
+	SolverPlanHits atomic.Int64
+	SolverPlanMiss atomic.Int64
+	SteerOps       atomic.Int64
+	DataRequests   atomic.Int64
+	HTTPRequests   atomic.Int64
 	// SnapshotsTotal counts field snapshots published by solvers into
 	// the render-offload path.
 	SnapshotsTotal atomic.Int64
@@ -131,9 +136,9 @@ type Metrics struct {
 	// the writer goroutine, RenderLatency the pool's submit→PNG path,
 	// and HTTPLatency is a per-route family fed by the server
 	// middleware. Preprocess times a dispatch from the domain-cache
-	// lookup to core.New returning (voxelise or cache hit, graph and
-	// partition for multi-rank jobs) — what stands between a worker
-	// slot and the first step.
+	// lookup to core.New returning (voxelise or cache hit; partition,
+	// stream tables and halo plans unless the domain keeps them) — what
+	// stands between a worker slot and the first step.
 	// TileDuration samples per-worker collide+stream tile durations on
 	// tiled solvers (same cadence as StepDuration): the spread between
 	// its p50 and p99 is intra-rank load imbalance the aggregate step
@@ -172,6 +177,8 @@ func (m *Metrics) rows() []counterRow {
 		{"hemeserved_frame_cache_invalidated_total", m.FrameCacheDrops.Load(), "counter", "Frame cache entries dropped by per-job invalidation."},
 		{"hemeserved_domain_cache_hits_total", m.DomainCacheHits.Load(), "counter", "Dispatches served a voxelised domain from the cache (or from a sibling's build in flight)."},
 		{"hemeserved_domain_cache_misses_total", m.DomainCacheMiss.Load(), "counter", "Dispatches that voxelised their geometry."},
+		{"hemeserved_solver_plan_hits_total", m.SolverPlanHits.Load(), "counter", "Dispatches that found the solver's stream table kept on the domain."},
+		{"hemeserved_solver_plan_misses_total", m.SolverPlanMiss.Load(), "counter", "Dispatches that built the solver's stream table."},
 		{"hemeserved_steer_ops_total", m.SteerOps.Load(), "counter", "Steering commands applied."},
 		{"hemeserved_data_requests_total", m.DataRequests.Load(), "counter", "Reduced-data queries served."},
 		{"hemeserved_http_requests_total", m.HTTPRequests.Load(), "counter", "HTTP requests served."},
