@@ -14,18 +14,30 @@
 //
 //	go run ./cmd/doccheck -metrics docs/OBSERVABILITY.md README.md docs
 //
-// Exits non-zero listing every broken link / undocumented metric as
-// file:line.
+// With -spec <doc.md> it cross-checks the job-spec table: the table
+// that follows the words **JobSpec** in that document must have one row
+// per json tag of service.JobSpec and no row that names anything else:
+//
+//	go run ./cmd/doccheck -spec docs/API.md
+//
+// Exits non-zero listing every broken link / undocumented metric /
+// spec-table mismatch.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
+	"slices"
 	"strings"
+
+	"repro/internal/service"
 )
 
 var (
@@ -40,17 +52,32 @@ var (
 )
 
 func main() {
-	metricsDoc := flag.String("metrics", "", "metric reference document; every hemeserved_*/go_* name literal in the Go source must appear in it")
-	flag.Parse()
-	if flag.NArg() < 1 && *metricsDoc == "" {
-		fmt.Fprintln(os.Stderr, "usage: doccheck [-metrics doc.md] <file-or-dir>...")
-		os.Exit(2)
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "doccheck:", err)
+		if errors.Is(err, errUsage) {
+			os.Exit(2)
+		}
+		os.Exit(1)
+	}
+}
+
+var errUsage = errors.New("usage: doccheck [-metrics doc.md] [-spec doc.md] <file-or-dir>...")
+
+func run(args []string, stdout io.Writer) error {
+	flags := flag.NewFlagSet("doccheck", flag.ContinueOnError)
+	metricsDoc := flags.String("metrics", "", "metric reference document; every hemeserved_*/go_* name literal in the Go source must appear in it")
+	specDoc := flags.String("spec", "", "API document; its JobSpec table must have exactly one row per json tag of service.JobSpec")
+	if err := flags.Parse(args); err != nil {
+		return err
+	}
+	if flags.NArg() < 1 && *metricsDoc == "" && *specDoc == "" {
+		return errUsage
 	}
 	var files []string
-	for _, arg := range flag.Args() {
+	for _, arg := range flags.Args() {
 		st, err := os.Stat(arg)
 		if err != nil {
-			fail(err)
+			return err
 		}
 		if !st.IsDir() {
 			files = append(files, arg)
@@ -63,7 +90,7 @@ func main() {
 			return err
 		})
 		if err != nil {
-			fail(err)
+			return err
 		}
 	}
 
@@ -72,7 +99,7 @@ func main() {
 	for _, file := range files {
 		raw, err := os.ReadFile(file)
 		if err != nil {
-			fail(err)
+			return err
 		}
 		// Links inside fenced code blocks are examples, not links.
 		text := fenceRe.ReplaceAllStringFunc(string(raw), blankLines)
@@ -91,22 +118,69 @@ func main() {
 			checked++
 			if problem := checkTarget(file, l.target); problem != "" {
 				line := 1 + strings.Count(text[:l.offset], "\n")
-				fmt.Printf("%s:%d: %s\n", file, line, problem)
+				fmt.Fprintf(stdout, "%s:%d: %s\n", file, line, problem)
 				broken++
 			}
 		}
 	}
 	if broken > 0 {
-		fmt.Fprintf(os.Stderr, "doccheck: %d broken link(s) in %d checked\n", broken, checked)
-		os.Exit(1)
+		return fmt.Errorf("%d broken link(s) in %d checked", broken, checked)
 	}
-	fmt.Printf("doccheck: %d links ok across %d files\n", checked, len(files))
+	fmt.Fprintf(stdout, "doccheck: %d links ok across %d files\n", checked, len(files))
 
 	if *metricsDoc != "" {
-		if err := checkMetricsDoc(*metricsDoc); err != nil {
-			fail(err)
+		if err := checkMetricsDoc(*metricsDoc, stdout); err != nil {
+			return err
 		}
 	}
+	if *specDoc != "" {
+		return checkSpecDoc(*specDoc, stdout)
+	}
+	return nil
+}
+
+// specRowRe matches a table row whose first cell is one backticked name.
+var specRowRe = regexp.MustCompile("(?m)^\\|\\s*`([a-z_]+)`\\s*\\|")
+
+// checkSpecDoc holds the job-spec table of the API document — the
+// table that follows the words **JobSpec** — against service.JobSpec:
+// one row per json tag, no row without a field.
+func checkSpecDoc(doc string, stdout io.Writer) error {
+	raw, err := os.ReadFile(doc)
+	if err != nil {
+		return err
+	}
+	_, after, _ := strings.Cut(string(raw), "**JobSpec**")
+	start := strings.Index(after, "\n|")
+	if start < 0 {
+		return fmt.Errorf("%s: no table after the words **JobSpec**", doc)
+	}
+	table, _, _ := strings.Cut(after[start:], "\n\n")
+	rows := map[string]bool{}
+	for _, m := range specRowRe.FindAllStringSubmatch(table, -1) {
+		rows[m[1]] = true
+	}
+	var problems []string
+	spec := reflect.TypeOf(service.JobSpec{})
+	for i := 0; i < spec.NumField(); i++ {
+		tag, _, _ := strings.Cut(spec.Field(i).Tag.Get("json"), ",")
+		if !rows[tag] {
+			problems = append(problems, fmt.Sprintf("JobSpec.%s (json %q) has no row", spec.Field(i).Name, tag))
+		}
+		delete(rows, tag)
+	}
+	for name := range rows {
+		problems = append(problems, fmt.Sprintf("row %q names no JobSpec field", name))
+	}
+	if len(problems) > 0 {
+		slices.Sort(problems)
+		for _, p := range problems {
+			fmt.Fprintf(stdout, "%s: spec table: %s\n", doc, p)
+		}
+		return fmt.Errorf("%d spec-table mismatch(es) in %s", len(problems), doc)
+	}
+	fmt.Fprintf(stdout, "doccheck: %d JobSpec fields documented in %s\n", spec.NumField(), doc)
+	return nil
 }
 
 // metricNameRe matches quoted metric-name literals in Go source. Base
@@ -118,7 +192,7 @@ var metricNameRe = regexp.MustCompile(`"((?:hemeserved|go)_[a-z0-9_]+)"`)
 // checkMetricsDoc scans every non-test .go file under internal/ and
 // cmd/ for metric name literals and fails when one is missing from the
 // metric reference document.
-func checkMetricsDoc(doc string) error {
+func checkMetricsDoc(doc string, stdout io.Writer) error {
 	ref, err := os.ReadFile(doc)
 	if err != nil {
 		return err
@@ -156,11 +230,11 @@ func checkMetricsDoc(doc string) error {
 	}
 	if len(missing) > 0 {
 		for _, m := range missing {
-			fmt.Printf("%s: metric %q not documented in %s\n", m.file, m.name, doc)
+			fmt.Fprintf(stdout, "%s: metric %q not documented in %s\n", m.file, m.name, doc)
 		}
 		return fmt.Errorf("%d undocumented metric(s); add them to %s", len(missing), doc)
 	}
-	fmt.Printf("doccheck: %d metric names documented in %s\n", total, doc)
+	fmt.Fprintf(stdout, "doccheck: %d metric names documented in %s\n", total, doc)
 	return nil
 }
 
@@ -213,9 +287,4 @@ func slug(heading string) string {
 // blankLines replaces a region with newlines so line numbers hold.
 func blankLines(s string) string {
 	return strings.Repeat("\n", strings.Count(s, "\n"))
-}
-
-func fail(err error) {
-	fmt.Fprintln(os.Stderr, "doccheck:", err)
-	os.Exit(1)
 }

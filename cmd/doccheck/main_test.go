@@ -1,0 +1,72 @@
+package main
+
+import (
+	"bytes"
+	"errors"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+// TestRunSmoke drives the checker end to end on a scratch tree: a good
+// link and anchor pass, a dead file and a dead anchor are each reported
+// at file:line, and no arguments is a usage error.
+func TestRunSmoke(t *testing.T) {
+	dir := t.TempDir()
+	write := func(name, body string) string {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	write("other.md", "# A `code` heading\n")
+	good := write("good.md", "see [other](other.md#a-code-heading)\n```\n[not a link](nowhere.md)\n```\n")
+	var stdout bytes.Buffer
+	if err := run([]string{good}, &stdout); err != nil {
+		t.Fatalf("good.md: %v\n%s", err, stdout.String())
+	}
+	bad := write("bad.md", "\n[gone](gone.md)\n[lost](other.md#no-such)\n")
+	stdout.Reset()
+	if err := run([]string{dir}, &stdout); err == nil || !strings.Contains(err.Error(), "2 broken link(s)") {
+		t.Errorf("a tree with two dead links: %v", err)
+	}
+	for _, want := range []string{bad + ":2: broken link", bad + ":3: broken anchor"} {
+		if !strings.Contains(stdout.String(), want) {
+			t.Errorf("report lacks %q:\n%s", want, stdout.String())
+		}
+	}
+	if err := run(nil, &stdout); !errors.Is(err, errUsage) {
+		t.Errorf("no arguments: %v, want the usage error", err)
+	}
+}
+
+// TestSpecTable holds the real docs/API.md against service.JobSpec, and
+// shows the check fails both ways: a field without a row, a row without
+// a field.
+func TestSpecTable(t *testing.T) {
+	const api = "../../docs/API.md"
+	var stdout bytes.Buffer
+	if err := run([]string{"-spec", api}, &stdout); err != nil {
+		t.Fatalf("%v\n%s", err, stdout.String())
+	}
+	raw, err := os.ReadFile(api)
+	if err != nil {
+		t.Fatal(err)
+	}
+	drifted := filepath.Join(t.TempDir(), "API.md")
+	body := strings.Replace(string(raw), "| `snapshot_every` |", "| `snapshot_cadence` |", 1)
+	if err := os.WriteFile(drifted, []byte(body), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	stdout.Reset()
+	if err := run([]string{"-spec", drifted}, &stdout); err == nil || !strings.Contains(err.Error(), "2 spec-table mismatch(es)") {
+		t.Errorf("a renamed row: %v", err)
+	}
+	for _, want := range []string{`JobSpec.SnapshotEvery (json "snapshot_every") has no row`, `row "snapshot_cadence" names no JobSpec field`} {
+		if !strings.Contains(stdout.String(), want) {
+			t.Errorf("report lacks %q:\n%s", want, stdout.String())
+		}
+	}
+}

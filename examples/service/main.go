@@ -38,9 +38,9 @@ func main() {
 	// Three tenants submit jobs over plain HTTP.
 	var ids []string
 	for _, spec := range []string{
-		`{"name":"alice","preset":"pipe","steps":4000,"viz_every":8}`,
-		`{"name":"bob","preset":"aneurysm","steps":4000,"ranks":2,"viz_every":8}`,
-		`{"name":"carol","preset":"bend","steps":4000,"viz_every":8}`,
+		`{"name":"alice","preset":"pipe","steps":4000}`,
+		`{"name":"bob","preset":"aneurysm","steps":4000,"ranks":2}`,
+		`{"name":"carol","preset":"bend","steps":4000}`,
 	} {
 		var info struct {
 			ID string `json:"id"`
@@ -156,7 +156,7 @@ func durabilityDemo() {
 	}
 	mgr := service.NewManagerOpts(service.Options{Workers: 1, Store: st})
 	j, err := mgr.Submit(service.JobSpec{
-		Preset: "pipe", Steps: 100_000, VizEvery: -1, CheckpointEvery: 64,
+		Preset: "pipe", Steps: 100_000, CheckpointEvery: 64,
 	})
 	if err != nil {
 		fail(err)

@@ -106,7 +106,7 @@ func (c *Config) defaults() {
 // bit-exact comparison.
 func (c Config) spec() service.JobSpec {
 	return service.JobSpec{
-		Preset: "pipe", Steps: c.Steps, VizEvery: -1,
+		Preset: "pipe", Steps: c.Steps,
 		SnapshotEvery: c.Steps / 3, CheckpointEvery: 32,
 	}
 }

@@ -18,7 +18,6 @@ import (
 	"repro/internal/lattice"
 	"repro/internal/lb"
 	"repro/internal/obs"
-	"repro/internal/octree"
 	"repro/internal/par"
 	"repro/internal/partition"
 	"repro/internal/render"
@@ -137,9 +136,10 @@ type Config struct {
 	// immediately waits for steering commands (resume, quit, frames)
 	// exactly as a mid-run pause does. Recovery uses it to bring back
 	// jobs that were paused when the daemon stopped, instead of
-	// silently resuming them. Requires a Controller (or SteerAddr);
-	// without a steering queue nothing could ever resume the run, so
-	// the flag is ignored.
+	// silently resuming them. With snapshots enabled the run publishes
+	// the state it starts from before it parks. Requires a Controller
+	// (or SteerAddr); without a steering queue nothing could ever resume
+	// the run, so the flag is ignored.
 	StartPaused bool
 	// IoletOverrides re-applies steered iolet densities on every rank
 	// before the first step, after any checkpoint restore. This is how
@@ -187,7 +187,6 @@ type Simulation struct {
 
 	// Results populated by Run.
 	LastImage   *render.Image
-	LastResult  *insitu.Result
 	StepsDone   int
 	Elapsed     time.Duration
 	HaloBytes   int64
@@ -204,10 +203,9 @@ type Simulation struct {
 	graphOnce sync.Once
 	graph     *partition.Graph
 
-	// pendingImage / pendingData hold steering requests awaiting the
-	// next collective operation; only rank 0's goroutine touches them.
+	// pendingImage holds steering image requests awaiting the next
+	// collective render; only rank 0's goroutine touches it.
 	pendingImage []*steering.Op
-	pendingData  []*steering.Op
 }
 
 // RepartitionReport records the E9 observables of a mid-run rebalance.
@@ -384,6 +382,22 @@ func (s *Simulation) Run(totalSteps int) error {
 		if snapEnabled {
 			nextSnapCheck = (startStep/cfg.SnapshotEvery + 1) * cfg.SnapshotEvery
 		}
+		// publish gathers and hands out the current state (collective)
+		// and restarts the cadence from it.
+		publish := func() {
+			s.publishSnapshot(c, d)
+			lastSnapStep = d.StepCount()
+			snapIdleStreak = 0
+			nextSnapCheck = d.StepCount() + cfg.SnapshotEvery
+		}
+		if paused && snapEnabled {
+			// A run that starts parked publishes the state it starts from
+			// (every rank reads the same cfg.StartPaused): like a mid-run
+			// pause, a parked solver cannot service demand-driven
+			// publication, so "a paused job's latest snapshot is its
+			// current state" must hold from step 0 of the run.
+			publish()
+		}
 		var stepTimer stats.Timer
 		// Phase observation (rank 0 only): step timing is sampled every
 		// PhaseSampleEvery steps so instrumentation stays off the
@@ -397,13 +411,11 @@ func (s *Simulation) Run(totalSteps int) error {
 		var phaseStart time.Time
 		// The command word rank 0 broadcasts at each steering boundary:
 		// [doViz, doQuit, doPause, doResume, ioletIdx+1, density,
-		//  az, el, dist, w, h, mode, scalar,
-		//  doData, roi min xyz, roi max xyz, detail, context,
-		//  snapPull]
+		//  az, el, dist, w, h, mode, scalar, snapPull]
 		// One rank reuses this one for the whole run; with more, every
 		// boundary rebinds it to the broadcast's private copy, so rank 0
 		// never writes a word a slower rank is still reading.
-		cmd := make([]float64, 23)
+		cmd := make([]float64, 14)
 
 		for step := startStep; step < totalSteps && !quit; step++ {
 			// Steering commands are handled at viz boundaries and while
@@ -462,10 +474,7 @@ func (s *Simulation) Run(totalSteps int) error {
 					want = c.BcastInt(0, want)
 				}
 				if want == 1 {
-					s.publishSnapshot(c, d)
-					lastSnapStep = d.StepCount()
-					snapIdleStreak = 0
-					nextSnapCheck = d.StepCount() + cfg.SnapshotEvery
+					publish()
 				} else {
 					// Idle back-off: successive skips double the wait,
 					// capped at 8× the cadence — bounding both the
@@ -507,7 +516,7 @@ func (s *Simulation) Run(totalSteps int) error {
 				// waiting out the back-off, at zero extra collectives.
 				if snapEnabled && cfg.SnapshotInterest != nil && !paused &&
 					nextSnapCheck > d.StepCount()+cfg.SnapshotEvery && cfg.SnapshotInterest() {
-					cmd[22] = 1
+					cmd[13] = 1
 				}
 				if s.Ctrl != nil {
 					for {
@@ -566,27 +575,18 @@ func (s *Simulation) Run(totalSteps int) error {
 							// Image is produced after the collective
 							// render below; stash the op.
 							s.pendingImage = append(s.pendingImage, op)
-						case steering.OpData:
-							cmd[13] = 1
-							for a := 0; a < 3; a++ {
-								cmd[14+a] = [3]float64(op.Msg.ROIMin)[a]
-								cmd[17+a] = [3]float64(op.Msg.ROIMax)[a]
-							}
-							cmd[20] = float64(op.Msg.Detail)
-							cmd[21] = float64(op.Msg.Context)
-							s.pendingData = append(s.pendingData, op)
 						default:
 							op.Reply(steering.ServerMsg{Op: op.Msg.Op, Error: "unknown op"})
 						}
 						// Leave the poll loop once an action requiring
-						// the collective path is queued: quit, resume,
-						// a render or a data request (otherwise a
-						// paused client awaiting a reply would
-						// deadlock). A set-iolet also breaks out: the
-						// command word has one iolet slot, so a second
-						// change must wait for the next boundary
-						// rather than silently overwrite the first.
-						if cmd[1] == 1 || cmd[0] == 1 || cmd[13] == 1 || cmd[4] > 0 || (paused && cmd[3] == 1) {
+						// the collective path is queued: quit, resume
+						// or a render (otherwise a paused client
+						// awaiting a reply would deadlock). A set-iolet
+						// also breaks out: the command word has one
+						// iolet slot, so a second change must wait for
+						// the next boundary rather than silently
+						// overwrite the first.
+						if cmd[1] == 1 || cmd[0] == 1 || cmd[4] > 0 || (paused && cmd[3] == 1) {
 							break
 						}
 					}
@@ -617,22 +617,16 @@ func (s *Simulation) Run(totalSteps int) error {
 				// must already be current for the frames and data
 				// served while paused.
 				if snapEnabled && d.StepCount() != lastSnapStep {
-					s.publishSnapshot(c, d)
-					lastSnapStep = d.StepCount()
-					snapIdleStreak = 0
-					nextSnapCheck = d.StepCount() + cfg.SnapshotEvery
+					publish()
 				}
 			}
 			if cmd[3] == 1 {
 				paused = false
 			}
-			if cmd[22] == 1 && d.StepCount() != lastSnapStep {
+			if cmd[13] == 1 && d.StepCount() != lastSnapStep {
 				// Demand probe hit during back-off: publish now and
 				// fall back to the base cadence.
-				s.publishSnapshot(c, d)
-				lastSnapStep = d.StepCount()
-				snapIdleStreak = 0
-				nextSnapCheck = d.StepCount() + cfg.SnapshotEvery
+				publish()
 			}
 			if cmd[4] > 0 {
 				if err := d.SetIoletDensity(int(cmd[4])-1, cmd[5]); err != nil && master {
@@ -643,9 +637,8 @@ func (s *Simulation) Run(totalSteps int) error {
 				img := s.renderDistributed(c, d, reqFromCmd(req, cmd), myPart)
 				if master {
 					// Every pending op gets an answer — a failed
-					// render must not leave clients (and the frame
-					// cache's single-flight waiters) hanging until
-					// the job terminates.
+					// render must not leave clients hanging until
+					// the run ends.
 					for _, op := range s.pendingImage {
 						if img == nil {
 							op.Reply(steering.ServerMsg{Op: steering.OpImage, Error: "render failed"})
@@ -661,33 +654,13 @@ func (s *Simulation) Run(totalSteps int) error {
 					}
 				}
 			}
-			if cmd[13] == 1 {
-				// Collective gather of the fields; rank 0 builds the
-				// §V reduced representation and replies.
-				rho, ux, uy, uz := d.GatherFieldsNoWSS(0)
-				if master {
-					payload, derr := s.reducedData(rho, ux, uy, uz,
-						vec.New(cmd[14], cmd[15], cmd[16]),
-						vec.New(cmd[17], cmd[18], cmd[19]),
-						int(cmd[20]), int(cmd[21]))
-					for _, op := range s.pendingData {
-						if derr != nil {
-							op.Reply(steering.ServerMsg{Op: steering.OpData, Error: derr.Error()})
-							continue
-						}
-						op.Reply(steering.ServerMsg{Op: steering.OpData, Nodes: payload})
-					}
-					s.pendingData = nil
-				}
-			}
-
 		}
 		// Publish the final state so late-joining viewers (and frame
 		// requests after the run finished) see the last step without a
 		// live solver — unless the cadence already captured it. Loop
 		// exit is collective (quit is broadcast), so every rank
 		// reaches this gather.
-		if cfg.SnapshotEvery > 0 && cfg.OnSnapshot != nil && d.StepCount() != lastSnapStep {
+		if snapEnabled && d.StepCount() != lastSnapStep {
 			s.publishSnapshot(c, d)
 		}
 		if master {
@@ -863,17 +836,6 @@ func (s *Simulation) repartition(c *par.Comm, d *lb.Dist, cur *partition.Partiti
 		return nil, nil, nil, err
 	}
 	return nd, newPart, rep, nil
-}
-
-// reducedData builds the §V octree over gathered fields and encodes
-// the context+detail cover of the requested ROI (the in-loop steering
-// reply; the HTTP data plane shares QueryReduced over snapshots).
-func (s *Simulation) reducedData(rho, ux, uy, uz []float64, roiMin, roiMax vec.V3, detail, ctx int) ([]byte, error) {
-	tree, err := octree.Build(s.Dom, octree.Fields{Rho: rho, Ux: ux, Uy: uy, Uz: uz})
-	if err != nil {
-		return nil, err
-	}
-	return QueryReduced(tree, s.Dom.Dims.F(), roiMin, roiMax, detail, ctx)
 }
 
 // status assembles the steering status report.

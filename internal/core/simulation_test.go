@@ -259,64 +259,48 @@ func TestSnapshotFinalPublication(t *testing.T) {
 	}
 }
 
-// TestSteeringReducedData drives the §V data path over the wire: the
-// client asks for a context+detail ROI cover and receives a node
-// stream that covers every fluid site exactly once with less data than
-// the raw fields.
-func TestSteeringReducedData(t *testing.T) {
+// TestSnapshotReducedData drives the §V data path the way the daemon
+// does: the final snapshot of a 3-rank run → its octree → a
+// context+detail ROI cover, which must cover every fluid site exactly
+// once with less data than the raw fields.
+func TestSnapshotReducedData(t *testing.T) {
+	var last *Snapshot
 	s, err := New(Config{
 		Vessel: geometry.Aneurysm(16, 3, 4), H: 1, Tau: 0.9,
-		Ranks: 3, VizEvery: 10,
-		SteerAddr: "127.0.0.1:0",
+		Ranks:         3,
+		SnapshotEvery: 1000,
+		OnSnapshot:    func(sn *Snapshot) { last = sn },
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-
-	var wg sync.WaitGroup
-	wg.Add(1)
-	clientErrs := make(chan error, 8)
-	go func() {
-		defer wg.Done()
-		cl, err := steering.Dial(s.Server.Addr())
-		if err != nil {
-			clientErrs <- err
-			return
-		}
-		defer cl.Close()
-		mid := s.Dom.Sites[s.Dom.NumSites()/2].Pos.F()
-		payload, err := cl.FetchReduced(
-			[3]float64{mid.X - 4, mid.Y - 4, mid.Z - 4},
-			[3]float64{mid.X + 4, mid.Y + 4, mid.Z + 4}, 0, 3)
-		if err != nil {
-			clientErrs <- err
-			return
-		}
-		nodes, err := octree.DecodeNodes(payload)
-		if err != nil {
-			clientErrs <- err
-			return
-		}
-		if octree.CoverCount(nodes) != s.Dom.NumSites() {
-			clientErrs <- errf("reduced cover %d sites, want %d",
-				octree.CoverCount(nodes), s.Dom.NumSites())
-		}
-		// Reduced must beat the raw field footprint (4 float64/site).
-		raw := s.Dom.NumSites() * 4 * 8
-		if len(payload) >= raw {
-			clientErrs <- errf("reduced payload %d not below raw %d", len(payload), raw)
-		}
-		if err := cl.Quit(); err != nil {
-			clientErrs <- err
-		}
-	}()
-	if err := s.Run(100000); err != nil {
+	if err := s.Run(30); err != nil {
 		t.Fatal(err)
 	}
-	wg.Wait()
-	close(clientErrs)
-	for err := range clientErrs {
-		t.Error(err)
+	if last == nil || last.Step != 30 {
+		t.Fatalf("final snapshot %+v, want one at step 30", last)
+	}
+	tree, err := last.Octree()
+	if err != nil {
+		t.Fatal(err)
+	}
+	mid := s.Dom.Sites[s.Dom.NumSites()/2].Pos.F()
+	payload, err := QueryReduced(tree, s.Dom.Dims.F(),
+		vec.New(mid.X-4, mid.Y-4, mid.Z-4),
+		vec.New(mid.X+4, mid.Y+4, mid.Z+4), 0, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nodes, err := octree.DecodeNodes(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := octree.CoverCount(nodes); got != s.Dom.NumSites() {
+		t.Errorf("reduced cover %d sites, want %d", got, s.Dom.NumSites())
+	}
+	// Reduced must beat the raw field footprint (4 float64/site).
+	if raw := s.Dom.NumSites() * 4 * 8; len(payload) >= raw {
+		t.Errorf("reduced payload %d not below raw %d", len(payload), raw)
 	}
 }

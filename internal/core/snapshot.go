@@ -44,10 +44,10 @@ func (sn *Snapshot) Octree() (*octree.Tree, error) {
 }
 
 // ReducedReply sizes the context+detail cover of an ROI from a built
-// octree — the shared §V query path behind both the in-loop steering
-// data reply and the snapshot-served HTTP data plane, which streams the
-// reply straight into its response. A zero-size box means the whole
-// domain; detail/context levels are clamped to the tree.
+// octree — the §V query path behind the snapshot-served HTTP data
+// plane, which streams the reply straight into its response. A
+// zero-size box means the whole domain; detail/context levels are
+// clamped to the tree.
 func ReducedReply(tree *octree.Tree, dims vec.V3, roiMin, roiMax vec.V3, detail, ctx int) (octree.Reply, error) {
 	if ctx >= tree.Depth() {
 		ctx = tree.Depth() - 1

@@ -126,3 +126,45 @@ func TestDemandDrivenSnapshotsPublishOnInterest(t *testing.T) {
 		t.Errorf("interest polled %d times, want 6", polls)
 	}
 }
+
+// TestStartPausedPublishesStartState: a run that starts parked
+// publishes the state it starts from before it waits for a resume —
+// nobody's interest is needed, and nothing else is published until the
+// run moves on.
+func TestStartPausedPublishesStartState(t *testing.T) {
+	ctrl := steering.NewController()
+	defer ctrl.Close()
+	published := make(chan int, 8)
+	s, err := New(Config{
+		Vessel: geometry.Pipe(16, 3), H: 1, Tau: 0.9,
+		Ranks:            2,
+		Controller:       ctrl,
+		StartPaused:      true,
+		SnapshotEvery:    8,
+		OnSnapshot:       func(sn *Snapshot) { published <- sn.Step },
+		SnapshotInterest: func() bool { return false },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	done := make(chan error, 1)
+	go func() { done <- s.Run(20) }()
+	if step := <-published; step != 0 {
+		t.Errorf("first snapshot of a start-paused run at step %d, want 0", step)
+	}
+	if rep, err := ctrl.Do(steering.ClientMsg{Op: steering.OpResume}); err != nil || rep.Error != "" {
+		t.Fatalf("resume: %v %s", err, rep.Error)
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	close(published)
+	var rest []int
+	for step := range published {
+		rest = append(rest, step)
+	}
+	if len(rest) != 1 || rest[0] != 20 {
+		t.Errorf("after the resume published at %v, want only the final one at [20]", rest)
+	}
+}

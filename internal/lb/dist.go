@@ -134,33 +134,14 @@ func (d *Dist) pack(n int) []float64 {
 // freshly allocated — published snapshots must be immutable — but the
 // transport reuses the rank-local pack buffer and the runtime pool.
 func (d *Dist) GatherFields(root int) (rho, ux, uy, uz, wss []float64) {
-	return d.gatherFields(root, true)
-}
-
-// GatherFieldsNoWSS is GatherFields without the wall-shear-stress
-// kernel and its gather stride — for consumers like the in-loop
-// steering data reply, whose octree never reads WSS.
-func (d *Dist) GatherFieldsNoWSS(root int) (rho, ux, uy, uz []float64) {
-	rho, ux, uy, uz, _ = d.gatherFields(root, false)
-	return rho, ux, uy, uz
-}
-
-func (d *Dist) gatherFields(root int, withWSS bool) (rho, ux, uy, uz, wss []float64) {
-	stride := 5
-	if withWSS {
-		stride = 6
-	}
+	const stride = 6
 	buf := d.pack(stride * d.n)
 	for li, g := range d.Owned {
 		// One moment pass per site: the WSS kernel reuses the moments
 		// density and velocity came from.
 		at := stride * li
 		buf[at] = float64(g)
-		if withWSS {
-			buf[at+1], buf[at+2], buf[at+3], buf[at+4], buf[at+5] = d.fields(li, &d.Dom.Sites[g])
-		} else {
-			buf[at+1], buf[at+2], buf[at+3], buf[at+4] = d.moments(li)
-		}
+		buf[at+1], buf[at+2], buf[at+3], buf[at+4], buf[at+5] = d.fields(li, &d.Dom.Sites[g])
 	}
 	if d.Comm.Rank() != root {
 		d.Comm.GatherConsume(root, buf, nil)
@@ -171,16 +152,11 @@ func (d *Dist) gatherFields(root int, withWSS bool) (rho, ux, uy, uz, wss []floa
 	ux = make([]float64, N)
 	uy = make([]float64, N)
 	uz = make([]float64, N)
-	if withWSS {
-		wss = make([]float64, N)
-	}
+	wss = make([]float64, N)
 	d.Comm.GatherConsume(root, buf, func(_ int, p []float64) {
 		for i := 0; i+stride-1 < len(p); i += stride {
 			g := int(p[i])
-			rho[g], ux[g], uy[g], uz[g] = p[i+1], p[i+2], p[i+3], p[i+4]
-			if withWSS {
-				wss[g] = p[i+5]
-			}
+			rho[g], ux[g], uy[g], uz[g], wss[g] = p[i+1], p[i+2], p[i+3], p[i+4], p[i+5]
 		}
 	})
 	return rho, ux, uy, uz, wss

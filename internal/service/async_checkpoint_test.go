@@ -146,7 +146,7 @@ func TestZeroSubscriberJobSkipsSnapshotGathers(t *testing.T) {
 	metrics := &Metrics{}
 	mgr := NewManagerOpts(Options{Workers: 1, QueueCap: 2, Metrics: metrics})
 	defer mgr.Close()
-	j, err := mgr.Submit(JobSpec{Preset: "pipe", Steps: 400, VizEvery: -1, SnapshotEvery: 2})
+	j, err := mgr.Submit(JobSpec{Preset: "pipe", Steps: 400, SnapshotEvery: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func TestZeroSubscriberJobSkipsSnapshotGathers(t *testing.T) {
 func TestDataServedFromSnapshotAfterTermination(t *testing.T) {
 	mgr := NewManagerOpts(Options{Workers: 1, QueueCap: 2})
 	defer mgr.Close()
-	j, err := mgr.Submit(JobSpec{Preset: "pipe", Steps: 60, VizEvery: -1, SnapshotEvery: 4})
+	j, err := mgr.Submit(JobSpec{Preset: "pipe", Steps: 60, SnapshotEvery: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

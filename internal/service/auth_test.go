@@ -200,7 +200,7 @@ func testAdmissionBurst(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < submits; i++ {
-				j, err := mgr.SubmitAs(tenant, JobSpec{Preset: "pipe", Steps: 32, VizEvery: -1})
+				j, err := mgr.SubmitAs(tenant, JobSpec{Preset: "pipe", Steps: 32})
 				mu.Lock()
 				switch {
 				case err == nil:

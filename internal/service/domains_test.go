@@ -93,7 +93,7 @@ func TestDomainCacheSingleFlight(t *testing.T) {
 	t.Cleanup(goroutineBaseline(t))
 	m := NewManagerOpts(Options{Workers: 2, QueueCap: 4})
 	defer m.Close()
-	spec := JobSpec{Preset: "Aneurysm", Steps: 48, VizEvery: -1, PulseAmp: 0.01, PulsePeriod: 20}
+	spec := JobSpec{Preset: "Aneurysm", Steps: 48, PulseAmp: 0.01, PulsePeriod: 20}
 	var jobs [2]*Job
 	var wg sync.WaitGroup
 	for i := range jobs {
@@ -114,7 +114,7 @@ func TestDomainCacheSingleFlight(t *testing.T) {
 	for _, j := range jobs {
 		sameFields(t, j.ID, finalFields(t, j), want)
 	}
-	if jobs[0].sim.Dom != jobs[1].sim.Dom {
+	if finalFields(t, jobs[0]).Dom != finalFields(t, jobs[1]).Dom {
 		t.Error("the two jobs run on different Domain values")
 	}
 	if miss, hit := m.metrics.DomainCacheMiss.Load(), m.metrics.DomainCacheHits.Load(); miss != 1 || hit != 1 {
@@ -142,7 +142,7 @@ func TestSharedDomainIsolation(t *testing.T) {
 	t.Cleanup(goroutineBaseline(t))
 	m := NewManagerOpts(Options{Workers: 3, QueueCap: 4})
 	defer m.Close()
-	quiet := JobSpec{Preset: "bifurcation", Steps: 4000, VizEvery: -1}
+	quiet := JobSpec{Preset: "bifurcation", Steps: 4000}
 	busy := quiet
 	busy.Steps = 4_000_000
 	control, err := m.Submit(quiet)
@@ -158,7 +158,14 @@ func TestSharedDomainIsolation(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, "siblings stepping", func() bool { return control.Step() > 0 && steered.Step() > 0 && doomed.Step() > 0 })
-	if steered.sim.Dom != control.sim.Dom || doomed.sim.Dom != control.sim.Dom {
+	domainOf := func(j *Job) *geometry.Domain {
+		snap, err := m.freshSnapshot(j)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return snap.Field.Dom
+	}
+	if domainOf(steered) != domainOf(control) || domainOf(doomed) != domainOf(control) {
 		t.Fatal("the three jobs do not share one Domain")
 	}
 	if err := m.Steer(steered, steering.ClientMsg{Op: steering.OpSetIolet, Iolet: 0, Density: 1.03}); err != nil {
@@ -286,7 +293,7 @@ func TestDerivedBound(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		// Seeds 1..3 and ranks 1..3 in step: 9 configurations, each
 		// coming back several times, never twice in a row.
-		j, err := m.Submit(JobSpec{Preset: "pipe", Steps: 24, VizEvery: -1, Ranks: 1 + i%3, Seed: int64(1 + i/3%3)})
+		j, err := m.Submit(JobSpec{Preset: "pipe", Steps: 24, Ranks: 1 + i%3, Seed: int64(1 + i/3%3)})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,8 @@
 package service
 
 import (
+	"bytes"
+	"net/http"
 	"os"
 	"path/filepath"
 	"testing"
@@ -15,7 +17,7 @@ import (
 func durableSpec(steps int) JobSpec {
 	return JobSpec{
 		Preset: "pipe", Steps: steps, Ranks: 2,
-		VizEvery: -1, SnapshotEvery: 500, CheckpointEvery: 32,
+		SnapshotEvery: 500, CheckpointEvery: 32,
 	}
 }
 
@@ -373,5 +375,63 @@ func TestDoneJobsSurviveAsHistory(t *testing.T) {
 	}
 	if fresh.ID == j1.ID {
 		t.Errorf("new submission reused journaled ID %s", fresh.ID)
+	}
+}
+
+// TestRecoveredPausedJobServesFrames: a job that was paused when the
+// daemon stopped comes back parked before its first step, and a parked
+// solver publishes nothing on demand — so the run publishes the
+// restored state once on the way in, and /frame and /data answer from
+// it, at the checkpoint step, without anybody resuming the job.
+func TestRecoveredPausedJobServesFrames(t *testing.T) {
+	t.Cleanup(goroutineBaseline(t))
+	dir := t.TempDir()
+	spec := durableSpec(2_000_000)
+
+	st1 := openStore(t, dir)
+	mgr1 := NewManagerOpts(Options{Workers: 1, QueueCap: 4, Store: st1})
+	j1, err := mgr1.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitCheckpoint(t, st1, j1.ID)
+	if err := mgr1.Pause(j1); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "paused record durable", func() bool {
+		rec, err := st1.State(j1.ID)
+		return err == nil && rec.Paused
+	})
+	mgr1.Close()
+
+	srv := NewServer(NewManagerOpts(Options{Workers: 1, QueueCap: 4, Store: openStore(t, dir)}))
+	if err := srv.Start("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	defer ctxShutdown(t, srv)
+	base := "http://" + srv.Addr() + "/api/v1/jobs/" + j1.ID
+	j2, err := srv.mgr.Get(j1.ID)
+	if err != nil {
+		t.Fatalf("job not recovered: %v", err)
+	}
+	waitFor(t, "recovered job paused", func() bool { return j2.State() == StatePaused })
+	ckptStep := j2.Info().ResumedFromStep
+	if ckptStep <= 0 {
+		t.Fatalf("recovered job resumed from step %d, want a checkpoint", ckptStep)
+	}
+
+	code, png := httpGetRaw(t, base+"/frame?w=48&h=36")
+	if code != http.StatusOK || !bytes.HasPrefix(png, []byte{0x89, 'P', 'N', 'G'}) {
+		t.Errorf("frame of a recovered paused job: status %d, %d bytes (%.80s)", code, len(png), png)
+	}
+	code, payload := httpGetRaw(t, base+"/data?min=0,0,0&max=999,999,999")
+	if code != http.StatusOK || len(payload) == 0 {
+		t.Errorf("data of a recovered paused job: status %d, %d bytes (%.80s)", code, len(payload), payload)
+	}
+	if snap, _ := j2.LatestSnapshot(); snap == nil || snap.Step != ckptStep {
+		t.Errorf("served from snapshot %+v, want the restored state at step %d", snap, ckptStep)
+	}
+	if st, step := j2.State(), j2.Step(); st != StatePaused || step != ckptStep {
+		t.Errorf("job is %s at step %d after serving, want still paused at %d", st, step, ckptStep)
 	}
 }

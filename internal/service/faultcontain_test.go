@@ -17,7 +17,7 @@ import (
 // suite: deterministic, snapshots on so final fields compare
 // bit-exactly, short enough to run many jobs per test.
 func quarantineSpec(steps int) JobSpec {
-	return JobSpec{Preset: "pipe", Steps: steps, VizEvery: -1, SnapshotEvery: steps}
+	return JobSpec{Preset: "pipe", Steps: steps, SnapshotEvery: steps}
 }
 
 // hasEvent reports whether the job's flight recorder holds an event of
@@ -294,7 +294,7 @@ func TestRetentionGC(t *testing.T) {
 
 	var last *Job
 	for i := 0; i < 3; i++ {
-		j, err := mgr.Submit(JobSpec{Preset: "pipe", Steps: 64, VizEvery: -1})
+		j, err := mgr.Submit(JobSpec{Preset: "pipe", Steps: 64})
 		if err != nil {
 			t.Fatal(err)
 		}

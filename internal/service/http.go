@@ -224,7 +224,7 @@ func writeErr(w http.ResponseWriter, err error) {
 	case errors.Is(err, ErrClosed), errors.Is(err, ErrResumeAborted):
 		code = http.StatusServiceUnavailable
 	case errors.Is(err, ErrNotRunning), errors.Is(err, ErrFinished),
-		errors.Is(err, ErrNoStream), errors.Is(err, steering.ErrClosed):
+		errors.Is(err, ErrNoSnapshot), errors.Is(err, steering.ErrClosed):
 		// steering.ErrClosed surfaces when a job reaches a terminal
 		// state between the handler's state check and the op — the
 		// request was fine, the job is just gone.

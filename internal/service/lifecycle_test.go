@@ -171,7 +171,7 @@ func TestDoubleResume(t *testing.T) {
 func TestSubmitAfterShutdown(t *testing.T) {
 	checkLeaks := goroutineBaseline(t)
 	mgr := NewManagerOpts(Options{Workers: 1, QueueCap: 4})
-	j, err := mgr.Submit(JobSpec{Preset: "pipe", Steps: 2000000, VizEvery: -1})
+	j, err := mgr.Submit(JobSpec{Preset: "pipe", Steps: 2000000})
 	if err != nil {
 		t.Fatal(err)
 	}

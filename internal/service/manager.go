@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"io/fs"
 	"log/slog"
 	"sort"
@@ -22,7 +21,6 @@ import (
 	"repro/internal/lattice"
 	"repro/internal/obs"
 	"repro/internal/octree"
-	"repro/internal/render"
 	"repro/internal/service/store"
 	"repro/internal/steering"
 	"repro/internal/vec"
@@ -87,9 +85,11 @@ var (
 	ErrNotFound   = fmt.Errorf("service: no such job")
 	ErrNotRunning = fmt.Errorf("service: job is not running")
 	ErrFinished   = fmt.Errorf("service: job already finished")
-	// ErrNoStream marks jobs that were submitted with snapshots
-	// disabled and therefore cannot feed the push stream.
-	ErrNoStream = fmt.Errorf("service: snapshots disabled for this job; no stream available")
+	// ErrNoSnapshot marks a job with nothing to serve pixels or octrees
+	// from: it was submitted with snapshots disabled, or it ended (in
+	// this daemon's lifetime) before publishing one. /frame, /data and
+	// /stream all answer it.
+	ErrNoSnapshot = fmt.Errorf("service: no snapshot to serve this job from (snapshot_every is -1, or none was published)")
 	// ErrResumeAborted reports a Resume whose wait for a free worker
 	// slot was cut short by the caller's context.
 	ErrResumeAborted = fmt.Errorf("service: resume aborted")
@@ -124,7 +124,6 @@ type Job struct {
 	mu       sync.Mutex
 	state    JobState
 	errMsg   string
-	sim      *core.Simulation
 	numSites int
 	created  time.Time
 	started  time.Time
@@ -217,37 +216,39 @@ func (j *Job) wantSnapshot() { j.snapWant.Store(true) }
 // demand-driven publication before settling for whatever exists.
 const snapFreshWait = 10 * time.Second
 
-// freshSnapshot returns the job's latest snapshot for request serving,
-// registering demand and waiting (bounded) for a publication when the
-// newest one lags a running solver by more than one cadence — with
+// freshSnapshot returns the job's latest snapshot for request serving
+// — the one source of pixels and octrees — registering demand and
+// waiting (bounded) for a publication when there is none yet or the
+// newest one lags a running solver by more than one cadence: with
 // demand-driven publication, a stale snapshot is refreshed by the
 // request, not by a timer, so pollers keep the same ≤one-cadence
 // staleness the fixed schedule gave them. Paused and terminal jobs
-// answer immediately: the solver publishes on pause entry and at run
-// end, so their latest snapshot already is the current state. Returns
-// nil when the job has snapshots disabled (or none was ever
-// published), sending the caller to the legacy in-loop path.
-func (m *Manager) freshSnapshot(j *Job) *core.Snapshot {
-	every := j.Spec.SnapshotEvery
-	if every <= 0 {
-		return nil
+// answer immediately: the solver publishes on entering a pause (a
+// start-paused run included) and at run end, so their latest snapshot
+// already is the current state. ErrNoSnapshot when the spec disabled
+// snapshots or the job ended without ever publishing one.
+func (m *Manager) freshSnapshot(j *Job) (*core.Snapshot, error) {
+	if !j.Spec.SnapshotsEnabled() {
+		return nil, ErrNoSnapshot
 	}
 	deadline := time.NewTimer(snapFreshWait)
 	defer deadline.Stop()
 	for {
 		snap, newer := j.LatestSnapshot()
-		if j.State() != StateRunning {
-			return snap
+		st := j.State()
+		fresh := snap != nil && (st != StateRunning || j.Step() < snap.Step+j.Spec.SnapshotEvery)
+		if !fresh && !st.Terminal() {
+			j.wantSnapshot()
+			select {
+			case <-newer:
+				continue
+			case <-deadline.C: // settle for whatever exists
+			}
 		}
-		if snap != nil && j.Step() < snap.Step+every {
-			return snap
+		if snap == nil {
+			return nil, ErrNoSnapshot
 		}
-		j.wantSnapshot()
-		select {
-		case <-newer:
-		case <-deadline.C:
-			return snap
-		}
+		return snap, nil
 	}
 }
 
@@ -1395,7 +1396,6 @@ func (m *Manager) run(j *Job) {
 	pre := time.Since(preStart)
 	m.metrics.Preprocess.Observe(pre.Nanoseconds())
 	j.mu.Lock()
-	j.sim = sim
 	j.numSites = sim.Dom.NumSites()
 	resumeStep = j.resumeStep
 	j.mu.Unlock()
@@ -1903,113 +1903,56 @@ func (m *Manager) Status(j *Job) (*steering.Status, error) {
 	return rep.Status, nil
 }
 
-// DataReply is a /data answer not yet written: Size bytes, produced by
-// WriteTo.
-type DataReply interface {
-	Size() int
-	io.WriterTo
-}
-
-// rawReply is a reply that arrived as one message.
-type rawReply []byte
-
-func (r rawReply) Size() int { return len(r) }
-func (r rawReply) WriteTo(w io.Writer) (int64, error) {
-	n, err := w.Write(r)
-	return int64(n), err
-}
-
-// Data fetches the §V reduced octree representation for an ROI.
-// Snapshot-capable jobs answer from the latest published snapshot
-// through the per-job octree memo — no solver-loop collective, and the
-// data plane keeps working while paused and after termination; the
-// reply is encoded as it is written, so a query holds no buffer of its
-// size. Jobs without a snapshot yet (or with snapshots disabled) fall
-// back to the legacy in-loop steering round-trip, whose reply is the
-// steering message's bytes.
-func (m *Manager) Data(j *Job, roiMin, roiMax [3]float64, detail, context int) (DataReply, error) {
+// Data fetches the §V reduced octree representation for an ROI from
+// the job's latest snapshot through the per-job octree memo — no
+// solver-loop collective, and the data plane keeps working while paused
+// and after termination. The reply is encoded as it is written, so a
+// query holds no buffer of its size.
+func (m *Manager) Data(j *Job, roiMin, roiMax [3]float64, detail, context int) (octree.Reply, error) {
 	m.metrics.DataRequests.Add(1)
 	if j.State() == StateQueued {
-		return nil, ErrNotRunning
+		return octree.Reply{}, ErrNotRunning
 	}
-	if snap := m.freshSnapshot(j); snap != nil {
-		tree, err := j.octreeFor(snap)
-		if err != nil {
-			return nil, err
-		}
-		dom := snap.Field.Dom
-		return core.ReducedReply(tree, dom.Dims.F(),
-			vec.New(roiMin[0], roiMin[1], roiMin[2]),
-			vec.New(roiMax[0], roiMax[1], roiMax[2]), detail, context)
-	}
-	rep, err := m.do(j, steering.ClientMsg{
-		Op: steering.OpData, ROIMin: roiMin, ROIMax: roiMax,
-		Detail: detail, Context: context,
-	})
+	snap, err := m.freshSnapshot(j)
 	if err != nil {
-		return nil, err
+		return octree.Reply{}, err
 	}
-	return rawReply(rep.Nodes), nil
+	tree, err := j.octreeFor(snap)
+	if err != nil {
+		return octree.Reply{}, err
+	}
+	return core.ReducedReply(tree, snap.Field.Dom.Dims.F(),
+		vec.New(roiMin[0], roiMin[1], roiMin[2]),
+		vec.New(roiMax[0], roiMax[1], roiMax[2]), detail, context)
 }
 
-// Frame produces the current frame for a request through the shared
-// cache. Jobs with snapshots render on the pool, outside the solver
-// loop — that path also works while paused and after termination,
-// straight from the last published snapshot. Jobs without snapshots
-// fall back to the legacy in-loop steering render.
+// Frame produces the current frame for a request. Pollers drive
+// publication: the request registers demand and waits for a
+// ≤one-cadence-fresh snapshot — idle jobs publish nothing between
+// requests — and the frame is rendered from it on the pool, outside the
+// solver loop, which is why it also works while paused and after
+// termination.
 func (m *Manager) Frame(j *Job, req insitu.Request) ([]byte, int, int, error) {
-	if st := j.State(); st == StateQueued {
+	if j.State() == StateQueued {
 		return nil, 0, 0, ErrNotRunning
 	}
-	// Pollers drive publication now: the request registers demand and
-	// waits for a ≤one-cadence-fresh snapshot — idle jobs publish
-	// nothing between requests.
-	if snap := m.freshSnapshot(j); snap != nil {
-		return m.frameFromSnapshot(j, snap, req)
+	snap, err := m.freshSnapshot(j)
+	if err != nil {
+		return nil, 0, 0, err
 	}
-	step := j.Step()
-	return m.cache.Get(j.ID, frameKey(j.ID, req), step, func() ([]byte, int, int, error) {
-		return m.renderFrame(j, req)
-	})
+	return m.frameFromSnapshot(j, snap, req)
 }
 
 // frameFromSnapshot renders one (view, step) through cache
 // single-flight and the render pool: N concurrent consumers of the
 // same view pay for exactly one render, executed off the solver loop.
+// Frame serves the freshest snapshot through it; a stream pump, each
+// snapshot it follows.
 func (m *Manager) frameFromSnapshot(j *Job, snap *core.Snapshot, req insitu.Request) ([]byte, int, int, error) {
 	return m.cache.Get(j.ID, frameKey(j.ID, req), snap.Step, func() ([]byte, int, int, error) {
 		m.metrics.RendersTotal.Add(1)
 		return m.pool.Render(snap, req)
 	})
-}
-
-// renderFrame is the legacy render path inside the solver loop (a
-// steering OpImage round trip), kept for jobs that disabled snapshots;
-// for a finished one it serves the final in situ frame.
-func (m *Manager) renderFrame(j *Job, req insitu.Request) ([]byte, int, int, error) {
-	m.metrics.RendersTotal.Add(1)
-	st := j.State()
-	if st.Terminal() {
-		j.mu.Lock()
-		sim := j.sim
-		j.mu.Unlock()
-		if sim == nil || sim.LastImage == nil {
-			return nil, 0, 0, fmt.Errorf("%w: no frame recorded for finished job", ErrFinished)
-		}
-		png, err := render.EncodePNGBytes(sim.LastImage)
-		if err != nil {
-			return nil, 0, 0, err
-		}
-		return png, sim.LastImage.W, sim.LastImage.H, nil
-	}
-	rep, err := m.do(j, steering.ClientMsg{Op: steering.OpImage, Request: &req})
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	if len(rep.PNG) == 0 {
-		return nil, 0, 0, fmt.Errorf("%w: render produced no image", ErrInternal)
-	}
-	return rep.PNG, rep.W, rep.H, nil
 }
 
 // Close stops accepting jobs, cancels everything in flight, waits for

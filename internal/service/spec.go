@@ -12,9 +12,7 @@ import (
 	"strings"
 
 	"repro/internal/core"
-	"repro/internal/field"
 	"repro/internal/geometry"
-	"repro/internal/insitu"
 	"repro/internal/partition"
 )
 
@@ -39,15 +37,16 @@ type JobSpec struct {
 	Steps int `json:"steps"`
 	// Method selects the partitioner (default multilevel).
 	Method string `json:"method,omitempty"`
-	// VizEvery renders an unattended in situ frame every N steps.
-	// 0 (or omitted) means the default of 16; -1 disables unattended
-	// rendering entirely (on-demand frame requests still work while
-	// the job runs).
+	// VizEvery is deprecated and ignored: a daemon job never renders
+	// inside the solver loop — frames are rendered on demand from
+	// snapshots. The field is still parsed so existing specs keep
+	// decoding.
 	VizEvery int `json:"viz_every,omitempty"`
 	// SnapshotEvery publishes an immutable field snapshot every N
-	// steps, feeding the render pool and the /stream fan-out. 0 (or
-	// omitted) means the default of 16; -1 disables snapshots — frames
-	// then render inside the solver loop via the steering path.
+	// steps — the job's only source of pixels and octrees, feeding
+	// /frame, /data and the /stream fan-out. 0 (or omitted) means the
+	// default of 16; -1 disables snapshots, and those three endpoints
+	// then answer 409 (ErrNoSnapshot).
 	SnapshotEvery int `json:"snapshot_every,omitempty"`
 	// CheckpointEvery writes a durable solver checkpoint every N steps
 	// when the daemon runs with a data dir. 0 (or omitted) means the
@@ -82,9 +81,6 @@ func (sp JobSpec) withDefaults() JobSpec {
 	}
 	if sp.Method == "" {
 		sp.Method = string(partition.MethodMultilevel)
-	}
-	if sp.VizEvery == 0 {
-		sp.VizEvery = 16
 	}
 	if sp.SnapshotEvery == 0 {
 		sp.SnapshotEvery = 16
@@ -167,12 +163,6 @@ func (sp JobSpec) coreConfig() (core.Config, error) {
 	if err != nil {
 		return core.Config{}, err
 	}
-	req := insitu.DefaultRequest()
-	req.Scalar = field.ScalarSpeed
-	vizEvery := sp.VizEvery
-	if vizEvery < 0 {
-		vizEvery = 0 // core semantics: 0 disables
-	}
 	snapEvery := sp.SnapshotEvery
 	if snapEvery < 0 {
 		snapEvery = 0 // core semantics: 0 disables
@@ -184,9 +174,7 @@ func (sp JobSpec) coreConfig() (core.Config, error) {
 		Ranks:         sp.Ranks,
 		Threads:       sp.Threads,
 		Method:        partition.Method(sp.Method),
-		VizEvery:      vizEvery,
 		SnapshotEvery: snapEvery,
-		VizRequest:    req,
 		PulseAmp:      sp.PulseAmp,
 		PulsePeriod:   sp.PulsePeriod,
 		Seed:          sp.Seed,

@@ -5,6 +5,7 @@ import (
 	"math"
 	"strings"
 	"testing"
+	"time"
 )
 
 // TestValidateRejectsNonFiniteFloats pins the finiteness fix: NaN
@@ -32,6 +33,63 @@ func TestValidateRejectsNonFiniteFloats(t *testing.T) {
 		} else if !strings.Contains(err.Error(), "finite") {
 			t.Errorf("%s: wrong rejection: %v", name, err)
 		}
+	}
+}
+
+// TestCoreConfigNeverRendersInLoop: viz_every is parsed and inert — no
+// spec value reaches the solver, so a daemon job never renders inside
+// its step loop.
+func TestCoreConfigNeverRendersInLoop(t *testing.T) {
+	for _, v := range []int{-1, 0, 8} {
+		cfg, err := JobSpec{Preset: "pipe", Steps: 10, VizEvery: v}.coreConfig()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cfg.VizEvery != 0 {
+			t.Errorf("viz_every %d reached the solver as VizEvery %d, want 0", v, cfg.VizEvery)
+		}
+	}
+}
+
+// BenchmarkDefaultSpecJob times started→finished of a 400-step pipe job
+// submitted with the documented minimal spec against the same job with
+// viz_every -1, alternating on one Manager (warm domain cache). The two
+// used to differ by the frames the default spec rendered inside the
+// solver loop for nobody; now they are the same job, and neither
+// renders anything.
+func BenchmarkDefaultSpecJob(b *testing.B) {
+	m := NewManagerOpts(Options{Workers: 1, QueueCap: 4})
+	defer m.Close()
+	run := func(spec JobSpec) time.Duration {
+		j, err := m.Submit(spec)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for !j.State().Terminal() {
+			time.Sleep(200 * time.Microsecond)
+		}
+		j.mu.Lock()
+		defer j.mu.Unlock()
+		if j.state != StateDone {
+			b.Fatalf("%s ended %s: %s", j.ID, j.state, j.errMsg)
+		}
+		return j.finished.Sub(j.started)
+	}
+	def := JobSpec{Preset: "pipe", Steps: 400}
+	off := def
+	off.VizEvery = -1
+	run(def) // voxelise and plan once, outside the timings
+	b.ResetTimer()
+	var defNs, offNs time.Duration
+	for i := 0; i < b.N; i++ {
+		defNs += run(def)
+		offNs += run(off)
+	}
+	b.ReportMetric(float64(defNs.Microseconds())/1e3/float64(b.N), "default-ms/job")
+	b.ReportMetric(float64(offNs.Microseconds())/1e3/float64(b.N), "vizoff-ms/job")
+	b.ReportMetric(float64(defNs)/float64(offNs), "default/vizoff")
+	if n := m.metrics.RendersTotal.Load() + m.metrics.RenderLatency.Count(); n != 0 {
+		b.Errorf("%d renders for jobs nobody asked a frame of", n)
 	}
 }
 

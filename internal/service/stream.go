@@ -210,7 +210,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if !j.Spec.SnapshotsEnabled() {
-		writeErr(w, ErrNoStream)
+		writeErr(w, ErrNoSnapshot)
 		return
 	}
 	fl, canFlush := w.(http.Flusher)

@@ -319,14 +319,47 @@ func TestStreamEndsOnTerminal(t *testing.T) {
 		t.Errorf("frame after done: status %d, %d bytes", code, len(png))
 	}
 
-	// A job with snapshots disabled cannot stream: explicit conflict.
-	off := submit(t, base, `{"preset":"pipe","steps":2000000,"viz_every":-1,"snapshot_every":-1}`)
-	waitState(t, base, off.ID, StateRunning)
-	code, body := httpGetRaw(t, base+"/api/v1/jobs/"+off.ID+"/stream")
-	if code != http.StatusConflict {
-		t.Errorf("stream with snapshots off: status %d (%s), want 409", code, body)
-	}
+	ctxShutdown(t, srv)
+}
 
+// TestSnapshotsOffAnswers409: snapshots are the only source of pixels
+// and octrees, so a job submitted with snapshot_every -1 answers
+// /frame, /data and /stream with one and the same conflict, whatever
+// state it is in — there is no second path that would serve a running
+// job and not a finished one.
+func TestSnapshotsOffAnswers409(t *testing.T) {
+	srv, base := startServer(t, 1, 4)
+	id := submit(t, base, `{"preset":"pipe","steps":2000000,"snapshot_every":-1}`).ID
+	job := base + "/api/v1/jobs/" + id
+	want, err := json.Marshal(map[string]string{"error": ErrNoSnapshot.Error()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, leg := range []struct {
+		state  JobState
+		method string
+		url    string
+	}{
+		{StateRunning, "", ""},
+		{StatePaused, "POST", job + "/pause"},
+		{StateCancelled, "DELETE", job},
+	} {
+		if leg.method != "" {
+			if code := httpJSON(t, leg.method, leg.url, "", nil); code != http.StatusOK {
+				t.Fatalf("%s %s: status %d", leg.method, leg.url, code)
+			}
+		}
+		waitState(t, base, id, leg.state)
+		for _, endpoint := range []string{"/frame?w=48&h=36", "/data?min=0,0,0&max=999,999,999", "/stream"} {
+			code, body := httpGetRaw(t, job+endpoint)
+			if code != http.StatusConflict || strings.TrimSpace(string(body)) != string(want) {
+				t.Errorf("%s job, GET %s: status %d body %s; want 409 %s", leg.state, endpoint, code, body, want)
+			}
+		}
+	}
+	if n := srv.mgr.metrics.RendersTotal.Load(); n != 0 {
+		t.Errorf("%d renders for a job with nothing to render from", n)
+	}
 	ctxShutdown(t, srv)
 }
 
@@ -424,8 +457,9 @@ func TestRenderOffloadKeepsSolverPace(t *testing.T) {
 		t.Errorf("streaming doubled the cost of a step: %.0f -> %.0f ns", quiet, streaming)
 	}
 
-	// An in-loop render (renderFrame: a steering OpImage answered inside
-	// the solver loop) counts a render the pool never sees.
+	// Every frame comes off the pool: a render counted anywhere else —
+	// one answered inside the solver loop, say — is a render the pool's
+	// latency histogram never sees.
 	cancel()
 	mm := srv.mgr.metrics
 	waitFor(t, "every counted render to be a pool render", func() bool {

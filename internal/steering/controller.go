@@ -13,7 +13,6 @@ var ErrClosed = errors.New("steering: controller closed")
 // knownOps is the closed set of request verbs a Controller accepts.
 var knownOps = map[string]bool{
 	OpImage:    true,
-	OpData:     true,
 	OpStatus:   true,
 	OpSetIolet: true,
 	OpSetROI:   true,

@@ -22,7 +22,6 @@ import (
 // Op codes of client requests.
 const (
 	OpImage    = "image"
-	OpData     = "data" // reduced multi-resolution field data (§V)
 	OpStatus   = "status"
 	OpSetIolet = "set-iolet"
 	OpSetROI   = "set-roi"
@@ -73,9 +72,6 @@ type ServerMsg struct {
 	W   int    `json:"w,omitempty"`
 	H   int    `json:"h,omitempty"`
 	PNG []byte `json:"png,omitempty"`
-	// Data reply: an octree.EncodeNodes stream of the requested
-	// reduced field representation.
-	Nodes []byte `json:"nodes,omitempty"`
 	// Status reply.
 	Status *Status `json:"status,omitempty"`
 }
@@ -350,20 +346,6 @@ func (c *Client) Status() (Status, error) {
 func (c *Client) SetIoletDensity(iolet int, density float64) error {
 	_, err := c.roundTrip(ClientMsg{Op: OpSetIolet, Iolet: iolet, Density: density})
 	return err
-}
-
-// FetchReduced requests the multi-resolution field representation for
-// a region of interest: full detail inside [min, max] (lattice
-// coordinates), context level elsewhere. This is §V's alternative to
-// shipping raw fields; the caller decodes with octree.DecodeNodes.
-func (c *Client) FetchReduced(min, max [3]float64, detail, context int) ([]byte, error) {
-	rep, err := c.roundTrip(ClientMsg{
-		Op: OpData, ROIMin: min, ROIMax: max, Detail: detail, Context: context,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return rep.Nodes, nil
 }
 
 // SetROI narrows post-processing to a region of interest.
