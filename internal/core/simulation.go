@@ -91,13 +91,15 @@ type Config struct {
 	// false answers back the polling off to up to 8× SnapshotEvery —
 	// a job nobody watches does no snapshot work at all. Rank 0
 	// broadcasts each decision, so the skip stays collective. During
-	// back-off the hook is additionally probed at each steering
-	// boundary (riding the command broadcast that happens anyway), so
-	// a viewer returning to a long-idle job pulls publication forward
-	// instead of waiting out the back-off. The final end-of-run
-	// snapshot is still published unconditionally: late joiners (and
-	// post-mortem frame requests) always find the end state. Nil
-	// preserves the fixed-cadence behaviour.
+	// back-off, and until the run's first publication, the hook is
+	// additionally probed at each steering boundary (riding the command
+	// broadcast that happens anyway), so a viewer returning to a
+	// long-idle job, or waiting for a job to start, pulls publication
+	// forward instead of waiting out the back-off or the first cadence
+	// (the first boundary follows the run's first step). The final
+	// end-of-run snapshot is still published unconditionally: late
+	// joiners (and post-mortem frame requests) always find the end
+	// state. Nil preserves the fixed-cadence behaviour.
 	SnapshotInterest func() bool
 	// Checkpoint, when set together with CheckpointEvery > 0, receives
 	// on rank 0 the gathered solver state every CheckpointEvery steps.
@@ -509,13 +511,16 @@ func (s *Simulation) Run(totalSteps int) error {
 				if vizDue {
 					cmd[0] = 1
 				}
-				// While snapshot checks are backed off, piggyback a
-				// demand probe on this boundary's existing broadcast: a
-				// viewer returning to a long-idle job pulls publication
+				// While snapshot checks are backed off, or nothing has
+				// been published yet, piggyback a demand probe on this
+				// boundary's existing broadcast: a viewer returning to a
+				// long-idle job, or already waiting when the run starts
+				// (its first boundary follows step 1), pulls publication
 				// forward to the next steering boundary instead of
-				// waiting out the back-off, at zero extra collectives.
+				// waiting out the back-off or the first cadence, at zero
+				// extra collectives.
 				if snapEnabled && cfg.SnapshotInterest != nil && !paused &&
-					nextSnapCheck > d.StepCount()+cfg.SnapshotEvery && cfg.SnapshotInterest() {
+					(lastSnapStep < 0 || nextSnapCheck > d.StepCount()+cfg.SnapshotEvery) && cfg.SnapshotInterest() {
 					cmd[13] = 1
 				}
 				if s.Ctrl != nil {
@@ -624,8 +629,8 @@ func (s *Simulation) Run(totalSteps int) error {
 				paused = false
 			}
 			if cmd[13] == 1 && d.StepCount() != lastSnapStep {
-				// Demand probe hit during back-off: publish now and
-				// fall back to the base cadence.
+				// Demand probe hit: publish now and restart the base
+				// cadence from here.
 				publish()
 			}
 			if cmd[4] > 0 {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/geometry"
@@ -49,7 +50,7 @@ func TestDemandDrivenSnapshotsPullForwardDuringBackoff(t *testing.T) {
 	ctrl := steering.NewController()
 	defer ctrl.Close()
 	var published []int
-	interested := []bool{false, false, true}
+	interested := []bool{false, false, false, false, true}
 	polls := 0
 	s, err := New(Config{
 		Vessel: geometry.Pipe(16, 3), H: 1, Tau: 0.9,
@@ -70,11 +71,12 @@ func TestDemandDrivenSnapshotsPullForwardDuringBackoff(t *testing.T) {
 	if err := s.Run(40); err != nil {
 		t.Fatal(err)
 	}
-	// Cadence checks at 8 (no) and 24 (no) push the next check out to
-	// 56 — past the run. Steering boundaries land at completed-step
-	// counts 1, 17, 33, …; the step-33 boundary probes the latch (now
-	// set) and publishes right there, far before the backed-off check;
-	// the final state follows at 40.
+	// Steering boundaries land at completed-step counts 1, 17, 33, …
+	// and, nothing being published yet, each probes the latch: 1 (no),
+	// 17 (no). Cadence checks at 8 (no) and 24 (no) push the next check
+	// out to 56 — past the run. The step-33 boundary finds the latch set
+	// and publishes right there, far before the backed-off check; the
+	// final state follows at 40.
 	if len(published) == 0 || published[0] != 33 {
 		t.Errorf("published at %v, want the back-off pull-forward at step 33 first", published)
 	}
@@ -166,5 +168,56 @@ func TestStartPausedPublishesStartState(t *testing.T) {
 	}
 	if len(rest) != 1 || rest[0] != 20 {
 		t.Errorf("after the resume published at %v, want only the final one at [20]", rest)
+	}
+}
+
+// TestFirstViewerPullsFirstSnapshot: a viewer already waiting when the
+// run starts gets its first snapshot at the first steering boundary —
+// after step 1 — not a whole cadence later, and the cadence restarts
+// from there. An unwatched run answers a few more probes, on broadcasts
+// it makes anyway, and publishes nothing more for it.
+func TestFirstViewerPullsFirstSnapshot(t *testing.T) {
+	run := func(interested []bool) (published []int, polls int) {
+		ctrl := steering.NewController()
+		defer ctrl.Close()
+		s, err := New(Config{
+			Vessel: geometry.Pipe(16, 3), H: 1, Tau: 0.9,
+			Ranks: 2, VizEvery: 0,
+			Controller:    ctrl,
+			SnapshotEvery: 16,
+			OnSnapshot:    func(sn *Snapshot) { published = append(published, sn.Step) },
+			SnapshotInterest: func() bool {
+				want := polls < len(interested) && interested[polls]
+				polls++
+				return want
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		if err := s.Run(100); err != nil {
+			t.Fatal(err)
+		}
+		return published, polls
+	}
+
+	// Watched from before the start, and again at the next two cadence
+	// checks (17, 33); then nobody.
+	published, _ := run([]bool{true, true, true})
+	if want := []int{1, 17, 33, 100}; !slices.Equal(published, want) {
+		t.Errorf("watched run published at %v, want %v", published, want)
+	}
+
+	// Unwatched: cadence checks at 16 and 48 (the next, 4× later, is
+	// past the end) and the boundaries that probe — 1, 17 and 33 because
+	// nothing is published yet, 49, 65, 81 and 97 because the checks are
+	// backed off. Without the first-viewer probe 1 and 33 would not.
+	published, polls := run(nil)
+	if want := []int{100}; !slices.Equal(published, want) {
+		t.Errorf("unwatched run published at %v, want only the final state %v", published, want)
+	}
+	if polls != 9 {
+		t.Errorf("unwatched run polled interest %d times, want 9", polls)
 	}
 }

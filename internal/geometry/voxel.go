@@ -4,9 +4,8 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sync"
-	"sync/atomic"
 
+	"repro/internal/guard"
 	"repro/internal/lattice"
 	"repro/internal/vec"
 )
@@ -203,7 +202,7 @@ func voxelise(v *Vessel, h float64, model *lattice.Model, workers int) (*Domain,
 	// owns its planes of index and its blocks of BlockFluidCount, so
 	// the workers share nothing they write.
 	layers := make([][]int32, d.BlockDims.Z) // fluid lattice offsets, scan order
-	forChunks(len(layers), workers, func(l int) {
+	guard.ForChunks(len(layers), workers, func(l int) {
 		var fluid []int32
 		for z := l * BlockSize; z < min((l+1)*BlockSize, nz); z++ {
 			for y := 0; y < ny; y++ {
@@ -228,7 +227,7 @@ func voxelise(v *Vessel, h float64, model *lattice.Model, workers int) (*Domain,
 	}
 	d.Sites = make([]Site, n)
 	links := make([]Link, n*(model.Q-1)) // every site's Links, one allocation
-	forChunks(len(layers), workers, func(l int) {
+	guard.ForChunks(len(layers), workers, func(l int) {
 		for k, off := range layers[l] {
 			si := first[l] + k
 			p := vec.I3{X: int(off) % nx, Y: int(off) / nx % ny, Z: int(off) / (nx * ny)}
@@ -239,7 +238,7 @@ func voxelise(v *Vessel, h float64, model *lattice.Model, workers int) (*Domain,
 	})
 
 	// Pass 2: link classification.
-	forChunks((n+linkChunk-1)/linkChunk, workers, func(chunk int) {
+	guard.ForChunks((n+linkChunk-1)/linkChunk, workers, func(chunk int) {
 		for si := chunk * linkChunk; si < min((chunk+1)*linkChunk, n); si++ {
 			s := &d.Sites[si]
 			s.Links = links[si*(model.Q-1) : (si+1)*(model.Q-1) : (si+1)*(model.Q-1)]
@@ -289,33 +288,6 @@ func (d *Domain) fluidAt(p vec.V3, sign *signField) bool {
 		}
 	}
 	return sign.negative(p)
-}
-
-// forChunks calls fn(0..n-1), each index once, on up to workers
-// goroutines that claim indices from a shared cursor, and returns when
-// all calls have.
-func forChunks(n, workers int, fn func(i int)) {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // ioletCrossing tests whether the segment a->b crosses any iolet disk

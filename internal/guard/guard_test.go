@@ -4,10 +4,13 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"syscall"
 	"testing"
 	"time"
+
+	"repro/internal/leaktest"
 )
 
 func TestCapturePanic(t *testing.T) {
@@ -143,5 +146,72 @@ func TestMemWatermark(t *testing.T) {
 	}
 	if !NewMemWatermark(1).Exceeded() {
 		t.Fatal("1-byte limit must always be exceeded")
+	}
+}
+
+// TestChunkPanicSurfacesOnCaller: whichever goroutine of ForChunks a
+// panic happens on, the caller — and so a Capture around it — recovers
+// exactly the value panicked with, after every goroutine has returned.
+func TestChunkPanicSurfacesOnCaller(t *testing.T) {
+	defer leaktest.Check(t)()
+	boom := errors.New("index 7 exploded")
+	for _, workers := range []int{1, 2, 4} {
+		for round := 0; round < 50; round++ { // caller and helpers both get to claim index 7
+			var ran [64]atomic.Int32
+			err := Capture("chunks", func() error {
+				ForChunks(len(ran), workers, func(i int) {
+					ran[i].Add(1)
+					if i == 7 {
+						panic(boom)
+					}
+				})
+				return nil
+			})
+			var pe *PanicError
+			if !errors.As(err, &pe) || pe.Value != boom {
+				t.Fatalf("%d workers: got %v, want a PanicError carrying %v", workers, err, boom)
+			}
+			for i := range ran {
+				if n := ran[i].Load(); n > 1 || (i <= 7 && n != 1) {
+					t.Fatalf("%d workers: index %d ran %d times", workers, i, n)
+				}
+			}
+		}
+	}
+
+	// Every goroutine holds one index before any panics, so all but one
+	// of the panics are on helpers; the caller gets one of the values.
+	const workers = 4
+	var held sync.WaitGroup
+	held.Add(workers)
+	err := Capture("chunks", func() error {
+		ForChunks(workers, workers, func(i int) {
+			held.Done()
+			held.Wait()
+			panic(i)
+		})
+		return nil
+	})
+	var pe *PanicError
+	if !errors.As(err, &pe) {
+		t.Fatalf("got %v, want a PanicError", err)
+	}
+	if i, ok := pe.Value.(int); !ok || i < 0 || i >= workers {
+		t.Fatalf("recovered %v, want one of the indices", pe.Value)
+	}
+}
+
+// TestChunksRunEachIndexOnce at worker counts below, at and above n.
+func TestChunksRunEachIndexOnce(t *testing.T) {
+	for _, n := range []int{0, 1, 5, 100} {
+		for _, workers := range []int{0, 1, 3, 200} {
+			ran := make([]atomic.Int32, n)
+			ForChunks(n, workers, func(i int) { ran[i].Add(1) })
+			for i := range ran {
+				if ran[i].Load() != 1 {
+					t.Fatalf("n %d, %d workers: index %d ran %d times", n, workers, i, ran[i].Load())
+				}
+			}
+		}
 	}
 }

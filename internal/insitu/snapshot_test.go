@@ -2,10 +2,15 @@ package insitu
 
 import (
 	"bytes"
+	"image"
+	"image/png"
+	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/field"
 	"repro/internal/render"
+	"repro/internal/viz"
 )
 
 // TestFrameBuffersMatchFreshRender: a worker's reused buffers give, for
@@ -50,5 +55,51 @@ func TestFrameBuffersMatchFreshRender(t *testing.T) {
 	}
 	if _, _, _, err := bufs.FramePNG(nil, DefaultRequest()); err == nil {
 		t.Error("nil snapshot accepted")
+	}
+}
+
+// TestFramePNGBytesStable: the frame a render worker returns is, byte
+// for byte, the PNG of the one-goroutine render flattened pixel by pixel
+// over black — whatever GOMAXPROCS the row parcels were cast on, and
+// with the encoder's background shortcut.
+func TestFramePNGBytesStable(t *testing.T) {
+	p := NewPipeline(liveSolver(t, 120))
+	if _, err := p.Run(DefaultRequest()); err != nil {
+		t.Fatal(err)
+	}
+	f := p.Field()
+	req := DefaultRequest()
+	req.W, req.H = 64, 50
+
+	serial, err := viz.RenderVolume(f, viz.VolumeOptions{W: req.W, H: req.H, Camera: CameraFor(f.Dom.Dims, req),
+		TF: render.BlueRed(0, f.MaxScalar(req.Scalar)), Scalar: req.Scalar})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if serial.CoveredFraction() == 0 {
+		t.Fatal("the reference frame is blank")
+	}
+	ref := image.NewRGBA(image.Rect(0, 0, req.W, req.H))
+	q := func(x float64) uint8 { return uint8(math.Min(math.Max(x, 0), 1)*255 + 0.5) }
+	for i, px := range serial.Pix {
+		c := px.Over(render.RGBA{A: 1})
+		ref.Pix[4*i], ref.Pix[4*i+1], ref.Pix[4*i+2], ref.Pix[4*i+3] = q(c.R), q(c.G), q(c.B), 255
+	}
+	var want bytes.Buffer
+	if err := png.Encode(&want, ref); err != nil {
+		t.Fatal(err)
+	}
+
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	var bufs FrameBuffers
+	for _, procs := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(procs)
+		got, _, _, err := bufs.FramePNG(f, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want.Bytes()) {
+			t.Errorf("GOMAXPROCS %d: %d PNG bytes differ from the reference's %d", procs, len(got), want.Len())
+		}
 	}
 }

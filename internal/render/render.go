@@ -210,8 +210,10 @@ func (e *PNGEncoder) encodeTo(w io.Writer, im *Image) error {
 	e.rgba.Pix, e.rgba.Stride, e.rgba.Rect = e.rgba.Pix[:4*len(im.Pix)], 4*im.W, image.Rect(0, 0, im.W, im.H)
 	for i := range im.Pix {
 		px := e.rgba.Pix[4*i : 4*i+4 : 4*i+4]
-		px[0], px[1], px[2] = im.rgb8(i)
-		px[3] = 255
+		px[0], px[1], px[2], px[3] = 0, 0, 0, 255
+		if im.Pix[i].A != 0 { // most of a frame is untouched background, which is black without the divisions
+			px[0], px[1], px[2] = im.rgb8(i)
+		}
 	}
 	e.enc.BufferPool = &e.zbuf
 	return e.enc.Encode(w, &e.rgba)

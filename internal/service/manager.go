@@ -392,7 +392,9 @@ type Options struct {
 	Workers  int
 	QueueCap int
 	// RenderWorkers / RenderQueue size the render pool (defaults:
-	// Workers and 4×RenderWorkers).
+	// Workers and 4×RenderWorkers): how many frames are rendered at
+	// once and how many wait. One frame is cast on up to GOMAXPROCS
+	// goroutines whatever RenderWorkers is.
 	RenderWorkers int
 	RenderQueue   int
 	// CacheEntries caps the LRU frame cache (default 512).

@@ -106,7 +106,9 @@ func (p *RenderPool) worker() {
 // render runs one task under a recover wrapper: a panicking renderer
 // (degenerate view, snapshot-shape bug) fails that one frame request
 // with an error instead of killing the worker — and with it, every
-// future frame of every job.
+// future frame of every job. A volume frame is cast on up to GOMAXPROCS
+// goroutines; guard.ForChunks brings a panic on any of them back to
+// this one, so the wrapper sees it.
 func (p *RenderPool) render(t renderTask, bufs *insitu.FrameBuffers) (res renderResult) {
 	err := guard.Capture("render", func() (err error) {
 		res.png, res.w, res.h, err = bufs.FramePNG(t.snap.Field, t.req)

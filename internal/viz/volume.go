@@ -9,9 +9,12 @@ package viz
 import (
 	"fmt"
 	"math"
+	"runtime"
+	"sync/atomic"
 
 	"repro/internal/field"
 	"repro/internal/geometry"
+	"repro/internal/guard"
 	"repro/internal/par"
 	"repro/internal/render"
 	"repro/internal/vec"
@@ -65,7 +68,7 @@ func (o VolumeOptions) validate() error {
 // parallelise. The per-pixel depth of the first contribution supports
 // the later sort-last merge.
 func RenderVolume(f *field.Field, opt VolumeOptions) (*render.Image, error) {
-	return new(VolumeBuffers).Render(f, opt)
+	return new(VolumeBuffers).render(f, opt, 1)
 }
 
 // VolumeBuffers is the storage one volume render needs — the image it
@@ -81,8 +84,23 @@ type VolumeBuffers struct {
 }
 
 // Render is RenderVolume into b's own image, which is valid until the
-// next call.
+// next call, cast on up to GOMAXPROCS goroutines: a render worker's
+// frame is the whole product, where RenderVolume's caller is one rank
+// of several that already share the machine. The image does not depend
+// on how many (see render).
 func (b *VolumeBuffers) Render(f *field.Field, opt VolumeOptions) (*render.Image, error) {
+	return b.render(f, opt, runtime.GOMAXPROCS(0))
+}
+
+// parcelRows is how many image rows a goroutine claims at a time. Most
+// rows of a frame are background and cost next to nothing, so the rows
+// are handed out in small parcels rather than split in equal shares.
+const parcelRows = 4
+
+// render casts the image in parcels of rows claimed by up to workers
+// goroutines. Every pixel is its own ray and a parcel writes only its
+// own rows, so the image is the same, bit for bit, for any worker count.
+func (b *VolumeBuffers) render(f *field.Field, opt VolumeOptions, workers int) (*render.Image, error) {
 	opt = opt.withDefaults()
 	if err := opt.validate(); err != nil {
 		return nil, err
@@ -91,17 +109,28 @@ func (b *VolumeBuffers) Render(f *field.Field, opt VolumeOptions) (*render.Image
 		return nil, err
 	}
 	b.img.Reset(opt.W, opt.H)
-	c := newCaster(f, opt, &b.scalar)
-	for py := 0; py < opt.H; py++ {
-		v := (float64(py) + 0.5) / float64(opt.H)
-		for px := 0; px < opt.W; px++ {
-			u := (float64(px) + 0.5) / float64(opt.W)
-			if acc, depth := c.cast(opt.Camera.Ray(u, v)); acc.A > 0 {
-				b.img.Set(px, py, acc, depth)
+	shared := newCaster(f, opt, &b.scalar)
+	var sum struct{ rows, evaluated, fluid atomic.Int64 } // over the parcels cast
+	guard.ForChunks((opt.H+parcelRows-1)/parcelRows, workers, func(parcel int) {
+		c := *shared // the sample counters are this parcel's own
+		first, end := parcel*parcelRows, min((parcel+1)*parcelRows, opt.H)
+		for py := first; py < end; py++ {
+			v := (float64(py) + 0.5) / float64(opt.H)
+			for px := 0; px < opt.W; px++ {
+				u := (float64(px) + 0.5) / float64(opt.W)
+				if acc, depth := c.cast(opt.Camera.Ray(u, v)); acc.A > 0 {
+					b.img.Set(px, py, acc, depth)
+				}
 			}
 		}
+		sum.rows.Add(int64(end - first))
+		sum.evaluated.Add(int64(c.evaluated))
+		sum.fluid.Add(int64(c.fluid))
+	})
+	if got := int(sum.rows.Load()); got != opt.H {
+		panic(fmt.Sprintf("viz: the row parcels cast %d of %d rows", got, opt.H))
 	}
-	b.evaluated, b.fluid = c.evaluated, c.fluid
+	b.evaluated, b.fluid = int(sum.evaluated.Load()), int(sum.fluid.Load())
 	return &b.img, nil
 }
 

@@ -1,14 +1,18 @@
 package viz
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/field"
 	"repro/internal/geometry"
+	"repro/internal/guard"
 	"repro/internal/lattice"
+	"repro/internal/leaktest"
 	"repro/internal/partition"
 	"repro/internal/render"
 	"repro/internal/vec"
@@ -167,6 +171,94 @@ func TestVolumeSkipMatchesBruteForce(t *testing.T) {
 				t.Errorf("%s view %d: reference image is blank, the comparison proves nothing", preset, i)
 			}
 		}
+	}
+}
+
+// TestVolumeParallelMatchesSerial: the row-parcel fan-out changes who
+// casts a row, never what is cast. Over worker counts up to four times
+// the core count × image sizes with fewer rows than one parcel, rows
+// that are no multiple of it and the bench frame × three presets × the
+// whole field and a seeded random Owned mask, Pix, Depth and both sample
+// counters equal the one-goroutine render's — which
+// TestVolumeSkipMatchesBruteForce ties to the full march.
+func TestVolumeParallelMatchesSerial(t *testing.T) {
+	const seed = 20261003
+	sizes := [...][2]int{{256, 192}, {9, 7}, {1, 1}, {5, 3}, {64, 50}}
+	for _, preset := range []string{"tree", "aneurysm", "pipe"} {
+		v, err := geometry.VesselByName(preset, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dom, err := geometry.Voxelise(v, 1, lattice.D3Q19())
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(seed))
+		full := noiseField(dom, rng)
+		masked := *full
+		masked.Owned = make([]bool, dom.NumSites())
+		for i := range masked.Owned {
+			masked.Owned[i] = rng.Intn(3) > 0
+		}
+		for _, f := range []*field.Field{full, &masked} {
+			for _, size := range sizes {
+				opt := VolumeOptions{W: size[0], H: size[1], Scalar: field.ScalarSpeed,
+					Camera: testCamera(f, size[0], size[1]), TF: render.BlueRed(0, f.MaxScalar(field.ScalarSpeed))}
+				var serial, bufs VolumeBuffers
+				want, err := serial.render(f, opt, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if size[0] >= 64 && want.CoveredFraction() == 0 {
+					t.Fatalf("%s %dx%d: the serial image is blank, the comparison proves nothing", preset, opt.W, opt.H)
+				}
+				for _, workers := range []int{1, 2, 3, 8} {
+					got, err := bufs.render(f, opt, workers)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if d := firstDiff(got, want); d != "" {
+						t.Fatalf("%s seed %d %dx%d masked=%v, %d workers: %s", preset, seed, opt.W, opt.H, f.Owned != nil, workers, d)
+					}
+					if bufs.evaluated != serial.evaluated || bufs.fluid != serial.fluid {
+						t.Fatalf("%s %dx%d masked=%v, %d workers: %d samples (%d fluid), serial %d (%d)", preset, opt.W, opt.H,
+							f.Owned != nil, workers, bufs.evaluated, bufs.fluid, serial.evaluated, serial.fluid)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestRenderPanicFailsOneFrame: a transfer function with one stop makes
+// Map index out of range at the first fluid sample, on whichever
+// goroutine casts that row. The render worker's guard.Capture must get
+// it as a *guard.PanicError — a panic left on a helper goroutine ends
+// the process, and with it this test binary.
+func TestRenderPanicFailsOneFrame(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	defer leaktest.Check(t)()
+	f := developedField(t, 10)
+	opt := VolumeOptions{W: 64, H: 48, Camera: testCamera(f, 64, 48), Scalar: field.ScalarSpeed,
+		TF: &render.TransferFunction{Hi: 1, Stops: []render.RGBA{{R: 1, A: 1}}}}
+	var bufs VolumeBuffers
+	for round := 0; round < 20; round++ { // either goroutine may reach the fluid first
+		err := guard.Capture("render", func() error {
+			_, err := bufs.Render(f, opt)
+			return err
+		})
+		var pe *guard.PanicError
+		if !errors.As(err, &pe) {
+			t.Fatalf("round %d: got %v, want a *guard.PanicError", round, err)
+		}
+		if _, ok := pe.Value.(runtime.Error); !ok {
+			t.Fatalf("round %d: recovered %v (%T), want the index-out-of-range runtime error", round, pe.Value, pe.Value)
+		}
+	}
+	// The same buffers serve the next frame.
+	opt.TF = render.BlueRed(0, f.MaxScalar(field.ScalarSpeed))
+	if img, err := bufs.Render(f, opt); err != nil || img.CoveredFraction() == 0 {
+		t.Fatalf("frame after the panics: err %v", err)
 	}
 }
 
