@@ -53,7 +53,6 @@ func main() {
 	queue := flag.Int("queue", 64, "submission queue capacity")
 	renderWorkers := flag.Int("render-workers", 0, "render pool workers (0 = same as -workers)")
 	renderQueue := flag.Int("render-queue", 0, "render pool queue depth (0 = 4x render workers)")
-	cacheEntries := flag.Int("cache", 0, "frame cache capacity in entries (0 = 512)")
 	solverThreads := flag.Int("solver-threads", 1, "default per-rank collide+stream worker goroutines for jobs that leave threads at 0 (capped at 16; results are bit-identical to serial)")
 	dataDir := flag.String("data-dir", "", "durable job store directory (empty = in-memory only)")
 	checkpointEvery := flag.Int("checkpoint-every", 64, "default checkpoint cadence in steps for jobs that leave checkpoint_every at 0 (-1 = no default; jobs may still opt in)")
@@ -122,7 +121,6 @@ func main() {
 		QueueCap:         *queue,
 		RenderWorkers:    *renderWorkers,
 		RenderQueue:      *renderQueue,
-		CacheEntries:     *cacheEntries,
 		SolverThreads:    *solverThreads,
 		Metrics:          metrics,
 		Store:            st,

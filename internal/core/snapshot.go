@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/field"
@@ -22,6 +23,10 @@ import (
 type Snapshot struct {
 	// Step is the solver step the fields were captured at.
 	Step int
+	// Seq numbers every snapshot of the process from 1 in publication
+	// order: no two share one, whatever job or run they come from, so it
+	// names a snapshot in a cache key without holding its fields alive.
+	Seq uint64
 	// Field carries full-domain rho/ux/uy/uz/wss indexed by global
 	// site id (WSS is zero away from walls), so wall-mode renders work
 	// on the offload path too.
@@ -35,9 +40,9 @@ type Snapshot struct {
 
 // Octree builds the §V multi-resolution tree over the snapshot's
 // fields. Building costs O(sites); callers that answer many queries
-// from one snapshot should memoize the tree per snapshot (the service
-// layer does), turning the data plane into a pure snapshot consumer
-// with no solver-loop involvement.
+// from one snapshot should keep the tree per snapshot (the service
+// layer's octree lru does, keyed by Seq), turning the data plane into
+// a pure snapshot consumer with no solver-loop involvement.
 func (sn *Snapshot) Octree() (*octree.Tree, error) {
 	f := sn.Field
 	return octree.Build(f.Dom, octree.Fields{Rho: f.Rho, Ux: f.Ux, Uy: f.Uy, Uz: f.Uz})
@@ -89,6 +94,9 @@ type CheckpointSink interface {
 	Deliver(st *lb.CheckpointState)
 }
 
+// snapshotSeq is the last Snapshot.Seq handed out.
+var snapshotSeq atomic.Uint64
+
 // publishSnapshot gathers the global fields (collective — every rank
 // must call it at the same step) and hands rank 0's copy to the
 // OnSnapshot hook.
@@ -107,6 +115,7 @@ func (s *Simulation) publishSnapshot(c *par.Comm, d *lb.Dist) {
 	}
 	s.Cfg.OnSnapshot(&Snapshot{
 		Step:     d.StepCount(),
+		Seq:      snapshotSeq.Add(1),
 		Field:    &field.Field{Dom: s.Dom, Rho: rho, Ux: ux, Uy: uy, Uz: uz, WSS: wss},
 		Diverged: anyNonFinite(rho) || anyNonFinite(ux) || anyNonFinite(uy) || anyNonFinite(uz),
 	})

@@ -4,203 +4,152 @@ import (
 	"container/list"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/insitu"
 )
 
-// defaultCacheEntries bounds the cache when no capacity is configured.
-const defaultCacheEntries = 512
+// The caches' budgets are constants, not options: nothing measured so
+// far asks for another value, and a value that does not fit is still
+// built and handed to its callers, just not kept.
+const (
+	// frameEntries bounds the rendered frames kept (each costs 1).
+	frameEntries = 512
+	// siteBudget bounds the fluid sites kept resident by the domain
+	// cache and, separately, by the octree cache, summed over entries:
+	// room for the largest bench/ domain three times over (≈ 0.66 kB a
+	// site for a domain with the stream table and octree layout a job
+	// leaves on it, 84 B a site for an octree; see docs/OPERATIONS.md).
+	siteBudget = 1 << 18
+)
 
-// FrameCache shares rendered frames between clients: N consumers
-// asking for the same (job, view, step) pay for one render. Entries
-// are valid for exactly one solver step — a paused or finished job
-// therefore serves every consumer from cache, while a running job
-// still collapses concurrent identical requests through single-flight.
-// Eviction is LRU with per-job invalidation: a job reaching a terminal
-// state drops all its entries at once instead of the old wholesale
-// purge that threw away every tenant's frames.
-type FrameCache struct {
-	metrics *Metrics
-	cap     int
+// errBuildPanicked is what the waiters of a build that panicked get;
+// the panic itself goes on up the builder's stack.
+var errBuildPanicked = fmt.Errorf("%w: cache build panicked", ErrInternal)
+
+// lru is the service's one cache of derived results — rendered frames,
+// voxelised domains, octrees — each keyed by what it derives from, so
+// an entry is valid for as long as it is kept. Concurrent callers of
+// one key wait for a single build; kept entries are evicted least
+// recently used first once their summed cost exceeds the budget.
+type lru[K comparable, V any] struct {
+	budget int
+	cost   func(V) int
+	// hits, misses and evictions are the metrics it counts into; a nil
+	// one counts nothing.
+	hits, misses, evictions *atomic.Int64
 
 	mu      sync.Mutex
-	entries map[string]*list.Element // key → element whose Value is *frameEntry
-	lru     *list.List               // front = most recently used
-	byJob   map[string]map[string]struct{}
-	flights map[string]*flight
+	entries map[K]*lruEntry[K, V] // kept and building
+	order   list.List             // kept entries (*lruEntry), front = most recently used
+	used    int                   // summed cost over order
 }
 
-type frameEntry struct {
-	key   string
-	jobID string
-	png   []byte
-	w, h  int
-	step  int
+type lruEntry[K comparable, V any] struct {
+	key   K
+	ready chan struct{} // closed once val and err are set
+	val   V
+	err   error
+	cost  int
+	el    *list.Element // nil while building
 }
 
-// flight is one in-progress render, keyed by (view key, step);
-// latecomers for the same step wait on done instead of rendering
-// again.
-type flight struct {
-	done chan struct{}
+func newLRU[K comparable, V any](budget int, cost func(V) int, hits, misses, evictions *atomic.Int64) *lru[K, V] {
+	return &lru[K, V]{budget: budget, cost: cost, hits: hits, misses: misses, evictions: evictions,
+		entries: make(map[K]*lruEntry[K, V])}
+}
+
+func count(c *atomic.Int64) {
+	if c != nil {
+		c.Add(1)
+	}
+}
+
+// get returns the value for key, calling build when nobody has built it
+// yet (or it was evicted since). hit reports that this caller did not
+// build: it found the entry or waited for another caller's build. An
+// error reaches that build's waiters and is never kept; nor is a value
+// costing more than the whole budget.
+func (c *lru[K, V]) get(key K, build func() (V, error)) (v V, hit bool, err error) {
+	c.mu.Lock()
+	if e, ok := c.entries[key]; ok {
+		if e.el != nil {
+			c.order.MoveToFront(e.el)
+		}
+		c.mu.Unlock()
+		<-e.ready
+		count(c.hits)
+		return e.val, true, e.err
+	}
+	e := &lruEntry[K, V]{key: key, ready: make(chan struct{}), err: errBuildPanicked}
+	c.entries[key] = e
+	c.mu.Unlock()
+	count(c.misses)
+
+	defer c.settle(e)
+	e.val, e.err = build()
+	return e.val, false, e.err
+}
+
+// settle keeps a finished build or forgets it, then releases its
+// waiters. It runs deferred, so a build that panicked (e.err still
+// errBuildPanicked) is forgotten and releases them too.
+func (c *lru[K, V]) settle(e *lruEntry[K, V]) {
+	if e.err == nil {
+		e.cost = c.cost(e.val)
+	}
+	c.mu.Lock()
+	if e.err != nil || e.cost > c.budget {
+		delete(c.entries, e.key)
+	} else {
+		e.el = c.order.PushFront(e)
+		c.used += e.cost
+		for c.used > c.budget {
+			c.drop(c.order.Back().Value.(*lruEntry[K, V]))
+			count(c.evictions)
+		}
+	}
+	c.mu.Unlock()
+	close(e.ready)
+}
+
+// drop forgets a kept entry; whoever already holds its value keeps it
+// alive. Callers hold c.mu.
+func (c *lru[K, V]) drop(e *lruEntry[K, V]) {
+	c.order.Remove(e.el)
+	delete(c.entries, e.key)
+	c.used -= e.cost
+}
+
+// purge forgets every kept entry (builds in flight complete and are
+// kept): the memory watermark's way of giving the heap back.
+func (c *lru[K, V]) purge() {
+	c.mu.Lock()
+	for c.order.Len() > 0 {
+		c.drop(c.order.Back().Value.(*lruEntry[K, V]))
+	}
+	c.mu.Unlock()
+}
+
+// frame is one rendered PNG, as the pool returns it and the frame lru
+// keeps it.
+type frame struct {
 	png  []byte
 	w, h int
-	err  error
 }
 
-// NewFrameCache returns an empty cache of the given capacity (<= 0
-// falls back to the default) reporting into metrics.
-func NewFrameCache(metrics *Metrics, capacity int) *FrameCache {
-	if metrics == nil {
-		metrics = &Metrics{}
-	}
-	if capacity <= 0 {
-		capacity = defaultCacheEntries
-	}
-	return &FrameCache{
-		metrics: metrics,
-		cap:     capacity,
-		entries: make(map[string]*list.Element),
-		lru:     list.New(),
-		byJob:   make(map[string]map[string]struct{}),
-		flights: make(map[string]*flight),
-	}
+// frameKey names a frame by what it is a pure function of: the
+// snapshot (by its Seq, so the key holds no field alive) and the view.
+type frameKey struct {
+	seq  uint64
+	view string
 }
 
-// Get returns the cached frame for key at the given solver step, or
-// renders it exactly once no matter how many goroutines ask.
-func (c *FrameCache) Get(jobID, key string, step int, render func() ([]byte, int, int, error)) ([]byte, int, int, error) {
-	flightKey := fmt.Sprintf("%s@%d", key, step)
-	c.mu.Lock()
-	if el, ok := c.entries[key]; ok {
-		e := el.Value.(*frameEntry)
-		if e.step == step {
-			c.lru.MoveToFront(el)
-			c.mu.Unlock()
-			c.metrics.FrameCacheHits.Add(1)
-			return e.png, e.w, e.h, nil
-		}
-	}
-	if f, ok := c.flights[flightKey]; ok {
-		c.mu.Unlock()
-		<-f.done
-		if f.err != nil {
-			return nil, 0, 0, f.err
-		}
-		// Dedup through an in-progress render spared this caller the
-		// work; count it with the hits.
-		c.metrics.FrameCacheHits.Add(1)
-		return f.png, f.w, f.h, nil
-	}
-	f := &flight{done: make(chan struct{})}
-	c.flights[flightKey] = f
-	c.mu.Unlock()
-	c.metrics.FrameCacheMiss.Add(1)
-
-	f.png, f.w, f.h, f.err = render()
-
-	c.mu.Lock()
-	delete(c.flights, flightKey)
-	if f.err == nil {
-		c.store(&frameEntry{key: key, jobID: jobID, png: f.png, w: f.w, h: f.h, step: step})
-	}
-	c.mu.Unlock()
-	close(f.done)
-	return f.png, f.w, f.h, f.err
-}
-
-// store inserts or refreshes an entry and evicts the LRU tail past
-// capacity. Caller holds c.mu.
-func (c *FrameCache) store(e *frameEntry) {
-	if el, ok := c.entries[e.key]; ok {
-		// A slow flight for an old step can complete after a newer
-		// frame was cached; never let it regress the view.
-		if el.Value.(*frameEntry).step > e.step {
-			return
-		}
-		el.Value = e
-		c.lru.MoveToFront(el)
-		return
-	}
-	for c.lru.Len() >= c.cap {
-		c.evictOldest()
-	}
-	c.entries[e.key] = c.lru.PushFront(e)
-	keys := c.byJob[e.jobID]
-	if keys == nil {
-		keys = make(map[string]struct{})
-		c.byJob[e.jobID] = keys
-	}
-	keys[e.key] = struct{}{}
-}
-
-// evictOldest removes the least recently used entry. Caller holds c.mu.
-func (c *FrameCache) evictOldest() {
-	el := c.lru.Back()
-	if el == nil {
-		return
-	}
-	c.removeElement(el)
-	c.metrics.FrameCacheEvict.Add(1)
-}
-
-func (c *FrameCache) removeElement(el *list.Element) {
-	e := el.Value.(*frameEntry)
-	c.lru.Remove(el)
-	delete(c.entries, e.key)
-	if keys := c.byJob[e.jobID]; keys != nil {
-		delete(keys, e.key)
-		if len(keys) == 0 {
-			delete(c.byJob, e.jobID)
-		}
-	}
-}
-
-// InvalidateJob drops every cached frame belonging to one job — called
-// when the job reaches a terminal state so a dead tenant's views stop
-// occupying capacity. Returns the number of entries dropped.
-func (c *FrameCache) InvalidateJob(jobID string) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	keys := c.byJob[jobID]
-	n := 0
-	for key := range keys {
-		if el, ok := c.entries[key]; ok {
-			c.removeElement(el)
-			n++
-		}
-	}
-	delete(c.byJob, jobID)
-	if n > 0 {
-		c.metrics.FrameCacheDrops.Add(int64(n))
-	}
-	return n
-}
-
-// Len reports the number of cached frames (for tests).
-func (c *FrameCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
-}
-
-// Keys returns the cached keys from most to least recently used (for
-// tests asserting eviction order).
-func (c *FrameCache) Keys() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	keys := make([]string, 0, c.lru.Len())
-	for el := c.lru.Front(); el != nil; el = el.Next() {
-		keys = append(keys, el.Value.(*frameEntry).key)
-	}
-	return keys
-}
-
-// frameKey canonicalises a render request per job; every parameter the
-// renderer honours is part of the identity.
-func frameKey(jobID string, req insitu.Request) string {
-	return fmt.Sprintf("%s|m%d|s%d|%dx%d|az%.5f|el%.5f|d%.5f|roi%v%v|lv%d,%d|n%d",
-		jobID, req.Mode, req.Scalar, req.W, req.H,
+// viewKey canonicalises a render request; every parameter the renderer
+// honours is part of the identity.
+func viewKey(req insitu.Request) string {
+	return fmt.Sprintf("m%d|s%d|%dx%d|az%.5f|el%.5f|d%.5f|roi%v%v|lv%d,%d|n%d",
+		req.Mode, req.Scalar, req.W, req.H,
 		req.Azimuth, req.Elevation, req.DistFactor,
 		req.ROI.Min, req.ROI.Max, req.DetailLevel, req.ContextLevel,
 		req.NumSeeds)

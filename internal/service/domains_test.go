@@ -204,6 +204,11 @@ func voxelised(t *testing.T, preset string) func() (*geometry.Domain, error) {
 	}
 }
 
+// domainLRU is the manager's domain lru at another budget.
+func domainLRU(mt *Metrics, budget int) *lru[domainKey, *geometry.Domain] {
+	return newLRU[domainKey](budget, func(d *geometry.Domain) int { return d.NumSites() }, &mt.DomainCacheHits, &mt.DomainCacheMiss, nil)
+}
+
 // TestDomainCacheBudget: the cache keeps at most its site budget —
 // least recently used entries go first, an entry larger than the whole
 // budget is handed out but never kept — and purge empties it.
@@ -219,19 +224,19 @@ func TestDomainCacheBudget(t *testing.T) {
 	key := func(p string) domainKey { return JobSpec{Preset: p}.domainKey() }
 
 	mt := &Metrics{}
-	c := newDomainCache(mt, pipe.NumSites()-1)
+	c := domainLRU(mt, pipe.NumSites()-1)
 	for i := 0; i < 2; i++ {
 		dom, hit, err := c.get(key("pipe"), voxelised(t, "pipe"))
 		if err != nil || hit || dom.NumSites() != pipe.NumSites() {
 			t.Fatalf("over-budget get %d: dom %v hit %v err %v", i, dom != nil, hit, err)
 		}
 	}
-	if len(c.entries) != 0 || c.lru.Len() != 0 || c.sites != 0 || mt.DomainCacheMiss.Load() != 2 {
-		t.Errorf("over-budget domain retained: %d entries, %d sites, %d misses", len(c.entries), c.sites, mt.DomainCacheMiss.Load())
+	if len(c.entries) != 0 || c.order.Len() != 0 || c.used != 0 || mt.DomainCacheMiss.Load() != 2 {
+		t.Errorf("over-budget domain retained: %d entries, %d sites, %d misses", len(c.entries), c.used, mt.DomainCacheMiss.Load())
 	}
 
 	mt = &Metrics{}
-	c = newDomainCache(mt, pipe.NumSites()+bend.NumSites()-1) // either, not both
+	c = domainLRU(mt, pipe.NumSites()+bend.NumSites()-1) // either, not both
 	for _, p := range []string{"pipe", "pipe", "bend", "bend", "pipe"} {
 		if _, _, err := c.get(key(p), voxelised(t, p)); err != nil {
 			t.Fatal(err)
@@ -240,12 +245,12 @@ func TestDomainCacheBudget(t *testing.T) {
 	if miss, hit := mt.DomainCacheMiss.Load(), mt.DomainCacheHits.Load(); miss != 3 || hit != 2 {
 		t.Errorf("misses %d hits %d over pipe pipe bend bend pipe with room for one; want 3 and 2", miss, hit)
 	}
-	if _, ok := c.entries[key("pipe")]; !ok || len(c.entries) != 1 || c.sites != pipe.NumSites() {
-		t.Errorf("after eviction: %d entries, %d sites; want pipe alone (%d)", len(c.entries), c.sites, pipe.NumSites())
+	if _, ok := c.entries[key("pipe")]; !ok || len(c.entries) != 1 || c.used != pipe.NumSites() {
+		t.Errorf("after eviction: %d entries, %d sites; want pipe alone (%d)", len(c.entries), c.used, pipe.NumSites())
 	}
 	c.purge()
-	if len(c.entries) != 0 || c.lru.Len() != 0 || c.sites != 0 {
-		t.Errorf("purge left %d entries, %d sites", len(c.entries), c.sites)
+	if len(c.entries) != 0 || c.order.Len() != 0 || c.used != 0 {
+		t.Errorf("purge left %d entries, %d sites", len(c.entries), c.used)
 	}
 
 	// A failed build reaches every waiter and is not remembered.
@@ -266,13 +271,13 @@ func TestMemoryShedPurgesDomainCache(t *testing.T) {
 	if _, _, err := m.domains.get(JobSpec{Preset: "pipe"}.domainKey(), voxelised(t, "pipe")); err != nil {
 		t.Fatal(err)
 	}
-	if m.domains.lru.Len() != 1 {
+	if m.domains.order.Len() != 1 {
 		t.Fatal("domain not cached")
 	}
 	if _, err := m.Submit(JobSpec{Preset: "pipe", Steps: 8}); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("submit over the memory watermark: %v", err)
 	}
-	if n := m.domains.lru.Len(); n != 0 {
+	if n := m.domains.order.Len(); n != 0 {
 		t.Errorf("%d domains still cached after a memory shed", n)
 	}
 }
@@ -330,7 +335,7 @@ func TestDerivedBound(t *testing.T) {
 	// So does LRU eviction: room for either domain, not both.
 	pipe, _ := voxelised(t, "pipe")()
 	bend, _ := voxelised(t, "bend")()
-	c := newDomainCache(&Metrics{}, pipe.NumSites()+bend.NumSites()-1)
+	c := domainLRU(&Metrics{}, pipe.NumSites()+bend.NumSites()-1)
 	for _, p := range []string{"pipe", "bend"} {
 		dom, _, err := c.get(JobSpec{Preset: p}.domainKey(), voxelised(t, p))
 		if err != nil {

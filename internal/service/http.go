@@ -22,23 +22,21 @@ import (
 // (submit/list/steer/frames/data) plus operational endpoints
 // (/metrics, /healthz). All handlers are stdlib net/http.
 type Server struct {
-	mgr   *Manager
-	cache *FrameCache
-	http  *http.Server
-	ln    net.Listener
+	mgr  *Manager
+	http *http.Server
+	ln   net.Listener
 	// closing tells long-lived handlers (SSE streams) to wind down so
 	// graceful shutdown is not held hostage by infinite responses.
 	closing   chan struct{}
 	closeOnce sync.Once
 }
 
-// NewServer wires the API over a manager, sharing its frame cache.
-// Every route is registered through a per-route latency wrapper: the
-// route pattern is the histogram label, captured at registration so
-// the hot path does one HistogramSet lookup per server lifetime, not
-// per request.
+// NewServer wires the API over a manager. Every route is registered
+// through a per-route latency wrapper: the route pattern is the
+// histogram label, captured at registration so the hot path does one
+// HistogramSet lookup per server lifetime, not per request.
 func NewServer(mgr *Manager) *Server {
-	s := &Server{mgr: mgr, cache: mgr.Cache(), closing: make(chan struct{})}
+	s := &Server{mgr: mgr, closing: make(chan struct{})}
 	mux := http.NewServeMux()
 	handle := func(pattern string, h http.HandlerFunc) {
 		hist := mgr.Metrics().HTTPLatency.Get(pattern)
@@ -173,9 +171,6 @@ func (w *statusWriter) Flush() {
 // Unwrap lets http.NewResponseController reach the underlying writer's
 // deadline and flush hooks.
 func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
-
-// Cache exposes the frame cache (for tests and in-process callers).
-func (s *Server) Cache() *FrameCache { return s.cache }
 
 // Start binds addr and serves in the background; it returns once the
 // listener is live so callers can read Addr immediately.

@@ -199,13 +199,6 @@ type Job struct {
 	// fields — the simulation blew up. Surfaced in JobInfo, the metric
 	// and the flight recorder exactly once.
 	diverged atomic.Bool
-
-	// Octree memo: the §V tree built over a snapshot, cached per
-	// snapshot so N data-plane queries of one step cost one build —
-	// and zero solver-loop collectives.
-	octMu   sync.Mutex
-	octSnap *core.Snapshot
-	octTree *octree.Tree
 }
 
 // wantSnapshot registers demand for a fresh snapshot; the solver
@@ -250,23 +243,6 @@ func (m *Manager) freshSnapshot(j *Job) (*core.Snapshot, error) {
 		}
 		return snap, nil
 	}
-}
-
-// octreeFor returns the reduced-data octree for snap, building it at
-// most once per snapshot. Concurrent callers for the same snapshot
-// serialise on the build; a newer snapshot evicts the memo.
-func (j *Job) octreeFor(snap *core.Snapshot) (*octree.Tree, error) {
-	j.octMu.Lock()
-	defer j.octMu.Unlock()
-	if j.octSnap == snap && j.octTree != nil {
-		return j.octTree, nil
-	}
-	tree, err := snap.Octree()
-	if err != nil {
-		return nil, err
-	}
-	j.octSnap, j.octTree = snap, tree
-	return tree, nil
 }
 
 // JobInfo is the JSON snapshot served by list/get.
@@ -397,8 +373,6 @@ type Options struct {
 	// goroutines whatever RenderWorkers is.
 	RenderWorkers int
 	RenderQueue   int
-	// CacheEntries caps the LRU frame cache (default 512).
-	CacheEntries int
 	// SolverThreads is the default per-rank collide+stream worker count
 	// for specs that leave threads at 0 (clamped to [1, 16]; default 1 =
 	// serial). Results are bit-identical either way, so this is purely a
@@ -490,8 +464,8 @@ type Options struct {
 }
 
 // Manager owns the bounded submission queue, the concurrency slots the
-// dispatcher hands jobs, and the render offload pair (pool + frame
-// cache) every transport shares.
+// dispatcher hands jobs, the render pool and the caches every transport
+// shares.
 type Manager struct {
 	metrics *Metrics
 	log     *slog.Logger
@@ -525,10 +499,15 @@ type Manager struct {
 	// parked goroutine, not a pool slot — W paused jobs no longer
 	// stall the whole service.
 	slots chan struct{}
-	cache *FrameCache
 	pool  *RenderPool
-	// domains shares voxelised geometries between jobs (read-only).
-	domains *domainCache
+	// One cache type, three instances, each keyed by what its values
+	// derive from: rendered frames by (snapshot, view), so N viewers of
+	// a snapshot cost one render whether they poll or stream; voxelised
+	// geometries, shared read-only between jobs; and the §V octrees by
+	// snapshot, so N data queries of one snapshot cost one build.
+	frames  *lru[frameKey, frame]
+	domains *lru[domainKey, *geometry.Domain]
+	octrees *lru[uint64, *octree.Tree]
 	// Fault containment. degrader tracks disk-pressure degradation
 	// (nil without a store); tenants enforces per-tenant quotas and
 	// rate limits (never nil); memWM is the heap shed watermark (nil
@@ -556,15 +535,11 @@ type Manager struct {
 	// channel occupancy alone would understate the backlog by one.
 	queuedLen int
 
-	// hubsMu guards the live stream fan-out hubs, keyed by view.
-	hubsMu sync.Mutex
-	hubs   map[string]*viewHub
-
 	wg sync.WaitGroup
 }
 
 // NewManagerOpts starts a manager with explicit sizing for the solver
-// slots, render pool and frame cache.
+// slots and render pool.
 func NewManagerOpts(o Options) *Manager {
 	if o.Workers <= 0 {
 		o.Workers = 2
@@ -623,20 +598,22 @@ func NewManagerOpts(o Options) *Manager {
 		chaos:         o.ChaosHook,
 		solverThreads: o.SolverThreads,
 		slots:         make(chan struct{}, o.Workers),
-		cache:         NewFrameCache(o.Metrics, o.CacheEntries),
 		pool:          NewRenderPool(o.RenderWorkers, o.RenderQueue, o.Metrics),
-		domains:       newDomainCache(o.Metrics, domainCacheSites),
-		jobs:          make(map[string]*Job),
-		hubs:          make(map[string]*viewHub),
-		tenants:       newTenants(o.AuthKeys, o.TenantDefaults),
-		memWM:         guard.NewMemWatermark(uint64(max(o.MemLimit, 0))),
-		stepHook:      o.StepHook,
-		wdStall:       o.WatchdogStall,
-		wdStrikes:     o.WatchdogStrikes,
-		retainMax:     o.StoreRetain,
-		retainAge:     o.StoreRetainAge,
-		gcInterval:    o.GCInterval,
-		done:          make(chan struct{}),
+		frames: newLRU[frameKey](frameEntries, func(frame) int { return 1 },
+			&o.Metrics.frameHits, &o.Metrics.frameMiss, &o.Metrics.frameEvict),
+		domains: newLRU[domainKey](siteBudget, func(d *geometry.Domain) int { return d.NumSites() },
+			&o.Metrics.DomainCacheHits, &o.Metrics.DomainCacheMiss, nil),
+		octrees:    newLRU[uint64](siteBudget, func(t *octree.Tree) int { return t.NodeCount(0) }, nil, nil, nil),
+		jobs:       make(map[string]*Job),
+		tenants:    newTenants(o.AuthKeys, o.TenantDefaults),
+		memWM:      guard.NewMemWatermark(uint64(max(o.MemLimit, 0))),
+		stepHook:   o.StepHook,
+		wdStall:    o.WatchdogStall,
+		wdStrikes:  o.WatchdogStrikes,
+		retainMax:  o.StoreRetain,
+		retainAge:  o.StoreRetainAge,
+		gcInterval: o.GCInterval,
+		done:       make(chan struct{}),
 	}
 	if m.store != nil {
 		// The degrader decides when write failures mean "disk full, stop
@@ -1016,9 +993,6 @@ func (m *Manager) Draining() bool {
 	defer m.mu.Unlock()
 	return m.closed
 }
-
-// Cache exposes the shared frame cache.
-func (m *Manager) Cache() *FrameCache { return m.cache }
 
 // Submit validates a spec and enqueues the job under the anonymous
 // tenant, failing fast when the queue is full — backpressure instead
@@ -1476,10 +1450,10 @@ func (m *Manager) run(j *Job) {
 }
 
 // finish moves a job to its terminal state, closes its controller so
-// late Do calls fail instead of blocking forever, drops its cached
-// frames and wakes stream subscribers for their end-of-stream check. A
-// run that executed every requested step counts as done even when a
-// cancel raced its completion — the work happened.
+// late Do calls fail instead of blocking forever, and wakes stream
+// subscribers for their end-of-stream check. A run that executed every
+// requested step counts as done even when a cancel raced its
+// completion — the work happened.
 func (m *Manager) finish(j *Job, runErr error, completed bool) {
 	// A quit issued by the stuck-job watchdog is a retry, not an
 	// outcome: re-queue the job (fresh dispatch, resume from its last
@@ -1535,7 +1509,6 @@ func (m *Manager) finish(j *Job, runErr error, completed bool) {
 		// already handles, and the worker slot frees immediately.
 		m.persistStateNoWait(j)
 	}
-	m.cache.InvalidateJob(j.ID)
 	// Seal after the terminal state is visible: a subscriber woken by
 	// the seal must observe Terminal() and end its stream.
 	j.sealSnapshots()
@@ -1719,7 +1692,6 @@ func (m *Manager) gcTerminal() {
 			}
 		}
 		m.mu.Unlock()
-		m.cache.InvalidateJob(j.ID)
 		m.metrics.JobsGCed.Add(1)
 		j.log.Info("retention sweep removed terminal job")
 	}
@@ -1838,7 +1810,6 @@ func (m *Manager) cancel(j *Job, user bool) error {
 		}
 		j.ctrl.Close()
 		j.sealSnapshots()
-		m.cache.InvalidateJob(j.ID)
 		m.tenants.release(j.tenant)
 		return nil
 	default:
@@ -1906,10 +1877,10 @@ func (m *Manager) Status(j *Job) (*steering.Status, error) {
 }
 
 // Data fetches the §V reduced octree representation for an ROI from
-// the job's latest snapshot through the per-job octree memo — no
-// solver-loop collective, and the data plane keeps working while paused
-// and after termination. The reply is encoded as it is written, so a
-// query holds no buffer of its size.
+// the job's latest snapshot through the octree lru — no solver-loop
+// collective, and the data plane keeps working while paused and after
+// termination. The reply is encoded as it is written, so a query holds
+// no buffer of its size.
 func (m *Manager) Data(j *Job, roiMin, roiMax [3]float64, detail, context int) (octree.Reply, error) {
 	m.metrics.DataRequests.Add(1)
 	if j.State() == StateQueued {
@@ -1919,7 +1890,7 @@ func (m *Manager) Data(j *Job, roiMin, roiMax [3]float64, detail, context int) (
 	if err != nil {
 		return octree.Reply{}, err
 	}
-	tree, err := j.octreeFor(snap)
+	tree, _, err := m.octrees.get(snap.Seq, snap.Octree)
 	if err != nil {
 		return octree.Reply{}, err
 	}
@@ -1942,19 +1913,21 @@ func (m *Manager) Frame(j *Job, req insitu.Request) ([]byte, int, int, error) {
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	return m.frameFromSnapshot(j, snap, req)
+	return m.frameFromSnapshot(snap, req)
 }
 
-// frameFromSnapshot renders one (view, step) through cache
-// single-flight and the render pool: N concurrent consumers of the
-// same view pay for exactly one render, executed off the solver loop.
-// Frame serves the freshest snapshot through it; a stream pump, each
-// snapshot it follows.
-func (m *Manager) frameFromSnapshot(j *Job, snap *core.Snapshot, req insitu.Request) ([]byte, int, int, error) {
-	return m.cache.Get(j.ID, frameKey(j.ID, req), snap.Step, func() ([]byte, int, int, error) {
+// frameFromSnapshot renders one (snapshot, view) through the frame lru
+// and the render pool: every consumer of that snapshot and view —
+// pollers and stream subscribers alike — shares exactly one render,
+// executed off the solver loop. Frame serves the freshest snapshot
+// through it; a stream, each snapshot it follows.
+func (m *Manager) frameFromSnapshot(snap *core.Snapshot, req insitu.Request) ([]byte, int, int, error) {
+	f, _, err := m.frames.get(frameKey{snap.Seq, viewKey(req)}, func() (frame, error) {
 		m.metrics.RendersTotal.Add(1)
-		return m.pool.Render(snap, req)
+		png, w, h, err := m.pool.Render(snap, req)
+		return frame{png, w, h}, err
 	})
+	return f.png, f.w, f.h, err
 }
 
 // Close stops accepting jobs, cancels everything in flight, waits for

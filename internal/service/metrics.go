@@ -11,20 +11,21 @@ import (
 // /metrics serves them in Prometheus text exposition — the one metrics
 // format; the histogram base names below grow a _seconds suffix there.
 type Metrics struct {
-	JobsSubmitted  atomic.Int64
-	JobsRejected   atomic.Int64
-	JobsDone       atomic.Int64
-	JobsFailed     atomic.Int64
-	JobsCancelled  atomic.Int64
-	RendersTotal   atomic.Int64
-	FrameCacheHits atomic.Int64
-	FrameCacheMiss atomic.Int64
-	// FrameCacheEvict counts LRU evictions; FrameCacheDrops counts
-	// entries removed by per-job invalidation on terminal states.
-	FrameCacheEvict atomic.Int64
-	FrameCacheDrops atomic.Int64
+	JobsSubmitted atomic.Int64
+	JobsRejected  atomic.Int64
+	JobsDone      atomic.Int64
+	JobsFailed    atomic.Int64
+	JobsCancelled atomic.Int64
+	RendersTotal  atomic.Int64
+	// frameHits counts frame requests the frame lru answered for one
+	// (snapshot, view) without rendering — kept, or in flight for
+	// another caller; frameMiss the ones that rendered; frameEvict the
+	// frames it evicted. Unexported: only /metrics reads them.
+	frameHits  atomic.Int64
+	frameMiss  atomic.Int64
+	frameEvict atomic.Int64
 	// DomainCacheHits counts dispatches that found their voxelised
-	// geometry in the manager's domain cache (or waited for a sibling's
+	// geometry in the manager's domain lru (or waited for a sibling's
 	// build of it); DomainCacheMiss counts the ones that voxelised.
 	DomainCacheHits atomic.Int64
 	DomainCacheMiss atomic.Int64
@@ -171,10 +172,9 @@ func (m *Metrics) rows() []counterRow {
 		{"hemeserved_jobs_failed_total", m.JobsFailed.Load(), "counter", "Jobs that ended in error."},
 		{"hemeserved_jobs_cancelled_total", m.JobsCancelled.Load(), "counter", "Jobs cancelled by users."},
 		{"hemeserved_renders_total", m.RendersTotal.Load(), "counter", "Frames rendered by the pool."},
-		{"hemeserved_frame_cache_hits_total", m.FrameCacheHits.Load(), "counter", "Frame cache hits."},
-		{"hemeserved_frame_cache_misses_total", m.FrameCacheMiss.Load(), "counter", "Frame cache misses."},
-		{"hemeserved_frame_cache_evictions_total", m.FrameCacheEvict.Load(), "counter", "Frame cache LRU evictions."},
-		{"hemeserved_frame_cache_invalidated_total", m.FrameCacheDrops.Load(), "counter", "Frame cache entries dropped by per-job invalidation."},
+		{"hemeserved_frame_cache_hits_total", m.frameHits.Load(), "counter", "Frame requests served without a render, per (snapshot, view)."},
+		{"hemeserved_frame_cache_misses_total", m.frameMiss.Load(), "counter", "Frame requests that rendered, per (snapshot, view)."},
+		{"hemeserved_frame_cache_evictions_total", m.frameEvict.Load(), "counter", "Frames evicted from the cache, least recently used first."},
 		{"hemeserved_domain_cache_hits_total", m.DomainCacheHits.Load(), "counter", "Dispatches served a voxelised domain from the cache (or from a sibling's build in flight)."},
 		{"hemeserved_domain_cache_misses_total", m.DomainCacheMiss.Load(), "counter", "Dispatches that voxelised their geometry."},
 		{"hemeserved_solver_plan_hits_total", m.SolverPlanHits.Load(), "counter", "Dispatches that found the solver's stream table kept on the domain."},

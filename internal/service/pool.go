@@ -36,9 +36,8 @@ type renderTask struct {
 }
 
 type renderResult struct {
-	png  []byte
-	w, h int
-	err  error
+	frame
+	err error
 }
 
 // NewRenderPool starts workers goroutines over a task queue of
@@ -66,7 +65,7 @@ func NewRenderPool(workers, queueCap int, metrics *Metrics) *RenderPool {
 }
 
 // Render submits a snapshot render and blocks for the encoded PNG.
-// Callers are expected to sit behind the frame cache's single-flight,
+// Callers are expected to sit behind the frame lru's single flight,
 // so one call here is one real render.
 func (p *RenderPool) Render(snap *core.Snapshot, req insitu.Request) ([]byte, int, int, error) {
 	t := renderTask{snap: snap, req: req, res: make(chan renderResult, 1), enqueued: time.Now()}

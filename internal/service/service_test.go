@@ -391,47 +391,6 @@ func TestSubmitValidation(t *testing.T) {
 	}
 }
 
-// TestFrameCacheSingleFlight hammers one key from many goroutines; the
-// render function must run exactly once per step generation.
-func TestFrameCacheSingleFlight(t *testing.T) {
-	metrics := &Metrics{}
-	cache := NewFrameCache(metrics, 0)
-	var renders int
-	var mu sync.Mutex
-	slow := func() ([]byte, int, int, error) {
-		mu.Lock()
-		renders++
-		mu.Unlock()
-		time.Sleep(50 * time.Millisecond)
-		return []byte("frame"), 4, 3, nil
-	}
-	var wg sync.WaitGroup
-	for i := 0; i < 16; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			png, w, h, err := cache.Get("job-x", "k", 7, slow)
-			if err != nil || string(png) != "frame" || w != 4 || h != 3 {
-				t.Errorf("get: %q %d %d %v", png, w, h, err)
-			}
-		}()
-	}
-	wg.Wait()
-	if renders != 1 {
-		t.Errorf("16 concurrent gets caused %d renders, want 1", renders)
-	}
-	// A new step invalidates; an old entry does not satisfy it.
-	if _, _, _, err := cache.Get("job-x", "k", 8, slow); err != nil {
-		t.Fatal(err)
-	}
-	if renders != 2 {
-		t.Errorf("stale entry served for new step (renders=%d)", renders)
-	}
-	if metrics.FrameCacheHits.Load() < 15 {
-		t.Errorf("hits = %d, want >= 15", metrics.FrameCacheHits.Load())
-	}
-}
-
 // TestGracefulShutdownReapsPausedJob covers the nastiest lifecycle
 // corner: shutting down while a job is paused must still terminate it.
 func TestGracefulShutdownReapsPausedJob(t *testing.T) {

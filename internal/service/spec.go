@@ -1,8 +1,8 @@
 // Package service is the multi-tenant layer above the solver: a job
 // manager running many core.Simulation instances concurrently behind a
 // bounded queue, an HTTP API submitting/steering/observing them, and a
-// shared frame cache so N clients polling the same view cost one
-// render. It is the serve-many-consumers-from-one-computation shape
+// shared frame cache so N clients polling or streaming the same view
+// cost one render per snapshot. It is the serve-many-consumers-from-one-computation shape
 // the ROADMAP asks for, layered over the paper's closed steering loop.
 package service
 

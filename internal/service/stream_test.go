@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -217,7 +218,7 @@ func TestStreamTwoSubscribersShareRenders(t *testing.T) {
 			distinct++
 		}
 	}
-	// The hub may render a couple of trailing snapshots between a
+	// A handler may render a couple of trailing snapshots between its
 	// subscriber's last frame and its detach; allow that slack. What
 	// must not happen is per-subscriber rendering (≈ 2× distinct).
 	renders := metric(t, base, "hemeserved_renders_total") - rendersBefore
@@ -319,6 +320,72 @@ func TestStreamEndsOnTerminal(t *testing.T) {
 		t.Errorf("frame after done: status %d, %d bytes", code, len(png))
 	}
 
+	ctxShutdown(t, srv)
+}
+
+// TestStreamLateJoinerOnPausedJob: a paused job publishes nothing more,
+// yet a subscriber joining it receives the current frame at once — the
+// one the first subscriber was shown, served by the frame lru without
+// another render.
+func TestStreamLateJoinerOnPausedJob(t *testing.T) {
+	srv, base := startServer(t, 1, 4)
+	info := submit(t, base, `{"preset":"pipe","steps":2000000,"viz_every":-1,"snapshot_every":4}`)
+	waitState(t, base, info.ID, StateRunning)
+	j, err := srv.mgr.Get(info.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	url := base + "/api/v1/jobs/" + info.ID + "/stream?w=64&h=48"
+
+	first, cancelFirst := openStream(t, url)
+	defer cancelFirst()
+	defer first.Body.Close()
+	var mu sync.Mutex
+	var shown streamFrame // the first subscriber's latest frame
+	go func() {
+		sc := bufio.NewScanner(first.Body)
+		sc.Buffer(make([]byte, 1<<20), 1<<20)
+		for {
+			evs := readEvents(t, sc, 1)
+			if len(evs) == 0 || evs[0].name != "frame" {
+				return
+			}
+			var f streamFrame
+			if json.Unmarshal(evs[0].data, &f) == nil {
+				mu.Lock()
+				shown = f
+				mu.Unlock()
+			}
+		}
+	}()
+	waitFor(t, "the first subscriber's frames", func() bool { return metric(t, base, "hemeserved_frames_streamed_total") > 0 })
+	if code := httpJSON(t, "POST", base+"/api/v1/jobs/"+info.ID+"/pause", "", nil); code != http.StatusOK {
+		t.Fatalf("pause status %d", code)
+	}
+	// The pause point's snapshot is the job's current state; wait for
+	// the first subscriber to be shown it.
+	var paused streamFrame
+	waitFor(t, "the first subscriber to be shown the pause point", func() bool {
+		snap, _ := j.LatestSnapshot()
+		mu.Lock()
+		defer mu.Unlock()
+		paused = shown
+		return j.State() == StatePaused && snap.Step == j.Step() && shown.Step == snap.Step
+	})
+
+	renders := metric(t, base, "hemeserved_renders_total")
+	late, cancelLate := openStream(t, url)
+	defer cancelLate()
+	defer late.Body.Close()
+	sc := bufio.NewScanner(late.Body)
+	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	f := frameEvents(t, sc, 1)[0]
+	if f.Step != paused.Step || f.PNG != paused.PNG {
+		t.Errorf("late joiner got step %d (same picture: %v), want the paused step %d's frame", f.Step, f.PNG == paused.PNG, paused.Step)
+	}
+	if n := metric(t, base, "hemeserved_renders_total"); n != renders {
+		t.Errorf("the late joiner cost %d renders, want 0", n-renders)
+	}
 	ctxShutdown(t, srv)
 }
 
