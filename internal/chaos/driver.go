@@ -321,10 +321,15 @@ func (c Config) runCase(k int64, ref *reference) (bool, error) {
 // and asserts every recovery invariant. id may be empty when the fault
 // landed before submission completed.
 func (c Config) verifyRecovery(fsys *faultfs.Mem, ref *reference, id string) error {
+	// What survived the power cut is the journal's intact prefix — the
+	// one durable home of a job's lifecycle record. Read it before the
+	// store's open compacts it.
+	jrec, durable := store.JournalSnapshot(fsys, storeRoot)[id]
 	st, err := store.OpenFS(fsys, storeRoot)
 	if err != nil {
 		return fmt.Errorf("store did not reopen after power cut: %w", err)
 	}
+	defer st.CloseJournal()
 	// Atomicity: a surviving checkpoint either verifies or is
 	// *detected* — Checkpoint must never serve bytes alongside a
 	// verification error. Detection (not prevention) is the contract
@@ -342,16 +347,8 @@ func (c Config) verifyRecovery(fsys *faultfs.Mem, ref *reference, id string) err
 		}
 	}
 	var preTerminal service.JobState
-	if id != "" {
-		// The newest lifecycle record may still sit in the journal, not
-		// yet materialized into state.json — the journal wins.
-		rec, err := st.State(id)
-		if jrec, ok := store.JournalSnapshot(fsys, storeRoot)[id]; ok {
-			rec, err = jrec, nil
-		}
-		if err == nil && service.JobState(rec.State).Terminal() {
-			preTerminal = service.JobState(rec.State)
-		}
+	if durable && service.JobState(jrec.State).Terminal() {
+		preTerminal = service.JobState(jrec.State)
 	}
 
 	metrics := &service.Metrics{}
@@ -370,7 +367,7 @@ func (c Config) verifyRecovery(fsys *faultfs.Mem, ref *reference, id string) err
 		// The job is allowed to be gone only if it was never durably
 		// journaled (crash before the submit response) or its journal
 		// record was detectably corrupted by a torn write.
-		if c.Kind == faultfs.FaultTornWrite || !stateDurable(fsys, id) {
+		if c.Kind == faultfs.FaultTornWrite || !durable {
 			return c.verifySecondRecovery(fsys, id)
 		}
 		return fmt.Errorf("durably journaled job %s missing after recovery: %v", id, err)
@@ -419,6 +416,7 @@ func (c Config) verifySecondRecovery(fsys *faultfs.Mem, id string) error {
 	if err != nil {
 		return fmt.Errorf("second recovery failed to open store: %w", err)
 	}
+	defer st.CloseJournal()
 	stale, err := fsys.Glob(storeRoot + "/jobs/*/*.tmp-*")
 	if err != nil {
 		return err
@@ -443,19 +441,6 @@ func (c Config) verifySecondRecovery(fsys *faultfs.Mem, id string) error {
 		}
 	}
 	return nil
-}
-
-// stateDurable reports whether the job's state record survived the
-// power cut — the line between "remnant the recovery may drop" and
-// "journaled job that must come back". With group commit the record
-// can live in either home: the materialized state.json or the intact
-// prefix of journal.wal.
-func stateDurable(fsys *faultfs.Mem, id string) bool {
-	if _, err := fsys.ReadFile(storeRoot + "/jobs/" + id + "/state.json"); err == nil {
-		return true
-	}
-	_, ok := store.JournalSnapshot(fsys, storeRoot)[id]
-	return ok
 }
 
 // compareFinal asserts the job's final snapshot is bit-exact against

@@ -73,9 +73,11 @@ func (c Config) runENOSPCCase(k int64, ref *reference) (bool, error) {
 			return false, fmt.Errorf("store open failed with no fault fired: %w", err)
 		}
 		fsys.SetFull(false)
-		if _, err := store.OpenFS(fsys, storeRoot); err != nil {
+		st, err := store.OpenFS(fsys, storeRoot)
+		if err != nil {
 			return true, fmt.Errorf("store open still failing after space was freed: %w", err)
 		}
+		st.CloseJournal()
 		return true, nil
 	}
 	metrics := &service.Metrics{}
@@ -128,8 +130,14 @@ func (c Config) runENOSPCCase(k int64, ref *reference) (bool, error) {
 	if err := waitCond(enospcWait, func() bool { return metrics.StoreDegraded.Load() == 0 }); err != nil {
 		return true, fmt.Errorf("store still degraded %v after space was freed; probe did not restore", enospcWait)
 	}
-	if err := waitCond(enospcWait, func() bool { return stateDurable(fsys, j.ID) }); err != nil {
-		return true, fmt.Errorf("job %s not re-journaled after restore; degraded-era state stayed volatile", j.ID)
+	// The re-journal is done once the journal's record for the job is
+	// its terminal one; the submit line journaled before the disk filled
+	// does not count.
+	if err := waitCond(enospcWait, func() bool {
+		rec, ok := store.JournalSnapshot(fsys, storeRoot)[j.ID]
+		return ok && service.JobState(rec.State) == service.StateDone
+	}); err != nil {
+		return true, fmt.Errorf("job %s not re-journaled as done after restore; degraded-era state stayed volatile", j.ID)
 	}
 	id, wantStep := j.ID, c.Steps
 	mgr.Close()

@@ -300,8 +300,8 @@ func TestMemGlobAndReadDir(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	writeFile(t, m, "jobs/a", "spec.json", []byte("{}"), true, true)
-	writeFile(t, m, "jobs/b", "state.json", []byte("{}"), true, true)
+	writeFile(t, m, "jobs/a", "checkpoint.bin", []byte("{}"), true, true)
+	writeFile(t, m, "jobs/b", "checkpoint.d0001.bin", []byte("{}"), true, true)
 	// Leave an orphan temp in jobs/b.
 	if _, err := m.CreateTemp("jobs/b", "checkpoint.bin.tmp-*"); err != nil {
 		t.Fatal(err)
@@ -354,7 +354,7 @@ func TestOSSmoke(t *testing.T) {
 	if err := fsys.MkdirAll(root+"/jobs/x", 0o755); err != nil {
 		t.Fatal(err)
 	}
-	f, err := fsys.CreateTemp(root+"/jobs/x", "spec.json.tmp-*")
+	f, err := fsys.CreateTemp(root+"/jobs/x", "checkpoint.bin.tmp-*")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,17 +367,17 @@ func TestOSSmoke(t *testing.T) {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := fsys.Rename(f.Name(), root+"/jobs/x/spec.json"); err != nil {
+	if err := fsys.Rename(f.Name(), root+"/jobs/x/checkpoint.bin"); err != nil {
 		t.Fatal(err)
 	}
 	if err := fsys.SyncDir(root + "/jobs/x"); err != nil {
 		t.Fatal(err)
 	}
-	got, err := fsys.ReadFile(root + "/jobs/x/spec.json")
+	got, err := fsys.ReadFile(root + "/jobs/x/checkpoint.bin")
 	if err != nil || string(got) != "data" {
 		t.Fatalf("ReadFile = (%q, %v)", got, err)
 	}
-	matches, err := fsys.Glob(root + "/jobs/*/spec.json")
+	matches, err := fsys.Glob(root + "/jobs/*/checkpoint.bin")
 	if err != nil || len(matches) != 1 {
 		t.Fatalf("Glob = (%v, %v)", matches, err)
 	}
@@ -385,7 +385,7 @@ func TestOSSmoke(t *testing.T) {
 	if err != nil || len(entries) != 1 || entries[0].Name() != "x" {
 		t.Fatalf("ReadDir = (%v, %v)", entries, err)
 	}
-	if err := fsys.Remove(root + "/jobs/x/spec.json"); err != nil {
+	if err := fsys.Remove(root + "/jobs/x/checkpoint.bin"); err != nil {
 		t.Fatal(err)
 	}
 	if err := fsys.RemoveAll(root + "/jobs/x"); err != nil {

@@ -2,9 +2,11 @@ package service
 
 import (
 	"bytes"
+	"io/fs"
 	"net/http"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -375,6 +377,67 @@ func TestDoneJobsSurviveAsHistory(t *testing.T) {
 	}
 	if fresh.ID == j1.ID {
 		t.Errorf("new submission reused journaled ID %s", fresh.ID)
+	}
+}
+
+// TestParentDataDirUpgrades boots the daemon on a data dir the previous
+// on-disk format wrote (spec.json/state.json sidecars plus a newer
+// journal.wal; see store/testdata/parent-journal): the finished job
+// comes back as history at its final step, the paused one paused, the
+// journal-only submission runs; the spec-only remnant and the job
+// removed after its tombstone stay gone, new IDs continue above every
+// journaled one, and no sidecar is left.
+func TestParentDataDirUpgrades(t *testing.T) {
+	t.Cleanup(goroutineBaseline(t))
+	dir := t.TempDir()
+	src := filepath.Join("store", "testdata", "parent-journal")
+	err := filepath.WalkDir(src, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		dst := filepath.Join(dir, strings.TrimPrefix(path, src))
+		if err := os.MkdirAll(filepath.Dir(dst), 0o755); err != nil {
+			return err
+		}
+		return os.WriteFile(dst, data, 0o644)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mgr := NewManagerOpts(Options{Workers: 1, QueueCap: 4, Store: openStore(t, dir)})
+	defer mgr.Close()
+	done, err := mgr.Get("job-0001")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info := done.Info(); info.State != StateDone || info.Step != 64 || !info.Recovered {
+		t.Errorf("finished job = %+v, want done/recovered at step 64", info)
+	}
+	for id, want := range map[string]JobState{"job-0002": StatePaused, "job-0005": StateDone} {
+		j, err := mgr.Get(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitFor(t, id+" "+string(want), func() bool { return j.State() == want })
+	}
+	for _, id := range []string{"job-0003", "job-0004"} {
+		if _, err := mgr.Get(id); err == nil {
+			t.Errorf("%s came back; it has no live record", id)
+		}
+	}
+	fresh, err := mgr.Submit(JobSpec{Preset: "pipe", Steps: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fresh.ID != "job-0006" {
+		t.Errorf("new submission got ID %s, want job-0006", fresh.ID)
+	}
+	if left, _ := filepath.Glob(filepath.Join(dir, "jobs", "*", "*.json")); len(left) != 0 {
+		t.Errorf("sidecars survived the upgrade: %v", left)
 	}
 }
 

@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -279,6 +280,57 @@ func TestHealthzDegradedAndRecovers(t *testing.T) {
 	})
 }
 
+// TestRejournalFinishesBeforeClose races the disk-pressure restore
+// against Close. A job journaled queued finishes while the disk is
+// full, so its later records are suppressed; space frees, and Close
+// runs the instant the probe restores the store. The restore's
+// re-journal of the terminal record must land before Close closes the
+// journal: a power cut right after Close still recovers the job done
+// at its final step, not re-queued from the queued record journaled
+// before the disk filled.
+func TestRejournalFinishesBeforeClose(t *testing.T) {
+	t.Cleanup(goroutineBaseline(t))
+	spec := JobSpec{Preset: "pipe", Steps: 2000, SnapshotEvery: -1}
+	for round := 0; round < 10; round++ {
+		fsys := faultfs.NewMem(int64(round))
+		st, err := store.OpenFS(fsys, "data")
+		if err != nil {
+			t.Fatal(err)
+		}
+		metrics := &Metrics{}
+		mgr := NewManagerOpts(Options{
+			Workers: 1, QueueCap: 4, Store: st, Metrics: metrics,
+			CheckpointEvery: -1, StoreProbeEvery: time.Millisecond,
+		})
+		j, err := mgr.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fsys.SetFull(true)
+		waitFor(t, "job done", func() bool { return j.State().Terminal() })
+		if j.State() != StateDone {
+			t.Fatalf("round %d: job ended %s under disk pressure", round, j.State())
+		}
+		waitFor(t, "store degraded", func() bool { return metrics.StoreDegradedTotal.Load() > 0 })
+		fsys.SetFull(false)
+		for metrics.StoreDegraded.Load() != 0 {
+			runtime.Gosched()
+		}
+		mgr.Close()
+
+		fsys.PowerCycle()
+		st2, err := store.OpenFS(fsys, "data")
+		if err != nil {
+			t.Fatal(err)
+		}
+		st2.CloseJournal()
+		if rec, err := st2.State(j.ID); err != nil || rec.State != string(StateDone) || rec.Step != spec.Steps {
+			t.Fatalf("round %d: journal after restore + Close + power cut holds %+v (%v), want done at step %d",
+				round, rec, err, spec.Steps)
+		}
+	}
+}
+
 // TestRetentionGC checks the terminal-job sweeper: with a retention
 // cap of one, finished jobs beyond the newest are removed from both
 // the job table and the store.
@@ -308,8 +360,5 @@ func TestRetentionGC(t *testing.T) {
 	if _, err := mgr.Get(last.ID); err != nil {
 		t.Errorf("newest job was GCed: %v", err)
 	}
-	waitFor(t, "store pruned", func() bool {
-		ids, err := mgr.store.Jobs()
-		return err == nil && len(ids) == 1
-	})
+	waitFor(t, "store pruned", func() bool { return len(mgr.store.Jobs()) == 1 })
 }

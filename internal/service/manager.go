@@ -176,7 +176,7 @@ type Job struct {
 	// not a user decision): the terminal cancelled state then stays
 	// out of the store, so the job is re-queued on the next boot.
 	shutdownCancel bool
-	// journalMu serialises this job's state.json writes: the record
+	// journalMu serialises this job's journal writes: the record
 	// build and the store write happen under it together, so a racing
 	// Pause/Resume can never journal a stale non-terminal record over
 	// the terminal one finish() wrote (which would resurrect a
@@ -630,21 +630,10 @@ func NewManagerOpts(o Options) *Manager {
 			m.log.Warn("journal background write failed", "err", err)
 			m.degrader.WriteFailed(err)
 		})
-	}
-	// The group-commit journal comes up before recovery: EnableJournal
-	// replays any log a previous run left, so recovery always sees the
-	// materialized per-job files plus nothing stale. A journal that
-	// cannot come up degrades to the per-file fsync path rather than
-	// refusing to boot jobs that are already safely on disk.
-	if m.store != nil {
 		m.store.SetGroupCommitObserver(func(records int) {
 			o.Metrics.JournalGroupCommits.Add(1)
 			o.Metrics.JournalGroupCommitRecords.Add(int64(records))
 		})
-		if err := m.store.EnableJournal(0); err != nil {
-			m.metrics.StoreErrors.Add(1)
-			m.log.Error("journal unavailable; falling back to per-file writes", "err", err)
-		}
 	}
 	// Recovery runs before the dispatcher exists, so the re-queued
 	// backlog can size the queue channel (a restart must never drop
@@ -681,7 +670,10 @@ func NewManagerOpts(o Options) *Manager {
 
 // onDegradeChange is the degrader's transition callback: flip the
 // gauge, log loudly, and on restore re-journal every live job so the
-// states accepted while degraded become durable again.
+// states accepted while degraded become durable again. The re-journal
+// runs on the probe goroutine that restored, which Degrader.Close waits
+// for — so Close, which closes the degrader before the journal, never
+// returns while one is in flight.
 func (m *Manager) onDegradeChange(degraded bool, cause error) {
 	if degraded {
 		m.metrics.StoreDegraded.Store(1)
@@ -691,7 +683,7 @@ func (m *Manager) onDegradeChange(degraded bool, cause error) {
 	}
 	m.metrics.StoreDegraded.Store(0)
 	m.log.Info("store restored: re-enabling durability")
-	go m.rejournalAll()
+	m.rejournalAll()
 }
 
 // StoreDegraded reports whether durability is currently suspended
@@ -744,39 +736,20 @@ func (m *Manager) rejournalAll() {
 // checkpoint degrades to a clean start from step 0, never a crash.
 // Returns the jobs to prefill the submission queue with.
 func (m *Manager) recoverFromStore() []*Job {
-	ids, err := m.store.Jobs()
-	if err != nil {
-		m.metrics.StoreErrors.Add(1)
-		m.log.Error("recovery: listing jobs failed", "err", err)
-		return nil
-	}
 	var pending []*Job
-	for _, id := range ids {
+	for _, id := range m.store.Jobs() {
 		m.chaosPoint(ChaosRecoveryReplay, id)
 		// Keep new submissions' IDs above everything ever journaled.
 		if n, ok := jobIDNumber(id); ok && n > m.nextID {
 			m.nextID = n
 		}
-		raw, err := m.store.Spec(id)
-		if err != nil {
-			m.metrics.StoreErrors.Add(1)
-			continue
-		}
+		// Jobs lists exactly the ids the journal holds a spec and a
+		// record for; remnants never reach this loop.
+		raw, _ := m.store.Spec(id)
+		rec, _ := m.store.State(id)
 		var spec JobSpec
 		if err := json.Unmarshal(raw, &spec); err != nil {
 			m.metrics.StoreErrors.Add(1)
-			continue
-		}
-		rec, err := m.store.State(id)
-		if err != nil {
-			if errors.Is(err, fs.ErrNotExist) {
-				// A crash between journaling the spec and the state
-				// record: the submitter never got its 201, so this is
-				// a remnant, not a job — drop it.
-				_ = m.store.Remove(id)
-			} else {
-				m.metrics.StoreErrors.Add(1)
-			}
 			continue
 		}
 		j := &Job{

@@ -132,7 +132,7 @@ func (c chain) reconstruct(id string) (*lb.CheckpointState, error) {
 // makes deltas cheap: checkpoint fsyncs otherwise convoy with the
 // journal's group commits on the filesystem log.
 func (s *Store) PutCheckpointDelta(id string, seq uint64, data []byte) error {
-	err := s.atomicWrite(id, deltaFileName(seq), data, syncNone)
+	err := s.atomicWrite(s.jobDir(id), deltaFileName(seq), data, syncNone)
 	if err != nil {
 		s.sweepTemps(id)
 	}
@@ -145,10 +145,7 @@ func (s *Store) PutCheckpointDelta(id string, seq uint64, data []byte) error {
 // against the new full checkpoint (different CRC, stale steps) and the
 // open-time sweep collects them. Frozen stores no-op.
 func (s *Store) DropCheckpointDeltas(id string) error {
-	s.mu.Lock()
-	frozen := s.frozen
-	s.mu.Unlock()
-	if frozen {
+	if s.isFrozen() {
 		return nil
 	}
 	paths, err := s.fs.Glob(filepath.Join(s.jobDir(id), checkpointDeltaGlob))
@@ -179,11 +176,7 @@ func (s *Store) VerifyCheckpoint(id string) (int, error) {
 // corruption or gap, or orphans a crashed compaction left behind) from
 // every job directory. Boot-time counterpart of sweepTemps.
 func (s *Store) sweepChains() {
-	ids, err := s.Jobs()
-	if err != nil {
-		return
-	}
-	for _, id := range ids {
+	for _, id := range s.Jobs() {
 		c, _ := s.readChain(id)
 		for _, p := range c.stale {
 			if err := s.fs.Remove(p); err == nil {

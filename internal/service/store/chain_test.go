@@ -150,11 +150,14 @@ func TestCheckpointChainTruncatesAtCorruptTail(t *testing.T) {
 }
 
 // TestOpenSweepsStaleDeltas pins the orphan-delta sweep: chain members
-// past a corruption, deltas stranded by a crashed compaction (a newer
-// full checkpoint landed but the old chain was not removed), and
-// orphans with no base at all are deleted on store open.
+// past a corruption and deltas stranded by a crashed compaction (a newer
+// full checkpoint landed but the old chain was not removed) are deleted
+// on store open, and so is a directory no journal record claims.
 func TestOpenSweepsStaleDeltas(t *testing.T) {
 	s := open(t)
+	if err := s.AppendSubmit("j", map[string]any{}, JobRecord{ID: "j", State: "running"}); err != nil {
+		t.Fatal(err)
+	}
 	states, full, deltas := chainFixture(t, 3)
 	putChain(t, s, "j", full, deltas)
 
@@ -182,11 +185,9 @@ func TestOpenSweepsStaleDeltas(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Reopen: the sweep must remove every stale file.
-	s2, err := Open(s.Root())
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Reopen: the sweep must remove every stale file and keep the base.
+	s.CloseJournal()
+	s2 := openDir(t, s.Root())
 	for _, id := range []string{"j", "orphan"} {
 		left, err := filepath.Glob(filepath.Join(s2.Root(), "jobs", id, checkpointDeltaGlob))
 		if err != nil {
@@ -195,6 +196,12 @@ func TestOpenSweepsStaleDeltas(t *testing.T) {
 		if len(left) != 0 {
 			t.Fatalf("stale deltas for %s survived reopen: %v", id, left)
 		}
+	}
+	if _, err := os.Stat(orphanDir); !os.IsNotExist(err) {
+		t.Fatalf("orphan directory survived reopen: %v", err)
+	}
+	if st, err := s2.CheckpointState("j"); err != nil || !sameState(st, states[len(states)-1]) {
+		t.Fatalf("sweep damaged the live checkpoint: %v", err)
 	}
 }
 

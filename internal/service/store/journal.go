@@ -8,33 +8,33 @@ import (
 	"hash/crc64"
 	"io/fs"
 	"path/filepath"
+	"sort"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/faultfs"
 )
 
-// Group-commit journal: the submit path used to pay two fsynced
-// atomic-rename writes (spec, then state) before a job's 201 — ~2 disk
-// flushes per submit, serialized. The journal turns both into one
-// appended record on a shared write-ahead log, and a single commit
-// goroutine batches every record that arrived while the previous fsync
-// was in flight into the next one — under concurrent submits the flush
-// cost amortizes across the batch ("group commit"), while each caller
-// still blocks until its record is durable.
+// The journal is the store's one home for a job's spec and lifecycle
+// state: a write-ahead log of records, folded into an in-memory index
+// (the latest record per id wins; a tombstone removes the id) that
+// Jobs, Spec and State read.
 //
 // Format: one record per line, `<compact JSON> #crc64:<16 hex>\n`. The
 // CRC is per line, so a torn tail (power cut mid-append) invalidates
 // only the last line; replay stops at the first bad line and everything
 // before it is intact — exactly the prefix the fsync contract promised.
 //
-// Lifecycle: EnableJournal replays any journal left by a previous run
-// into the per-job files (full atomic-rename durability), truncates it,
-// and opens a fresh log. At runtime Append* records land only in the
-// journal plus an in-memory overlay that keeps Spec/State/Jobs reads
-// coherent; the per-job files catch up at the next EnableJournal.
-// Remove appends a durable tombstone *before* deleting the directory,
-// so a crash cannot replay an older submit record back to life.
+// Lifecycle: OpenFS folds the log into the index, rewrites it as one
+// submit line per live job (compaction), and opens it for append. At
+// runtime one commit goroutine owns the file and batches every record
+// that arrived while the previous fsync was in flight into the next one
+// — under concurrent submits the flush cost amortizes across the batch
+// ("group commit"), while each waiting caller still blocks until its
+// record is durable. Remove appends a durable tombstone *before*
+// deleting the directory, so a crash cannot bring a removed job back.
 
 // journalFile is the write-ahead log, in the store root next to jobs/.
 const journalFile = "journal.wal"
@@ -42,9 +42,10 @@ const journalFile = "journal.wal"
 // journalCRCSep introduces the per-line integrity trailer.
 const journalCRCSep = " #crc64:"
 
+var crcTable = crc64.MakeTable(crc64.ECMA)
+
 // journalRec is one journal line. Submit carries spec and state
-// together: the two-file submit had a crash window where the spec
-// existed without a state record; one atomic line removes it.
+// together, so a job is never recorded with one and not the other.
 type journalRec struct {
 	Op    string          `json:"op"` // "submit", "state", "remove"
 	ID    string          `json:"id"`
@@ -52,24 +53,75 @@ type journalRec struct {
 	State *JobRecord      `json:"state,omitempty"`
 }
 
-// overlayEntry is the in-memory view of a job's journal-newer data.
-type overlayEntry struct {
-	spec    json.RawMessage
-	state   *JobRecord
-	removed bool
+// entry is one live job in the index.
+type entry struct {
+	spec  json.RawMessage
+	state JobRecord
 }
 
-// journalReq is one caller blocked on the next group commit.
+// index maps every live job to its spec and latest lifecycle record.
+type index map[string]entry
+
+// apply folds one record into the index — the one fold boot replay and
+// runtime appends share. A submit (re)defines the job, a state record
+// replaces the lifecycle record of a job the index holds, a tombstone
+// removes the job. A state record for an id the index does not hold
+// belongs to a submit that never became durable, or to a removed job,
+// and changes nothing.
+func (ix index) apply(rec journalRec) {
+	switch rec.Op {
+	case "submit":
+		if rec.Spec != nil && rec.State != nil {
+			ix[rec.ID] = entry{spec: rec.Spec, state: *rec.State}
+		}
+	case "state":
+		if e, ok := ix[rec.ID]; ok && rec.State != nil {
+			e.state = *rec.State
+			ix[rec.ID] = e
+		}
+	case "remove":
+		delete(ix, rec.ID)
+	}
+}
+
+// ids returns the index's job IDs, sorted.
+func (ix index) ids() []string {
+	ids := make([]string, 0, len(ix))
+	for id := range ix {
+		ids = append(ids, id)
+	}
+	sort.Strings(ids)
+	return ids
+}
+
+// encode renders the index as a compacted journal: one submit line per
+// live job, in id order.
+func (ix index) encode() ([]byte, error) {
+	var buf bytes.Buffer
+	for _, id := range ix.ids() {
+		e := ix[id]
+		line, err := encodeJournalLine(journalRec{Op: "submit", ID: id, Spec: e.spec, State: &e.state})
+		if err != nil {
+			return nil, err
+		}
+		buf.Write(line)
+	}
+	return buf.Bytes(), nil
+}
+
+// journalReq is one record queued for the next group commit; done is
+// nil for a record nobody waits on.
 type journalReq struct {
 	line []byte
 	done chan error
 }
 
 // journal is the group-commit writer. One goroutine owns the file;
-// callers enqueue and wait.
+// callers enqueue and (optionally) wait.
 type journal struct {
-	file  faultfs.File
-	delay time.Duration
+	file faultfs.File
+	// delay is the group-commit window in nanoseconds (EnableJournal).
+	delay atomic.Int64
 
 	// dirty marks appended-but-not-fsynced bytes (commit goroutine
 	// only): a batch of exclusively no-wait records is written without
@@ -86,55 +138,92 @@ type journal struct {
 	dead   chan struct{}
 }
 
-// EnableJournal switches the store's spec/lifecycle writes to the
-// group-commit journal: any existing journal is replayed into the
-// per-job files and truncated, then a fresh log is opened. delay is the
-// optional bounded-latency timer — how long a commit waits after the
-// first record arrives to let more join the batch (0 commits as soon as
-// the writer is free, which already batches under concurrency).
-// Call once, before the store is shared.
-func (s *Store) EnableJournal(delay time.Duration) error {
-	if s.jn != nil {
-		return fmt.Errorf("store: journal already enabled")
+// openJournal brings the journal up, in this order: fold the previous
+// run's log (over the sidecars of a pre-journal data dir, legacy.go)
+// into the index; delete job directories no live record claims — a
+// submit that never got its 201, or a Remove cut off after its
+// tombstone; write the index as a fresh journal (temp file, fsync,
+// rename, root directory sync); delete the imported sidecars; open the
+// log for append and start the commit goroutine. Any failure fails the
+// open: a store never runs on a journal it could not bring up.
+func (s *Store) openJournal() error {
+	path := filepath.Join(s.root, journalFile)
+	data, err := s.fs.ReadFile(path)
+	if err != nil && !errors.Is(err, fs.ErrNotExist) {
+		return fmt.Errorf("store: read journal: %w", err)
 	}
-	if err := s.replayJournal(); err != nil {
-		// The journal stays on disk for a later boot to replay; until
-		// then spec/state/remove writes are refused — written behind the
-		// journal, the eventual replay would roll them back.
-		s.mu.Lock()
-		s.jnStuck = true
-		s.mu.Unlock()
+	ix, sidecars, err := s.importSidecars()
+	if err != nil {
 		return err
 	}
-	path := filepath.Join(s.root, journalFile)
+	recs, intact := parseJournal(data)
+	if intact < len(data) {
+		s.tailAt, s.tailLen = intact, len(data)-intact
+	}
+	for _, rec := range recs {
+		ix.apply(rec)
+	}
+	jobs := filepath.Join(s.root, "jobs")
+	dirs, err := s.fs.ReadDir(jobs)
+	if err != nil {
+		return fmt.Errorf("store: %w", err)
+	}
+	removed := false
+	for _, d := range dirs {
+		if _, live := ix[d.Name()]; d.IsDir() && !live {
+			if err := s.fs.RemoveAll(s.jobDir(d.Name())); err != nil {
+				return fmt.Errorf("store: %w", err)
+			}
+			removed = true
+		}
+	}
+	// The deletions must be durable before compaction drops the
+	// tombstones that justify them: a removed job's sidecars coming back
+	// after a power cut would otherwise bring the job back.
+	if removed {
+		if err := s.fs.SyncDir(jobs); err != nil {
+			return fmt.Errorf("store: sync %s: %w", jobs, err)
+		}
+	}
+	compacted, err := ix.encode()
+	if err != nil {
+		return err
+	}
+	if err := s.atomicWrite(s.root, journalFile, compacted, syncData); err != nil {
+		return err
+	}
+	if err := s.fs.SyncDir(s.root); err != nil {
+		return fmt.Errorf("store: sync %s: %w", s.root, err)
+	}
+	for _, p := range sidecars {
+		if err := s.fs.Remove(p); err != nil && !errors.Is(err, fs.ErrNotExist) {
+			return fmt.Errorf("store: %w", err)
+		}
+	}
 	f, err := s.fs.OpenAppend(path)
 	if err != nil {
 		return fmt.Errorf("store: open journal: %w", err)
 	}
-	// The log's directory entry must be durable before the first record
-	// is acknowledged, or a crash could drop the whole file.
-	if err := s.syncDir(s.root); err != nil {
-		f.Close()
-		return err
-	}
-	j := &journal{file: f, delay: delay, kick: make(chan struct{}, 1), dead: make(chan struct{})}
-	s.mu.Lock()
-	s.overlay = make(map[string]*overlayEntry)
-	s.mu.Unlock()
-	s.jn = j
-	go j.run(s)
+	s.index = ix
+	s.jn = &journal{file: f, kick: make(chan struct{}, 1), dead: make(chan struct{})}
+	go s.jn.run(s)
+	return nil
+}
+
+// EnableJournal sets the group-commit window: how long a commit waits
+// after the first record arrives to let more join the batch (0, the
+// default, commits as soon as the writer is free, which already batches
+// under concurrency). The journal itself is open from OpenFS on.
+func (s *Store) EnableJournal(delay time.Duration) error {
+	s.jn.delay.Store(int64(delay))
 	return nil
 }
 
 // CloseJournal stops the commit goroutine and closes the log. Records
-// already acknowledged are durable; the journal itself stays on disk
-// for the next EnableJournal to replay. Safe to call when the journal
-// was never enabled.
+// already acknowledged are durable; the journal stays on disk for the
+// next OpenFS to compact. Idempotent.
 func (s *Store) CloseJournal() {
 	j := s.jn
-	if j == nil {
-		return
-	}
 	j.mu.Lock()
 	if !j.closed {
 		j.closed = true
@@ -164,8 +253,8 @@ func (s *Store) SetWriteFailureObserver(fn func(err error)) {
 func (j *journal) run(s *Store) {
 	defer close(j.dead)
 	for range j.kick {
-		if j.delay > 0 {
-			time.Sleep(j.delay)
+		if d := time.Duration(j.delay.Load()); d > 0 {
+			time.Sleep(d)
 		}
 		j.commit(s)
 	}
@@ -239,38 +328,28 @@ func (j *journal) commit(s *Store) {
 	}
 }
 
-// append enqueues one line and blocks until its group commit fsyncs (or
-// fails — the whole batch shares the error).
-func (j *journal) append(line []byte) error {
-	req := journalReq{line: line, done: make(chan error, 1)}
-	if err := j.enqueue(req); err != nil {
-		return err
+// enqueue adds line to the next group commit and returns the channel
+// its outcome arrives on — nil when wait is false: the record keeps its
+// place in the queue (so ordering against later appends is preserved)
+// and lands in the very next group commit, but its caller does not pay
+// the fsync latency, and a commit failure is logged by the commit
+// goroutine instead of returned.
+func (j *journal) enqueue(line []byte, wait bool) (chan error, error) {
+	req := journalReq{line: line}
+	if wait {
+		req.done = make(chan error, 1)
 	}
-	return <-req.done
-}
-
-// appendNoWait enqueues one line without waiting for its commit: the
-// record holds its place in the queue (so ordering against later
-// appends is preserved) and lands in the very next group commit, but
-// the caller does not pay the fsync latency. A commit failure is
-// logged by the commit goroutine instead of returned.
-func (j *journal) appendNoWait(line []byte) error {
-	return j.enqueue(journalReq{line: line})
-}
-
-func (j *journal) enqueue(req journalReq) error {
 	j.mu.Lock()
+	defer j.mu.Unlock()
 	if j.closed {
-		j.mu.Unlock()
-		return fmt.Errorf("store: journal closed")
+		return nil, fmt.Errorf("store: journal closed")
 	}
 	j.queue = append(j.queue, req)
 	select {
 	case j.kick <- struct{}{}:
 	default:
 	}
-	j.mu.Unlock()
-	return nil
+	return req.done, nil
 }
 
 // encodeJournalLine renders rec as one CRC-trailed line.
@@ -284,207 +363,112 @@ func encodeJournalLine(rec journalRec) ([]byte, error) {
 
 // parseJournal returns the records of every intact line, stopping at
 // the first torn or corrupt one (the legal crash outcome: a durable
-// prefix).
-func parseJournal(data []byte) []journalRec {
+// prefix), and the length of that intact prefix in bytes. A line whose
+// id is not one plain path element is corrupt too: the writer never
+// produces one, and the store must never address a path outside jobs/.
+func parseJournal(data []byte) ([]journalRec, int) {
 	var recs []journalRec
-	for len(data) > 0 {
-		nl := bytes.IndexByte(data, '\n')
+	intact := 0
+	for {
+		nl := bytes.IndexByte(data[intact:], '\n')
 		if nl < 0 {
-			break // torn tail, no terminator
+			return recs, intact // torn tail, no terminator
 		}
-		line := data[:nl]
-		data = data[nl+1:]
-		at := bytes.LastIndex(line, []byte(journalCRCSep))
-		if at < 0 {
-			break
-		}
-		payload := line[:at]
-		var want uint64
-		if _, err := fmt.Sscanf(string(line[at+len(journalCRCSep):]), "%016x", &want); err != nil {
-			break
-		}
-		if crc64.Checksum(payload, crcTable) != want {
-			break
-		}
+		payload, ok := splitCRC(data[intact:intact+nl], journalCRCSep)
 		var rec journalRec
-		if err := json.Unmarshal(payload, &rec); err != nil {
-			break
+		if !ok || json.Unmarshal(payload, &rec) != nil ||
+			rec.ID == "" || rec.ID == "." || rec.ID == ".." || strings.ContainsAny(rec.ID, `/\`) {
+			return recs, intact
 		}
 		recs = append(recs, rec)
+		intact += nl + 1
 	}
-	return recs
 }
 
-// replayJournal materializes a previous run's journal into the per-job
-// files and truncates it. Any materialization failure keeps the journal
-// in place and aborts — better to refuse the boot than to serve a state
-// older than what was acknowledged durable.
-func (s *Store) replayJournal() error {
-	path := filepath.Join(s.root, journalFile)
-	data, err := s.fs.ReadFile(path)
-	if errors.Is(err, fs.ErrNotExist) {
-		return nil
+// splitCRC splits data at the last sep and returns the payload before
+// it, with ok reporting whether the 16-hex-digit CRC64 after sep
+// matches that payload.
+func splitCRC(data []byte, sep string) (payload []byte, ok bool) {
+	at := bytes.LastIndex(data, []byte(sep))
+	if at < 0 {
+		return nil, false
 	}
+	var want uint64
+	if _, err := fmt.Sscanf(string(data[at+len(sep):]), "%016x", &want); err != nil {
+		return nil, false
+	}
+	return data[:at], crc64.Checksum(data[:at], crcTable) == want
+}
+
+// appendRecord folds rec into the index and queues it for the next
+// group commit, both under the store lock, so the index changes in
+// exactly the order the journal records. wait=false does not wait for
+// the commit's fsync. Frozen stores no-op.
+func (s *Store) appendRecord(rec journalRec, wait bool) error {
+	line, err := encodeJournalLine(rec)
 	if err != nil {
-		return fmt.Errorf("store: read journal: %w", err)
+		return err
 	}
-	recs := parseJournal(data)
-	// Latest record per id wins; order across ids is immaterial.
-	merged := make(map[string]*overlayEntry)
-	for _, rec := range recs {
-		e := merged[rec.ID]
-		if e == nil {
-			e = &overlayEntry{}
-			merged[rec.ID] = e
-		}
-		switch rec.Op {
-		case "submit":
-			e.spec = rec.Spec
-			e.state = rec.State
-			e.removed = false
-		case "state":
-			e.state = rec.State
-			e.removed = false
-		case "remove":
-			*e = overlayEntry{removed: true}
-		}
-	}
-	for id, e := range merged {
-		if e.removed {
-			if err := s.Remove(id); err != nil {
-				return err
-			}
-			continue
-		}
-		if e.spec != nil {
-			if err := s.putJSON(id, specFile, e.spec); err != nil {
-				return err
-			}
-		}
-		if e.state != nil {
-			if err := s.PutState(id, *e.state); err != nil {
-				return err
-			}
-		}
-	}
-	if err := s.fs.Remove(path); err != nil {
-		return fmt.Errorf("store: truncate journal: %w", err)
-	}
-	return s.syncDir(s.root)
-}
-
-// appendRecord writes one record through the group-commit path,
-// updating the read overlay first (under the store lock, so overlay
-// order matches queue order). wait=false enqueues without paying the
-// fsync latency — the record rides the next group commit. Without an
-// enabled journal the caller falls back to the direct file writes.
-// Frozen stores no-op.
-func (s *Store) appendRecord(rec journalRec, wait bool) (bool, error) {
 	s.mu.Lock()
 	if s.frozen {
 		s.mu.Unlock()
-		return true, nil
+		return nil
 	}
-	j := s.jn
-	if j == nil {
-		s.mu.Unlock()
-		return false, nil
-	}
-	line, err := encodeJournalLine(rec)
-	if err != nil {
-		s.mu.Unlock()
-		return true, err
-	}
-	e := s.overlay[rec.ID]
-	if e == nil {
-		e = &overlayEntry{}
-		s.overlay[rec.ID] = e
-	}
-	switch rec.Op {
-	case "submit":
-		e.spec = rec.Spec
-		e.state = rec.State
-		e.removed = false
-	case "state":
-		e.state = rec.State
-		e.removed = false
-	case "remove":
-		*e = overlayEntry{removed: true}
+	done, err := s.jn.enqueue(line, wait)
+	if err == nil {
+		s.index.apply(rec)
 	}
 	s.mu.Unlock()
-	append := j.append
-	if !wait {
-		append = j.appendNoWait
+	if err == nil && done != nil {
+		err = <-done
 	}
-	if err := append(line); err != nil {
+	if err != nil {
 		s.log.Warn("journal append failed", "job", rec.ID, "op", rec.Op, "err", err)
-		return true, err
 	}
-	return true, nil
+	return err
 }
 
 // AppendSubmit journals an accepted submission — spec and initial
-// lifecycle record as one atomic, group-committed line. Falls back to
-// PutSpec+PutState when the journal is not enabled.
+// lifecycle record as one atomic, group-committed line.
 func (s *Store) AppendSubmit(id string, spec any, rec JobRecord) error {
 	specJSON, err := json.Marshal(spec)
 	if err != nil {
 		return fmt.Errorf("store: marshal spec: %w", err)
 	}
-	handled, err := s.appendRecord(journalRec{Op: "submit", ID: id, Spec: specJSON, State: &rec}, true)
-	if handled {
-		return err
-	}
-	if err := s.putJSON(id, specFile, specJSON); err != nil {
-		return err
-	}
-	return s.PutState(id, rec)
+	return s.appendRecord(journalRec{Op: "submit", ID: id, Spec: specJSON, State: &rec}, true)
 }
 
-// AppendState journals a lifecycle update. Falls back to PutState when
-// the journal is not enabled.
+// AppendState journals a lifecycle update and waits until it is
+// durable.
 func (s *Store) AppendState(id string, rec JobRecord) error {
-	handled, err := s.appendRecord(journalRec{Op: "state", ID: id, State: &rec}, true)
-	if handled {
-		return err
-	}
-	return s.PutState(id, rec)
+	return s.appendRecord(journalRec{Op: "state", ID: id, State: &rec}, true)
 }
 
 // AppendStateNoWait journals a lifecycle update without waiting for
 // the group commit: the record is ordered against every later append
 // and lands in the next shared fsync, but the caller returns
 // immediately — durability semantics equal a crash a moment earlier.
-// Falls back to the synchronous PutState when the journal is not
-// enabled (the direct write path has no deferred-ack form).
 func (s *Store) AppendStateNoWait(id string, rec JobRecord) error {
-	handled, err := s.appendRecord(journalRec{Op: "state", ID: id, State: &rec}, false)
-	if handled {
-		return err
-	}
-	return s.PutState(id, rec)
+	return s.appendRecord(journalRec{Op: "state", ID: id, State: &rec}, false)
 }
 
-// JournalSnapshot parses the write-ahead log under root on fsys without
+// JournalSnapshot folds the write-ahead log under root on fsys without
 // opening a store, returning the newest lifecycle record of every job
-// whose last journaled op is not a remove. Crash-harness introspection:
-// with the journal enabled, "is this job durably recorded" means the
-// per-job files *or* the intact journal prefix.
+// the journal holds. Crash-harness introspection: "is this job durably
+// recorded" means exactly "is it in the intact journal prefix".
 func JournalSnapshot(fsys faultfs.FS, root string) map[string]JobRecord {
 	data, err := fsys.ReadFile(filepath.Join(root, journalFile))
 	if err != nil {
 		return nil
 	}
-	out := make(map[string]JobRecord)
-	for _, rec := range parseJournal(data) {
-		switch rec.Op {
-		case "submit", "state":
-			if rec.State != nil {
-				out[rec.ID] = *rec.State
-			}
-		case "remove":
-			delete(out, rec.ID)
-		}
+	recs, _ := parseJournal(data)
+	ix := index{}
+	for _, rec := range recs {
+		ix.apply(rec)
+	}
+	out := make(map[string]JobRecord, len(ix))
+	for id, e := range ix {
+		out[id] = e.state
 	}
 	return out
 }

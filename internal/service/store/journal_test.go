@@ -19,16 +19,13 @@ func TestJournalSubmitStateReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.EnableJournal(0); err != nil {
-		t.Fatal(err)
-	}
 	if err := s.AppendSubmit("j1", map[string]any{"preset": "pipe"}, JobRecord{ID: "j1", State: "queued"}); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.AppendState("j1", JobRecord{ID: "j1", State: "running", Step: 4}); err != nil {
 		t.Fatal(err)
 	}
-	// Reads serve the journal-newer data without any per-job files.
+	// Reads serve the index; no per-job files are written at all.
 	raw, err := s.Spec("j1")
 	if err != nil || !strings.Contains(string(raw), `"pipe"`) {
 		t.Fatalf("Spec from overlay = (%s, %v)", raw, err)
@@ -37,22 +34,18 @@ func TestJournalSubmitStateReplay(t *testing.T) {
 	if err != nil || rec.State != "running" || rec.Step != 4 {
 		t.Fatalf("State from overlay = (%+v, %v)", rec, err)
 	}
-	ids, err := s.Jobs()
-	if err != nil || len(ids) != 1 || ids[0] != "j1" {
-		t.Fatalf("Jobs with overlay = (%v, %v)", ids, err)
+	if ids := s.Jobs(); len(ids) != 1 || ids[0] != "j1" {
+		t.Fatalf("Jobs = %v", ids)
 	}
-	if _, err := os.Stat(filepath.Join(dir, "jobs", "j1", stateFile)); !errors.Is(err, fs.ErrNotExist) {
-		t.Fatalf("state.json materialized before replay: %v", err)
+	if _, err := os.Stat(filepath.Join(dir, "jobs", "j1")); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("job directory created without a checkpoint: %v", err)
 	}
 	s.CloseJournal()
 
-	// Reopen: replay materializes the per-job files and truncates the
-	// journal.
+	// Reopen: the journal is compacted to one submit line carrying the
+	// latest record.
 	s2, err := Open(dir)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s2.EnableJournal(0); err != nil {
 		t.Fatal(err)
 	}
 	defer s2.CloseJournal()
@@ -65,8 +58,12 @@ func TestJournalSubmitStateReplay(t *testing.T) {
 		t.Fatalf("Spec after replay = (%s, %v)", raw, err)
 	}
 	data, err := os.ReadFile(filepath.Join(dir, journalFile))
-	if err != nil || len(data) != 0 {
-		t.Fatalf("journal after replay: %d bytes, err=%v (want empty)", len(data), err)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, intact := parseJournal(data)
+	if intact != len(data) || len(recs) != 1 || recs[0].Op != "submit" || recs[0].State.State != "running" {
+		t.Fatalf("compacted journal = %q", data)
 	}
 }
 
@@ -78,9 +75,6 @@ func TestJournalRemoveTombstone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.EnableJournal(0); err != nil {
-		t.Fatal(err)
-	}
 	if err := s.AppendSubmit("j1", map[string]any{"p": 1}, JobRecord{ID: "j1", State: "queued"}); err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +84,7 @@ func TestJournalRemoveTombstone(t *testing.T) {
 	if _, err := s.State("j1"); !errors.Is(err, fs.ErrNotExist) {
 		t.Fatalf("State after Remove = %v, want ErrNotExist", err)
 	}
-	if ids, _ := s.Jobs(); len(ids) != 0 {
+	if ids := s.Jobs(); len(ids) != 0 {
 		t.Fatalf("Jobs after Remove = %v", ids)
 	}
 	s.CloseJournal()
@@ -98,11 +92,8 @@ func TestJournalRemoveTombstone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s2.EnableJournal(0); err != nil {
-		t.Fatal(err)
-	}
 	defer s2.CloseJournal()
-	if ids, _ := s2.Jobs(); len(ids) != 0 {
+	if ids := s2.Jobs(); len(ids) != 0 {
 		t.Fatalf("removed job resurrected by replay: %v", ids)
 	}
 }
@@ -123,6 +114,9 @@ func TestJournalGroupCommit(t *testing.T) {
 		batches = append(batches, n)
 		obsMu.Unlock()
 	})
+	if err := s.AppendSubmit("j", map[string]any{}, JobRecord{ID: "j", State: "queued"}); err != nil {
+		t.Fatal(err)
+	}
 	// A small bounded-latency delay lets every goroutine enqueue before
 	// the first commit fires.
 	if err := s.EnableJournal(20 * time.Millisecond); err != nil {
@@ -155,17 +149,14 @@ func TestJournalGroupCommit(t *testing.T) {
 		total += b
 	}
 	obsMu.Unlock()
-	if total != N {
-		t.Fatalf("observer saw %d records in %v, want %d", total, batches, N)
+	if total != N+1 {
+		t.Fatalf("observer saw %d records in %v, want the submit and %d states", total, batches, N)
 	}
 	s.CloseJournal()
 	// Every acknowledged record survives a crash.
 	m.PowerCycle()
 	s2, err := OpenFS(m, "data")
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s2.EnableJournal(0); err != nil {
 		t.Fatal(err)
 	}
 	defer s2.CloseJournal()
@@ -193,9 +184,6 @@ func TestJournalTornTailRecovers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.EnableJournal(0); err != nil {
-		t.Fatal(err)
-	}
 	if err := s.AppendSubmit("j1", map[string]any{"p": 1}, JobRecord{ID: "j1", State: "queued"}); err != nil {
 		t.Fatal(err)
 	}
@@ -216,9 +204,6 @@ func TestJournalTornTailRecovers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s2.EnableJournal(0); err != nil {
-		t.Fatal(err)
-	}
 	defer s2.CloseJournal()
 	rec, err := s2.State("j1")
 	if err != nil || rec.State != "running" {
@@ -234,11 +219,8 @@ func TestJournalFrozenNoOps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.EnableJournal(0); err != nil {
-		t.Fatal(err)
-	}
 	defer s.CloseJournal()
-	if err := s.AppendState("j1", JobRecord{ID: "j1", State: "running"}); err != nil {
+	if err := s.AppendSubmit("j1", map[string]any{}, JobRecord{ID: "j1", State: "running"}); err != nil {
 		t.Fatal(err)
 	}
 	s.Freeze()

@@ -1,34 +1,28 @@
-// Package store is the durability layer under the job manager: a
-// per-job directory of small files — the submitted spec, the latest
-// lifecycle record, and the most recent solver checkpoint — written so
-// that a daemon killed at any instant restarts with nothing lost but
-// the steps since the last checkpoint.
+// Package store is the durability layer under the job manager: one
+// write-ahead journal holding every job's accepted spec and latest
+// lifecycle record, and a per-job directory holding only the job's
+// most recent solver checkpoint, written so that a daemon killed at any
+// instant restarts with nothing lost but the steps since the last
+// checkpoint.
 //
 // Layout under the root ("data dir"):
 //
-//	jobs/<id>/spec.json       the JobSpec as accepted (defaults applied)
-//	jobs/<id>/state.json      lifecycle record (state, timestamps, restarts)
-//	jobs/<id>/checkpoint.bin  latest lb checkpoint (docs/CHECKPOINT_FORMAT.md)
+//	journal.wal                      spec + lifecycle records, one CRC-trailed line each (journal.go)
+//	jobs/<id>/checkpoint.bin         latest lb checkpoint (docs/CHECKPOINT_FORMAT.md)
+//	jobs/<id>/checkpoint.dNNNN.bin   delta records chained onto it (chain.go)
 //
-// Every write goes to a temp file in the same directory, is fsynced,
-// is atomically renamed over the target, and the directory entries
-// are fsynced too — a crash (or power loss) leaves either the old
-// file or the new one, never a torn mix or a vanished rename. Every
-// load is
-// CRC-verified: the JSON files carry a CRC64-ECMA trailer line this
-// package adds and strips; the checkpoint carries its own CRC inside
-// the lb format, checked via lb.VerifyCheckpoint.
+// Checkpoints go to a temp file in the same directory and are atomically
+// renamed over the target — a crash leaves either the old file or the
+// new one, never a torn mix — and every load is CRC-verified through the
+// lb format's own trailer.
 package store
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
-	"hash/crc64"
 	"io/fs"
 	"log/slog"
 	"path/filepath"
-	"sort"
 	"sync"
 	"time"
 
@@ -37,21 +31,12 @@ import (
 	"repro/internal/obs"
 )
 
-const (
-	specFile       = "spec.json"
-	stateFile      = "state.json"
-	checkpointFile = "checkpoint.bin"
-)
-
-// crcTrailerPrefix introduces the integrity trailer appended to JSON
-// files: "\n#crc64:<16 hex digits>\n" over everything before it.
-const crcTrailerPrefix = "\n#crc64:"
-
-var crcTable = crc64.MakeTable(crc64.ECMA)
+const checkpointFile = "checkpoint.bin"
 
 // JobRecord is the persisted lifecycle state of one job — everything
 // the manager needs to rebuild its bookkeeping after a restart, apart
-// from the spec (its own file) and the solver state (the checkpoint).
+// from the spec (journaled beside it) and the solver state (the
+// checkpoint).
 type JobRecord struct {
 	ID    string `json:"id"`
 	State string `json:"state"`
@@ -112,21 +97,16 @@ type Store struct {
 
 	mu     sync.Mutex
 	frozen bool
-	// syncedDirs remembers job directories whose creation has already
-	// been fsynced into the parent, so only a job's first write pays
-	// the parent-directory sync.
-	syncedDirs map[string]bool
-	// overlay holds per-job data the group-commit journal has that the
-	// per-job files do not yet (journal.go); nil until EnableJournal.
-	overlay map[string]*overlayEntry
+	// index is the fold of the journal: every live job's spec and
+	// latest record (journal.go).
+	index index
 
-	// jn is the group-commit journal; nil until EnableJournal.
+	// jn is the group-commit journal, open from OpenFS on.
 	jn *journal
-	// jnStuck is set when EnableJournal found a journal it could not
-	// replay: spec/state/remove writes are refused until a later boot
-	// replays it, because writing the per-job files *behind* an
-	// unreplayed journal would let that replay roll them back.
-	jnStuck bool
+	// tailAt and tailLen locate the corrupt journal suffix OpenFS
+	// discarded; the first SetLogger reports it (the store is opened
+	// before it is handed a logger).
+	tailAt, tailLen int
 	// groupObs, when set, observes every group commit's batch size.
 	groupObs func(records int)
 	// writeErr, when set, observes write failures the store would
@@ -143,9 +123,11 @@ func Open(dir string) (*Store, error) {
 
 // OpenFS creates (if needed) and returns a store rooted at dir on fsys
 // — the injection point the fault-injection harness uses; production
-// callers use Open. Orphan temp files a crash left mid-write are swept
-// here — they are the one kind of remnant atomic renames cannot clean
-// up by construction.
+// callers use Open. It sweeps the temp files a crash left mid-write
+// (the one kind of remnant atomic renames cannot clean up by
+// construction), brings the journal up (openJournal) and sweeps stale
+// checkpoint deltas. A journal that cannot be read, compacted or opened
+// fails the open.
 func OpenFS(fsys faultfs.FS, dir string) (*Store, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("store: empty root directory")
@@ -156,43 +138,49 @@ func OpenFS(fsys faultfs.FS, dir string) (*Store, error) {
 	if err := fsys.MkdirAll(filepath.Join(dir, "jobs"), 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	s := &Store{root: dir, fs: fsys, log: obs.NopLogger(), syncedDirs: make(map[string]bool)}
+	s := &Store{root: dir, fs: fsys, log: obs.NopLogger()}
 	s.sweepTemps("*")
+	if err := s.openJournal(); err != nil {
+		return nil, err
+	}
 	s.sweepChains()
 	return s, nil
 }
 
 // sweepTemps removes orphaned temp files under jobs/<id> ("*" sweeps
-// every job). Boot-time recovery calls it for crash leftovers; failed
-// checkpoint writes call it too, so a rename that failed mid-flight
-// (and whose cleanup also failed) cannot strand a .tmp until the next
-// restart.
+// every job, plus the disk probes directly under jobs/ and the journal
+// compaction's temp in the root). Boot-time recovery calls it for crash
+// leftovers; failed checkpoint writes call it too, so a rename that
+// failed mid-flight (and whose cleanup also failed) cannot strand a
+// .tmp until the next restart.
 func (s *Store) sweepTemps(id string) {
-	stale, err := s.fs.Glob(filepath.Join(s.root, "jobs", id, "*.tmp-*"))
-	if err != nil {
-		return
-	}
+	patterns := []string{filepath.Join(s.jobDir(id), "*.tmp-*")}
 	if id == "*" {
-		// Disk probes (ProbeWrite) live directly under jobs/; a crash
-		// mid-probe leaves one behind just like a crashed atomic write.
-		if probes, err := s.fs.Glob(filepath.Join(s.root, "jobs", "*.tmp-*")); err == nil {
-			stale = append(stale, probes...)
-		}
+		patterns = append(patterns, filepath.Join(s.root, "jobs", "*.tmp-*"), filepath.Join(s.root, journalFile+".tmp-*"))
 	}
-	for _, path := range stale {
-		if err := s.fs.Remove(path); err == nil {
-			s.log.Warn("swept orphan temp file", "path", path)
+	for _, pattern := range patterns {
+		stale, _ := s.fs.Glob(pattern)
+		for _, path := range stale {
+			if err := s.fs.Remove(path); err == nil {
+				s.log.Warn("swept orphan temp file", "path", path)
+			}
 		}
 	}
 }
 
 // SetLogger routes the store's warnings to log (nil restores the
-// discard default). Call before the store is shared across goroutines.
+// discard default) and reports, once, the corrupt journal tail OpenFS
+// discarded. Call before the store is shared across goroutines.
 func (s *Store) SetLogger(log *slog.Logger) {
 	if log == nil {
 		log = obs.NopLogger()
 	}
 	s.log = log
+	if s.tailLen > 0 {
+		log.Warn("journal replay discarded a corrupt tail",
+			"path", filepath.Join(s.root, journalFile), "offset", s.tailAt, "bytes", s.tailLen)
+		s.tailLen = 0
+	}
 }
 
 // Root returns the data directory the store was opened on.
@@ -200,12 +188,18 @@ func (s *Store) Root() string { return s.root }
 
 // Freeze makes every subsequent write a silent no-op, simulating the
 // process dying at this instant (SIGKILL leaves the files exactly as
-// the last completed atomic rename did). Crash-injection hook for
-// durability tests; reads keep working.
+// the last completed write did). Crash-injection hook for durability
+// tests; reads keep working.
 func (s *Store) Freeze() {
 	s.mu.Lock()
 	s.frozen = true
 	s.mu.Unlock()
+}
+
+func (s *Store) isFrozen() bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.frozen
 }
 
 func (s *Store) jobDir(id string) string {
@@ -243,88 +237,33 @@ func (s *Store) ProbeWrite() error {
 	return s.fs.Remove(name)
 }
 
-// Jobs lists the IDs present in the store, sorted — directory entries
-// plus jobs that so far exist only as journal records.
-func (s *Store) Jobs() ([]string, error) {
-	entries, err := s.fs.ReadDir(filepath.Join(s.root, "jobs"))
-	if err != nil {
-		return nil, fmt.Errorf("store: %w", err)
-	}
-	seen := make(map[string]bool, len(entries))
-	var ids []string
-	for _, e := range entries {
-		if e.IsDir() {
-			ids = append(ids, e.Name())
-			seen[e.Name()] = true
-		}
-	}
+// Jobs lists the IDs of every job the journal holds, sorted.
+func (s *Store) Jobs() []string {
 	s.mu.Lock()
-	for id, e := range s.overlay {
-		if !e.removed && !seen[id] {
-			ids = append(ids, id)
-		}
-	}
-	s.mu.Unlock()
-	sort.Strings(ids)
-	return ids, nil
+	defer s.mu.Unlock()
+	return s.index.ids()
 }
 
-// PutSpec journals the accepted spec (any JSON-marshalable value).
-func (s *Store) PutSpec(id string, spec any) error {
-	data, err := json.Marshal(spec)
-	if err != nil {
-		return fmt.Errorf("store: marshal spec: %w", err)
-	}
-	return s.putJSON(id, specFile, data)
-}
-
-// Spec loads the raw spec JSON for a job, preferring journal-newer
-// data when the group-commit journal holds some.
+// Spec returns the raw spec JSON a job was submitted with.
 func (s *Store) Spec(id string) (json.RawMessage, error) {
-	s.mu.Lock()
-	if e := s.overlay[id]; e != nil && (e.removed || e.spec != nil) {
-		spec, removed := e.spec, e.removed
-		s.mu.Unlock()
-		if removed {
-			return nil, fmt.Errorf("store: spec for %s: %w", id, fs.ErrNotExist)
-		}
-		return spec, nil
-	}
-	s.mu.Unlock()
-	return s.getJSON(id, specFile)
+	e, err := s.lookup(id)
+	return e.spec, err
 }
 
-// PutState journals the lifecycle record.
-func (s *Store) PutState(id string, rec JobRecord) error {
-	data, err := json.Marshal(rec)
-	if err != nil {
-		return fmt.Errorf("store: marshal state: %w", err)
-	}
-	return s.putJSON(id, stateFile, data)
-}
-
-// State loads the lifecycle record for a job, preferring journal-newer
-// data when the group-commit journal holds some.
+// State returns a job's latest lifecycle record.
 func (s *Store) State(id string) (JobRecord, error) {
+	e, err := s.lookup(id)
+	return e.state, err
+}
+
+func (s *Store) lookup(id string) (entry, error) {
 	s.mu.Lock()
-	if e := s.overlay[id]; e != nil && (e.removed || e.state != nil) {
-		st, removed := e.state, e.removed
-		s.mu.Unlock()
-		if removed {
-			return JobRecord{}, fmt.Errorf("store: state for %s: %w", id, fs.ErrNotExist)
-		}
-		return *st, nil
+	defer s.mu.Unlock()
+	e, ok := s.index[id]
+	if !ok {
+		return entry{}, fmt.Errorf("store: job %s: %w", id, fs.ErrNotExist)
 	}
-	s.mu.Unlock()
-	data, err := s.getJSON(id, stateFile)
-	if err != nil {
-		return JobRecord{}, err
-	}
-	var rec JobRecord
-	if err := json.Unmarshal(data, &rec); err != nil {
-		return JobRecord{}, fmt.Errorf("store: state for %s: %w", id, err)
-	}
-	return rec, nil
+	return e, nil
 }
 
 // PutCheckpoint atomically replaces the job's checkpoint with data (a
@@ -343,9 +282,6 @@ func (s *Store) State(id string) (JobRecord, error) {
 //     correctness never depends on having the *newest* checkpoint,
 //     only *a* verified one.
 //
-// Lifecycle records (putJSON) keep full durability: a forgotten
-// terminal record would resurrect a job the user was told is gone.
-//
 // A failed write sweeps the job's temp files before returning: when
 // the failure struck between creating the temp and renaming it (and
 // the in-line cleanup failed too), the orphan must not linger until
@@ -355,7 +291,7 @@ func (s *Store) PutCheckpoint(id string, data []byte) error {
 	if prior, gerr := s.fs.Glob(filepath.Join(s.jobDir(id), checkpointFile)); gerr == nil && len(prior) == 0 {
 		mode = syncNone
 	}
-	err := s.atomicWrite(id, checkpointFile, data, mode)
+	err := s.atomicWrite(s.jobDir(id), checkpointFile, data, mode)
 	if err != nil {
 		s.sweepTemps(id)
 	}
@@ -395,94 +331,34 @@ func (s *Store) CheckpointState(id string) (*lb.CheckpointState, error) {
 	return c.reconstruct(id)
 }
 
-// Remove deletes a job's directory — the undo for a submission that
-// was journaled but ultimately not accepted, or for a remnant of a
-// submission that never completed. Frozen stores no-op.
+// Remove forgets a job: it journals a durable tombstone, then deletes
+// the job's directory — the undo for a submission that was journaled
+// but ultimately not accepted, and the retention GC's delete. The
+// tombstone goes first: a crash between the two leaves a directory no
+// live record claims, which the next OpenFS deletes. Frozen stores
+// no-op.
 func (s *Store) Remove(id string) error {
-	s.mu.Lock()
-	frozen := s.frozen
-	s.mu.Unlock()
-	if frozen {
+	if s.isFrozen() {
 		return nil
 	}
-	if err := s.journalWriteGate(id, "remove"); err != nil {
+	if err := s.appendRecord(journalRec{Op: "remove", ID: id}, true); err != nil {
 		return err
-	}
-	// With the journal enabled the tombstone must be durable before the
-	// files go: the journal may still hold this job's submit record, and
-	// a crash before the next journal truncation would otherwise replay
-	// it and resurrect a job the caller was told is gone.
-	if s.jn != nil {
-		if _, err := s.appendRecord(journalRec{Op: "remove", ID: id}, true); err != nil {
-			return err
-		}
 	}
 	if err := s.fs.RemoveAll(s.jobDir(id)); err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
-	s.mu.Lock()
-	delete(s.syncedDirs, id)
-	s.mu.Unlock()
-	return s.syncDir(filepath.Join(s.root, "jobs"))
-}
-
-// journalWriteGate refuses spec/state/remove writes while an
-// unreplayed journal sits on disk (see jnStuck): per-job files written
-// behind it would be rolled back by the eventual replay.
-func (s *Store) journalWriteGate(id, what string) error {
-	s.mu.Lock()
-	stuck := s.jnStuck
-	s.mu.Unlock()
-	if stuck {
-		return fmt.Errorf("store: unreplayed journal present; refusing %s write for %s", what, id)
-	}
 	return nil
 }
 
-// putJSON appends the CRC trailer and writes atomically with full
-// directory durability.
-func (s *Store) putJSON(id, name string, payload []byte) error {
-	if err := s.journalWriteGate(id, name); err != nil {
-		return err
-	}
-	trailer := fmt.Sprintf("%s%016x\n", crcTrailerPrefix, crc64.Checksum(payload, crcTable))
-	return s.atomicWrite(id, name, append(payload, trailer...), syncAll)
-}
-
-// getJSON reads a JSON file, verifies and strips the CRC trailer.
-func (s *Store) getJSON(id, name string) ([]byte, error) {
-	data, err := s.fs.ReadFile(filepath.Join(s.jobDir(id), name))
-	if err != nil {
-		return nil, fmt.Errorf("store: %w", err)
-	}
-	at := bytes.LastIndex(data, []byte(crcTrailerPrefix))
-	if at < 0 {
-		return nil, fmt.Errorf("store: %s/%s: missing integrity trailer", id, name)
-	}
-	payload := data[:at]
-	var want uint64
-	if _, err := fmt.Sscanf(string(data[at+len(crcTrailerPrefix):]), "%016x", &want); err != nil {
-		return nil, fmt.Errorf("store: %s/%s: bad integrity trailer", id, name)
-	}
-	if got := crc64.Checksum(payload, crcTable); got != want {
-		return nil, fmt.Errorf("store: %s/%s corrupt (crc %#x, want %#x)", id, name, got, want)
-	}
-	return payload, nil
-}
-
-// Durability modes for atomicWrite, strongest to weakest. Every mode
-// is atomic against concurrent readers (temp file + rename); they
-// differ only in what survives a power loss.
+// Durability modes for atomicWrite. Both are atomic against concurrent
+// readers (temp file + rename); they differ only in what survives a
+// power loss.
 const (
-	// syncAll fsyncs the data and the directory entries: the write is
-	// fully durable once atomicWrite returns. For records whose loss
-	// changes meaning (lifecycle JSON — a forgotten terminal record
-	// would resurrect a job the user was told is gone).
-	syncAll = iota
 	// syncData fsyncs the data but not the rename: a power loss may
 	// keep the previous file. Only acceptable when the previous file
-	// is an equally valid answer (checkpoint replaces).
-	syncData
+	// is an equally valid answer (checkpoint replaces), or when the
+	// caller syncs the directory itself (journal compaction).
+	syncData = iota
 	// syncNone fsyncs nothing: a power loss may keep the previous
 	// file, a torn tail, or nothing. Only acceptable when the reader
 	// CRC-verifies and has a sound fallback for every one of those
@@ -493,25 +369,20 @@ const (
 	syncNone
 )
 
-// atomicWrite writes data to jobs/<id>/<name> via temp file + rename,
-// creating the job directory on first use, with the durability the
-// mode asks for.
-func (s *Store) atomicWrite(id, name string, data []byte, mode int) error {
-	err := s.atomicWriteFile(id, name, data, mode)
+// atomicWrite writes data to dir/name via temp file + rename, creating
+// dir on first use, with the durability the mode asks for.
+func (s *Store) atomicWrite(dir, name string, data []byte, mode int) error {
+	err := s.atomicWriteFile(dir, name, data, mode)
 	if err != nil {
-		s.log.Warn("store write failed", "job", id, "file", name, "err", err)
+		s.log.Warn("store write failed", "path", filepath.Join(dir, name), "err", err)
 	}
 	return err
 }
 
-func (s *Store) atomicWriteFile(id, name string, data []byte, mode int) error {
-	s.mu.Lock()
-	frozen := s.frozen
-	s.mu.Unlock()
-	if frozen {
+func (s *Store) atomicWriteFile(dir, name string, data []byte, mode int) error {
+	if s.isFrozen() {
 		return nil
 	}
-	dir := s.jobDir(id)
 	if err := s.fs.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
@@ -524,7 +395,7 @@ func (s *Store) atomicWriteFile(id, name string, data []byte, mode int) error {
 		tmp.Close()
 		return fmt.Errorf("store: %w", err)
 	}
-	if mode != syncNone {
+	if mode == syncData {
 		if err := tmp.Sync(); err != nil {
 			tmp.Close()
 			return fmt.Errorf("store: %w", err)
@@ -535,31 +406,6 @@ func (s *Store) atomicWriteFile(id, name string, data []byte, mode int) error {
 	}
 	if err := s.fs.Rename(tmp.Name(), filepath.Join(dir, name)); err != nil {
 		return fmt.Errorf("store: %w", err)
-	}
-	if mode != syncAll {
-		return nil
-	}
-	// The rename (and, on the job's first write, the directory itself)
-	// lives in the directory entries: without syncing them a power
-	// loss can forget a journaled file whose data blocks were safely
-	// on disk. The parent sync is needed once per job directory.
-	if err := s.syncDir(dir); err != nil {
-		return err
-	}
-	s.mu.Lock()
-	first := !s.syncedDirs[id]
-	s.syncedDirs[id] = true
-	s.mu.Unlock()
-	if !first {
-		return nil
-	}
-	return s.syncDir(filepath.Dir(dir))
-}
-
-// syncDir fsyncs a directory's entries.
-func (s *Store) syncDir(dir string) error {
-	if err := s.fs.SyncDir(dir); err != nil {
-		return fmt.Errorf("store: sync %s: %w", dir, err)
 	}
 	return nil
 }

@@ -18,12 +18,13 @@ func openMem(t *testing.T, seed int64) (*Store, *faultfs.Mem) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(s.CloseJournal)
 	return s, m
 }
 
 func TestStoreOnMemRoundTrip(t *testing.T) {
 	s, m := openMem(t, 1)
-	if err := s.PutSpec("j", map[string]any{"preset": "pipe"}); err != nil {
+	if err := s.AppendSubmit("j", map[string]any{"preset": "pipe"}, JobRecord{ID: "j", State: "queued"}); err != nil {
 		t.Fatal(err)
 	}
 	// A job's *first* checkpoint write skips the data fsync (a torn
@@ -39,10 +40,12 @@ func TestStoreOnMemRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The checkpoint rename deliberately skips the directory-entry sync;
-	// the following full-durability state write syncs the directory and
-	// makes the checkpoint's entry durable along the way (in production
-	// the manager journals lifecycle records around every checkpoint).
-	if err := s.PutState("j", JobRecord{ID: "j", State: "running"}); err != nil {
+	// a filesystem commits it on its own schedule, which the explicit
+	// sync stands in for.
+	if err := m.SyncDir("data/jobs/j"); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.AppendState("j", JobRecord{ID: "j", State: "running"}); err != nil {
 		t.Fatal(err)
 	}
 	// Crash and reopen: everything must survive.
@@ -51,6 +54,7 @@ func TestStoreOnMemRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer s2.CloseJournal()
 	rec, err := s2.State("j")
 	if err != nil || rec.State != "running" {
 		t.Fatalf("state after crash: (%+v, %v)", rec, err)
@@ -59,9 +63,8 @@ func TestStoreOnMemRoundTrip(t *testing.T) {
 	if err != nil || step != 17 || !bytes.Equal(got, ckpt) {
 		t.Fatalf("checkpoint after crash: step=%d err=%v", step, err)
 	}
-	ids, err := s2.Jobs()
-	if err != nil || len(ids) != 1 || ids[0] != "j" {
-		t.Fatalf("Jobs after crash = (%v, %v)", ids, err)
+	if ids := s2.Jobs(); len(ids) != 1 || ids[0] != "j" {
+		t.Fatalf("Jobs after crash = %v", ids)
 	}
 }
 
@@ -73,15 +76,15 @@ func TestStoreOnMemRoundTrip(t *testing.T) {
 // was in before that first write — never silently served as state.
 func TestFirstCheckpointTornOnCrashIsDetected(t *testing.T) {
 	s, m := openMem(t, 4)
-	if err := s.PutSpec("j", map[string]any{"preset": "pipe"}); err != nil {
+	if err := s.AppendSubmit("j", map[string]any{"preset": "pipe"}, JobRecord{ID: "j", State: "running"}); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.PutCheckpoint("j", checkpointBytes(t)); err != nil {
 		t.Fatal(err)
 	}
-	// Durable dir entry via the state write, as the manager's journal
-	// does in production; the checkpoint *data* stays unsynced.
-	if err := s.PutState("j", JobRecord{ID: "j", State: "running"}); err != nil {
+	// A durable dir entry, as the filesystem's own commit eventually
+	// makes it; the checkpoint *data* stays unsynced.
+	if err := m.SyncDir("data/jobs/j"); err != nil {
 		t.Fatal(err)
 	}
 	m.PowerCycle()
@@ -89,6 +92,7 @@ func TestFirstCheckpointTornOnCrashIsDetected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer s2.CloseJournal()
 	got, step, err := s2.Checkpoint("j")
 	if err == nil {
 		// The simulated crash may still have kept the full contents
@@ -167,44 +171,46 @@ func TestFailedCheckpointWriteSweepsTemps(t *testing.T) {
 	}
 }
 
-// TestPutStateCrashSweep cuts power at every individual I/O op of one
-// PutState and asserts the recovered record is always the old one or
-// the new one, never torn — the journal-ordering invariant the chaos
-// suite checks end-to-end, pinned here at the store layer.
-func TestPutStateCrashSweep(t *testing.T) {
-	// Measure the steady-state op cost of one PutState.
-	s, m := openMem(t, 3)
-	if err := s.PutState("j", JobRecord{ID: "j", State: "v0"}); err != nil {
-		t.Fatal(err)
+// TestAppendStateCrashSweep cuts power at every individual I/O op of
+// one AppendState and asserts the recovered record is always the old
+// one or the new one, never torn, and the new one whenever the append
+// was acknowledged — the journal-ordering invariant the chaos suite
+// checks end-to-end, pinned here at the store layer.
+func TestAppendStateCrashSweep(t *testing.T) {
+	setup := func(seed int64) (*Store, *faultfs.Mem) {
+		s, m := openMem(t, seed)
+		if err := s.AppendSubmit("j", map[string]any{}, JobRecord{ID: "j", State: "v0"}); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.AppendState("j", JobRecord{ID: "j", State: "v1"}); err != nil {
+			t.Fatal(err)
+		}
+		return s, m
 	}
+	// Measure the steady-state op cost of one AppendState.
+	s, m := setup(3)
 	delta := opDelta(m, func() {
-		if err := s.PutState("j", JobRecord{ID: "j", State: "v1"}); err != nil {
+		if err := s.AppendState("j", JobRecord{ID: "j", State: "v2"}); err != nil {
 			t.Fatal(err)
 		}
 	})
-	if delta < 5 { // mkdir, create, write, sync, rename at minimum
+	if delta < 2 { // write, sync at minimum
 		t.Fatalf("opDelta = %d, suspiciously small", delta)
 	}
 	for k := int64(1); k <= delta; k++ {
-		s, m := openMem(t, 100+k)
-		if err := s.PutState("j", JobRecord{ID: "j", State: "v0"}); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.PutState("j", JobRecord{ID: "j", State: "v1"}); err != nil {
-			t.Fatal(err)
-		}
+		s, m := setup(100 + k)
 		m.Inject(faultfs.Fault{Op: m.Ops() + k, Kind: faultfs.FaultCrash})
-		// A nil error is possible when the crash lands on the deferred
-		// temp cleanup: the write was already fully durable by then.
-		putErr := s.PutState("j", JobRecord{ID: "j", State: "v2"})
-		if putErr != nil && !errors.Is(putErr, faultfs.ErrCrashed) {
-			t.Fatalf("crash at +%d: PutState err = %v, want ErrCrashed or nil", k, putErr)
+		appendErr := s.AppendState("j", JobRecord{ID: "j", State: "v2"})
+		if appendErr != nil && !errors.Is(appendErr, faultfs.ErrCrashed) {
+			t.Fatalf("crash at +%d: AppendState err = %v, want ErrCrashed or nil", k, appendErr)
 		}
+		s.CloseJournal()
 		m.PowerCycle()
 		s2, err := OpenFS(m, "data")
 		if err != nil {
 			t.Fatalf("crash at +%d: reopen: %v", k, err)
 		}
+		s2.CloseJournal()
 		rec, err := s2.State("j")
 		if err != nil {
 			t.Fatalf("crash at +%d: recovered state unreadable: %v", k, err)
@@ -212,15 +218,8 @@ func TestPutStateCrashSweep(t *testing.T) {
 		if rec.State != "v1" && rec.State != "v2" {
 			t.Fatalf("crash at +%d: recovered state %q, want v1 or v2", k, rec.State)
 		}
-		if putErr == nil && rec.State != "v2" {
-			t.Fatalf("crash at +%d: PutState reported success but recovered %q", k, rec.State)
-		}
-		stale, err := m.Glob(filepath.Join("data", "jobs", "*", "*.tmp-*"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(stale) != 0 {
-			t.Fatalf("crash at +%d: orphan temps survived reopen: %q", k, stale)
+		if appendErr == nil && rec.State != "v2" {
+			t.Fatalf("crash at +%d: AppendState reported success but recovered %q", k, rec.State)
 		}
 	}
 }

@@ -2,6 +2,8 @@ package store
 
 import (
 	"bytes"
+	"fmt"
+	"hash/crc64"
 	"os"
 	"path/filepath"
 	"strings"
@@ -15,77 +17,110 @@ import (
 
 func open(t *testing.T) *Store {
 	t.Helper()
-	s, err := Open(t.TempDir())
+	return openDir(t, t.TempDir())
+}
+
+// openDir opens a store on dir and closes its journal when the test
+// ends.
+func openDir(t *testing.T, dir string) *Store {
+	t.Helper()
+	s, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(s.CloseJournal)
 	return s
 }
 
 func TestSpecAndStateRoundTrip(t *testing.T) {
-	s := open(t)
+	dir := t.TempDir()
+	s := openDir(t, dir)
 	type spec struct {
 		Preset string `json:"preset"`
 		Steps  int    `json:"steps"`
 	}
-	if err := s.PutSpec("job-0001", spec{"pipe", 500}); err != nil {
-		t.Fatal(err)
-	}
 	rec := JobRecord{
-		ID: "job-0001", State: "running", Restarts: 2,
+		ID: "job-0001", State: "queued",
 		CreatedAt: time.Now().UTC().Truncate(time.Second),
 	}
-	if err := s.PutState("job-0001", rec); err != nil {
+	if err := s.AppendSubmit("job-0001", spec{"pipe", 500}, rec); err != nil {
 		t.Fatal(err)
 	}
-	raw, err := s.Spec("job-0001")
-	if err != nil {
+	rec.State, rec.Restarts = "running", 2
+	if err := s.AppendState("job-0001", rec); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(string(raw), `"pipe"`) {
-		t.Errorf("spec payload = %s", raw)
-	}
-	got, err := s.State("job-0001")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.State != "running" || got.Restarts != 2 || !got.CreatedAt.Equal(rec.CreatedAt) {
-		t.Errorf("state round trip = %+v", got)
-	}
-	ids, err := s.Jobs()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ids) != 1 || ids[0] != "job-0001" {
-		t.Errorf("Jobs() = %v", ids)
+	s.CloseJournal()
+	for i, st := range []*Store{s, openDir(t, dir)} {
+		raw, err := st.Spec("job-0001")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(string(raw), `"pipe"`) {
+			t.Errorf("open %d: spec payload = %s", i, raw)
+		}
+		got, err := st.State("job-0001")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.State != "running" || got.Restarts != 2 || !got.CreatedAt.Equal(rec.CreatedAt) {
+			t.Errorf("open %d: state round trip = %+v", i, got)
+		}
+		if ids := st.Jobs(); len(ids) != 1 || ids[0] != "job-0001" {
+			t.Errorf("open %d: Jobs() = %v", i, ids)
+		}
 	}
 }
 
-func TestJSONCorruptionDetected(t *testing.T) {
-	s := open(t)
-	if err := s.PutState("j", JobRecord{ID: "j", State: "queued"}); err != nil {
+// writeSidecar writes one pre-journal sidecar file: the payload, then a
+// CRC64-ECMA trailer line.
+func writeSidecar(t *testing.T, path, payload string) {
+	t.Helper()
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(s.Root(), "jobs", "j", "state.json")
-	data, err := os.ReadFile(path)
+	data := fmt.Sprintf("%s%s%016x\n", payload, legacyCRCSep, crc64.Checksum([]byte(payload), crcTable))
+	if err := os.WriteFile(path, []byte(data), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestJSONCorruptionDetected: a sidecar of a pre-journal data dir whose
+// payload no longer matches its CRC trailer — or that has no trailer —
+// fails the open instead of being imported (or silently dropped with
+// its job). Once the file is repaired the import succeeds.
+func TestJSONCorruptionDetected(t *testing.T) {
+	dir := t.TempDir()
+	jobDir := filepath.Join(dir, "jobs", "j")
+	writeSidecar(t, filepath.Join(jobDir, legacySpecFile), `{"preset":"pipe"}`)
+	state := filepath.Join(jobDir, legacyStateFile)
+	writeSidecar(t, state, `{"id":"j","state":"queued"}`)
+	good, err := os.ReadFile(state)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Flip a payload byte: the CRC trailer must catch it.
-	data[2] ^= 0xff
-	if err := os.WriteFile(path, data, 0o644); err != nil {
+	bad := append([]byte(nil), good...)
+	bad[2] ^= 0xff
+	if err := os.WriteFile(state, bad, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.State("j"); err == nil {
+	if _, err := Open(dir); err == nil {
 		t.Error("corrupt state.json accepted")
 	}
 	// Strip the trailer entirely: also rejected.
-	clean := data[:bytes.LastIndex(data, []byte(crcTrailerPrefix))]
-	if err := os.WriteFile(path, clean, 0o644); err != nil {
+	if err := os.WriteFile(state, good[:bytes.LastIndex(good, []byte(legacyCRCSep))], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.State("j"); err == nil {
+	if _, err := Open(dir); err == nil {
 		t.Error("trailer-less state.json accepted")
+	}
+	if err := os.WriteFile(state, good, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s := openDir(t, dir)
+	if rec, err := s.State("j"); err != nil || rec.State != "queued" {
+		t.Fatalf("repaired sidecar import = (%+v, %v)", rec, err)
 	}
 }
 
@@ -137,11 +172,11 @@ func TestCheckpointRoundTripAndCorruption(t *testing.T) {
 
 func TestFreezeDropsWrites(t *testing.T) {
 	s := open(t)
-	if err := s.PutState("j", JobRecord{ID: "j", State: "running"}); err != nil {
+	if err := s.AppendSubmit("j", map[string]any{}, JobRecord{ID: "j", State: "running"}); err != nil {
 		t.Fatal(err)
 	}
 	s.Freeze()
-	if err := s.PutState("j", JobRecord{ID: "j", State: "cancelled"}); err != nil {
+	if err := s.AppendState("j", JobRecord{ID: "j", State: "cancelled"}); err != nil {
 		t.Fatal(err)
 	}
 	rec, err := s.State("j")
@@ -155,25 +190,32 @@ func TestFreezeDropsWrites(t *testing.T) {
 
 func TestOpenSweepsOrphanTempFiles(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir)
-	if err != nil {
+	s := openDir(t, dir)
+	if err := s.AppendSubmit("j", map[string]any{}, JobRecord{ID: "j", State: "running"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.PutState("j", JobRecord{ID: "j", State: "running"}); err != nil {
+	s.CloseJournal()
+	// Fake a crash mid-write: an orphaned checkpoint temp next to real
+	// data, and a compaction temp next to the journal.
+	orphans := []string{
+		filepath.Join(dir, "jobs", "j", "checkpoint.bin.tmp-123"),
+		filepath.Join(dir, journalFile+".tmp-7"),
+	}
+	if err := os.MkdirAll(filepath.Join(dir, "jobs", "j"), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	// Fake a crash mid-write: an orphaned temp file next to real data.
-	orphan := filepath.Join(dir, "jobs", "j", "checkpoint.bin.tmp-123")
-	if err := os.WriteFile(orphan, []byte("half-written"), 0o644); err != nil {
-		t.Fatal(err)
+	for _, orphan := range orphans {
+		if err := os.WriteFile(orphan, []byte("half-written"), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if _, err := Open(dir); err != nil {
-		t.Fatal(err)
+	s2 := openDir(t, dir)
+	for _, orphan := range orphans {
+		if _, err := os.Stat(orphan); !os.IsNotExist(err) {
+			t.Errorf("orphan temp file %s survived reopen", orphan)
+		}
 	}
-	if _, err := os.Stat(orphan); !os.IsNotExist(err) {
-		t.Errorf("orphan temp file survived reopen")
-	}
-	if _, err := s.State("j"); err != nil {
+	if _, err := s2.State("j"); err != nil {
 		t.Errorf("sweep damaged real data: %v", err)
 	}
 }
