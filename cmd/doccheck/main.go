@@ -20,14 +20,24 @@
 //
 //	go run ./cmd/doccheck -spec docs/API.md
 //
+// With -flags <doc.md,...> it cross-checks the daemon's flag tables:
+// every flag cmd/hemeserved declares (read from its source with go/ast)
+// must have exactly one row across the flag tables of those documents,
+// and no row may name a flag it does not declare:
+//
+//	go run ./cmd/doccheck -flags README.md,docs/OPERATIONS.md
+//
 // Exits non-zero listing every broken link / undocumented metric /
-// spec-table mismatch.
+// spec-table or flag-table mismatch.
 package main
 
 import (
 	"errors"
 	"flag"
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"io"
 	"io/fs"
 	"os"
@@ -35,6 +45,7 @@ import (
 	"reflect"
 	"regexp"
 	"slices"
+	"strconv"
 	"strings"
 
 	"repro/internal/service"
@@ -61,16 +72,17 @@ func main() {
 	}
 }
 
-var errUsage = errors.New("usage: doccheck [-metrics doc.md] [-spec doc.md] <file-or-dir>...")
+var errUsage = errors.New("usage: doccheck [-metrics doc.md] [-spec doc.md] [-flags doc.md,...] <file-or-dir>...")
 
 func run(args []string, stdout io.Writer) error {
 	flags := flag.NewFlagSet("doccheck", flag.ContinueOnError)
 	metricsDoc := flags.String("metrics", "", "metric reference document; every hemeserved_*/go_* name literal in the Go source must appear in it")
 	specDoc := flags.String("spec", "", "API document; its JobSpec table must have exactly one row per json tag of service.JobSpec")
+	flagDocs := flags.String("flags", "", "comma-separated documents whose flag tables must list each flag of cmd/hemeserved exactly once, and nothing else")
 	if err := flags.Parse(args); err != nil {
 		return err
 	}
-	if flags.NArg() < 1 && *metricsDoc == "" && *specDoc == "" {
+	if flags.NArg() < 1 && *metricsDoc == "" && *specDoc == "" && *flagDocs == "" {
 		return errUsage
 	}
 	var files []string
@@ -134,9 +146,134 @@ func run(args []string, stdout io.Writer) error {
 		}
 	}
 	if *specDoc != "" {
-		return checkSpecDoc(*specDoc, stdout)
+		if err := checkSpecDoc(*specDoc, stdout); err != nil {
+			return err
+		}
+	}
+	if *flagDocs != "" {
+		return checkFlagDocs(daemonDir, strings.Split(*flagDocs, ","), stdout)
 	}
 	return nil
+}
+
+// daemonDir is the package whose flags -flags holds the documents to,
+// relative to the repository root doccheck runs from.
+const daemonDir = "cmd/hemeserved"
+
+var (
+	// flagCellRe matches a table row's first cell that names one or
+	// more flags: `-name`, or several joined by slashes.
+	flagCellRe = regexp.MustCompile("^`-[a-z0-9-]+`(?:\\s*/\\s*`-[a-z0-9-]+`)*$")
+	flagNameRe = regexp.MustCompile("`-([a-z0-9-]+)`")
+)
+
+// checkFlagDocs holds the flag tables of docs against the flags the
+// non-test Go files of dir declare: each declared flag has exactly one
+// row across all the documents, and every row names a declared flag.
+func checkFlagDocs(dir string, docs []string, stdout io.Writer) error {
+	declared, err := declaredFlags(dir)
+	if err != nil {
+		return err
+	}
+	rows := map[string][]string{} // flag name → "doc:line" of each row naming it
+	var problems []string
+	for _, doc := range docs {
+		raw, err := os.ReadFile(doc)
+		if err != nil {
+			return err
+		}
+		text := fenceRe.ReplaceAllStringFunc(string(raw), blankLines)
+		for i, line := range strings.Split(text, "\n") {
+			cells := strings.Split(line, "|")
+			if !strings.HasPrefix(line, "|") || len(cells) < 3 {
+				continue
+			}
+			cell := strings.TrimSpace(cells[1])
+			if !flagCellRe.MatchString(cell) {
+				continue
+			}
+			at := fmt.Sprintf("%s:%d", doc, i+1)
+			for _, m := range flagNameRe.FindAllStringSubmatch(cell, -1) {
+				rows[m[1]] = append(rows[m[1]], at)
+				if !slices.Contains(declared, m[1]) {
+					problems = append(problems, fmt.Sprintf("%s: row names -%s, which %s does not declare", at, m[1], dir))
+				}
+			}
+		}
+	}
+	for _, name := range declared {
+		switch at := rows[name]; len(at) {
+		case 0:
+			problems = append(problems, fmt.Sprintf("-%s (%s) has no row", name, dir))
+		case 1:
+		default:
+			problems = append(problems, fmt.Sprintf("-%s (%s) has %d rows: %s", name, dir, len(at), strings.Join(at, ", ")))
+		}
+	}
+	if len(problems) > 0 {
+		slices.Sort(problems)
+		for _, p := range problems {
+			fmt.Fprintf(stdout, "flag table: %s\n", p)
+		}
+		return fmt.Errorf("%d flag-table mismatch(es) against %s", len(problems), dir)
+	}
+	fmt.Fprintf(stdout, "doccheck: %d %s flags documented once in %s\n", len(declared), dir, strings.Join(docs, ", "))
+	return nil
+}
+
+// flagDefiners maps the flag package's defining methods to the index of
+// their name argument.
+var flagDefiners = map[string]int{
+	"Bool": 0, "Duration": 0, "Float64": 0, "Func": 0, "BoolFunc": 0, "Int": 0, "Int64": 0,
+	"String": 0, "TextVar": 1, "Uint": 0, "Uint64": 0, "Var": 1,
+	"BoolVar": 1, "DurationVar": 1, "Float64Var": 1, "IntVar": 1, "Int64Var": 1,
+	"StringVar": 1, "UintVar": 1, "Uint64Var": 1,
+}
+
+// declaredFlags parses the non-test Go files of dir and returns the
+// names of the flags they define, sorted: every call of a flag-defining
+// method whose name argument is a string literal.
+func declaredFlags(dir string) ([]string, error) {
+	files, err := filepath.Glob(filepath.Join(dir, "*.go"))
+	if err != nil {
+		return nil, err
+	}
+	fset := token.NewFileSet()
+	var names []string
+	for _, path := range files {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		file, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			return nil, err
+		}
+		ast.Inspect(file, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			sel, ok := call.Fun.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			arg, ok := flagDefiners[sel.Sel.Name]
+			if !ok || arg >= len(call.Args) {
+				return true
+			}
+			if lit, ok := call.Args[arg].(*ast.BasicLit); ok && lit.Kind == token.STRING {
+				if name, err := strconv.Unquote(lit.Value); err == nil {
+					names = append(names, name)
+				}
+			}
+			return true
+		})
+	}
+	if len(names) == 0 {
+		return nil, fmt.Errorf("%s declares no flags", dir)
+	}
+	slices.Sort(names)
+	return names, nil
 }
 
 // specRowRe matches a table row whose first cell is one backticked name.

@@ -70,3 +70,44 @@ func TestSpecTable(t *testing.T) {
 		}
 	}
 }
+
+// TestFlagTables holds the README and OPERATIONS flag tables against
+// the flags cmd/hemeserved declares, and shows the check fails each
+// way: a flag without a row, a row without a flag, a flag with two rows.
+func TestFlagTables(t *testing.T) {
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chdir("../.."); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { os.Chdir(wd) })
+	docs := "README.md,docs/OPERATIONS.md"
+	var stdout bytes.Buffer
+	if err := run([]string{"-flags", docs}, &stdout); err != nil {
+		t.Fatalf("%v\n%s", err, stdout.String())
+	}
+	if !strings.Contains(stdout.String(), "19 cmd/hemeserved flags documented once") {
+		t.Errorf("report:\n%s", stdout.String())
+	}
+	raw, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	drifted := filepath.Join(t.TempDir(), "README.md")
+	body := strings.Replace(string(raw), "| `-grace` |", "| `-grace-period` |", 1)
+	body = strings.Replace(body, "| `-queue` |", "| `-queue` |\n| `-watchdog-stall` | again |", 1)
+	if err := os.WriteFile(drifted, []byte(body), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	stdout.Reset()
+	if err := run([]string{"-flags", drifted + ",docs/OPERATIONS.md"}, &stdout); err == nil || !strings.Contains(err.Error(), "3 flag-table mismatch(es)") {
+		t.Errorf("a renamed and a repeated row: %v\n%s", err, stdout.String())
+	}
+	for _, want := range []string{"-grace (cmd/hemeserved) has no row", "row names -grace-period, which cmd/hemeserved does not declare", "-watchdog-stall (cmd/hemeserved) has 2 rows"} {
+		if !strings.Contains(stdout.String(), want) {
+			t.Errorf("report lacks %q:\n%s", want, stdout.String())
+		}
+	}
+}

@@ -1,12 +1,12 @@
 // Command hemeserved is the multi-tenant simulation daemon: a job
 // manager running many simulations concurrently behind a bounded
-// queue, steerable and observable over HTTP. Frames render on a
-// dedicated pool from solver snapshots — outside every solver loop —
-// and fan out through a shared LRU cache, so any number of clients on
-// the same view cost one render, whether they poll /frame or follow
-// the /stream push feed.
+// queue, steerable and observable over HTTP. A frame renders from a
+// solver snapshot — outside every solver loop — on the request that
+// missed the shared LRU cache, so any number of clients on the same
+// view cost one render, whether they poll /frame or follow the /stream
+// push feed.
 //
-//	hemeserved -addr 127.0.0.1:7070 -workers 4 -queue 64 -render-workers 4
+//	hemeserved -addr 127.0.0.1:7070 -workers 4 -queue 64
 //
 // With -data-dir the daemon is durable: every accepted job is
 // journaled, running jobs checkpoint their solver state every
@@ -28,13 +28,15 @@
 //	curl localhost:7070/metrics
 //
 // SIGINT/SIGTERM ends live streams, drains HTTP, cancels live jobs and
-// exits.
+// exits. An unknown flag fails at boot.
 package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	_ "net/http/pprof" // registered on DefaultServeMux, served only via -pprof-addr
 	"os"
@@ -48,116 +50,157 @@ import (
 )
 
 func main() {
-	addr := flag.String("addr", "127.0.0.1:7070", "HTTP listen address")
-	workers := flag.Int("workers", 4, "concurrent simulation workers")
-	queue := flag.Int("queue", 64, "submission queue capacity")
-	renderWorkers := flag.Int("render-workers", 0, "render pool workers (0 = same as -workers)")
-	renderQueue := flag.Int("render-queue", 0, "render pool queue depth (0 = 4x render workers)")
-	solverThreads := flag.Int("solver-threads", 1, "default per-rank collide+stream worker goroutines for jobs that leave threads at 0 (capped at 16; results are bit-identical to serial)")
-	dataDir := flag.String("data-dir", "", "durable job store directory (empty = in-memory only)")
-	checkpointEvery := flag.Int("checkpoint-every", 64, "default checkpoint cadence in steps for jobs that leave checkpoint_every at 0 (-1 = no default; jobs may still opt in)")
-	checkpointBudget := flag.Float64("checkpoint-budget", 0, "cap per-job checkpoint write time to this fraction of its runtime (0 = 0.05, negative = no cap)")
-	authKeys := flag.String("auth-keys", "", "per-tenant API key file: 'tenant key [max_active=N] [rate=R] [burst=B]' per line (empty = no auth, everyone is anonymous)")
-	maxActive := flag.Int("max-active", 0, "default per-tenant cap on queued+running jobs (0 = unlimited)")
-	submitRate := flag.Float64("submit-rate", 0, "default per-tenant submit rate limit in jobs/sec (0 = unlimited)")
-	submitBurst := flag.Int("submit-burst", 0, "default per-tenant submit burst size (0 = rate rounded up)")
-	memLimit := flag.Int64("mem-limit", 0, "shed new submissions while Go heap use exceeds this many bytes (0 = disabled)")
-	storeRetain := flag.Int("store-retain", 0, "keep at most this many terminal jobs in the store, GCing the oldest (0 = keep all)")
-	storeRetainAge := flag.Duration("store-retain-age", 0, "GC terminal jobs older than this (0 = keep forever)")
-	watchdogStall := flag.Duration("watchdog-stall", 2*time.Minute, "flag a running job as stalled after this long without step progress (0 = watchdog off)")
-	watchdogStrikes := flag.Int("watchdog-strikes", 3, "consecutive stall flags before the watchdog requeues the job (0 = flag only, never requeue)")
-	pprofAddr := flag.String("pprof-addr", "", "serve net/http/pprof on this address (empty = disabled; keep it on loopback)")
-	grace := flag.Duration("grace", 10*time.Second, "graceful shutdown window")
-	logLevel := flag.String("log-level", "info", "log verbosity: debug, info, warn or error")
-	logFormat := flag.String("log-format", "text", "log output format: text or json")
-	flag.Parse()
-
-	log, err := obs.NewLogger(os.Stderr, *logLevel, *logFormat)
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	err := run(ctx, os.Args[1:], os.Stdout, os.Stderr)
+	stop()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "hemeserved:", err)
-		os.Exit(2)
+		if errors.Is(err, errUsage) {
+			os.Exit(2)
+		}
+		os.Exit(1)
+	}
+}
+
+var errUsage = errors.New("bad command line (see -h)")
+
+// config is the daemon's command line.
+type config struct {
+	addr, dataDir, authKeys, pprofAddr, logLevel, logFormat string
+	workers, queue, solverThreads, checkpointEvery          int
+	maxActive, submitBurst, storeRetain, watchdogStrikes    int
+	submitRate                                              float64
+	memLimit                                                int64
+	storeRetainAge, watchdogStall, grace                    time.Duration
+}
+
+// flagSet declares the daemon's flags, bound to c.
+func flagSet(c *config) *flag.FlagSet {
+	fs := flag.NewFlagSet("hemeserved", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	fs.StringVar(&c.addr, "addr", "127.0.0.1:7070", "HTTP listen address")
+	fs.IntVar(&c.workers, "workers", 4, "concurrent simulation workers, and frames rendered at once")
+	fs.IntVar(&c.queue, "queue", 64, "submission queue capacity")
+	fs.IntVar(&c.solverThreads, "solver-threads", 1, "default per-rank collide+stream worker goroutines for jobs that leave threads at 0 (capped at 16; results are bit-identical to serial)")
+	fs.StringVar(&c.dataDir, "data-dir", "", "durable job store directory (empty = in-memory only)")
+	fs.IntVar(&c.checkpointEvery, "checkpoint-every", 64, "default checkpoint cadence in steps for jobs that leave checkpoint_every at 0 (-1 = no default; jobs may still opt in)")
+	fs.StringVar(&c.authKeys, "auth-keys", "", "per-tenant API key file: 'tenant key [max_active=N] [rate=R] [burst=B]' per line (empty = no auth, everyone is anonymous)")
+	fs.IntVar(&c.maxActive, "max-active", 0, "default per-tenant cap on queued+running jobs (0 = unlimited)")
+	fs.Float64Var(&c.submitRate, "submit-rate", 0, "default per-tenant submit rate limit in jobs/sec (0 = unlimited)")
+	fs.IntVar(&c.submitBurst, "submit-burst", 0, "default per-tenant submit burst size (0 = rate rounded up)")
+	fs.Int64Var(&c.memLimit, "mem-limit", 0, "shed new submissions while Go heap use exceeds this many bytes (0 = disabled)")
+	fs.IntVar(&c.storeRetain, "store-retain", 0, "keep at most this many terminal jobs in the store, GCing the oldest (0 = keep all)")
+	fs.DurationVar(&c.storeRetainAge, "store-retain-age", 0, "GC terminal jobs older than this (0 = keep forever)")
+	fs.DurationVar(&c.watchdogStall, "watchdog-stall", 2*time.Minute, "flag a running job as stalled after this long without step progress (0 = watchdog off)")
+	fs.IntVar(&c.watchdogStrikes, "watchdog-strikes", 3, "consecutive stall flags before the watchdog requeues the job (0 = flag only, never requeue)")
+	fs.StringVar(&c.pprofAddr, "pprof-addr", "", "serve net/http/pprof on this address (empty = disabled; keep it on loopback)")
+	fs.DurationVar(&c.grace, "grace", 10*time.Second, "graceful shutdown window")
+	fs.StringVar(&c.logLevel, "log-level", "info", "log verbosity: debug, info, warn or error")
+	fs.StringVar(&c.logFormat, "log-format", "text", "log output format: text or json")
+	return fs
+}
+
+// run boots the daemon from args, logs to stderr, serves until ctx is
+// cancelled and then shuts down within -grace. -h prints the flags to
+// stdout.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
+	var c config
+	fs := flagSet(&c)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			fs.SetOutput(stdout)
+			fs.PrintDefaults()
+			return nil
+		}
+		return fmt.Errorf("%w: %v", errUsage, err)
+	}
+	log, err := obs.NewLogger(stderr, c.logLevel, c.logFormat)
+	if err != nil {
+		return fmt.Errorf("%w: %v", errUsage, err)
 	}
 
 	var tenantCfgs []service.TenantConfig
-	if *authKeys != "" {
-		if tenantCfgs, err = service.LoadAuthKeys(*authKeys); err != nil {
-			log.Error("loading auth keys failed", "err", err)
-			os.Exit(1)
+	if c.authKeys != "" {
+		if tenantCfgs, err = service.LoadAuthKeys(c.authKeys); err != nil {
+			return fmt.Errorf("loading auth keys failed: %w", err)
 		}
 		log.Info("auth enabled", "tenants", len(tenantCfgs))
 	}
 
-	if *pprofAddr != "" {
+	if c.pprofAddr != "" {
 		// Opt-in profiling endpoint, separate from the API listener so
 		// operators can firewall it independently. Timeouts match the
 		// API server's: a stuck profile reader must not pin the
 		// connection forever. WriteTimeout is generous because CPU
 		// profiles stream for their full -seconds duration.
 		pprofSrv := &http.Server{
-			Addr:              *pprofAddr,
+			Addr:              c.pprofAddr,
 			ReadHeaderTimeout: 10 * time.Second,
 			ReadTimeout:       30 * time.Second,
 			WriteTimeout:      5 * time.Minute,
 			IdleTimeout:       2 * time.Minute,
 			MaxHeaderBytes:    64 << 10,
 		}
+		done := make(chan struct{})
 		go func() {
-			log.Error("pprof listener exited", "err", pprofSrv.ListenAndServe())
+			defer close(done)
+			if err := pprofSrv.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
+				log.Error("pprof listener exited", "err", err)
+			}
 		}()
-		log.Info("pprof enabled", "url", fmt.Sprintf("http://%s/debug/pprof/", *pprofAddr))
+		defer func() {
+			pprofSrv.Close()
+			<-done
+		}()
+		log.Info("pprof enabled", "url", fmt.Sprintf("http://%s/debug/pprof/", c.pprofAddr))
 	}
 
 	var st *store.Store
-	if *dataDir != "" {
-		if st, err = store.Open(*dataDir); err != nil {
-			log.Error("opening data dir failed", "err", err)
-			os.Exit(1)
+	if c.dataDir != "" {
+		if st, err = store.Open(c.dataDir); err != nil {
+			return fmt.Errorf("opening data dir failed: %w", err)
 		}
 		st.SetLogger(log)
 	}
 	metrics := &service.Metrics{}
 	mgr := service.NewManagerOpts(service.Options{
-		Workers:          *workers,
-		QueueCap:         *queue,
-		RenderWorkers:    *renderWorkers,
-		RenderQueue:      *renderQueue,
-		SolverThreads:    *solverThreads,
-		Metrics:          metrics,
-		Store:            st,
-		CheckpointEvery:  *checkpointEvery,
-		CheckpointBudget: *checkpointBudget,
-		AuthKeys:         tenantCfgs,
+		Workers:         c.workers,
+		QueueCap:        c.queue,
+		SolverThreads:   c.solverThreads,
+		Metrics:         metrics,
+		Store:           st,
+		CheckpointEvery: c.checkpointEvery,
+		AuthKeys:        tenantCfgs,
 		TenantDefaults: service.TenantLimits{
-			MaxActive: *maxActive,
-			Rate:      *submitRate,
-			Burst:     *submitBurst,
+			MaxActive: c.maxActive,
+			Rate:      c.submitRate,
+			Burst:     c.submitBurst,
 		},
-		MemLimit:        *memLimit,
-		StoreRetain:     *storeRetain,
-		StoreRetainAge:  *storeRetainAge,
-		WatchdogStall:   *watchdogStall,
-		WatchdogStrikes: *watchdogStrikes,
+		MemLimit:        c.memLimit,
+		StoreRetain:     c.storeRetain,
+		StoreRetainAge:  c.storeRetainAge,
+		WatchdogStall:   c.watchdogStall,
+		WatchdogStrikes: c.watchdogStrikes,
 		Logger:          log,
 	})
 	if st != nil {
-		log.Info("store recovered", "data_dir", *dataDir,
+		log.Info("store recovered", "data_dir", c.dataDir,
 			"jobs", metrics.JobsRecovered.Load(), "requeued", metrics.JobRestarts.Load())
 	}
 	srv := service.NewServer(mgr)
-	if err := srv.Start(*addr); err != nil {
-		log.Error("listen failed", "addr", *addr, "err", err)
-		os.Exit(1)
+	if err := srv.Start(c.addr); err != nil {
+		mgr.Close()
+		return fmt.Errorf("listen on %s failed: %w", c.addr, err)
 	}
-	log.Info("listening", "url", "http://"+srv.Addr(), "workers", *workers, "queue", *queue)
+	log.Info("listening", "url", "http://"+srv.Addr(), "workers", c.workers, "queue", c.queue)
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	<-sig
-	log.Info("shutting down", "grace", *grace)
-	ctx, cancel := context.WithTimeout(context.Background(), *grace)
+	<-ctx.Done()
+	log.Info("shutting down", "grace", c.grace)
+	// ctx is done by now: the grace window is a deadline of its own.
+	sctx, cancel := context.WithTimeout(context.Background(), c.grace)
 	defer cancel()
-	if err := srv.Shutdown(ctx); err != nil {
-		log.Error("shutdown incomplete", "err", err)
-		os.Exit(1)
+	if err := srv.Shutdown(sctx); err != nil {
+		return fmt.Errorf("shutdown incomplete: %w", err)
 	}
+	return nil
 }

@@ -83,7 +83,8 @@ func main() {
 
 	// Live streaming: two SSE subscribers follow the same view of the
 	// third job. Each snapshot is rendered once (off the solver loop,
-	// on the render pool) and pushed to both — no polling.
+	// by whichever subscriber asked first) and pushed to both — no
+	// polling.
 	var swg sync.WaitGroup
 	streamed := make([][]int, 2)
 	for i := range streamed {

@@ -81,10 +81,6 @@ func managerOptions(st *store.Store, metrics *service.Metrics) service.Options {
 	return service.Options{
 		Workers: 1, QueueCap: 4, Store: st, Metrics: metrics,
 		CheckpointFullEvery: chainFullEvery,
-		// The write-budget governor is off: chaos scenarios count on
-		// every cadence write landing so the op sweep's crash points
-		// stay deterministic.
-		CheckpointBudget: -1,
 	}
 }
 

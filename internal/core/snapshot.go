@@ -16,7 +16,7 @@ import (
 // Snapshot is an immutable copy of the macroscopic fields at one time
 // step, gathered to rank 0 and published through Config.OnSnapshot.
 // The arrays are freshly allocated per snapshot and never written
-// again, so any number of goroutines (render pool workers, stream
+// again, so any number of goroutines (frame renders, stream
 // fan-outs, octree builders) may read them concurrently while the
 // solver keeps stepping — this is what moves frame production out of
 // the solver loop.

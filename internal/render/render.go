@@ -232,7 +232,7 @@ func (e *PNGEncoder) Encode(im *Image) ([]byte, error) {
 func (im *Image) EncodePNG(w io.Writer) error { return new(PNGEncoder).encodeTo(w, im) }
 
 // EncodePNGBytes encodes the image to an in-memory PNG — the frame
-// format every service consumer (poll, stream, render pool) shares.
+// format every service consumer (poll, stream) shares.
 func EncodePNGBytes(im *Image) ([]byte, error) { return new(PNGEncoder).Encode(im) }
 
 // CoveredFraction returns the share of pixels with non-negligible

@@ -71,7 +71,7 @@ func TestCkptWriterCoalescesUnderBackpressure(t *testing.T) {
 	p := &gatedPutter{entered: make(chan struct{}, 4), release: make(chan struct{}, 4)}
 	// fullEvery 1 keeps every write a full checkpoint: this test pins
 	// the back-pressure contract, not the delta policy.
-	w := newCkptWriter(p, "job-test", metrics, nil, nil, nil, nil, 1, 0.5, -1, nil)
+	w := newCkptWriter(p, "job-test", metrics, nil, nil, nil, nil, 1)
 
 	// First checkpoint: no buffer exists yet, core would allocate.
 	if st := w.TakeBuffer(); st != nil {
@@ -129,7 +129,7 @@ func TestCkptWriterCoalescesUnderBackpressure(t *testing.T) {
 // writer down cleanly.
 func TestCkptWriterCloseWithoutDeliveries(t *testing.T) {
 	p := &gatedPutter{entered: make(chan struct{}, 1), release: make(chan struct{}, 1)}
-	w := newCkptWriter(p, "job-test", &Metrics{}, nil, nil, nil, nil, 8, 0.5, -1, nil)
+	w := newCkptWriter(p, "job-test", &Metrics{}, nil, nil, nil, nil, 8)
 	w.Close()
 	w.Close() // idempotent
 	if len(p.steps) != 0 {

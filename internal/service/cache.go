@@ -131,8 +131,8 @@ func (c *lru[K, V]) purge() {
 	c.mu.Unlock()
 }
 
-// frame is one rendered PNG, as the pool returns it and the frame lru
-// keeps it.
+// frame is one rendered PNG, as Manager.render returns it and the
+// frame lru keeps it.
 type frame struct {
 	png  []byte
 	w, h int

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"log/slog"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/guard"
@@ -42,26 +41,14 @@ type checkpointPutter interface {
 //
 // Persistence is an incremental chain: a full lbcq checkpoint every
 // fullEvery-th write, lbcd delta records (only the dirty site tiles)
-// in between. A delta is abandoned for a full when the dirty ratio
-// exceeds dirtyMax, the shape changed, or the step did not advance.
+// in between. A delta is abandoned for a full when the shape changed
+// or the step did not advance; a delta whose every tile is dirty is
+// still written, because a delta record skips the data fsync (see
+// store.PutCheckpointDelta) and so beats a full even then.
 // Every successful full is followed by dropping the superseded delta
 // files — mandatory, not just tidy: after a resume the writer restarts
 // the chain, and a lingering old delta whose PrevCRC happens to match
 // a bit-identical re-written full must never be picked up again.
-//
-// On top of the chain policy sits the write-budget governor (budget,
-// cost): checkpoint writes are skipped while the time this job has
-// spent writing, plus the manager-wide estimate of the next write's
-// cost, would exceed budget × the job's elapsed run time. This is the
-// Young/Daly argument in ratio form — a checkpoint is only worth
-// taking when it costs less than the re-execution it saves, so a job
-// whose whole runtime is comparable to one write never checkpoints,
-// while a long-running job converges to the cadence the spec asked
-// for with overhead bounded by the budget. Skipping is always safe:
-// the chain state is untouched, recovery replays from the previous
-// record (or step 0), and the next landed write's dirty diff still
-// covers everything skipped in between. The drain write on Close
-// bypasses the budget — it is the last chance before a shutdown.
 //
 // Close drains: the last delivered state is encoded and written before
 // Close returns, so terminal/shutdown recovery semantics are exactly
@@ -103,44 +90,26 @@ type ckptWriter struct {
 	// persisted state — it never cycles back through TakeBuffer while it
 	// is the chain base. tailCRC is the CRC64 trailer of the last
 	// persisted record (full or delta), nextSeq the 1-based sequence of
-	// the next delta. fullEvery/dirtyMax are the policy knobs (fullEvery
-	// <= 1 disables deltas entirely); dirty is the reusable dirty-tile
-	// scratch.
+	// the next delta. fullEvery is the policy knob (<= 1 disables deltas
+	// entirely); dirty is the reusable dirty-tile scratch.
 	last      *lb.CheckpointState
 	tailCRC   uint64
 	nextSeq   uint64
 	fullEvery int
-	dirtyMax  float64
 	dirty     []int
-
-	// Write-budget governor state. budget is the cap on cumulative
-	// write time as a fraction of the job's elapsed run time (<= 0
-	// disables the governor); cost is the manager-wide cost estimate
-	// shared by every job's writer (EWMA of write durations, ns; nil
-	// means no shared estimate, so a first write always lands);
-	// start anchors "elapsed"; writeNs accumulates this job's write
-	// time (writer-goroutine only).
-	budget  float64
-	cost    *atomic.Int64
-	start   time.Time
-	writeNs int64
 }
 
 // newCkptWriter starts the writer goroutine for one job. rec, log and
 // chaos may be nil (no flight recorder / discarded logs / no chaos).
-// fullEvery and dirtyMax set the delta-chain policy; fullEvery <= 1
-// writes only full checkpoints. budget caps write time as a fraction
-// of elapsed run time (<= 0 = no cap) against the shared cost
-// estimate (nil = none — the governor then only throttles after this
-// job's own first write).
-func newCkptWriter(store checkpointPutter, id string, metrics *Metrics, rec *obs.Recorder, log *slog.Logger, chaos ChaosHook, degrader *guard.Degrader, fullEvery int, dirtyMax float64, budget float64, cost *atomic.Int64) *ckptWriter {
+// fullEvery sets the delta-chain policy; fullEvery <= 1 writes only
+// full checkpoints.
+func newCkptWriter(store checkpointPutter, id string, metrics *Metrics, rec *obs.Recorder, log *slog.Logger, chaos ChaosHook, degrader *guard.Degrader, fullEvery int) *ckptWriter {
 	if log == nil {
 		log = obs.NopLogger()
 	}
 	w := &ckptWriter{
 		store: store, id: id, metrics: metrics, rec: rec, log: log, chaos: chaos,
-		degrader: degrader, fullEvery: fullEvery, dirtyMax: dirtyMax, done: make(chan struct{}),
-		budget: budget, cost: cost, start: time.Now(),
+		degrader: degrader, fullEvery: fullEvery, done: make(chan struct{}),
 	}
 	w.cond = sync.NewCond(&w.mu)
 	go w.loop()
@@ -224,7 +193,6 @@ func (w *ckptWriter) loop() {
 		}
 		st := w.pending
 		w.pending = nil
-		final := w.closed
 		w.mu.Unlock()
 		if st == nil {
 			return // closed with nothing left to drain
@@ -236,7 +204,7 @@ func (w *ckptWriter) loop() {
 		// checkpoint, like any other failed write.
 		recycle := st
 		if perr := guard.Capture("checkpoint write", func() error {
-			recycle = w.write(st, final)
+			recycle = w.write(st)
 			return nil
 		}); perr != nil {
 			var pe *guard.PanicError
@@ -259,8 +227,7 @@ func (w *ckptWriter) loop() {
 // allows, as a full checkpoint otherwise — and returns the buffer to
 // recycle. Failures are counted and logged, not fatal: the job keeps
 // its previous checkpoint, exactly as the synchronous path behaved.
-// final marks the Close drain, which bypasses the write budget.
-func (w *ckptWriter) write(st *lb.CheckpointState, final bool) *lb.CheckpointState {
+func (w *ckptWriter) write(st *lb.CheckpointState) *lb.CheckpointState {
 	// Under disk-pressure degradation every checkpoint write (drain
 	// included — the disk cannot take it) is skipped: the job keeps its
 	// previous chain and keeps stepping non-durably.
@@ -271,44 +238,23 @@ func (w *ckptWriter) write(st *lb.CheckpointState, final bool) *lb.CheckpointSta
 		}
 		return st
 	}
-	if !final && w.budget > 0 {
-		var est int64
-		if w.cost != nil {
-			est = w.cost.Load()
-		}
-		if est > 0 && float64(w.writeNs+est) > w.budget*float64(time.Since(w.start).Nanoseconds()) {
-			w.metrics.CheckpointsSkippedBudget.Add(1)
-			if w.rec != nil {
-				w.rec.Record(obs.EvCheckpointSkip, st.Info.Step, 0, "write budget")
-			}
-			return st
-		}
-	}
 	start := time.Now()
 	if w.rec != nil {
 		w.rec.Record(obs.EvCheckpointStart, st.Info.Step, 0, "")
 	}
-	// Decide full vs delta before encoding anything: the dirty scan is
-	// the cheap part, and a too-dirty delta falls back to a full without
-	// wasted encode work.
-	var dirty []int
-	useDelta := false
+	// The dirty scan picks the tiles a delta carries.
 	if w.last != nil && w.fullEvery > 1 && w.nextSeq > 0 && w.nextSeq < uint64(w.fullEvery) &&
 		st.Info.Sites == w.last.Info.Sites && st.Info.Q == w.last.Info.Q &&
 		st.Info.Iolets == w.last.Info.Iolets && st.Info.Step > w.last.Info.Step {
-		var err error
-		dirty, err = st.DirtyTiles(w.last, lb.DefaultDeltaTileSites, w.dirty[:0])
+		dirty, err := st.DirtyTiles(w.last, lb.DefaultDeltaTileSites, w.dirty[:0])
 		if err == nil {
 			w.dirty = dirty
 			tiles := lb.NumDeltaTiles(st.Info.Sites, lb.DefaultDeltaTileSites)
 			w.metrics.CheckpointDirtyRatioPermille.Store(int64(1000 * len(dirty) / tiles))
-			useDelta = float64(len(dirty)) <= w.dirtyMax*float64(tiles)
+			return w.writeDelta(st, dirty, start)
 		}
 	} else {
 		w.metrics.CheckpointDirtyRatioPermille.Store(1000)
-	}
-	if useDelta {
-		return w.writeDelta(st, dirty, start)
 	}
 	return w.writeFull(st, start)
 }
@@ -394,16 +340,6 @@ func (w *ckptWriter) writeDelta(st *lb.CheckpointState, dirty []int, start time.
 // for one persisted record (full or delta).
 func (w *ckptWriter) finish(st *lb.CheckpointState, start time.Time) {
 	dur := time.Since(start).Nanoseconds()
-	w.writeNs += dur
-	if w.cost != nil {
-		// Manager-wide EWMA (3:1 old:new) so freshly started jobs
-		// inherit a realistic estimate of what a write costs here.
-		if old := w.cost.Load(); old > 0 {
-			w.cost.Store((3*old + dur) / 4)
-		} else {
-			w.cost.Store(dur)
-		}
-	}
 	w.metrics.CheckpointWrite.Observe(dur)
 	if w.rec != nil {
 		w.rec.Record(obs.EvCheckpointEnd, st.Info.Step, dur, "")

@@ -61,14 +61,14 @@ func policyState(step int) *lb.CheckpointState {
 
 // TestCkptWriterDeltaPolicy pins the chain policy end to end: the first
 // write is a full, lightly-dirty successors become linked delta
-// records, the fullEvery-th write rolls over to a full, a too-dirty
-// state falls back to a full, and every full drops the superseded
-// deltas. The persisted chain must reconstruct the last delta'd state
-// bit-exactly.
+// records, the fullEvery-th write rolls over to a full, an all-dirty
+// write after it stays a linked delta, and every full drops the
+// superseded deltas. Both persisted chains must reconstruct their last
+// state bit-exactly.
 func TestCkptWriterDeltaPolicy(t *testing.T) {
 	metrics := &Metrics{}
 	p := &chainPutter{}
-	w := newCkptWriter(p, "job-test", metrics, nil, nil, nil, nil, 3, 0.5, -1, nil)
+	w := newCkptWriter(p, "job-test", metrics, nil, nil, nil, nil, 3)
 	defer w.Close()
 
 	deliver := func(st *lb.CheckpointState) {
@@ -95,11 +95,11 @@ func TestCkptWriterDeltaPolicy(t *testing.T) {
 	s40 := next(s30, 40, 1)
 	deliver(s40) // nextSeq == fullEvery: full #2
 	s50 := next(s40, 50, 3)
-	deliver(s50) // 3/3 tiles dirty > 0.5: full #3
+	deliver(s50) // 3/3 tiles dirty: still delta seq 1 over full #2
 
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	want := []string{"full", "drop", "delta", "delta", "full", "drop", "full", "drop"}
+	want := []string{"full", "drop", "delta", "delta", "full", "drop", "delta"}
 	if len(p.order) != len(want) {
 		t.Fatalf("operation order %v, want %v", p.order, want)
 	}
@@ -108,8 +108,8 @@ func TestCkptWriterDeltaPolicy(t *testing.T) {
 			t.Fatalf("operation order %v, want %v", p.order, want)
 		}
 	}
-	if n := metrics.CheckpointDeltasWritten.Load(); n != 2 {
-		t.Errorf("deltas_written = %d, want 2", n)
+	if n := metrics.CheckpointDeltasWritten.Load(); n != 3 {
+		t.Errorf("deltas_written = %d, want 3", n)
 	}
 	if n := metrics.CheckpointDirtyRatioPermille.Load(); n != 1000 {
 		t.Errorf("dirty_ratio_permille after all-dirty write = %d, want 1000", n)
@@ -118,17 +118,29 @@ func TestCkptWriterDeltaPolicy(t *testing.T) {
 		t.Error("delta bytes were not accounted")
 	}
 
-	// The chain base + both deltas must reconstruct s30 bit-exactly,
-	// with CRC linkage intact.
-	st, err := lb.DecodeCheckpointBytes(p.fulls[0])
+	// Each full plus its deltas must reconstruct the chain's last state
+	// bit-exactly, with CRC linkage intact: full #1 + deltas 1–2 is s30,
+	// the rollover full #2 (s40) + the all-dirty delta is s50.
+	replayChain(t, p.fulls[0], p.deltas[:2], s30)
+	if info, err := lb.VerifyCheckpointBytes(p.fulls[1]); err != nil || info.Step != 40 {
+		t.Fatalf("rollover full = (step %d, %v), want step 40", info.Step, err)
+	}
+	replayChain(t, p.fulls[1], p.deltas[2:], s50)
+}
+
+// replayChain applies deltas to full in order, checking their sequence
+// numbers and CRC links, and compares the result with want.
+func replayChain(t *testing.T, full []byte, deltas [][]byte, want *lb.CheckpointState) {
+	t.Helper()
+	st, err := lb.DecodeCheckpointBytes(full)
 	if err != nil {
 		t.Fatal(err)
 	}
-	prevCRC, err := lb.CheckpointCRC(p.fulls[0])
+	prevCRC, err := lb.CheckpointCRC(full)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, raw := range p.deltas {
+	for i, raw := range deltas {
 		d, err := lb.DecodeDeltaBytes(raw)
 		if err != nil {
 			t.Fatalf("delta %d does not decode: %v", i, err)
@@ -142,16 +154,12 @@ func TestCkptWriterDeltaPolicy(t *testing.T) {
 		}
 		prevCRC = d.CRC
 	}
-	if st.Info.Step != 30 {
-		t.Fatalf("reconstructed step %d, want 30", st.Info.Step)
+	if st.Info.Step != want.Info.Step {
+		t.Fatalf("reconstructed step %d, want %d", st.Info.Step, want.Info.Step)
 	}
 	for i := range st.F {
-		if st.F[i] != s30.F[i] {
-			t.Fatalf("reconstruction diverges at F[%d]", i)
+		if st.F[i] != want.F[i] {
+			t.Fatalf("step %d reconstruction diverges at F[%d]", want.Info.Step, i)
 		}
-	}
-	// The full after the rollover captures s40 exactly.
-	if info, err := lb.VerifyCheckpointBytes(p.fulls[1]); err != nil || info.Step != 40 {
-		t.Fatalf("rollover full = (step %d, %v), want step 40", info.Step, err)
 	}
 }

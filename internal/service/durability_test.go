@@ -209,12 +209,9 @@ func TestMissingCheckpointFileRestartsFromZero(t *testing.T) {
 	// running while the test waits for A's first checkpoint.
 	spec := durableSpec(2400)
 
-	// Two concurrent jobs, both checkpointed, then a kill. No write
-	// budget: once one job's write has priced a checkpoint, a slow
-	// fsync lets the governor skip every cadence point of these
-	// ~100 ms jobs, and the wait below never ends.
+	// Two concurrent jobs, both checkpointed, then a kill.
 	st1 := openStore(t, dir)
-	mgr1 := NewManagerOpts(Options{Workers: 2, QueueCap: 4, Store: st1, CheckpointBudget: -1})
+	mgr1 := NewManagerOpts(Options{Workers: 2, QueueCap: 4, Store: st1})
 	jA, err := mgr1.Submit(spec)
 	if err != nil {
 		t.Fatal(err)

@@ -363,16 +363,12 @@ func (j *Job) LatestSnapshot() (*core.Snapshot, <-chan struct{}) {
 // Options configures a Manager beyond the worker/queue pair.
 type Options struct {
 	// Workers bounds how many simulations step concurrently (paused
-	// jobs don't count); QueueCap bounds accepted-but-not-started
-	// submissions. Zero values fall back to 2 / 16.
+	// jobs don't count) and how many frames render at once (one frame
+	// is cast on up to GOMAXPROCS goroutines); QueueCap bounds
+	// accepted-but-not-started submissions. Zero values fall back to
+	// 2 / 16.
 	Workers  int
 	QueueCap int
-	// RenderWorkers / RenderQueue size the render pool (defaults:
-	// Workers and 4×RenderWorkers): how many frames are rendered at
-	// once and how many wait. One frame is cast on up to GOMAXPROCS
-	// goroutines whatever RenderWorkers is.
-	RenderWorkers int
-	RenderQueue   int
 	// SolverThreads is the default per-rank collide+stream worker count
 	// for specs that leave threads at 0 (clamped to [1, 16]; default 1 =
 	// serial). Results are bit-identical either way, so this is purely a
@@ -396,29 +392,6 @@ type Options struct {
 	// Store. Not a daemon flag: it stays as the seam the chaos driver
 	// and the delta-policy tests use to force compaction in a short run.
 	CheckpointFullEvery int
-	// CheckpointDirtyMax caps how dirty a delta may be before the
-	// writer falls back to a full checkpoint: a delta is written only
-	// when dirtyTiles/tiles <= CheckpointDirtyMax. 0 means the built-in
-	// 1.0 — deltas regardless of ratio, because a delta record skips
-	// the data fsync (see store.PutCheckpointDelta) and so beats a
-	// full even when every tile is dirty. Negative writes fulls only.
-	// Ignored without Store. Not a daemon flag either (measured dirty
-	// ratio is 1.0, so no value of the cap is tunable from evidence):
-	// a test seam, like CheckpointFullEvery.
-	CheckpointDirtyMax float64
-	// CheckpointBudget caps each job's cumulative checkpoint write time
-	// to this fraction of its elapsed run time (the Young/Daly
-	// criterion in ratio form: a checkpoint is worth taking only when
-	// it costs less than the re-execution it saves). The writer skips
-	// in-loop checkpoints while the budget is exhausted against a
-	// manager-wide write-cost estimate — so a job whose whole runtime
-	// is comparable to one write never checkpoints, and a long job
-	// checkpoints at its spec'd cadence with overhead bounded by the
-	// budget. The shutdown drain write always lands. 0 means the
-	// built-in 0.05 (5% of runtime); negative disables the governor
-	// (every cadence write lands, the pre-budget behavior). Ignored
-	// without Store.
-	CheckpointBudget float64
 	// Logger receives the manager's structured log stream (job
 	// lifecycle, recovery, store failures). Nil discards everything.
 	Logger *slog.Logger
@@ -464,25 +437,19 @@ type Options struct {
 }
 
 // Manager owns the bounded submission queue, the concurrency slots the
-// dispatcher hands jobs, the render pool and the caches every transport
-// shares.
+// dispatcher hands jobs, the frame buffers and the caches every
+// transport shares.
 type Manager struct {
 	metrics *Metrics
 	log     *slog.Logger
 	ringSz  int
 	// store is the durability layer (nil = in-memory only); ckptEvery
 	// is the default checkpoint cadence for specs that don't set one.
-	// fullEvery/dirtyMax are the delta-chain policy knobs handed to each
-	// job's checkpoint writer.
-	store      *store.Store
-	ckptEvery  int
-	fullEvery  int
-	dirtyMax   float64
-	ckptBudget float64
-	// ckptCostNs is the manager-wide EWMA of checkpoint write cost the
-	// budget governor prices new writes with; each job's writer reads
-	// and updates it.
-	ckptCostNs atomic.Int64
+	// fullEvery is the delta-chain policy handed to each job's
+	// checkpoint writer.
+	store     *store.Store
+	ckptEvery int
+	fullEvery int
 	// chaos observes named crash points (nil in production).
 	chaos ChaosHook
 	// solverThreads is the daemon default for specs with threads: 0.
@@ -499,7 +466,11 @@ type Manager struct {
 	// parked goroutine, not a pool slot — W paused jobs no longer
 	// stall the whole service.
 	slots chan struct{}
-	pool  *RenderPool
+	// frameBufs holds one set of frame buffers per Workers: a frame
+	// that missed the cache takes a set, renders on its own goroutine
+	// and gives the set back, so the channel bounds concurrent renders
+	// and each set's image, scalar table and PNG state are reused.
+	frameBufs chan *insitu.FrameBuffers
 	// One cache type, three instances, each keyed by what its values
 	// derive from: rendered frames by (snapshot, view), so N viewers of
 	// a snapshot cost one render whether they poll or stream; voxelised
@@ -539,19 +510,13 @@ type Manager struct {
 }
 
 // NewManagerOpts starts a manager with explicit sizing for the solver
-// slots and render pool.
+// slots and the submission queue.
 func NewManagerOpts(o Options) *Manager {
 	if o.Workers <= 0 {
 		o.Workers = 2
 	}
 	if o.QueueCap <= 0 {
 		o.QueueCap = 16
-	}
-	if o.RenderWorkers <= 0 {
-		o.RenderWorkers = o.Workers
-	}
-	if o.RenderQueue <= 0 {
-		o.RenderQueue = 4 * o.RenderWorkers
 	}
 	if o.Metrics == nil {
 		o.Metrics = &Metrics{}
@@ -577,12 +542,6 @@ func NewManagerOpts(o Options) *Manager {
 	if o.CheckpointFullEvery < 1 {
 		o.CheckpointFullEvery = 1 // full checkpoints only
 	}
-	if o.CheckpointDirtyMax == 0 {
-		o.CheckpointDirtyMax = 1.0
-	}
-	if o.CheckpointBudget == 0 {
-		o.CheckpointBudget = 0.05
-	}
 	if o.GCInterval <= 0 {
 		o.GCInterval = time.Minute
 	}
@@ -593,12 +552,10 @@ func NewManagerOpts(o Options) *Manager {
 		store:         o.Store,
 		ckptEvery:     o.CheckpointEvery,
 		fullEvery:     o.CheckpointFullEvery,
-		dirtyMax:      o.CheckpointDirtyMax,
-		ckptBudget:    o.CheckpointBudget,
 		chaos:         o.ChaosHook,
 		solverThreads: o.SolverThreads,
 		slots:         make(chan struct{}, o.Workers),
-		pool:          NewRenderPool(o.RenderWorkers, o.RenderQueue, o.Metrics),
+		frameBufs:     make(chan *insitu.FrameBuffers, o.Workers),
 		frames: newLRU[frameKey](frameEntries, func(frame) int { return 1 },
 			&o.Metrics.frameHits, &o.Metrics.frameMiss, &o.Metrics.frameEvict),
 		domains: newLRU[domainKey](siteBudget, func(d *geometry.Domain) int { return d.NumSites() },
@@ -654,6 +611,7 @@ func NewManagerOpts(o Options) *Manager {
 	}
 	for i := 0; i < o.Workers; i++ {
 		m.slots <- struct{}{}
+		m.frameBufs <- new(insitu.FrameBuffers)
 	}
 	m.wg.Add(1)
 	go m.dispatch()
@@ -1280,7 +1238,7 @@ func (m *Manager) run(j *Job) {
 	var writer *ckptWriter
 	if every := m.checkpointCadence(j.Spec); every > 0 {
 		cfg.CheckpointEvery = every
-		writer = newCkptWriter(m.store, j.ID, m.metrics, j.rec, j.log, m.chaos, m.degrader, m.fullEvery, m.dirtyMax, m.ckptBudget, &m.ckptCostNs)
+		writer = newCkptWriter(m.store, j.ID, m.metrics, j.rec, j.log, m.chaos, m.degrader, m.fullEvery)
 		cfg.Checkpoint = writer
 	}
 	// A recovered job resumes from its journaled checkpoint, re-read
@@ -1875,9 +1833,9 @@ func (m *Manager) Data(j *Job, roiMin, roiMax [3]float64, detail, context int) (
 // Frame produces the current frame for a request. Pollers drive
 // publication: the request registers demand and waits for a
 // ≤one-cadence-fresh snapshot — idle jobs publish nothing between
-// requests — and the frame is rendered from it on the pool, outside the
-// solver loop, which is why it also works while paused and after
-// termination.
+// requests — and the frame is rendered from it on the request's
+// goroutine, outside the solver loop, which is why it also works while
+// paused and after termination.
 func (m *Manager) Frame(j *Job, req insitu.Request) ([]byte, int, int, error) {
 	if j.State() == StateQueued {
 		return nil, 0, 0, ErrNotRunning
@@ -1889,22 +1847,47 @@ func (m *Manager) Frame(j *Job, req insitu.Request) ([]byte, int, int, error) {
 	return m.frameFromSnapshot(snap, req)
 }
 
-// frameFromSnapshot renders one (snapshot, view) through the frame lru
-// and the render pool: every consumer of that snapshot and view —
-// pollers and stream subscribers alike — shares exactly one render,
-// executed off the solver loop. Frame serves the freshest snapshot
-// through it; a stream, each snapshot it follows.
+// frameFromSnapshot renders one (snapshot, view) through the frame lru:
+// every consumer of that snapshot and view — pollers and stream
+// subscribers alike — shares exactly one render, executed off the
+// solver loop on the goroutine of the request that missed. Frame serves
+// the freshest snapshot through it; a stream, each snapshot it follows.
 func (m *Manager) frameFromSnapshot(snap *core.Snapshot, req insitu.Request) ([]byte, int, int, error) {
 	f, _, err := m.frames.get(frameKey{snap.Seq, viewKey(req)}, func() (frame, error) {
 		m.metrics.RendersTotal.Add(1)
-		png, w, h, err := m.pool.Render(snap, req)
-		return frame{png, w, h}, err
+		return m.render(snap, req)
 	})
 	return f.png, f.w, f.h, err
 }
 
+// render casts and encodes one frame on a set of frame buffers, waiting
+// for a set when Workers renders are already running. A panicking
+// renderer (degenerate view, snapshot-shape bug) fails that one frame
+// with ErrInternal; guard.ForChunks brings a panic on any of the
+// frame's goroutines back to this one, and the set goes back either way.
+func (m *Manager) render(snap *core.Snapshot, req insitu.Request) (f frame, err error) {
+	start := time.Now()
+	m.metrics.RenderQueueDepth.Add(1)
+	defer m.metrics.RenderQueueDepth.Add(-1)
+	bufs := <-m.frameBufs
+	defer func() { m.frameBufs <- bufs }()
+	err = guard.Capture("render", func() (err error) {
+		f.png, f.w, f.h, err = bufs.FramePNG(snap.Field, req)
+		return err
+	})
+	if err != nil {
+		var pe *guard.PanicError
+		if errors.As(err, &pe) {
+			err = fmt.Errorf("%w: render panicked: %v", ErrInternal, pe.Value)
+		}
+		return frame{}, err
+	}
+	m.metrics.RenderLatency.Observe(time.Since(start).Nanoseconds())
+	return f, nil
+}
+
 // Close stops accepting jobs, cancels everything in flight, waits for
-// the runs and shuts the render pool — the graceful-shutdown path.
+// the runs — the graceful-shutdown path.
 func (m *Manager) Close() {
 	m.mu.Lock()
 	if m.closed {
@@ -1936,7 +1919,6 @@ func (m *Manager) Close() {
 	}
 	close(m.done)
 	m.wg.Wait()
-	m.pool.Close()
 	if m.degrader != nil {
 		m.degrader.Close()
 	}

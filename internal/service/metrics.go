@@ -40,8 +40,8 @@ type Metrics struct {
 	// SnapshotsTotal counts field snapshots published by solvers into
 	// the render-offload path.
 	SnapshotsTotal atomic.Int64
-	// RenderQueueDepth is a gauge: render tasks accepted by the pool
-	// but not yet finished.
+	// RenderQueueDepth is a gauge: renders waiting for or holding a set
+	// of frame buffers.
 	RenderQueueDepth atomic.Int64
 	// StreamClients is a gauge of live SSE subscribers;
 	// FramesStreamed counts frame events pushed to them.
@@ -88,12 +88,6 @@ type Metrics struct {
 	CheckpointDeltasWritten      atomic.Int64
 	CheckpointDeltaBytes         atomic.Int64
 	CheckpointDirtyRatioPermille atomic.Int64
-	// CheckpointsSkippedBudget counts checkpoint writes the write-budget
-	// governor refused because cumulative write time would have exceeded
-	// the configured fraction of the job's runtime (Young/Daly: a
-	// checkpoint that costs more than the re-execution it saves is not
-	// worth taking).
-	CheckpointsSkippedBudget atomic.Int64
 	// Group-commit counters. JournalGroupCommits counts journal fsync
 	// batches, JournalGroupCommitRecords the records across them — the
 	// ratio is the realized batch size (the fsync amortization factor).
@@ -134,12 +128,13 @@ type Metrics struct {
 	// FieldGather the snapshot field gather, CheckpointGather the
 	// in-loop checkpoint state gather (the same time CheckpointStallNs
 	// accumulates). CheckpointWrite times the off-loop encode+fsync on
-	// the writer goroutine, RenderLatency the pool's submit→PNG path,
-	// and HTTPLatency is a per-route family fed by the server
-	// middleware. Preprocess times a dispatch from the domain-cache
-	// lookup to core.New returning (voxelise or cache hit; partition,
-	// stream tables and halo plans unless the domain keeps them) — what
-	// stands between a worker slot and the first step.
+	// the writer goroutine, RenderLatency a cache-miss frame from the
+	// wait for frame buffers to the encoded PNG, and HTTPLatency is a
+	// per-route family fed by the server middleware. Preprocess times a
+	// dispatch from the domain-cache lookup to core.New returning
+	// (voxelise or cache hit; partition, stream tables and halo plans
+	// unless the domain keeps them) — what stands between a worker slot
+	// and the first step.
 	// TileDuration samples per-worker collide+stream tile durations on
 	// tiled solvers (same cadence as StepDuration): the spread between
 	// its p50 and p99 is intra-rank load imbalance the aggregate step
@@ -171,7 +166,7 @@ func (m *Metrics) rows() []counterRow {
 		{"hemeserved_jobs_done_total", m.JobsDone.Load(), "counter", "Jobs that ran to completion."},
 		{"hemeserved_jobs_failed_total", m.JobsFailed.Load(), "counter", "Jobs that ended in error."},
 		{"hemeserved_jobs_cancelled_total", m.JobsCancelled.Load(), "counter", "Jobs cancelled by users."},
-		{"hemeserved_renders_total", m.RendersTotal.Load(), "counter", "Frames rendered by the pool."},
+		{"hemeserved_renders_total", m.RendersTotal.Load(), "counter", "Frames rendered (frame cache misses)."},
 		{"hemeserved_frame_cache_hits_total", m.frameHits.Load(), "counter", "Frame requests served without a render, per (snapshot, view)."},
 		{"hemeserved_frame_cache_misses_total", m.frameMiss.Load(), "counter", "Frame requests that rendered, per (snapshot, view)."},
 		{"hemeserved_frame_cache_evictions_total", m.frameEvict.Load(), "counter", "Frames evicted from the cache, least recently used first."},
@@ -183,7 +178,7 @@ func (m *Metrics) rows() []counterRow {
 		{"hemeserved_data_requests_total", m.DataRequests.Load(), "counter", "Reduced-data queries served."},
 		{"hemeserved_http_requests_total", m.HTTPRequests.Load(), "counter", "HTTP requests served."},
 		{"hemeserved_snapshots_total", m.SnapshotsTotal.Load(), "counter", "Field snapshots published by solvers."},
-		{"hemeserved_render_queue_depth", m.RenderQueueDepth.Load(), "gauge", "Render tasks accepted but not yet finished."},
+		{"hemeserved_render_queue_depth", m.RenderQueueDepth.Load(), "gauge", "Renders waiting for or holding a set of frame buffers."},
 		{"hemeserved_stream_clients", m.StreamClients.Load(), "gauge", "Live SSE subscribers."},
 		{"hemeserved_frames_streamed_total", m.FramesStreamed.Load(), "counter", "Frame events pushed to SSE subscribers."},
 		{"hemeserved_checkpoints_written_total", m.CheckpointsWritten.Load(), "counter", "Solver checkpoints journaled to the data dir."},
@@ -196,7 +191,6 @@ func (m *Metrics) rows() []counterRow {
 		{"hemeserved_checkpoints_coalesced_total", m.CheckpointsCoalesced.Load(), "counter", "Gathered checkpoint states overwritten before being written."},
 		{"hemeserved_snapshots_skipped_total", m.SnapshotsSkipped.Load(), "counter", "Snapshot cadence boundaries skipped for lack of interest."},
 		{"hemeserved_jobs_diverged_total", m.JobsDiverged.Load(), "counter", "Jobs whose snapshot fields went non-finite (simulation blow-up)."},
-		{"hemeserved_checkpoints_skipped_budget_total", m.CheckpointsSkippedBudget.Load(), "counter", "Checkpoint writes skipped by the write-budget governor."},
 		{"hemeserved_checkpoint_deltas_written_total", m.CheckpointDeltasWritten.Load(), "counter", "Incremental (lbcd) checkpoint delta records persisted."},
 		{"hemeserved_checkpoint_delta_bytes_total", m.CheckpointDeltaBytes.Load(), "counter", "Bytes of incremental checkpoint delta data written."},
 		{"hemeserved_checkpoint_dirty_ratio_permille", m.CheckpointDirtyRatioPermille.Load(), "gauge", "Dirty site-tile ratio of the last checkpoint write, in thousandths."},
@@ -231,7 +225,7 @@ func (m *Metrics) histograms() []histogramRow {
 		{"hemeserved_field_gather", &m.FieldGather, "Snapshot field gather duration (rank 0)."},
 		{"hemeserved_checkpoint_gather", &m.CheckpointGather, "In-loop checkpoint state gather duration (rank 0)."},
 		{"hemeserved_checkpoint_write", &m.CheckpointWrite, "Checkpoint encode+fsync duration on the writer goroutine."},
-		{"hemeserved_render_latency", &m.RenderLatency, "Render pool latency, task submit to PNG encoded."},
+		{"hemeserved_render_latency", &m.RenderLatency, "Cache-miss frame latency, wait for frame buffers to PNG encoded."},
 		{"hemeserved_preprocess", &m.Preprocess, "Job pre-processing at dispatch: domain cache lookup or voxelise, graph, partition."},
 		{"hemeserved_tile_duration", &m.TileDuration, "Per-worker collide+stream tile duration (rank 0, sampled; tiled solvers only)."},
 	}

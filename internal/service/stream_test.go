@@ -235,7 +235,7 @@ func TestStreamTwoSubscribersShareRenders(t *testing.T) {
 // TestStreamSlowSubscriberDoesNotBlock parks one subscriber that never
 // reads its connection while a second consumes frames: the healthy
 // subscriber and the solver must keep making progress — a stalled
-// client costs only its own socket, never the render pool.
+// client costs only its own socket, never another frame's render.
 func TestStreamSlowSubscriberDoesNotBlock(t *testing.T) {
 	srv, base := startServer(t, 1, 4)
 	j := submit(t, base, `{"preset":"pipe","steps":2000000,"viz_every":-1,"snapshot_every":4}`)
@@ -275,8 +275,8 @@ func TestStreamSlowSubscriberDoesNotBlock(t *testing.T) {
 // TestStreamEndsOnTerminal runs a short job to completion under a
 // subscriber: the feed must deliver frames and then an explicit end
 // event carrying the terminal state, and a frame requested after
-// termination is still served from the final snapshot — rendered by
-// the pool with no solver left to ask.
+// termination is still served from the final snapshot — rendered on
+// the request with no solver left to ask.
 func TestStreamEndsOnTerminal(t *testing.T) {
 	srv, base := startServer(t, 1, 4)
 	j := submit(t, base, `{"preset":"pipe","steps":120,"viz_every":-1,"snapshot_every":8}`)
@@ -445,7 +445,7 @@ func TestSnapshotsOffAnswers409(t *testing.T) {
 // of steps/second measured the neighbours as much as the job. Those two
 // phases cannot see a render that came back into the loop at a steering
 // boundary, so the render counters close that gap: every render counted
-// must be one the pool timed.
+// must be one the manager's frame path timed.
 func TestRenderOffloadKeepsSolverPace(t *testing.T) {
 	srv, base := startServer(t, 1, 4)
 	info := submit(t, base, `{"preset":"pipe","steps":2000000000,"viz_every":-1,"snapshot_every":8}`)
@@ -524,12 +524,12 @@ func TestRenderOffloadKeepsSolverPace(t *testing.T) {
 		t.Errorf("streaming doubled the cost of a step: %.0f -> %.0f ns", quiet, streaming)
 	}
 
-	// Every frame comes off the pool: a render counted anywhere else —
-	// one answered inside the solver loop, say — is a render the pool's
-	// latency histogram never sees.
+	// Every frame comes off the manager's frame path: a render counted
+	// anywhere else — one answered inside the solver loop, say — is a
+	// render its latency histogram never sees.
 	cancel()
 	mm := srv.mgr.metrics
-	waitFor(t, "every counted render to be a pool render", func() bool {
+	waitFor(t, "every counted render to be a timed render", func() bool {
 		return mm.RendersTotal.Load() == mm.RenderLatency.Count()
 	})
 	if mm.RendersTotal.Load() == 0 {
