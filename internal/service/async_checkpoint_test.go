@@ -71,7 +71,7 @@ func TestCkptWriterCoalescesUnderBackpressure(t *testing.T) {
 	p := &gatedPutter{entered: make(chan struct{}, 4), release: make(chan struct{}, 4)}
 	// fullEvery 1 keeps every write a full checkpoint: this test pins
 	// the back-pressure contract, not the delta policy.
-	w := newCkptWriter(p, "job-test", metrics, nil, nil, nil, nil, 1)
+	w := newCkptWriter(p, "job-test", metrics, nil, nil, nil, nil, 1, 0)
 
 	// First checkpoint: no buffer exists yet, core would allocate.
 	if st := w.TakeBuffer(); st != nil {
@@ -129,11 +129,26 @@ func TestCkptWriterCoalescesUnderBackpressure(t *testing.T) {
 // writer down cleanly.
 func TestCkptWriterCloseWithoutDeliveries(t *testing.T) {
 	p := &gatedPutter{entered: make(chan struct{}, 1), release: make(chan struct{}, 1)}
-	w := newCkptWriter(p, "job-test", &Metrics{}, nil, nil, nil, nil, 8)
+	w := newCkptWriter(p, "job-test", &Metrics{}, nil, nil, nil, nil, 8, 0)
 	w.Close()
 	w.Close() // idempotent
 	if len(p.steps) != 0 {
 		t.Fatalf("writer wrote %v with nothing delivered", p.steps)
+	}
+}
+
+// TestCkptWriterDropsFinalStep: the state gathered at the job's final
+// step is never written — the run is over and the job terminal — while
+// the cadence states before it are.
+func TestCkptWriterDropsFinalStep(t *testing.T) {
+	p := &chainPutter{}
+	w := newCkptWriter(p, "job-test", &Metrics{}, nil, nil, nil, nil, 1, 30)
+	w.Deliver(policyState(10))
+	waitFor(t, "checkpoint write", func() bool { return p.writes() == 1 })
+	w.Deliver(policyState(30))
+	w.Close() // drains whatever is pending: nothing
+	if n := p.writes(); n != 1 {
+		t.Fatalf("%d checkpoints written, want only the step-10 one", n)
 	}
 }
 

@@ -50,6 +50,12 @@ type checkpointPutter interface {
 // the chain, and a lingering old delta whose PrevCRC happens to match
 // a bit-identical re-written full must never be picked up again.
 //
+// A state gathered at the job's final step (finalStep) is dropped on
+// delivery: a run that executed every step ends done (or failed), and a
+// terminal job's checkpoint is never read again — the same reason
+// CloseDiscard drops a pending state, applied before the write starts
+// rather than racing it.
+//
 // Close drains: the last delivered state is encoded and written before
 // Close returns, so terminal/shutdown recovery semantics are exactly
 // those of the old synchronous writes — only a hard kill can lose the
@@ -97,19 +103,22 @@ type ckptWriter struct {
 	nextSeq   uint64
 	fullEvery int
 	dirty     []int
+	// finalStep is the job's last step (immutable after construction).
+	finalStep int
 }
 
 // newCkptWriter starts the writer goroutine for one job. rec, log and
 // chaos may be nil (no flight recorder / discarded logs / no chaos).
 // fullEvery sets the delta-chain policy; fullEvery <= 1 writes only
-// full checkpoints.
-func newCkptWriter(store checkpointPutter, id string, metrics *Metrics, rec *obs.Recorder, log *slog.Logger, chaos ChaosHook, degrader *guard.Degrader, fullEvery int) *ckptWriter {
+// full checkpoints. finalStep is the job's last step, whose state is
+// never written (0: none — a state is gathered after at least one step).
+func newCkptWriter(store checkpointPutter, id string, metrics *Metrics, rec *obs.Recorder, log *slog.Logger, chaos ChaosHook, degrader *guard.Degrader, fullEvery, finalStep int) *ckptWriter {
 	if log == nil {
 		log = obs.NopLogger()
 	}
 	w := &ckptWriter{
 		store: store, id: id, metrics: metrics, rec: rec, log: log, chaos: chaos,
-		degrader: degrader, fullEvery: fullEvery, done: make(chan struct{}),
+		degrader: degrader, fullEvery: fullEvery, finalStep: finalStep, done: make(chan struct{}),
 	}
 	w.cond = sync.NewCond(&w.mu)
 	go w.loop()
@@ -142,13 +151,18 @@ func (w *ckptWriter) TakeBuffer() *lb.CheckpointState {
 }
 
 // Deliver implements core.CheckpointSink: publish the gathered state
-// to the writer goroutine and return immediately.
+// to the writer goroutine and return immediately — or, at the job's
+// final step, keep it as the free buffer unwritten.
 func (w *ckptWriter) Deliver(st *lb.CheckpointState) {
 	if w.chaos != nil {
 		w.chaos(ChaosCheckpointSwap, w.id)
 	}
 	w.mu.Lock()
-	w.pending = st
+	if st.Info.Step == w.finalStep {
+		w.free = st
+	} else {
+		w.pending = st
+	}
 	if !w.takenAt.IsZero() {
 		w.metrics.CheckpointStallNs.Add(time.Since(w.takenAt).Nanoseconds())
 		w.takenAt = time.Time{}

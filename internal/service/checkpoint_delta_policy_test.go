@@ -68,7 +68,7 @@ func policyState(step int) *lb.CheckpointState {
 func TestCkptWriterDeltaPolicy(t *testing.T) {
 	metrics := &Metrics{}
 	p := &chainPutter{}
-	w := newCkptWriter(p, "job-test", metrics, nil, nil, nil, nil, 3)
+	w := newCkptWriter(p, "job-test", metrics, nil, nil, nil, nil, 3, 0)
 	defer w.Close()
 
 	deliver := func(st *lb.CheckpointState) {

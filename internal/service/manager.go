@@ -1238,7 +1238,7 @@ func (m *Manager) run(j *Job) {
 	var writer *ckptWriter
 	if every := m.checkpointCadence(j.Spec); every > 0 {
 		cfg.CheckpointEvery = every
-		writer = newCkptWriter(m.store, j.ID, m.metrics, j.rec, j.log, m.chaos, m.degrader, m.fullEvery)
+		writer = newCkptWriter(m.store, j.ID, m.metrics, j.rec, j.log, m.chaos, m.degrader, m.fullEvery, j.Spec.Steps)
 		cfg.Checkpoint = writer
 	}
 	// A recovered job resumes from its journaled checkpoint, re-read
