@@ -76,6 +76,9 @@ type ckptWriter struct {
 	// checkpoint writes are skipped while degraded, and write outcomes
 	// feed its failure counting.
 	degrader *guard.Degrader
+	// finalStep is the job's last step; a state gathered there is not
+	// written (immutable after construction).
+	finalStep int
 
 	mu      sync.Mutex
 	cond    *sync.Cond
@@ -103,8 +106,6 @@ type ckptWriter struct {
 	nextSeq   uint64
 	fullEvery int
 	dirty     []int
-	// finalStep is the job's last step (immutable after construction).
-	finalStep int
 }
 
 // newCkptWriter starts the writer goroutine for one job. rec, log and
