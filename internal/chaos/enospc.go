@@ -118,8 +118,9 @@ func (c Config) runENOSPCCase(k int64, ref *reference) (bool, error) {
 	}
 
 	// The disk is still full (the fault is sticky) and the terminal
-	// persist must have tripped the degrader by now — poll briefly,
-	// since the failing write is asynchronous to job completion.
+	// persist must have tripped the degrader by now: it is a no-wait
+	// journal append, whose failed write returns to the manager like a
+	// waited one. Poll briefly, since it runs after the job reads done.
 	if err := waitCond(enospcWait, func() bool { return metrics.StoreDegradedTotal.Load() > 0 }); err != nil {
 		return true, fmt.Errorf("disk-full fault fired but the store never degraded")
 	}

@@ -578,15 +578,6 @@ func NewManagerOpts(o Options) *Manager {
 		// durability by test-writing into the data dir.
 		m.degrader = guard.NewDegrader(o.StoreDegradeAfter, o.StoreProbeEvery,
 			m.store.ProbeWrite, m.onDegradeChange)
-		// No-wait journal commits (terminal states, async pause/resume
-		// records) swallow their write errors — route them to the
-		// degrader so a full disk degrades the store no matter which
-		// write hits it first.
-		m.store.SetWriteFailureObserver(func(err error) {
-			m.metrics.StoreErrors.Add(1)
-			m.log.Warn("journal background write failed", "err", err)
-			m.degrader.WriteFailed(err)
-		})
 		m.store.SetGroupCommitObserver(func(records int) {
 			o.Metrics.JournalGroupCommits.Add(1)
 			o.Metrics.JournalGroupCommitRecords.Add(int64(records))
@@ -827,13 +818,14 @@ func (j *Job) recordLocked() store.JobRecord {
 // reflects the newest state.
 func (m *Manager) persistState(j *Job) { m.persistStateRecord(j, true) }
 
-// persistStateNoWait journals the record through the group-commit
-// queue without waiting for the shared fsync: ordering against every
-// later journal write is preserved, the record rides the next commit,
-// and losing it to a crash is indistinguishable from crashing a
-// moment earlier. Used for the terminal record on the worker's run
-// path — the fsync ack would otherwise hold the worker slot (and the
-// job's journalMu) for a full disk flush per finished job.
+// persistStateNoWait writes the record to the journal without waiting
+// for an fsync: ordering against every later journal write is
+// preserved, the record becomes durable with the next waited append,
+// and losing it to a crash is indistinguishable from crashing a moment
+// earlier. A failed write still reaches the degrader. Used for the
+// terminal record on the worker's run path — the fsync would otherwise
+// hold the worker slot (and the job's journalMu) for a full disk flush
+// per finished job.
 func (m *Manager) persistStateNoWait(j *Job) { m.persistStateRecord(j, false) }
 
 func (m *Manager) persistStateRecord(j *Job, wait bool) {
@@ -1009,9 +1001,9 @@ func (m *Manager) submitAdmitted(tenant string, spec JobSpec) (*Job, error) {
 	m.mu.Unlock()
 	// Journal before accepting: once Submit returns 201, the job must
 	// survive a crash, so a spec that cannot be journaled is rejected.
-	// Spec and initial state go as one atomic group-committed record;
-	// concurrent submits share the journal fsync. Under disk-pressure
-	// degradation the write is skipped instead: the job is accepted
+	// Spec and initial state go as one atomic record; concurrent
+	// submits share a journal fsync. Under disk-pressure degradation
+	// the write is skipped instead: the job is accepted
 	// non-durably (and re-journaled when the probe restores the disk) —
 	// availability over durability, by design.
 	nonDurable := false
@@ -1434,10 +1426,10 @@ func (m *Manager) finish(j *Job, runErr error, completed bool) {
 		j.log.Info("job finished", "state", detail, "step", finalStep)
 	}
 	if !skipJournal {
-		// The terminal record rides the next group commit without the
-		// worker waiting out the fsync: losing it to a crash equals
-		// crashing a moment earlier (the job re-runs), which recovery
-		// already handles, and the worker slot frees immediately.
+		// The terminal record is written without the worker waiting out
+		// an fsync: losing it to a crash equals crashing a moment
+		// earlier (the job re-runs), which recovery already handles,
+		// and the worker slot frees immediately.
 		m.persistStateNoWait(j)
 	}
 	// Seal after the terminal state is visible: a subscriber woken by
@@ -1923,9 +1915,9 @@ func (m *Manager) Close() {
 		m.degrader.Close()
 	}
 	if m.store != nil {
-		// After every run (and its journal writes) has finished: stop the
-		// group-commit goroutine. Acknowledged records are durable; the
-		// log replays at the next boot.
+		// After every run (and its journal writes) has finished: flush
+		// the no-wait records and close the log. Acknowledged records are
+		// durable; the log replays at the next boot.
 		m.store.CloseJournal()
 	}
 }

@@ -88,9 +88,9 @@ type Metrics struct {
 	CheckpointDeltasWritten      atomic.Int64
 	CheckpointDeltaBytes         atomic.Int64
 	CheckpointDirtyRatioPermille atomic.Int64
-	// Group-commit counters. JournalGroupCommits counts journal fsync
-	// batches, JournalGroupCommitRecords the records across them — the
-	// ratio is the realized batch size (the fsync amortization factor).
+	// Group-commit counters. JournalGroupCommits counts journal fsyncs,
+	// JournalGroupCommitRecords the records they made durable — the
+	// ratio is records per fsync (the fsync amortization factor).
 	JournalGroupCommits       atomic.Int64
 	JournalGroupCommitRecords atomic.Int64
 	// Fault-containment counters. JobsPanicked counts solver panics
@@ -194,8 +194,8 @@ func (m *Metrics) rows() []counterRow {
 		{"hemeserved_checkpoint_deltas_written_total", m.CheckpointDeltasWritten.Load(), "counter", "Incremental (lbcd) checkpoint delta records persisted."},
 		{"hemeserved_checkpoint_delta_bytes_total", m.CheckpointDeltaBytes.Load(), "counter", "Bytes of incremental checkpoint delta data written."},
 		{"hemeserved_checkpoint_dirty_ratio_permille", m.CheckpointDirtyRatioPermille.Load(), "gauge", "Dirty site-tile ratio of the last checkpoint write, in thousandths."},
-		{"hemeserved_journal_group_commits_total", m.JournalGroupCommits.Load(), "counter", "Journal group-commit fsync batches."},
-		{"hemeserved_journal_group_commit_records_total", m.JournalGroupCommitRecords.Load(), "counter", "Records across journal group-commit batches."},
+		{"hemeserved_journal_group_commits_total", m.JournalGroupCommits.Load(), "counter", "Journal fsyncs."},
+		{"hemeserved_journal_group_commit_records_total", m.JournalGroupCommitRecords.Load(), "counter", "Records made durable by journal fsyncs."},
 		{"hemeserved_jobs_panicked_total", m.JobsPanicked.Load(), "counter", "Solver panics quarantined to their own job."},
 		{"hemeserved_watchdog_stalls_total", m.WatchdogStalls.Load(), "counter", "Stall windows flagged by the stuck-job watchdog."},
 		{"hemeserved_watchdog_requeues_total", m.WatchdogRequeues.Load(), "counter", "Jobs force-requeued by the stuck-job watchdog."},

@@ -130,7 +130,7 @@ func (c chain) reconstruct(id string) (*lb.CheckpointState, error) {
 // never a wrong one. The base full checkpoint keeps its data fsync
 // because *it* has no older fallback. Skipping the flush is what
 // makes deltas cheap: checkpoint fsyncs otherwise convoy with the
-// journal's group commits on the filesystem log.
+// journal's fsyncs on the filesystem log.
 func (s *Store) PutCheckpointDelta(id string, seq uint64, data []byte) error {
 	err := s.atomicWrite(s.jobDir(id), deltaFileName(seq), data, syncNone)
 	if err != nil {

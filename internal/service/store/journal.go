@@ -29,12 +29,13 @@ import (
 //
 // Lifecycle: OpenFS folds the log into the index, rewrites it as one
 // submit line per live job (compaction), and opens it for append. At
-// runtime one commit goroutine owns the file and batches every record
-// that arrived while the previous fsync was in flight into the next one
-// — under concurrent submits the flush cost amortizes across the batch
-// ("group commit"), while each waiting caller still blocks until its
-// record is durable. Remove appends a durable tombstone *before*
-// deleting the directory, so a crash cannot bring a removed job back.
+// runtime each append writes its line on the caller's goroutine; a
+// caller that waits then fsyncs, and waiters queued behind an fsync in
+// flight share the next one ("group commit" without a committer). A
+// failed write or fsync marks the log broken, and the next append
+// rewrites it from the index first, so a torn line never sits under a
+// later record. Remove appends a durable tombstone *before* deleting
+// the directory, so a crash cannot bring a removed job back.
 
 // journalFile is the write-ahead log, in the store root next to jobs/.
 const journalFile = "journal.wal"
@@ -109,42 +110,31 @@ func (ix index) encode() ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// journalReq is one record queued for the next group commit; done is
-// nil for a record nobody waits on.
-type journalReq struct {
-	line []byte
-	done chan error
-}
-
-// journal is the group-commit writer. One goroutine owns the file;
-// callers enqueue and (optionally) wait.
+// journal is the log's writer state. An append writes its line on the
+// caller's goroutine under Store.mu; a caller that waits then fsyncs
+// outside that lock (sync). Lock order: Store.mu, then syncMu.
 type journal struct {
-	file faultfs.File
-	// delay is the group-commit window in nanoseconds (EnableJournal).
-	delay atomic.Int64
+	file    faultfs.File // swapped only by rewriteJournal
+	written atomic.Int64 // records written; grows under Store.mu
+	// broken marks a log that a failed write or fsync may have left
+	// torn: the next append rewrites it from the index first.
+	broken atomic.Bool
+	closed bool // under Store.mu
 
-	// dirty marks appended-but-not-fsynced bytes (commit goroutine
-	// only): a batch of exclusively no-wait records is written without
-	// its own fsync — its contract is already "durable no later than
-	// the next waited commit", so it rides the next batch that has a
-	// caller blocked on it (or the close-time flush) instead of paying
-	// a dedicated disk flush.
-	dirty bool
-
-	mu     sync.Mutex
-	queue  []journalReq
-	closed bool
-	kick   chan struct{}
-	dead   chan struct{}
+	// Under syncMu: syncing marks an fsync in flight (syncDone broadcasts
+	// its end); synced counts the records an fsync or rewrite made durable.
+	syncMu   sync.Mutex
+	syncing  bool
+	synced   int64
+	syncDone sync.Cond
 }
 
 // openJournal brings the journal up, in this order: fold the previous
 // run's log (over the sidecars of a pre-journal data dir, legacy.go)
 // into the index; delete job directories no live record claims — a
 // submit that never got its 201, or a Remove cut off after its
-// tombstone; write the index as a fresh journal (temp file, fsync,
-// rename, root directory sync); delete the imported sidecars; open the
-// log for append and start the commit goroutine. Any failure fails the
+// tombstone; write the index as a fresh journal and open it for append
+// (rewriteJournal); delete the imported sidecars. Any failure fails the
 // open: a store never runs on a journal it could not bring up.
 func (s *Store) openJournal() error {
 	path := filepath.Join(s.root, journalFile)
@@ -185,171 +175,122 @@ func (s *Store) openJournal() error {
 			return fmt.Errorf("store: sync %s: %w", jobs, err)
 		}
 	}
-	compacted, err := ix.encode()
+	s.index, s.jn = ix, &journal{}
+	s.jn.syncDone.L = &s.jn.syncMu
+	if err := s.rewriteJournal(); err != nil {
+		return err
+	}
+	for _, p := range sidecars {
+		if err := s.fs.Remove(p); err != nil && !errors.Is(err, fs.ErrNotExist) {
+			s.jn.file.Close()
+			return fmt.Errorf("store: %w", err)
+		}
+	}
+	return nil
+}
+
+// rewriteJournal writes the index as a fresh journal — temp file,
+// fsync, rename, root directory sync — and opens it for append: the
+// boot's compaction, and the repair of a log a failed append may have
+// torn, so no torn line sits under a later record. The caller holds
+// Store.mu (or owns the store, at boot), so it skips atomicWrite's
+// frozen check, which takes Store.mu. An fsync in flight ends first.
+func (s *Store) rewriteJournal() error {
+	j := s.jn
+	j.syncMu.Lock()
+	defer j.syncMu.Unlock()
+	for j.syncing {
+		j.syncDone.Wait()
+	}
+	data, err := s.index.encode()
 	if err != nil {
 		return err
 	}
-	if err := s.atomicWrite(s.root, journalFile, compacted, syncData); err != nil {
+	if err := s.atomicWriteFile(s.root, journalFile, data, syncData); err != nil {
 		return err
 	}
 	if err := s.fs.SyncDir(s.root); err != nil {
 		return fmt.Errorf("store: sync %s: %w", s.root, err)
 	}
-	for _, p := range sidecars {
-		if err := s.fs.Remove(p); err != nil && !errors.Is(err, fs.ErrNotExist) {
-			return fmt.Errorf("store: %w", err)
-		}
-	}
-	f, err := s.fs.OpenAppend(path)
+	f, err := s.fs.OpenAppend(filepath.Join(s.root, journalFile))
 	if err != nil {
 		return fmt.Errorf("store: open journal: %w", err)
 	}
-	s.index = ix
-	s.jn = &journal{file: f, kick: make(chan struct{}, 1), dead: make(chan struct{})}
-	go s.jn.run(s)
-	return nil
-}
-
-// EnableJournal sets the group-commit window: how long a commit waits
-// after the first record arrives to let more join the batch (0, the
-// default, commits as soon as the writer is free, which already batches
-// under concurrency). The journal itself is open from OpenFS on.
-func (s *Store) EnableJournal(delay time.Duration) error {
-	s.jn.delay.Store(int64(delay))
-	return nil
-}
-
-// CloseJournal stops the commit goroutine and closes the log. Records
-// already acknowledged are durable; the journal stays on disk for the
-// next OpenFS to compact. Idempotent.
-func (s *Store) CloseJournal() {
-	j := s.jn
-	j.mu.Lock()
-	if !j.closed {
-		j.closed = true
-		close(j.kick)
+	if j.file != nil {
+		j.file.Close()
 	}
-	j.mu.Unlock()
-	<-j.dead
+	j.file, j.synced = f, j.written.Load()
+	j.broken.Store(false)
+	return nil
 }
 
-// SetGroupCommitObserver registers a callback invoked after every group
-// commit with the number of records in the batch. Call before the store
-// is shared.
+// EnableJournal accepts only a zero delay: the journal is open from
+// OpenFS on and has no commit window.
+func (s *Store) EnableJournal(delay time.Duration) error {
+	if delay != 0 {
+		return fmt.Errorf("store: journal delay %v: only 0 is supported", delay)
+	}
+	return nil
+}
+
+// CloseJournal flushes the records no fsync has covered yet (no-wait
+// ones) and closes the log; later appends fail. The journal stays on
+// disk for the next OpenFS to compact. Idempotent.
+func (s *Store) CloseJournal() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.jn.closed {
+		return
+	}
+	s.jn.closed = true
+	if err := s.jn.sync(s.jn.written.Load(), s.groupObs); err != nil {
+		s.log.Warn("journal close-time flush failed", "err", err)
+	}
+	s.jn.file.Close()
+}
+
+// SetGroupCommitObserver registers a callback invoked after every
+// journal fsync with the number of records it made durable. Call
+// before the store is shared.
 func (s *Store) SetGroupCommitObserver(fn func(records int)) {
 	s.groupObs = fn
 }
 
-// SetWriteFailureObserver registers a callback invoked with write
-// errors nobody else will see — a group commit whose batch held only
-// no-wait records has no caller to return the error to. Call before
-// the store is shared.
-func (s *Store) SetWriteFailureObserver(fn func(err error)) {
-	s.writeErr = fn
-}
-
-// run is the commit goroutine: drain everything queued, write it as one
-// append, fsync once, wake every waiter.
-func (j *journal) run(s *Store) {
-	defer close(j.dead)
-	for range j.kick {
-		if d := time.Duration(j.delay.Load()); d > 0 {
-			time.Sleep(d)
-		}
-		j.commit(s)
+// sync makes the log durable through record seq. A caller whose record
+// was written while another caller's fsync was in flight waits for it
+// to end; then either an fsync that started after its write already
+// covered it, or it runs the next fsync for every record written so
+// far — so concurrent waiters share fsyncs. obs, when set, gets the
+// records each fsync made durable. A broken log is not fsynced: the
+// rewrite at the next append makes its records durable.
+func (j *journal) sync(seq int64, obs func(records int)) error {
+	j.syncMu.Lock()
+	defer j.syncMu.Unlock()
+	for j.syncing && j.synced < seq {
+		j.syncDone.Wait()
 	}
-	// Closed: fail anything that raced in after the final commit.
-	j.commit(s)
-	j.mu.Lock()
-	left := j.queue
-	j.queue = nil
-	j.mu.Unlock()
-	for _, r := range left {
-		if r.done != nil {
-			r.done <- fmt.Errorf("store: journal closed")
-		}
+	if j.synced >= seq {
+		return nil
 	}
-	if j.dirty {
-		// Deferred no-wait records flush before the log closes, so a
-		// graceful shutdown loses nothing.
-		if err := j.file.Sync(); err != nil {
-			s.log.Warn("journal close-time flush failed", "err", err)
-		}
+	if j.broken.Load() {
+		return fmt.Errorf("store: journal awaits a rewrite after a failed append")
 	}
-	j.file.Close()
-}
-
-func (j *journal) commit(s *Store) {
-	j.mu.Lock()
-	batch := j.queue
-	j.queue = nil
-	j.mu.Unlock()
-	if len(batch) == 0 {
-		return
+	j.syncing = true
+	from, upto := j.synced, j.written.Load()
+	j.syncMu.Unlock()
+	err := j.file.Sync()
+	if err == nil && obs != nil {
+		obs(int(upto - from))
 	}
-	var buf bytes.Buffer
-	hasWaiter := false
-	for _, r := range batch {
-		buf.Write(r.line)
-		if r.done != nil {
-			hasWaiter = true
-		}
+	j.syncMu.Lock()
+	j.syncing = false
+	j.syncDone.Broadcast()
+	if err != nil {
+		j.broken.Store(true)
+		return fmt.Errorf("store: sync journal: %w", err)
 	}
-	var err error
-	if _, werr := j.file.Write(buf.Bytes()); werr != nil {
-		err = werr
-	} else if !hasWaiter {
-		// All-no-wait batch: skip the fsync; the records are ordered in
-		// the file and flush with the next waited commit or at close.
-		j.dirty = true
-	} else if serr := j.file.Sync(); serr != nil {
-		err = serr
-	} else {
-		j.dirty = false
-	}
-	if err != nil && !hasWaiter && s.writeErr != nil {
-		// All-no-wait batch: no caller will ever see this error, so the
-		// observer (disk-pressure degrader) is the only escalation path.
-		s.writeErr(err)
-	}
-	for _, r := range batch {
-		if r.done == nil {
-			// No-wait record: nobody is listening, so a failure is
-			// reported here or nowhere.
-			if err != nil {
-				s.log.Warn("journal group commit failed for no-wait record", "err", err)
-			}
-			continue
-		}
-		r.done <- err
-	}
-	if s.groupObs != nil {
-		s.groupObs(len(batch))
-	}
-}
-
-// enqueue adds line to the next group commit and returns the channel
-// its outcome arrives on — nil when wait is false: the record keeps its
-// place in the queue (so ordering against later appends is preserved)
-// and lands in the very next group commit, but its caller does not pay
-// the fsync latency, and a commit failure is logged by the commit
-// goroutine instead of returned.
-func (j *journal) enqueue(line []byte, wait bool) (chan error, error) {
-	req := journalReq{line: line}
-	if wait {
-		req.done = make(chan error, 1)
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.closed {
-		return nil, fmt.Errorf("store: journal closed")
-	}
-	j.queue = append(j.queue, req)
-	select {
-	case j.kick <- struct{}{}:
-	default:
-	}
-	return req.done, nil
+	j.synced = upto
+	return nil
 }
 
 // encodeJournalLine renders rec as one CRC-trailed line.
@@ -400,10 +341,10 @@ func splitCRC(data []byte, sep string) (payload []byte, ok bool) {
 	return data[:at], crc64.Checksum(data[:at], crcTable) == want
 }
 
-// appendRecord folds rec into the index and queues it for the next
-// group commit, both under the store lock, so the index changes in
-// exactly the order the journal records. wait=false does not wait for
-// the commit's fsync. Frozen stores no-op.
+// appendRecord writes rec to the log and folds it into the index, both
+// under the store lock, so the index changes in exactly the order the
+// log records and never holds a record whose write failed. wait=true
+// then waits for an fsync covering it. Frozen stores no-op.
 func (s *Store) appendRecord(rec journalRec, wait bool) error {
 	line, err := encodeJournalLine(rec)
 	if err != nil {
@@ -414,13 +355,13 @@ func (s *Store) appendRecord(rec journalRec, wait bool) error {
 		s.mu.Unlock()
 		return nil
 	}
-	done, err := s.jn.enqueue(line, wait)
+	seq, err := s.writeRecord(line)
 	if err == nil {
 		s.index.apply(rec)
 	}
 	s.mu.Unlock()
-	if err == nil && done != nil {
-		err = <-done
+	if err == nil && wait {
+		err = s.jn.sync(seq, s.groupObs)
 	}
 	if err != nil {
 		s.log.Warn("journal append failed", "job", rec.ID, "op", rec.Op, "err", err)
@@ -428,8 +369,28 @@ func (s *Store) appendRecord(rec journalRec, wait bool) error {
 	return err
 }
 
+// writeRecord appends line to the log, rewriting a broken log first,
+// and returns the line's record count. The caller holds Store.mu.
+func (s *Store) writeRecord(line []byte) (int64, error) {
+	j := s.jn
+	if j.closed {
+		return 0, fmt.Errorf("store: journal closed")
+	}
+	if j.broken.Load() {
+		if err := s.rewriteJournal(); err != nil {
+			return 0, err
+		}
+	}
+	if _, err := j.file.Write(line); err != nil {
+		// Part of the line may have reached the file.
+		j.broken.Store(true)
+		return 0, fmt.Errorf("store: append journal: %w", err)
+	}
+	return j.written.Add(1), nil
+}
+
 // AppendSubmit journals an accepted submission — spec and initial
-// lifecycle record as one atomic, group-committed line.
+// lifecycle record as one atomic line — and waits until it is durable.
 func (s *Store) AppendSubmit(id string, spec any, rec JobRecord) error {
 	specJSON, err := json.Marshal(spec)
 	if err != nil {
@@ -444,10 +405,11 @@ func (s *Store) AppendState(id string, rec JobRecord) error {
 	return s.appendRecord(journalRec{Op: "state", ID: id, State: &rec}, true)
 }
 
-// AppendStateNoWait journals a lifecycle update without waiting for
-// the group commit: the record is ordered against every later append
-// and lands in the next shared fsync, but the caller returns
-// immediately — durability semantics equal a crash a moment earlier.
+// AppendStateNoWait journals a lifecycle update without waiting for an
+// fsync: the record is written in order with every other append and
+// becomes durable at the next waited append or CloseJournal — losing it
+// equals a crash a moment earlier. A failed write still returns its
+// error.
 func (s *Store) AppendStateNoWait(id string, rec JobRecord) error {
 	return s.appendRecord(journalRec{Op: "state", ID: id, State: &rec}, false)
 }

@@ -101,18 +101,15 @@ type Store struct {
 	// latest record (journal.go).
 	index index
 
-	// jn is the group-commit journal, open from OpenFS on.
+	// jn is the journal's writer state, open from OpenFS on.
 	jn *journal
 	// tailAt and tailLen locate the corrupt journal suffix OpenFS
 	// discarded; the first SetLogger reports it (the store is opened
 	// before it is handed a logger).
 	tailAt, tailLen int
-	// groupObs, when set, observes every group commit's batch size.
+	// groupObs, when set, observes how many records each journal fsync
+	// made durable.
 	groupObs func(records int)
-	// writeErr, when set, observes write failures the store would
-	// otherwise swallow (all-no-wait group commits have nobody waiting
-	// on the error) so disk-pressure detection sees them too.
-	writeErr func(err error)
 }
 
 // Open creates (if needed) and returns a store rooted at dir on the
@@ -370,8 +367,12 @@ const (
 )
 
 // atomicWrite writes data to dir/name via temp file + rename, creating
-// dir on first use, with the durability the mode asks for.
+// dir on first use, with the durability the mode asks for. Frozen
+// stores no-op.
 func (s *Store) atomicWrite(dir, name string, data []byte, mode int) error {
+	if s.isFrozen() {
+		return nil
+	}
 	err := s.atomicWriteFile(dir, name, data, mode)
 	if err != nil {
 		s.log.Warn("store write failed", "path", filepath.Join(dir, name), "err", err)
@@ -380,9 +381,6 @@ func (s *Store) atomicWrite(dir, name string, data []byte, mode int) error {
 }
 
 func (s *Store) atomicWriteFile(dir, name string, data []byte, mode int) error {
-	if s.isFrozen() {
-		return nil
-	}
 	if err := s.fs.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
