@@ -8,9 +8,14 @@
 //	go run ./cmd/doccheck README.md docs
 //
 // With -metrics <doc.md> it additionally cross-checks the metric
-// reference: every hemeserved_*/go_* metric name literal in the Go
-// source must appear in that document, so adding a Metrics field or
-// obs histogram without documenting it fails CI:
+// reference both ways: every hemeserved_*/go_* metric name literal in
+// the Go source must appear in that document, so adding a Metrics field
+// or obs histogram without documenting it fails CI, and every table row
+// naming a metric must name one the source exposes (histograms under
+// their exposition names, `<base>_seconds`). The flight-recorder event
+// table (the one headed "| type | when |") must have a row for every
+// obs.Ev* event and no row that is neither one of those nor a phase
+// event (obs.PhaseEventName):
 //
 //	go run ./cmd/doccheck -metrics docs/OBSERVABILITY.md README.md docs
 //
@@ -48,6 +53,7 @@ import (
 	"strconv"
 	"strings"
 
+	"repro/internal/obs"
 	"repro/internal/service"
 )
 
@@ -276,8 +282,8 @@ func declaredFlags(dir string) ([]string, error) {
 	return names, nil
 }
 
-// specRowRe matches a table row whose first cell is one backticked name.
-var specRowRe = regexp.MustCompile("(?m)^\\|\\s*`([a-z_]+)`\\s*\\|")
+// rowNameRe matches a table row whose first cell is one backticked name.
+var rowNameRe = regexp.MustCompile("(?m)^\\|\\s*`([a-z0-9_-]+)`\\s*\\|")
 
 // checkSpecDoc holds the job-spec table of the API document — the
 // table that follows the words **JobSpec** — against service.JobSpec:
@@ -294,7 +300,7 @@ func checkSpecDoc(doc string, stdout io.Writer) error {
 	}
 	table, _, _ := strings.Cut(after[start:], "\n\n")
 	rows := map[string]bool{}
-	for _, m := range specRowRe.FindAllStringSubmatch(table, -1) {
+	for _, m := range rowNameRe.FindAllStringSubmatch(table, -1) {
 		rows[m[1]] = true
 	}
 	var problems []string
@@ -328,7 +334,9 @@ var metricNameRe = regexp.MustCompile(`"((?:hemeserved|go)_[a-z0-9_]+)"`)
 
 // checkMetricsDoc scans every non-test .go file under internal/ and
 // cmd/ for metric name literals and fails when one is missing from the
-// metric reference document.
+// metric reference document, when a row of the document names a metric
+// the source does not expose, or when its event table and the flight
+// recorder's events disagree (checkEventTable).
 func checkMetricsDoc(doc string, stdout io.Writer) error {
 	ref, err := os.ReadFile(doc)
 	if err != nil {
@@ -365,14 +373,108 @@ func checkMetricsDoc(doc string, stdout io.Writer) error {
 			return err
 		}
 	}
-	if len(missing) > 0 {
-		for _, m := range missing {
-			fmt.Fprintf(stdout, "%s: metric %q not documented in %s\n", m.file, m.name, doc)
+	for _, m := range missing {
+		fmt.Fprintf(stdout, "%s: metric %q not documented in %s\n", m.file, m.name, doc)
+	}
+	stale := 0
+	for _, m := range rowNameRe.FindAllStringSubmatch(refText, -1) {
+		name := m[1]
+		metric := strings.HasPrefix(name, "hemeserved_") || strings.HasPrefix(name, "go_")
+		if !metric || seen[name] || seen[strings.TrimSuffix(name, "_seconds")] {
+			continue
 		}
-		return fmt.Errorf("%d undocumented metric(s); add them to %s", len(missing), doc)
+		fmt.Fprintf(stdout, "%s: row names metric %q, which the source does not expose\n", doc, name)
+		stale++
+	}
+	events, err := checkEventTable(doc, refText, stdout)
+	if err != nil {
+		return err
+	}
+	if len(missing)+stale+events > 0 {
+		return fmt.Errorf("%d undocumented metric(s), %d stale metric row(s), %d event-table mismatch(es) in %s",
+			len(missing), stale, events, doc)
 	}
 	fmt.Fprintf(stdout, "doccheck: %d metric names documented in %s\n", total, doc)
 	return nil
+}
+
+// checkEventTable holds the flight-recorder event table of doc — the
+// table headed "| type | when |" — against the event types a job
+// records: every obs.Ev* constant has a row, and every row names one of
+// those or a phase event. Returns how many mismatches it reported.
+func checkEventTable(doc, text string, stdout io.Writer) (int, error) {
+	_, after, ok := strings.Cut(text, "| type | when |")
+	if !ok {
+		return 0, fmt.Errorf("%s: no flight-recorder event table (a table headed | type | when |)", doc)
+	}
+	table, _, _ := strings.Cut(after, "\n\n")
+	rows := map[string]bool{}
+	for _, m := range rowNameRe.FindAllStringSubmatch(table, -1) {
+		rows[m[1]] = true
+	}
+	known, err := recorderEvents("internal/obs")
+	if err != nil {
+		return 0, err
+	}
+	var problems []string
+	for _, ev := range known {
+		if !rows[ev] {
+			problems = append(problems, fmt.Sprintf("event %q (obs) has no row", ev))
+		}
+	}
+	for p := obs.Phase(0); obs.PhaseEventName(p) != "phase-unknown"; p++ {
+		known = append(known, obs.PhaseEventName(p))
+	}
+	for ev := range rows {
+		if !slices.Contains(known, ev) {
+			problems = append(problems, fmt.Sprintf("row %q names no event a job records", ev))
+		}
+	}
+	slices.Sort(problems)
+	for _, p := range problems {
+		fmt.Fprintf(stdout, "%s: event table: %s\n", doc, p)
+	}
+	return len(problems), nil
+}
+
+// recorderEvents parses the non-test Go files of dir and returns the
+// values of its Ev* string constants — the flight-recorder event types.
+func recorderEvents(dir string) ([]string, error) {
+	files, err := filepath.Glob(filepath.Join(dir, "*.go"))
+	if err != nil {
+		return nil, err
+	}
+	var events []string
+	for _, path := range files {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		file, err := parser.ParseFile(token.NewFileSet(), path, nil, 0)
+		if err != nil {
+			return nil, err
+		}
+		ast.Inspect(file, func(n ast.Node) bool {
+			spec, ok := n.(*ast.ValueSpec)
+			if !ok {
+				return true
+			}
+			for i, name := range spec.Names {
+				if !strings.HasPrefix(name.Name, "Ev") || i >= len(spec.Values) {
+					continue
+				}
+				if lit, ok := spec.Values[i].(*ast.BasicLit); ok && lit.Kind == token.STRING {
+					if v, err := strconv.Unquote(lit.Value); err == nil {
+						events = append(events, v)
+					}
+				}
+			}
+			return true
+		})
+	}
+	if len(events) == 0 {
+		return nil, fmt.Errorf("%s declares no Ev* events", dir)
+	}
+	return events, nil
 }
 
 // checkTarget validates one link target relative to the markdown file

@@ -88,7 +88,7 @@ func TestFlagTables(t *testing.T) {
 	if err := run([]string{"-flags", docs}, &stdout); err != nil {
 		t.Fatalf("%v\n%s", err, stdout.String())
 	}
-	if !strings.Contains(stdout.String(), "19 cmd/hemeserved flags documented once") {
+	if !strings.Contains(stdout.String(), "18 cmd/hemeserved flags documented once") {
 		t.Errorf("report:\n%s", stdout.String())
 	}
 	raw, err := os.ReadFile("README.md")
@@ -106,6 +106,47 @@ func TestFlagTables(t *testing.T) {
 		t.Errorf("a renamed and a repeated row: %v\n%s", err, stdout.String())
 	}
 	for _, want := range []string{"-grace (cmd/hemeserved) has no row", "row names -grace-period, which cmd/hemeserved does not declare", "-watchdog-stall (cmd/hemeserved) has 2 rows"} {
+		if !strings.Contains(stdout.String(), want) {
+			t.Errorf("report lacks %q:\n%s", want, stdout.String())
+		}
+	}
+}
+
+// TestMetricsDoc holds docs/OBSERVABILITY.md against the metrics the
+// source exposes and the events a job records, and shows the check
+// fails each way: a row naming a metric that is gone, an event without
+// a row, a row naming no event.
+func TestMetricsDoc(t *testing.T) {
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chdir("../.."); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { os.Chdir(wd) })
+	const doc = "docs/OBSERVABILITY.md"
+	var stdout bytes.Buffer
+	if err := run([]string{"-metrics", doc}, &stdout); err != nil {
+		t.Fatalf("%v\n%s", err, stdout.String())
+	}
+	raw, err := os.ReadFile(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	drifted := filepath.Join(t.TempDir(), "OBSERVABILITY.md")
+	body := strings.Replace(string(raw), "| `hemeserved_jobs_gced_total` |",
+		"| `hemeserved_jobs_requeued_total` | counter | gone |\n| `hemeserved_jobs_gced_total` |", 1)
+	body = strings.Replace(body, "| `terminal` |", "| `finished` |", 1)
+	if err := os.WriteFile(drifted, []byte(body), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	stdout.Reset()
+	err = run([]string{"-metrics", drifted}, &stdout)
+	if err == nil || !strings.Contains(err.Error(), "1 stale metric row(s), 2 event-table mismatch(es)") {
+		t.Errorf("a stale metric row and a renamed event row: %v\n%s", err, stdout.String())
+	}
+	for _, want := range []string{`row names metric "hemeserved_jobs_requeued_total"`, `event "terminal" (obs) has no row`, `row "finished" names no event a job records`} {
 		if !strings.Contains(stdout.String(), want) {
 			t.Errorf("report lacks %q:\n%s", want, stdout.String())
 		}

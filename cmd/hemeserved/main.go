@@ -68,7 +68,7 @@ var errUsage = errors.New("bad command line (see -h)")
 type config struct {
 	addr, dataDir, authKeys, pprofAddr, logLevel, logFormat string
 	workers, queue, solverThreads, checkpointEvery          int
-	maxActive, submitBurst, storeRetain, watchdogStrikes    int
+	maxActive, submitBurst, storeRetain                     int
 	submitRate                                              float64
 	memLimit                                                int64
 	storeRetainAge, watchdogStall, grace                    time.Duration
@@ -92,7 +92,6 @@ func flagSet(c *config) *flag.FlagSet {
 	fs.IntVar(&c.storeRetain, "store-retain", 0, "keep at most this many terminal jobs in the store, GCing the oldest (0 = keep all)")
 	fs.DurationVar(&c.storeRetainAge, "store-retain-age", 0, "GC terminal jobs older than this (0 = keep forever)")
 	fs.DurationVar(&c.watchdogStall, "watchdog-stall", 2*time.Minute, "flag a running job as stalled after this long without step progress (0 = watchdog off)")
-	fs.IntVar(&c.watchdogStrikes, "watchdog-strikes", 3, "consecutive stall flags before the watchdog requeues the job (0 = flag only, never requeue)")
 	fs.StringVar(&c.pprofAddr, "pprof-addr", "", "serve net/http/pprof on this address (empty = disabled; keep it on loopback)")
 	fs.DurationVar(&c.grace, "grace", 10*time.Second, "graceful shutdown window")
 	fs.StringVar(&c.logLevel, "log-level", "info", "log verbosity: debug, info, warn or error")
@@ -176,12 +175,11 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 			Rate:      c.submitRate,
 			Burst:     c.submitBurst,
 		},
-		MemLimit:        c.memLimit,
-		StoreRetain:     c.storeRetain,
-		StoreRetainAge:  c.storeRetainAge,
-		WatchdogStall:   c.watchdogStall,
-		WatchdogStrikes: c.watchdogStrikes,
-		Logger:          log,
+		MemLimit:       c.memLimit,
+		StoreRetain:    c.storeRetain,
+		StoreRetainAge: c.storeRetainAge,
+		WatchdogStall:  c.watchdogStall,
+		Logger:         log,
 	})
 	if st != nil {
 		log.Info("store recovered", "data_dir", c.dataDir,

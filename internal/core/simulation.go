@@ -563,13 +563,6 @@ func (s *Simulation) Run(totalSteps int) error {
 							cmd[4] = float64(op.Msg.Iolet + 1)
 							cmd[5] = op.Msg.Density
 							op.Reply(steering.ServerMsg{Op: steering.OpSetIolet})
-						case steering.OpSetROI:
-							req.ROI = vec.NewBox(
-								vec.New(op.Msg.ROIMin[0], op.Msg.ROIMin[1], op.Msg.ROIMin[2]),
-								vec.New(op.Msg.ROIMax[0], op.Msg.ROIMax[1], op.Msg.ROIMax[2]))
-							req.DetailLevel = op.Msg.Detail
-							req.ContextLevel = op.Msg.Context
-							op.Reply(steering.ServerMsg{Op: steering.OpSetROI})
 						case steering.OpStatus:
 							op.Reply(steering.ServerMsg{Op: steering.OpStatus, Status: s.status(c, d, &stepTimer, totalSteps, paused)})
 						case steering.OpImage:

@@ -49,10 +49,8 @@ const (
 	// stack goes to the structured log.
 	EvPanic = "panic"
 	// EvWatchdogStall marks a running job the watchdog saw make no step
-	// progress for a full stall window; EvWatchdogRequeue marks the
-	// forced requeue after repeated strikes.
-	EvWatchdogStall   = "watchdog-stall"
-	EvWatchdogRequeue = "watchdog-requeue"
+	// progress for a full stall window; detail is the strike number.
+	EvWatchdogStall = "watchdog-stall"
 	// EvStoreDegraded marks a job accepted without durability while the
 	// store was degraded under disk pressure; EvStoreRestored marks its
 	// record becoming durable again via the post-restore re-journal.

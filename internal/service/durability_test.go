@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"io/fs"
 	"net/http"
 	"os"
@@ -377,17 +378,12 @@ func TestDoneJobsSurviveAsHistory(t *testing.T) {
 	}
 }
 
-// TestParentDataDirUpgrades boots the daemon on a data dir the previous
-// on-disk format wrote (spec.json/state.json sidecars plus a newer
-// journal.wal; see store/testdata/parent-journal): the finished job
-// comes back as history at its final step, the paused one paused, the
-// journal-only submission runs; the spec-only remnant and the job
-// removed after its tombstone stay gone, new IDs continue above every
-// journaled one, and no sidecar is left.
-func TestParentDataDirUpgrades(t *testing.T) {
-	t.Cleanup(goroutineBaseline(t))
+// copyFixture copies the data dir store/testdata/<name> into a fresh
+// temporary directory and returns it.
+func copyFixture(t *testing.T, name string) string {
+	t.Helper()
 	dir := t.TempDir()
-	src := filepath.Join("store", "testdata", "parent-journal")
+	src := filepath.Join("store", "testdata", name)
 	err := filepath.WalkDir(src, func(path string, d fs.DirEntry, err error) error {
 		if err != nil || d.IsDir() {
 			return err
@@ -405,6 +401,24 @@ func TestParentDataDirUpgrades(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return dir
+}
+
+// TestParentDataDirUpgrades boots the daemon on data dirs older code
+// wrote. The first (store/testdata/parent-journal) is the previous
+// on-disk format, spec.json/state.json sidecars plus a newer
+// journal.wal: the finished job comes back as history at its final
+// step, the paused one paused, the journal-only submission runs; the
+// spec-only remnant and the job removed after its tombstone stay gone,
+// new IDs continue above every journaled one, and no sidecar is left.
+// The second (store/testdata/parent-steered) holds a job paused after
+// being steered with set-iolet and with the since-deleted set-roi: it
+// comes back paused, its compacted journal keeps the iolet override and
+// drops every roi_ key, and once resumed the override reaches the
+// solver.
+func TestParentDataDirUpgrades(t *testing.T) {
+	t.Cleanup(goroutineBaseline(t))
+	dir := copyFixture(t, "parent-journal")
 	mgr := NewManagerOpts(Options{Workers: 1, QueueCap: 4, Store: openStore(t, dir)})
 	defer mgr.Close()
 	done, err := mgr.Get("job-0001")
@@ -435,6 +449,48 @@ func TestParentDataDirUpgrades(t *testing.T) {
 	}
 	if left, _ := filepath.Glob(filepath.Join(dir, "jobs", "*", "*.json")); len(left) != 0 {
 		t.Errorf("sidecars survived the upgrade: %v", left)
+	}
+
+	steered := copyFixture(t, "parent-steered")
+	mgr2 := NewManagerOpts(Options{Workers: 2, QueueCap: 4, Store: openStore(t, steered)})
+	defer mgr2.Close()
+	j, err := mgr2.Get("job-0001")
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "steered job paused", func() bool { return j.State() == StatePaused })
+	if rec, err := mgr2.store.State(j.ID); err != nil || rec.Steer == nil ||
+		len(rec.Steer.Iolets) != 1 || rec.Steer.Iolets[0] != (store.IoletOver{Iolet: 0, Density: 1.2}) {
+		t.Errorf("steering record after the upgrade: %+v (err %v)", rec.Steer, err)
+	}
+	wal, err := os.ReadFile(filepath.Join(steered, "journal.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Contains(wal, []byte(`"roi_`)) {
+		t.Errorf("compacted journal still carries roi_ keys:\n%s", wal)
+	}
+	plain, err := mgr2.Submit(j.Spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := mgr2.Resume(context.Background(), j); err != nil {
+		t.Fatal(err)
+	}
+	mean := func(j *Job) float64 {
+		waitFor(t, j.ID+" done", func() bool { return j.State().Terminal() })
+		snap, _ := j.LatestSnapshot()
+		if j.State() != StateDone || snap == nil || snap.Step != j.Spec.Steps {
+			t.Fatalf("%s ended %s with final snapshot %+v", j.ID, j.State(), snap)
+		}
+		var sum float64
+		for _, rho := range snap.Field.Rho {
+			sum += rho
+		}
+		return sum / float64(len(snap.Field.Rho))
+	}
+	if got, base := mean(j), mean(plain); got <= base+1e-3 {
+		t.Errorf("recovered job's mean rho %v against %v unsteered: the iolet override was not re-applied", got, base)
 	}
 }
 

@@ -109,23 +109,22 @@ func TestPanicQuarantineE2E(t *testing.T) {
 	}
 }
 
-// TestWatchdogRequeuesStuckJob stalls a job's stepping goroutine long
-// enough for the watchdog to strike out and force a quit+requeue, then
-// verifies the re-run completes: stall events and the requeue are
-// recorded, the restart counted, and the job still ends done.
-func TestWatchdogRequeuesStuckJob(t *testing.T) {
+// TestWatchdogFlagsStallWithoutRequeue stalls a job's stepping
+// goroutine across several watchdog windows and requires the watchdog
+// only to flag it: stall events and the metric fire, but nothing
+// unwinds the run — it ends done after exactly its requested steps,
+// never re-run from an earlier step, with no restart counted.
+func TestWatchdogFlagsStallWithoutRequeue(t *testing.T) {
 	t.Cleanup(goroutineBaseline(t))
 	var tripped atomic.Bool
+	var callbacks atomic.Int64
 	metrics := &Metrics{}
 	mgr := NewManagerOpts(Options{
 		Workers: 1, QueueCap: 4, Metrics: metrics,
-		WatchdogStall:   25 * time.Millisecond,
-		WatchdogStrikes: 2,
+		WatchdogStall: 25 * time.Millisecond,
 		StepHook: func(id string, step int) {
+			callbacks.Add(1)
 			if step == 60 && !tripped.Swap(true) {
-				// Stall the stepping goroutine across several watchdog
-				// windows; the solver still reaches its steering poll
-				// afterwards, so the forced quit can land.
 				time.Sleep(1200 * time.Millisecond)
 			}
 		},
@@ -136,21 +135,27 @@ func TestWatchdogRequeuesStuckJob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "stuck job terminal", func() bool { return j.State().Terminal() })
+	waitFor(t, "stalled job terminal", func() bool { return j.State().Terminal() })
 	if st := j.State(); st != StateDone {
-		t.Fatalf("job ended %s (%s), want %s after the watchdog restart", st, j.Info().Error, StateDone)
+		t.Fatalf("job ended %s (%s), want %s", st, j.Info().Error, StateDone)
+	}
+	if n := callbacks.Load(); n != 400 {
+		t.Errorf("step callbacks = %d, want 400 (no re-run)", n)
+	}
+	if r := j.Info().Restarts; r != 0 {
+		t.Errorf("restarts = %d, want 0", r)
 	}
 	if n := metrics.WatchdogStalls.Load(); n < 2 {
 		t.Errorf("watchdog_stalls_total = %d, want >= 2", n)
 	}
-	if n := metrics.WatchdogRequeues.Load(); n != 1 {
-		t.Errorf("watchdog_requeues_total = %d, want 1", n)
+	stalls := 0
+	for _, ev := range j.rec.Events() {
+		if ev.Type == obs.EvWatchdogStall {
+			stalls++
+		}
 	}
-	if r := j.Info().Restarts; r != 1 {
-		t.Errorf("restarts = %d, want 1", r)
-	}
-	if !hasEvent(j, obs.EvWatchdogStall) || !hasEvent(j, obs.EvWatchdogRequeue) {
-		t.Error("flight recorder is missing the watchdog stall/requeue events")
+	if stalls < 2 {
+		t.Errorf("flight recorder holds %d watchdog-stall events, want >= 2", stalls)
 	}
 }
 

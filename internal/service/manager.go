@@ -128,9 +128,9 @@ type Job struct {
 	created  time.Time
 	started  time.Time
 	finished time.Time
-	// cancelRequested marks a quit issued by Cancel so the final state
-	// is cancelled, not done.
-	cancelRequested bool
+	// quit records who asked the solver to stop, so finish and the
+	// journal writers agree on the outcome (see quitReason).
+	quit quitReason
 	// lifecycle serialises Pause/Resume per job: their op round-trip
 	// and state+slot update must be atomic against each other, or an
 	// interleaved pair could record state=running for a solver that a
@@ -159,23 +159,16 @@ type Job struct {
 	// previous daemon died: its re-run starts parked (core StartPaused)
 	// and the lifecycle state comes back as paused, not running.
 	resumePaused bool
-	// steer mirrors the steering state that must survive a restart:
-	// the last ROI and the set-iolet overrides applied so far. Written
-	// on successful Steer ops, re-applied at dispatch.
+	// steer mirrors the set-iolet overrides applied so far, which must
+	// survive a restart. Written on successful Steer ops, re-applied at
+	// dispatch.
 	steer store.SteerRecord
 	// Watchdog bookkeeping: wdSeen primes the first observation after
-	// (re)dispatch, wdLastStep is the step at the last tick, wdStrikes
-	// counts consecutive no-progress windows, watchdogRequeue marks a
-	// quit issued by the watchdog so finish re-queues instead of
-	// terminating.
-	wdSeen          bool
-	wdLastStep      int64
-	wdStrikes       int
-	watchdogRequeue bool
-	// shutdownCancel marks a cancel issued by Close (daemon draining,
-	// not a user decision): the terminal cancelled state then stays
-	// out of the store, so the job is re-queued on the next boot.
-	shutdownCancel bool
+	// dispatch, wdLastStep is the step at the last tick, wdStrikes
+	// counts consecutive no-progress windows.
+	wdSeen     bool
+	wdLastStep int64
+	wdStrikes  int
 	// journalMu serialises this job's journal writes: the record
 	// build and the store write happen under it together, so a racing
 	// Pause/Resume can never journal a stale non-terminal record over
@@ -199,6 +192,27 @@ type Job struct {
 	// fields — the simulation blew up. Surfaced in JobInfo, the metric
 	// and the flight recorder exactly once.
 	diverged atomic.Bool
+}
+
+// quitReason is why a job's solver was told to quit. A user's cancel
+// outranks a shutdown's (the larger value wins): once a caller is told
+// "cancelled", the job must not come back on the next boot.
+type quitReason uint8
+
+const (
+	quitNone quitReason = iota
+	// quitShutdown is Close draining the daemon, not a user decision:
+	// the cancelled state stays out of the store, so the job's
+	// interrupted record re-queues it on the next boot.
+	quitShutdown
+	// quitUser is Cancel: the cancelled outcome is journaled.
+	quitUser
+)
+
+// drainCancelled reports a job stopped by the drain, whose terminal
+// state must stay out of the store. Caller holds j.mu.
+func (j *Job) drainCancelled() bool {
+	return j.quit == quitShutdown && j.state == StateCancelled
 }
 
 // wantSnapshot registers demand for a fresh snapshot; the solver
@@ -407,12 +421,9 @@ type Options struct {
 	// hook that panics exercises the panic quarantine exactly where a
 	// kernel bug would.
 	StepHook func(jobID string, step int)
-	// Disk-pressure degradation (ignored without Store).
-	// StoreDegradeAfter is how many consecutive non-ENOSPC write
-	// failures trip degraded mode (ENOSPC trips immediately; 0 = 3);
-	// StoreProbeEvery is the re-probe cadence while degraded (0 = 5s).
-	StoreDegradeAfter int
-	StoreProbeEvery   time.Duration
+	// StoreProbeEvery is the re-probe cadence while the store is
+	// degraded under disk pressure (0 = 5s; ignored without Store).
+	StoreProbeEvery time.Duration
 	// Terminal-job retention (ignored without Store; zero values keep
 	// everything). StoreRetain caps how many terminal jobs are kept;
 	// StoreRetainAge removes terminal jobs older than this. The sweep
@@ -420,12 +431,10 @@ type Options struct {
 	StoreRetain    int
 	StoreRetainAge time.Duration
 	GCInterval     time.Duration
-	// Stuck-job watchdog. WatchdogStall is the no-step-progress window
-	// that counts one strike (0 disables the watchdog);
-	// WatchdogStrikes is how many consecutive strikes trigger a forced
-	// requeue (0 = flag-only, never requeue).
-	WatchdogStall   time.Duration
-	WatchdogStrikes int
+	// WatchdogStall is the stuck-job watchdog's no-step-progress window:
+	// each one a running job spends without stepping is flagged as a
+	// strike (0 disables the watchdog).
+	WatchdogStall time.Duration
 	// Admission control. AuthKeys is the parsed -auth-keys tenant set
 	// (empty = no keys, every caller is anonymous); TenantDefaults are
 	// the limits for tenants without their own (and for anonymous).
@@ -489,7 +498,6 @@ type Manager struct {
 	stepHook func(jobID string, step int)
 	// Watchdog / retention config (zero = disabled).
 	wdStall    time.Duration
-	wdStrikes  int
 	retainMax  int
 	retainAge  time.Duration
 	gcInterval time.Duration
@@ -566,7 +574,6 @@ func NewManagerOpts(o Options) *Manager {
 		memWM:      guard.NewMemWatermark(uint64(max(o.MemLimit, 0))),
 		stepHook:   o.StepHook,
 		wdStall:    o.WatchdogStall,
-		wdStrikes:  o.WatchdogStrikes,
 		retainMax:  o.StoreRetain,
 		retainAge:  o.StoreRetainAge,
 		gcInterval: o.GCInterval,
@@ -574,9 +581,10 @@ func NewManagerOpts(o Options) *Manager {
 	}
 	if m.store != nil {
 		// The degrader decides when write failures mean "disk full, stop
-		// journaling" versus a transient hiccup; its probe re-enables
+		// journaling" (ENOSPC, or its default of 3 other failures in a
+		// row) versus a transient hiccup; its probe re-enables
 		// durability by test-writing into the data dir.
-		m.degrader = guard.NewDegrader(o.StoreDegradeAfter, o.StoreProbeEvery,
+		m.degrader = guard.NewDegrader(0, o.StoreProbeEvery,
 			m.store.ProbeWrite, m.onDegradeChange)
 		m.store.SetGroupCommitObserver(func(records int) {
 			o.Metrics.JournalGroupCommits.Add(1)
@@ -661,7 +669,7 @@ func (m *Manager) rejournalAll() {
 		j.mu.Lock()
 		rec := j.recordLocked()
 		spec := j.Spec
-		skip := j.shutdownCancel && j.state == StateCancelled
+		skip := j.drainCancelled()
 		j.mu.Unlock()
 		if !skip {
 			if err := m.store.AppendSubmit(j.ID, spec, rec); err != nil {
@@ -802,10 +810,8 @@ func (j *Job) recordLocked() store.JobRecord {
 		Tenant:     j.tenant,
 		Paused:     j.state == StatePaused,
 	}
-	if j.steer.ROISet || len(j.steer.Iolets) > 0 {
-		s := j.steer
-		s.Iolets = append([]store.IoletOver(nil), j.steer.Iolets...)
-		rec.Steer = &s
+	if len(j.steer.Iolets) > 0 {
+		rec.Steer = &store.SteerRecord{Iolets: append([]store.IoletOver(nil), j.steer.Iolets...)}
 	}
 	return rec
 }
@@ -841,7 +847,7 @@ func (m *Manager) persistStateRecord(j *Job, wait bool) {
 	// next boot). finish skips its own write; this guard covers
 	// journal writes that were queued before the drain and would
 	// otherwise journal the terminal state they now observe.
-	skip := j.shutdownCancel && j.state == StateCancelled
+	skip := j.drainCancelled()
 	j.mu.Unlock()
 	if skip {
 		return
@@ -1328,15 +1334,6 @@ func (m *Manager) run(j *Job) {
 		j.rec.Record(obs.EvPause, resumeStep, 0, "recovered paused")
 		m.releaseJobSlot(j)
 		m.persistStateAsync(j)
-		if steer.ROISet {
-			// Re-apply the persisted ROI through the normal steering path
-			// once the solver starts polling (works while paused). Fire
-			// and forget: a failed re-apply only loses a view preference.
-			go j.ctrl.Do(steering.ClientMsg{
-				Op: steering.OpSetROI, ROIMin: steer.ROIMin, ROIMax: steer.ROIMax,
-				Detail: steer.Detail, Context: steer.Context,
-			})
-		}
 	}
 	// The recover wrapper turns a panicking solver — a rank goroutine
 	// (surfaced by par.Runtime as a RankPanic), a tile worker, a bad
@@ -1361,7 +1358,7 @@ func (m *Manager) run(j *Job) {
 		// its pending write instead: terminal checkpoints are never
 		// read again, so the fsync would be pure tail latency.
 		j.mu.Lock()
-		requeue := j.shutdownCancel
+		requeue := j.quit == quitShutdown
 		j.mu.Unlock()
 		if requeue {
 			writer.Close()
@@ -1378,22 +1375,6 @@ func (m *Manager) run(j *Job) {
 // requested step counts as done even when a cancel raced its
 // completion — the work happened.
 func (m *Manager) finish(j *Job, runErr error, completed bool) {
-	// A quit issued by the stuck-job watchdog is a retry, not an
-	// outcome: re-queue the job (fresh dispatch, resume from its last
-	// good checkpoint) unless it already used up its restart budget.
-	j.mu.Lock()
-	wdRequeue := j.watchdogRequeue && runErr == nil && !completed &&
-		!j.cancelRequested && !j.shutdownCancel
-	exhausted := j.restarts >= maxWatchdogRestarts
-	j.watchdogRequeue = false
-	j.mu.Unlock()
-	if wdRequeue && !exhausted {
-		if m.requeueStuck(j) {
-			return
-		}
-	} else if wdRequeue && exhausted {
-		runErr = fmt.Errorf("service: watchdog gave up: no step progress after %d restarts", maxWatchdogRestarts)
-	}
 	j.ctrl.Close()
 	j.mu.Lock()
 	j.finished = time.Now()
@@ -1402,7 +1383,7 @@ func (m *Manager) finish(j *Job, runErr error, completed bool) {
 		j.state = StateFailed
 		j.errMsg = runErr.Error()
 		m.metrics.JobsFailed.Add(1)
-	case j.cancelRequested && !completed:
+	case j.quit != quitNone && !completed:
 		j.state = StateCancelled
 		m.metrics.JobsCancelled.Add(1)
 	default:
@@ -1417,7 +1398,7 @@ func (m *Manager) finish(j *Job, runErr error, completed bool) {
 	// A cancel that Close issued while draining is an interruption,
 	// not an outcome: leaving the store's record at running/paused is
 	// exactly what re-queues the job on the next boot.
-	skipJournal := j.shutdownCancel && j.state == StateCancelled
+	skipJournal := j.drainCancelled()
 	j.mu.Unlock()
 	j.rec.Record(obs.EvTerminal, finalStep, 0, detail)
 	if runErr != nil {
@@ -1439,57 +1420,11 @@ func (m *Manager) finish(j *Job, runErr error, completed bool) {
 	m.tenants.release(j.tenant)
 }
 
-// maxWatchdogRestarts bounds how many times the watchdog may re-queue
-// one job before declaring it failed — a job that stalls every run is
-// broken, not unlucky.
-const maxWatchdogRestarts = 3
-
-// requeueStuck puts a watchdog-quit job back on the submission queue
-// for a fresh dispatch, resuming from its last verified checkpoint.
-// Returns false when the queue cannot take it (the caller then
-// terminates the job normally).
-func (m *Manager) requeueStuck(j *Job) bool {
-	resumeStep := 0
-	if m.store != nil {
-		if step, err := m.store.VerifyCheckpoint(j.ID); err == nil {
-			resumeStep = step
-		}
-	}
-	j.mu.Lock()
-	j.state = StateQueued
-	j.restarts++
-	j.wdSeen = false
-	j.wdStrikes = 0
-	j.resumeStep = resumeStep
-	restarts := j.restarts
-	j.mu.Unlock()
-	j.step.Store(int64(resumeStep))
-	m.mu.Lock()
-	if m.closed || m.queuedLen >= cap(m.queue) {
-		m.mu.Unlock()
-		j.mu.Lock()
-		j.state = StateRunning // let finish record the real outcome
-		j.restarts--
-		j.mu.Unlock()
-		return false
-	}
-	m.queuedLen++
-	m.queue <- j
-	m.mu.Unlock()
-	m.metrics.WatchdogRequeues.Add(1)
-	m.metrics.JobRestarts.Add(1)
-	j.rec.Record(obs.EvWatchdogRequeue, resumeStep, 0, fmt.Sprintf("restart %d", restarts))
-	j.log.Warn("watchdog re-queued stuck job", "restarts", restarts, "resume_step", resumeStep)
-	m.persistStateAsync(j)
-	return true
-}
-
 // watchdog periodically sweeps running jobs for step progress: a job
 // whose step counter has not moved across a full window takes a strike
-// (event + metric); wdStrikes consecutive strikes force a quit+requeue.
-// Detection covers solvers that still poll steering (a livelocked
-// kernel that also stops polling can be flagged but not unwound —
-// that containment lives in the panic quarantine).
+// (event, metric, log line). It only flags: a stalled solver does not
+// poll steering, so no quit could reach it before the stall ends, and
+// a paused job is not expected to step and is not watched.
 func (m *Manager) watchdog() {
 	defer m.wg.Done()
 	t := time.NewTicker(m.wdStall)
@@ -1526,20 +1461,10 @@ func (m *Manager) watchdog() {
 			}
 			j.wdStrikes++
 			strikes := j.wdStrikes
-			quit := m.wdStrikes > 0 && strikes >= m.wdStrikes && !j.watchdogRequeue
-			if quit {
-				j.watchdogRequeue = true
-			}
 			j.mu.Unlock()
 			m.metrics.WatchdogStalls.Add(1)
 			j.rec.Record(obs.EvWatchdogStall, int(cur), 0, fmt.Sprintf("strike %d", strikes))
 			j.log.Warn("watchdog: no step progress", "step", cur, "strike", strikes)
-			if quit {
-				// Quit rides the steering path; the run's finish sees the
-				// watchdogRequeue mark and re-queues instead of completing.
-				// Async: a solver that stopped polling would block Do.
-				go j.ctrl.Do(steering.ClientMsg{Op: steering.OpQuit})
-			}
 		}
 	}
 }
@@ -1572,7 +1497,7 @@ func (m *Manager) gcTerminal() {
 	for _, id := range m.order {
 		j := m.jobs[id]
 		j.mu.Lock()
-		if j.state.Terminal() && !j.shutdownCancel {
+		if j.state.Terminal() && !j.drainCancelled() {
 			terminal = append(terminal, doneJob{j, j.finished})
 		}
 		j.mu.Unlock()
@@ -1704,15 +1629,13 @@ func (m *Manager) Resume(ctx context.Context, j *Job) error {
 // user-facing path: the cancelled outcome is journaled, overriding a
 // concurrent shutdown's intent to keep the job resumable — once the
 // caller is told "cancelled", the job must not resurrect.
-func (m *Manager) Cancel(j *Job) error { return m.cancel(j, true) }
+func (m *Manager) Cancel(j *Job) error { return m.cancel(j, quitUser) }
 
-func (m *Manager) cancel(j *Job, user bool) error {
+// cancel records why the job is quitting — a user's reason replaces a
+// drain's, never the reverse — and stops it.
+func (m *Manager) cancel(j *Job, why quitReason) error {
 	j.mu.Lock()
-	if user {
-		// A shutdown may already have marked this job for the
-		// journal-skipping cancel; the explicit user decision wins.
-		j.shutdownCancel = false
-	}
+	j.quit = max(j.quit, why)
 	switch {
 	case j.state.Terminal():
 		j.mu.Unlock()
@@ -1723,7 +1646,7 @@ func (m *Manager) cancel(j *Job, user bool) error {
 		j.finished = time.Now()
 		// Same rule as finish: a shutdown-induced cancel keeps the
 		// store's queued record so the job comes back on reboot.
-		skipJournal := j.shutdownCancel
+		skipJournal := j.drainCancelled()
 		j.mu.Unlock()
 		m.metrics.JobsCancelled.Add(1)
 		j.rec.Record(obs.EvTerminal, 0, 0, "cancelled while queued")
@@ -1736,7 +1659,6 @@ func (m *Manager) cancel(j *Job, user bool) error {
 		m.tenants.release(j.tenant)
 		return nil
 	default:
-		j.cancelRequested = true
 		j.mu.Unlock()
 		// Quit rides the normal steering path; "controller closed"
 		// just means the job beat us to a terminal state.
@@ -1747,14 +1669,13 @@ func (m *Manager) cancel(j *Job, user bool) error {
 	}
 }
 
-// Steer applies a parameter change (set-iolet or set-roi) to a live
-// job over its controller. Applied commands are mirrored into the
-// job's persisted steering record, so a daemon restart re-applies the
-// operator's boundary tweaks and view instead of quietly losing them.
+// Steer applies a set-iolet parameter change to a live job over its
+// controller. Applied commands are mirrored into the job's persisted
+// steering record, so a daemon restart re-applies the operator's
+// boundary tweaks instead of quietly losing them.
 func (m *Manager) Steer(j *Job, msg steering.ClientMsg) error {
-	if msg.Op != steering.OpSetIolet && msg.Op != steering.OpSetROI {
-		return fmt.Errorf("service: steer accepts %s or %s, got %q",
-			steering.OpSetIolet, steering.OpSetROI, msg.Op)
+	if msg.Op != steering.OpSetIolet {
+		return fmt.Errorf("service: steer accepts %s, got %q", steering.OpSetIolet, msg.Op)
 	}
 	m.metrics.SteerOps.Add(1)
 	_, err := m.do(j, msg)
@@ -1762,25 +1683,17 @@ func (m *Manager) Steer(j *Job, msg steering.ClientMsg) error {
 		return err
 	}
 	j.mu.Lock()
-	if msg.Op == steering.OpSetROI {
-		j.steer.ROISet = true
-		j.steer.ROIMin = msg.ROIMin
-		j.steer.ROIMax = msg.ROIMax
-		j.steer.Detail = msg.Detail
-		j.steer.Context = msg.Context
-	} else {
-		// Latest density wins per iolet index.
-		updated := false
-		for i := range j.steer.Iolets {
-			if j.steer.Iolets[i].Iolet == msg.Iolet {
-				j.steer.Iolets[i].Density = msg.Density
-				updated = true
-				break
-			}
+	// Latest density wins per iolet index.
+	updated := false
+	for i := range j.steer.Iolets {
+		if j.steer.Iolets[i].Iolet == msg.Iolet {
+			j.steer.Iolets[i].Density = msg.Density
+			updated = true
+			break
 		}
-		if !updated {
-			j.steer.Iolets = append(j.steer.Iolets, store.IoletOver{Iolet: msg.Iolet, Density: msg.Density})
-		}
+	}
+	if !updated {
+		j.steer.Iolets = append(j.steer.Iolets, store.IoletOver{Iolet: msg.Iolet, Density: msg.Density})
 	}
 	j.mu.Unlock()
 	m.persistStateAsync(j)
@@ -1899,15 +1812,12 @@ func (m *Manager) Close() {
 		if j.State().Terminal() {
 			continue
 		}
-		// Mark the cancel as shutdown-induced so the store keeps the
-		// job's interrupted (running/paused/queued) record and the
-		// next boot resumes it from its latest checkpoint. A cancel
-		// requested by a user — before Close or racing the drain —
-		// clears the mark and journals its terminal state.
-		j.mu.Lock()
-		j.shutdownCancel = !j.cancelRequested
-		j.mu.Unlock()
-		_ = m.cancel(j, false)
+		// A shutdown-induced cancel keeps the job's interrupted
+		// (running/paused/queued) record in the store, so the next boot
+		// resumes it from its latest checkpoint. A cancel requested by a
+		// user — before Close or racing the drain — outranks it and
+		// journals its terminal state.
+		_ = m.cancel(j, quitShutdown)
 	}
 	close(m.done)
 	m.wg.Wait()

@@ -96,10 +96,9 @@ type Metrics struct {
 	// Fault-containment counters. JobsPanicked counts solver panics
 	// quarantined to their own job (the daemon kept serving);
 	// WatchdogStalls counts stall windows the stuck-job watchdog
-	// flagged; WatchdogRequeues counts jobs it force-requeued.
-	JobsPanicked     atomic.Int64
-	WatchdogStalls   atomic.Int64
-	WatchdogRequeues atomic.Int64
+	// flagged.
+	JobsPanicked   atomic.Int64
+	WatchdogStalls atomic.Int64
 	// Disk-pressure degradation. StoreDegraded is a gauge (1 while
 	// durability is suspended); StoreDegradedTotal counts episodes;
 	// StoreWritesSuppressed counts journal/state writes skipped while
@@ -198,7 +197,6 @@ func (m *Metrics) rows() []counterRow {
 		{"hemeserved_journal_group_commit_records_total", m.JournalGroupCommitRecords.Load(), "counter", "Records made durable by journal fsyncs."},
 		{"hemeserved_jobs_panicked_total", m.JobsPanicked.Load(), "counter", "Solver panics quarantined to their own job."},
 		{"hemeserved_watchdog_stalls_total", m.WatchdogStalls.Load(), "counter", "Stall windows flagged by the stuck-job watchdog."},
-		{"hemeserved_watchdog_requeues_total", m.WatchdogRequeues.Load(), "counter", "Jobs force-requeued by the stuck-job watchdog."},
 		{"hemeserved_store_degraded", m.StoreDegraded.Load(), "gauge", "1 while durability is suspended under disk pressure."},
 		{"hemeserved_store_degraded_total", m.StoreDegradedTotal.Load(), "counter", "Disk-pressure degradation episodes."},
 		{"hemeserved_store_writes_suppressed_total", m.StoreWritesSuppressed.Load(), "counter", "Journal/state writes skipped while degraded."},

@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -177,16 +178,25 @@ func TestServiceEndToEnd(t *testing.T) {
 		return running == 3
 	})
 
-	// Live status over HTTP reflects the solver.
-	var st struct {
-		NumSites int `json:"num_sites"`
-		Ranks    int `json:"ranks"`
-	}
+	// Live status over HTTP reflects the solver and carries exactly the
+	// fields docs/API.md lists.
+	var st map[string]any
 	if code := httpJSON(t, "GET", base+"/api/v1/jobs/"+ids[2]+"/status", "", &st); code != http.StatusOK {
 		t.Fatalf("status code %d", code)
 	}
-	if st.NumSites == 0 || st.Ranks != 2 {
-		t.Errorf("live status = %+v", st)
+	documented := []string{"step", "total_steps", "num_sites", "ranks", "sites_per_sec",
+		"remaining_sec", "paused", "comm_bytes", "load_imbalance"}
+	keys := make([]string, 0, len(st))
+	for k := range st {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	slices.Sort(documented)
+	if !slices.Equal(keys, documented) {
+		t.Errorf("status keys = %v, want the documented %v", keys, documented)
+	}
+	if st["num_sites"] == 0.0 || st["ranks"] != 2.0 {
+		t.Errorf("live status = %v", st)
 	}
 
 	// Steer job 0: measure mean density, raise the inlet density over
@@ -202,8 +212,24 @@ func TestServiceEndToEnd(t *testing.T) {
 		`{"op":"set-iolet","iolet":0,"density":1.2}`, nil); code != http.StatusOK {
 		t.Fatalf("steer status %d", code)
 	}
+	// set-roi changed nothing the solver reads and is no longer an op:
+	// it is refused like any other, naming the one that exists, and the
+	// job keeps running.
+	rep, err := http.Post(base+"/api/v1/jobs/"+ids[0]+"/steer", "application/json",
+		strings.NewReader(`{"op":"set-roi","roi_min":[0,0,0],"roi_max":[8,8,8]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg, _ := io.ReadAll(rep.Body)
+	rep.Body.Close()
+	if rep.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), "set-iolet") {
+		t.Errorf("set-roi steer: %d %s, want 400 naming set-iolet", rep.StatusCode, msg)
+	}
 	var atSteer JobInfo
 	httpJSON(t, "GET", base+"/api/v1/jobs/"+ids[0], "", &atSteer)
+	if atSteer.State != StateRunning {
+		t.Errorf("job %s after a refused set-roi, want running", atSteer.State)
+	}
 	waitFor(t, "steered job to advance", func() bool {
 		var info JobInfo
 		httpJSON(t, "GET", base+"/api/v1/jobs/"+ids[0], "", &info)
@@ -320,7 +346,7 @@ func TestServiceEndToEnd(t *testing.T) {
 
 	// Cancel one explicitly; shutdown (cleanup) reaps the rest.
 	req, _ := http.NewRequest(http.MethodDelete, base+"/api/v1/jobs/"+ids[0], nil)
-	rep, err := http.DefaultClient.Do(req)
+	rep, err = http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -62,17 +62,12 @@ type JobRecord struct {
 	Steer *SteerRecord `json:"steer,omitempty"`
 }
 
-// SteerRecord is the persisted slice of steering state: the last
-// applied region-of-interest and the set-iolet overrides issued since
-// submit. It is written alongside lifecycle transitions so a recovered
-// job re-applies the operator's view and boundary tweaks.
+// SteerRecord is the persisted slice of steering state: the set-iolet
+// overrides issued since submit. It is written alongside lifecycle
+// transitions so a recovered job re-applies the operator's boundary
+// tweaks.
 type SteerRecord struct {
-	ROISet  bool        `json:"roi_set,omitempty"`
-	ROIMin  [3]float64  `json:"roi_min,omitempty"`
-	ROIMax  [3]float64  `json:"roi_max,omitempty"`
-	Detail  int         `json:"detail,omitempty"`
-	Context int         `json:"context,omitempty"`
-	Iolets  []IoletOver `json:"iolets,omitempty"`
+	Iolets []IoletOver `json:"iolets,omitempty"`
 }
 
 // IoletOver is one persisted set-iolet command (latest density wins

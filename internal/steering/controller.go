@@ -10,19 +10,15 @@ import (
 // i.e. the simulation behind it has terminated.
 var ErrClosed = errors.New("steering: controller closed")
 
-// knownOps is the closed set of request verbs a Controller accepts.
-var knownOps = map[string]bool{
-	OpImage:    true,
-	OpStatus:   true,
-	OpSetIolet: true,
-	OpSetROI:   true,
-	OpPause:    true,
-	OpResume:   true,
-	OpQuit:     true,
+// KnownOp reports whether op is a valid steering verb: the closed set
+// of request verbs a Controller accepts.
+func KnownOp(op string) bool {
+	switch op {
+	case OpImage, OpStatus, OpSetIolet, OpPause, OpResume, OpQuit:
+		return true
+	}
+	return false
 }
-
-// KnownOp reports whether op is a valid steering verb.
-func KnownOp(op string) bool { return knownOps[op] }
 
 // Controller is the transport-agnostic steering front door of a single
 // simulation: any number of producers (the legacy TCP protocol, the

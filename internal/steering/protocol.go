@@ -1,6 +1,6 @@
 // Package steering implements the computational-steering loop of
 // Fig. 2: a client connects to the simulation master node, sends
-// visualisation parameters (viewpoint, field, ROI), simulation
+// visualisation parameters (viewpoint, field), simulation
 // parameter changes (iolet pressures) and control commands
 // (pause/resume/quit), and receives rendered images and status reports
 // (current step, performance, and "estimates on the remaining
@@ -24,7 +24,6 @@ const (
 	OpImage    = "image"
 	OpStatus   = "status"
 	OpSetIolet = "set-iolet"
-	OpSetROI   = "set-roi"
 	OpPause    = "pause"
 	OpResume   = "resume"
 	OpQuit     = "quit"
@@ -39,12 +38,6 @@ type ClientMsg struct {
 	// Iolet parameter change (OpSetIolet).
 	Iolet   int     `json:"iolet,omitempty"`
 	Density float64 `json:"density,omitempty"`
-	// ROI in lattice coordinates (OpSetROI): min/max corners plus
-	// refinement levels.
-	ROIMin  [3]float64 `json:"roi_min,omitempty"`
-	ROIMax  [3]float64 `json:"roi_max,omitempty"`
-	Detail  int        `json:"detail,omitempty"`
-	Context int        `json:"context,omitempty"`
 }
 
 // Status is the server's report on the running simulation.
@@ -55,13 +48,9 @@ type Status struct {
 	Ranks         int     `json:"ranks"`
 	SitesPerSec   float64 `json:"sites_per_sec"`
 	RemainingSec  float64 `json:"remaining_sec"`
-	Mass          float64 `json:"mass"`
-	MaxSpeed      float64 `json:"max_speed"`
 	Paused        bool    `json:"paused"`
 	CommBytes     int64   `json:"comm_bytes"`
 	LoadImbalance float64 `json:"load_imbalance"`
-	ReducedBytes  int     `json:"reduced_bytes"`
-	FullBytes     int     `json:"full_bytes"`
 }
 
 // ServerMsg is one steering reply.
@@ -345,14 +334,6 @@ func (c *Client) Status() (Status, error) {
 // the loop" act of §IV-C3.
 func (c *Client) SetIoletDensity(iolet int, density float64) error {
 	_, err := c.roundTrip(ClientMsg{Op: OpSetIolet, Iolet: iolet, Density: density})
-	return err
-}
-
-// SetROI narrows post-processing to a region of interest.
-func (c *Client) SetROI(min, max [3]float64, detail, context int) error {
-	_, err := c.roundTrip(ClientMsg{
-		Op: OpSetROI, ROIMin: min, ROIMax: max, Detail: detail, Context: context,
-	})
 	return err
 }
 
