@@ -88,7 +88,7 @@ func TestFlagTables(t *testing.T) {
 	if err := run([]string{"-flags", docs}, &stdout); err != nil {
 		t.Fatalf("%v\n%s", err, stdout.String())
 	}
-	if !strings.Contains(stdout.String(), "18 cmd/hemeserved flags documented once") {
+	if !strings.Contains(stdout.String(), "17 cmd/hemeserved flags documented once") {
 		t.Errorf("report:\n%s", stdout.String())
 	}
 	raw, err := os.ReadFile("README.md")

@@ -67,7 +67,7 @@ var errUsage = errors.New("bad command line (see -h)")
 // config is the daemon's command line.
 type config struct {
 	addr, dataDir, authKeys, pprofAddr, logLevel, logFormat string
-	workers, queue, solverThreads, checkpointEvery          int
+	workers, queue, checkpointEvery                         int
 	maxActive, submitBurst, storeRetain                     int
 	submitRate                                              float64
 	memLimit                                                int64
@@ -81,7 +81,6 @@ func flagSet(c *config) *flag.FlagSet {
 	fs.StringVar(&c.addr, "addr", "127.0.0.1:7070", "HTTP listen address")
 	fs.IntVar(&c.workers, "workers", 4, "concurrent simulation workers, and frames rendered at once")
 	fs.IntVar(&c.queue, "queue", 64, "submission queue capacity")
-	fs.IntVar(&c.solverThreads, "solver-threads", 1, "default per-rank collide+stream worker goroutines for jobs that leave threads at 0 (capped at 16; results are bit-identical to serial)")
 	fs.StringVar(&c.dataDir, "data-dir", "", "durable job store directory (empty = in-memory only)")
 	fs.IntVar(&c.checkpointEvery, "checkpoint-every", 64, "default checkpoint cadence in steps for jobs that leave checkpoint_every at 0 (-1 = no default; jobs may still opt in)")
 	fs.StringVar(&c.authKeys, "auth-keys", "", "per-tenant API key file: 'tenant key [max_active=N] [rate=R] [burst=B]' per line (empty = no auth, everyone is anonymous)")
@@ -165,7 +164,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	mgr := service.NewManagerOpts(service.Options{
 		Workers:         c.workers,
 		QueueCap:        c.queue,
-		SolverThreads:   c.solverThreads,
 		Metrics:         metrics,
 		Store:           st,
 		CheckpointEvery: c.checkpointEvery,

@@ -90,8 +90,8 @@ func TestRunServesAndStops(t *testing.T) {
 func TestFlagCount(t *testing.T) {
 	n := 0
 	flagSet(new(config)).VisitAll(func(*flag.Flag) { n++ })
-	if n != 18 {
-		t.Errorf("hemeserved declares %d flags, want 18", n)
+	if n != 17 {
+		t.Errorf("hemeserved declares %d flags, want 17", n)
 	}
 }
 
@@ -101,7 +101,7 @@ func TestFlagCount(t *testing.T) {
 // spelled in parts so that a search of the tree for the deleted
 // settings finds none.
 func TestRemovedFlagsFail(t *testing.T) {
-	for _, parts := range [][2]string{{"checkpoint", "budget"}, {"render", "workers"}, {"render", "queue"}, {"watchdog", "strikes"}} {
+	for _, parts := range [][2]string{{"checkpoint", "budget"}, {"render", "workers"}, {"render", "queue"}, {"watchdog", "strikes"}, {"solver", "threads"}} {
 		name := parts[0] + "-" + parts[1]
 		err := run(context.Background(), []string{"-" + name, "1"}, io.Discard, io.Discard)
 		if err == nil || !strings.Contains(err.Error(), "-"+name) {

@@ -9,8 +9,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/field"
@@ -19,34 +21,48 @@ import (
 )
 
 func main() {
-	addr := flag.String("addr", "127.0.0.1:7766", "steering server address")
-	flag.Parse()
-	if flag.NArg() < 1 {
-		fmt.Fprintln(os.Stderr, "usage: hemesteer -addr HOST:PORT <status|image|set-iolet|pause|resume|quit> [flags]")
-		os.Exit(2)
+	if err := run(os.Args[1:], os.Stdout); err != nil && !errors.Is(err, flag.ErrHelp) {
+		fmt.Fprintln(os.Stderr, "hemesteer:", err)
+		if errors.Is(err, errUsage) {
+			os.Exit(2)
+		}
+		os.Exit(1)
+	}
+}
+
+var errUsage = errors.New("usage: hemesteer -addr HOST:PORT <status|image|set-iolet|pause|resume|quit> [flags]")
+
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("hemesteer", flag.ContinueOnError)
+	addr := fs.String("addr", "127.0.0.1:7766", "steering server address")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if fs.NArg() < 1 {
+		return errUsage
 	}
 	cl, err := steering.Dial(*addr)
 	if err != nil {
-		fail(err)
+		return err
 	}
 	defer cl.Close()
 
-	cmd := flag.Arg(0)
-	rest := flag.Args()[1:]
+	cmd := fs.Arg(0)
+	rest := fs.Args()[1:]
 	switch cmd {
 	case "status":
 		st, err := cl.Status()
 		if err != nil {
-			fail(err)
+			return err
 		}
-		fmt.Printf("step:        %d / %d\n", st.Step, st.TotalSteps)
-		fmt.Printf("sites:       %d on %d ranks\n", st.NumSites, st.Ranks)
-		fmt.Printf("rate:        %.3g site-updates/s\n", st.SitesPerSec)
-		fmt.Printf("remaining:   %.1fs (estimate)\n", st.RemainingSec)
-		fmt.Printf("paused:      %v\n", st.Paused)
-		fmt.Printf("comm:        %d bytes, per-rank imbalance %.2f\n", st.CommBytes, st.LoadImbalance)
+		fmt.Fprintf(stdout, "step:        %d / %d\n", st.Step, st.TotalSteps)
+		fmt.Fprintf(stdout, "sites:       %d on %d ranks\n", st.NumSites, st.Ranks)
+		fmt.Fprintf(stdout, "rate:        %.3g site-updates/s\n", st.SitesPerSec)
+		fmt.Fprintf(stdout, "remaining:   %.1fs (estimate)\n", st.RemainingSec)
+		fmt.Fprintf(stdout, "paused:      %v\n", st.Paused)
+		fmt.Fprintf(stdout, "comm:        %d bytes, per-rank imbalance %.2f\n", st.CommBytes, st.LoadImbalance)
 	case "image":
-		fs := flag.NewFlagSet("image", flag.ExitOnError)
+		fs := flag.NewFlagSet("image", flag.ContinueOnError)
 		out := fs.String("out", "frame.png", "output PNG file")
 		w := fs.Int("w", 256, "width")
 		h := fs.Int("h", 192, "height")
@@ -54,7 +70,7 @@ func main() {
 		az := fs.Float64("azimuth", 0.5, "camera azimuth (rad)")
 		el := fs.Float64("elevation", 0.3, "camera elevation (rad)")
 		if err := fs.Parse(rest); err != nil {
-			fail(err)
+			return err
 		}
 		req := insitu.DefaultRequest()
 		req.W, req.H = *w, *h
@@ -68,48 +84,44 @@ func main() {
 		case "lic":
 			req.Mode = insitu.ModeLIC
 		default:
-			fail(fmt.Errorf("unknown mode %q", *mode))
+			return fmt.Errorf("unknown mode %q", *mode)
 		}
 		png, gw, gh, err := cl.RequestImage(req)
 		if err != nil {
-			fail(err)
+			return err
 		}
 		if err := os.WriteFile(*out, png, 0o644); err != nil {
-			fail(err)
+			return err
 		}
-		fmt.Printf("wrote %s (%dx%d, %d bytes)\n", *out, gw, gh, len(png))
+		fmt.Fprintf(stdout, "wrote %s (%dx%d, %d bytes)\n", *out, gw, gh, len(png))
 	case "set-iolet":
-		fs := flag.NewFlagSet("set-iolet", flag.ExitOnError)
+		fs := flag.NewFlagSet("set-iolet", flag.ContinueOnError)
 		iolet := fs.Int("iolet", 0, "iolet index")
 		density := fs.Float64("density", 1.01, "imposed boundary density")
 		if err := fs.Parse(rest); err != nil {
-			fail(err)
+			return err
 		}
 		if err := cl.SetIoletDensity(*iolet, *density); err != nil {
-			fail(err)
+			return err
 		}
-		fmt.Printf("iolet %d density set to %g\n", *iolet, *density)
+		fmt.Fprintf(stdout, "iolet %d density set to %g\n", *iolet, *density)
 	case "pause":
 		if err := cl.Pause(); err != nil {
-			fail(err)
+			return err
 		}
-		fmt.Println("paused")
+		fmt.Fprintln(stdout, "paused")
 	case "resume":
 		if err := cl.Resume(); err != nil {
-			fail(err)
+			return err
 		}
-		fmt.Println("resumed")
+		fmt.Fprintln(stdout, "resumed")
 	case "quit":
 		if err := cl.Quit(); err != nil {
-			fail(err)
+			return err
 		}
-		fmt.Println("simulation asked to quit")
+		fmt.Fprintln(stdout, "simulation asked to quit")
 	default:
-		fail(fmt.Errorf("unknown command %q", cmd))
+		return fmt.Errorf("unknown command %q", cmd)
 	}
-}
-
-func fail(err error) {
-	fmt.Fprintln(os.Stderr, "hemesteer:", err)
-	os.Exit(1)
+	return nil
 }

@@ -41,9 +41,9 @@ type Config struct {
 	Tau float64
 	// Ranks is the number of simulated MPI ranks (default 1).
 	Ranks int
-	// Threads tiles each rank's fused collide+stream pass over that many
-	// worker goroutines (0 or 1 = serial). Results are bit-identical to
-	// serial for any value — see lb.Params.Threads.
+	// Threads caps how many participants claim each rank's fused
+	// collide+stream pass (0 or 1 = serial). Results are bit-identical
+	// to serial for any value — see lb.Params.Threads.
 	Threads int
 	// Method selects the domain-decomposition algorithm (default
 	// multilevel, the ParMETIS role).
@@ -333,9 +333,6 @@ func (s *Simulation) Run(totalSteps int) error {
 		if err != nil {
 			panic(err)
 		}
-		// Park the tile workers when this rank's loop exits; d is
-		// rebound on repartition, so close through the variable.
-		defer func() { d.Close() }()
 		if cfg.PulseAmp != 0 {
 			// Attach the cardiac pulse to the first inlet.
 			for k, io := range s.Dom.Iolets {
@@ -426,9 +423,6 @@ func (s *Simulation) Run(totalSteps int) error {
 			if !paused {
 				sampled := observe != nil && step%cfg.PhaseSampleEvery == 0
 				if sampled {
-					// Arm per-worker tile timing for this step too (no-op
-					// on serial ranks) — same cadence, same rank-0 scope.
-					d.SampleTiles()
 					phaseStart = time.Now()
 				}
 				stepTimer.Start()
@@ -436,9 +430,6 @@ func (s *Simulation) Run(totalSteps int) error {
 				stepTimer.Stop()
 				if sampled {
 					observe.ObservePhase(obs.PhaseStep, d.StepCount(), time.Since(phaseStart).Nanoseconds())
-					for _, ns := range d.TileNanos() {
-						observe.ObservePhase(obs.PhaseTile, d.StepCount(), ns)
-					}
 				}
 				if master && cfg.OnStep != nil {
 					cfg.OnStep(d.StepCount(), totalSteps)
@@ -453,7 +444,6 @@ func (s *Simulation) Run(totalSteps int) error {
 				if err != nil {
 					panic(err)
 				}
-				d.Close() // park the old solver's tile workers
 				d = nd
 				myPart = newPart
 				if master {

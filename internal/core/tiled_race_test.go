@@ -13,8 +13,8 @@ import (
 // Deliver is an O(1) hand-off to a writer goroutine that encodes the
 // state concurrently with the next solver steps, recycling buffers
 // through TakeBuffer. Under -race this pins down the tentpole's
-// concurrency contract from the outside: tiled collide+stream workers,
-// the in-loop gathers, and an off-loop encoder all touching solver
+// concurrency contract from the outside: collide+stream site parcels
+// on guard's shared helpers, the in-loop gathers, and an off-loop encoder all touching solver
 // state with no detector-visible conflict.
 type encodeSink struct {
 	mu      sync.Mutex

@@ -2,9 +2,9 @@ package geometry
 
 import (
 	"math"
-	"sync"
 	"testing"
 
+	"repro/internal/guard"
 	"repro/internal/lattice"
 	"repro/internal/vec"
 )
@@ -81,22 +81,14 @@ func TestBricksConservative(t *testing.T) {
 }
 
 // TestBricksBuiltOnce: concurrent first renders of one domain share one
-// grid (run under -race).
+// grid (run under -race). The callers are guard's parcel participants.
 func TestBricksBuiltOnce(t *testing.T) {
 	d, err := Voxelise(Pipe(12, 3), 1, lattice.D3Q19())
 	if err != nil {
 		t.Fatal(err)
 	}
-	var wg sync.WaitGroup
 	got := make([]*Bricks, 8)
-	for i := range got {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			got[i] = d.Bricks()
-		}(i)
-	}
-	wg.Wait()
+	guard.ForChunks(len(got), len(got), func(i int) { got[i] = d.Bricks() })
 	for _, b := range got {
 		if b == nil || b != got[0] {
 			t.Fatalf("Bricks() returned %p, first caller got %p", b, got[0])

@@ -1,10 +1,10 @@
 package geometry
 
 import (
-	"sync"
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/guard"
 	"repro/internal/lattice"
 )
 
@@ -19,21 +19,15 @@ func TestDeriveBuildsOncePerKey(t *testing.T) {
 		t.Fatal(err)
 	}
 	var builds, reportedBuilt atomic.Int32
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			v, built := dom.Derive(testKey{1}, func() any { builds.Add(1); return "one" })
-			if v != "one" {
-				t.Errorf("Derive returned %v", v)
-			}
-			if built {
-				reportedBuilt.Add(1)
-			}
-		}()
-	}
-	wg.Wait()
+	guard.ForChunks(8, 8, func(int) { // concurrent callers: guard's parcel participants
+		v, built := dom.Derive(testKey{1}, func() any { builds.Add(1); return "one" })
+		if v != "one" {
+			t.Errorf("Derive returned %v", v)
+		}
+		if built {
+			reportedBuilt.Add(1)
+		}
+	})
 	if builds.Load() != 1 || reportedBuilt.Load() != 1 {
 		t.Errorf("%d builds, %d callers told they built; want 1 and 1", builds.Load(), reportedBuilt.Load())
 	}

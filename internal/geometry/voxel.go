@@ -150,8 +150,9 @@ func (d *Domain) NumBlocks() int {
 // link crosses an iolet disk. It is the pre-processing step 1 of
 // section IV-B ("read in the geometry for blood vessel model").
 //
-// Both passes run on GOMAXPROCS goroutines; the result does not depend
-// on how many (see voxelise).
+// Both passes are claimed by up to GOMAXPROCS participants (the caller
+// and guard's idle helpers); the result does not depend on how many
+// (see voxelise).
 func Voxelise(v *Vessel, h float64, model *lattice.Model) (*Domain, error) {
 	return voxelise(v, h, model, runtime.GOMAXPROCS(0))
 }

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"syscall"
 	"testing"
@@ -179,24 +178,18 @@ func TestChunkPanicSurfacesOnCaller(t *testing.T) {
 		}
 	}
 
-	// Every goroutine holds one index before any panics, so all but one
-	// of the panics are on helpers; the caller gets one of the values.
+	// Every index panics, so panics race on the caller and on helpers
+	// alike; the caller gets one of the values.
 	const workers = 4
-	var held sync.WaitGroup
-	held.Add(workers)
 	err := Capture("chunks", func() error {
-		ForChunks(workers, workers, func(i int) {
-			held.Done()
-			held.Wait()
-			panic(i)
-		})
+		ForChunks(64, workers, func(i int) { panic(i) })
 		return nil
 	})
 	var pe *PanicError
 	if !errors.As(err, &pe) {
 		t.Fatalf("got %v, want a PanicError", err)
 	}
-	if i, ok := pe.Value.(int); !ok || i < 0 || i >= workers {
+	if i, ok := pe.Value.(int); !ok || i < 0 || i >= 64 {
 		t.Fatalf("recovered %v, want one of the indices", pe.Value)
 	}
 }

@@ -60,9 +60,10 @@ func (d *Dist) NumOwned() int { return d.n }
 
 // Step advances one time step: the kernel's fused collide+stream on
 // owned sites (cross-rank populations packed into sendBuf), halo
-// exchange, scatter, swap. Tiling (Params.Threads > 1) happens inside
-// the kernel pass; the halo exchange stays on the calling goroutine so
-// the par runtime sees the usual one-goroutine-per-rank SPMD structure.
+// exchange, scatter, swap. Site parcels (Params.Threads > 1) are
+// claimed inside the kernel pass; the halo exchange stays on the
+// calling goroutine so the par runtime sees the usual
+// one-goroutine-per-rank SPMD structure.
 func (d *Dist) Step() {
 	d.collideStream()
 	// Halo exchange: send packed slices, receive and scatter. The

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"repro/internal/geometry"
+	"repro/internal/guard"
 	"repro/internal/lattice"
 )
 
@@ -21,19 +22,14 @@ const (
 	streamCrossBase = int32(-(1 << 20))
 )
 
-// Pulse is a sinusoidal iolet-density modulation: the imposed density
-// becomes base + Amp*sin(2π step/Period). Cardiac inflow wave-forms
-// are the paper's motivating unsteadiness; pathlines and streak-lines
-// only differ from streamlines in such flows.
-type Pulse struct {
-	Amp    float64
-	Period float64
-}
+// parcelSites is how many sites one claim of a threaded pass steps:
+// the granularity of the checkpoint's dirty-tile map.
+const parcelSites = DefaultDeltaTileSites
 
-// kernelScratch is one worker's private collision scratch (the
+// kernelScratch is one participant's private collision scratch (the
 // post-collision copy and the equilibrium buffer). Sharing these
-// across workers was the data race that forbade tiling; every worker
-// owns its own pair.
+// across participants would be a data race; every slot of a threaded
+// pass owns its own pair.
 type kernelScratch struct {
 	post, feqBuf []float64
 }
@@ -65,15 +61,18 @@ type kernel struct {
 	// adjustable at runtime by the steering layer; pulses holds optional
 	// sinusoidal modulation per iolet (nil entries = steady). rhoIo is
 	// the per-step effective density buffer and scratch one private pair
-	// per worker — both exist so steady-state stepping allocates nothing.
+	// per participant slot — both exist so steady-state stepping
+	// allocates nothing.
 	ioletRho []float64
 	pulses   []*Pulse
 	rhoIo    []float64
 	scratch  []kernelScratch
-	// pool tiles the collide+stream pass over persistent workers when
-	// Params.Threads > 1 (nil = serial). The kernel owns it; Close
-	// parks it.
-	pool *tilePool
+	// threads caps the participants of a pass (1 = serial). With more,
+	// the pass claims parcelSites-site parcels through parcels, calling
+	// the kept method value stepFn, so a pass allocates nothing.
+	threads int
+	parcels guard.Parcels
+	stepFn  func(slot, i int)
 
 	step int
 }
@@ -95,13 +94,12 @@ func newKernel(dom *geometry.Domain, p Params, pl *plan) *kernel {
 		pulses:   make([]*Pulse, len(dom.Iolets)),
 		rhoIo:    make([]float64, len(dom.Iolets)),
 		scratch:  make([]kernelScratch, p.workers()),
+		threads:  p.workers(),
 	}
 	for w := range k.scratch {
 		k.scratch[w] = kernelScratch{post: make([]float64, m.Q), feqBuf: make([]float64, m.Q)}
 	}
-	if w := p.workers(); w > 1 {
-		k.pool = newTilePool(w, pl.n, k.stepTile)
-	}
+	k.stepFn = k.stepParcel
 	for i, io := range dom.Iolets {
 		k.ioletRho[i] = 1 + io.Pressure
 	}
@@ -152,15 +150,6 @@ func (k *kernel) SetPulse(i int, p *Pulse) error {
 	return nil
 }
 
-// effectiveIoletRho returns the imposed density of an iolet at the
-// given time step, including any pulse.
-func effectiveIoletRho(base float64, p *Pulse, step int) float64 {
-	if p == nil {
-		return base
-	}
-	return base + p.Amp*math.Sin(2*math.Pi*float64(step)/p.Period)
-}
-
 // feq computes the equilibrium for one direction given density rho;
 // cu = c·u, u2 = u·u.
 func feq(w, rho, cu, u2 float64) float64 {
@@ -176,31 +165,38 @@ func feqSym(w, rho, cu, u2 float64) float64 {
 // collideStream performs one fused collide+stream pass over all local
 // sites, writing into fNew (and sendBuf), and counts the step. Callers
 // deposit any halo populations into fNew and then swap. With
-// Params.Threads > 1 the pass is tiled over the worker pool; results
-// are bit-identical to the serial pass for any thread count.
+// Params.Threads > 1 up to that many participants claim the pass's
+// site parcels; results are bit-identical to the serial pass for any
+// thread count.
 func (k *kernel) collideStream() {
 	// Iolet densities for this step, including pulses — computed once
-	// before the tiles run, so every worker reads the same immutable
-	// values.
+	// before any parcel runs, so every participant reads the same
+	// immutable values.
 	for i := range k.rhoIo {
 		k.rhoIo[i] = effectiveIoletRho(k.ioletRho[i], k.pulses[i], k.step)
 	}
-	if k.pool != nil {
-		k.pool.step()
+	if k.threads > 1 {
+		k.parcels.Run((k.n+parcelSites-1)/parcelSites, k.threads, k.stepFn)
 	} else {
 		k.stepTile(0, 0, k.n)
 	}
 	k.step++
 }
 
+// stepParcel steps site parcel i of a threaded pass with slot's scratch.
+func (k *kernel) stepParcel(slot, i int) {
+	lo := i * parcelSites
+	k.stepTile(slot, lo, min(lo+parcelSites, k.n))
+}
+
 // swap publishes fNew as the current distribution set.
 func (k *kernel) swap() { k.f, k.fNew = k.fNew, k.f }
 
 // stepTile runs the fused collide+stream pass over local sites
-// [lo, hi) using worker w's private scratch. Every write — fNew fluid
+// [lo, hi) using slot w's private scratch. Every write — fNew fluid
 // destinations, wall/iolet bounces into the source site's own opposite
 // slot, pre-assigned sendBuf slots for cross-rank links — is disjoint
-// per (source site, direction), so tiles need no locks.
+// per (source site, direction), so parcels need no locks.
 //
 // The floating-point operation order per site is a contract: the
 // golden state hashes (golden_test.go) and every stored checkpoint
@@ -265,42 +261,15 @@ func (k *kernel) boundaryLink(base, q int, dst int32, p float64, u *[4]float64) 
 	k.fNew[base+m.Opp[q]] = -p + 2*feqSym(m.W[q], k.rhoIo[io], cu, u[3])
 }
 
-// Threads returns the worker count stepping this kernel (1 = serial,
-// including after Close).
-func (k *kernel) Threads() int {
-	if k.pool == nil {
-		return 1
-	}
-	return k.pool.threads
-}
+// Threads returns the cap on a pass's participants (1 = serial).
+func (k *kernel) Threads() int { return k.threads }
 
-// SampleTiles arms per-worker tile timing for the next step only; read
-// the result with TileNanos afterwards. Serial kernels ignore it — the
-// run loop times serial steps with the ordinary step phase already.
-func (k *kernel) SampleTiles() {
-	if k.pool != nil {
-		k.pool.timing = true
-	}
-}
+// Close is a no-op kept for callers that pair every solver with a Close:
+// threaded passes run on guard's shared helpers, not on a solver's own.
+func (s *Solver) Close() {}
 
-// TileNanos returns the per-worker tile durations of the most recent
-// armed step (nil when serial). The slice is reused across samples;
-// callers must consume it before the next armed step.
-func (k *kernel) TileNanos() []int64 {
-	if k.pool == nil {
-		return nil
-	}
-	return k.pool.tileNs
-}
-
-// Close parks the worker pool (no-op when serial). Stepping keeps
-// working after Close — it just falls back to serial.
-func (k *kernel) Close() {
-	if k.pool != nil {
-		k.pool.close()
-		k.pool = nil
-	}
-}
+// Close is a no-op, as Solver.Close is.
+func (d *Dist) Close() {}
 
 // moments computes density and velocity at local site i from its
 // current populations.

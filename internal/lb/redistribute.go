@@ -17,8 +17,8 @@ const tagRedist = par.TagUser + 102
 // same time step. All ranks must call it collectively with the same
 // newPart.
 func (d *Dist) Redistribute(newPart *partition.Partition) (*Dist, error) {
-	// Threads carries over: the new solver tiles with the same worker
-	// count the old one used.
+	// Threads carries over: the new solver claims parcels with the same
+	// participant cap the old one used.
 	nd, err := NewDist(d.Comm, d.Dom, newPart, Params{Tau: d.Tau, Kind: d.Kind, Threads: d.Threads()})
 	if err != nil {
 		return nil, err

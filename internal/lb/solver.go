@@ -5,8 +5,8 @@
 // in/outlets, with the macroscopic observables the paper's
 // post-processing consumes (density, velocity, wall shear stress).
 //
-// There is one kernel (kernel.go): it owns a rank's populations, iolet
-// state and tile pool, and holds the only collide+stream loop. What it
+// There is one kernel (kernel.go): it owns a rank's populations and
+// iolet state, and holds the only collide+stream loop. What it
 // steps along — the stream table, the ownership maps, the halo slots —
 // is a plan (plan.go), built once per Domain and shared read-only.
 // Solver (this file) is a kernel over the whole domain plus the serial
@@ -33,11 +33,11 @@ type Params struct {
 	// Kind selects the collision operator (default BGK; TRT fixes the
 	// bounce-back wall location independently of viscosity).
 	Kind Collision
-	// Threads is the number of worker goroutines tiling the fused
-	// collide+stream pass (0 or 1 = serial). Results are bit-identical
-	// to the serial kernel for any value: sites are updated
-	// independently from their own populations and written to disjoint
-	// slots, so tiling changes scheduling, never arithmetic.
+	// Threads caps how many participants (the stepping goroutine, then
+	// guard's shared helpers) claim the collide+stream pass's site
+	// parcels (0 or 1 = serial). Results are bit-identical for any value:
+	// sites update independently from their own populations into
+	// disjoint slots, so parcels change scheduling, never arithmetic.
 	Threads int
 }
 

@@ -56,8 +56,8 @@ func TestSolverTiledBitIdentical(t *testing.T) {
 			t.Errorf("threads=%d: checkpoint bytes differ from serial", threads)
 		}
 		tiled.Close()
-		// Close falls back to serial stepping; the solver must keep
-		// producing the serial trajectory.
+		// Close is a no-op; the solver must keep producing the serial
+		// trajectory.
 		serial.Advance(3)
 		tiled.Advance(3)
 		sf, tf = serial.F(), tiled.F()
@@ -251,51 +251,10 @@ func TestDistWallShearStressMatchesSolver(t *testing.T) {
 	})
 }
 
-// TestSampleTilesTiming: an armed step must capture one duration per
-// worker; unarmed steps must not touch the timing path; serial solvers
-// report no tiles at all.
-func TestSampleTilesTiming(t *testing.T) {
-	dom := pipeDomain(t, 16, 3, 1.0)
-	part := pipePartition(t, dom, 1, partition.MethodMultilevel)
-	rt := par.NewRuntime(1)
-	rt.Run(func(c *par.Comm) {
-		serial, err := NewDist(c, dom, part, Params{Tau: 0.9})
-		if err != nil {
-			panic(err)
-		}
-		serial.SampleTiles() // must be a harmless no-op
-		serial.Step()
-		if ns := serial.TileNanos(); ns != nil {
-			t.Errorf("serial Dist reports tile timings: %v", ns)
-		}
-
-		const threads = 3
-		d, err := NewDist(c, dom, part, Params{Tau: 0.9, Threads: threads})
-		if err != nil {
-			panic(err)
-		}
-		defer d.Close()
-		d.SampleTiles()
-		d.Step()
-		ns := d.TileNanos()
-		if len(ns) != threads {
-			t.Fatalf("TileNanos returned %d entries, want %d", len(ns), threads)
-		}
-		positive := 0
-		for _, v := range ns {
-			if v > 0 {
-				positive++
-			}
-		}
-		if positive == 0 {
-			t.Error("armed step captured no positive tile duration")
-		}
-	})
-}
-
 // TestTiledStepAllocationFlat extends the hot-loop allocation audit to
-// tiled stepping: pool dispatch is channel sends plus a WaitGroup
-// cycle, so a warmed tiled Dist must still step with zero allocations.
+// threaded stepping: a pass hands the kernel's kept Parcels and method
+// value to guard's helpers, so a warmed threaded Dist must still step
+// with zero allocations.
 func TestTiledStepAllocationFlat(t *testing.T) {
 	dom := pipeDomain(t, 16, 3, 1.0)
 	part := pipePartition(t, dom, 1, partition.MethodMultilevel)

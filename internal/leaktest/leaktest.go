@@ -23,9 +23,11 @@ import (
 // running at check time before it counts as leaked.
 const window = 30 * time.Second
 
-// ignored matches runtime-owned goroutines that can appear at any
-// moment and are never leaks.
+// ignored matches goroutines that can appear at any moment and are
+// never leaks: the runtime's own workers and guard's parked parcel
+// helpers, which the first fan-out of a process starts and keeps.
 var ignored = []string{
+	"repro/internal/guard.(*helper).run",
 	"runtime.gcBgMarkWorker",
 	"runtime.bgsweep",
 	"runtime.bgscavenge",

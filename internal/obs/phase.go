@@ -20,17 +20,13 @@ const (
 	// PhaseCheckpoint is the in-loop checkpoint stall: buffer take,
 	// collective state gather, delivery to the async writer.
 	PhaseCheckpoint
-	// PhaseTile is one worker's collide+stream tile inside a sampled
-	// step (tiled solvers only): per-worker durations expose load
-	// imbalance across tiles that the aggregate PhaseStep hides.
-	PhaseTile
 	numPhases
 )
 
 // phaseNames and phaseEventNames are fixed so hot-path lookups return
 // constant strings — no formatting, no allocation.
-var phaseNames = [numPhases]string{"step", "collective", "gather", "checkpoint", "tile"}
-var phaseEventNames = [numPhases]string{"phase-step", "phase-collective", "phase-gather", "phase-checkpoint", "phase-tile"}
+var phaseNames = [numPhases]string{"step", "collective", "gather", "checkpoint"}
+var phaseEventNames = [numPhases]string{"phase-step", "phase-collective", "phase-gather", "phase-checkpoint"}
 
 // String returns the short phase name.
 func (p Phase) String() string {

@@ -1,9 +1,6 @@
 package par
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Internal tags for collectives. User tags start at TagUser.
 const (
@@ -12,13 +9,9 @@ const (
 	tagGather
 	tagGatherBytes
 	tagGatherInts
-	tagScatter
-	tagScatterBytes
 	tagAlltoall
-	tagAlltoallBytes
 	tagBarrierUp
 	tagBarrierDown
-	tagSplit
 )
 
 // GatherConsume matches on AnySource, so two back-to-back collectives
@@ -94,8 +87,8 @@ func (c *Comm) reduceTree(root, tag int, acc any, combine func(acc, in any) any)
 
 // Barrier blocks until every rank of the communicator has entered it.
 func (c *Comm) Barrier() {
-	if c.rank == 0 {
-		c.rt.traffic.addColl()
+	if c.size == 1 {
+		return
 	}
 	c.reduceTree(0, TagUser+tagBarrierUp, nil, func(acc, _ any) any { return acc })
 	c.bcastTree(0, TagUser+tagBarrierDown, nil)
@@ -106,9 +99,6 @@ func (c *Comm) Barrier() {
 // receivers must treat it as read-only, as with an MPI broadcast into a
 // const buffer. Use BcastF64 for a mutable per-rank copy.
 func (c *Comm) Bcast(root int, data any) any {
-	if c.rank == root {
-		c.rt.traffic.addColl()
-	}
 	return c.bcastTree(root, TagUser+tagBcast, data)
 }
 
@@ -117,7 +107,6 @@ func (c *Comm) Bcast(root int, data any) any {
 // data, so it is its own private copy and nothing is allocated.
 func (c *Comm) BcastF64(root int, data []float64) []float64 {
 	if c.size == 1 {
-		c.rt.traffic.addColl()
 		return data
 	}
 	out := c.Bcast(root, data)
@@ -143,16 +132,6 @@ func (c *Comm) BcastInts(root int, data []int) []int {
 		return nil
 	}
 	return append([]int(nil), out.([]int)...)
-}
-
-// BcastBytes broadcasts a byte slice from root and returns a private
-// copy on every rank.
-func (c *Comm) BcastBytes(root int, data []byte) []byte {
-	out := c.Bcast(root, data)
-	if out == nil {
-		return nil
-	}
-	return append([]byte(nil), out.([]byte)...)
 }
 
 // Op is a reduction operator over float64.
@@ -187,9 +166,6 @@ func (o Op) apply(a, b float64) float64 {
 // the result at root. Non-root ranks receive nil. The input is not
 // mutated.
 func (c *Comm) Reduce(root int, op Op, in []float64) []float64 {
-	if c.rank == root {
-		c.rt.traffic.addColl()
-	}
 	acc := append([]float64(nil), in...)
 	res := c.reduceTree(root, TagUser+tagReduce, acc, func(acc, in any) any {
 		a := acc.([]float64)
@@ -224,9 +200,6 @@ func (c *Comm) AllreduceScalar(op Op, x float64) float64 {
 // slice-of-slices at root and nil elsewhere. Vectors may have different
 // lengths (gatherv semantics).
 func (c *Comm) Gather(root int, in []float64) [][]float64 {
-	if c.rank == root {
-		c.rt.traffic.addColl()
-	}
 	if c.rank != root {
 		c.SendF64(root, TagUser+tagGather, in)
 		return nil
@@ -257,7 +230,6 @@ func (c *Comm) GatherConsume(root int, in []float64, consume func(src int, part 
 		c.SendF64Pooled(root, tag, in)
 		return
 	}
-	c.rt.traffic.addColl()
 	consume(root, in)
 	for i := 0; i < c.size-1; i++ {
 		d, from := c.RecvF64(AnySource, tag)
@@ -268,9 +240,6 @@ func (c *Comm) GatherConsume(root int, in []float64, consume func(src int, part 
 
 // GatherBytes collects byte slices at root (gatherv semantics).
 func (c *Comm) GatherBytes(root int, in []byte) [][]byte {
-	if c.rank == root {
-		c.rt.traffic.addColl()
-	}
 	if c.rank != root {
 		c.SendBytes(root, TagUser+tagGatherBytes, in)
 		return nil
@@ -286,9 +255,6 @@ func (c *Comm) GatherBytes(root int, in []byte) [][]byte {
 
 // GatherInts collects int slices at root (gatherv semantics).
 func (c *Comm) GatherInts(root int, in []int) [][]int {
-	if c.rank == root {
-		c.rt.traffic.addColl()
-	}
 	if c.rank != root {
 		c.SendInts(root, TagUser+tagGatherInts, in)
 		return nil
@@ -302,50 +268,10 @@ func (c *Comm) GatherInts(root int, in []int) [][]int {
 	return out
 }
 
-// Scatter distributes parts[i] from root to rank i and returns each
-// rank's part. parts is only read at root.
-func (c *Comm) Scatter(root int, parts [][]float64) []float64 {
-	if c.rank == root {
-		c.rt.traffic.addColl()
-		if len(parts) != c.size {
-			panic(fmt.Sprintf("par: Scatter needs %d parts, got %d", c.size, len(parts)))
-		}
-		for i := 0; i < c.size; i++ {
-			if i != root {
-				c.SendF64(i, TagUser+tagScatter, parts[i])
-			}
-		}
-		return append([]float64(nil), parts[root]...)
-	}
-	d, _ := c.RecvF64(root, TagUser+tagScatter)
-	return d
-}
-
-// ScatterBytes distributes byte parts from root.
-func (c *Comm) ScatterBytes(root int, parts [][]byte) []byte {
-	if c.rank == root {
-		c.rt.traffic.addColl()
-		if len(parts) != c.size {
-			panic(fmt.Sprintf("par: ScatterBytes needs %d parts, got %d", c.size, len(parts)))
-		}
-		for i := 0; i < c.size; i++ {
-			if i != root {
-				c.SendBytes(i, TagUser+tagScatterBytes, parts[i])
-			}
-		}
-		return append([]byte(nil), parts[root]...)
-	}
-	d, _ := c.RecvBytes(root, TagUser+tagScatterBytes)
-	return d
-}
-
 // Alltoall sends out[i] to rank i and returns the vector of received
 // parts indexed by source rank (alltoallv semantics: parts may differ
 // in length and may be empty).
 func (c *Comm) Alltoall(out [][]float64) [][]float64 {
-	if c.rank == 0 {
-		c.rt.traffic.addColl()
-	}
 	if len(out) != c.size {
 		panic(fmt.Sprintf("par: Alltoall needs %d parts, got %d", c.size, len(out)))
 	}
@@ -361,112 +287,4 @@ func (c *Comm) Alltoall(out [][]float64) [][]float64 {
 		in[from] = d
 	}
 	return in
-}
-
-// AlltoallBytes is Alltoall for byte payloads.
-func (c *Comm) AlltoallBytes(out [][]byte) [][]byte {
-	if c.rank == 0 {
-		c.rt.traffic.addColl()
-	}
-	if len(out) != c.size {
-		panic(fmt.Sprintf("par: AlltoallBytes needs %d parts, got %d", c.size, len(out)))
-	}
-	in := make([][]byte, c.size)
-	in[c.rank] = append([]byte(nil), out[c.rank]...)
-	for i := 0; i < c.size; i++ {
-		if i != c.rank {
-			c.SendBytes(i, TagUser+tagAlltoallBytes, out[i])
-		}
-	}
-	for i := 0; i < c.size-1; i++ {
-		d, from := c.RecvBytes(AnySource, TagUser+tagAlltoallBytes)
-		in[from] = d
-	}
-	return in
-}
-
-// Split partitions the communicator by color, ordering ranks within
-// each new communicator by key (ties broken by old rank), exactly like
-// MPI_Comm_split. Ranks passing a negative color receive nil.
-func (c *Comm) Split(color, key int) *Comm {
-	if c.rank == 0 {
-		c.rt.traffic.addColl()
-	}
-	// Gather (rank, color, key) triples at rank 0 of this communicator.
-	all := c.GatherInts(0, []int{c.rank, color, key})
-	if c.rank == 0 {
-		type info struct{ rank, color, key int }
-		groups := map[int][]info{}
-		var negatives []int
-		for _, tri := range all {
-			si := info{tri[0], tri[1], tri[2]}
-			if si.color < 0 {
-				negatives = append(negatives, si.rank)
-				continue
-			}
-			groups[si.color] = append(groups[si.color], si)
-		}
-		for col, g := range groups {
-			sort.Slice(g, func(i, j int) bool {
-				if g[i].key != g[j].key {
-					return g[i].key < g[j].key
-				}
-				return g[i].rank < g[j].rank
-			})
-			members := make([]int, len(g))
-			for i, si := range g {
-				members[i] = c.world(si.rank)
-			}
-			for _, si := range g {
-				c.SendInts(si.rank, TagUser+tagSplit, append([]int{col}, members...))
-			}
-		}
-		for _, r := range negatives {
-			c.SendInts(r, TagUser+tagSplit, []int{-1})
-		}
-	}
-	reply, _ := c.RecvInts(0, TagUser+tagSplit)
-	if reply[0] < 0 {
-		return nil
-	}
-	members := reply[1:]
-	myWorld := c.WorldRank()
-	myNew := -1
-	for i, w := range members {
-		if w == myWorld {
-			myNew = i
-			break
-		}
-	}
-	if myNew < 0 {
-		panic("par: Split membership inconsistency")
-	}
-	return &Comm{
-		rt:    c.rt,
-		rank:  myNew,
-		size:  len(members),
-		ranks: members,
-		cid:   commID(reply[0], members),
-	}
-}
-
-// commID derives a deterministic communicator identity from the split
-// colour and the member world-rank list (FNV-1a). All members compute
-// the same value; distinct member sets get distinct ids with
-// overwhelming probability, and message matching additionally checks
-// source and tag.
-func commID(color int, members []int) uint64 {
-	h := uint64(1469598103934665603)
-	mix := func(x uint64) {
-		h ^= x
-		h *= 1099511628211
-	}
-	mix(uint64(int64(color)) + 1)
-	for _, m := range members {
-		mix(uint64(m) + 0x9e3779b9)
-	}
-	if h == 0 {
-		h = 1 // never collide with the world communicator's id
-	}
-	return h
 }

@@ -5,12 +5,12 @@
 // an MPI application. This environment has no MPI, so par reproduces the
 // programming model at laptop scale: a Runtime launches P logical ranks
 // as goroutines, each receiving a *Comm handle providing point-to-point
-// messaging, collectives and subcommunicators. Every byte moved through
+// messaging and collectives. Every byte moved through
 // a Comm is metered, which is what the paper's co-design questions
 // (communication cost of visualisation algorithms, file-read
 // distribution cost, halo-exchange volume) need measured.
 //
-// Messages are matched MPI-style on (communicator, source, tag) with
+// Messages are matched MPI-style on (source, tag) with
 // non-overtaking order per (source, dest, tag) pair. Payloads are Go
 // slices; the typed helpers (SendF64 etc.) copy on send so callers may
 // reuse buffers immediately. The untyped Send shares the slice by
@@ -34,14 +34,13 @@ const AnySource = -1
 
 // message is an envelope queued at the receiver.
 type message struct {
-	cid  uint64 // communicator identity
-	src  int    // sender's rank local to that communicator
+	src  int // sender's rank
 	tag  int
 	data any
 	size int // metered payload bytes
 }
 
-// mailbox is one rank's incoming queue with (cid, src, tag) matching.
+// mailbox is one rank's incoming queue with (src, tag) matching.
 type mailbox struct {
 	mu   sync.Mutex
 	cond *sync.Cond
@@ -65,17 +64,17 @@ func (mb *mailbox) put(m message) {
 	mb.mu.Unlock()
 }
 
-// get blocks until a message matching (cid, src, tag) is available and
+// get blocks until a message matching (src, tag) is available and
 // removes it. src == AnySource matches any sender.
-func (mb *mailbox) get(cid uint64, src, tag int) message {
+func (mb *mailbox) get(src, tag int) message {
 	mb.mu.Lock()
 	defer mb.mu.Unlock()
 	for {
 		if mb.aborted != nil && mb.aborted.Load() {
 			panic(abortPanic{})
 		}
-		for i, m := range mb.q {
-			if m.cid == cid && (src == AnySource || m.src == src) && m.tag == tag {
+		for i := range mb.q {
+			if m := mb.q[i]; (src == AnySource || m.src == src) && m.tag == tag {
 				mb.q = append(mb.q[:i], mb.q[i+1:]...)
 				return m
 			}
@@ -133,11 +132,10 @@ func (p *bufPool) put(b []float64) {
 
 // Traffic accumulates communication metering for one runtime.
 type Traffic struct {
-	mu        sync.Mutex
-	bytes     int64
-	messages  int64
-	perRank   []int64 // bytes sent by each world rank
-	collCalls int64
+	mu       sync.Mutex
+	bytes    int64
+	messages int64
+	perRank  []int64 // bytes sent by each rank
 }
 
 // Bytes returns total payload bytes sent through the runtime.
@@ -154,15 +152,7 @@ func (t *Traffic) Messages() int64 {
 	return t.messages
 }
 
-// CollectiveCalls returns the number of collective operations executed
-// (counted once per participating rank group, at the initiating call).
-func (t *Traffic) CollectiveCalls() int64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.collCalls
-}
-
-// PerRankBytes returns a copy of the bytes-sent-per-world-rank vector.
+// PerRankBytes returns a copy of the bytes-sent-per-rank vector.
 func (t *Traffic) PerRankBytes() []int64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -175,25 +165,19 @@ func (t *Traffic) PerRankBytes() []int64 {
 func (t *Traffic) Reset() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.bytes, t.messages, t.collCalls = 0, 0, 0
+	t.bytes, t.messages = 0, 0
 	for i := range t.perRank {
 		t.perRank[i] = 0
 	}
 }
 
-func (t *Traffic) addSend(worldRank, n int) {
+func (t *Traffic) addSend(rank, n int) {
 	t.mu.Lock()
 	t.bytes += int64(n)
 	t.messages++
-	if worldRank >= 0 && worldRank < len(t.perRank) {
-		t.perRank[worldRank] += int64(n)
+	if rank >= 0 && rank < len(t.perRank) {
+		t.perRank[rank] += int64(n)
 	}
-	t.mu.Unlock()
-}
-
-func (t *Traffic) addColl() {
-	t.mu.Lock()
-	t.collCalls++
 	t.mu.Unlock()
 }
 
@@ -270,7 +254,7 @@ func (r *Runtime) abort() {
 }
 
 // Run launches fn on every rank concurrently and waits for all ranks to
-// finish. Each invocation receives that rank's world communicator. If
+// finish. Each invocation receives that rank's communicator. If
 // any rank panics, every peer blocked in a collective is unwound (so
 // Run always returns even when the panic strikes mid-exchange) and Run
 // re-panics on the caller with a *RankPanic carrying the root-cause
@@ -290,7 +274,7 @@ func (r *Runtime) Run(fn func(c *Comm)) {
 					r.abort()
 				}
 			}()
-			fn(&Comm{rt: r, rank: rank, size: r.size, ranks: nil, cid: 0})
+			fn(&Comm{rt: r, rank: rank, size: r.size})
 		}(rank)
 	}
 	wg.Wait()
@@ -319,15 +303,13 @@ func (r *Runtime) Run(fn func(c *Comm)) {
 	}
 }
 
-// Comm is one rank's communicator handle. The world communicator spans
-// all runtime ranks; Split produces subcommunicators. Methods must only
-// be called from the goroutine owning the rank, as in MPI.
+// Comm is one rank's communicator handle; it spans all runtime ranks,
+// the only communicator there is. Methods must only be called from the
+// goroutine owning the rank, as in MPI.
 type Comm struct {
-	rt    *Runtime
-	rank  int    // rank within this communicator
-	size  int    // size of this communicator
-	ranks []int  // world ranks of members; nil means identity (world)
-	cid   uint64 // communicator identity for message matching
+	rt   *Runtime
+	rank int
+	size int
 	// gatherSeq numbers this rank's GatherConsume calls; SPMD order
 	// keeps it identical across ranks, giving each collective its own
 	// tag (see tagGatherConsumeBase).
@@ -339,24 +321,6 @@ func (c *Comm) Rank() int { return c.rank }
 
 // Size returns the communicator size.
 func (c *Comm) Size() int { return c.size }
-
-// Runtime returns the runtime this communicator belongs to.
-func (c *Comm) Runtime() *Runtime { return c.rt }
-
-// WorldRank returns the caller's rank in the world communicator.
-func (c *Comm) WorldRank() int {
-	if c.ranks == nil {
-		return c.rank
-	}
-	return c.ranks[c.rank]
-}
-
-func (c *Comm) world(rank int) int {
-	if c.ranks == nil {
-		return rank
-	}
-	return c.ranks[rank]
-}
 
 func payloadSize(data any) int {
 	switch d := data.(type) {
@@ -393,15 +357,14 @@ func (c *Comm) Send(dest, tag int, data any) {
 		panic(fmt.Sprintf("par: Send dest %d out of range [0,%d)", dest, c.size))
 	}
 	n := payloadSize(data)
-	c.rt.traffic.addSend(c.WorldRank(), n)
-	c.rt.boxes[c.world(dest)].put(message{cid: c.cid, src: c.rank, tag: tag, data: data, size: n})
+	c.rt.traffic.addSend(c.rank, n)
+	c.rt.boxes[dest].put(message{src: c.rank, tag: tag, data: data, size: n})
 }
 
-// Recv blocks until a message with matching source and tag arrives on
-// this communicator and returns its payload and actual source. src may
-// be AnySource.
+// Recv blocks until a message with matching source and tag arrives and
+// returns its payload and actual source. src may be AnySource.
 func (c *Comm) Recv(src, tag int) (data any, from int) {
-	m := c.rt.boxes[c.WorldRank()].get(c.cid, src, tag)
+	m := c.rt.boxes[c.rank].get(src, tag)
 	return m.data, m.src
 }
 
@@ -464,13 +427,4 @@ func (c *Comm) RecvInts(src, tag int) ([]int, int) {
 		return nil, from
 	}
 	return d.([]int), from
-}
-
-// SendRecvF64 exchanges float64 payloads with a partner rank in one
-// call, the canonical halo-exchange primitive. Both sides must call it
-// with mirrored arguments.
-func (c *Comm) SendRecvF64(partner, tag int, send []float64) []float64 {
-	c.SendF64(partner, tag, send)
-	d, _ := c.RecvF64(partner, tag)
-	return d
 }

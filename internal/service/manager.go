@@ -378,17 +378,12 @@ func (j *Job) LatestSnapshot() (*core.Snapshot, <-chan struct{}) {
 type Options struct {
 	// Workers bounds how many simulations step concurrently (paused
 	// jobs don't count) and how many frames render at once (one frame
-	// is cast on up to GOMAXPROCS goroutines); QueueCap bounds
+	// is cast by up to GOMAXPROCS participants); QueueCap bounds
 	// accepted-but-not-started submissions. Zero values fall back to
 	// 2 / 16.
 	Workers  int
 	QueueCap int
-	// SolverThreads is the default per-rank collide+stream worker count
-	// for specs that leave threads at 0 (clamped to [1, 16]; default 1 =
-	// serial). Results are bit-identical either way, so this is purely a
-	// throughput knob for multi-core daemons.
-	SolverThreads int
-	Metrics       *Metrics
+	Metrics  *Metrics
 	// Store, when set, makes jobs durable: specs and lifecycle states
 	// are journaled on every change, running jobs checkpoint their
 	// solver state at a cadence, and NewManagerOpts re-queues whatever
@@ -461,9 +456,7 @@ type Manager struct {
 	fullEvery int
 	// chaos observes named crash points (nil in production).
 	chaos ChaosHook
-	// solverThreads is the daemon default for specs with threads: 0.
-	solverThreads int
-	queue         chan *Job
+	queue chan *Job
 	// queueCap is the configured admission limit. Recovery may size
 	// the queue channel above it to hold a large re-queued backlog,
 	// but new submissions are judged against this, so a restart never
@@ -538,12 +531,6 @@ func NewManagerOpts(o Options) *Manager {
 	case o.CheckpointEvery < 0:
 		o.CheckpointEvery = 0 // no daemon default; specs may still opt in
 	}
-	if o.SolverThreads < 1 {
-		o.SolverThreads = 1
-	}
-	if o.SolverThreads > maxSpecThreads {
-		o.SolverThreads = maxSpecThreads
-	}
 	if o.CheckpointFullEvery == 0 {
 		o.CheckpointFullEvery = 8
 	}
@@ -554,16 +541,15 @@ func NewManagerOpts(o Options) *Manager {
 		o.GCInterval = time.Minute
 	}
 	m := &Manager{
-		metrics:       o.Metrics,
-		log:           o.Logger,
-		ringSz:        o.EventRing,
-		store:         o.Store,
-		ckptEvery:     o.CheckpointEvery,
-		fullEvery:     o.CheckpointFullEvery,
-		chaos:         o.ChaosHook,
-		solverThreads: o.SolverThreads,
-		slots:         make(chan struct{}, o.Workers),
-		frameBufs:     make(chan *insitu.FrameBuffers, o.Workers),
+		metrics:   o.Metrics,
+		log:       o.Logger,
+		ringSz:    o.EventRing,
+		store:     o.Store,
+		ckptEvery: o.CheckpointEvery,
+		fullEvery: o.CheckpointFullEvery,
+		chaos:     o.ChaosHook,
+		slots:     make(chan struct{}, o.Workers),
+		frameBufs: make(chan *insitu.FrameBuffers, o.Workers),
 		frames: newLRU[frameKey](frameEntries, func(frame) int { return 1 },
 			&o.Metrics.frameHits, &o.Metrics.frameMiss, &o.Metrics.frameEvict),
 		domains: newLRU[domainKey](siteBudget, func(d *geometry.Domain) int { return d.NumSites() },
@@ -1149,14 +1135,11 @@ func (o jobObserver) ObservePhase(p obs.Phase, step int, ns int64) {
 		// The same in-loop time CheckpointStallNs accumulates (over in
 		// ckptWriter.Deliver) — histogram only here, no double count.
 		o.m.CheckpointGather.Observe(ns)
-	case obs.PhaseTile:
-		o.m.TileDuration.Observe(ns)
 	}
-	// The command-word broadcast happens every step, and tile samples
-	// arrive once per worker per sampled step; recording each one would
-	// wash every lifecycle event out of the ring, so both phases stay
-	// histogram-only.
-	if p != obs.PhaseCollective && p != obs.PhaseTile {
+	// The command-word broadcast happens every step; recording each one
+	// would wash every lifecycle event out of the ring, so that phase
+	// stays histogram-only.
+	if p != obs.PhaseCollective {
 		o.j.rec.Record(obs.PhaseEventName(p), step, ns, "")
 	}
 }
@@ -1184,11 +1167,6 @@ func (m *Manager) run(j *Job) {
 	if err != nil {
 		m.finish(j, err, false)
 		return
-	}
-	if cfg.Threads == 0 {
-		// Spec left the knob unset: use the daemon default (clamped at
-		// construction). Explicit spec values passed Validate's cap.
-		cfg.Threads = m.solverThreads
 	}
 	cfg.Controller = j.ctrl
 	cfg.Phases = jobObserver{m: m.metrics, j: j}
@@ -1336,8 +1314,8 @@ func (m *Manager) run(j *Job) {
 		m.persistStateAsync(j)
 	}
 	// The recover wrapper turns a panicking solver — a rank goroutine
-	// (surfaced by par.Runtime as a RankPanic), a tile worker, a bad
-	// restore — into a failed job instead of a dead daemon: the panic
+	// (surfaced by par.Runtime as a RankPanic), a bad restore — into a
+	// failed job instead of a dead daemon: the panic
 	// value and stack go to the log and flight recorder, siblings keep
 	// stepping, and the HTTP plane never notices.
 	runErr := guard.Capture("solver run", func() error {
@@ -1768,8 +1746,9 @@ func (m *Manager) frameFromSnapshot(snap *core.Snapshot, req insitu.Request) ([]
 // render casts and encodes one frame on a set of frame buffers, waiting
 // for a set when Workers renders are already running. A panicking
 // renderer (degenerate view, snapshot-shape bug) fails that one frame
-// with ErrInternal; guard.ForChunks brings a panic on any of the
-// frame's goroutines back to this one, and the set goes back either way.
+// with ErrInternal; guard's runner brings a panic on any participant
+// in the frame's row parcels back to this goroutine, and the set goes
+// back either way.
 func (m *Manager) render(snap *core.Snapshot, req insitu.Request) (f frame, err error) {
 	start := time.Now()
 	m.metrics.RenderQueueDepth.Add(1)

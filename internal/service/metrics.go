@@ -134,17 +134,12 @@ type Metrics struct {
 	// (voxelise or cache hit; partition, stream tables and halo plans
 	// unless the domain keeps them) — what stands between a worker slot
 	// and the first step.
-	// TileDuration samples per-worker collide+stream tile durations on
-	// tiled solvers (same cadence as StepDuration): the spread between
-	// its p50 and p99 is intra-rank load imbalance the aggregate step
-	// histogram hides.
 	StepDuration     obs.Histogram
 	CollectiveWait   obs.Histogram
 	FieldGather      obs.Histogram
 	CheckpointGather obs.Histogram
 	CheckpointWrite  obs.Histogram
 	RenderLatency    obs.Histogram
-	TileDuration     obs.Histogram
 	Preprocess       obs.Histogram
 	HTTPLatency      obs.HistogramSet
 }
@@ -225,7 +220,6 @@ func (m *Metrics) histograms() []histogramRow {
 		{"hemeserved_checkpoint_write", &m.CheckpointWrite, "Checkpoint encode+fsync duration on the writer goroutine."},
 		{"hemeserved_render_latency", &m.RenderLatency, "Cache-miss frame latency, wait for frame buffers to PNG encoded."},
 		{"hemeserved_preprocess", &m.Preprocess, "Job pre-processing at dispatch: domain cache lookup or voxelise, graph, partition."},
-		{"hemeserved_tile_duration", &m.TileDuration, "Per-worker collide+stream tile duration (rank 0, sampled; tiled solvers only)."},
 	}
 }
 

@@ -28,11 +28,6 @@ type JobSpec struct {
 	H      float64 `json:"h,omitempty"`     // lattice spacing, default 1
 	Tau    float64 `json:"tau,omitempty"`   // default 0.9
 	Ranks  int     `json:"ranks,omitempty"` // simulated MPI ranks, default 1
-	// Threads tiles each rank's collide+stream pass over that many
-	// worker goroutines. 0 (or omitted) means the daemon's default
-	// (-solver-threads, 1 unless changed); capped at 16. Results are
-	// bit-identical to serial for any value.
-	Threads int `json:"threads,omitempty"`
 	// Steps is the number of time steps to run (required).
 	Steps int `json:"steps"`
 	// Method selects the partitioner (default multilevel).
@@ -59,11 +54,6 @@ type JobSpec struct {
 	PulsePeriod float64 `json:"pulse_period,omitempty"`
 	Seed        int64   `json:"seed,omitempty"`
 }
-
-// maxSpecThreads caps the per-job solver thread request: a shared
-// daemon must not let one tenant spawn an unbounded worker fleet
-// (ranks × threads goroutines all burning CPU).
-const maxSpecThreads = 16
 
 // withDefaults fills the optional knobs.
 func (sp JobSpec) withDefaults() JobSpec {
@@ -144,9 +134,6 @@ func (sp JobSpec) Validate() error {
 	if sp.Ranks < 0 || sp.Ranks > 256 {
 		return fmt.Errorf("service: ranks out of range: %d", sp.Ranks)
 	}
-	if sp.Threads < 0 || sp.Threads > maxSpecThreads {
-		return fmt.Errorf("service: threads %d out of range [0, %d] (0 = daemon default)", sp.Threads, maxSpecThreads)
-	}
 	if sp.SnapshotEvery < -1 {
 		return fmt.Errorf("service: snapshot_every %d invalid (N steps, 0 = default, -1 = off)", sp.SnapshotEvery)
 	}
@@ -172,7 +159,6 @@ func (sp JobSpec) coreConfig() (core.Config, error) {
 		H:             sp.H,
 		Tau:           sp.Tau,
 		Ranks:         sp.Ranks,
-		Threads:       sp.Threads,
 		Method:        partition.Method(sp.Method),
 		SnapshotEvery: snapEvery,
 		PulseAmp:      sp.PulseAmp,

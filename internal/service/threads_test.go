@@ -2,55 +2,67 @@ package service
 
 import (
 	"context"
+	"encoding/json"
 	"io"
 	"net/http"
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/service/store"
 )
 
-// TestSpecThreadsValidation: the per-job worker request is capped so
-// one tenant cannot spawn an unbounded goroutine fleet on a shared
-// daemon (0 = daemon default, 16 = ceiling).
-func TestSpecThreadsValidation(t *testing.T) {
-	base := JobSpec{Preset: "pipe", Steps: 100}
-	for _, threads := range []int{0, 1, 8, 16} {
-		sp := base
-		sp.Threads = threads
-		if err := sp.Validate(); err != nil {
-			t.Errorf("threads=%d rejected: %v", threads, err)
-		}
+// TestSpecWithThreadsStillRuns: job specs no longer carry a solver
+// thread count, but one written by an older client or journaled by an
+// older daemon still says "threads": 4. Neither the HTTP layer nor the
+// journal rejects unknown keys, so both the submission and the
+// recovered journal record must decode and run to done.
+func TestSpecWithThreadsStillRuns(t *testing.T) {
+	const spec = `{"preset":"pipe","steps":64,"threads":4}`
+	dir := t.TempDir()
+	st := openStore(t, dir)
+	if err := st.AppendSubmit("job-0001", json.RawMessage(spec), store.JobRecord{
+		ID: "job-0001", State: string(StateQueued), CreatedAt: time.Now(),
+	}); err != nil {
+		t.Fatal(err)
 	}
-	for _, threads := range []int{-1, 17, 1000} {
-		sp := base
-		sp.Threads = threads
-		if err := sp.Validate(); err == nil {
-			t.Errorf("threads=%d accepted, want rejection", threads)
+	st.CloseJournal()
+
+	mgr := NewManagerOpts(Options{Workers: 1, QueueCap: 4, Store: openStore(t, dir)})
+	srv := NewServer(mgr)
+	if err := srv.Start("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		if err := srv.Shutdown(ctx); err != nil {
+			t.Errorf("shutdown: %v", err)
+		}
+	})
+	recovered, err := mgr.Get("job-0001")
+	if err != nil {
+		t.Fatalf("the journaled spec did not come back: %v", err)
+	}
+	submitted, err := mgr.Get(submit(t, "http://"+srv.Addr(), spec).ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, j := range []*Job{recovered, submitted} {
+		waitFor(t, j.ID+" terminal", func() bool { return j.State().Terminal() })
+		if info := j.Info(); info.State != StateDone || info.Step != 64 {
+			t.Errorf("%s ended %s at step %d, want done at 64 (%s)", j.ID, info.State, info.Step, info.Error)
 		}
 	}
 }
 
-// TestSolverThreadsDefaultClamped: the daemon-wide -solver-threads
-// default is clamped to the same [1, 16] range as per-spec requests.
-func TestSolverThreadsDefaultClamped(t *testing.T) {
-	for _, tc := range []struct{ in, want int }{
-		{-3, 1}, {0, 1}, {1, 1}, {4, 4}, {16, 16}, {99, 16},
-	} {
-		m := NewManagerOpts(Options{Workers: 1, QueueCap: 1, SolverThreads: tc.in})
-		if m.solverThreads != tc.want {
-			t.Errorf("SolverThreads %d clamped to %d, want %d", tc.in, m.solverThreads, tc.want)
-		}
-		m.Close()
-	}
-}
-
-// TestTiledJobDivergedLatch blows up a tiled job mid-run (an absurd
+// TestJobDivergedLatch blows up a job mid-run (an absurd
 // iolet density is the classic operator fat-finger) and checks the
 // whole diagnostics chain the satellite added: JobInfo.Diverged flips,
 // hemeserved_jobs_diverged_total increments once, and the flight
 // recorder holds a diverged event — instead of the old failure mode of
 // silently rendering NaN-grey frames under a reassuring MaxSpeed.
-func TestTiledJobDivergedLatch(t *testing.T) {
+func TestJobDivergedLatch(t *testing.T) {
 	// A big flight-recorder ring: the event flood of a fast-stepping
 	// job (snapshot-skip every cadence) must not evict the diverged
 	// event before the test reads it back.

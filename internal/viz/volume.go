@@ -84,7 +84,8 @@ type VolumeBuffers struct {
 }
 
 // Render is RenderVolume into b's own image, which is valid until the
-// next call, cast on up to GOMAXPROCS goroutines: a render worker's
+// next call, cast by up to GOMAXPROCS participants (the caller and
+// guard's idle helpers): a render worker's
 // frame is the whole product, where RenderVolume's caller is one rank
 // of several that already share the machine. The image does not depend
 // on how many (see render).
@@ -92,13 +93,13 @@ func (b *VolumeBuffers) Render(f *field.Field, opt VolumeOptions) (*render.Image
 	return b.render(f, opt, runtime.GOMAXPROCS(0))
 }
 
-// parcelRows is how many image rows a goroutine claims at a time. Most
+// parcelRows is how many image rows a participant claims at a time. Most
 // rows of a frame are background and cost next to nothing, so the rows
 // are handed out in small parcels rather than split in equal shares.
 const parcelRows = 4
 
 // render casts the image in parcels of rows claimed by up to workers
-// goroutines. Every pixel is its own ray and a parcel writes only its
+// participants. Every pixel is its own ray and a parcel writes only its
 // own rows, so the image is the same, bit for bit, for any worker count.
 func (b *VolumeBuffers) render(f *field.Field, opt VolumeOptions, workers int) (*render.Image, error) {
 	opt = opt.withDefaults()
