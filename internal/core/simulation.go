@@ -9,6 +9,7 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"time"
 
@@ -42,8 +43,10 @@ type Config struct {
 	// Ranks is the number of simulated MPI ranks (default 1).
 	Ranks int
 	// Threads caps how many participants claim each rank's fused
-	// collide+stream pass (0 or 1 = serial). Results are bit-identical
-	// to serial for any value — see lb.Params.Threads.
+	// collide+stream pass (1 = serial; 0 = GOMAXPROCS). A rank whose
+	// pass is too small to feed them takes fewer (lb.Participants).
+	// Results are bit-identical to serial for any value — see
+	// lb.Params.Threads, whose zero value stays serial.
 	Threads int
 	// Method selects the domain-decomposition algorithm (default
 	// multilevel, the ParMETIS role).
@@ -163,6 +166,9 @@ func (c Config) withDefaults() Config {
 	if c.Ranks == 0 {
 		c.Ranks = 1
 	}
+	if c.Threads == 0 {
+		c.Threads = runtime.GOMAXPROCS(0)
+	}
 	if c.Method == "" {
 		c.Method = partition.MethodMultilevel
 	}
@@ -199,6 +205,9 @@ type Simulation struct {
 	// already kept on it; PlanTime is what finding or building it took.
 	PlanHit  bool
 	PlanTime time.Duration
+	// Participants is how many participants step rank 0's passes:
+	// lb.Participants of its site count under Cfg.Threads.
+	Participants int
 
 	// graph is the site graph behind Graph(); New builds it only when
 	// there is something to partition.
@@ -259,6 +268,7 @@ func New(cfg Config) (*Simulation, error) {
 	if err != nil {
 		return nil, err
 	}
+	s.Participants = lb.Participants(rankSites(s.Part, 0), cfg.Threads)
 	planStart := time.Now()
 	s.PlanHit, err = lb.Prepare(dom)
 	s.PlanTime = time.Since(planStart)
@@ -280,6 +290,17 @@ func New(cfg Config) (*Simulation, error) {
 		s.Ctrl = srv.Controller()
 	}
 	return s, nil
+}
+
+// rankSites counts the sites part assigns to rank r.
+func rankSites(part *partition.Partition, r int32) int {
+	n := 0
+	for _, p := range part.Parts {
+		if p == r {
+			n++
+		}
+	}
+	return n
 }
 
 // Graph returns the simulation's site graph, built from the domain on

@@ -2,6 +2,7 @@ package core
 
 import (
 	"io"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -87,8 +88,9 @@ func TestTiledRunWithConcurrentGathers(t *testing.T) {
 		}
 	}()
 
+	// Each rank owns ~30 parcels, enough for two participants.
 	s, err := New(Config{
-		Vessel: geometry.Pipe(16, 3), H: 1, Tau: 0.9,
+		Vessel: geometry.Pipe(48, 10), H: 1, Tau: 0.9,
 		Ranks: 2, Threads: 3, VizEvery: 0,
 		SnapshotEvery:   5,
 		OnSnapshot:      func(sn *Snapshot) { snaps <- sn },
@@ -99,6 +101,9 @@ func TestTiledRunWithConcurrentGathers(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
+	if runtime.GOMAXPROCS(0) >= 2 && s.Participants < 2 {
+		t.Fatalf("rank 0 of a %d-site run steps on %d participant(s); the test needs its passes split", s.Dom.NumSites(), s.Participants)
+	}
 	if err := s.Run(40); err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package guard
 
 import (
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -25,6 +26,7 @@ type Parcels struct {
 	fn    func(slot, i int)
 	n     int64
 	next  atomic.Int64 // the cursor parcels are claimed from
+	ran   atomic.Int64 // parcels the pass's participants have run
 	slots atomic.Int32 // the slot the next joining helper takes
 	wg    sync.WaitGroup
 	first atomic.Pointer[panicked]
@@ -45,10 +47,13 @@ type panicked struct{ v any }
 // recover on: the first one is caught where it happens, the parcels
 // not yet claimed are skipped, and once every participant has returned
 // that value is raised again on the caller's goroutine — where a
-// Capture around the caller contains it like any other.
+// Capture around the caller contains it like any other. A pass that
+// ends without a panic but ran other than n parcels panics too, so a
+// lost or doubled claim fails loudly instead of leaving sites unstepped.
 func (p *Parcels) Run(n, workers int, fn func(slot, i int)) {
 	p.fn, p.n = fn, int64(n)
 	p.next.Store(0)
+	p.ran.Store(0)
 	p.slots.Store(1)
 	if n < 2 || workers < 2 || wake(p, min(n, workers)-1) == 0 {
 		for i := 0; i < n; i++ {
@@ -61,15 +66,22 @@ func (p *Parcels) Run(n, workers int, fn func(slot, i int)) {
 	if f := p.first.Swap(nil); f != nil {
 		panic(f.v)
 	}
+	if ran := p.ran.Load(); ran != p.n {
+		panic(fmt.Sprintf("guard: pass ran %d of %d parcels", ran, p.n))
+	}
 }
 
 // work claims parcels from the cursor until none are left, or until a
-// participant's panic has moved the cursor to the end.
+// participant's panic has moved the cursor to the end. It counts what
+// it ran locally and adds that to the pass once, on the way out.
 func (p *Parcels) work(slot int) {
 	defer p.catch()
+	ran := int64(0)
 	for i := p.next.Add(1) - 1; i < p.n; i = p.next.Add(1) - 1 {
 		p.fn(slot, int(i))
+		ran++
 	}
+	p.ran.Add(ran)
 }
 
 // catch keeps the first panic of the pass and moves the cursor to the

@@ -153,3 +153,27 @@ func TestParcelsAllocationFree(t *testing.T) {
 		t.Errorf("passes summed %d, want %d", sum.Load(), want)
 	}
 }
+
+// TestParcelsPanicsOnLostParcels: a pass whose participants ran other
+// than n parcels without any of them panicking must not return as if
+// every index had run. The fn here moves the cursor past three indices
+// the way a lost claim would.
+func TestParcelsPanicsOnLostParcels(t *testing.T) {
+	if runtime.GOMAXPROCS(0) < 2 {
+		t.Skip("the count is checked on passes with helpers; needs GOMAXPROCS >= 2")
+	}
+	var p Parcels
+	fn := func(_, i int) {
+		if i == 0 {
+			p.next.Add(3)
+		}
+	}
+	got := func() (v any) {
+		defer func() { v = recover() }()
+		p.Run(64, 2, fn)
+		return nil
+	}()
+	if want := "guard: pass ran 61 of 64 parcels"; got != want {
+		t.Errorf("recovered %v, want %q", got, want)
+	}
+}

@@ -60,7 +60,7 @@ func (d *Dist) NumOwned() int { return d.n }
 
 // Step advances one time step: the kernel's fused collide+stream on
 // owned sites (cross-rank populations packed into sendBuf), halo
-// exchange, scatter, swap. Site parcels (Params.Threads > 1) are
+// exchange, scatter, swap. Site parcels (Participants > 1) are
 // claimed inside the kernel pass; the halo exchange stays on the
 // calling goroutine so the par runtime sees the usual
 // one-goroutine-per-rank SPMD structure.

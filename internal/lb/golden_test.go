@@ -88,6 +88,7 @@ func TestGoldenStateHash(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				s.setWorkers(threads)
 				tc.drive(s)
 				if got := stateHash(s.F()); got != tc.want {
 					t.Errorf("Solver threads=%d: state hash %#016x, want %#016x", threads, got, tc.want)
@@ -105,6 +106,7 @@ func TestGoldenStateHash(t *testing.T) {
 					par.NewRuntime(k).Run(func(c *par.Comm) {
 						d, err := NewDist(c, tc.dom, part, Params{Tau: 0.9, Kind: tc.kind, Threads: threads})
 						must(err)
+						d.setWorkers(threads)
 						defer d.Close()
 						tc.drive(d)
 						if st := d.GatherState(nil); st != nil {

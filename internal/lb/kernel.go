@@ -3,6 +3,7 @@ package lb
 import (
 	"fmt"
 	"math"
+	"runtime"
 
 	"repro/internal/geometry"
 	"repro/internal/guard"
@@ -25,6 +26,23 @@ const (
 // parcelSites is how many sites one claim of a threaded pass steps:
 // the granularity of the checkpoint's dirty-tile map.
 const parcelSites = DefaultDeltaTileSites
+
+// minParcelsPerParticipant is how many parcels a pass must hold for
+// each participant stepping it, so below twice this a pass stays
+// serial. Stepping D3Q19 presets in-process at 1 and 2 participants on
+// a 2-core host, passes of 3-8 parcels ran 0.84-1.06x as fast split,
+// 9-18 parcels 0.87-1.16x, and 22 or more 1.00-1.36x (312: 1.6-1.8x).
+const minParcelsPerParticipant = 10
+
+// Participants returns how many participants step a pass over sites
+// local sites under a cap of threads (0 or 1 = serial): one per
+// minParcelsPerParticipant parcels, at least one, and no more than the
+// cap or GOMAXPROCS. A kernel derives its count this way once, from
+// its own site count.
+func Participants(sites, threads int) int {
+	parcels := (sites + parcelSites - 1) / parcelSites
+	return max(1, min(threads, runtime.GOMAXPROCS(0), parcels/minParcelsPerParticipant))
+}
 
 // kernelScratch is one participant's private collision scratch (the
 // post-collision copy and the equilibrium buffer). Sharing these
@@ -67,10 +85,13 @@ type kernel struct {
 	pulses   []*Pulse
 	rhoIo    []float64
 	scratch  []kernelScratch
-	// threads caps the participants of a pass (1 = serial). With more,
-	// the pass claims parcelSites-site parcels through parcels, calling
-	// the kept method value stepFn, so a pass allocates nothing.
+	// threads is the cap the kernel was built with (1 = serial);
+	// workers is how many participants its passes take, Participants
+	// of its site count under that cap. With more than one, a pass
+	// claims parcelSites-site parcels through parcels, calling the kept
+	// method value stepFn, so a pass allocates nothing.
 	threads int
+	workers int
 	parcels guard.Parcels
 	stepFn  func(slot, i int)
 
@@ -93,18 +114,27 @@ func newKernel(dom *geometry.Domain, p Params, pl *plan) *kernel {
 		ioletRho: make([]float64, len(dom.Iolets)),
 		pulses:   make([]*Pulse, len(dom.Iolets)),
 		rhoIo:    make([]float64, len(dom.Iolets)),
-		scratch:  make([]kernelScratch, p.workers()),
 		threads:  p.workers(),
 	}
-	for w := range k.scratch {
-		k.scratch[w] = kernelScratch{post: make([]float64, m.Q), feqBuf: make([]float64, m.Q)}
-	}
+	k.setWorkers(Participants(pl.n, k.threads))
 	k.stepFn = k.stepParcel
 	for i, io := range dom.Iolets {
 		k.ioletRho[i] = 1 + io.Pressure
 	}
 	k.InitEquilibrium(p.initialRho())
 	return k
+}
+
+// setWorkers makes every pass take n participants (at least one),
+// each with its own scratch. newKernel passes Participants of the
+// kernel's sites; the parcel-path tests pin their thread count
+// instead, since their domains are far below the floor.
+func (k *kernel) setWorkers(n int) {
+	k.workers = max(n, 1)
+	k.scratch = make([]kernelScratch, k.workers)
+	for w := range k.scratch {
+		k.scratch[w] = kernelScratch{post: make([]float64, k.M.Q), feqBuf: make([]float64, k.M.Q)}
+	}
 }
 
 // InitEquilibrium sets every local site to the zero-velocity
@@ -164,10 +194,9 @@ func feqSym(w, rho, cu, u2 float64) float64 {
 
 // collideStream performs one fused collide+stream pass over all local
 // sites, writing into fNew (and sendBuf), and counts the step. Callers
-// deposit any halo populations into fNew and then swap. With
-// Params.Threads > 1 up to that many participants claim the pass's
-// site parcels; results are bit-identical to the serial pass for any
-// thread count.
+// deposit any halo populations into fNew and then swap. A kernel with
+// more than one participant claims the pass's site parcels on that
+// many; results are bit-identical to the serial pass for any count.
 func (k *kernel) collideStream() {
 	// Iolet densities for this step, including pulses — computed once
 	// before any parcel runs, so every participant reads the same
@@ -175,8 +204,8 @@ func (k *kernel) collideStream() {
 	for i := range k.rhoIo {
 		k.rhoIo[i] = effectiveIoletRho(k.ioletRho[i], k.pulses[i], k.step)
 	}
-	if k.threads > 1 {
-		k.parcels.Run((k.n+parcelSites-1)/parcelSites, k.threads, k.stepFn)
+	if k.workers > 1 {
+		k.parcels.Run((k.n+parcelSites-1)/parcelSites, k.workers, k.stepFn)
 	} else {
 		k.stepTile(0, 0, k.n)
 	}

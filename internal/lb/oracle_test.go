@@ -144,6 +144,7 @@ func TestSpecialisedMatchesOracle(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
+					s.setWorkers(threads)
 					if !s.d3q19 {
 						t.Fatal("a D3Q19 solver did not select the unrolled bodies")
 					}
@@ -170,6 +171,7 @@ func TestSpecialisedMatchesOracle(t *testing.T) {
 							if err != nil {
 								panic(err)
 							}
+							d.setWorkers(threads)
 							defer d.Close()
 							for li, g := range d.Owned {
 								copy(d.f[li*Q:(li+1)*Q], init[g*Q:(g+1)*Q])

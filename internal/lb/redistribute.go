@@ -17,8 +17,9 @@ const tagRedist = par.TagUser + 102
 // same time step. All ranks must call it collectively with the same
 // newPart.
 func (d *Dist) Redistribute(newPart *partition.Partition) (*Dist, error) {
-	// Threads carries over: the new solver claims parcels with the same
-	// participant cap the old one used.
+	// Threads carries over: the new solver claims parcels under the
+	// same participant cap the old one used, and derives its own count
+	// from the sites it now owns.
 	nd, err := NewDist(d.Comm, d.Dom, newPart, Params{Tau: d.Tau, Kind: d.Kind, Threads: d.Threads()})
 	if err != nil {
 		return nil, err

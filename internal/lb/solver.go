@@ -35,9 +35,15 @@ type Params struct {
 	Kind Collision
 	// Threads caps how many participants (the stepping goroutine, then
 	// guard's shared helpers) claim the collide+stream pass's site
-	// parcels (0 or 1 = serial). Results are bit-identical for any value:
+	// parcels (0 or 1 = serial); a pass too small to feed them takes
+	// fewer (Participants). Results are bit-identical for any value:
 	// sites update independently from their own populations into
 	// disjoint slots, so parcels change scheduling, never arithmetic.
+	//
+	// The zero value is serial here, unlike core.Config.Threads, whose
+	// zero means GOMAXPROCS: the benchmark's replay builds Solvers and
+	// Dists with Params{Tau} as its serial baseline, and a different
+	// lb zero value would silently redefine those figures.
 	Threads int
 }
 

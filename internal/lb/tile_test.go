@@ -3,6 +3,7 @@ package lb
 import (
 	"bytes"
 	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/par"
@@ -21,6 +22,7 @@ func TestSolverTiledBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		s.setWorkers(threads)
 		if err := s.SetPulse(0, &Pulse{Amp: 0.002, Period: 13}); err != nil {
 			t.Fatal(err)
 		}
@@ -88,6 +90,7 @@ func TestDistTiledBitIdentical(t *testing.T) {
 					panic(err)
 				}
 				defer d.Close()
+				d.setWorkers(threads)
 				if err := d.SetPulse(0, &Pulse{Amp: 0.002, Period: 13}); err != nil {
 					panic(err)
 				}
@@ -126,6 +129,7 @@ func TestRedistributeCarriesThreads(t *testing.T) {
 			if err != nil {
 				panic(err)
 			}
+			d.setWorkers(threads)
 			d.Advance(9)
 			nd, err := d.Redistribute(newPart)
 			if err != nil {
@@ -137,6 +141,10 @@ func TestRedistributeCarriesThreads(t *testing.T) {
 			if threads > 1 && d.Threads() != threads {
 				panic("redistribute dropped the thread count")
 			}
+			if d.workers != Participants(d.NumOwned(), threads) {
+				panic("redistribute did not derive the participants from the sites it owns")
+			}
+			d.setWorkers(threads)
 			d.Advance(9)
 			var buf bytes.Buffer
 			if err := d.Checkpoint(&buf); err != nil {
@@ -151,6 +159,53 @@ func TestRedistributeCarriesThreads(t *testing.T) {
 	serial := run(1)
 	if tiled := run(3); !bytes.Equal(serial, tiled) {
 		t.Error("tiled run across a repartition differs from serial")
+	}
+}
+
+// TestParticipantsRule pins how many participants a pass takes: one
+// per ten parcels, at least one, at most the cap and GOMAXPROCS. The
+// scale-1 presets (3-5 parcels) stay serial at any cap, and the floor
+// binds before GOMAXPROCS does only on a host wider than its share.
+func TestParticipantsRule(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	parcels := []int{3, 5, 19, 20, 40, 312}
+	// want[procs][cap] lists the count per parcels entry; cap 0 is
+	// core's automatic cap, GOMAXPROCS itself.
+	want := map[int]map[int][]int{
+		1: {1: {1, 1, 1, 1, 1, 1}, 2: {1, 1, 1, 1, 1, 1}, 4: {1, 1, 1, 1, 1, 1}, 0: {1, 1, 1, 1, 1, 1}},
+		2: {1: {1, 1, 1, 1, 1, 1}, 2: {1, 1, 1, 2, 2, 2}, 4: {1, 1, 1, 2, 2, 2}, 0: {1, 1, 1, 2, 2, 2}},
+		4: {1: {1, 1, 1, 1, 1, 1}, 2: {1, 1, 1, 2, 2, 2}, 4: {1, 1, 1, 2, 4, 4}, 0: {1, 1, 1, 2, 4, 4}},
+		8: {1: {1, 1, 1, 1, 1, 1}, 2: {1, 1, 1, 2, 2, 2}, 4: {1, 1, 1, 2, 4, 4}, 0: {1, 1, 1, 2, 4, 8}},
+	}
+	for _, procs := range []int{1, 2, 4, 8} {
+		runtime.GOMAXPROCS(procs)
+		for _, threads := range []int{1, 2, 4, 0} {
+			limit := threads
+			if limit == 0 {
+				limit = procs
+			}
+			for i, n := range parcels {
+				for _, sites := range []int{n * parcelSites, n*parcelSites - parcelSites/2} {
+					if got := Participants(sites, limit); got != want[procs][threads][i] {
+						t.Errorf("GOMAXPROCS=%d cap=%d: %d sites (%d parcels) take %d participants, want %d",
+							procs, limit, sites, n, got, want[procs][threads][i])
+					}
+				}
+			}
+		}
+		if got := Participants(100*parcelSites, 0); got != 1 {
+			t.Errorf("GOMAXPROCS=%d: lb's zero cap takes %d participants, want 1 (serial)", procs, got)
+		}
+	}
+	// A kernel derives its count from its own sites: the few parcels of
+	// the test pipe stay serial under any cap.
+	s, err := New(pipeDomain(t, 16, 3, 1.0), Params{Tau: 0.9, Threads: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.workers != 1 || s.Threads() != 4 {
+		t.Errorf("a %d-site solver at cap 4 takes %d participants (cap %d), want 1 (cap 4)",
+			s.NumSites(), s.workers, s.Threads())
 	}
 }
 
@@ -265,6 +320,7 @@ func TestTiledStepAllocationFlat(t *testing.T) {
 			panic(err)
 		}
 		defer d.Close()
+		d.setWorkers(4)
 		d.Advance(4)
 		if allocs := testing.AllocsPerRun(50, d.Step); allocs != 0 {
 			t.Errorf("tiled Dist.Step allocates %.1f objects per step, want 0", allocs)
@@ -282,6 +338,7 @@ func TestSolverAdvanceAllocationFlat(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		s.setWorkers(threads)
 		s.Advance(4)
 		if allocs := testing.AllocsPerRun(50, func() { s.Advance(1) }); allocs != 0 {
 			t.Errorf("threads=%d: Solver.Advance allocates %.1f objects per step, want 0", threads, allocs)

@@ -18,15 +18,16 @@ import (
 	"repro/internal/steering"
 )
 
-// uncachedFields runs spec on a bare core.Simulation that voxelises its
-// own private domain — no manager, no cache — and returns the final
-// snapshot's fields.
+// uncachedFields runs spec on a bare, serial core.Simulation that
+// voxelises its own private domain — no manager, no cache, no parcels —
+// and returns the final snapshot's fields.
 func uncachedFields(t *testing.T, spec JobSpec) *field.Field {
 	t.Helper()
 	cfg, err := spec.withDefaults().coreConfig()
 	if err != nil {
 		t.Fatal(err)
 	}
+	cfg.Threads = 1
 	var last *core.Snapshot
 	cfg.OnSnapshot = func(s *core.Snapshot) { last = s }
 	sim, err := core.New(cfg)

@@ -1292,8 +1292,8 @@ func (m *Manager) run(j *Job) {
 	} else {
 		m.metrics.SolverPlanMiss.Add(1)
 	}
-	detail += fmt.Sprintf(" voxelise_ms=%.3f plan=%s plan_ms=%.3f",
-		float64(voxelise.Nanoseconds())/1e6, plan, float64(sim.PlanTime.Nanoseconds())/1e6)
+	detail += fmt.Sprintf(" voxelise_ms=%.3f plan=%s plan_ms=%.3f participants=%d",
+		float64(voxelise.Nanoseconds())/1e6, plan, float64(sim.PlanTime.Nanoseconds())/1e6, sim.Participants)
 	if resumeStep > 0 {
 		detail += "; resumed from checkpoint"
 	}

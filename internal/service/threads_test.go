@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -130,5 +132,48 @@ func TestJobDivergedLatch(t *testing.T) {
 	time.Sleep(200 * time.Millisecond)
 	if n := metric(t, base, "hemeserved_jobs_diverged_total"); n != 1 {
 		t.Errorf("hemeserved_jobs_diverged_total = %d after more snapshots, want 1", n)
+	}
+}
+
+// TestJobStepsOnParticipants: a daemon job's solver claims its site
+// parcels on up to GOMAXPROCS participants when its pass can feed
+// them, and says how many in its dispatched event. aneurysm@2 (40
+// parcels) splits and still ends on the fields of a serial run bit for
+// bit; pipe@1 (5 parcels) is below the floor and steps on one.
+func TestJobStepsOnParticipants(t *testing.T) {
+	if runtime.GOMAXPROCS(0) < 2 {
+		t.Skip("a split needs GOMAXPROCS >= 2")
+	}
+	t.Cleanup(goroutineBaseline(t))
+	m := NewManagerOpts(Options{Workers: 2, QueueCap: 4})
+	defer m.Close()
+	big := JobSpec{Preset: "aneurysm", Scale: 2, Steps: 400, PulseAmp: 0.01, PulsePeriod: 100}
+	small := JobSpec{Preset: "pipe", Steps: 64}
+	participants := func(j *Job) int {
+		_, rest, _ := strings.Cut(dispatchDetail(t, j), " participants=")
+		if end := strings.IndexAny(rest, " ;"); end >= 0 {
+			rest = rest[:end]
+		}
+		n, err := strconv.Atoi(rest)
+		if err != nil {
+			t.Fatalf("%s: dispatched event %q carries no participant count", j.ID, dispatchDetail(t, j))
+		}
+		return n
+	}
+	bj, err := m.Submit(big)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sj, err := m.Submit(small)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameFields(t, bj.ID, finalFields(t, bj), uncachedFields(t, big))
+	finalFields(t, sj)
+	if n := participants(bj); n < 2 {
+		t.Errorf("aneurysm@2 stepped on %d participant(s), want at least 2", n)
+	}
+	if n := participants(sj); n != 1 {
+		t.Errorf("pipe@1 stepped on %d participants, want 1", n)
 	}
 }
