@@ -88,9 +88,9 @@ func TestTiledRunWithConcurrentGathers(t *testing.T) {
 		}
 	}()
 
-	// Each rank owns ~30 parcels, enough for two participants.
+	// Each rank owns ~125 parcels, enough for two participants.
 	s, err := New(Config{
-		Vessel: geometry.Pipe(48, 10), H: 1, Tau: 0.9,
+		Vessel: geometry.Pipe(64, 18), H: 1, Tau: 0.9,
 		Ranks: 2, Threads: 3, VizEvery: 0,
 		SnapshotEvery:   5,
 		OnSnapshot:      func(sn *Snapshot) { snaps <- sn },

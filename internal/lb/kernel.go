@@ -29,10 +29,13 @@ const parcelSites = DefaultDeltaTileSites
 
 // minParcelsPerParticipant is how many parcels a pass must hold for
 // each participant stepping it, so below twice this a pass stays
-// serial. Stepping D3Q19 presets in-process at 1 and 2 participants on
-// a 2-core host, passes of 3-8 parcels ran 0.84-1.06x as fast split,
-// 9-18 parcels 0.87-1.16x, and 22 or more 1.00-1.36x (312: 1.6-1.8x).
-const minParcelsPerParticipant = 10
+// serial. Jobs stepped through hemeserved on a 2-core host, with a
+// client polling their state every millisecond, ran 0.90-1.02x as fast
+// split in two as serial on domains of 40-93 parcels, and 1.01-1.33x
+// on 105-312. In-process, with no client beside it, a split paid from
+// ~20 parcels; in the daemon a participant the OS preempts mid-parcel
+// stalls the whole pass, so its passes need more work to amortise.
+const minParcelsPerParticipant = 50
 
 // Participants returns how many participants step a pass over sites
 // local sites under a cap of threads (0 or 1 = serial): one per

@@ -163,19 +163,20 @@ func TestRedistributeCarriesThreads(t *testing.T) {
 }
 
 // TestParticipantsRule pins how many participants a pass takes: one
-// per ten parcels, at least one, at most the cap and GOMAXPROCS. The
-// scale-1 presets (3-5 parcels) stay serial at any cap, and the floor
-// binds before GOMAXPROCS does only on a host wider than its share.
+// per 50 parcels, at least one, at most the cap and GOMAXPROCS. The
+// scale-1 presets (3-5 parcels) and the 40-parcel aneurysm stay serial
+// at any cap, and the floor binds before GOMAXPROCS does only on a host
+// wider than its share.
 func TestParticipantsRule(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	parcels := []int{3, 5, 19, 20, 40, 312}
+	parcels := []int{3, 5, 40, 99, 100, 312}
 	// want[procs][cap] lists the count per parcels entry; cap 0 is
 	// core's automatic cap, GOMAXPROCS itself.
 	want := map[int]map[int][]int{
 		1: {1: {1, 1, 1, 1, 1, 1}, 2: {1, 1, 1, 1, 1, 1}, 4: {1, 1, 1, 1, 1, 1}, 0: {1, 1, 1, 1, 1, 1}},
-		2: {1: {1, 1, 1, 1, 1, 1}, 2: {1, 1, 1, 2, 2, 2}, 4: {1, 1, 1, 2, 2, 2}, 0: {1, 1, 1, 2, 2, 2}},
-		4: {1: {1, 1, 1, 1, 1, 1}, 2: {1, 1, 1, 2, 2, 2}, 4: {1, 1, 1, 2, 4, 4}, 0: {1, 1, 1, 2, 4, 4}},
-		8: {1: {1, 1, 1, 1, 1, 1}, 2: {1, 1, 1, 2, 2, 2}, 4: {1, 1, 1, 2, 4, 4}, 0: {1, 1, 1, 2, 4, 8}},
+		2: {1: {1, 1, 1, 1, 1, 1}, 2: {1, 1, 1, 1, 2, 2}, 4: {1, 1, 1, 1, 2, 2}, 0: {1, 1, 1, 1, 2, 2}},
+		4: {1: {1, 1, 1, 1, 1, 1}, 2: {1, 1, 1, 1, 2, 2}, 4: {1, 1, 1, 1, 2, 4}, 0: {1, 1, 1, 1, 2, 4}},
+		8: {1: {1, 1, 1, 1, 1, 1}, 2: {1, 1, 1, 1, 2, 2}, 4: {1, 1, 1, 1, 2, 4}, 0: {1, 1, 1, 1, 2, 6}},
 	}
 	for _, procs := range []int{1, 2, 4, 8} {
 		runtime.GOMAXPROCS(procs)

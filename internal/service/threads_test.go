@@ -137,7 +137,7 @@ func TestJobDivergedLatch(t *testing.T) {
 
 // TestJobStepsOnParticipants: a daemon job's solver claims its site
 // parcels on up to GOMAXPROCS participants when its pass can feed
-// them, and says how many in its dispatched event. aneurysm@2 (40
+// them, and says how many in its dispatched event. aneurysm@3 (132
 // parcels) splits and still ends on the fields of a serial run bit for
 // bit; pipe@1 (5 parcels) is below the floor and steps on one.
 func TestJobStepsOnParticipants(t *testing.T) {
@@ -147,7 +147,7 @@ func TestJobStepsOnParticipants(t *testing.T) {
 	t.Cleanup(goroutineBaseline(t))
 	m := NewManagerOpts(Options{Workers: 2, QueueCap: 4})
 	defer m.Close()
-	big := JobSpec{Preset: "aneurysm", Scale: 2, Steps: 400, PulseAmp: 0.01, PulsePeriod: 100}
+	big := JobSpec{Preset: "aneurysm", Scale: 3, Steps: 120, PulseAmp: 0.01, PulsePeriod: 50}
 	small := JobSpec{Preset: "pipe", Steps: 64}
 	participants := func(j *Job) int {
 		_, rest, _ := strings.Cut(dispatchDetail(t, j), " participants=")
@@ -171,7 +171,7 @@ func TestJobStepsOnParticipants(t *testing.T) {
 	sameFields(t, bj.ID, finalFields(t, bj), uncachedFields(t, big))
 	finalFields(t, sj)
 	if n := participants(bj); n < 2 {
-		t.Errorf("aneurysm@2 stepped on %d participant(s), want at least 2", n)
+		t.Errorf("aneurysm@3 stepped on %d participant(s), want at least 2", n)
 	}
 	if n := participants(sj); n != 1 {
 		t.Errorf("pipe@1 stepped on %d participants, want 1", n)
