@@ -116,6 +116,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return fmt.Errorf("%w: %v", errUsage, err)
 	}
+	if !service.ValidRate(c.submitRate) || c.submitBurst < 0 {
+		return fmt.Errorf("%w: -submit-rate must be finite and -submit-burst not negative", errUsage)
+	}
 
 	var tenantCfgs []service.TenantConfig
 	if c.authKeys != "" {

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"errors"
 	"flag"
 	"io"
 	"net/http"
@@ -106,6 +107,19 @@ func TestRemovedFlagsFail(t *testing.T) {
 		err := run(context.Background(), []string{"-" + name, "1"}, io.Discard, io.Discard)
 		if err == nil || !strings.Contains(err.Error(), "-"+name) {
 			t.Errorf("-%s: %v, want an error naming the flag", name, err)
+		}
+	}
+}
+
+// TestBadSubmitLimitsFail: a submit rate that is not a finite,
+// non-negative number (NaN would build no token bucket and leave every
+// tenant unlimited) or a negative burst is a usage error.
+func TestBadSubmitLimitsFail(t *testing.T) {
+	for _, args := range [][]string{
+		{"-submit-rate", "NaN"}, {"-submit-rate", "inf"}, {"-submit-rate", "-1"}, {"-submit-burst", "-1"},
+	} {
+		if err := run(context.Background(), args, io.Discard, io.Discard); !errors.Is(err, errUsage) {
+			t.Errorf("%v: %v, want a usage error", args, err)
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -42,6 +43,11 @@ type TenantLimits struct {
 	Rate  float64
 	Burst int
 }
+
+// ValidRate reports whether r is a usable submit rate: finite and not
+// negative. A NaN rate would build no token bucket and leave the
+// tenant silently unlimited.
+func ValidRate(r float64) bool { return r >= 0 && !math.IsInf(r, 1) }
 
 // LoadAuthKeys reads and parses an -auth-keys file.
 func LoadAuthKeys(path string) ([]TenantConfig, error) {
@@ -96,7 +102,7 @@ func ParseAuthKeys(r io.Reader) ([]TenantConfig, error) {
 				cfg.MaxActive = n
 			case "rate":
 				f, err := strconv.ParseFloat(v, 64)
-				if err != nil || f < 0 {
+				if err != nil || !ValidRate(f) {
 					return nil, fmt.Errorf("line %d: bad rate %q", ln, v)
 				}
 				cfg.Rate = f

@@ -3,8 +3,11 @@ package service
 import (
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
+	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -40,6 +43,8 @@ lab   k-lab
 		"a k1 max_active",    // malformed option
 		"a k1 max_active=-1", // bad value
 		"a k1 rate=fast",     // bad value
+		"a k1 rate=NaN",      // bad value
+		"a k1 rate=inf",      // bad value
 		"a k1 burst=0",       // bad value
 		"a k1 colour=blue",   // unknown option
 	} {
@@ -47,6 +52,46 @@ lab   k-lab
 			t.Errorf("ParseAuthKeys(%q) accepted bad input", bad)
 		}
 	}
+}
+
+// FuzzParseAuthKeys: whatever ParseAuthKeys accepts is a usable tenant
+// set — unique names that are not the anonymous tenant, unique keys,
+// limits in range — and writing it back out parses to the same set.
+func FuzzParseAuthKeys(f *testing.F) {
+	for _, seed := range []string{
+		"acme k-acme max_active=2 rate=5 burst=10\nlab k-lab\n",
+		"# comment\n\n  a  k1  rate=0.25 \n",
+		"a k1 rate=NaN", "a k1 rate=inf", "a k1 rate=-0 burst=1 max_active=0",
+		"a k1\nb k1", "anonymous k", "a k1 rate=1e308 rate=2",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, in string) {
+		cfgs, err := ParseAuthKeys(strings.NewReader(in))
+		if err != nil {
+			return
+		}
+		names, keys := map[string]bool{}, map[string]bool{}
+		var out strings.Builder
+		for _, c := range cfgs {
+			if c.Name == AnonymousTenant || names[c.Name] || keys[c.Key] {
+				t.Fatalf("%q: tenant %q / key %q reserved or repeated", in, c.Name, c.Key)
+			}
+			names[c.Name], keys[c.Key] = true, true
+			if c.MaxActive < 0 || !ValidRate(c.Rate) || c.Burst != 0 && c.Burst < 1 {
+				t.Fatalf("%q: limits out of range: %+v", in, c)
+			}
+			fmt.Fprintf(&out, "%s %s max_active=%d rate=%s", c.Name, c.Key, c.MaxActive, strconv.FormatFloat(c.Rate, 'g', -1, 64))
+			if c.Burst != 0 {
+				fmt.Fprintf(&out, " burst=%d", c.Burst)
+			}
+			out.WriteByte('\n')
+		}
+		again, err := ParseAuthKeys(strings.NewReader(out.String()))
+		if err != nil || !slices.Equal(again, cfgs) {
+			t.Fatalf("%q re-serialised as %q parses to %+v (%v), want %+v", in, out.String(), again, err, cfgs)
+		}
+	})
 }
 
 // startAuthServer boots a server whose manager enforces the given

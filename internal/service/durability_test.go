@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/service/store"
+	"repro/internal/steering"
 )
 
 // durableSpec is the shared workload for the durability suite: long
@@ -514,10 +515,6 @@ func TestRecoveredPausedJobServesFrames(t *testing.T) {
 	if err := mgr1.Pause(j1); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "paused record durable", func() bool {
-		rec, err := st1.State(j1.ID)
-		return err == nil && rec.Paused
-	})
 	mgr1.Close()
 
 	srv := NewServer(NewManagerOpts(Options{Workers: 1, QueueCap: 4, Store: openStore(t, dir)}))
@@ -549,5 +546,64 @@ func TestRecoveredPausedJobServesFrames(t *testing.T) {
 	}
 	if st, step := j2.State(), j2.Step(); st != StatePaused || step != ckptStep {
 		t.Errorf("job is %s at step %d after serving, want still paused at %d", st, step, ckptStep)
+	}
+}
+
+// closeRightAfter submits a durable job, waits for its first
+// checkpoint, applies act and closes the manager at once, then returns
+// the job's record from the reopened store: what a graceful restart
+// would recover.
+func closeRightAfter(t *testing.T, act func(*Manager, *Job) error) store.JobRecord {
+	t.Helper()
+	dir := t.TempDir()
+	mgr := NewManagerOpts(Options{Workers: 1, QueueCap: 4, Store: openStore(t, dir)})
+	j, err := mgr.Submit(durableSpec(2_000_000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitCheckpoint(t, mgr.store, j.ID)
+	if err := act(mgr, j); err != nil {
+		t.Fatal(err)
+	}
+	mgr.Close()
+	st := openStore(t, dir)
+	defer st.CloseJournal()
+	rec, err := st.State(j.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rec
+}
+
+// TestPauseThenCloseKeepsPaused: an acknowledged pause is in the
+// journal before Pause returns, so a Close right behind it cannot lose
+// it — the job comes back paused, not re-queued to run.
+func TestPauseThenCloseKeepsPaused(t *testing.T) {
+	t.Cleanup(goroutineBaseline(t))
+	for i := 0; i < 20; i++ {
+		rec := closeRightAfter(t, func(m *Manager, j *Job) error { return m.Pause(j) })
+		if !rec.Paused {
+			t.Fatalf("round %d: record after pause + Close is %+v, want paused", i, rec)
+		}
+	}
+}
+
+// TestSteerThenCloseKeepsOverride: the same for a set-iolet steer —
+// the override is journaled before Steer returns, whether the job was
+// stepping or paused.
+func TestSteerThenCloseKeepsOverride(t *testing.T) {
+	t.Cleanup(goroutineBaseline(t))
+	for i := 0; i < 20; i++ {
+		rec := closeRightAfter(t, func(m *Manager, j *Job) error {
+			if i%2 == 1 {
+				if err := m.Pause(j); err != nil {
+					return err
+				}
+			}
+			return m.Steer(j, steering.ClientMsg{Op: steering.OpSetIolet, Iolet: 0, Density: 1.05})
+		})
+		if rec.Steer == nil || len(rec.Steer.Iolets) != 1 || rec.Steer.Iolets[0] != (store.IoletOver{Iolet: 0, Density: 1.05}) {
+			t.Fatalf("round %d: record after steer + Close is %+v, want the iolet 0 override", i, rec)
+		}
 	}
 }

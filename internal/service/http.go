@@ -52,10 +52,11 @@ func NewServer(mgr *Manager) *Server {
 	handle("POST /api/v1/jobs", s.handleSubmit)
 	handle("GET /api/v1/jobs", s.handleList)
 	handle("GET /api/v1/jobs/{id}", s.handleGet)
-	handle("DELETE /api/v1/jobs/{id}", s.handleCancel)
-	handle("POST /api/v1/jobs/{id}/cancel", s.handleCancel)
-	handle("POST /api/v1/jobs/{id}/pause", s.handlePause)
-	handle("POST /api/v1/jobs/{id}/resume", s.handleResume)
+	cancel := s.lifecycle(func(_ context.Context, j *Job) error { return mgr.Cancel(j) })
+	handle("DELETE /api/v1/jobs/{id}", cancel)
+	handle("POST /api/v1/jobs/{id}/cancel", cancel)
+	handle("POST /api/v1/jobs/{id}/pause", s.lifecycle(func(_ context.Context, j *Job) error { return mgr.Pause(j) }))
+	handle("POST /api/v1/jobs/{id}/resume", s.lifecycle(mgr.Resume))
 	handle("POST /api/v1/jobs/{id}/steer", s.handleSteer)
 	handle("GET /api/v1/jobs/{id}/status", s.handleStatus)
 	handle("GET /api/v1/jobs/{id}/frame", s.handleFrame)
@@ -272,54 +273,33 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.job(w, r)
-	if !ok {
-		return
-	}
-	if err := s.mgr.Cancel(j); err != nil {
-		writeErr(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, j.Info())
-}
-
-func (s *Server) handlePause(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.job(w, r)
-	if !ok {
-		return
-	}
-	if err := s.mgr.Pause(j); err != nil {
-		writeErr(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, j.Info())
-}
-
-func (s *Server) handleResume(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.job(w, r)
-	if !ok {
-		return
-	}
-	// Resume may wait for a worker slot; abort the wait if the client
-	// goes away or the server starts draining, so a full pool cannot
-	// strand handler goroutines.
-	ctx, cancel := context.WithCancel(r.Context())
-	defer cancel()
-	stop := make(chan struct{})
-	defer close(stop)
-	go func() {
-		select {
-		case <-s.closing:
-			cancel()
-		case <-stop:
+// lifecycle serves a cancel, pause or resume: op moves the job, and
+// the reply is its new info. op's context ends when the client goes
+// away or the server starts draining, so a resume waiting for a worker
+// slot in a full pool cannot strand the handler.
+func (s *Server) lifecycle(op func(context.Context, *Job) error) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		j, ok := s.job(w, r)
+		if !ok {
+			return
 		}
-	}()
-	if err := s.mgr.Resume(ctx, j); err != nil {
-		writeErr(w, err)
-		return
+		ctx, cancel := context.WithCancel(r.Context())
+		defer cancel()
+		stop := make(chan struct{})
+		defer close(stop)
+		go func() {
+			select {
+			case <-s.closing:
+				cancel()
+			case <-stop:
+			}
+		}()
+		if err := op(ctx, j); err != nil {
+			writeErr(w, err)
+			return
+		}
+		writeJSON(w, http.StatusOK, j.Info())
 	}
-	writeJSON(w, http.StatusOK, j.Info())
 }
 
 func (s *Server) handleSteer(w http.ResponseWriter, r *http.Request) {

@@ -5,6 +5,8 @@ import (
 	"net/http"
 	"testing"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // longSpec is a job that outlives any test body; cleanup cancels it.
@@ -130,40 +132,72 @@ func TestPauseThenCancel(t *testing.T) {
 	checkLeaks()
 }
 
-// TestDoubleResume: resuming twice is idempotent — the second resume
-// must neither error, nor corrupt the state machine, nor leak a
-// concurrency slot (a following pause/submit cycle still works).
+// TestDoubleResume: a repeated pause or resume is idempotent — the
+// second one neither errors, nor records a second event, nor moves a
+// second worker slot (a following pause/submit cycle still works).
 func TestDoubleResume(t *testing.T) {
-	checkLeaks := goroutineBaseline(t)
-	srv, base := startServer(t, 1, 4)
-
-	id := submit(t, base, longSpec).ID
-	waitState(t, base, id, StateRunning)
-	if code := httpJSON(t, "POST", base+"/api/v1/jobs/"+id+"/pause", "", nil); code != http.StatusOK {
-		t.Fatalf("pause: status %d", code)
+	for _, tc := range []struct {
+		name  string
+		ops   []string
+		want  JobState
+		event string // recorded exactly once
+		free  int    // worker slots free afterwards, of one
+	}{
+		{"pause×2", []string{"pause", "pause"}, StatePaused, obs.EvPause, 1},
+		{"resume×2", []string{"pause", "resume", "resume"}, StateRunning, obs.EvResume, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			checkLeaks := goroutineBaseline(t)
+			// A ring that holds every event of the test, step samples
+			// included.
+			m := NewManagerOpts(Options{Workers: 1, QueueCap: 4, EventRing: 1 << 16})
+			j, err := m.Submit(JobSpec{Preset: "pipe", Steps: 2_000_000})
+			if err != nil {
+				t.Fatal(err)
+			}
+			waitFor(t, "job running", func() bool { return j.State() == StateRunning })
+			for i, op := range tc.ops {
+				if op == "pause" {
+					err = m.Pause(j)
+				} else {
+					err = m.Resume(context.Background(), j)
+				}
+				if err != nil {
+					t.Fatalf("%s (op %d): %v", op, i+1, err)
+				}
+			}
+			if st := j.State(); st != tc.want {
+				t.Fatalf("state after %v: %s, want %s", tc.ops, st, tc.want)
+			}
+			n := 0
+			for _, ev := range j.rec.Events() {
+				if ev.Type == tc.event {
+					n++
+				}
+			}
+			if n != 1 {
+				t.Errorf("%d %q events after %v, want 1", n, tc.event, tc.ops)
+			}
+			if free := len(m.slots); free != tc.free {
+				t.Errorf("%d worker slots free after %v, want %d", free, tc.ops, tc.free)
+			}
+			// A slot leaked or given back twice would show here: the job
+			// paused, one fresh job takes the one slot.
+			if err := m.Pause(j); err != nil {
+				t.Fatal(err)
+			}
+			other, err := m.Submit(JobSpec{Preset: "pipe", Steps: 2_000_000})
+			if err != nil {
+				t.Fatal(err)
+			}
+			waitFor(t, "fresh job running", func() bool { return other.State() == StateRunning })
+			if free := len(m.slots); free != 0 {
+				t.Errorf("%d worker slots free with one job running, want 0", free)
+			}
+			m.Close()
+			checkLeaks()
+		})
 	}
-	for i := 0; i < 2; i++ {
-		if code := httpJSON(t, "POST", base+"/api/v1/jobs/"+id+"/resume", "", nil); code != http.StatusOK {
-			t.Fatalf("resume %d: status %d", i+1, code)
-		}
-	}
-	if st := jobInfo(t, base, id).State; st != StateRunning {
-		t.Fatalf("state after double resume: %s", st)
-	}
-	at := jobInfo(t, base, id).Step
-	waitFor(t, "doubly-resumed job to advance", func() bool {
-		return jobInfo(t, base, id).Step > at
-	})
-	// If double-resume leaked a slot grant, this pause would free two
-	// and a later accounting would wedge; exercise one more cycle.
-	if code := httpJSON(t, "POST", base+"/api/v1/jobs/"+id+"/pause", "", nil); code != http.StatusOK {
-		t.Fatalf("pause after double resume: status %d", code)
-	}
-	other := submit(t, base, longSpec).ID
-	waitState(t, base, other, StateRunning)
-
-	ctxShutdown(t, srv)
-	checkLeaks()
 }
 
 // TestSubmitAfterShutdown: a closed manager rejects work at both the

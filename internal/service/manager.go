@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io/fs"
 	"log/slog"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -26,11 +27,10 @@ import (
 	"repro/internal/vec"
 )
 
-// JobState is the lifecycle of one managed simulation.
+// JobState is the lifecycle of one managed simulation; next
+// (lifecycle.go) is its transition table.
 type JobState string
 
-// Lifecycle: queued → running ⇄ paused → done | failed | cancelled.
-// A queued job can also go straight to cancelled.
 const (
 	StateQueued    JobState = "queued"
 	StateRunning   JobState = "running"
@@ -47,17 +47,15 @@ func (s JobState) Terminal() bool {
 
 // ChaosHook observes named crash points on the durable-job path. The
 // chaos harness (internal/chaos) installs one that cuts power at a
-// chosen (point, occurrence) pair; production managers leave it nil
-// and pay a nil check per durability event — no build tags. The hook
-// runs on whatever goroutine hits the point (solver loop, writer
-// goroutine, recovery), so implementations must be safe for concurrent
-// use.
+// chosen (point, occurrence) pair; production managers leave it nil.
+// It runs on whatever goroutine hits the point, so implementations
+// must be safe for concurrent use.
 type ChaosHook func(point, jobID string)
 
 // Named crash points a ChaosHook can observe.
 const (
-	// ChaosJournalAppend fires immediately before a lifecycle or spec
-	// record is journaled (Submit's spec+state pair, every persistState).
+	// ChaosJournalAppend fires immediately before a spec or lifecycle
+	// record is journaled.
 	ChaosJournalAppend = "journal.append"
 	// ChaosCheckpointSwap fires in the solver loop as a gathered
 	// checkpoint state is handed to the async writer (ckptWriter.Deliver).
@@ -131,37 +129,25 @@ type Job struct {
 	// quit records who asked the solver to stop, so finish and the
 	// journal writers agree on the outcome (see quitReason).
 	quit quitReason
-	// lifecycle serialises Pause/Resume per job: their op round-trip
-	// and state+slot update must be atomic against each other, or an
-	// interleaved pair could record state=running for a solver that a
-	// later-replied pause actually parked.
+	// lifecycle serialises Pause/Resume per job: each one's controller
+	// round trip and transition must not interleave with the other's.
 	lifecycle sync.Mutex
-	// holdsSlot tracks whether this job currently occupies one of the
-	// manager's concurrency slots. Pausing releases the slot (the run
-	// goroutine parks in PollWait, costing nothing); resuming takes
-	// one again. Guarded by mu; the actual channel send/receive
-	// happens outside the lock.
-	holdsSlot bool
-	// Durability bookkeeping (guarded by mu): recovered marks a job
-	// loaded from the store after a daemon restart, restarts counts
-	// how many times an interruption re-queued it, and resumeStep is
-	// the checkpoint step the current/last run resumed from (0 = a
-	// fresh start). The checkpoint bytes themselves are re-read from
-	// the store at dispatch time, not held across the queued wait.
+	// Durability bookkeeping: recovered marks a job loaded from the
+	// store after a restart, restarts counts the interruptions that
+	// re-queued it, resumeStep is the checkpoint step the latest run
+	// resumed from (0 = a fresh start).
 	recovered  bool
 	restarts   int
 	resumeStep int
 	// tenant is the admission-control account the job is charged to
-	// (AnonymousTenant when submitted without a key). Set at submit or
-	// recovery, constant afterwards.
+	// (AnonymousTenant when submitted without a key); constant.
 	tenant string
 	// resumePaused marks a recovered job that was paused when the
-	// previous daemon died: its re-run starts parked (core StartPaused)
-	// and the lifecycle state comes back as paused, not running.
+	// previous daemon died: its run starts parked (core StartPaused)
+	// and pauses, and until then its record stays paused.
 	resumePaused bool
-	// steer mirrors the set-iolet overrides applied so far, which must
-	// survive a restart. Written on successful Steer ops, re-applied at
-	// dispatch.
+	// steer mirrors the set-iolet overrides applied so far; journaled,
+	// and re-applied at dispatch.
 	steer store.SteerRecord
 	// Watchdog bookkeeping: wdSeen primes the first observation after
 	// dispatch, wdLastStep is the step at the last tick, wdStrikes
@@ -169,11 +155,10 @@ type Job struct {
 	wdSeen     bool
 	wdLastStep int64
 	wdStrikes  int
-	// journalMu serialises this job's journal writes: the record
-	// build and the store write happen under it together, so a racing
-	// Pause/Resume can never journal a stale non-terminal record over
-	// the terminal one finish() wrote (which would resurrect a
-	// completed job on the next boot).
+	// journalMu serialises this job's transitions and journal writes,
+	// so records land in the order of the states they carry: a stale
+	// non-terminal record never lands over the terminal one (which
+	// would resurrect a completed job on the next boot).
 	journalMu sync.Mutex
 
 	// Snapshot box: the latest immutable field snapshot plus a
@@ -226,15 +211,15 @@ const snapFreshWait = 10 * time.Second
 // freshSnapshot returns the job's latest snapshot for request serving
 // — the one source of pixels and octrees — registering demand and
 // waiting (bounded) for a publication when there is none yet or the
-// newest one lags a running solver by more than one cadence: with
-// demand-driven publication, a stale snapshot is refreshed by the
-// request, not by a timer, so pollers keep the same ≤one-cadence
-// staleness the fixed schedule gave them. Paused and terminal jobs
-// answer immediately: the solver publishes on entering a pause (a
-// start-paused run included) and at run end, so their latest snapshot
-// already is the current state. ErrNoSnapshot when the spec disabled
+// newest one lags a running solver by more than one cadence, so
+// pollers see ≤one-cadence staleness. Paused and terminal jobs answer
+// at once: the solver publishes on entering a pause and at run end.
+// ErrNotRunning while queued; ErrNoSnapshot when the spec disabled
 // snapshots or the job ended without ever publishing one.
 func (m *Manager) freshSnapshot(j *Job) (*core.Snapshot, error) {
+	if j.State() == StateQueued {
+		return nil, ErrNotRunning
+	}
 	if !j.Spec.SnapshotsEnabled() {
 		return nil, ErrNoSnapshot
 	}
@@ -444,29 +429,20 @@ type Options struct {
 // dispatcher hands jobs, the frame buffers and the caches every
 // transport shares.
 type Manager struct {
+	// opts is the configuration, defaults applied. Recovery may queue a
+	// larger backlog than QueueCap, but new submissions are judged
+	// against it, so a restart never loosens the operator's
+	// backpressure setting.
+	opts    Options
 	metrics *Metrics
 	log     *slog.Logger
-	ringSz  int
-	// store is the durability layer (nil = in-memory only); ckptEvery
-	// is the default checkpoint cadence for specs that don't set one.
-	// fullEvery is the delta-chain policy handed to each job's
-	// checkpoint writer.
-	store     *store.Store
-	ckptEvery int
-	fullEvery int
-	// chaos observes named crash points (nil in production).
-	chaos ChaosHook
-	queue chan *Job
-	// queueCap is the configured admission limit. Recovery may size
-	// the queue channel above it to hold a large re-queued backlog,
-	// but new submissions are judged against this, so a restart never
-	// loosens the operator's backpressure setting.
-	queueCap int
-	// slots is the semaphore of concurrently *stepping* jobs: the
-	// dispatcher takes a token before starting a run, Pause returns
-	// it, Resume takes one again. A paused job therefore costs a
-	// parked goroutine, not a pool slot — W paused jobs no longer
-	// stall the whole service.
+	// store is the durability layer (nil = in-memory only).
+	store *store.Store
+	// kick wakes the dispatcher when a job is queued (capacity 1).
+	kick chan struct{}
+	// slots is the semaphore of *running* jobs: dispatch and resume
+	// take a token, leaving running gives it back, so a paused job
+	// costs a parked goroutine, not a slot.
 	slots chan struct{}
 	// frameBufs holds one set of frame buffers per Workers: a frame
 	// that missed the cache takes a set, renders on its own goroutine
@@ -484,17 +460,12 @@ type Manager struct {
 	// Fault containment. degrader tracks disk-pressure degradation
 	// (nil without a store); tenants enforces per-tenant quotas and
 	// rate limits (never nil); memWM is the heap shed watermark (nil
-	// when unset); stepHook is the test-only solver fault seam.
+	// when unset).
 	degrader *guard.Degrader
 	tenants  *tenants
 	memWM    *guard.MemWatermark
-	stepHook func(jobID string, step int)
-	// Watchdog / retention config (zero = disabled).
-	wdStall    time.Duration
-	retainMax  int
-	retainAge  time.Duration
-	gcInterval time.Duration
-	// done stops the watchdog and retention goroutines at Close.
+	// done stops the dispatcher, watchdog and retention goroutines at
+	// Close.
 	done chan struct{}
 
 	mu     sync.Mutex
@@ -502,9 +473,9 @@ type Manager struct {
 	order  []string
 	nextID int64
 	closed bool
-	// queuedLen counts jobs submitted but not yet granted a slot. The
-	// dispatcher holds a popped job while waiting for a slot, so
-	// channel occupancy alone would understate the backlog by one.
+	// queue holds the queued jobs in dispatch order; queuedLen counts
+	// them plus the submissions holding a place while they journal.
+	queue     []*Job
 	queuedLen int
 
 	wg sync.WaitGroup
@@ -541,29 +512,22 @@ func NewManagerOpts(o Options) *Manager {
 		o.GCInterval = time.Minute
 	}
 	m := &Manager{
+		opts:      o,
 		metrics:   o.Metrics,
 		log:       o.Logger,
-		ringSz:    o.EventRing,
 		store:     o.Store,
-		ckptEvery: o.CheckpointEvery,
-		fullEvery: o.CheckpointFullEvery,
-		chaos:     o.ChaosHook,
 		slots:     make(chan struct{}, o.Workers),
 		frameBufs: make(chan *insitu.FrameBuffers, o.Workers),
 		frames: newLRU[frameKey](frameEntries, func(frame) int { return 1 },
 			&o.Metrics.frameHits, &o.Metrics.frameMiss, &o.Metrics.frameEvict),
 		domains: newLRU[domainKey](siteBudget, func(d *geometry.Domain) int { return d.NumSites() },
 			&o.Metrics.DomainCacheHits, &o.Metrics.DomainCacheMiss, nil),
-		octrees:    newLRU[uint64](siteBudget, func(t *octree.Tree) int { return t.NodeCount(0) }, nil, nil, nil),
-		jobs:       make(map[string]*Job),
-		tenants:    newTenants(o.AuthKeys, o.TenantDefaults),
-		memWM:      guard.NewMemWatermark(uint64(max(o.MemLimit, 0))),
-		stepHook:   o.StepHook,
-		wdStall:    o.WatchdogStall,
-		retainMax:  o.StoreRetain,
-		retainAge:  o.StoreRetainAge,
-		gcInterval: o.GCInterval,
-		done:       make(chan struct{}),
+		octrees: newLRU[uint64](siteBudget, func(t *octree.Tree) int { return t.NodeCount(0) }, nil, nil, nil),
+		jobs:    make(map[string]*Job),
+		tenants: newTenants(o.AuthKeys, o.TenantDefaults),
+		memWM:   guard.NewMemWatermark(uint64(max(o.MemLimit, 0))),
+		kick:    make(chan struct{}, 1),
+		done:    make(chan struct{}),
 	}
 	if m.store != nil {
 		// The degrader decides when write failures mean "disk full, stop
@@ -576,23 +540,11 @@ func NewManagerOpts(o Options) *Manager {
 			o.Metrics.JournalGroupCommits.Add(1)
 			o.Metrics.JournalGroupCommitRecords.Add(int64(records))
 		})
-	}
-	// Recovery runs before the dispatcher exists, so the re-queued
-	// backlog can size the queue channel (a restart must never drop
-	// jobs to queue-full) and prefill it without racing anything.
-	var pending []*Job
-	if m.store != nil {
-		pending = m.recoverFromStore()
-	}
-	m.queueCap = o.QueueCap
-	chanCap := o.QueueCap
-	if len(pending) > chanCap {
-		chanCap = len(pending)
-	}
-	m.queue = make(chan *Job, chanCap)
-	for _, j := range pending {
-		m.queue <- j
-		m.queuedLen++
+		// Recovery runs before the dispatcher exists, so the re-queued
+		// backlog prefills the queue without racing anything (and a
+		// restart never drops jobs to queue-full).
+		m.queue = m.recoverFromStore()
+		m.queuedLen = len(m.queue)
 	}
 	for i := 0; i < o.Workers; i++ {
 		m.slots <- struct{}{}
@@ -600,13 +552,15 @@ func NewManagerOpts(o Options) *Manager {
 	}
 	m.wg.Add(1)
 	go m.dispatch()
-	if m.wdStall > 0 {
+	if m.opts.WatchdogStall > 0 {
 		m.wg.Add(1)
-		go m.watchdog()
+		go m.every(m.opts.WatchdogStall, m.watchdog)
 	}
-	if m.store != nil && (m.retainMax > 0 || m.retainAge > 0) {
+	if m.store != nil && (m.opts.StoreRetain > 0 || m.opts.StoreRetainAge > 0) {
+		// Terminal jobs beyond the retention policy leave the job table
+		// and the store.
 		m.wg.Add(1)
-		go m.gcLoop()
+		go m.every(m.opts.GCInterval, m.gcTerminal)
 	}
 	return m
 }
@@ -641,12 +595,7 @@ func (m *Manager) StoreDegraded() bool {
 // AppendSubmit is idempotent (it overwrites the same records recovery
 // reads), so jobs that never lost a write are simply refreshed.
 func (m *Manager) rejournalAll() {
-	m.mu.Lock()
-	jobs := make([]*Job, 0, len(m.jobs))
-	for _, id := range m.order {
-		jobs = append(jobs, m.jobs[id])
-	}
-	m.mu.Unlock()
+	jobs := m.jobsInOrder()
 	for _, j := range jobs {
 		if m.degrader.Degraded() {
 			return // re-degraded mid-sweep; the next restore retries
@@ -683,8 +632,10 @@ func (m *Manager) recoverFromStore() []*Job {
 	for _, id := range m.store.Jobs() {
 		m.chaosPoint(ChaosRecoveryReplay, id)
 		// Keep new submissions' IDs above everything ever journaled.
-		if n, ok := jobIDNumber(id); ok && n > m.nextID {
-			m.nextID = n
+		if rest, ok := strings.CutPrefix(id, "job-"); ok {
+			if n, err := strconv.ParseInt(rest, 10, 64); err == nil && n > m.nextID {
+				m.nextID = n
+			}
 		}
 		// Jobs lists exactly the ids the journal holds a spec and a
 		// record for; remnants never reach this loop.
@@ -699,7 +650,7 @@ func (m *Manager) recoverFromStore() []*Job {
 			ID:        id,
 			Spec:      spec.withDefaults(),
 			ctrl:      steering.NewController(),
-			rec:       obs.NewRecorder(m.ringSz),
+			rec:       obs.NewRecorder(m.opts.EventRing),
 			log:       m.log.With("job", id),
 			created:   rec.CreatedAt,
 			recovered: true,
@@ -710,25 +661,18 @@ func (m *Manager) recoverFromStore() []*Job {
 		if rec.Steer != nil {
 			j.steer = *rec.Steer
 		}
-		j.rec.Record(obs.EvRecovered, rec.Step, 0, rec.State)
-		if st := JobState(rec.State); st.Terminal() {
+		if ev, ok := recoverEvents[JobState(rec.State)]; ok {
 			j.step.Store(int64(rec.Step))
-			j.state = st
 			j.errMsg = rec.Error
 			j.started = rec.StartedAt
 			j.finished = rec.FinishedAt
-			j.ctrl.Close()
-			j.sealSnapshots()
-			j.log.Info("recovered finished job", "state", rec.State, "step", rec.Step)
+			_, _ = m.transition(j, ev, rec.State)
 		} else {
-			j.state = StateQueued
 			j.restarts++
 			// A job that was paused when the daemon died comes back
 			// paused: its re-run starts parked and waits for an explicit
 			// resume, instead of silently burning its remaining steps.
 			j.resumePaused = rec.Paused || rec.State == string(StatePaused)
-			// Re-queued work still occupies its tenant's quota.
-			m.tenants.charge(j.tenant)
 			// Verify the checkpoint chain now but keep only its step —
 			// the state is re-read at dispatch, so a crash with a big
 			// backlog doesn't hold every solver state in memory while
@@ -744,41 +688,25 @@ func (m *Manager) recoverFromStore() []*Job {
 				m.metrics.CheckpointsInvalid.Add(1)
 				j.log.Warn("checkpoint failed verification at recovery; restarting from step 0", "err", err)
 			}
+			// Journal the re-queued record (restart count, queued state)
+			// so a crash during recovery itself still counts the attempt;
+			// re-queued work still occupies its tenant's quota.
+			_, _ = m.transition(j, evRecoverInterrupted, rec.State)
 			m.metrics.JobRestarts.Add(1)
-			j.log.Info("re-queued interrupted job", "interrupted_state", rec.State,
-				"restarts", j.restarts, "resume_step", j.resumeStep)
 			pending = append(pending, j)
 		}
 		m.jobs[id] = j
 		m.order = append(m.order, id)
 		m.metrics.JobsRecovered.Add(1)
 	}
-	// Journal the re-queued records (restart count, queued state) so a
-	// crash during recovery itself still counts the attempt.
-	for _, j := range pending {
-		m.persistState(j)
-	}
 	return pending
 }
 
 // chaosPoint fires the chaos hook (nil-safe).
 func (m *Manager) chaosPoint(point, jobID string) {
-	if m.chaos != nil {
-		m.chaos(point, jobID)
+	if m.opts.ChaosHook != nil {
+		m.opts.ChaosHook(point, jobID)
 	}
-}
-
-// jobIDNumber extracts the numeric suffix of a "job-NNNN" ID.
-func jobIDNumber(id string) (int64, bool) {
-	rest, ok := strings.CutPrefix(id, "job-")
-	if !ok {
-		return 0, false
-	}
-	n, err := strconv.ParseInt(rest, 10, 64)
-	if err != nil || n < 0 {
-		return 0, false
-	}
-	return n, true
 }
 
 // recordLocked builds the persisted lifecycle record. Caller holds
@@ -794,7 +722,8 @@ func (j *Job) recordLocked() store.JobRecord {
 		StartedAt:  j.started,
 		FinishedAt: j.finished,
 		Tenant:     j.tenant,
-		Paused:     j.state == StatePaused,
+		// A recovered paused job waiting for its park is still paused.
+		Paused: j.state == StatePaused || j.resumePaused && !j.state.Terminal(),
 	}
 	if len(j.steer.Iolets) > 0 {
 		rec.Steer = &store.SteerRecord{Iolets: append([]store.IoletOver(nil), j.steer.Iolets...)}
@@ -802,79 +731,45 @@ func (j *Job) recordLocked() store.JobRecord {
 	return rec
 }
 
-// persistState journals the job's current lifecycle record and waits
-// for it to be durable. Best-effort: a failed write is counted, not
-// fatal — the run itself must not die because the disk hiccuped.
-// journalMu makes record build + write atomic against other journal
-// writers, so records land in build order and the last write always
-// reflects the newest state.
-func (m *Manager) persistState(j *Job) { m.persistStateRecord(j, true) }
-
-// persistStateNoWait writes the record to the journal without waiting
-// for an fsync: ordering against every later journal write is
-// preserved, the record becomes durable with the next waited append,
-// and losing it to a crash is indistinguishable from crashing a moment
-// earlier. A failed write still reaches the degrader. Used for the
-// terminal record on the worker's run path — the fsync would otherwise
-// hold the worker slot (and the job's journalMu) for a full disk flush
-// per finished job.
-func (m *Manager) persistStateNoWait(j *Job) { m.persistStateRecord(j, false) }
-
-func (m *Manager) persistStateRecord(j *Job, wait bool) {
-	if m.store == nil {
+// appendState journals rec, j's lifecycle record, in the given mode.
+// Best-effort: a failed write is counted, not fatal — the run itself
+// must not die because the disk hiccuped. The caller holds j.journalMu,
+// so records land in the order they were built.
+func (m *Manager) appendState(j *Job, rec store.JobRecord, mode journalMode) {
+	if m.store == nil || mode == journalNone {
 		return
 	}
-	j.journalMu.Lock()
-	defer j.journalMu.Unlock()
-	j.mu.Lock()
-	rec := j.recordLocked()
-	// A shutdown-induced cancel must never reach the journal (the
-	// stale running/paused record is what re-queues the job on the
-	// next boot). finish skips its own write; this guard covers
-	// journal writes that were queued before the drain and would
-	// otherwise journal the terminal state they now observe.
-	skip := j.drainCancelled()
-	j.mu.Unlock()
-	if skip {
-		return
-	}
-	// While degraded every lifecycle write is suppressed: the job's
-	// current record is rebuilt and re-journaled wholesale when the
-	// probe restores the disk (rejournalAll), so nothing is lost except
-	// crash-durability during the episode — which the disk couldn't
-	// provide anyway.
-	if m.degrader.Degraded() {
-		m.metrics.StoreWritesSuppressed.Add(1)
-		return
-	}
-	m.chaosPoint(ChaosJournalAppend, j.ID)
 	append := m.store.AppendState
-	if !wait {
+	if mode == journalNoWait {
 		append = m.store.AppendStateNoWait
 	}
-	if err := append(j.ID, rec); err != nil {
-		m.metrics.StoreErrors.Add(1)
-		j.log.Warn("journaling state failed", "state", rec.State, "err", err)
-		m.degrader.WriteFailed(err)
-	} else {
-		m.degrader.WriteOK()
-	}
+	_, _ = m.journal(j, func() error { return append(j.ID, rec) })
 }
 
-// persistStateAsync journals the current lifecycle record off the
-// caller's critical path entirely (own goroutine, synchronous ack).
-// Out-of-order completion is safe by construction: the record is
-// rebuilt from the job's state under journalMu at write time, so a
-// delayed write re-writes the newest state — it can never resurrect
-// an old one. Used for the mid-run transitions (pause, resume) whose
-// loss in a crash is indistinguishable from crashing a moment
-// earlier; submission and user-facing cancellation stay fully
-// synchronous because they back user-visible promises.
-func (m *Manager) persistStateAsync(j *Job) {
-	if m.store == nil {
-		return
+// journal runs one journal write for j under the disk-pressure policy.
+// While degraded the write is skipped (suppressed): the job's record
+// is re-journaled wholesale when the probe restores the disk
+// (rejournalAll), so only crash-durability during the episode is lost
+// — which the disk couldn't provide anyway. A failed write reaches the
+// degrader; one that trips degraded mode counts as suppressed, any
+// other failure is returned.
+func (m *Manager) journal(j *Job, write func() error) (suppressed bool, err error) {
+	if m.degrader.Degraded() {
+		m.metrics.StoreWritesSuppressed.Add(1)
+		return true, nil
 	}
-	go m.persistState(j)
+	m.chaosPoint(ChaosJournalAppend, j.ID)
+	if err = write(); err == nil {
+		m.degrader.WriteOK()
+		return false, nil
+	}
+	m.metrics.StoreErrors.Add(1)
+	j.log.Warn("journal write failed", "err", err)
+	if m.degrader.WriteFailed(err) {
+		m.metrics.StoreWritesSuppressed.Add(1)
+		return true, nil
+	}
+	return false, err
 }
 
 // checkpointCadence resolves a spec's effective checkpoint cadence:
@@ -887,7 +782,7 @@ func (m *Manager) checkpointCadence(sp JobSpec) int {
 	if sp.CheckpointEvery > 0 {
 		return sp.CheckpointEvery
 	}
-	return m.ckptEvery
+	return m.opts.CheckpointEvery
 }
 
 // Metrics exposes the counter set shared with the HTTP layer.
@@ -966,7 +861,7 @@ func (m *Manager) submitAdmitted(tenant string, spec JobSpec) (*Job, error) {
 		m.metrics.JobsRejected.Add(1)
 		return nil, ErrClosed
 	}
-	if m.queuedLen >= m.queueCap {
+	if m.queuedLen >= m.opts.QueueCap {
 		m.mu.Unlock()
 		m.metrics.SubmitsShed.Add(1)
 		m.metrics.JobsRejected.Add(1)
@@ -977,62 +872,44 @@ func (m *Manager) submitAdmitted(tenant string, spec JobSpec) (*Job, error) {
 		ID:      fmt.Sprintf("job-%04d", m.nextID),
 		Spec:    spec,
 		ctrl:    steering.NewController(),
-		state:   StateQueued,
 		created: time.Now(),
 		tenant:  tenant,
 		snapCh:  make(chan struct{}),
 	}
-	j.rec = obs.NewRecorder(m.ringSz)
+	j.rec = obs.NewRecorder(m.opts.EventRing)
 	j.log = m.log.With("job", j.ID)
-	// Reserve the queue slot, then journal outside the lock: the
+	// Reserve the queue place, then journal outside the lock: the
 	// fsync-backed writes must not stall every other API call behind
-	// m.mu. The reservation keeps occupancy <= queuedLen, so the later
-	// channel send can never block; a failed journal releases it (the
-	// burned job ID just leaves a harmless numbering gap).
+	// m.mu. A failed journal releases it (the burned job ID just leaves
+	// a harmless numbering gap).
 	m.queuedLen++
 	m.mu.Unlock()
+	_, _ = m.transition(j, evSubmit, spec.Preset)
 	// Journal before accepting: once Submit returns 201, the job must
 	// survive a crash, so a spec that cannot be journaled is rejected.
 	// Spec and initial state go as one atomic record; concurrent
 	// submits share a journal fsync. Under disk-pressure degradation
-	// the write is skipped instead: the job is accepted
-	// non-durably (and re-journaled when the probe restores the disk) —
-	// availability over durability, by design.
+	// the job is accepted non-durably instead (and re-journaled when
+	// the probe restores the disk) — availability over durability, by
+	// design.
 	nonDurable := false
 	if m.store != nil {
-		if m.degrader.Degraded() {
-			m.metrics.StoreWritesSuppressed.Add(1)
-			nonDurable = true
-			j.log.Warn("store degraded: job accepted without durability")
-		} else {
-			m.chaosPoint(ChaosJournalAppend, j.ID)
-			err := m.store.AppendSubmit(j.ID, j.Spec, j.recordLocked())
-			if err != nil && m.degrader.WriteFailed(err) {
-				// This write just tripped degraded mode (ENOSPC, or the
-				// last straw of a failure run): accept the job without
-				// durability rather than bounce it.
-				m.metrics.StoreErrors.Add(1)
-				m.metrics.StoreWritesSuppressed.Add(1)
-				nonDurable = true
-				j.log.Warn("store degraded: job accepted without durability", "err", err)
-			} else if err != nil {
-				m.mu.Lock()
-				m.queuedLen--
-				m.mu.Unlock()
-				// Best-effort undo of whatever half got journaled, or the
-				// next boot would resurrect a job nobody was promised.
-				_ = m.store.Remove(j.ID)
-				m.metrics.StoreErrors.Add(1)
-				m.metrics.JobsRejected.Add(1)
-				return nil, fmt.Errorf("%w: journal submit: %v", ErrInternal, err)
-			} else {
-				m.degrader.WriteOK()
-			}
+		var err error
+		nonDurable, err = m.journal(j, func() error { return m.store.AppendSubmit(j.ID, j.Spec, j.recordLocked()) })
+		if err != nil {
+			m.mu.Lock()
+			m.queuedLen--
+			m.mu.Unlock()
+			// Best-effort undo of whatever half got journaled, or the
+			// next boot would resurrect a job nobody was promised.
+			_ = m.store.Remove(j.ID)
+			m.metrics.JobsRejected.Add(1)
+			return nil, fmt.Errorf("%w: journal submit: %v", ErrInternal, err)
 		}
 	}
 	m.mu.Lock()
 	if m.closed {
-		// Closed while journaling: the queue channel is gone. Undo the
+		// Closed while journaling: the drain has passed. Undo the
 		// journal too — the caller gets ErrClosed, so the job must not
 		// come back from the store on the next boot.
 		m.queuedLen--
@@ -1043,14 +920,18 @@ func (m *Manager) submitAdmitted(tenant string, spec JobSpec) (*Job, error) {
 		m.metrics.JobsRejected.Add(1)
 		return nil, ErrClosed
 	}
-	m.queue <- j
+	m.queue = append(m.queue, j)
 	m.jobs[j.ID] = j
 	m.order = append(m.order, j.ID)
 	m.mu.Unlock()
+	select {
+	case m.kick <- struct{}{}:
+	default:
+	}
 	m.metrics.JobsSubmitted.Add(1)
-	j.rec.Record(obs.EvSubmitted, 0, 0, spec.Preset)
 	if nonDurable {
 		j.rec.Record(obs.EvStoreDegraded, 0, 0, "accepted non-durably")
+		j.log.Warn("store degraded: job accepted without durability")
 	}
 	j.log.Info("job submitted", "preset", spec.Preset, "ranks", spec.Ranks, "steps", spec.Steps, "tenant", tenant)
 	return j, nil
@@ -1069,48 +950,55 @@ func (m *Manager) Get(id string) (*Job, error) {
 
 // List snapshots all jobs in submission order.
 func (m *Manager) List() []JobInfo {
-	m.mu.Lock()
-	ids := append([]string(nil), m.order...)
-	jobs := make([]*Job, 0, len(ids))
-	for _, id := range ids {
-		jobs = append(jobs, m.jobs[id])
-	}
-	m.mu.Unlock()
-	infos := make([]JobInfo, 0, len(jobs))
-	for _, j := range jobs {
+	var infos []JobInfo
+	for _, j := range m.jobsInOrder() {
 		infos = append(infos, j.Info())
 	}
 	return infos
 }
 
-// dispatch drains the submission queue: one slot per stepping job,
-// one goroutine per run. Unlike the old fixed worker loop, the
-// goroutine is per-job, so a paused job can hand its slot back without
-// giving up its (parked) run loop.
-func (m *Manager) dispatch() {
-	defer m.wg.Done()
-	for j := range m.queue {
-		<-m.slots
-		m.mu.Lock()
-		m.queuedLen--
-		m.mu.Unlock()
-		j.mu.Lock()
-		j.holdsSlot = true
-		j.mu.Unlock()
-		m.wg.Add(1)
-		go m.run(j)
+// jobsInOrder returns the jobs in submission order.
+func (m *Manager) jobsInOrder() []*Job {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	jobs := make([]*Job, 0, len(m.order))
+	for _, id := range m.order {
+		jobs = append(jobs, m.jobs[id])
 	}
+	return jobs
 }
 
-// releaseJobSlot returns the job's concurrency slot to the pool, at
-// most once per grant (holdsSlot is the idempotency latch).
-func (m *Manager) releaseJobSlot(j *Job) {
-	j.mu.Lock()
-	held := j.holdsSlot
-	j.holdsSlot = false
-	j.mu.Unlock()
-	if held {
-		m.slots <- struct{}{}
+// dispatch starts queued jobs in order, one slot per running job and
+// one goroutine per run, so a paused job can hand its slot back
+// without giving up its (parked) run loop.
+func (m *Manager) dispatch() {
+	defer m.wg.Done()
+	for {
+		m.mu.Lock()
+		var j *Job
+		if len(m.queue) > 0 {
+			j = m.queue[0]
+		}
+		m.mu.Unlock()
+		if j == nil {
+			select {
+			case <-m.kick:
+				continue
+			case <-m.done:
+				return
+			}
+		}
+		select {
+		case <-m.slots:
+		case <-m.done:
+			return
+		}
+		if _, err := m.transition(j, evDispatch, ""); err != nil {
+			m.slots <- struct{}{} // cancelled while it waited
+			continue
+		}
+		m.wg.Add(1)
+		go m.run(j)
 	}
 }
 
@@ -1144,25 +1032,9 @@ func (o jobObserver) ObservePhase(p obs.Phase, step int, ns int64) {
 	}
 }
 
-// run executes one job to a terminal state.
+// run executes one dispatched job to a terminal state.
 func (m *Manager) run(j *Job) {
 	defer m.wg.Done()
-	defer m.releaseJobSlot(j)
-	j.mu.Lock()
-	if j.state != StateQueued { // cancelled while queued
-		j.mu.Unlock()
-		j.ctrl.Close()
-		j.sealSnapshots()
-		return
-	}
-	j.state = StateRunning
-	j.started = time.Now()
-	j.mu.Unlock()
-	// Deliberately not journaled: recovery re-queues queued and
-	// running records identically (started_at only survives through
-	// terminal records, step through checkpoints), so a running-record
-	// write would buy nothing but two fsyncs on every job start.
-
 	cfg, err := j.Spec.coreConfig()
 	if err != nil {
 		m.finish(j, err, false)
@@ -1170,16 +1042,12 @@ func (m *Manager) run(j *Job) {
 	}
 	cfg.Controller = j.ctrl
 	cfg.Phases = jobObserver{m: m.metrics, j: j}
-	if hook := m.stepHook; hook != nil {
-		// Test-only fault seam: the hook runs on the rank-0 stepping
-		// goroutine, so a panicking hook exercises the quarantine path
-		// exactly like a kernel bug would.
-		cfg.OnStep = func(step, total int) {
-			j.step.Store(int64(step))
+	hook := m.opts.StepHook // test-only: a panicking hook is quarantined like a kernel bug
+	cfg.OnStep = func(step, total int) {
+		j.step.Store(int64(step))
+		if hook != nil {
 			hook(j.ID, step)
 		}
-	} else {
-		cfg.OnStep = func(step, total int) { j.step.Store(int64(step)) }
 	}
 	cfg.OnSnapshot = func(s *core.Snapshot) {
 		m.metrics.SnapshotsTotal.Add(1)
@@ -1214,7 +1082,7 @@ func (m *Manager) run(j *Job) {
 	var writer *ckptWriter
 	if every := m.checkpointCadence(j.Spec); every > 0 {
 		cfg.CheckpointEvery = every
-		writer = newCkptWriter(m.store, j.ID, m.metrics, j.rec, j.log, m.chaos, m.degrader, m.fullEvery, j.Spec.Steps)
+		writer = newCkptWriter(m.store, j.ID, m.metrics, j.rec, j.log, m.opts.ChaosHook, m.degrader, m.opts.CheckpointFullEvery, j.Spec.Steps)
 		cfg.Checkpoint = writer
 	}
 	// A recovered job resumes from its journaled checkpoint, re-read
@@ -1222,36 +1090,26 @@ func (m *Manager) run(j *Job) {
 	// actually dispatches; the run loop validates the decoded state
 	// against the domain and counts steps onward. A checkpoint that
 	// stopped verifying since recovery degrades to a fresh start,
-	// like any other corruption.
+	// like any other corruption. A recovered job that was paused at the
+	// time of death restarts parked: the solver waits in its steering
+	// loop for an explicit resume. Steered iolet densities issued since
+	// submit are re-applied identically on every rank before the first
+	// step.
 	j.mu.Lock()
-	resumeStep := j.resumeStep
+	resumeStep, resumePaused, steer := j.resumeStep, j.resumePaused, j.steer
 	j.mu.Unlock()
 	if resumeStep > 0 {
+		resumeStep = 0
 		if st, err := m.store.CheckpointState(j.ID); err == nil {
-			cfg.Restore = st
-			if st.Info.Step != resumeStep {
-				j.mu.Lock()
-				j.resumeStep = st.Info.Step
-				j.mu.Unlock()
-				j.step.Store(int64(st.Info.Step))
-			}
+			cfg.Restore, resumeStep = st, st.Info.Step
 		} else {
 			m.metrics.CheckpointsInvalid.Add(1)
-			j.mu.Lock()
-			j.resumeStep = 0
-			j.mu.Unlock()
-			j.step.Store(0)
 		}
+		j.mu.Lock()
+		j.resumeStep = resumeStep
+		j.mu.Unlock()
+		j.step.Store(int64(resumeStep))
 	}
-	// A recovered job that was paused at the time of death restarts
-	// parked: the solver waits in its steering loop for an explicit
-	// resume. Steered iolet densities issued since submit are re-applied
-	// identically on every rank before the first step.
-	j.mu.Lock()
-	resumePaused := j.resumePaused
-	j.resumePaused = false
-	steer := j.steer
-	j.mu.Unlock()
 	cfg.StartPaused = resumePaused
 	for _, ov := range steer.Iolets {
 		cfg.IoletOverrides = append(cfg.IoletOverrides, core.IoletOverride{Iolet: ov.Iolet, Density: ov.Density})
@@ -1280,7 +1138,6 @@ func (m *Manager) run(j *Job) {
 	m.metrics.Preprocess.Observe(pre.Nanoseconds())
 	j.mu.Lock()
 	j.numSites = sim.Dom.NumSites()
-	resumeStep = j.resumeStep
 	j.mu.Unlock()
 	detail, plan := "cache=miss", "miss"
 	if hit {
@@ -1301,23 +1158,14 @@ func (m *Manager) run(j *Job) {
 	j.log.Info("job dispatched", "sites", sim.Dom.NumSites(), "resume_step", resumeStep,
 		"resume_paused", resumePaused, "domain_cache_hit", hit, "preprocess", pre)
 	if resumePaused {
-		// The run goroutine is about to park in the solver's pause loop;
-		// hand the concurrency slot back so queued work is not starved by
-		// jobs nobody has resumed yet, and surface the state as paused.
-		j.mu.Lock()
-		if j.state == StateRunning {
-			j.state = StatePaused
-		}
-		j.mu.Unlock()
-		j.rec.Record(obs.EvPause, resumeStep, 0, "recovered paused")
-		m.releaseJobSlot(j)
-		m.persistStateAsync(j)
+		// About to park in the solver's pause loop: a pause, so queued
+		// work is not starved by jobs nobody has resumed yet.
+		_, _ = m.transition(j, evPause, "recovered paused")
 	}
 	// The recover wrapper turns a panicking solver — a rank goroutine
 	// (surfaced by par.Runtime as a RankPanic), a bad restore — into a
-	// failed job instead of a dead daemon: the panic
-	// value and stack go to the log and flight recorder, siblings keep
-	// stepping, and the HTTP plane never notices.
+	// failed job instead of a dead daemon: the panic value and stack go
+	// to the log and flight recorder, siblings keep stepping.
 	runErr := guard.Capture("solver run", func() error {
 		return sim.Run(j.Spec.Steps)
 	})
@@ -1347,119 +1195,58 @@ func (m *Manager) run(j *Job) {
 	m.finish(j, runErr, sim.StepsDone >= j.Spec.Steps)
 }
 
-// finish moves a job to its terminal state, closes its controller so
-// late Do calls fail instead of blocking forever, and wakes stream
-// subscribers for their end-of-stream check. A run that executed every
+// finish applies the run's outcome. A run that executed every
 // requested step counts as done even when a cancel raced its
 // completion — the work happened.
 func (m *Manager) finish(j *Job, runErr error, completed bool) {
-	j.ctrl.Close()
-	j.mu.Lock()
-	j.finished = time.Now()
 	switch {
 	case runErr != nil:
-		j.state = StateFailed
-		j.errMsg = runErr.Error()
-		m.metrics.JobsFailed.Add(1)
-	case j.quit != quitNone && !completed:
-		j.state = StateCancelled
-		m.metrics.JobsCancelled.Add(1)
+		_, _ = m.transition(j, evFinishError, runErr.Error())
+	case !completed:
+		_, _ = m.transition(j, evFinishQuit, "")
 	default:
-		j.state = StateDone
-		m.metrics.JobsDone.Add(1)
+		_, _ = m.transition(j, evFinishOK, "")
 	}
-	detail := string(j.state)
-	if j.errMsg != "" {
-		detail += ": " + j.errMsg
-	}
-	finalStep := int(j.step.Load())
-	// A cancel that Close issued while draining is an interruption,
-	// not an outcome: leaving the store's record at running/paused is
-	// exactly what re-queues the job on the next boot.
-	skipJournal := j.drainCancelled()
-	j.mu.Unlock()
-	j.rec.Record(obs.EvTerminal, finalStep, 0, detail)
-	if runErr != nil {
-		j.log.Error("job failed", "step", finalStep, "err", runErr)
-	} else {
-		j.log.Info("job finished", "state", detail, "step", finalStep)
-	}
-	if !skipJournal {
-		// The terminal record is written without the worker waiting out
-		// an fsync: losing it to a crash equals crashing a moment
-		// earlier (the job re-runs), which recovery already handles,
-		// and the worker slot frees immediately.
-		m.persistStateNoWait(j)
-	}
-	// Seal after the terminal state is visible: a subscriber woken by
-	// the seal must observe Terminal() and end its stream.
-	j.sealSnapshots()
-	// The job left the active set; return its admission-quota slot.
-	m.tenants.release(j.tenant)
 }
 
-// watchdog periodically sweeps running jobs for step progress: a job
-// whose step counter has not moved across a full window takes a strike
-// (event, metric, log line). It only flags: a stalled solver does not
-// poll steering, so no quit could reach it before the stall ends, and
-// a paused job is not expected to step and is not watched.
+// every runs f every d until Close.
+func (m *Manager) every(d time.Duration, f func()) {
+	defer m.wg.Done()
+	t := time.NewTicker(d)
+	defer t.Stop()
+	for {
+		select {
+		case <-m.done:
+			return
+		case <-t.C:
+			f()
+		}
+	}
+}
+
+// watchdog sweeps running jobs for step progress: a job whose step
+// counter has not moved across a full window takes a strike (event,
+// metric, log line). It only flags: a stalled solver does not poll
+// steering, so no quit could reach it before the stall ends, and a
+// paused job is not expected to step and is not watched.
 func (m *Manager) watchdog() {
-	defer m.wg.Done()
-	t := time.NewTicker(m.wdStall)
-	defer t.Stop()
-	for {
-		select {
-		case <-m.done:
-			return
-		case <-t.C:
-		}
-		m.mu.Lock()
-		jobs := make([]*Job, 0, len(m.jobs))
-		for _, id := range m.order {
-			jobs = append(jobs, m.jobs[id])
-		}
-		m.mu.Unlock()
-		for _, j := range jobs {
-			cur := j.step.Load()
-			j.mu.Lock()
-			if j.state != StateRunning {
-				// Paused, queued and terminal jobs are not expected to
-				// step; re-prime so the next running window starts fresh.
-				j.wdSeen = false
-				j.wdStrikes = 0
-				j.mu.Unlock()
-				continue
-			}
-			if !j.wdSeen || cur != j.wdLastStep {
-				j.wdSeen = true
-				j.wdLastStep = cur
-				j.wdStrikes = 0
-				j.mu.Unlock()
-				continue
-			}
-			j.wdStrikes++
-			strikes := j.wdStrikes
+	for _, j := range m.jobsInOrder() {
+		cur := j.step.Load()
+		j.mu.Lock()
+		// A job that is not running re-primes, so its next running
+		// window starts fresh.
+		running := j.state == StateRunning
+		if !running || !j.wdSeen || cur != j.wdLastStep {
+			j.wdSeen, j.wdLastStep, j.wdStrikes = running, cur, 0
 			j.mu.Unlock()
-			m.metrics.WatchdogStalls.Add(1)
-			j.rec.Record(obs.EvWatchdogStall, int(cur), 0, fmt.Sprintf("strike %d", strikes))
-			j.log.Warn("watchdog: no step progress", "step", cur, "strike", strikes)
+			continue
 		}
-	}
-}
-
-// gcLoop periodically prunes terminal jobs beyond the retention policy
-// (count cap, age cap) from both the job table and the store.
-func (m *Manager) gcLoop() {
-	defer m.wg.Done()
-	t := time.NewTicker(m.gcInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-m.done:
-			return
-		case <-t.C:
-		}
-		m.gcTerminal()
+		j.wdStrikes++
+		strikes := j.wdStrikes
+		j.mu.Unlock()
+		m.metrics.WatchdogStalls.Add(1)
+		j.rec.Record(obs.EvWatchdogStall, int(cur), 0, fmt.Sprintf("strike %d", strikes))
+		j.log.Warn("watchdog: no step progress", "step", cur, "strike", strikes)
 	}
 }
 
@@ -1470,56 +1257,36 @@ func (m *Manager) gcTerminal() {
 		j        *Job
 		finished time.Time
 	}
-	m.mu.Lock()
 	var terminal []doneJob
-	for _, id := range m.order {
-		j := m.jobs[id]
+	for _, j := range m.jobsInOrder() {
 		j.mu.Lock()
 		if j.state.Terminal() && !j.drainCancelled() {
 			terminal = append(terminal, doneJob{j, j.finished})
 		}
 		j.mu.Unlock()
 	}
-	m.mu.Unlock()
 	sort.Slice(terminal, func(a, b int) bool {
 		return terminal[a].finished.Before(terminal[b].finished)
 	})
-	var victims []*Job
-	if m.retainAge > 0 {
-		cutoff := time.Now().Add(-m.retainAge)
-		for _, d := range terminal {
-			if d.finished.Before(cutoff) {
-				victims = append(victims, d.j)
-			}
+	// Oldest first, so the victims are a prefix: every job past the age
+	// cap, then as many more as the count cap needs.
+	cutoff := time.Now().Add(-m.opts.StoreRetainAge)
+	for i, d := range terminal {
+		old := m.opts.StoreRetainAge > 0 && d.finished.Before(cutoff)
+		if !old && (m.opts.StoreRetain <= 0 || len(terminal)-i <= m.opts.StoreRetain) {
+			break
 		}
-	}
-	if m.retainMax > 0 && len(terminal)-len(victims) > m.retainMax {
-		// victims is a prefix of terminal (both oldest-first), so extend
-		// it until the survivors fit the cap.
-		for _, d := range terminal[len(victims):] {
-			if len(terminal)-len(victims) <= m.retainMax {
-				break
-			}
-			victims = append(victims, d.j)
-		}
-	}
-	for _, j := range victims {
-		if err := m.store.Remove(j.ID); err != nil {
+		if err := m.store.Remove(d.j.ID); err != nil {
 			m.metrics.StoreErrors.Add(1)
-			j.log.Warn("retention sweep: removing job failed", "err", err)
+			d.j.log.Warn("retention sweep: removing job failed", "err", err)
 			continue
 		}
 		m.mu.Lock()
-		delete(m.jobs, j.ID)
-		for i, id := range m.order {
-			if id == j.ID {
-				m.order = append(m.order[:i], m.order[i+1:]...)
-				break
-			}
-		}
+		delete(m.jobs, d.j.ID)
+		m.order = slices.DeleteFunc(m.order, func(id string) bool { return id == d.j.ID })
 		m.mu.Unlock()
 		m.metrics.JobsGCed.Add(1)
-		j.log.Info("retention sweep removed terminal job")
+		d.j.log.Info("retention sweep removed terminal job")
 	}
 }
 
@@ -1538,67 +1305,43 @@ func (m *Manager) do(j *Job, msg steering.ClientMsg) (steering.ServerMsg, error)
 // Pause suspends time stepping and hands the job's concurrency slot
 // back to the pool: the run goroutine parks in the controller's
 // PollWait while another queued job takes the slot. The job keeps
-// servicing steering.
+// servicing steering. Pausing a paused job does nothing.
 func (m *Manager) Pause(j *Job) error {
 	j.lifecycle.Lock()
 	defer j.lifecycle.Unlock()
-	if _, err := m.do(j, steering.ClientMsg{Op: steering.OpPause}); err != nil {
+	if _, eff, err := next(j.State(), evPause); err != nil || eff == (effects{}) {
 		return err
 	}
-	freeSlot := false
-	j.mu.Lock()
-	if j.state == StateRunning {
-		j.state = StatePaused
+	if _, err := j.ctrl.Do(steering.ClientMsg{Op: steering.OpPause}); err != nil {
+		return err
 	}
-	freeSlot = j.state == StatePaused
-	j.mu.Unlock()
-	if freeSlot {
-		m.releaseJobSlot(j)
-		m.persistStateAsync(j)
-		j.rec.Record(obs.EvPause, j.Step(), 0, "")
-		j.log.Info("job paused", "step", j.Step())
-	}
-	return nil
+	_, err := m.transition(j, evPause, "")
+	return err
 }
 
 // Resume continues a paused job, re-admitting it through the slot
 // pool: with every slot busy, Resume blocks until one frees — paused
 // time is queue time, not stolen concurrency. The wait aborts when ctx
 // ends (client gone, server draining), so a full pool cannot strand
-// handler goroutines.
+// handler goroutines. Resuming a running job does nothing.
 func (m *Manager) Resume(ctx context.Context, j *Job) error {
 	j.lifecycle.Lock()
 	defer j.lifecycle.Unlock()
-	j.mu.Lock()
-	needSlot := j.state == StatePaused && !j.holdsSlot
-	j.mu.Unlock()
-	if needSlot {
-		select {
-		case <-m.slots:
-		case <-ctx.Done():
-			return fmt.Errorf("%w: gave up waiting for a worker slot", ErrResumeAborted)
-		}
+	_, eff, err := next(j.State(), evResume)
+	if err != nil || !eff.takeSlot {
+		return err
 	}
-	_, err := m.do(j, steering.ClientMsg{Op: steering.OpResume})
-	granted := false
-	resumed := false
-	j.mu.Lock()
-	if err == nil && j.state == StatePaused {
-		j.state = StateRunning
-		resumed = true
+	select {
+	case <-m.slots:
+	case <-ctx.Done():
+		return fmt.Errorf("%w: gave up waiting for a worker slot", ErrResumeAborted)
 	}
-	if needSlot && err == nil && j.state == StateRunning && !j.holdsSlot {
-		j.holdsSlot = true
-		granted = true
+	_, err = j.ctrl.Do(steering.ClientMsg{Op: steering.OpResume})
+	if err == nil {
+		eff, err = m.transition(j, evResume, "")
 	}
-	j.mu.Unlock()
-	if needSlot && !granted {
+	if err != nil || !eff.takeSlot {
 		m.slots <- struct{}{}
-	}
-	if resumed {
-		m.persistStateAsync(j)
-		j.rec.Record(obs.EvResume, j.Step(), 0, "")
-		j.log.Info("job resumed", "step", j.Step())
 	}
 	return err
 }
@@ -1607,44 +1350,9 @@ func (m *Manager) Resume(ctx context.Context, j *Job) error {
 // user-facing path: the cancelled outcome is journaled, overriding a
 // concurrent shutdown's intent to keep the job resumable — once the
 // caller is told "cancelled", the job must not resurrect.
-func (m *Manager) Cancel(j *Job) error { return m.cancel(j, quitUser) }
-
-// cancel records why the job is quitting — a user's reason replaces a
-// drain's, never the reverse — and stops it.
-func (m *Manager) cancel(j *Job, why quitReason) error {
-	j.mu.Lock()
-	j.quit = max(j.quit, why)
-	switch {
-	case j.state.Terminal():
-		j.mu.Unlock()
-		return ErrFinished
-	case j.state == StateQueued:
-		// The dispatcher will observe the state and skip the run.
-		j.state = StateCancelled
-		j.finished = time.Now()
-		// Same rule as finish: a shutdown-induced cancel keeps the
-		// store's queued record so the job comes back on reboot.
-		skipJournal := j.drainCancelled()
-		j.mu.Unlock()
-		m.metrics.JobsCancelled.Add(1)
-		j.rec.Record(obs.EvTerminal, 0, 0, "cancelled while queued")
-		j.log.Info("job cancelled while queued")
-		if !skipJournal {
-			m.persistState(j)
-		}
-		j.ctrl.Close()
-		j.sealSnapshots()
-		m.tenants.release(j.tenant)
-		return nil
-	default:
-		j.mu.Unlock()
-		// Quit rides the normal steering path; "controller closed"
-		// just means the job beat us to a terminal state.
-		if _, err := j.ctrl.Do(steering.ClientMsg{Op: steering.OpQuit}); err != nil && !j.State().Terminal() {
-			return err
-		}
-		return nil
-	}
+func (m *Manager) Cancel(j *Job) error {
+	_, err := m.transition(j, evCancel, "")
+	return err
 }
 
 // Steer applies a set-iolet parameter change to a live job over its
@@ -1660,21 +1368,23 @@ func (m *Manager) Steer(j *Job, msg steering.ClientMsg) error {
 	if err != nil {
 		return err
 	}
+	j.journalMu.Lock()
+	defer j.journalMu.Unlock()
 	j.mu.Lock()
 	// Latest density wins per iolet index.
-	updated := false
-	for i := range j.steer.Iolets {
-		if j.steer.Iolets[i].Iolet == msg.Iolet {
-			j.steer.Iolets[i].Density = msg.Density
-			updated = true
-			break
-		}
-	}
-	if !updated {
+	if i := slices.IndexFunc(j.steer.Iolets, func(ov store.IoletOver) bool { return ov.Iolet == msg.Iolet }); i >= 0 {
+		j.steer.Iolets[i].Density = msg.Density
+	} else {
 		j.steer.Iolets = append(j.steer.Iolets, store.IoletOver{Iolet: msg.Iolet, Density: msg.Density})
 	}
+	// Journal the override before replying, unless the job has ended:
+	// its terminal transition wrote (or, drained, kept out) the last
+	// record.
+	ended, rec := j.state.Terminal(), j.recordLocked()
 	j.mu.Unlock()
-	m.persistStateAsync(j)
+	if !ended {
+		m.appendState(j, rec, journalNoWait)
+	}
 	return nil
 }
 
@@ -1697,9 +1407,6 @@ func (m *Manager) Status(j *Job) (*steering.Status, error) {
 // no buffer of its size.
 func (m *Manager) Data(j *Job, roiMin, roiMax [3]float64, detail, context int) (octree.Reply, error) {
 	m.metrics.DataRequests.Add(1)
-	if j.State() == StateQueued {
-		return octree.Reply{}, ErrNotRunning
-	}
 	snap, err := m.freshSnapshot(j)
 	if err != nil {
 		return octree.Reply{}, err
@@ -1720,9 +1427,6 @@ func (m *Manager) Data(j *Job, roiMin, roiMax [3]float64, detail, context int) (
 // goroutine, outside the solver loop, which is why it also works while
 // paused and after termination.
 func (m *Manager) Frame(j *Job, req insitu.Request) ([]byte, int, int, error) {
-	if j.State() == StateQueued {
-		return nil, 0, 0, ErrNotRunning
-	}
 	snap, err := m.freshSnapshot(j)
 	if err != nil {
 		return nil, 0, 0, err
@@ -1770,7 +1474,7 @@ func (m *Manager) render(snap *core.Snapshot, req insitu.Request) (f frame, err 
 	return f, nil
 }
 
-// Close stops accepting jobs, cancels everything in flight, waits for
+// Close stops accepting jobs, drains everything in flight and waits for
 // the runs — the graceful-shutdown path.
 func (m *Manager) Close() {
 	m.mu.Lock()
@@ -1781,22 +1485,14 @@ func (m *Manager) Close() {
 	}
 	m.closed = true
 	m.log.Info("manager draining", "jobs", len(m.jobs))
-	jobs := make([]*Job, 0, len(m.jobs))
-	for _, j := range m.jobs {
-		jobs = append(jobs, j)
-	}
-	close(m.queue)
 	m.mu.Unlock()
-	for _, j := range jobs {
-		if j.State().Terminal() {
-			continue
-		}
-		// A shutdown-induced cancel keeps the job's interrupted
-		// (running/paused/queued) record in the store, so the next boot
-		// resumes it from its latest checkpoint. A cancel requested by a
-		// user — before Close or racing the drain — outranks it and
-		// journals its terminal state.
-		_ = m.cancel(j, quitShutdown)
+	for _, j := range m.jobsInOrder() {
+		// The drain keeps the job's interrupted (running/paused/queued)
+		// record in the store, so the next boot resumes it from its
+		// latest checkpoint. A cancel requested by a user — before Close
+		// or racing the drain — outranks it and journals its terminal
+		// state.
+		_, _ = m.transition(j, evDrain, "")
 	}
 	close(m.done)
 	m.wg.Wait()
