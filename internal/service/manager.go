@@ -1,16 +1,8 @@
 package service
 
 import (
-	"context"
-	"encoding/json"
-	"errors"
 	"fmt"
-	"io/fs"
 	"log/slog"
-	"slices"
-	"sort"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -19,12 +11,10 @@ import (
 	"repro/internal/geometry"
 	"repro/internal/guard"
 	"repro/internal/insitu"
-	"repro/internal/lattice"
 	"repro/internal/obs"
 	"repro/internal/octree"
 	"repro/internal/service/store"
 	"repro/internal/steering"
-	"repro/internal/vec"
 )
 
 // JobState is the lifecycle of one managed simulation; next
@@ -44,37 +34,6 @@ const (
 func (s JobState) Terminal() bool {
 	return s == StateDone || s == StateFailed || s == StateCancelled
 }
-
-// ChaosHook observes named crash points on the durable-job path. The
-// chaos harness (internal/chaos) installs one that cuts power at a
-// chosen (point, occurrence) pair; production managers leave it nil.
-// It runs on whatever goroutine hits the point, so implementations
-// must be safe for concurrent use.
-type ChaosHook func(point, jobID string)
-
-// Named crash points a ChaosHook can observe.
-const (
-	// ChaosJournalAppend fires immediately before a spec or lifecycle
-	// record is journaled.
-	ChaosJournalAppend = "journal.append"
-	// ChaosCheckpointSwap fires in the solver loop as a gathered
-	// checkpoint state is handed to the async writer (ckptWriter.Deliver).
-	ChaosCheckpointSwap = "ckpt.swap"
-	// ChaosCheckpointWrite fires on the writer goroutine immediately
-	// before the encoded checkpoint is persisted.
-	ChaosCheckpointWrite = "ckpt.write"
-	// ChaosCheckpointDelta fires on the writer goroutine immediately
-	// before an encoded delta record is persisted.
-	ChaosCheckpointDelta = "ckpt.delta"
-	// ChaosCheckpointCompact fires between a full checkpoint landing
-	// and the old delta chain being removed — the mid-compaction crash
-	// window (stale deltas must be rejected and swept, never replayed).
-	ChaosCheckpointCompact = "ckpt.compact"
-	// ChaosRecoveryReplay fires once per journaled job as boot-time
-	// recovery replays it — a crash *during* recovery must itself be
-	// recoverable.
-	ChaosRecoveryReplay = "recovery.replay"
-)
 
 // Errors the HTTP layer maps onto status codes.
 var (
@@ -200,50 +159,6 @@ func (j *Job) drainCancelled() bool {
 	return j.quit == quitShutdown && j.state == StateCancelled
 }
 
-// wantSnapshot registers demand for a fresh snapshot; the solver
-// publishes at its next cadence check.
-func (j *Job) wantSnapshot() { j.snapWant.Store(true) }
-
-// snapFreshWait bounds how long a frame/data request waits for a
-// demand-driven publication before settling for whatever exists.
-const snapFreshWait = 10 * time.Second
-
-// freshSnapshot returns the job's latest snapshot for request serving
-// — the one source of pixels and octrees — registering demand and
-// waiting (bounded) for a publication when there is none yet or the
-// newest one lags a running solver by more than one cadence, so
-// pollers see ≤one-cadence staleness. Paused and terminal jobs answer
-// at once: the solver publishes on entering a pause and at run end.
-// ErrNotRunning while queued; ErrNoSnapshot when the spec disabled
-// snapshots or the job ended without ever publishing one.
-func (m *Manager) freshSnapshot(j *Job) (*core.Snapshot, error) {
-	if j.State() == StateQueued {
-		return nil, ErrNotRunning
-	}
-	if !j.Spec.SnapshotsEnabled() {
-		return nil, ErrNoSnapshot
-	}
-	deadline := time.NewTimer(snapFreshWait)
-	defer deadline.Stop()
-	for {
-		snap, newer := j.LatestSnapshot()
-		st := j.State()
-		fresh := snap != nil && (st != StateRunning || j.Step() < snap.Step+j.Spec.SnapshotEvery)
-		if !fresh && !st.Terminal() {
-			j.wantSnapshot()
-			select {
-			case <-newer:
-				continue
-			case <-deadline.C: // settle for whatever exists
-			}
-		}
-		if snap == nil {
-			return nil, ErrNoSnapshot
-		}
-		return snap, nil
-	}
-}
-
 // JobInfo is the JSON snapshot served by list/get.
 type JobInfo struct {
 	ID         string   `json:"id"`
@@ -321,43 +236,6 @@ func (j *Job) State() JobState {
 
 // Step returns the last step the solver reported.
 func (j *Job) Step() int { return int(j.step.Load()) }
-
-// publishSnapshot installs a new snapshot and wakes every waiter. It
-// runs on the solver's critical path (the core OnSnapshot hook), so it
-// only swaps a pointer and rotates a channel.
-func (j *Job) publishSnapshot(s *core.Snapshot) {
-	j.snapMu.Lock()
-	if j.snapSealed {
-		j.snapMu.Unlock()
-		return
-	}
-	j.snap = s
-	old := j.snapCh
-	j.snapCh = make(chan struct{})
-	j.snapMu.Unlock()
-	close(old)
-}
-
-// sealSnapshots wakes all waiters one final time without rotating the
-// channel — after this, LatestSnapshot's channel reads as closed
-// forever, and callers distinguish "job over" via State().Terminal().
-func (j *Job) sealSnapshots() {
-	j.snapMu.Lock()
-	if !j.snapSealed {
-		j.snapSealed = true
-		close(j.snapCh)
-	}
-	j.snapMu.Unlock()
-}
-
-// LatestSnapshot returns the newest published snapshot (nil before the
-// first one) and a channel that closes when a newer snapshot arrives
-// or the job reaches a terminal state.
-func (j *Job) LatestSnapshot() (*core.Snapshot, <-chan struct{}) {
-	j.snapMu.Lock()
-	defer j.snapMu.Unlock()
-	return j.snap, j.snapCh
-}
 
 // Options configures a Manager beyond the worker/queue pair.
 type Options struct {
@@ -565,226 +443,6 @@ func NewManagerOpts(o Options) *Manager {
 	return m
 }
 
-// onDegradeChange is the degrader's transition callback: flip the
-// gauge, log loudly, and on restore re-journal every live job so the
-// states accepted while degraded become durable again. The re-journal
-// runs on the probe goroutine that restored, which Degrader.Close waits
-// for — so Close, which closes the degrader before the journal, never
-// returns while one is in flight.
-func (m *Manager) onDegradeChange(degraded bool, cause error) {
-	if degraded {
-		m.metrics.StoreDegraded.Store(1)
-		m.metrics.StoreDegradedTotal.Add(1)
-		m.log.Error("store degraded: suspending durability, jobs keep stepping", "cause", cause)
-		return
-	}
-	m.metrics.StoreDegraded.Store(0)
-	m.log.Info("store restored: re-enabling durability")
-	m.rejournalAll()
-}
-
-// StoreDegraded reports whether durability is currently suspended
-// under disk pressure (the /healthz "degraded" signal).
-func (m *Manager) StoreDegraded() bool {
-	return m.degrader != nil && m.degrader.Degraded()
-}
-
-// rejournalAll re-writes every live job's spec+state through the
-// journal after a degraded episode ends: whatever was accepted or
-// transitioned while writes were suspended becomes durable now.
-// AppendSubmit is idempotent (it overwrites the same records recovery
-// reads), so jobs that never lost a write are simply refreshed.
-func (m *Manager) rejournalAll() {
-	jobs := m.jobsInOrder()
-	for _, j := range jobs {
-		if m.degrader.Degraded() {
-			return // re-degraded mid-sweep; the next restore retries
-		}
-		j.journalMu.Lock()
-		j.mu.Lock()
-		rec := j.recordLocked()
-		spec := j.Spec
-		skip := j.drainCancelled()
-		j.mu.Unlock()
-		if !skip {
-			if err := m.store.AppendSubmit(j.ID, spec, rec); err != nil {
-				m.metrics.StoreErrors.Add(1)
-				j.log.Warn("re-journal after degraded episode failed", "err", err)
-				m.degrader.WriteFailed(err)
-			} else {
-				m.degrader.WriteOK()
-				j.rec.Record(obs.EvStoreRestored, j.Step(), 0, "re-journaled")
-			}
-		}
-		j.journalMu.Unlock()
-	}
-	m.log.Info("re-journaled live jobs after degraded episode", "jobs", len(jobs))
-}
-
-// recoverFromStore rebuilds the job table from the data dir: terminal
-// jobs come back as read-only history; interrupted ones (queued,
-// running or paused at the time of death) are re-queued, resuming from
-// their latest checkpoint when it verifies — a corrupt or missing
-// checkpoint degrades to a clean start from step 0, never a crash.
-// Returns the jobs to prefill the submission queue with.
-func (m *Manager) recoverFromStore() []*Job {
-	var pending []*Job
-	for _, id := range m.store.Jobs() {
-		m.chaosPoint(ChaosRecoveryReplay, id)
-		// Keep new submissions' IDs above everything ever journaled.
-		if rest, ok := strings.CutPrefix(id, "job-"); ok {
-			if n, err := strconv.ParseInt(rest, 10, 64); err == nil && n > m.nextID {
-				m.nextID = n
-			}
-		}
-		// Jobs lists exactly the ids the journal holds a spec and a
-		// record for; remnants never reach this loop.
-		raw, _ := m.store.Spec(id)
-		rec, _ := m.store.State(id)
-		var spec JobSpec
-		if err := json.Unmarshal(raw, &spec); err != nil {
-			m.metrics.StoreErrors.Add(1)
-			continue
-		}
-		j := &Job{
-			ID:        id,
-			Spec:      spec.withDefaults(),
-			ctrl:      steering.NewController(),
-			rec:       obs.NewRecorder(m.opts.EventRing),
-			log:       m.log.With("job", id),
-			created:   rec.CreatedAt,
-			recovered: true,
-			restarts:  rec.Restarts,
-			tenant:    rec.Tenant,
-			snapCh:    make(chan struct{}),
-		}
-		if rec.Steer != nil {
-			j.steer = *rec.Steer
-		}
-		if ev, ok := recoverEvents[JobState(rec.State)]; ok {
-			j.step.Store(int64(rec.Step))
-			j.errMsg = rec.Error
-			j.started = rec.StartedAt
-			j.finished = rec.FinishedAt
-			_, _ = m.transition(j, ev, rec.State)
-		} else {
-			j.restarts++
-			// A job that was paused when the daemon died comes back
-			// paused: its re-run starts parked and waits for an explicit
-			// resume, instead of silently burning its remaining steps.
-			j.resumePaused = rec.Paused || rec.State == string(StatePaused)
-			// Verify the checkpoint chain now but keep only its step —
-			// the state is re-read at dispatch, so a crash with a big
-			// backlog doesn't hold every solver state in memory while
-			// jobs wait for a slot. The step doubles as the reported
-			// progress; without a usable checkpoint it stays 0 so the
-			// step counter never runs backwards once the re-run starts.
-			if step, err := m.store.VerifyCheckpoint(id); err == nil {
-				j.resumeStep = step
-				j.step.Store(int64(step))
-			} else if !errors.Is(err, fs.ErrNotExist) {
-				// Interrupted before its first checkpoint is normal;
-				// anything else is a corrupt file we fall back from.
-				m.metrics.CheckpointsInvalid.Add(1)
-				j.log.Warn("checkpoint failed verification at recovery; restarting from step 0", "err", err)
-			}
-			// Journal the re-queued record (restart count, queued state)
-			// so a crash during recovery itself still counts the attempt;
-			// re-queued work still occupies its tenant's quota.
-			_, _ = m.transition(j, evRecoverInterrupted, rec.State)
-			m.metrics.JobRestarts.Add(1)
-			pending = append(pending, j)
-		}
-		m.jobs[id] = j
-		m.order = append(m.order, id)
-		m.metrics.JobsRecovered.Add(1)
-	}
-	return pending
-}
-
-// chaosPoint fires the chaos hook (nil-safe).
-func (m *Manager) chaosPoint(point, jobID string) {
-	if m.opts.ChaosHook != nil {
-		m.opts.ChaosHook(point, jobID)
-	}
-}
-
-// recordLocked builds the persisted lifecycle record. Caller holds
-// j.mu (or has exclusive access to a job not yet published).
-func (j *Job) recordLocked() store.JobRecord {
-	rec := store.JobRecord{
-		ID:         j.ID,
-		State:      string(j.state),
-		Error:      j.errMsg,
-		Step:       int(j.step.Load()),
-		Restarts:   j.restarts,
-		CreatedAt:  j.created,
-		StartedAt:  j.started,
-		FinishedAt: j.finished,
-		Tenant:     j.tenant,
-		// A recovered paused job waiting for its park is still paused.
-		Paused: j.state == StatePaused || j.resumePaused && !j.state.Terminal(),
-	}
-	if len(j.steer.Iolets) > 0 {
-		rec.Steer = &store.SteerRecord{Iolets: append([]store.IoletOver(nil), j.steer.Iolets...)}
-	}
-	return rec
-}
-
-// appendState journals rec, j's lifecycle record, in the given mode.
-// Best-effort: a failed write is counted, not fatal — the run itself
-// must not die because the disk hiccuped. The caller holds j.journalMu,
-// so records land in the order they were built.
-func (m *Manager) appendState(j *Job, rec store.JobRecord, mode journalMode) {
-	if m.store == nil || mode == journalNone {
-		return
-	}
-	append := m.store.AppendState
-	if mode == journalNoWait {
-		append = m.store.AppendStateNoWait
-	}
-	_, _ = m.journal(j, func() error { return append(j.ID, rec) })
-}
-
-// journal runs one journal write for j under the disk-pressure policy.
-// While degraded the write is skipped (suppressed): the job's record
-// is re-journaled wholesale when the probe restores the disk
-// (rejournalAll), so only crash-durability during the episode is lost
-// — which the disk couldn't provide anyway. A failed write reaches the
-// degrader; one that trips degraded mode counts as suppressed, any
-// other failure is returned.
-func (m *Manager) journal(j *Job, write func() error) (suppressed bool, err error) {
-	if m.degrader.Degraded() {
-		m.metrics.StoreWritesSuppressed.Add(1)
-		return true, nil
-	}
-	m.chaosPoint(ChaosJournalAppend, j.ID)
-	if err = write(); err == nil {
-		m.degrader.WriteOK()
-		return false, nil
-	}
-	m.metrics.StoreErrors.Add(1)
-	j.log.Warn("journal write failed", "err", err)
-	if m.degrader.WriteFailed(err) {
-		m.metrics.StoreWritesSuppressed.Add(1)
-		return true, nil
-	}
-	return false, err
-}
-
-// checkpointCadence resolves a spec's effective checkpoint cadence:
-// 0 = daemon default, -1 = off, otherwise the spec's own value; always
-// 0 (off) without a store.
-func (m *Manager) checkpointCadence(sp JobSpec) int {
-	if m.store == nil || sp.CheckpointEvery < 0 {
-		return 0
-	}
-	if sp.CheckpointEvery > 0 {
-		return sp.CheckpointEvery
-	}
-	return m.opts.CheckpointEvery
-}
-
 // Metrics exposes the counter set shared with the HTTP layer.
 func (m *Manager) Metrics() *Metrics { return m.metrics }
 
@@ -802,139 +460,6 @@ func (m *Manager) Draining() bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.closed
-}
-
-// Submit validates a spec and enqueues the job under the anonymous
-// tenant, failing fast when the queue is full — backpressure instead
-// of unbounded memory.
-func (m *Manager) Submit(spec JobSpec) (*Job, error) {
-	return m.SubmitAs(AnonymousTenant, spec)
-}
-
-// SubmitAs validates a spec and enqueues the job charged to tenant,
-// running the admission gauntlet first: global overload watermarks
-// (queue backlog, heap), then the tenant's token bucket and
-// concurrent-job quota. All rejections are cheap and keep the daemon
-// healthy — shedding is the success mode under overload.
-func (m *Manager) SubmitAs(tenant string, spec JobSpec) (*Job, error) {
-	if tenant == "" {
-		tenant = AnonymousTenant
-	}
-	if err := spec.Validate(); err != nil {
-		m.metrics.JobsRejected.Add(1)
-		return nil, err
-	}
-	spec = spec.withDefaults()
-	if m.memWM.Exceeded() {
-		// Shedding load and keeping geometries nobody runs resident
-		// would work against each other.
-		m.domains.purge()
-		m.metrics.SubmitsShed.Add(1)
-		m.metrics.JobsRejected.Add(1)
-		return nil, ErrOverloaded
-	}
-	// The tenant gauntlet charges one active slot on success; every
-	// rejection below must release it again.
-	if err := m.tenants.admit(tenant); err != nil {
-		switch {
-		case errors.Is(err, ErrRateLimited):
-			m.metrics.SubmitsRateLimited.Add(1)
-		case errors.Is(err, ErrQuotaExceeded):
-			m.metrics.SubmitsQuotaRejected.Add(1)
-		}
-		m.metrics.JobsRejected.Add(1)
-		return nil, err
-	}
-	j, err := m.submitAdmitted(tenant, spec)
-	if err != nil {
-		m.tenants.release(tenant)
-		return nil, err
-	}
-	return j, nil
-}
-
-// submitAdmitted enqueues a spec that already passed admission.
-func (m *Manager) submitAdmitted(tenant string, spec JobSpec) (*Job, error) {
-	m.mu.Lock()
-	if m.closed {
-		m.mu.Unlock()
-		m.metrics.JobsRejected.Add(1)
-		return nil, ErrClosed
-	}
-	if m.queuedLen >= m.opts.QueueCap {
-		m.mu.Unlock()
-		m.metrics.SubmitsShed.Add(1)
-		m.metrics.JobsRejected.Add(1)
-		return nil, ErrQueueFull
-	}
-	m.nextID++
-	j := &Job{
-		ID:      fmt.Sprintf("job-%04d", m.nextID),
-		Spec:    spec,
-		ctrl:    steering.NewController(),
-		created: time.Now(),
-		tenant:  tenant,
-		snapCh:  make(chan struct{}),
-	}
-	j.rec = obs.NewRecorder(m.opts.EventRing)
-	j.log = m.log.With("job", j.ID)
-	// Reserve the queue place, then journal outside the lock: the
-	// fsync-backed writes must not stall every other API call behind
-	// m.mu. A failed journal releases it (the burned job ID just leaves
-	// a harmless numbering gap).
-	m.queuedLen++
-	m.mu.Unlock()
-	_, _ = m.transition(j, evSubmit, spec.Preset)
-	// Journal before accepting: once Submit returns 201, the job must
-	// survive a crash, so a spec that cannot be journaled is rejected.
-	// Spec and initial state go as one atomic record; concurrent
-	// submits share a journal fsync. Under disk-pressure degradation
-	// the job is accepted non-durably instead (and re-journaled when
-	// the probe restores the disk) — availability over durability, by
-	// design.
-	nonDurable := false
-	if m.store != nil {
-		var err error
-		nonDurable, err = m.journal(j, func() error { return m.store.AppendSubmit(j.ID, j.Spec, j.recordLocked()) })
-		if err != nil {
-			m.mu.Lock()
-			m.queuedLen--
-			m.mu.Unlock()
-			// Best-effort undo of whatever half got journaled, or the
-			// next boot would resurrect a job nobody was promised.
-			_ = m.store.Remove(j.ID)
-			m.metrics.JobsRejected.Add(1)
-			return nil, fmt.Errorf("%w: journal submit: %v", ErrInternal, err)
-		}
-	}
-	m.mu.Lock()
-	if m.closed {
-		// Closed while journaling: the drain has passed. Undo the
-		// journal too — the caller gets ErrClosed, so the job must not
-		// come back from the store on the next boot.
-		m.queuedLen--
-		m.mu.Unlock()
-		if m.store != nil {
-			_ = m.store.Remove(j.ID)
-		}
-		m.metrics.JobsRejected.Add(1)
-		return nil, ErrClosed
-	}
-	m.queue = append(m.queue, j)
-	m.jobs[j.ID] = j
-	m.order = append(m.order, j.ID)
-	m.mu.Unlock()
-	select {
-	case m.kick <- struct{}{}:
-	default:
-	}
-	m.metrics.JobsSubmitted.Add(1)
-	if nonDurable {
-		j.rec.Record(obs.EvStoreDegraded, 0, 0, "accepted non-durably")
-		j.log.Warn("store degraded: job accepted without durability")
-	}
-	j.log.Info("job submitted", "preset", spec.Preset, "ranks", spec.Ranks, "steps", spec.Steps, "tenant", tenant)
-	return j, nil
 }
 
 // Get looks a job up by ID.
@@ -966,512 +491,6 @@ func (m *Manager) jobsInOrder() []*Job {
 		jobs = append(jobs, m.jobs[id])
 	}
 	return jobs
-}
-
-// dispatch starts queued jobs in order, one slot per running job and
-// one goroutine per run, so a paused job can hand its slot back
-// without giving up its (parked) run loop.
-func (m *Manager) dispatch() {
-	defer m.wg.Done()
-	for {
-		m.mu.Lock()
-		var j *Job
-		if len(m.queue) > 0 {
-			j = m.queue[0]
-		}
-		m.mu.Unlock()
-		if j == nil {
-			select {
-			case <-m.kick:
-				continue
-			case <-m.done:
-				return
-			}
-		}
-		select {
-		case <-m.slots:
-		case <-m.done:
-			return
-		}
-		if _, err := m.transition(j, evDispatch, ""); err != nil {
-			m.slots <- struct{}{} // cancelled while it waited
-			continue
-		}
-		m.wg.Add(1)
-		go m.run(j)
-	}
-}
-
-// jobObserver routes the solver's rank-0 phase timings into the shared
-// latency histograms and the job's flight recorder. It runs on the
-// stepping goroutine and must stay allocation-free: histogram folds are
-// atomic adds, recorder writes copy constant strings into a warm ring.
-type jobObserver struct {
-	m *Metrics
-	j *Job
-}
-
-func (o jobObserver) ObservePhase(p obs.Phase, step int, ns int64) {
-	switch p {
-	case obs.PhaseStep:
-		o.m.StepDuration.Observe(ns)
-	case obs.PhaseCollective:
-		o.m.CollectiveWait.Observe(ns)
-	case obs.PhaseGather:
-		o.m.FieldGather.Observe(ns)
-	case obs.PhaseCheckpoint:
-		// The same in-loop time CheckpointStallNs accumulates (over in
-		// ckptWriter.Deliver) — histogram only here, no double count.
-		o.m.CheckpointGather.Observe(ns)
-	}
-	// The command-word broadcast happens every step; recording each one
-	// would wash every lifecycle event out of the ring, so that phase
-	// stays histogram-only.
-	if p != obs.PhaseCollective {
-		o.j.rec.Record(obs.PhaseEventName(p), step, ns, "")
-	}
-}
-
-// run executes one dispatched job to a terminal state.
-func (m *Manager) run(j *Job) {
-	defer m.wg.Done()
-	cfg, err := j.Spec.coreConfig()
-	if err != nil {
-		m.finish(j, err, false)
-		return
-	}
-	cfg.Controller = j.ctrl
-	cfg.Phases = jobObserver{m: m.metrics, j: j}
-	hook := m.opts.StepHook // test-only: a panicking hook is quarantined like a kernel bug
-	cfg.OnStep = func(step, total int) {
-		j.step.Store(int64(step))
-		if hook != nil {
-			hook(j.ID, step)
-		}
-	}
-	cfg.OnSnapshot = func(s *core.Snapshot) {
-		m.metrics.SnapshotsTotal.Add(1)
-		j.rec.Record(obs.EvSnapshotPublish, s.Step, 0, "")
-		if s.Diverged && !j.diverged.Swap(true) {
-			// Latch once per job: the solver has blown up (non-finite
-			// fields) — make it loud instead of serving NaN-grey frames
-			// with a healthy-looking status.
-			m.metrics.JobsDiverged.Add(1)
-			j.rec.Record(obs.EvDiverged, s.Step, 0, "non-finite values in gathered fields")
-			j.log.Warn("simulation diverged: non-finite values in gathered fields", "step", s.Step)
-		}
-		j.publishSnapshot(s)
-	}
-	// Demand-driven publication: the solver gathers a snapshot only
-	// when some consumer registered interest since the last one, and
-	// skips (counted) otherwise — an unwatched job's step loop runs
-	// collective-free.
-	cfg.SnapshotInterest = func() bool {
-		if j.snapWant.Swap(false) {
-			return true
-		}
-		m.metrics.SnapshotsSkipped.Add(1)
-		j.rec.Record(obs.EvSnapshotSkip, j.Step(), 0, "")
-		return false
-	}
-	// Durable checkpoints ride a per-job writer goroutine: the solver
-	// loop only gathers state into the writer's recycled buffer pair;
-	// encoding, CRC and the fsync+rename happen off-loop with
-	// latest-wins back-pressure. The writer drains on Close, so
-	// shutdown still persists the last gathered state.
-	var writer *ckptWriter
-	if every := m.checkpointCadence(j.Spec); every > 0 {
-		cfg.CheckpointEvery = every
-		writer = newCkptWriter(m.store, j.ID, m.metrics, j.rec, j.log, m.opts.ChaosHook, m.degrader, m.opts.CheckpointFullEvery, j.Spec.Steps)
-		cfg.Checkpoint = writer
-	}
-	// A recovered job resumes from its journaled checkpoint, re-read
-	// and decoded (one full parse, CRC included) now that the job
-	// actually dispatches; the run loop validates the decoded state
-	// against the domain and counts steps onward. A checkpoint that
-	// stopped verifying since recovery degrades to a fresh start,
-	// like any other corruption. A recovered job that was paused at the
-	// time of death restarts parked: the solver waits in its steering
-	// loop for an explicit resume. Steered iolet densities issued since
-	// submit are re-applied identically on every rank before the first
-	// step.
-	j.mu.Lock()
-	resumeStep, resumePaused, steer := j.resumeStep, j.resumePaused, j.steer
-	j.mu.Unlock()
-	if resumeStep > 0 {
-		resumeStep = 0
-		if st, err := m.store.CheckpointState(j.ID); err == nil {
-			cfg.Restore, resumeStep = st, st.Info.Step
-		} else {
-			m.metrics.CheckpointsInvalid.Add(1)
-		}
-		j.mu.Lock()
-		j.resumeStep = resumeStep
-		j.mu.Unlock()
-		j.step.Store(int64(resumeStep))
-	}
-	cfg.StartPaused = resumePaused
-	for _, ov := range steer.Iolets {
-		cfg.IoletOverrides = append(cfg.IoletOverrides, core.IoletOverride{Iolet: ov.Iolet, Density: ov.Density})
-	}
-	// Pre-processing: the voxelised geometry comes from the manager's
-	// domain cache — built here on a miss, shared read-only with every
-	// other job of the same (preset, scale, h) on a hit.
-	preStart := time.Now()
-	var hit bool
-	cfg.Domain, hit, err = m.domains.get(j.Spec.domainKey(), func() (*geometry.Domain, error) {
-		return geometry.Voxelise(cfg.Vessel, cfg.H, lattice.D3Q19())
-	})
-	voxelise := time.Since(preStart)
-	var sim *core.Simulation
-	if err == nil {
-		sim, err = core.New(cfg)
-	}
-	if err != nil {
-		if writer != nil {
-			writer.Close()
-		}
-		m.finish(j, err, false)
-		return
-	}
-	pre := time.Since(preStart)
-	m.metrics.Preprocess.Observe(pre.Nanoseconds())
-	j.mu.Lock()
-	j.numSites = sim.Dom.NumSites()
-	j.mu.Unlock()
-	detail, plan := "cache=miss", "miss"
-	if hit {
-		detail = "cache=hit"
-	}
-	if sim.PlanHit {
-		plan = "hit"
-		m.metrics.SolverPlanHits.Add(1)
-	} else {
-		m.metrics.SolverPlanMiss.Add(1)
-	}
-	detail += fmt.Sprintf(" voxelise_ms=%.3f plan=%s plan_ms=%.3f participants=%d",
-		float64(voxelise.Nanoseconds())/1e6, plan, float64(sim.PlanTime.Nanoseconds())/1e6, sim.Participants)
-	if resumeStep > 0 {
-		detail += "; resumed from checkpoint"
-	}
-	j.rec.Record(obs.EvDispatched, resumeStep, pre.Nanoseconds(), detail)
-	j.log.Info("job dispatched", "sites", sim.Dom.NumSites(), "resume_step", resumeStep,
-		"resume_paused", resumePaused, "domain_cache_hit", hit, "preprocess", pre)
-	if resumePaused {
-		// About to park in the solver's pause loop: a pause, so queued
-		// work is not starved by jobs nobody has resumed yet.
-		_, _ = m.transition(j, evPause, "recovered paused")
-	}
-	// The recover wrapper turns a panicking solver — a rank goroutine
-	// (surfaced by par.Runtime as a RankPanic), a bad restore — into a
-	// failed job instead of a dead daemon: the panic value and stack go
-	// to the log and flight recorder, siblings keep stepping.
-	runErr := guard.Capture("solver run", func() error {
-		return sim.Run(j.Spec.Steps)
-	})
-	var pe *guard.PanicError
-	if errors.As(runErr, &pe) {
-		m.metrics.JobsPanicked.Add(1)
-		j.rec.Record(obs.EvPanic, j.Step(), 0, fmt.Sprint(pe.Value))
-		j.log.Error("solver panicked; job quarantined",
-			"step", j.Step(), "panic", fmt.Sprint(pe.Value), "stack", string(pe.Stack))
-	}
-	if writer != nil {
-		// A job headed for re-queue (shutdown drain) flushes its last
-		// gathered state to disk before the run is declared over —
-		// graceful shutdowns resume exactly like the old synchronous
-		// writes did. A job reaching a true terminal state discards
-		// its pending write instead: terminal checkpoints are never
-		// read again, so the fsync would be pure tail latency.
-		j.mu.Lock()
-		requeue := j.quit == quitShutdown
-		j.mu.Unlock()
-		if requeue {
-			writer.Close()
-		} else {
-			writer.CloseDiscard()
-		}
-	}
-	m.finish(j, runErr, sim.StepsDone >= j.Spec.Steps)
-}
-
-// finish applies the run's outcome. A run that executed every
-// requested step counts as done even when a cancel raced its
-// completion — the work happened.
-func (m *Manager) finish(j *Job, runErr error, completed bool) {
-	switch {
-	case runErr != nil:
-		_, _ = m.transition(j, evFinishError, runErr.Error())
-	case !completed:
-		_, _ = m.transition(j, evFinishQuit, "")
-	default:
-		_, _ = m.transition(j, evFinishOK, "")
-	}
-}
-
-// every runs f every d until Close.
-func (m *Manager) every(d time.Duration, f func()) {
-	defer m.wg.Done()
-	t := time.NewTicker(d)
-	defer t.Stop()
-	for {
-		select {
-		case <-m.done:
-			return
-		case <-t.C:
-			f()
-		}
-	}
-}
-
-// watchdog sweeps running jobs for step progress: a job whose step
-// counter has not moved across a full window takes a strike (event,
-// metric, log line). It only flags: a stalled solver does not poll
-// steering, so no quit could reach it before the stall ends, and a
-// paused job is not expected to step and is not watched.
-func (m *Manager) watchdog() {
-	for _, j := range m.jobsInOrder() {
-		cur := j.step.Load()
-		j.mu.Lock()
-		// A job that is not running re-primes, so its next running
-		// window starts fresh.
-		running := j.state == StateRunning
-		if !running || !j.wdSeen || cur != j.wdLastStep {
-			j.wdSeen, j.wdLastStep, j.wdStrikes = running, cur, 0
-			j.mu.Unlock()
-			continue
-		}
-		j.wdStrikes++
-		strikes := j.wdStrikes
-		j.mu.Unlock()
-		m.metrics.WatchdogStalls.Add(1)
-		j.rec.Record(obs.EvWatchdogStall, int(cur), 0, fmt.Sprintf("strike %d", strikes))
-		j.log.Warn("watchdog: no step progress", "step", cur, "strike", strikes)
-	}
-}
-
-// gcTerminal applies the retention policy once: terminal jobs older
-// than retainAge go, then the oldest-finished beyond retainMax.
-func (m *Manager) gcTerminal() {
-	type doneJob struct {
-		j        *Job
-		finished time.Time
-	}
-	var terminal []doneJob
-	for _, j := range m.jobsInOrder() {
-		j.mu.Lock()
-		if j.state.Terminal() && !j.drainCancelled() {
-			terminal = append(terminal, doneJob{j, j.finished})
-		}
-		j.mu.Unlock()
-	}
-	sort.Slice(terminal, func(a, b int) bool {
-		return terminal[a].finished.Before(terminal[b].finished)
-	})
-	// Oldest first, so the victims are a prefix: every job past the age
-	// cap, then as many more as the count cap needs.
-	cutoff := time.Now().Add(-m.opts.StoreRetainAge)
-	for i, d := range terminal {
-		old := m.opts.StoreRetainAge > 0 && d.finished.Before(cutoff)
-		if !old && (m.opts.StoreRetain <= 0 || len(terminal)-i <= m.opts.StoreRetain) {
-			break
-		}
-		if err := m.store.Remove(d.j.ID); err != nil {
-			m.metrics.StoreErrors.Add(1)
-			d.j.log.Warn("retention sweep: removing job failed", "err", err)
-			continue
-		}
-		m.mu.Lock()
-		delete(m.jobs, d.j.ID)
-		m.order = slices.DeleteFunc(m.order, func(id string) bool { return id == d.j.ID })
-		m.mu.Unlock()
-		m.metrics.JobsGCed.Add(1)
-		d.j.log.Info("retention sweep removed terminal job")
-	}
-}
-
-// do round-trips a steering op against a live job.
-func (m *Manager) do(j *Job, msg steering.ClientMsg) (steering.ServerMsg, error) {
-	st := j.State()
-	if st == StateQueued {
-		return steering.ServerMsg{}, ErrNotRunning
-	}
-	if st.Terminal() {
-		return steering.ServerMsg{}, ErrFinished
-	}
-	return j.ctrl.Do(msg)
-}
-
-// Pause suspends time stepping and hands the job's concurrency slot
-// back to the pool: the run goroutine parks in the controller's
-// PollWait while another queued job takes the slot. The job keeps
-// servicing steering. Pausing a paused job does nothing.
-func (m *Manager) Pause(j *Job) error {
-	j.lifecycle.Lock()
-	defer j.lifecycle.Unlock()
-	if _, eff, err := next(j.State(), evPause); err != nil || eff == (effects{}) {
-		return err
-	}
-	if _, err := j.ctrl.Do(steering.ClientMsg{Op: steering.OpPause}); err != nil {
-		return err
-	}
-	_, err := m.transition(j, evPause, "")
-	return err
-}
-
-// Resume continues a paused job, re-admitting it through the slot
-// pool: with every slot busy, Resume blocks until one frees — paused
-// time is queue time, not stolen concurrency. The wait aborts when ctx
-// ends (client gone, server draining), so a full pool cannot strand
-// handler goroutines. Resuming a running job does nothing.
-func (m *Manager) Resume(ctx context.Context, j *Job) error {
-	j.lifecycle.Lock()
-	defer j.lifecycle.Unlock()
-	_, eff, err := next(j.State(), evResume)
-	if err != nil || !eff.takeSlot {
-		return err
-	}
-	select {
-	case <-m.slots:
-	case <-ctx.Done():
-		return fmt.Errorf("%w: gave up waiting for a worker slot", ErrResumeAborted)
-	}
-	_, err = j.ctrl.Do(steering.ClientMsg{Op: steering.OpResume})
-	if err == nil {
-		eff, err = m.transition(j, evResume, "")
-	}
-	if err != nil || !eff.takeSlot {
-		m.slots <- struct{}{}
-	}
-	return err
-}
-
-// Cancel terminates a job in any non-terminal state. This is the
-// user-facing path: the cancelled outcome is journaled, overriding a
-// concurrent shutdown's intent to keep the job resumable — once the
-// caller is told "cancelled", the job must not resurrect.
-func (m *Manager) Cancel(j *Job) error {
-	_, err := m.transition(j, evCancel, "")
-	return err
-}
-
-// Steer applies a set-iolet parameter change to a live job over its
-// controller. Applied commands are mirrored into the job's persisted
-// steering record, so a daemon restart re-applies the operator's
-// boundary tweaks instead of quietly losing them.
-func (m *Manager) Steer(j *Job, msg steering.ClientMsg) error {
-	if msg.Op != steering.OpSetIolet {
-		return fmt.Errorf("service: steer accepts %s, got %q", steering.OpSetIolet, msg.Op)
-	}
-	m.metrics.SteerOps.Add(1)
-	_, err := m.do(j, msg)
-	if err != nil {
-		return err
-	}
-	j.journalMu.Lock()
-	defer j.journalMu.Unlock()
-	j.mu.Lock()
-	// Latest density wins per iolet index.
-	if i := slices.IndexFunc(j.steer.Iolets, func(ov store.IoletOver) bool { return ov.Iolet == msg.Iolet }); i >= 0 {
-		j.steer.Iolets[i].Density = msg.Density
-	} else {
-		j.steer.Iolets = append(j.steer.Iolets, store.IoletOver{Iolet: msg.Iolet, Density: msg.Density})
-	}
-	// Journal the override before replying, unless the job has ended:
-	// its terminal transition wrote (or, drained, kept out) the last
-	// record.
-	ended, rec := j.state.Terminal(), j.recordLocked()
-	j.mu.Unlock()
-	if !ended {
-		m.appendState(j, rec, journalNoWait)
-	}
-	return nil
-}
-
-// Status fetches the live steering status report of a running job.
-func (m *Manager) Status(j *Job) (*steering.Status, error) {
-	rep, err := m.do(j, steering.ClientMsg{Op: steering.OpStatus})
-	if err != nil {
-		return nil, err
-	}
-	if rep.Status == nil {
-		return nil, fmt.Errorf("%w: empty status reply", ErrInternal)
-	}
-	return rep.Status, nil
-}
-
-// Data fetches the §V reduced octree representation for an ROI from
-// the job's latest snapshot through the octree lru — no solver-loop
-// collective, and the data plane keeps working while paused and after
-// termination. The reply is encoded as it is written, so a query holds
-// no buffer of its size.
-func (m *Manager) Data(j *Job, roiMin, roiMax [3]float64, detail, context int) (octree.Reply, error) {
-	m.metrics.DataRequests.Add(1)
-	snap, err := m.freshSnapshot(j)
-	if err != nil {
-		return octree.Reply{}, err
-	}
-	tree, _, err := m.octrees.get(snap.Seq, snap.Octree)
-	if err != nil {
-		return octree.Reply{}, err
-	}
-	return core.ReducedReply(tree, snap.Field.Dom.Dims.F(),
-		vec.New(roiMin[0], roiMin[1], roiMin[2]),
-		vec.New(roiMax[0], roiMax[1], roiMax[2]), detail, context)
-}
-
-// Frame produces the current frame for a request. Pollers drive
-// publication: the request registers demand and waits for a
-// ≤one-cadence-fresh snapshot — idle jobs publish nothing between
-// requests — and the frame is rendered from it on the request's
-// goroutine, outside the solver loop, which is why it also works while
-// paused and after termination.
-func (m *Manager) Frame(j *Job, req insitu.Request) ([]byte, int, int, error) {
-	snap, err := m.freshSnapshot(j)
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	return m.frameFromSnapshot(snap, req)
-}
-
-// frameFromSnapshot renders one (snapshot, view) through the frame lru:
-// every consumer of that snapshot and view — pollers and stream
-// subscribers alike — shares exactly one render, executed off the
-// solver loop on the goroutine of the request that missed. Frame serves
-// the freshest snapshot through it; a stream, each snapshot it follows.
-func (m *Manager) frameFromSnapshot(snap *core.Snapshot, req insitu.Request) ([]byte, int, int, error) {
-	f, _, err := m.frames.get(frameKey{snap.Seq, viewKey(req)}, func() (frame, error) {
-		m.metrics.RendersTotal.Add(1)
-		return m.render(snap, req)
-	})
-	return f.png, f.w, f.h, err
-}
-
-// render casts and encodes one frame on a set of frame buffers, waiting
-// for a set when Workers renders are already running. A panicking
-// renderer (degenerate view, snapshot-shape bug) fails that one frame
-// with ErrInternal; guard's runner brings a panic on any participant
-// in the frame's row parcels back to this goroutine, and the set goes
-// back either way.
-func (m *Manager) render(snap *core.Snapshot, req insitu.Request) (f frame, err error) {
-	start := time.Now()
-	m.metrics.RenderQueueDepth.Add(1)
-	defer m.metrics.RenderQueueDepth.Add(-1)
-	bufs := <-m.frameBufs
-	defer func() { m.frameBufs <- bufs }()
-	err = guard.Capture("render", func() (err error) {
-		f.png, f.w, f.h, err = bufs.FramePNG(snap.Field, req)
-		return err
-	})
-	if err != nil {
-		var pe *guard.PanicError
-		if errors.As(err, &pe) {
-			err = fmt.Errorf("%w: render panicked: %v", ErrInternal, pe.Value)
-		}
-		return frame{}, err
-	}
-	m.metrics.RenderLatency.Observe(time.Since(start).Nanoseconds())
-	return f, nil
 }
 
 // Close stops accepting jobs, drains everything in flight and waits for
