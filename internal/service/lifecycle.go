@@ -56,12 +56,12 @@ const (
 // effects are what a transition makes the manager do, as plain values,
 // run by Manager.transition in field order.
 type effects struct {
+	dequeue bool
+	journal journalMode
 	// takeSlot: the job keeps the worker slot its caller took for it;
 	// giveSlot: it gives its slot back. A job holds a slot exactly while
 	// it is running.
 	takeSlot, giveSlot bool
-	dequeue            bool
-	journal            journalMode
 	// closeCtrl closes the controller (late steering calls fail instead
 	// of blocking); seal wakes stream subscribers to see the end.
 	closeCtrl, seal bool
@@ -179,8 +179,9 @@ func next(from JobState, ev event) (JobState, effects, error) {
 // transition applies ev to j through next; it is the only writer of
 // j.state. Under j.journalMu (so records reach the journal in the order
 // of the states they carry) and j.mu it moves the state and its
-// bookkeeping and records the event; then it runs the effects. note is
-// the event's detail, and for evFinishError the job's error.
+// bookkeeping and records the event; then it runs the effects, leaving
+// the queue and journaling before it releases j.journalMu. note is the
+// event's detail, and for evFinishError the job's error.
 func (m *Manager) transition(j *Job, ev event, note string) (effects, error) {
 	j.journalMu.Lock()
 	j.mu.Lock()
@@ -227,9 +228,6 @@ func (m *Manager) transition(j *Job, ev event, note string) (effects, error) {
 	}
 	rec := j.recordLocked()
 	j.mu.Unlock()
-	if eff.giveSlot {
-		m.slots <- struct{}{}
-	}
 	if eff.dequeue {
 		m.mu.Lock()
 		m.queue = slices.DeleteFunc(m.queue, func(q *Job) bool { return q == j })
@@ -238,6 +236,9 @@ func (m *Manager) transition(j *Job, ev event, note string) (effects, error) {
 	}
 	m.appendState(j, rec, eff.journal)
 	j.journalMu.Unlock()
+	if eff.giveSlot {
+		m.slots <- struct{}{}
+	}
 	if eff.closeCtrl {
 		j.ctrl.Close()
 	}
