@@ -113,12 +113,16 @@ func TestRemovedFlagsFail(t *testing.T) {
 
 // TestBadSubmitLimitsFail: a submit rate that is not a finite,
 // non-negative number (NaN would build no token bucket and leave every
-// tenant unlimited) or a negative burst is a usage error.
+// tenant unlimited) or a negative burst is a usage error. The context
+// is already done, so a daemon that accepts the value shuts down at
+// once instead of serving.
 func TestBadSubmitLimitsFail(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
 	for _, args := range [][]string{
 		{"-submit-rate", "NaN"}, {"-submit-rate", "inf"}, {"-submit-rate", "-1"}, {"-submit-burst", "-1"},
 	} {
-		if err := run(context.Background(), args, io.Discard, io.Discard); !errors.Is(err, errUsage) {
+		if err := run(ctx, append(args, "-addr", "127.0.0.1:0"), io.Discard, io.Discard); !errors.Is(err, errUsage) {
 			t.Errorf("%v: %v, want a usage error", args, err)
 		}
 	}

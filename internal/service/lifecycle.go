@@ -222,12 +222,16 @@ func (m *Manager) transition(j *Job, ev event, note string) (effects, error) {
 	}
 	if eff.record != "" {
 		j.rec.Record(eff.record, j.Step(), 0, note)
-		if ev != evSubmit { // logged by Submit once accepted
-			j.log.Info("job "+string(ev), "state", to, "step", j.Step(), "detail", note)
-		}
 	}
 	rec := j.recordLocked()
 	j.mu.Unlock()
+	if eff.record != "" && ev != evSubmit { // Submit logs once accepted
+		if to == StateFailed {
+			j.log.Error("job failed", "step", j.Step(), "err", j.errMsg)
+		} else {
+			j.log.Info("job "+string(ev), "state", to, "step", j.Step(), "detail", note)
+		}
+	}
 	if eff.dequeue {
 		m.mu.Lock()
 		m.queue = slices.DeleteFunc(m.queue, func(q *Job) bool { return q == j })

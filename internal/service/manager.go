@@ -348,7 +348,7 @@ type Manager struct {
 
 	mu     sync.Mutex
 	jobs   map[string]*Job
-	order  []string
+	order  []*Job // submission order
 	nextID int64
 	closed bool
 	// queue holds the queued jobs in dispatch order; queuedLen counts
@@ -486,11 +486,7 @@ func (m *Manager) List() []JobInfo {
 func (m *Manager) jobsInOrder() []*Job {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	jobs := make([]*Job, 0, len(m.order))
-	for _, id := range m.order {
-		jobs = append(jobs, m.jobs[id])
-	}
-	return jobs
+	return append([]*Job(nil), m.order...)
 }
 
 // Close stops accepting jobs, drains everything in flight and waits for

@@ -174,7 +174,7 @@ func (m *Manager) recoverFromStore() []*Job {
 			pending = append(pending, j)
 		}
 		m.jobs[id] = j
-		m.order = append(m.order, id)
+		m.order = append(m.order, j)
 		m.metrics.JobsRecovered.Add(1)
 	}
 	return pending

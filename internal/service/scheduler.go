@@ -127,7 +127,7 @@ func (m *Manager) submitAdmitted(tenant string, spec JobSpec) (*Job, error) {
 	}
 	m.queue = append(m.queue, j)
 	m.jobs[j.ID] = j
-	m.order = append(m.order, j.ID)
+	m.order = append(m.order, j)
 	m.mu.Unlock()
 	select {
 	case m.kick <- struct{}{}:

@@ -83,7 +83,7 @@ func (m *Manager) gcTerminal() {
 		}
 		m.mu.Lock()
 		delete(m.jobs, d.j.ID)
-		m.order = slices.DeleteFunc(m.order, func(id string) bool { return id == d.j.ID })
+		m.order = slices.DeleteFunc(m.order, func(q *Job) bool { return q == d.j })
 		m.mu.Unlock()
 		m.metrics.JobsGCed.Add(1)
 		d.j.log.Info("retention sweep removed terminal job")
