@@ -388,7 +388,7 @@ func (h *lifecycleHarness) mismatch() string {
 		rj := h.ref.jobs[id]
 		j := h.job(id)
 		j.mu.Lock()
-		st, sites, steer := j.state, j.numSites, j.steer.Iolets
+		st, sites, steer := j.state, j.numSites, steerMap(j.steer.Iolets)
 		j.mu.Unlock()
 		if st != rj.state {
 			bad = append(bad, fmt.Sprintf("%s is %s, want %s", id, st, rj.state))
@@ -401,8 +401,8 @@ func (h *lifecycleHarness) mismatch() string {
 		} else if st.Terminal() {
 			h.ended[id] = st
 		}
-		if got := steerMap(steer); !maps.Equal(got, rj.steer) {
-			bad = append(bad, fmt.Sprintf("%s steer %v, want %v", id, got, rj.steer))
+		if !maps.Equal(steer, rj.steer) {
+			bad = append(bad, fmt.Sprintf("%s steer %v, want %v", id, steer, rj.steer))
 		}
 		if rj.state == StateRunning {
 			running++
