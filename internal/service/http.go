@@ -9,7 +9,6 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/field"
@@ -25,10 +24,11 @@ type Server struct {
 	mgr  *Manager
 	http *http.Server
 	ln   net.Listener
-	// closing tells long-lived handlers (SSE streams) to wind down so
-	// graceful shutdown is not held hostage by infinite responses.
-	closing   chan struct{}
-	closeOnce sync.Once
+	// closing ends when shutdown begins: long-lived handlers (SSE
+	// streams) wind down so graceful shutdown is not held hostage by
+	// infinite responses, and a resume stops waiting for a slot.
+	closing context.Context
+	stop    context.CancelFunc
 }
 
 // NewServer wires the API over a manager. Every route is registered
@@ -36,7 +36,8 @@ type Server struct {
 // histogram label, captured at registration so the hot path does one
 // HistogramSet lookup per server lifetime, not per request.
 func NewServer(mgr *Manager) *Server {
-	s := &Server{mgr: mgr, closing: make(chan struct{})}
+	s := &Server{mgr: mgr}
+	s.closing, s.stop = context.WithCancel(context.Background())
 	mux := http.NewServeMux()
 	handle := func(pattern string, h http.HandlerFunc) {
 		hist := mgr.Metrics().HTTPLatency.Get(pattern)
@@ -52,11 +53,11 @@ func NewServer(mgr *Manager) *Server {
 	handle("POST /api/v1/jobs", s.handleSubmit)
 	handle("GET /api/v1/jobs", s.handleList)
 	handle("GET /api/v1/jobs/{id}", s.handleGet)
-	cancel := s.lifecycle(func(_ context.Context, j *Job) error { return mgr.Cancel(j) })
+	cancel := s.lifecycle(func(_ *http.Request, j *Job) error { return mgr.Cancel(j) })
 	handle("DELETE /api/v1/jobs/{id}", cancel)
 	handle("POST /api/v1/jobs/{id}/cancel", cancel)
-	handle("POST /api/v1/jobs/{id}/pause", s.lifecycle(func(_ context.Context, j *Job) error { return mgr.Pause(j) }))
-	handle("POST /api/v1/jobs/{id}/resume", s.lifecycle(mgr.Resume))
+	handle("POST /api/v1/jobs/{id}/pause", s.lifecycle(func(_ *http.Request, j *Job) error { return mgr.Pause(j) }))
+	handle("POST /api/v1/jobs/{id}/resume", s.lifecycle(s.resume))
 	handle("POST /api/v1/jobs/{id}/steer", s.handleSteer)
 	handle("GET /api/v1/jobs/{id}/status", s.handleStatus)
 	handle("GET /api/v1/jobs/{id}/frame", s.handleFrame)
@@ -196,7 +197,7 @@ func (s *Server) Addr() string {
 // Shutdown ends live streams, drains HTTP connections, then cancels
 // every live job and waits for the worker pool — the graceful stop.
 func (s *Server) Shutdown(ctx context.Context) error {
-	s.closeOnce.Do(func() { close(s.closing) })
+	s.stop()
 	err := s.http.Shutdown(ctx)
 	s.mgr.Close()
 	return err
@@ -225,9 +226,7 @@ func writeErr(w http.ResponseWriter, err error) {
 		// state between the handler's state check and the op — the
 		// request was fine, the job is just gone.
 		code = http.StatusConflict
-	case strings.Contains(err.Error(), "service:"):
-		code = http.StatusBadRequest
-	case strings.Contains(err.Error(), "steering:"):
+	case strings.Contains(err.Error(), "service:"), strings.Contains(err.Error(), "steering:"):
 		code = http.StatusBadRequest
 	}
 	writeJSON(w, code, map[string]string{"error": err.Error()})
@@ -274,32 +273,37 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 }
 
 // lifecycle serves a cancel, pause or resume: op moves the job, and
-// the reply is its new info. op's context ends when the client goes
-// away or the server starts draining, so a resume waiting for a worker
-// slot in a full pool cannot strand the handler.
-func (s *Server) lifecycle(op func(context.Context, *Job) error) http.HandlerFunc {
+// the reply is its new info.
+func (s *Server) lifecycle(op func(*http.Request, *Job) error) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		j, ok := s.job(w, r)
 		if !ok {
 			return
 		}
-		ctx, cancel := context.WithCancel(r.Context())
-		defer cancel()
-		stop := make(chan struct{})
-		defer close(stop)
-		go func() {
-			select {
-			case <-s.closing:
-				cancel()
-			case <-stop:
-			}
-		}()
-		if err := op(ctx, j); err != nil {
+		if err := op(r, j); err != nil {
 			writeErr(w, err)
 			return
 		}
 		writeJSON(w, http.StatusOK, j.Info())
 	}
+}
+
+// resume may wait for a worker slot; the wait aborts when the client
+// goes away or the server starts draining, so a full pool cannot
+// strand handler goroutines.
+func (s *Server) resume(r *http.Request, j *Job) error {
+	ctx, cancel := context.WithCancel(r.Context())
+	defer cancel()
+	stop := make(chan struct{})
+	defer close(stop)
+	go func() {
+		select {
+		case <-s.closing.Done():
+			cancel()
+		case <-stop:
+		}
+	}()
+	return s.mgr.Resume(ctx, j)
 }
 
 func (s *Server) handleSteer(w http.ResponseWriter, r *http.Request) {
@@ -406,13 +410,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 // shutdown begins (server draining or manager closed), so load
 // balancers stop routing before in-flight connections finish.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	draining := s.mgr.Draining()
-	select {
-	case <-s.closing:
-		draining = true
-	default:
-	}
-	if draining {
+	if s.mgr.Draining() || s.closing.Err() != nil {
 		http.Error(w, "draining", http.StatusServiceUnavailable)
 		return
 	}

@@ -2,7 +2,6 @@ package service
 
 import (
 	"slices"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
@@ -58,10 +57,10 @@ const (
 type effects struct {
 	dequeue bool
 	journal journalMode
-	// takeSlot: the job keeps the worker slot its caller took for it;
-	// giveSlot: it gives its slot back. A job holds a slot exactly while
-	// it is running.
-	takeSlot, giveSlot bool
+	// giveSlot gives the job's worker slot back. A job holds a slot
+	// exactly while it is running; entering running takes none here:
+	// the caller (the dispatcher, Resume) takes it before the move.
+	giveSlot bool
 	// closeCtrl closes the controller (late steering calls fail instead
 	// of blocking); seal wakes stream subscribers to see the end.
 	closeCtrl, seal bool
@@ -93,9 +92,9 @@ func outcome(from JobState, journal journalMode) effects {
 //	—          submit         queued           (1)
 //	—          recover-X      X                         close, seal
 //	—          recover-int.   queued           wait     charge quota
-//	queued     dispatch       running    take
+//	queued     dispatch       running    (4)
 //	running    pause          paused     give  no-wait
-//	paused     resume         running    take  no-wait
+//	paused     resume         running    (4)   no-wait
 //	queued     cancel         cancelled        wait     (2)
 //	queued     drain          cancelled                 (2)
 //	running,   cancel, drain  unchanged                 quit the solver
@@ -108,9 +107,11 @@ func outcome(from JobState, journal journalMode) effects {
 // (1) Submit journals the spec and this record itself, waiting, and
 // rejects the job if that fails. (2) Close the controller, seal the
 // snapshots, release the tenant quota, count the outcome. (3) Give the
-// slot back when leaving running. Dispatch is not journaled: recovery
-// re-queues queued and running records alike. A drained job's record
-// stays what it was, so the next boot re-queues it.
+// slot back when leaving running. (4) The caller took the slot before
+// the move, and gives it back if the move fails. Dispatch is not
+// journaled: recovery re-queues queued and running records alike. A
+// drained job's record stays what it was, so the next boot re-queues
+// it.
 func next(from JobState, ev event) (JobState, effects, error) {
 	if from == "" { // a job being created
 		switch ev {
@@ -132,7 +133,7 @@ func next(from JobState, ev event) (JobState, effects, error) {
 	switch ev {
 	case evDispatch:
 		if from == StateQueued {
-			return StateRunning, effects{takeSlot: true, dequeue: true}, nil
+			return StateRunning, effects{dequeue: true}, nil
 		}
 	case evPause:
 		switch from {
@@ -144,7 +145,7 @@ func next(from JobState, ev event) (JobState, effects, error) {
 	case evResume:
 		switch from {
 		case StatePaused:
-			return StateRunning, effects{takeSlot: true, journal: journalNoWait, record: obs.EvResume}, nil
+			return StateRunning, effects{journal: journalNoWait, record: obs.EvResume}, nil
 		case StateRunning:
 			return from, effects{}, nil
 		}
@@ -209,8 +210,14 @@ func (m *Manager) transition(j *Job, ev event, note string) (effects, error) {
 	}
 	if eff.count {
 		j.finished = time.Now()
-		map[JobState]*atomic.Int64{StateDone: &m.metrics.JobsDone, StateFailed: &m.metrics.JobsFailed,
-			StateCancelled: &m.metrics.JobsCancelled}[to].Add(1)
+		switch to {
+		case StateDone:
+			m.metrics.JobsDone.Add(1)
+		case StateFailed:
+			m.metrics.JobsFailed.Add(1)
+		default:
+			m.metrics.JobsCancelled.Add(1)
+		}
 	}
 	if eff.record == obs.EvTerminal {
 		note = string(to)

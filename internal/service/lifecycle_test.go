@@ -2,10 +2,13 @@ package service
 
 import (
 	"context"
+	"errors"
 	"net/http"
 	"testing"
 	"time"
 
+	"repro/internal/geometry"
+	"repro/internal/lattice"
 	"repro/internal/obs"
 )
 
@@ -133,8 +136,9 @@ func TestPauseThenCancel(t *testing.T) {
 }
 
 // TestDoubleResume: a repeated pause or resume is idempotent — the
-// second one neither errors, nor records a second event, nor moves a
-// second worker slot (a following pause/submit cycle still works).
+// second one answers 200, records no second event and moves no second
+// worker slot; a doubly-resumed job still steps, and a following
+// pause/submit cycle still works.
 func TestDoubleResume(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -151,23 +155,30 @@ func TestDoubleResume(t *testing.T) {
 			// A ring that holds every event of the test, step samples
 			// included.
 			m := NewManagerOpts(Options{Workers: 1, QueueCap: 4, EventRing: 1 << 16})
-			j, err := m.Submit(JobSpec{Preset: "pipe", Steps: 2_000_000})
-			if err != nil {
+			srv := NewServer(m)
+			if err := srv.Start("127.0.0.1:0"); err != nil {
 				t.Fatal(err)
 			}
-			waitFor(t, "job running", func() bool { return j.State() == StateRunning })
+			base := "http://" + srv.Addr()
+			id := submit(t, base, longSpec).ID
+			waitState(t, base, id, StateRunning)
 			for i, op := range tc.ops {
-				if op == "pause" {
-					err = m.Pause(j)
-				} else {
-					err = m.Resume(context.Background(), j)
-				}
-				if err != nil {
-					t.Fatalf("%s (op %d): %v", op, i+1, err)
+				if code := httpJSON(t, "POST", base+"/api/v1/jobs/"+id+"/"+op, "", nil); code != http.StatusOK {
+					t.Fatalf("%s (op %d): status %d", op, i+1, code)
 				}
 			}
-			if st := j.State(); st != tc.want {
-				t.Fatalf("state after %v: %s, want %s", tc.ops, st, tc.want)
+			info := jobInfo(t, base, id)
+			if info.State != tc.want {
+				t.Fatalf("state after %v: %s, want %s", tc.ops, info.State, tc.want)
+			}
+			if tc.want == StateRunning {
+				waitFor(t, "doubly-resumed job to advance", func() bool {
+					return jobInfo(t, base, id).Step > info.Step
+				})
+			}
+			j, err := m.Get(id)
+			if err != nil {
+				t.Fatal(err)
 			}
 			n := 0
 			for _, ev := range j.rec.Events() {
@@ -183,20 +194,94 @@ func TestDoubleResume(t *testing.T) {
 			}
 			// A slot leaked or given back twice would show here: the job
 			// paused, one fresh job takes the one slot.
-			if err := m.Pause(j); err != nil {
-				t.Fatal(err)
+			if code := httpJSON(t, "POST", base+"/api/v1/jobs/"+id+"/pause", "", nil); code != http.StatusOK {
+				t.Fatalf("pause after %v: status %d", tc.ops, code)
 			}
-			other, err := m.Submit(JobSpec{Preset: "pipe", Steps: 2_000_000})
-			if err != nil {
-				t.Fatal(err)
-			}
-			waitFor(t, "fresh job running", func() bool { return other.State() == StateRunning })
+			other := submit(t, base, longSpec).ID
+			waitState(t, base, other, StateRunning)
 			if free := len(m.slots); free != 0 {
 				t.Errorf("%d worker slots free with one job running, want 0", free)
 			}
-			m.Close()
+			ctxShutdown(t, srv)
 			checkLeaks()
 		})
+	}
+}
+
+// TestResumeBeforeRecoveredPark: a job recovered paused that has
+// dispatched but not parked yet refuses a resume (ErrNotRunning, 409)
+// rather than acknowledge one its park would undo; once parked, a
+// resume takes and the job steps.
+func TestResumeBeforeRecoveredPark(t *testing.T) {
+	t.Cleanup(goroutineBaseline(t))
+	dir := t.TempDir()
+	mgr1 := NewManagerOpts(Options{Workers: 1, QueueCap: 4, Store: openStore(t, dir)})
+	// After the restart, busy holds the one slot and parked waits queued
+	// behind it; their domains differ, so parked's can be held back.
+	busy, err := mgr1.Submit(JobSpec{Preset: "pipe", Steps: 2_000_000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	parked, err := mgr1.Submit(JobSpec{Preset: "bend", Steps: 2_000_000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "busy running", func() bool { return busy.State() == StateRunning })
+	if err := mgr1.Pause(busy); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "parked running", func() bool { return parked.State() == StateRunning && parked.Info().NumSites > 0 })
+	if err := mgr1.Pause(parked); err != nil {
+		t.Fatal(err)
+	}
+	if err := mgr1.Resume(context.Background(), busy); err != nil {
+		t.Fatal(err)
+	}
+	mgr1.Close()
+
+	m := NewManagerOpts(Options{Workers: 1, QueueCap: 4, Store: openStore(t, dir)})
+	defer m.Close()
+	busy, _ = m.Get(busy.ID)
+	j, err := m.Get(parked.ID)
+	if err != nil {
+		t.Fatalf("job not recovered: %v", err)
+	}
+	waitFor(t, "busy running again", func() bool { return busy.State() == StateRunning })
+	// Hold the parked job's dispatch in its domain build.
+	cfg, err := j.Spec.coreConfig()
+	if err != nil {
+		t.Fatal(err)
+	}
+	release, built := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(built)
+		_, _, _ = m.domains.get(j.Spec.domainKey(), func() (*geometry.Domain, error) {
+			<-release
+			return geometry.Voxelise(cfg.Vessel, cfg.H, lattice.D3Q19())
+		})
+	}()
+	waitFor(t, "domain build started", func() bool {
+		m.domains.mu.Lock()
+		defer m.domains.mu.Unlock()
+		return m.domains.entries[j.Spec.domainKey()] != nil
+	})
+	if err := m.Pause(busy); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "recovered paused job dispatched", func() bool { return j.State() == StateRunning })
+	if err := m.Resume(context.Background(), j); !errors.Is(err, ErrNotRunning) {
+		t.Errorf("resume before the park: %v, want ErrNotRunning", err)
+	}
+	close(release)
+	<-built
+	waitFor(t, "recovered job parked", func() bool { return j.State() == StatePaused })
+	if err := m.Resume(context.Background(), j); err != nil {
+		t.Fatalf("resume after the park: %v", err)
+	}
+	at := j.Step()
+	waitFor(t, "resumed job to advance", func() bool { return j.Step() > at })
+	if free := len(m.slots); free != 0 {
+		t.Errorf("%d worker slots free with one job running, want 0", free)
 	}
 }
 

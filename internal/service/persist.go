@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/service/store"
-	"repro/internal/steering"
 )
 
 // ChaosHook observes named crash points on the durable-job path. The
@@ -124,18 +123,8 @@ func (m *Manager) recoverFromStore() []*Job {
 			m.metrics.StoreErrors.Add(1)
 			continue
 		}
-		j := &Job{
-			ID:        id,
-			Spec:      spec.withDefaults(),
-			ctrl:      steering.NewController(),
-			rec:       obs.NewRecorder(m.opts.EventRing),
-			log:       m.log.With("job", id),
-			created:   rec.CreatedAt,
-			recovered: true,
-			restarts:  rec.Restarts,
-			tenant:    rec.Tenant,
-			snapCh:    make(chan struct{}),
-		}
+		j := m.newJob(id, spec.withDefaults(), rec.Tenant, rec.CreatedAt)
+		j.recovered, j.restarts = true, rec.Restarts
 		if rec.Steer != nil {
 			j.steer = *rec.Steer
 		}

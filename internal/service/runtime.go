@@ -248,20 +248,32 @@ func (m *Manager) Pause(j *Job) error {
 	if _, err := j.ctrl.Do(steering.ClientMsg{Op: steering.OpPause}); err != nil {
 		return err
 	}
-	_, err := m.transition(j, evPause, "")
-	return err
+	// The solver took the pause; a run that ended since has nothing
+	// left to pause, and the pause still stands answered.
+	if _, err := m.transition(j, evPause, ""); !errors.Is(err, ErrFinished) {
+		return err
+	}
+	return nil
 }
 
 // Resume continues a paused job, re-admitting it through the slot
 // pool: with every slot busy, Resume blocks until one frees — paused
 // time is queue time, not stolen concurrency. The wait aborts when ctx
 // ends (client gone, server draining), so a full pool cannot strand
-// handler goroutines. Resuming a running job does nothing.
+// handler goroutines. Resuming a running job does nothing. A job
+// recovered paused that has dispatched but not yet parked answers
+// ErrNotRunning: its park would undo the resume, so the client retries.
 func (m *Manager) Resume(ctx context.Context, j *Job) error {
 	j.lifecycle.Lock()
 	defer j.lifecycle.Unlock()
-	_, eff, err := next(j.State(), evResume)
-	if err != nil || !eff.takeSlot {
+	j.mu.Lock()
+	from, parking := j.state, j.resumePaused
+	j.mu.Unlock()
+	to, _, err := next(from, evResume)
+	if err == nil && parking {
+		err = ErrNotRunning
+	}
+	if err != nil || to == from {
 		return err
 	}
 	select {
@@ -269,11 +281,15 @@ func (m *Manager) Resume(ctx context.Context, j *Job) error {
 	case <-ctx.Done():
 		return fmt.Errorf("%w: gave up waiting for a worker slot", ErrResumeAborted)
 	}
+	var eff effects
 	_, err = j.ctrl.Do(steering.ClientMsg{Op: steering.OpResume})
 	if err == nil {
 		eff, err = m.transition(j, evResume, "")
+		if errors.Is(err, ErrFinished) {
+			err = nil // the solver resumed, then the run ended
+		}
 	}
-	if err != nil || !eff.takeSlot {
+	if eff == (effects{}) { // the job did not move: the slot is not its
 		m.slots <- struct{}{}
 	}
 	return err

@@ -73,16 +73,7 @@ func (m *Manager) submitAdmitted(tenant string, spec JobSpec) (*Job, error) {
 		return nil, ErrQueueFull
 	}
 	m.nextID++
-	j := &Job{
-		ID:      fmt.Sprintf("job-%04d", m.nextID),
-		Spec:    spec,
-		ctrl:    steering.NewController(),
-		created: time.Now(),
-		tenant:  tenant,
-		snapCh:  make(chan struct{}),
-	}
-	j.rec = obs.NewRecorder(m.opts.EventRing)
-	j.log = m.log.With("job", j.ID)
+	j := m.newJob(fmt.Sprintf("job-%04d", m.nextID), spec, tenant, time.Now())
 	// Reserve the queue place, then journal outside the lock: the
 	// fsync-backed writes must not stall every other API call behind
 	// m.mu. A failed journal releases it (the burned job ID just leaves
@@ -97,33 +88,29 @@ func (m *Manager) submitAdmitted(tenant string, spec JobSpec) (*Job, error) {
 	// the job is accepted non-durably instead (and re-journaled when
 	// the probe restores the disk) — availability over durability, by
 	// design.
-	nonDurable := false
+	var nonDurable bool
+	var err error
 	if m.store != nil {
-		var err error
 		nonDurable, err = m.journal(j, func() error { return m.store.AppendSubmit(j.ID, j.Spec, j.recordLocked()) })
 		if err != nil {
-			m.mu.Lock()
-			m.queuedLen--
-			m.mu.Unlock()
-			// Best-effort undo of whatever half got journaled, or the
-			// next boot would resurrect a job nobody was promised.
-			_ = m.store.Remove(j.ID)
-			m.metrics.JobsRejected.Add(1)
-			return nil, fmt.Errorf("%w: journal submit: %v", ErrInternal, err)
+			err = fmt.Errorf("%w: journal submit: %v", ErrInternal, err)
 		}
 	}
 	m.mu.Lock()
-	if m.closed {
-		// Closed while journaling: the drain has passed. Undo the
-		// journal too — the caller gets ErrClosed, so the job must not
-		// come back from the store on the next boot.
+	if err == nil && m.closed {
+		err = ErrClosed // closed while journaling: the drain has passed
+	}
+	if err != nil {
+		// Give the place back and undo whatever got journaled, best
+		// effort, or the next boot would resurrect a job nobody was
+		// promised.
 		m.queuedLen--
 		m.mu.Unlock()
 		if m.store != nil {
 			_ = m.store.Remove(j.ID)
 		}
 		m.metrics.JobsRejected.Add(1)
-		return nil, ErrClosed
+		return nil, err
 	}
 	m.queue = append(m.queue, j)
 	m.jobs[j.ID] = j
@@ -140,6 +127,13 @@ func (m *Manager) submitAdmitted(tenant string, spec JobSpec) (*Job, error) {
 	}
 	j.log.Info("job submitted", "preset", spec.Preset, "ranks", spec.Ranks, "steps", spec.Steps, "tenant", tenant)
 	return j, nil
+}
+
+// newJob builds a job's shell: its controller, flight recorder, logger
+// and snapshot box.
+func (m *Manager) newJob(id string, spec JobSpec, tenant string, created time.Time) *Job {
+	return &Job{ID: id, Spec: spec, tenant: tenant, created: created, ctrl: steering.NewController(),
+		rec: obs.NewRecorder(m.opts.EventRing), log: m.log.With("job", id), snapCh: make(chan struct{})}
 }
 
 // dispatch starts queued jobs in order, one slot per running job and

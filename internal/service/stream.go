@@ -81,7 +81,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 				continue
 			case <-ctx.Done():
 				return
-			case <-s.closing:
+			case <-s.closing.Done():
 				// Graceful shutdown: end every stream so the HTTP server
 				// can drain instead of waiting on infinite responses.
 				writeSSE(w, fl, rc, "end", streamEnd{State: j.State(), Error: "server shutting down"})
