@@ -221,7 +221,7 @@ func BenchmarkWarmStart(b *testing.B) {
 							// The same sites under a new Domain: nothing
 							// derived rides it yet.
 							b.StopTimer()
-							if d, err = geometry.Reassemble(dom.Model, dom.Dims, dom.Origin, dom.H, dom.Iolets, dom.Sites); err != nil {
+							if d, err = geometry.Reassemble(dom.Model, dom.Dims, dom.Origin, dom.H, dom.Iolets, dom.Sites, dom.LinkDists()); err != nil {
 								b.Fatal(err)
 							}
 							b.StartTimer()

@@ -152,9 +152,11 @@ func TestVoxelisePipeBasics(t *testing.T) {
 func TestVoxeliseLinkConsistency(t *testing.T) {
 	d := voxelPipe(t)
 	m := d.Model
+	dists := d.LinkDists()
 	for si, s := range d.Sites {
 		for q := 1; q < m.Q; q++ {
 			link := s.Links[q-1]
+			dist := dists[si*(m.Q-1)+q-1]
 			c := m.C[q]
 			np := s.Pos.Add(vec.I3{X: c[0], Y: c[1], Z: c[2]})
 			nid := d.SiteAt(np)
@@ -171,8 +173,8 @@ func TestVoxeliseLinkConsistency(t *testing.T) {
 				if nid >= 0 {
 					t.Fatalf("site %d dir %d: non-fluid link to fluid site", si, q)
 				}
-				if link.Dist <= 0 || link.Dist > 1 {
-					t.Fatalf("site %d dir %d: crossing dist %v out of (0,1]", si, q, link.Dist)
+				if dist <= 0 || dist > 1 {
+					t.Fatalf("site %d dir %d: crossing dist %v out of (0,1]", si, q, dist)
 				}
 			}
 		}

@@ -15,11 +15,14 @@ import (
 
 // voxeliseOracle is the voxeliser as it was before the sign-only
 // parallel one replaced it: one goroutine, the full Union SDF at every
-// point, one Links allocation per site. It is the reference
-// TestVoxeliseMatchesOracle holds Voxelise to, bit for bit.
-func voxeliseOracle(v *Vessel, h float64, model *lattice.Model) (*Domain, error) {
+// point, one Links allocation per site, and every crossing distance
+// computed as the links are classified (returned beside the domain, in
+// the layout of Domain.LinkDists). It is the reference
+// TestVoxeliseMatchesOracle holds Voxelise and the distance table to,
+// bit for bit.
+func voxeliseOracle(v *Vessel, h float64, model *lattice.Model) (*Domain, []float64, error) {
 	if h <= 0 {
-		return nil, fmt.Errorf("geometry: lattice spacing must be positive, got %g", h)
+		return nil, nil, fmt.Errorf("geometry: lattice spacing must be positive, got %g", h)
 	}
 	b := v.Bounds()
 	size := b.Size()
@@ -27,11 +30,11 @@ func voxeliseOracle(v *Vessel, h float64, model *lattice.Model) (*Domain, error)
 	ny := int(math.Ceil(size.Y/h)) + 1
 	nz := int(math.Ceil(size.Z/h)) + 1
 	if nx <= 0 || ny <= 0 || nz <= 0 {
-		return nil, fmt.Errorf("geometry: empty bounds %+v", b)
+		return nil, nil, fmt.Errorf("geometry: empty bounds %+v", b)
 	}
 	const maxSites = 1 << 28
 	if nx*ny*nz > maxSites {
-		return nil, fmt.Errorf("geometry: lattice %dx%dx%d too large; increase spacing", nx, ny, nz)
+		return nil, nil, fmt.Errorf("geometry: lattice %dx%dx%d too large; increase spacing", nx, ny, nz)
 	}
 	d := &Domain{
 		Model:  model,
@@ -67,11 +70,12 @@ func voxeliseOracle(v *Vessel, h float64, model *lattice.Model) (*Domain, error)
 		}
 	}
 	if len(sites) == 0 {
-		return nil, fmt.Errorf("geometry: vessel %q produced no fluid sites at spacing %g", v.Name, h)
+		return nil, nil, fmt.Errorf("geometry: vessel %q produced no fluid sites at spacing %g", v.Name, h)
 	}
 	d.Sites = sites
 
 	// Pass 2: link classification.
+	dists := make([]float64, len(sites)*(model.Q-1))
 	for si := range d.Sites {
 		s := &d.Sites[si]
 		s.Links = make([]Link, model.Q-1)
@@ -97,18 +101,18 @@ func voxeliseOracle(v *Vessel, h float64, model *lattice.Model) (*Domain, error)
 					s.Flags |= FlagOutlet
 				}
 				link.Iolet = idx
-				link.Dist = t
+				dists[si*(model.Q-1)+q-1] = t
 				continue
 			}
 			link.Type = LinkWall
-			link.Dist = wallCrossingOracle(v.Shape, wp, wn)
+			dists[si*(model.Q-1)+q-1] = wallCrossingOracle(v.Shape, wp, wn)
 			s.Flags |= FlagWall
 		}
 		if s.Flags&FlagWall != 0 {
 			s.WallNormal = sdfGradient(v.Shape, wp, d.H*0.5)
 		}
 	}
-	return d, nil
+	return d, dists, nil
 }
 
 // wallCrossingOracle is wallCrossing on the full SDF.
@@ -138,9 +142,11 @@ var presetNames = []string{"pipe", "bend", "bifurcation", "aneurysm", "tree", "s
 // TestVoxeliseMatchesOracle: on every preset at several scales and
 // spacings, at worker counts below, at and above the core count, the
 // voxeliser builds exactly the oracle's domain — same sites in the same
-// order with the same links, crossing distances and normals, same dense
-// index, same block counts. Checkpoints and TestGoldenStateHash rest on
-// that numbering.
+// order with the same links and normals, same dense index, same block
+// counts — and its distance table, built on as many workers and through
+// LinkDists, holds the oracle's crossing distances bit for bit.
+// Checkpoints and TestGoldenStateHash rest on that numbering, the
+// geometry file on those distances.
 func TestVoxeliseMatchesOracle(t *testing.T) {
 	type sizing struct{ scale, h float64 }
 	sizings := []sizing{{1, 1}, {1.3, 1}, {1.6, 0.8}}
@@ -157,7 +163,7 @@ func TestVoxeliseMatchesOracle(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := voxeliseOracle(v, sz.h, lattice.D3Q19())
+			want, wantDists, err := voxeliseOracle(v, sz.h, lattice.D3Q19())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -189,9 +195,31 @@ func TestVoxeliseMatchesOracle(t *testing.T) {
 				if !slices.Equal(got.Iolets, want.Iolets) {
 					t.Fatalf("%s: iolets differ from the oracle's", where)
 				}
+				if err := sameDists(got.linkDists(workers), wantDists, got.Model.Q); err != nil {
+					t.Fatalf("%s: %v", where, err)
+				}
+				if workers == 1 {
+					if err := sameDists(got.LinkDists(), wantDists, got.Model.Q); err != nil {
+						t.Fatalf("%s, LinkDists: %v", where, err)
+					}
+				}
 			}
 		}
 	}
+}
+
+// sameDists reports the first link whose distance differs in its bits
+// from the oracle's.
+func sameDists(got, want []float64, Q int) error {
+	if len(got) != len(want) {
+		return fmt.Errorf("%d link distances, oracle %d", len(got), len(want))
+	}
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			return fmt.Errorf("site %d dir %d: distance %v, oracle %v", i/(Q-1), i%(Q-1)+1, got[i], want[i])
+		}
+	}
+	return nil
 }
 
 // TestVoxeliseLinksShareOneSlab: the per-site Links are windows of one
@@ -331,7 +359,10 @@ func BenchmarkVoxelise(b *testing.B) {
 			name  string
 			build func(*Vessel) (*Domain, error)
 		}{
-			{"oracle", func(v *Vessel) (*Domain, error) { return voxeliseOracle(v, 1, lattice.D3Q19()) }},
+			{"oracle", func(v *Vessel) (*Domain, error) {
+				d, _, err := voxeliseOracle(v, 1, lattice.D3Q19())
+				return d, err
+			}},
 			{"new", func(v *Vessel) (*Domain, error) { return Voxelise(v, 1, lattice.D3Q19()) }},
 		} {
 			b.Run(fmt.Sprintf("%s@%g/%s", dc.preset, dc.scale, impl.name), func(b *testing.B) {

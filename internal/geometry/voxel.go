@@ -21,12 +21,11 @@ const (
 	LinkOutlet                 // link crosses an outlet disk
 )
 
-// Link describes one lattice direction leaving a fluid site.
+// Link describes one lattice direction leaving a fluid site. Where
+// along a non-fluid link the wall or iolet disk is crossed is not kept
+// here but in the domain's distance table (Domain.LinkDists).
 type Link struct {
 	Type LinkType
-	// Dist is the fraction in (0,1] along the link at which the wall or
-	// iolet surface is crossed; meaningful for non-fluid links.
-	Dist float64
 	// Iolet is the index into the vessel's iolet list for
 	// LinkInlet/LinkOutlet links, -1 otherwise.
 	Iolet int
@@ -81,6 +80,11 @@ type Domain struct {
 	// two-level format).
 	BlockDims       vec.I3
 	BlockFluidCount []int32
+
+	// sign is the vessel's sign test, kept for the distance table
+	// (linkdist.go); nil on a reassembled domain, whose table is
+	// seeded from its records instead.
+	sign *signField
 
 	// derived holds what is computed from the fields above on first use
 	// (see Derive).
@@ -145,10 +149,11 @@ func (d *Domain) NumBlocks() int {
 }
 
 // Voxelise discretises a vessel onto a lattice with spacing h,
-// computing per-site link metadata: fluid links, wall links with
-// bisection-refined crossing distances, and in/outlet links where the
-// link crosses an iolet disk. It is the pre-processing step 1 of
-// section IV-B ("read in the geometry for blood vessel model").
+// classifying every link of every fluid site: fluid, wall, or in/outlet
+// where the link crosses an iolet disk. Where a non-fluid link crosses
+// is left to the distance table, computed only if read (LinkDists). It
+// is the pre-processing step 1 of section IV-B ("read in the geometry
+// for blood vessel model").
 //
 // Both passes are claimed by up to GOMAXPROCS participants (the caller
 // and guard's idle helpers); the result does not depend on how many
@@ -166,7 +171,8 @@ const linkChunk = 512
 // one after another in z order is the serial scan order, so site ids,
 // index and BlockFluidCount are the same for any worker count. Pass 2
 // classifies the links of disjoint site ranges. Everything but the
-// wall normal needs only the sign of the SDF and asks a signField.
+// wall normal needs only the sign of the SDF and asks a signField,
+// which the domain keeps for its distance table.
 func voxelise(v *Vessel, h float64, model *lattice.Model, workers int) (*Domain, error) {
 	if h <= 0 {
 		return nil, fmt.Errorf("geometry: lattice spacing must be positive, got %g", h)
@@ -190,6 +196,7 @@ func voxelise(v *Vessel, h float64, model *lattice.Model, workers int) (*Domain,
 		H:      h,
 		Iolets: append([]Iolet(nil), v.Iolets...),
 		index:  make([]int32, nx*ny*nz),
+		sign:   newSignField(v.Shape),
 	}
 	d.BlockDims = vec.I3{
 		X: (nx + BlockSize - 1) / BlockSize,
@@ -197,7 +204,6 @@ func voxelise(v *Vessel, h float64, model *lattice.Model, workers int) (*Domain,
 		Z: (nz + BlockSize - 1) / BlockSize,
 	}
 	d.BlockFluidCount = make([]int32, d.NumBlocks())
-	sign := newSignField(v.Shape)
 
 	// Pass 1: classify fluid sites, one block layer per claim. A layer
 	// owns its planes of index and its blocks of BlockFluidCount, so
@@ -210,7 +216,7 @@ func voxelise(v *Vessel, h float64, model *lattice.Model, workers int) (*Domain,
 				row := (z*ny + y) * nx
 				for x := 0; x < nx; x++ {
 					d.index[row+x] = -1
-					if d.fluidAt(d.World(vec.I3{X: x, Y: y, Z: z}), sign) {
+					if d.fluidAt(d.World(vec.I3{X: x, Y: y, Z: z})) {
 						fluid = append(fluid, int32(row+x))
 					}
 				}
@@ -254,9 +260,8 @@ func voxelise(v *Vessel, h float64, model *lattice.Model, workers int) (*Domain,
 					continue
 				}
 				// The link leaves the fluid. Decide whether it crosses an
-				// iolet disk or the vessel wall, and where.
-				wn := d.World(np)
-				if idx, t := d.ioletCrossing(wp, wn); idx >= 0 {
+				// iolet disk or the vessel wall.
+				if idx, _ := d.ioletCrossing(wp, d.World(np)); idx >= 0 {
 					if v.Iolets[idx].IsInlet {
 						link.Type = LinkInlet
 						s.Flags |= FlagInlet
@@ -265,11 +270,9 @@ func voxelise(v *Vessel, h float64, model *lattice.Model, workers int) (*Domain,
 						s.Flags |= FlagOutlet
 					}
 					link.Iolet = idx
-					link.Dist = t
 					continue
 				}
 				link.Type = LinkWall
-				link.Dist = wallCrossing(sign, wp, wn)
 				s.Flags |= FlagWall
 			}
 			if s.Flags&FlagWall != 0 {
@@ -282,13 +285,13 @@ func voxelise(v *Vessel, h float64, model *lattice.Model, workers int) (*Domain,
 
 // fluidAt reports whether world point p is fluid: on the interior side
 // of every iolet plane and inside the shape (Vessel.Inside, sign-only).
-func (d *Domain) fluidAt(p vec.V3, sign *signField) bool {
+func (d *Domain) fluidAt(p vec.V3) bool {
 	for i := range d.Iolets {
 		if d.Iolets[i].side(p) < 0 {
 			return false
 		}
 	}
-	return sign.negative(p)
+	return d.sign.negative(p)
 }
 
 // ioletCrossing tests whether the segment a->b crosses any iolet disk
@@ -312,30 +315,6 @@ func (d *Domain) ioletCrossing(a, b vec.V3) (int, float64) {
 		}
 	}
 	return -1, 0
-}
-
-// wallCrossing bisects the sign of the SDF along the segment a->b to
-// locate the wall crossing fraction in (0,1]. a is fluid (SDF<0); b is
-// expected solid. If the SDF never becomes positive along the segment
-// (possible near iolet-clipped corners), 1.0 is returned.
-func wallCrossing(s *signField, a, b vec.V3) float64 {
-	if s.negative(b) {
-		return 1.0
-	}
-	lo, hi := 0.0, 1.0
-	for iter := 0; iter < 20; iter++ {
-		mid := (lo + hi) / 2
-		if s.negative(a.Lerp(b, mid)) {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	t := (lo + hi) / 2
-	if t <= 0 {
-		t = 1e-9
-	}
-	return t
 }
 
 // sdfGradient estimates the outward wall normal at p by central

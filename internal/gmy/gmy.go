@@ -80,10 +80,21 @@ func writeU32(w io.Writer, vs ...uint32) error {
 	return nil
 }
 
+// maxIolets is how many iolets a link record can name: its iolet byte
+// holds the index, and 255 means none.
+const maxIolets = 255
+
 // Write serialises a voxelised domain. Layout: header, iolets, block
 // table (fluid count + compressed length per block), then the
-// compressed block payloads in block-id order.
+// compressed block payloads in block-id order. A domain the format
+// cannot hold — a site coordinate past 65 535, more iolets than a link
+// record can name — is an error before anything is written. The link
+// distances come from the domain's distance table, computed here on a
+// voxelised domain's first write.
 func Write(w io.Writer, d *geometry.Domain) error {
+	if err := encodable(d); err != nil {
+		return err
+	}
 	if err := writeU32(w, Magic, Version,
 		uint32(d.Dims.X), uint32(d.Dims.Y), uint32(d.Dims.Z),
 		uint32(geometry.BlockSize), uint32(d.Model.Q), uint32(len(d.Iolets))); err != nil {
@@ -113,13 +124,14 @@ func Write(w io.Writer, d *geometry.Domain) error {
 		blockSites[b] = append(blockSites[b], i)
 	}
 	payloads := make([][]byte, nb)
+	dists := d.LinkDists()
 	for b := 0; b < nb; b++ {
 		if len(blockSites[b]) == 0 {
 			continue
 		}
 		var raw bytes.Buffer
 		for _, si := range blockSites[b] {
-			encodeSite(&raw, d, si)
+			encodeSite(&raw, d, si, dists)
 		}
 		var comp bytes.Buffer
 		zw := zlib.NewWriter(&comp)
@@ -148,12 +160,33 @@ func Write(w io.Writer, d *geometry.Domain) error {
 	return nil
 }
 
+// encodable rejects a domain whose records would decode to another:
+// positions are u16 and a link's iolet byte names 0..254.
+func encodable(d *geometry.Domain) error {
+	if len(d.Iolets) > maxIolets {
+		return fmt.Errorf("gmy: %d iolets, a link record names at most %d", len(d.Iolets), maxIolets)
+	}
+	for i := range d.Sites {
+		s := &d.Sites[i]
+		if max(s.Pos.X, s.Pos.Y, s.Pos.Z) > math.MaxUint16 {
+			return fmt.Errorf("gmy: site %v has a coordinate past %d", s.Pos, math.MaxUint16)
+		}
+		for q, l := range s.Links {
+			if l.Type != geometry.LinkFluid && (l.Iolet < -1 || l.Iolet >= maxIolets) {
+				return fmt.Errorf("gmy: link %d of site %v names iolet %d", q+1, s.Pos, l.Iolet)
+			}
+		}
+	}
+	return nil
+}
+
 // encodeSite appends one site record: position (3×u16), flags (u8),
 // wall normal (3×f32, wall sites only), then per non-rest direction a
-// link record: type u8 plus, for non-fluid links, dist f32 and iolet
-// u8.
-func encodeSite(buf *bytes.Buffer, d *geometry.Domain, si int) {
+// link record: type u8 plus, for non-fluid links, dist f32 (from
+// dists, the domain's distance table) and iolet u8.
+func encodeSite(buf *bytes.Buffer, d *geometry.Domain, si int, dists []float64) {
 	s := &d.Sites[si]
+	row := dists[si*len(s.Links) : (si+1)*len(s.Links)]
 	var tmp [4]byte
 	put16 := func(v int) {
 		binary.LittleEndian.PutUint16(tmp[:2], uint16(v))
@@ -172,12 +205,12 @@ func encodeSite(buf *bytes.Buffer, d *geometry.Domain, si int) {
 		putF32(s.WallNormal.Y)
 		putF32(s.WallNormal.Z)
 	}
-	for _, l := range s.Links {
+	for i, l := range s.Links {
 		buf.WriteByte(byte(l.Type))
 		if l.Type == geometry.LinkFluid {
 			continue
 		}
-		binary.LittleEndian.PutUint32(tmp[:4], math.Float32bits(float32(l.Dist)))
+		binary.LittleEndian.PutUint32(tmp[:4], math.Float32bits(float32(row[i])))
 		buf.Write(tmp[:4])
 		io := l.Iolet
 		if io < 0 {
@@ -187,8 +220,9 @@ func encodeSite(buf *bytes.Buffer, d *geometry.Domain, si int) {
 	}
 }
 
-// decodeSite parses one site record, the inverse of encodeSite.
-func decodeSite(r *bytes.Reader, q int) (geometry.Site, error) {
+// decodeSite parses one site record, the inverse of encodeSite, into s
+// and its q-1 link distances into dists.
+func decodeSite(r *bytes.Reader, q int, dists []float64) (geometry.Site, error) {
 	var s geometry.Site
 	var tmp [4]byte
 	get16 := func() (int, error) {
@@ -243,7 +277,7 @@ func decodeSite(r *bytes.Reader, q int) (geometry.Site, error) {
 		if _, err := io.ReadFull(r, tmp[:4]); err != nil {
 			return s, err
 		}
-		s.Links[i].Dist = float64(math.Float32frombits(binary.LittleEndian.Uint32(tmp[:4])))
+		dists[i] = float64(math.Float32frombits(binary.LittleEndian.Uint32(tmp[:4])))
 		ib, err := r.ReadByte()
 		if err != nil {
 			return s, err
@@ -316,32 +350,38 @@ func ReadHeader(r io.Reader) (*Header, error) {
 // BlockPayloadLen returns the compressed payload length of block b.
 func (h *Header) BlockPayloadLen(b int) int { return int(h.blockLen[b]) }
 
+// Block is one decoded block payload: its site records, and their link
+// distances, q-1 per site in site order (the layout geometry.Reassemble
+// takes).
+type Block struct {
+	Sites []geometry.Site
+	Dists []float64
+}
+
 // DecodeBlock decompresses and parses one block payload.
-func DecodeBlock(payload []byte, fluidCount, q int) ([]geometry.Site, error) {
+func DecodeBlock(payload []byte, fluidCount, q int) (Block, error) {
 	zr, err := zlib.NewReader(bytes.NewReader(payload))
 	if err != nil {
-		return nil, fmt.Errorf("gmy: zlib: %w", err)
+		return Block{}, fmt.Errorf("gmy: zlib: %w", err)
 	}
 	raw, err := io.ReadAll(zr)
 	if err != nil {
-		return nil, fmt.Errorf("gmy: decompress: %w", err)
+		return Block{}, fmt.Errorf("gmy: decompress: %w", err)
 	}
 	if err := zr.Close(); err != nil {
-		return nil, err
+		return Block{}, err
 	}
 	br := bytes.NewReader(raw)
-	sites := make([]geometry.Site, 0, fluidCount)
-	for i := 0; i < fluidCount; i++ {
-		s, err := decodeSite(br, q)
-		if err != nil {
-			return nil, fmt.Errorf("gmy: site %d: %w", i, err)
+	blk := Block{Sites: make([]geometry.Site, fluidCount), Dists: make([]float64, fluidCount*(q-1))}
+	for i := range blk.Sites {
+		if blk.Sites[i], err = decodeSite(br, q, blk.Dists[i*(q-1):(i+1)*(q-1)]); err != nil {
+			return Block{}, fmt.Errorf("gmy: site %d: %w", i, err)
 		}
-		sites = append(sites, s)
 	}
 	if br.Len() != 0 {
-		return nil, fmt.Errorf("gmy: %d trailing bytes in block", br.Len())
+		return Block{}, fmt.Errorf("gmy: %d trailing bytes in block", br.Len())
 	}
-	return sites, nil
+	return blk, nil
 }
 
 // Read parses a complete gmy stream back into a Domain. The model is
@@ -360,7 +400,7 @@ func Read(r io.Reader) (*geometry.Domain, error) {
 	default:
 		return nil, fmt.Errorf("gmy: no model with Q=%d", h.ModelQ)
 	}
-	var all []geometry.Site
+	var all Block
 	for b := 0; b < h.NumBlocks(); b++ {
 		n := int(h.BlockFluid[b])
 		plen := int(h.blockLen[b])
@@ -374,18 +414,20 @@ func Read(r io.Reader) (*geometry.Domain, error) {
 		if _, err := io.ReadFull(r, payload); err != nil {
 			return nil, fmt.Errorf("gmy: block %d payload: %w", b, err)
 		}
-		sites, err := DecodeBlock(payload, n, h.ModelQ)
+		blk, err := DecodeBlock(payload, n, h.ModelQ)
 		if err != nil {
 			return nil, err
 		}
-		all = append(all, sites...)
+		all.Sites = append(all.Sites, blk.Sites...)
+		all.Dists = append(all.Dists, blk.Dists...)
 	}
 	return AssembleDomain(h, model, all)
 }
 
-// AssembleDomain reconstructs a Domain from decoded site records. Sites
-// may arrive in any order; they are sorted into canonical scan order
-// (z, y, x ascending) to make round-trips exact.
-func AssembleDomain(h *Header, model *lattice.Model, sites []geometry.Site) (*geometry.Domain, error) {
-	return geometry.Reassemble(model, h.Dims, h.Origin, h.H, h.Iolets, sites)
+// AssembleDomain reconstructs a Domain from decoded site records and
+// their link distances. Sites may arrive in any order; they are sorted
+// into canonical scan order (z, y, x ascending) to make round-trips
+// exact.
+func AssembleDomain(h *Header, model *lattice.Model, blk Block) (*geometry.Domain, error) {
+	return geometry.Reassemble(model, h.Dims, h.Origin, h.H, h.Iolets, blk.Sites, blk.Dists)
 }

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/geometry"
 	"repro/internal/par"
 )
 
@@ -67,12 +66,12 @@ func BalanceQuality(blockFluid []int32, assign []int32, ranks int) float64 {
 // contiguous share of the file; readers then forward each block's
 // still-compressed payload to the rank that owns it under the initial
 // balance. Returns this rank's owned blocks as decoded site records
-// plus the header and the block→rank assignment.
+// and link distances, plus the header and the block→rank assignment.
 //
 // file is the whole serialised stream, standing in for a file on a
 // parallel filesystem every rank could open. nReaders controls "the
 // balance between file I/O and distribution communication".
-func ParallelRead(comm *par.Comm, file []byte, nReaders int) (*Header, []int32, map[int][]geometry.Site, error) {
+func ParallelRead(comm *par.Comm, file []byte, nReaders int) (*Header, []int32, map[int]Block, error) {
 	if nReaders < 1 {
 		nReaders = 1
 	}
@@ -96,7 +95,7 @@ func ParallelRead(comm *par.Comm, file []byte, nReaders int) (*Header, []int32, 
 
 	// Reader r covers blocks [r*nb/nReaders, (r+1)*nb/nReaders).
 	me := comm.Rank()
-	owned := map[int][]geometry.Site{}
+	owned := map[int]Block{}
 	type packet struct {
 		blocks []int
 		data   [][]byte
@@ -112,11 +111,11 @@ func ParallelRead(comm *par.Comm, file []byte, nReaders int) (*Header, []int32, 
 			payload := file[offsets[b]:offsets[b+1]]
 			owner := int(assign[b])
 			if owner == me {
-				sites, err := DecodeBlock(payload, int(h.BlockFluid[b]), h.ModelQ)
+				blk, err := DecodeBlock(payload, int(h.BlockFluid[b]), h.ModelQ)
 				if err != nil {
 					return nil, nil, nil, fmt.Errorf("gmy: rank %d block %d: %w", me, b, err)
 				}
-				owned[b] = sites
+				owned[b] = blk
 				continue
 			}
 			p := outgoing[owner]
@@ -173,11 +172,11 @@ func ParallelRead(comm *par.Comm, file []byte, nReaders int) (*Header, []int32, 
 			if _, err := r.Read(payload); err != nil {
 				return nil, nil, nil, err
 			}
-			sites, err := DecodeBlock(payload, int(h.BlockFluid[b]), h.ModelQ)
+			blk, err := DecodeBlock(payload, int(h.BlockFluid[b]), h.ModelQ)
 			if err != nil {
 				return nil, nil, nil, fmt.Errorf("gmy: received block %d: %w", b, err)
 			}
-			owned[b] = sites
+			owned[b] = blk
 		}
 	}
 	return h, assign, owned, nil
@@ -194,7 +193,7 @@ func headerSize(h *Header) int {
 
 // SortedBlockIDs returns the keys of an owned-blocks map in ascending
 // order, for deterministic iteration.
-func SortedBlockIDs(owned map[int][]geometry.Site) []int {
+func SortedBlockIDs(owned map[int]Block) []int {
 	ids := make([]int, 0, len(owned))
 	for b := range owned {
 		ids = append(ids, b)

@@ -141,17 +141,28 @@ func (k *kernel) setWorkers(n int) {
 }
 
 // InitEquilibrium sets every local site to the zero-velocity
-// equilibrium at density rho and rewinds the step counter.
+// equilibrium at density rho and rewinds the step counter. Every site
+// is the same Q values, so site 0 is filled and the kernel's workers
+// copy it across their parcels: a threaded kernel's first touch of f
+// is spread over the cores, and one with a single participant fills
+// serially.
 func (k *kernel) InitEquilibrium(rho float64) {
 	q := k.M.Q
 	if k.n > 0 {
 		for d := 0; d < q; d++ {
 			k.f[d] = rho * k.M.W[d]
 		}
-		// Every site is the same Q values: double the filled prefix.
-		for done := q; done < len(k.f); done *= 2 {
-			copy(k.f[done:], k.f[:done])
-		}
+		site := k.f[:q]
+		guard.ForChunks((k.n+parcelSites-1)/parcelSites, k.workers, func(i int) {
+			part := k.f[i*parcelSites*q : min((i+1)*parcelSites, k.n)*q]
+			if i > 0 { // parcel 0 starts with site itself, which the others read
+				copy(part, site)
+			}
+			// Double the filled prefix of the parcel.
+			for done := q; done < len(part); done *= 2 {
+				copy(part[done:], part[:done])
+			}
+		})
 	}
 	k.step = 0
 }

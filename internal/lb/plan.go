@@ -3,8 +3,10 @@ package lb
 import (
 	"fmt"
 	"math"
+	"runtime"
 
 	"repro/internal/geometry"
+	"repro/internal/guard"
 	"repro/internal/partition"
 )
 
@@ -61,10 +63,10 @@ type wholeEntry struct {
 
 // wholePlan returns dom's whole-domain plan — the K = 1 plan of Solver
 // and 1-rank Dist, and the table every per-rank plan is cut from —
-// building it on first use.
+// building it on first use, on up to GOMAXPROCS participants.
 func wholePlan(dom *geometry.Domain) (pl *plan, built bool, err error) {
 	v, built := dom.Derive(wholeKey{}, func() any {
-		pl, err := buildWholePlan(dom)
+		pl, err := buildWholePlan(dom, runtime.GOMAXPROCS(0))
 		return wholeEntry{pl, err}
 	})
 	e := v.(wholeEntry)
@@ -73,8 +75,13 @@ func wholePlan(dom *geometry.Domain) (pl *plan, built bool, err error) {
 
 // buildWholePlan reads the stream table of the whole domain off the
 // sites' link records, in (site, direction) order. It is the only place
-// the solver looks at Site.Links.
-func buildWholePlan(dom *geometry.Domain) (*plan, error) {
+// the solver looks at Site.Links. Both of its passes — the table, then
+// the check that every fluid link has one coming back — run on up to
+// workers participants, parcelSites sites per claim. Every row is its
+// own, so the table does not depend on how many; a chunk stops at its
+// first inconsistent site, and the lowest chunk's error is returned:
+// the one a serial pass meets first.
+func buildWholePlan(dom *geometry.Domain, workers int) (*plan, error) {
 	m := dom.Model
 	Q := m.Q
 	n := dom.NumSites()
@@ -82,7 +89,25 @@ func buildWholePlan(dom *geometry.Domain) (*plan, error) {
 		return nil, fmt.Errorf("lb: %d sites × Q=%d overflow the stream table's 32-bit indices", n, Q)
 	}
 	pl := &plan{n: n, stream: make([]int32, n*Q), owned: make([]int, n), sendOff: []int{0, 0}, recvFix: make([][]int32, 1)}
-	for g := range dom.Sites {
+	chunks := (n + parcelSites - 1) / parcelSites
+	errs := make([]error, chunks)
+	pass := func(site func(g int) error) error {
+		guard.ForChunks(chunks, workers, func(c int) {
+			for g := c * parcelSites; g < min((c+1)*parcelSites, n); g++ {
+				if err := site(g); err != nil {
+					errs[c] = err
+					return
+				}
+			}
+		})
+		for _, err := range errs {
+			if err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	err := pass(func(g int) error {
 		pl.owned[g] = g
 		site := &dom.Sites[g]
 		base := g * Q
@@ -93,31 +118,39 @@ func buildWholePlan(dom *geometry.Domain) (*plan, error) {
 			case geometry.LinkFluid:
 				j := dom.Neighbour(g, q)
 				if j < 0 {
-					return nil, fmt.Errorf("lb: inconsistent geometry: fluid link %d of site %v leads to no site", q, site.Pos)
+					return fmt.Errorf("lb: inconsistent geometry: fluid link %d of site %v leads to no site", q, site.Pos)
 				}
 				row[q] = int32(j*Q + q)
 			case geometry.LinkWall:
 				row[q] = int32(base + m.Opp[q])
 			default: // inlet or outlet
 				if link.Iolet < 0 || link.Iolet >= len(dom.Iolets) {
-					return nil, fmt.Errorf("lb: inconsistent geometry: site %v names iolet %d of %d", site.Pos, link.Iolet, len(dom.Iolets))
+					return fmt.Errorf("lb: inconsistent geometry: site %v names iolet %d of %d", site.Pos, link.Iolet, len(dom.Iolets))
 				}
 				row[q] = int32(encodeIolet - link.Iolet)
 			}
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	// Every fluid link has a fluid link coming back: the halo plans
 	// count on one population returning for each one sent. True of any
 	// voxelised domain; a geometry file can say otherwise.
-	for g := 0; g < n; g++ {
+	err = pass(func(g int) error {
 		for q := 1; q < Q; q++ {
 			to := int(pl.stream[g*Q+q])
 			if to < g*Q || to >= (g+1)*Q { // a fluid link: iolets are negative, walls stay on the site
 				if back := to - q + m.Opp[q]; to >= 0 && int(pl.stream[back]) != g*Q+m.Opp[q] {
-					return nil, fmt.Errorf("lb: inconsistent geometry: fluid link %d of site %v has no fluid link coming back", q, dom.Sites[g].Pos)
+					return fmt.Errorf("lb: inconsistent geometry: fluid link %d of site %v has no fluid link coming back", q, dom.Sites[g].Pos)
 				}
 			}
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return pl, nil
 }

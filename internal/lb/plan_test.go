@@ -2,9 +2,11 @@ package lb
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/geometry"
@@ -235,31 +237,164 @@ func TestPlanMatchesOracle(t *testing.T) {
 	}
 }
 
-// TestWholePlanRejectsInconsistentGeometry: a link record that claims a
-// fluid neighbour where there is none (a damaged geometry file) is an
-// error from New and NewDist, not a population streamed into slot 0.
-func TestWholePlanRejectsInconsistentGeometry(t *testing.T) {
-	good := pipeDomain(t, 8, 2, 1.0)
-	sites := make([]geometry.Site, len(good.Sites))
-	for i, s := range good.Sites {
-		sites[i] = s
-		sites[i].Links = append([]geometry.Link(nil), s.Links...)
+// serialWholePlan is buildWholePlan as it was before its passes ran on
+// guard's participants: one goroutine, sites in order, the first
+// inconsistent site returned at once. It is the reference
+// TestWholePlanMatchesSerial and TestWholePlanRejectsInconsistentGeometry
+// hold the parallel build to.
+func serialWholePlan(dom *geometry.Domain) (*plan, error) {
+	m := dom.Model
+	Q := m.Q
+	n := dom.NumSites()
+	if n*Q > math.MaxInt32 {
+		return nil, fmt.Errorf("lb: %d sites × Q=%d overflow the stream table's 32-bit indices", n, Q)
 	}
-	broken := false
-	for i := range sites {
-		for q := range sites[i].Links {
-			if sites[i].Links[q].Type == geometry.LinkWall && !broken {
-				sites[i].Links[q].Type = geometry.LinkFluid
-				broken = true
+	pl := &plan{n: n, stream: make([]int32, n*Q), owned: make([]int, n), sendOff: []int{0, 0}, recvFix: make([][]int32, 1)}
+	for g := range dom.Sites {
+		pl.owned[g] = g
+		site := &dom.Sites[g]
+		base := g * Q
+		row := pl.stream[base : base+Q]
+		row[0] = int32(base) // rest population stays
+		for q := 1; q < Q; q++ {
+			switch link := &site.Links[q-1]; link.Type {
+			case geometry.LinkFluid:
+				j := dom.Neighbour(g, q)
+				if j < 0 {
+					return nil, fmt.Errorf("lb: inconsistent geometry: fluid link %d of site %v leads to no site", q, site.Pos)
+				}
+				row[q] = int32(j*Q + q)
+			case geometry.LinkWall:
+				row[q] = int32(base + m.Opp[q])
+			default: // inlet or outlet
+				if link.Iolet < 0 || link.Iolet >= len(dom.Iolets) {
+					return nil, fmt.Errorf("lb: inconsistent geometry: site %v names iolet %d of %d", site.Pos, link.Iolet, len(dom.Iolets))
+				}
+				row[q] = int32(encodeIolet - link.Iolet)
 			}
 		}
 	}
-	dom, err := geometry.Reassemble(good.Model, good.Dims, good.Origin, good.H, good.Iolets, sites)
-	if err != nil {
-		t.Fatal(err)
+	for g := 0; g < n; g++ {
+		for q := 1; q < Q; q++ {
+			to := int(pl.stream[g*Q+q])
+			if to < g*Q || to >= (g+1)*Q {
+				if back := to - q + m.Opp[q]; to >= 0 && int(pl.stream[back]) != g*Q+m.Opp[q] {
+					return nil, fmt.Errorf("lb: inconsistent geometry: fluid link %d of site %v has no fluid link coming back", q, dom.Sites[g].Pos)
+				}
+			}
+		}
 	}
-	if _, err := New(dom, Params{Tau: 0.9}); err == nil {
+	return pl, nil
+}
+
+// planWorkers are the participant counts the parallel plan passes are
+// held to the serial one at: serial, at and above a 2-core host, and
+// well past any preset's chunk count per participant.
+var planWorkers = []int{1, 2, 3, 7}
+
+// TestWholePlanMatchesSerial: on every preset at two sizings, the
+// whole-domain plan built on 1, 2, 3 and 7 participants is the serial
+// one — stream table, owned, and the (empty) halo fields.
+func TestWholePlanMatchesSerial(t *testing.T) {
+	for _, name := range []string{"pipe", "bend", "bifurcation", "aneurysm", "tree", "stenosis"} {
+		for _, scale := range []float64{1, 2} {
+			dom := presetDomain(t, name, scale)
+			want, err := serialWholePlan(dom)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, w := range planWorkers {
+				got, err := buildWholePlan(dom, w)
+				if err != nil {
+					t.Fatalf("%s@%g, %d workers: %v", name, scale, w, err)
+				}
+				if err := samePlan(got, want); err != nil {
+					t.Fatalf("%s@%g (%d sites), %d workers: %v", name, scale, dom.NumSites(), w, err)
+				}
+			}
+		}
+	}
+}
+
+// TestWholePlanRejectsInconsistentGeometry: a link record that claims a
+// fluid neighbour where there is none (a damaged geometry file) is an
+// error from New and NewDist, not a population streamed into slot 0.
+// With damage in several chunks the parallel build reports what the
+// serial one meets first, at every worker count: the lowest broken
+// site, whether the others lie in its chunk or in another, and a
+// broken table row before a missing return link at a lower site.
+func TestWholePlanRejectsInconsistentGeometry(t *testing.T) {
+	good := pipeDomain(t, 24, 4, 1.0)
+	if good.NumSites() < 3*parcelSites {
+		t.Fatalf("%d sites: the damage needs three parcels", good.NumSites())
+	}
+	// damage copies good's sites and applies each edit: at the first
+	// site from on with a link of type had, that link becomes become.
+	// It returns the domain and the edited sites' positions.
+	type edit struct {
+		from         int
+		had, becomes geometry.LinkType
+	}
+	damage := func(edits ...edit) (*geometry.Domain, []vec.I3) {
+		sites := make([]geometry.Site, len(good.Sites))
+		for i, s := range good.Sites {
+			sites[i] = s
+			sites[i].Links = slices.Clone(s.Links)
+		}
+		var at []vec.I3
+		for _, e := range edits {
+			for i := e.from; i < len(sites); i++ {
+				if q := slices.IndexFunc(sites[i].Links, func(l geometry.Link) bool { return l.Type == e.had }); q >= 0 {
+					sites[i].Links[q].Type = e.becomes
+					at = append(at, sites[i].Pos)
+					break
+				}
+			}
+		}
+		dom, err := geometry.Reassemble(good.Model, good.Dims, good.Origin, good.H, good.Iolets, sites, good.LinkDists())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return dom, at
+	}
+	last := good.NumSites() - parcelSites/2
+	one, _ := damage(edit{0, geometry.LinkWall, geometry.LinkFluid})
+	if _, err := New(one, Params{Tau: 0.9}); err == nil {
 		t.Fatal("New accepted a fluid link with no site behind it")
+	}
+	// Three broken sites: one in the last chunk, two in the second.
+	two, at := damage(edit{last, geometry.LinkWall, geometry.LinkFluid},
+		edit{parcelSites + 1, geometry.LinkWall, geometry.LinkFluid},
+		edit{parcelSites + parcelSites/2, geometry.LinkWall, geometry.LinkFluid})
+	chunk := func(p vec.I3) int { return good.SiteAt(p) / parcelSites }
+	if chunk(at[1]) != chunk(at[2]) || chunk(at[0]) == chunk(at[1]) {
+		t.Fatalf("broken sites %v fall in chunks %d, %d, %d", at, chunk(at[0]), chunk(at[1]), chunk(at[2]))
+	}
+	lower := fmt.Sprint(at[1])
+	// A fluid link retyped as wall leaves its neighbour's link with
+	// nothing coming back: caught by the second pass, at a lower site
+	// than the first pass's damage, which still wins.
+	mixed, _ := damage(edit{0, geometry.LinkFluid, geometry.LinkWall}, edit{last, geometry.LinkWall, geometry.LinkFluid})
+	for _, c := range []struct {
+		name string
+		dom  *geometry.Domain
+		want string // a substring the error must hold
+	}{
+		{"three broken sites", two, lower + " leads to no site"},
+		{"table row after a missing return", mixed, "leads to no site"},
+	} {
+		_, serr := serialWholePlan(c.dom)
+		if serr == nil || !strings.Contains(serr.Error(), c.want) {
+			t.Fatalf("%s: serial build says %v, want %q", c.name, serr, c.want)
+		}
+		for _, w := range planWorkers {
+			if _, err := buildWholePlan(c.dom, w); err == nil || err.Error() != serr.Error() {
+				t.Errorf("%s, %d workers: %v, serial %v", c.name, w, err, serr)
+			}
+		}
+	}
+	if _, err := New(two, Params{Tau: 0.9}); err == nil || !strings.Contains(err.Error(), lower) {
+		t.Errorf("New on three broken sites: %v, want the one at %s", err, lower)
 	}
 }
 

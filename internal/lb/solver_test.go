@@ -318,6 +318,42 @@ func TestFieldsExtraction(t *testing.T) {
 	}
 }
 
+// TestInitEquilibriumMatchesSerial: on 1 to 4 participants the fill
+// writes every population, and f is byte for byte the serial fill's —
+// site 0's Q values doubled across the whole slice. The domain ends in
+// a partial parcel.
+func TestInitEquilibriumMatchesSerial(t *testing.T) {
+	dom := presetDomain(t, "aneurysm", 1.5)
+	const rho = 1.0375
+	Q := dom.Model.Q
+	want := make([]float64, dom.NumSites()*Q)
+	for d := 0; d < Q; d++ {
+		want[d] = rho * dom.Model.W[d]
+	}
+	for done := Q; done < len(want); done *= 2 {
+		copy(want[done:], want[:done])
+	}
+	if dom.NumSites()%parcelSites == 0 || dom.NumSites() < 4*parcelSites {
+		t.Fatalf("%d sites: want several parcels and a partial last one", dom.NumSites())
+	}
+	for p := 1; p <= 4; p++ {
+		s, err := New(dom, Params{Tau: 0.9})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.setWorkers(p)
+		for i := range s.f {
+			s.f[i] = math.NaN()
+		}
+		s.InitEquilibrium(rho)
+		for i := range want {
+			if math.Float64bits(s.f[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%d participants: f[site %d, q %d] = %v, serial fill %v", p, i/Q, i%Q, s.f[i], want[i])
+			}
+		}
+	}
+}
+
 func TestInitEquilibriumResets(t *testing.T) {
 	dom := pipeDomain(t, 16, 3, 1.0)
 	s, err := New(dom, Params{Tau: 0.9})

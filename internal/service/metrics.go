@@ -219,7 +219,7 @@ func (m *Metrics) histograms() []histogramRow {
 		{"hemeserved_checkpoint_gather", &m.CheckpointGather, "In-loop checkpoint state gather duration (rank 0)."},
 		{"hemeserved_checkpoint_write", &m.CheckpointWrite, "Checkpoint encode+fsync duration on the writer goroutine."},
 		{"hemeserved_render_latency", &m.RenderLatency, "Cache-miss frame latency, wait for frame buffers to PNG encoded."},
-		{"hemeserved_preprocess", &m.Preprocess, "Job pre-processing at dispatch: domain cache lookup or voxelise, graph, partition."},
+		{"hemeserved_preprocess", &m.Preprocess, "Job pre-processing at dispatch: domain cache lookup or voxelise, then the solver: the whole-domain plan on a domain's first job, graph and partition for multi-rank jobs, populations at equilibrium."},
 	}
 }
 

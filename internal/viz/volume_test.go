@@ -339,7 +339,7 @@ func TestVolumeWalkDegenerateRays(t *testing.T) {
 		model := lattice.D3Q19()
 		const plane = geometry.BrickCells - geometry.BrickMargin // 2: plane-ulp and plane-ulp+margin lie in different binades
 		lone := geometry.Site{Pos: vec.NewI(plane-1, plane-1, plane-1), Links: make([]geometry.Link, model.Q-1)}
-		dom, err := geometry.Reassemble(model, vec.NewI(16, 16, 16), vec.V3{}, 1, nil, []geometry.Site{lone})
+		dom, err := geometry.Reassemble(model, vec.NewI(16, 16, 16), vec.V3{}, 1, nil, []geometry.Site{lone}, make([]float64, model.Q-1))
 		if err != nil {
 			t.Fatal(err)
 		}
