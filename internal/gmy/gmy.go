@@ -88,7 +88,8 @@ const maxIolets = 255
 // table (fluid count + compressed length per block), then the
 // compressed block payloads in block-id order. A domain the format
 // cannot hold — a site coordinate past 65 535, more iolets than a link
-// record can name — is an error before anything is written. The link
+// record can name, a link naming one it cannot — is an error before
+// anything is written. The link
 // distances come from the domain's distance table, computed here on a
 // voxelised domain's first write.
 func Write(w io.Writer, d *geometry.Domain) error {
@@ -220,8 +221,8 @@ func encodeSite(buf *bytes.Buffer, d *geometry.Domain, si int, dists []float64) 
 	}
 }
 
-// decodeSite parses one site record, the inverse of encodeSite, into s
-// and its q-1 link distances into dists.
+// decodeSite parses one site record, the inverse of encodeSite: it
+// returns the site and writes its q-1 link distances into dists.
 func decodeSite(r *bytes.Reader, q int, dists []float64) (geometry.Site, error) {
 	var s geometry.Site
 	var tmp [4]byte
