@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/field"
 	"repro/internal/geometry"
+	"repro/internal/guard"
 	"repro/internal/insitu"
 	"repro/internal/lattice"
 	"repro/internal/lb"
@@ -442,6 +443,12 @@ func (s *Simulation) Run(totalSteps int) error {
 			// paused; all ranks must agree, so rank 0 broadcasts a
 			// command word each viz interval.
 			if !paused {
+				// Frames first: a frame in flight on these cores ends
+				// before the next step starts. The wait is not step
+				// time, so it sits outside stepTimer and PhaseStep.
+				if wait := guard.Yield(); wait > 0 && observe != nil {
+					observe.ObservePhase(obs.PhaseYield, d.StepCount(), wait.Nanoseconds())
+				}
 				sampled := observe != nil && step%cfg.PhaseSampleEvery == 0
 				if sampled {
 					phaseStart = time.Now()

@@ -3,6 +3,7 @@ package guard
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -30,6 +31,11 @@ type Parcels struct {
 	slots atomic.Int32 // the slot the next joining helper takes
 	wg    sync.WaitGroup
 	first atomic.Pointer[panicked]
+	// short is how many more helpers the pass may take while it sits
+	// on helpers.open, guarded by helpers.mu; opened says it was put
+	// there, and only the caller's goroutine touches it.
+	short  int
+	opened bool
 }
 
 // panicked boxes the first panic of a pass. It is allocated only when
@@ -37,11 +43,15 @@ type Parcels struct {
 type panicked struct{ v any }
 
 // Run calls fn(slot, i) once for every i in [0, n). The caller's
-// goroutine always takes part, as slot 0; up to workers-1 idle helpers
+// goroutine always takes part, as slot 0; up to workers-1 helpers
 // join it with slots 1..workers-1, so scratch indexed by slot needs
-// workers entries. A helper busy with another pass is not waited for —
-// the caller alone can finish — so fn must not wait on another index
-// of its own pass.
+// workers entries. Idle helpers join when the pass starts; if fewer
+// were idle than it asked for, the pass stays open until its caller
+// runs out of parcels, and a helper leaving any other pass joins it
+// before parking — so a frame that starts while the solver's pass
+// holds the helpers gets them as soon as that pass ends. A busy helper
+// is never waited for — the caller alone can finish — so fn must not
+// wait on another index of its own pass.
 //
 // A panic in fn does not end the process from a goroutine nobody can
 // recover on: the first one is caught where it happens, the parcels
@@ -55,13 +65,16 @@ func (p *Parcels) Run(n, workers int, fn func(slot, i int)) {
 	p.next.Store(0)
 	p.ran.Store(0)
 	p.slots.Store(1)
-	if n < 2 || workers < 2 || wake(p, min(n, workers)-1) == 0 {
+	if n < 2 || workers < 2 || !wake(p, min(n, workers)-1) {
 		for i := 0; i < n; i++ {
 			fn(0, i)
 		}
 		return
 	}
 	p.work(0)
+	if p.opened {
+		closePass(p)
+	}
 	p.wg.Wait()
 	if f := p.first.Swap(nil); f != nil {
 		panic(f.v)
@@ -95,11 +108,13 @@ func (p *Parcels) catch() {
 
 // helpers is the process-wide set of parked goroutines: started on
 // first use, GOMAXPROCS-1 strong (grown when GOMAXPROCS grows), never
-// stopped.
+// stopped. open holds the passes that got fewer helpers than they
+// asked for, oldest first, until their callers close them.
 var helpers struct {
 	mu      sync.Mutex
 	started int
 	idle    []*helper
+	open    []*Parcels
 }
 
 // helper is one goroutine of the set, parked on its pass channel.
@@ -107,9 +122,11 @@ type helper struct {
 	pass chan *Parcels
 }
 
-// wake hands p to up to want idle helpers and returns how many took
-// it.
-func wake(p *Parcels, want int) int {
+// wake hands p to up to want idle helpers. A pass left short of want
+// goes on the open list for helpers leaving other passes to join. It
+// reports false when p can have no helper at all: none idle and none
+// that could join later (GOMAXPROCS 1), so the caller steps alone.
+func wake(p *Parcels, want int) bool {
 	helpers.mu.Lock()
 	defer helpers.mu.Unlock()
 	for helpers.started < runtime.GOMAXPROCS(0)-1 {
@@ -118,6 +135,9 @@ func wake(p *Parcels, want int) int {
 		helpers.idle = append(helpers.idle, h)
 		go h.run()
 	}
+	if helpers.started == 0 {
+		return false
+	}
 	k := min(want, len(helpers.idle))
 	rest := len(helpers.idle) - k
 	p.wg.Add(k)
@@ -125,7 +145,48 @@ func wake(p *Parcels, want int) int {
 		h.pass <- p // an idle helper's channel is empty: never blocks
 	}
 	helpers.idle = helpers.idle[:rest]
-	return k
+	p.short = want - k
+	if p.opened = p.short > 0; p.opened {
+		helpers.open = append(helpers.open, p)
+	}
+	return true
+}
+
+// closePass takes p off the open list once its caller has run out of
+// parcels: every helper that joined did so under helpers.mu before
+// this, so the caller's Wait counts it.
+func closePass(p *Parcels) {
+	helpers.mu.Lock()
+	dropOpen(p)
+	helpers.mu.Unlock()
+}
+
+// dropOpen removes p from the open list, keeping the order; the caller
+// holds helpers.mu.
+func dropOpen(p *Parcels) {
+	for i, q := range helpers.open {
+		if q == p {
+			helpers.open = slices.Delete(helpers.open, i, i+1)
+			return
+		}
+	}
+}
+
+// joinOpen takes a helper slot in the oldest open pass other than
+// left, the one the helper is leaving, and returns it, or nil when
+// there is none. The caller holds helpers.mu.
+func joinOpen(left *Parcels) *Parcels {
+	for _, q := range helpers.open {
+		if q == left {
+			continue // its cursor is spent: that is why the helper left
+		}
+		q.wg.Add(1)
+		if q.short--; q.short == 0 {
+			dropOpen(q)
+		}
+		return q
+	}
+	return nil
 }
 
 // run serves one pass per wake-up.
@@ -135,12 +196,19 @@ func (h *helper) run() {
 	}
 }
 
-// serve works p on a fresh slot, then parks h again before telling
-// the caller, so the caller's next pass can find it idle.
+// serve works p on a fresh slot, then joins the oldest open pass, or
+// parks h again when there is none, before telling p's caller — so
+// that caller's next pass can find h idle.
 func (h *helper) serve(p *Parcels) {
-	defer p.wg.Done()
-	p.work(int(p.slots.Add(1) - 1))
-	helpers.mu.Lock()
-	helpers.idle = append(helpers.idle, h)
-	helpers.mu.Unlock()
+	for p != nil {
+		p.work(int(p.slots.Add(1) - 1))
+		helpers.mu.Lock()
+		next := joinOpen(p)
+		if next == nil {
+			helpers.idle = append(helpers.idle, h)
+		}
+		helpers.mu.Unlock()
+		p.wg.Done()
+		p = next
+	}
 }

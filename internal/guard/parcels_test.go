@@ -8,6 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/leaktest"
 )
@@ -33,7 +34,10 @@ type parcelsBoom struct{ caller, pass int }
 // holds every pass to the contract: each index runs exactly once (at
 // most once past a panic), slots stay below workers and no two
 // participants hold one at once, a panic surfaces on its own caller and
-// no other, and the helper set never outgrows GOMAXPROCS-1.
+// no other, and the helper set never outgrows GOMAXPROCS-1. In half the
+// seeds a holding pass keeps the helpers busy until the callers are
+// halfway through their passes, so passes start with none idle and
+// the helpers join them late.
 func TestParcelsModel(t *testing.T) {
 	defer leaktest.Check(t)()
 	first, last := int64(1), int64(100)
@@ -59,16 +63,45 @@ func parcelsModelRun(seed int64) error {
 			plans[c] = append(plans[c], ps)
 		}
 	}
+	// The holding pass is released once half the callers' passes have
+	// run, or when they have all returned; they never wait for it.
+	var (
+		total, done atomic.Int32
+		release     atomic.Bool
+		wg, held    sync.WaitGroup
+	)
+	for _, plan := range plans {
+		total.Add(int32(len(plan)))
+	}
+	passed := func() {
+		if done.Add(1) >= total.Load()/2 {
+			release.Store(true)
+		}
+	}
+	if rng.Intn(2) == 0 {
+		held.Add(1)
+		go func() {
+			defer held.Done()
+			var p Parcels
+			n := runtime.GOMAXPROCS(0)
+			p.Run(n, n, func(_, _ int) {
+				for !release.Load() {
+					runtime.Gosched()
+				}
+			})
+		}()
+	}
 	errs := make([]error, len(plans))
-	var wg sync.WaitGroup
 	for c, plan := range plans {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			errs[c] = parcelsCaller(c, plan)
+			errs[c] = parcelsCaller(c, plan, passed)
 		}()
 	}
 	wg.Wait()
+	release.Store(true)
+	held.Wait()
 	for _, err := range errs {
 		if err != nil {
 			return err
@@ -80,8 +113,9 @@ func parcelsModelRun(seed int64) error {
 	return nil
 }
 
-// parcelsCaller runs one caller's passes on one Parcels and one fn.
-func parcelsCaller(c int, plan []parcelsPass) error {
+// parcelsCaller runs one caller's passes on one Parcels and one fn,
+// calling passed after each.
+func parcelsCaller(c int, plan []parcelsPass, passed func()) error {
 	var (
 		p       Parcels
 		ran     [100]atomic.Int32
@@ -113,6 +147,7 @@ func parcelsCaller(c int, plan []parcelsPass) error {
 			p.Run(cur.n, cur.workers, fn)
 			return nil
 		}()
+		passed()
 		where := fmt.Sprintf("caller %d pass %d %+v", c, pass, cur)
 		if s := badSlot.Load(); s != 0 {
 			return fmt.Errorf("%s: fn saw slot %d out of range or already held", where, s-1)
@@ -151,6 +186,138 @@ func TestParcelsAllocationFree(t *testing.T) {
 	}
 	if want := int64(102 * 64 * 63 / 2); sum.Load() != want {
 		t.Errorf("passes summed %d, want %d", sum.Load(), want)
+	}
+	if runtime.GOMAXPROCS(0) < 2 {
+		return
+	}
+	// Late joins: every measured pass starts with the helpers held and
+	// finishes only once one has joined it.
+	h := newHolder()
+	defer h.stop()
+	j := newLateJoiner(h)
+	late := func() { j.pass(2) }
+	late()
+	if allocs := testing.AllocsPerRun(100, late); allocs != 0 {
+		t.Errorf("a late-joined pass allocates %.1f objects, want 0", allocs)
+	}
+	if !j.joined.Load() {
+		t.Error("no helper joined the last pass")
+	}
+}
+
+// holder keeps every helper busy: from a goroutine of its own it runs
+// passes of GOMAXPROCS parcels whose fn waits for release, so a pass
+// started meanwhile finds no helper idle. Kept across passes, it
+// allocates nothing.
+type holder struct {
+	p        Parcels
+	fn       func(slot, i int)
+	n        int
+	entered  atomic.Int32
+	release  atomic.Bool
+	run      chan struct{}
+	finished chan struct{}
+}
+
+func newHolder() *holder {
+	h := &holder{n: runtime.GOMAXPROCS(0), run: make(chan struct{}), finished: make(chan struct{})}
+	h.fn = func(_, _ int) {
+		h.entered.Add(1)
+		for !h.release.Load() {
+			runtime.Gosched()
+		}
+	}
+	go func() {
+		for range h.run {
+			h.p.Run(h.n, h.n, h.fn)
+			h.finished <- struct{}{}
+		}
+	}()
+	return h
+}
+
+// hold starts a holding pass and returns once its goroutine and every
+// helper are inside it. Release it with let, then wait for it with
+// <-h.finished.
+func (h *holder) hold() {
+	h.entered.Store(0)
+	h.release.Store(false)
+	h.run <- struct{}{}
+	for h.entered.Load() < int32(h.n) {
+		runtime.Gosched()
+	}
+}
+
+func (h *holder) let()  { h.release.Store(true) }
+func (h *holder) stop() { close(h.run) }
+
+// lateJoiner is a kept pass that can only finish with a late join: its
+// caller releases the holder from index 0 and then waits there until
+// a helper has run a parcel (or a minute has gone, so a broken join
+// fails instead of hanging). It records every slot it saw.
+type lateJoiner struct {
+	p      Parcels
+	fn     func(slot, i int)
+	h      *holder
+	joined atomic.Bool
+	ran    [64]atomic.Int32
+	slot   [64]atomic.Int32 // the slot index i ran on
+}
+
+func newLateJoiner(h *holder) *lateJoiner {
+	j := &lateJoiner{h: h}
+	j.fn = func(slot, i int) {
+		j.ran[i].Add(1)
+		j.slot[i].Store(int32(slot))
+		if slot >= 1 {
+			j.joined.Store(true)
+		}
+		if i == 0 {
+			j.h.let()
+			for deadline := time.Now().Add(time.Minute); !j.joined.Load() && time.Now().Before(deadline); {
+				runtime.Gosched()
+			}
+		}
+	}
+	return j
+}
+
+// pass holds the helpers, runs one late-joined pass on workers
+// participants and waits for the holder to finish.
+func (j *lateJoiner) pass(workers int) {
+	j.joined.Store(false)
+	for i := range j.ran {
+		j.ran[i].Store(0)
+	}
+	j.h.hold()
+	j.p.Run(len(j.ran), workers, j.fn)
+	<-j.h.finished
+}
+
+// TestParcelsLateJoin: a pass that starts while another holds every
+// helper runs on its caller alone until that pass ends; then the
+// helpers leaving it join the open pass, on slots 1..workers-1, and
+// the pass's ran-count check holds.
+func TestParcelsLateJoin(t *testing.T) {
+	if runtime.GOMAXPROCS(0) < 2 {
+		t.Skip("needs a helper to hold; needs GOMAXPROCS >= 2")
+	}
+	h := newHolder()
+	defer h.stop()
+	j := newLateJoiner(h)
+	for _, workers := range []int{2, runtime.GOMAXPROCS(0)} {
+		j.pass(workers)
+		if !j.joined.Load() {
+			t.Fatalf("workers=%d: no helper joined the pass after the holding pass ended", workers)
+		}
+		for i := range j.ran {
+			if n := j.ran[i].Load(); n != 1 {
+				t.Errorf("workers=%d: index %d ran %d times", workers, i, n)
+			}
+			if s := j.slot[i].Load(); s >= int32(workers) {
+				t.Errorf("workers=%d: index %d ran on slot %d", workers, i, s)
+			}
+		}
 	}
 }
 

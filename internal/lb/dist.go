@@ -32,6 +32,9 @@ type Dist struct {
 	// packBuf is the reusable payload for field and state gathers, so
 	// steady-state snapshots and checkpoints allocate no transport.
 	packBuf []float64
+	// gatherFn is the kept method value GatherFields runs its site
+	// parcels through, so a threaded gather allocates no closure.
+	gatherFn func(slot, i int)
 }
 
 // NewDist builds the distributed solver. All ranks must pass identical
@@ -52,7 +55,9 @@ func NewDist(comm *par.Comm, dom *geometry.Domain, part *partition.Partition, p 
 	if err != nil {
 		return nil, err
 	}
-	return &Dist{kernel: newKernel(dom, p, pl), Comm: comm, Dom: dom, Owned: pl.owned}, nil
+	d := &Dist{kernel: newKernel(dom, p, pl), Comm: comm, Dom: dom, Owned: pl.owned}
+	d.gatherFn = d.gatherParcel
+	return d, nil
 }
 
 // NumOwned returns the number of sites owned by this rank.
@@ -127,22 +132,26 @@ func (d *Dist) pack(n int) []float64 {
 	return d.packBuf[:n]
 }
 
+// fieldStride is how many values GatherFields packs per site: the
+// global site id, then rho, ux, uy, uz and wss.
+const fieldStride = 6
+
 // GatherFields collects the full global (rho, ux, uy, uz, wss) fields
 // at root rank, indexed by global site id; non-root ranks receive
 // nils. The §V octree and every snapshot render are built from this;
 // wall shear stress rides along so wall-mode views work on the
-// offload path too (zero for non-wall sites). The result arrays are
-// freshly allocated — published snapshots must be immutable — but the
+// offload path too (zero for non-wall sites). The pack buffer is
+// filled over the kernel's site parcels on its participants, each
+// site exactly as a serial loop would. The result arrays are freshly
+// allocated — published snapshots must be immutable — but the
 // transport reuses the rank-local pack buffer and the runtime pool.
 func (d *Dist) GatherFields(root int) (rho, ux, uy, uz, wss []float64) {
-	const stride = 6
+	const stride = fieldStride
 	buf := d.pack(stride * d.n)
-	for li, g := range d.Owned {
-		// One moment pass per site: the WSS kernel reuses the moments
-		// density and velocity came from.
-		at := stride * li
-		buf[at] = float64(g)
-		buf[at+1], buf[at+2], buf[at+3], buf[at+4], buf[at+5] = d.fields(li, &d.Dom.Sites[g])
+	if d.workers > 1 {
+		d.parcels.Run((d.n+parcelSites-1)/parcelSites, d.workers, d.gatherFn)
+	} else {
+		d.packFields(0, d.n)
 	}
 	if d.Comm.Rank() != root {
 		d.Comm.GatherConsume(root, buf, nil)
@@ -161,6 +170,25 @@ func (d *Dist) GatherFields(root int) (rho, ux, uy, uz, wss []float64) {
 		}
 	})
 	return rho, ux, uy, uz, wss
+}
+
+// gatherParcel packs the fields of site parcel i of a threaded gather.
+func (d *Dist) gatherParcel(_, i int) {
+	lo := i * parcelSites
+	d.packFields(lo, min(lo+parcelSites, d.n))
+}
+
+// packFields writes local sites [lo, hi) into the pack buffer, one
+// moment pass per site: the WSS kernel reuses the moments density and
+// velocity came from.
+func (d *Dist) packFields(lo, hi int) {
+	buf := d.packBuf
+	for li := lo; li < hi; li++ {
+		g := d.Owned[li]
+		at := fieldStride * li
+		buf[at] = float64(g)
+		buf[at+1], buf[at+2], buf[at+3], buf[at+4], buf[at+5] = d.fields(li, &d.Dom.Sites[g])
+	}
 }
 
 // GatherVelocity collects the full global velocity field at root rank

@@ -240,3 +240,74 @@ func BenchmarkDistStep4Ranks(b *testing.B) {
 	})
 	b.ReportMetric(float64(dom.NumSites())*float64(b.N)/b.Elapsed().Seconds()/1e6, "MLUPS")
 }
+
+// serialGatherFields is GatherFields as it was before the pack buffer
+// was filled over site parcels: one loop over the owned sites on the
+// calling goroutine, into a buffer of its own. It is the oracle the
+// threaded gather is held to.
+func serialGatherFields(d *Dist, root int) (rho, ux, uy, uz, wss []float64) {
+	const stride = 6
+	buf := make([]float64, stride*d.n)
+	for li, g := range d.Owned {
+		at := stride * li
+		buf[at] = float64(g)
+		buf[at+1], buf[at+2], buf[at+3], buf[at+4], buf[at+5] = d.fields(li, &d.Dom.Sites[g])
+	}
+	if d.Comm.Rank() != root {
+		d.Comm.GatherConsume(root, buf, nil)
+		return nil, nil, nil, nil, nil
+	}
+	N := d.Dom.NumSites()
+	rho, ux, uy, uz, wss = make([]float64, N), make([]float64, N), make([]float64, N), make([]float64, N), make([]float64, N)
+	d.Comm.GatherConsume(root, buf, func(_ int, p []float64) {
+		for i := 0; i+stride-1 < len(p); i += stride {
+			g := int(p[i])
+			rho[g], ux[g], uy[g], uz[g], wss[g] = p[i+1], p[i+2], p[i+3], p[i+4], p[i+5]
+		}
+	})
+	return rho, ux, uy, uz, wss
+}
+
+// TestGatherFieldsMatchesSerial: GatherFields, whose pack buffer is
+// filled over the kernel's site parcels, equals the serial oracle bit
+// for bit at 1–4 participants, on 1 and on 2 ranks.
+func TestGatherFieldsMatchesSerial(t *testing.T) {
+	dom := pipeDomain(t, 40, 4, 1.0)
+	if parcels := dom.NumSites() / parcelSites; parcels < 8 {
+		t.Fatalf("%d sites are %d parcels; want at least 2 per rank and participant", dom.NumSites(), parcels)
+	}
+	for _, ranks := range []int{1, 2} {
+		part := pipePartition(t, dom, ranks, partition.MethodMultilevel)
+		for workers := 1; workers <= 4; workers++ {
+			var got, want [5][]float64
+			rt := par.NewRuntime(ranks)
+			rt.Run(func(c *par.Comm) {
+				d, err := NewDist(c, dom, part, Params{Tau: 0.9})
+				if err != nil {
+					panic(err)
+				}
+				d.setWorkers(workers)
+				if err := d.SetPulse(0, &Pulse{Amp: 0.002, Period: 13}); err != nil {
+					panic(err)
+				}
+				d.Advance(21)
+				g0, g1, g2, g3, g4 := d.GatherFields(0)
+				w0, w1, w2, w3, w4 := serialGatherFields(d, 0)
+				if c.Rank() == 0 {
+					got, want = [5][]float64{g0, g1, g2, g3, g4}, [5][]float64{w0, w1, w2, w3, w4}
+				}
+			})
+			for f, name := range []string{"rho", "ux", "uy", "uz", "wss"} {
+				if len(got[f]) != dom.NumSites() || len(want[f]) != dom.NumSites() {
+					t.Fatalf("ranks=%d workers=%d: %s has %d values, oracle %d, want %d", ranks, workers, name, len(got[f]), len(want[f]), dom.NumSites())
+				}
+				for g := range want[f] {
+					if math.Float64bits(got[f][g]) != math.Float64bits(want[f][g]) {
+						t.Errorf("ranks=%d workers=%d: %s[%d] = %v, oracle %v", ranks, workers, name, g, got[f][g], want[f][g])
+						break
+					}
+				}
+			}
+		}
+	}
+}

@@ -20,13 +20,17 @@ const (
 	// PhaseCheckpoint is the in-loop checkpoint stall: buffer take,
 	// collective state gather, delivery to the async writer.
 	PhaseCheckpoint
+	// PhaseYield is a solver's wait before a step for the frames in
+	// flight (guard.Yield): stepping time handed to a user's frame.
+	// Observed on every non-zero wait.
+	PhaseYield
 	numPhases
 )
 
 // phaseNames and phaseEventNames are fixed so hot-path lookups return
 // constant strings — no formatting, no allocation.
-var phaseNames = [numPhases]string{"step", "collective", "gather", "checkpoint"}
-var phaseEventNames = [numPhases]string{"phase-step", "phase-collective", "phase-gather", "phase-checkpoint"}
+var phaseNames = [numPhases]string{"step", "collective", "gather", "checkpoint", "yield"}
+var phaseEventNames = [numPhases]string{"phase-step", "phase-collective", "phase-gather", "phase-checkpoint", "phase-yield"}
 
 // String returns the short phase name.
 func (p Phase) String() string {

@@ -126,7 +126,8 @@ type Metrics struct {
 	// CollectiveWait times the per-step command-word broadcast,
 	// FieldGather the snapshot field gather, CheckpointGather the
 	// in-loop checkpoint state gather (the same time CheckpointStallNs
-	// accumulates). CheckpointWrite times the off-loop encode+fsync on
+	// accumulates), SolverYield every wait of a solver for the frames
+	// in flight before a step. CheckpointWrite times the off-loop encode+fsync on
 	// the writer goroutine, RenderLatency a cache-miss frame from the
 	// wait for frame buffers to the encoded PNG, and HTTPLatency is a
 	// per-route family fed by the server middleware. Preprocess times a
@@ -138,6 +139,7 @@ type Metrics struct {
 	CollectiveWait   obs.Histogram
 	FieldGather      obs.Histogram
 	CheckpointGather obs.Histogram
+	SolverYield      obs.Histogram
 	CheckpointWrite  obs.Histogram
 	RenderLatency    obs.Histogram
 	Preprocess       obs.Histogram
@@ -217,6 +219,7 @@ func (m *Metrics) histograms() []histogramRow {
 		{"hemeserved_collective_wait", &m.CollectiveWait, "Per-step steering command broadcast wait (rank 0)."},
 		{"hemeserved_field_gather", &m.FieldGather, "Snapshot field gather duration (rank 0)."},
 		{"hemeserved_checkpoint_gather", &m.CheckpointGather, "In-loop checkpoint state gather duration (rank 0)."},
+		{"hemeserved_solver_yield", &m.SolverYield, "Solver wait before a step for the frames in flight (rank 0, every non-zero wait)."},
 		{"hemeserved_checkpoint_write", &m.CheckpointWrite, "Checkpoint encode+fsync duration on the writer goroutine."},
 		{"hemeserved_render_latency", &m.RenderLatency, "Cache-miss frame latency, wait for frame buffers to PNG encoded."},
 		{"hemeserved_preprocess", &m.Preprocess, "Job pre-processing at dispatch: domain cache lookup or voxelise, then the solver: the whole-domain plan on a domain's first job, graph and partition for multi-rank jobs, populations at equilibrium."},

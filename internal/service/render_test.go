@@ -13,8 +13,10 @@ import (
 	"repro/internal/core"
 	"repro/internal/field"
 	"repro/internal/geometry"
+	"repro/internal/guard"
 	"repro/internal/insitu"
 	"repro/internal/lattice"
+	"repro/internal/obs"
 )
 
 // randomField fills every site of dom with a small random flow.
@@ -175,5 +177,56 @@ func TestConcurrentFramesDecode(t *testing.T) {
 	wg.Wait()
 	if n := m.metrics.RendersTotal.Load(); n != views {
 		t.Errorf("%d distinct views cost %d renders", views, n)
+	}
+}
+
+// TestSolverYieldsToFrame: a stepping job beside a frame held open
+// with guard.Frame advances at most one step while the frame is held —
+// the step it may have been in when the frame started — and steps
+// again once the frame ends, recording the wait as a phase-yield event
+// and a sample of the solver yield histogram. The hold is a number of
+// polls, not a time bound: a solver that did not yield would step
+// hundreds of times between them, one that does never steps twice.
+func TestSolverYieldsToFrame(t *testing.T) {
+	srv, base := startServer(t, 1, 4)
+	info := submit(t, base, `{"preset":"pipe","steps":2000000000,"viz_every":-1}`)
+	waitState(t, base, info.ID, StateRunning)
+	j, err := srv.mgr.Get(info.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "the job to step", func() bool { return j.Step() > 0 })
+
+	held, release := make(chan int), make(chan struct{})
+	go guard.Frame(func() error {
+		held <- j.Step()
+		<-release
+		return nil
+	})
+	from := <-held
+	for range 50 {
+		time.Sleep(time.Millisecond)
+		if s := j.Step(); s > from+1 {
+			close(release)
+			t.Fatalf("the job stepped %d -> %d beside a frame in flight, want at most one step", from, s)
+		}
+	}
+	close(release)
+	waitFor(t, "the job to step again after the frame", func() bool { return j.Step() > from+1 })
+
+	if n := srv.mgr.metrics.SolverYield.Count(); n == 0 {
+		t.Error("the solver yield histogram has no sample after a yield")
+	}
+	yields := 0
+	for _, ev := range j.rec.Events() {
+		if ev.Type == obs.PhaseEventName(obs.PhaseYield) {
+			yields++
+			if ev.DurNs <= 0 {
+				t.Errorf("phase-yield event carries dur_ns %d, want > 0", ev.DurNs)
+			}
+		}
+	}
+	if yields == 0 {
+		t.Error("no phase-yield event recorded for the wait")
 	}
 }

@@ -37,6 +37,8 @@ func (o jobObserver) ObservePhase(p obs.Phase, step int, ns int64) {
 		// The same in-loop time CheckpointStallNs accumulates (over in
 		// ckptWriter.Deliver) — histogram only here, no double count.
 		o.m.CheckpointGather.Observe(ns)
+	case obs.PhaseYield:
+		o.m.SolverYield.Observe(ns)
 	}
 	// The command-word broadcast happens every step; recording each one
 	// would wash every lifecycle event out of the ring, so that phase
