@@ -218,6 +218,10 @@ type Simulation struct {
 	// pendingImage holds steering image requests awaiting the next
 	// collective render; only rank 0's goroutine touches it.
 	pendingImage []*steering.Op
+
+	// frames are the frames in flight made from this simulation's
+	// snapshots (Snapshot.Frame); Run yields to them before each step.
+	frames guard.Frames
 }
 
 // RepartitionReport records the E9 observables of a mid-run rebalance.
@@ -400,6 +404,16 @@ func (s *Simulation) Run(totalSteps int) error {
 		// stay collective.
 		nextSnapCheck := 0
 		snapIdleStreak := 0
+		// waited sums this rank's waits for its run's frames since
+		// published, the last snapshot. Frames first gives a frame the
+		// cores, but a watched job keeps at least half its time for
+		// steps: while rank 0 owes steps (it has waited longer than it
+		// stepped since the last snapshot), demand is left latched and
+		// not acted on, so a viewer streaming every snapshot cannot
+		// hold the job to a step per frame.
+		var waited time.Duration
+		published := time.Now()
+		owesSteps := func() bool { return 2*waited > time.Since(published) }
 		if snapEnabled {
 			nextSnapCheck = (startStep/cfg.SnapshotEvery + 1) * cfg.SnapshotEvery
 		}
@@ -407,6 +421,7 @@ func (s *Simulation) Run(totalSteps int) error {
 		// and restarts the cadence from it.
 		publish := func() {
 			s.publishSnapshot(c, d)
+			waited, published = 0, time.Now()
 			lastSnapStep = d.StepCount()
 			snapIdleStreak = 0
 			nextSnapCheck = d.StepCount() + cfg.SnapshotEvery
@@ -443,11 +458,15 @@ func (s *Simulation) Run(totalSteps int) error {
 			// paused; all ranks must agree, so rank 0 broadcasts a
 			// command word each viz interval.
 			if !paused {
-				// Frames first: a frame in flight on these cores ends
-				// before the next step starts. The wait is not step
-				// time, so it sits outside stepTimer and PhaseStep.
-				if wait := guard.Yield(); wait > 0 && observe != nil {
-					observe.ObservePhase(obs.PhaseYield, d.StepCount(), wait.Nanoseconds())
+				// Frames first: a frame in flight from this run's
+				// snapshots ends before the next step starts. The wait
+				// is not step time, so it sits outside stepTimer and
+				// PhaseStep.
+				if wait := s.frames.Yield(); wait > 0 {
+					waited += wait
+					if observe != nil {
+						observe.ObservePhase(obs.PhaseYield, d.StepCount(), wait.Nanoseconds())
+					}
 				}
 				sampled := observe != nil && step%cfg.PhaseSampleEvery == 0
 				if sampled {
@@ -484,11 +503,12 @@ func (s *Simulation) Run(totalSteps int) error {
 			// SnapshotInterest hook the cadence is fixed, as before;
 			// with one, rank 0 decides demand and broadcasts a flag —
 			// the gather only happens when somebody asked since the
-			// last publish, and idle jobs back the checks off.
+			// last publish, and idle jobs back the checks off. A check
+			// while rank 0 owes steps is skipped too.
 			if snapEnabled && !paused && d.StepCount() >= nextSnapCheck {
 				want := 1
 				if cfg.SnapshotInterest != nil {
-					if master && !cfg.SnapshotInterest() {
+					if master && (owesSteps() || !cfg.SnapshotInterest()) {
 						want = 0
 					}
 					want = c.BcastInt(0, want)
@@ -538,7 +558,8 @@ func (s *Simulation) Run(totalSteps int) error {
 				// waiting out the back-off or the first cadence, at zero
 				// extra collectives.
 				if snapEnabled && cfg.SnapshotInterest != nil && !paused &&
-					(lastSnapStep < 0 || nextSnapCheck > d.StepCount()+cfg.SnapshotEvery) && cfg.SnapshotInterest() {
+					(lastSnapStep < 0 || nextSnapCheck > d.StepCount()+cfg.SnapshotEvery) &&
+					!owesSteps() && cfg.SnapshotInterest() {
 					cmd[13] = 1
 				}
 				if s.Ctrl != nil {

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/field"
+	"repro/internal/guard"
 	"repro/internal/lb"
 	"repro/internal/obs"
 	"repro/internal/octree"
@@ -36,6 +37,23 @@ type Snapshot struct {
 	// (an O(N) scan on an already-O(N) infrequent path) so a diverged
 	// job is flagged loudly instead of rendering NaN-grey frames.
 	Diverged bool
+
+	// frames are the frames in flight of the simulation that published
+	// the snapshot; nil for one built by hand.
+	frames *guard.Frames
+}
+
+// Frame runs fn as a frame made from sn — a cast and PNG encode a user
+// is waiting for. The simulation that published sn yields to it before
+// its next step, so the frame gets every core instead of being
+// time-sliced against that solver; other simulations keep stepping. fn
+// must not wait for that simulation to step. A snapshot built by hand
+// has no solver to yield, and fn just runs.
+func (sn *Snapshot) Frame(fn func() error) error {
+	if sn.frames == nil {
+		return fn()
+	}
+	return sn.frames.Run(fn)
 }
 
 // Octree builds the §V multi-resolution tree over the snapshot's
@@ -118,6 +136,7 @@ func (s *Simulation) publishSnapshot(c *par.Comm, d *lb.Dist) {
 		Seq:      snapshotSeq.Add(1),
 		Field:    &field.Field{Dom: s.Dom, Rho: rho, Ux: ux, Uy: uy, Uz: uz, WSS: wss},
 		Diverged: anyNonFinite(rho) || anyNonFinite(ux) || anyNonFinite(uy) || anyNonFinite(uz),
+		frames:   &s.frames,
 	})
 }
 

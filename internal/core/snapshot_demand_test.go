@@ -3,6 +3,7 @@ package core
 import (
 	"slices"
 	"testing"
+	"time"
 
 	"repro/internal/geometry"
 	"repro/internal/steering"
@@ -38,6 +39,60 @@ func TestDemandDrivenSnapshotsIdleBackoff(t *testing.T) {
 	}
 	if len(published) != 1 || published[0] != 200 {
 		t.Errorf("published snapshots at %v, want only the final one at [200]", published)
+	}
+}
+
+// TestSnapshotsWaitOutFrames: a solver that has waited for its frames
+// longer than it has stepped since its last snapshot leaves standing
+// demand latched instead of publishing. Every snapshot here gets a
+// frame of 100 ms, which the solver waits out before its next step, and
+// demand never lapses; so each in-loop snapshot after the first must
+// come at least twice the wait after the one before — the wait, then
+// as long again stepping — however fast the pipe steps. Without the
+// rule the next check, four steps on, publishes at once.
+func TestSnapshotsWaitOutFrames(t *testing.T) {
+	const frame, slack = 100 * time.Millisecond, 20 * time.Millisecond
+	ctrl := steering.NewController()
+	defer ctrl.Close()
+	type pub struct {
+		step int
+		at   time.Time
+	}
+	var published []pub
+	s, err := New(Config{
+		Vessel: geometry.Pipe(16, 3), H: 1, Tau: 0.9,
+		Ranks: 2, VizEvery: 0,
+		Controller:    ctrl,
+		SnapshotEvery: 4,
+		OnSnapshot: func(sn *Snapshot) {
+			published = append(published, pub{sn.Step, time.Now()})
+			started := make(chan struct{})
+			go sn.Frame(func() error {
+				close(started)
+				time.Sleep(frame)
+				return nil
+			})
+			<-started
+		},
+		SnapshotInterest: func() bool { return true },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if err := s.Run(100); err != nil {
+		t.Fatal(err)
+	}
+	// The final snapshot at 100 is unconditional; the in-loop ones
+	// start with the step-1 steering boundary's probe.
+	if len(published) < 2 || published[0].step != 1 || published[len(published)-1].step != 100 {
+		t.Fatalf("published %v, want 1 first and 100 last", published)
+	}
+	for i := 1; i < len(published)-1; i++ {
+		if gap := published[i].at.Sub(published[i-1].at); gap < 2*(frame-slack) {
+			t.Errorf("snapshot at step %d came %v after the one at %d, want at least %v: the solver owed steps",
+				published[i].step, gap, published[i-1].step, 2*(frame-slack))
+		}
 	}
 }
 

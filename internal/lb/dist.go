@@ -146,8 +146,7 @@ const fieldStride = 6
 // allocated — published snapshots must be immutable — but the
 // transport reuses the rank-local pack buffer and the runtime pool.
 func (d *Dist) GatherFields(root int) (rho, ux, uy, uz, wss []float64) {
-	const stride = fieldStride
-	buf := d.pack(stride * d.n)
+	buf := d.pack(fieldStride * d.n)
 	if d.workers > 1 {
 		d.parcels.Run((d.n+parcelSites-1)/parcelSites, d.workers, d.gatherFn)
 	} else {
@@ -164,7 +163,7 @@ func (d *Dist) GatherFields(root int) (rho, ux, uy, uz, wss []float64) {
 	uz = make([]float64, N)
 	wss = make([]float64, N)
 	d.Comm.GatherConsume(root, buf, func(_ int, p []float64) {
-		for i := 0; i+stride-1 < len(p); i += stride {
+		for i := 0; i+fieldStride-1 < len(p); i += fieldStride {
 			g := int(p[i])
 			rho[g], ux[g], uy[g], uz[g], wss[g] = p[i+1], p[i+2], p[i+3], p[i+4], p[i+5]
 		}

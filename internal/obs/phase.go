@@ -21,8 +21,8 @@ const (
 	// collective state gather, delivery to the async writer.
 	PhaseCheckpoint
 	// PhaseYield is a solver's wait before a step for the frames in
-	// flight (guard.Yield): stepping time handed to a user's frame.
-	// Observed on every non-zero wait.
+	// flight made from its snapshots (guard.Frames.Yield): stepping
+	// time handed to a user's frame. Observed on every non-zero wait.
 	PhaseYield
 	numPhases
 )

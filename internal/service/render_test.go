@@ -13,10 +13,8 @@ import (
 	"repro/internal/core"
 	"repro/internal/field"
 	"repro/internal/geometry"
-	"repro/internal/guard"
 	"repro/internal/insitu"
 	"repro/internal/lattice"
-	"repro/internal/obs"
 )
 
 // randomField fills every site of dom with a small random flow.
@@ -180,53 +178,55 @@ func TestConcurrentFramesDecode(t *testing.T) {
 	}
 }
 
-// TestSolverYieldsToFrame: a stepping job beside a frame held open
-// with guard.Frame advances at most one step while the frame is held —
-// the step it may have been in when the frame started — and steps
-// again once the frame ends, recording the wait as a phase-yield event
-// and a sample of the solver yield histogram. The hold is a number of
-// polls, not a time bound: a solver that did not yield would step
-// hundreds of times between them, one that does never steps twice.
+// TestSolverYieldsToFrame: a stepping job beside a frame held open on
+// its snapshot (Snapshot.Frame) advances at most one step while the
+// frame is held — the step it may have been in when the frame started
+// — and steps again once the frame ends, with the wait in the solver
+// yield histogram. A second job keeps stepping all the while: a solver
+// yields to the frames of its own snapshots only. The second job's
+// steps are the clock, not a time bound: a solver that did not yield
+// would step about as often as its neighbour, and one that yielded to
+// every frame in the process would hold the neighbour too.
 func TestSolverYieldsToFrame(t *testing.T) {
-	srv, base := startServer(t, 1, 4)
-	info := submit(t, base, `{"preset":"pipe","steps":2000000000,"viz_every":-1}`)
-	waitState(t, base, info.ID, StateRunning)
-	j, err := srv.mgr.Get(info.ID)
-	if err != nil {
-		t.Fatal(err)
+	srv, base := startServer(t, 2, 4)
+	const spec = `{"preset":"pipe","steps":2000000000,"viz_every":-1}`
+	watched, other := submit(t, base, spec), submit(t, base, spec)
+	var jobs [2]*Job
+	for i, info := range []JobInfo{watched, other} {
+		waitState(t, base, info.ID, StateRunning)
+		j, err := srv.mgr.Get(info.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs[i] = j
 	}
-	waitFor(t, "the job to step", func() bool { return j.Step() > 0 })
+	j, o := jobs[0], jobs[1]
+	var snap *core.Snapshot
+	waitFor(t, "a snapshot of the job", func() bool {
+		j.wantSnapshot()
+		snap, _ = j.LatestSnapshot()
+		return snap != nil
+	})
 
-	held, release := make(chan int), make(chan struct{})
-	go guard.Frame(func() error {
+	held, hold := make(chan int), make(chan struct{})
+	release := sync.OnceFunc(func() { close(hold) })
+	t.Cleanup(release) // before the server's shutdown, whatever fails
+	go snap.Frame(func() error {
 		held <- j.Step()
-		<-release
+		<-hold
 		return nil
 	})
 	from := <-held
-	for range 50 {
-		time.Sleep(time.Millisecond)
-		if s := j.Step(); s > from+1 {
-			close(release)
-			t.Fatalf("the job stepped %d -> %d beside a frame in flight, want at most one step", from, s)
-		}
+	mark := o.Step()
+	waitFor(t, "the other job to step beside the held frame", func() bool { return o.Step() >= mark+100 })
+	s := j.Step()
+	release()
+	if s > from+1 {
+		t.Fatalf("the job stepped %d -> %d beside its frame in flight, want at most one step", from, s)
 	}
-	close(release)
 	waitFor(t, "the job to step again after the frame", func() bool { return j.Step() > from+1 })
 
 	if n := srv.mgr.metrics.SolverYield.Count(); n == 0 {
 		t.Error("the solver yield histogram has no sample after a yield")
-	}
-	yields := 0
-	for _, ev := range j.rec.Events() {
-		if ev.Type == obs.PhaseEventName(obs.PhaseYield) {
-			yields++
-			if ev.DurNs <= 0 {
-				t.Errorf("phase-yield event carries dur_ns %d, want > 0", ev.DurNs)
-			}
-		}
-	}
-	if yields == 0 {
-		t.Error("no phase-yield event recorded for the wait")
 	}
 }

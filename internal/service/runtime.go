@@ -40,10 +40,10 @@ func (o jobObserver) ObservePhase(p obs.Phase, step int, ns int64) {
 	case obs.PhaseYield:
 		o.m.SolverYield.Observe(ns)
 	}
-	// The command-word broadcast happens every step; recording each one
-	// would wash every lifecycle event out of the ring, so that phase
-	// stays histogram-only.
-	if p != obs.PhaseCollective {
+	// The command-word broadcast happens every step, and a watched job
+	// yields once per frame; recording each would wash every lifecycle
+	// event out of the ring, so those phases stay histogram-only.
+	if p != obs.PhaseCollective && p != obs.PhaseYield {
 		o.j.rec.Record(obs.PhaseEventName(p), step, ns, "")
 	}
 }

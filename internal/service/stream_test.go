@@ -439,7 +439,7 @@ func TestSnapshotsOffAnswers409(t *testing.T) {
 //
 // The cost is read off the job's own books, not off a wall clock: the
 // flight recorder's sampled step durations (obs.PhaseStep, every 16th
-// step) and snapshot gathers, three full rings of them per leg. Their median
+// step) and snapshot gathers, a full ring of them per leg. Their median
 // is what the solver goroutine spends per step whether or not a
 // neighbouring test package holds the other core; two wall-clock legs
 // of steps/second measured the neighbours as much as the job. Those two
@@ -455,14 +455,10 @@ func TestRenderOffloadKeepsSolverPace(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// leg waits legRings times for the recorder's ring to fill with
-	// events younger than the wait, and returns the per-step cost over
-	// all of them: the median sampled step, plus the median gather
-	// spread over the steps between two gathers. A streamed job's ring
-	// also holds its yields, snapshot publications and gathers, so one
-	// ring carries about 40 step samples there against 256 in the
-	// quiet leg; pooling rings keeps the medians on comparable counts.
-	const legRings = 3
+	// leg waits for the recorder's ring to fill with events younger
+	// than now and returns the per-step cost over them: the median
+	// sampled step, plus the median gather spread over the steps
+	// between two gathers.
 	median := func(ns []int64) float64 {
 		if len(ns) == 0 {
 			return 0
@@ -471,35 +467,28 @@ func TestRenderOffloadKeepsSolverPace(t *testing.T) {
 		return float64(ns[len(ns)/2])
 	}
 	leg := func() (perStep float64, gathers int) {
+		from := j.rec.Seq()
+		waitFor(t, "a ring of fresh phase samples", func() bool { return j.rec.Seq() >= from+obs.DefaultRingSize })
 		var steps, gather []int64
-		spaced, span := 0, 0 // gaps between two gathers, and the steps they cover
-		for range legRings {
-			from := j.rec.Seq()
-			waitFor(t, "a ring of fresh phase samples", func() bool { return j.rec.Seq() >= from+obs.DefaultRingSize })
-			first, last, n := 0, 0, 0
-			for _, ev := range j.rec.Events() {
-				switch ev.Type {
-				case obs.PhaseEventName(obs.PhaseStep):
-					steps = append(steps, ev.DurNs)
-				case obs.PhaseEventName(obs.PhaseGather):
-					gather = append(gather, ev.DurNs)
-					if n == 0 {
-						first = ev.Step
-					}
-					last = ev.Step
-					n++
+		first, last := 0, 0
+		for _, ev := range j.rec.Events() {
+			switch ev.Type {
+			case obs.PhaseEventName(obs.PhaseStep):
+				steps = append(steps, ev.DurNs)
+			case obs.PhaseEventName(obs.PhaseGather):
+				gather = append(gather, ev.DurNs)
+				if first == 0 {
+					first = ev.Step
 				}
-			}
-			if n > 1 {
-				spaced, span = spaced+n-1, span+last-first
+				last = ev.Step
 			}
 		}
 		if len(steps) == 0 {
 			t.Fatal("the job recorded no step samples")
 		}
 		perStep = median(steps)
-		if spaced > 0 {
-			perStep += median(gather) * float64(spaced) / float64(span)
+		if len(gather) > 1 {
+			perStep += median(gather) * float64(len(gather)-1) / float64(last-first)
 		}
 		return perStep, len(gather)
 	}
@@ -520,7 +509,7 @@ func TestRenderOffloadKeepsSolverPace(t *testing.T) {
 	before := j.Step()
 	streaming, gathers := leg()
 
-	t.Logf("ns/step quiet=%.0f streaming=%.0f (%d gathers in the leg)", quiet, streaming, gathers)
+	t.Logf("ns/step quiet=%.0f streaming=%.0f (%d gathers in the ring)", quiet, streaming, gathers)
 	if j.Step() <= before {
 		t.Error("solver made no progress while a client streamed")
 	}

@@ -142,8 +142,9 @@ func (m *Manager) frameFromSnapshot(snap *core.Snapshot, req insitu.Request) ([]
 
 // render casts and encodes one frame on a set of frame buffers, waiting
 // for a set when Workers renders are already running. The cast and the
-// encode run as a guard.Frame, so running solvers step aside for them
-// at their next step boundary and the frame gets every core. A panicking
+// encode run as a frame of the snapshot (Snapshot.Frame): the job's
+// solver, if still running, steps aside at its next step boundary and
+// the frame gets every core; other jobs keep stepping. A panicking
 // renderer (degenerate view, snapshot-shape bug) fails that one frame
 // with ErrInternal; guard's runner brings a panic on any participant
 // in the frame's row parcels back to this goroutine, and the set goes
@@ -155,7 +156,7 @@ func (m *Manager) render(snap *core.Snapshot, req insitu.Request) (f frame, err 
 	bufs := <-m.frameBufs
 	defer func() { m.frameBufs <- bufs }()
 	err = guard.Capture("render", func() error {
-		return guard.Frame(func() (err error) {
+		return snap.Frame(func() (err error) {
 			f.png, f.w, f.h, err = bufs.FramePNG(snap.Field, req)
 			return err
 		})
