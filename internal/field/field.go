@@ -181,6 +181,39 @@ func (f *Field) MaxScalar(s Scalar) float64 {
 	return maxV
 }
 
+// ScalarTable returns scalar s of every site, indexed by site id, and
+// its largest value above zero over the valid sites (MaxScalar's
+// value): one pass over the sites for a renderer that samples the
+// table and scales its transfer function to it. Rho and WSS are the
+// field's own arrays; speed is computed into *buf, grown as needed.
+func (f *Field) ScalarTable(s Scalar, buf *[]float64) (vals []float64, maxV float64) {
+	switch {
+	case s == ScalarRho:
+		vals = f.Rho
+	case s == ScalarWSS && f.WSS != nil:
+		vals = f.WSS
+	default:
+		n := f.Dom.NumSites()
+		if cap(*buf) < n {
+			*buf = make([]float64, n)
+		}
+		vals = (*buf)[:n]
+		if s == ScalarWSS { // no WSS field: zero everywhere
+			clear(vals)
+			return vals, 0
+		}
+		for id := range vals {
+			vals[id] = f.VelocityAtSite(id).Len()
+		}
+	}
+	for id, v := range vals {
+		if v > maxV && f.siteValid(id) {
+			maxV = v
+		}
+	}
+	return vals, maxV
+}
+
 // Owner returns a convenience mask builder: owned[i] = parts[i] == rank.
 func OwnedMask(parts []int32, rank int) []bool {
 	m := make([]bool, len(parts))

@@ -193,3 +193,42 @@ func TestMaxScalar(t *testing.T) {
 		t.Errorf("max wss = %v", got)
 	}
 }
+
+// TestScalarTableMatchesScalarAtSite: the table holds ScalarAtSite of
+// every site and its maximum is MaxScalar's, for each scalar, with and
+// without an Owned mask (one that hides the largest value) and with no
+// WSS field; a kept buffer is reused.
+func TestScalarTableMatchesScalarAtSite(t *testing.T) {
+	f := uniformField(t)
+	for i := range f.Rho {
+		f.Rho[i] += 0.001 * float64(i%7)
+		f.Ux[i] += 0.002 * float64(i%5)
+		f.WSS[i] += 0.003 * float64(i%3)
+	}
+	f.Rho[3], f.Ux[3], f.WSS[3] = 9, 9, 9
+	owned := make([]bool, f.Dom.NumSites())
+	for i := range owned {
+		owned[i] = i != 3
+	}
+	var buf []float64
+	for _, mask := range [][]bool{nil, owned} {
+		for _, wss := range [][]float64{f.WSS, nil} {
+			g := *f
+			g.Owned, g.WSS = mask, wss
+			for _, s := range []Scalar{ScalarSpeed, ScalarRho, ScalarWSS} {
+				vals, maxV := g.ScalarTable(s, &buf)
+				if len(vals) != g.Dom.NumSites() {
+					t.Fatalf("%v: table of %d sites, want %d", s, len(vals), g.Dom.NumSites())
+				}
+				for id, v := range vals {
+					if want := g.ScalarAtSite(id, s); v != want {
+						t.Fatalf("%v site %d: table %v, ScalarAtSite %v", s, id, v, want)
+					}
+				}
+				if want := g.MaxScalar(s); maxV != want {
+					t.Errorf("%v (masked %v, wss %v): table maximum %v, MaxScalar %v", s, mask != nil, wss != nil, maxV, want)
+				}
+			}
+		}
+	}
+}

@@ -176,11 +176,7 @@ func (p *Pipeline) render(req Request) (*render.Image, error) {
 	// render path.
 	if req.Mode == ModeParticles {
 		cam := CameraFor(p.solver.Dom.Dims, req)
-		maxS := p.f.MaxScalar(req.Scalar)
-		if maxS == 0 {
-			maxS = 1e-6
-		}
-		tf := render.BlueRed(0, maxS)
+		tf := scalarTF(p.f.MaxScalar(req.Scalar))
 		if p.tracer == nil {
 			seeds := viz.SeedsAcrossInlet(p.solver.Dom, max(req.NumSeeds, 1))
 			p.tracer = viz.NewTracer(seeds, 4)

@@ -1,6 +1,7 @@
 package insitu
 
 import (
+	"cmp"
 	"fmt"
 
 	"repro/internal/field"
@@ -59,23 +60,18 @@ func (b *FrameBuffers) render(f *field.Field, req Request) (*render.Image, error
 		return nil, fmt.Errorf("insitu: image size %dx%d", req.W, req.H)
 	}
 	cam := CameraFor(f.Dom.Dims, req)
-	maxS := f.MaxScalar(req.Scalar)
-	if maxS == 0 {
-		maxS = 1e-6
-	}
-	tf := render.BlueRed(0, maxS)
 	switch req.Mode {
-	case ModeVolume:
-		return b.vol.Render(f, viz.VolumeOptions{
-			W: req.W, H: req.H, Camera: cam, TF: tf, Scalar: req.Scalar,
-		})
+	case ModeVolume: // the scalar table the rays sample gives the TF's range
+		return b.vol.RenderScaled(f, viz.VolumeOptions{
+			W: req.W, H: req.H, Camera: cam, Scalar: req.Scalar,
+		}, scalarTF)
 	case ModeStreamlines:
 		seeds := viz.SeedsAcrossInlet(f.Dom, max(req.NumSeeds, 1))
 		lines, err := viz.TraceStreamlines(f, viz.LineOptions{Seeds: seeds, MaxSteps: 600, Dt: 0.5})
 		if err != nil {
 			return nil, err
 		}
-		return viz.RenderLines(lines, cam, req.W, req.H, tf)
+		return viz.RenderLines(lines, cam, req.W, req.H, scalarTF(f.MaxScalar(req.Scalar)))
 	case ModeLIC:
 		return viz.LIC(f, viz.AxialSlice(f.Dom.Dims), viz.LICOptions{W: req.W, H: req.H})
 	case ModeWall:
@@ -90,4 +86,11 @@ func (b *FrameBuffers) render(f *field.Field, req Request) (*render.Image, error
 		return nil, fmt.Errorf("insitu: particle mode needs a stateful pipeline, not a snapshot render")
 	}
 	return nil, fmt.Errorf("insitu: unknown mode %v", req.Mode)
+}
+
+// scalarTF is the transfer function of a frame coloured by the request's
+// scalar, whose largest value over the field is maxS: BlueRed over
+// [0, maxS], or over [0, 1e-6] for a field at rest.
+func scalarTF(maxS float64) *render.TransferFunction {
+	return render.BlueRed(0, cmp.Or(maxS, 1e-6))
 }

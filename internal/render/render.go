@@ -9,9 +9,10 @@ package render
 import (
 	"bufio"
 	"bytes"
+	"compress/zlib"
+	"encoding/binary"
 	"fmt"
-	"image"
-	"image/png"
+	"hash/crc32"
 	"io"
 	"math"
 )
@@ -185,44 +186,128 @@ func (im *Image) EncodePPM(w io.Writer) error {
 	return bw.Flush()
 }
 
-// PNGEncoder encodes frames over an opaque black background, keeping
-// its 8-bit image, compressor state and output buffer between calls: a
-// render worker's encoder allocates only the bytes it returns. The zero
-// value is ready; it must not be used from two goroutines at once.
+// PNGEncoder encodes frames as 8-bit RGB PNG over an opaque black
+// background, in the one form every frame takes: each row is quantised
+// straight into its scanline under the fixed Up filter (row −1 is
+// zeros), and the scanlines are deflated at zlib.BestSpeed into a single
+// IDAT chunk. It keeps its scanlines, compressor and output buffer
+// between calls: a render worker's encoder allocates only the bytes it
+// returns. The zero value is ready; it must not be used from two
+// goroutines at once.
 type PNGEncoder struct {
-	rgba image.RGBA
-	enc  png.Encoder
-	zbuf pngBufferPool
-	out  bytes.Buffer
+	lines []byte    // the filtered scanlines: filter byte, then 3·W samples
+	raw   [2][]byte // the quantised current and previous row
+	zw    *zlib.Writer
+	out   bytes.Buffer
 }
 
-// pngBufferPool is a png.EncoderBufferPool of one.
-type pngBufferPool struct{ b *png.EncoderBuffer }
+// pngUp is the PNG filter type that stores each byte minus the byte
+// above it.
+const pngUp = 2
 
-func (p *pngBufferPool) Get() *png.EncoderBuffer  { return p.b }
-func (p *pngBufferPool) Put(b *png.EncoderBuffer) { p.b = b }
-
-// encodeTo writes im as PNG, flattening and quantising in one pass.
-func (e *PNGEncoder) encodeTo(w io.Writer, im *Image) error {
-	if n := 4 * len(im.Pix); cap(e.rgba.Pix) < n {
-		e.rgba.Pix = make([]uint8, n)
+// encode builds im's PNG in e.out.
+func (e *PNGEncoder) encode(im *Image) error {
+	w, h := im.W, im.H
+	if w <= 0 || h <= 0 || uint64(w)*3+1 > math.MaxInt32/uint64(h) || len(im.Pix) != w*h {
+		return fmt.Errorf("render: cannot encode a %dx%d image of %d pixels as PNG", w, h, len(im.Pix))
 	}
-	e.rgba.Pix, e.rgba.Stride, e.rgba.Rect = e.rgba.Pix[:4*len(im.Pix)], 4*im.W, image.Rect(0, 0, im.W, im.H)
-	for i := range im.Pix {
-		px := e.rgba.Pix[4*i : 4*i+4 : 4*i+4]
-		px[0], px[1], px[2], px[3] = 0, 0, 0, 255
-		if im.Pix[i].A != 0 { // most of a frame is untouched background, which is black without the divisions
-			px[0], px[1], px[2] = im.rgb8(i)
+	stride := 3*w + 1
+	if n := stride * h; cap(e.lines) < n {
+		e.lines = make([]byte, n)
+	}
+	e.lines = e.lines[:stride*h]
+	for i := range e.raw {
+		if cap(e.raw[i]) < 3*w {
+			e.raw[i] = make([]byte, 3*w)
 		}
+		e.raw[i] = e.raw[i][:3*w]
 	}
-	e.enc.BufferPool = &e.zbuf
-	return e.enc.Encode(w, &e.rgba)
+	prevBlank := true // row −1, and any fully background row, is zeros
+	for y := 0; y < h; y++ {
+		line := e.lines[y*stride : (y+1)*stride]
+		line[0] = pngUp
+		up, pix := line[1:], im.Pix[y*w:(y+1)*w]
+		blank := true
+		for i := range pix {
+			if pix[i].A != 0 {
+				blank = false
+				break
+			}
+		}
+		cur, prev := e.raw[y&1], e.raw[y&1^1]
+		switch {
+		case blank && prevBlank: // most rows of a frame: zeros under zeros
+			clear(up)
+		case blank:
+			for i, p := range prev {
+				up[i] = -p
+			}
+		default:
+			for x := range pix {
+				c := cur[3*x : 3*x+3 : 3*x+3]
+				c[0], c[1], c[2] = 0, 0, 0
+				if pix[x].A != 0 { // untouched background is black without the divisions
+					c[0], c[1], c[2] = im.rgb8(y*w + x)
+				}
+			}
+			if prevBlank {
+				copy(up, cur)
+			} else {
+				for i, p := range prev {
+					up[i] = cur[i] - p
+				}
+			}
+		}
+		prevBlank = blank
+	}
+
+	e.out.Reset()
+	e.out.WriteString("\x89PNG\r\n\x1a\n")
+	var ihdr [13]byte
+	binary.BigEndian.PutUint32(ihdr[0:], uint32(w))
+	binary.BigEndian.PutUint32(ihdr[4:], uint32(h))
+	ihdr[8], ihdr[9] = 8, 2 // bit depth 8, colour type RGB; compression, filter method and interlace 0
+	e.chunk("IHDR", ihdr[:])
+	idat := e.out.Len()
+	e.out.WriteString("\x00\x00\x00\x00IDAT") // the length is filled in once deflated
+	if e.zw == nil {
+		e.zw, _ = zlib.NewWriterLevel(&e.out, zlib.BestSpeed) // a valid level cannot fail
+	} else {
+		e.zw.Reset(&e.out)
+	}
+	if _, err := e.zw.Write(e.lines); err != nil {
+		return err
+	}
+	if err := e.zw.Close(); err != nil {
+		return err
+	}
+	b := e.out.Bytes()[idat:]
+	binary.BigEndian.PutUint32(b, uint32(len(b)-8))
+	e.out.Write(binary.BigEndian.AppendUint32(e.out.AvailableBuffer(), crc32.ChecksumIEEE(b[4:])))
+	e.chunk("IEND", nil)
+	return nil
+}
+
+// chunk appends a PNG chunk: length, type, data and the CRC of type and
+// data.
+func (e *PNGEncoder) chunk(typ string, data []byte) {
+	b := binary.BigEndian.AppendUint32(e.out.AvailableBuffer(), uint32(len(data)))
+	b = append(append(b, typ...), data...)
+	e.out.Write(binary.BigEndian.AppendUint32(b, crc32.ChecksumIEEE(b[4:])))
+}
+
+// encodeTo writes im as PNG to w.
+func (e *PNGEncoder) encodeTo(w io.Writer, im *Image) error {
+	if err := e.encode(im); err != nil {
+		return err
+	}
+	_, err := w.Write(e.out.Bytes())
+	return err
 }
 
 // Encode returns im as PNG bytes the caller owns.
 func (e *PNGEncoder) Encode(im *Image) ([]byte, error) {
-	e.out.Reset()
-	if err := e.encodeTo(&e.out, im); err != nil {
+	if err := e.encode(im); err != nil {
 		return nil, err
 	}
 	return append([]byte(nil), e.out.Bytes()...), nil

@@ -2,9 +2,11 @@ package render
 
 import (
 	"bytes"
+	"image"
 	"image/png"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -252,4 +254,84 @@ func TestGrayscaleTF(t *testing.T) {
 	if math.Abs(mid.R-mid.G) > 1e-12 || math.Abs(mid.G-mid.B) > 1e-12 {
 		t.Errorf("grayscale not grey: %+v", mid)
 	}
+}
+
+// fuzzEncoder is one encoder kept across FuzzPNGEncoder's inputs, so
+// every input is also encoded after frames of other sizes and content.
+var fuzzEncoder struct {
+	sync.Mutex
+	PNGEncoder
+}
+
+// FuzzPNGEncoder: a generated W×H image — odd widths, single rows and
+// columns, background rows, A = 0 and A = 1 pixels, out-of-range and
+// extreme finite components — encodes to a PNG that image/png decodes
+// (chunk CRCs and the zlib Adler-32 included) to exactly the image
+// flattened over black and quantised, and a reused encoder gives the
+// bytes a fresh one gives.
+func FuzzPNGEncoder(f *testing.F) {
+	for i, size := range [][2]uint8{{4, 4}, {9, 3}, {2, 2}, {9, 3}, {1, 1}, {1, 17}, {17, 1}} {
+		f.Add(int64(i), size[0], size[1])
+	}
+	extremes := []float64{0, math.Copysign(0, -1), 1, -1, 2, 0.5 / 255, math.SmallestNonzeroFloat64,
+		-math.SmallestNonzeroFloat64, math.MaxFloat64, -math.MaxFloat64, 1e-300, 1e300}
+	f.Fuzz(func(t *testing.T, seed int64, wb, hb uint8) {
+		w, h := 1+int(wb)%64, 1+int(hb)%64
+		rng := rand.New(rand.NewSource(seed))
+		img := NewImage(w, h)
+		for y := 0; y < h; y++ {
+			if rng.Intn(3) == 0 {
+				continue // a background row
+			}
+			for x := 0; x < w; x++ {
+				var c [4]float64
+				for k := range c {
+					switch rng.Intn(4) {
+					case 0:
+						c[k] = rng.Float64()
+					case 1:
+						c[k] = 4*rng.Float64() - 2
+					default:
+						c[k] = extremes[rng.Intn(len(extremes))]
+					}
+				}
+				switch rng.Intn(4) {
+				case 0:
+					c[3] = 0
+				case 1:
+					c[3] = 1
+				}
+				img.Set(x, y, RGBA{c[0], c[1], c[2], c[3]}, 0)
+			}
+		}
+		fresh, err := new(PNGEncoder).Encode(img)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fuzzEncoder.Lock()
+		reused, err := fuzzEncoder.Encode(img)
+		fuzzEncoder.Unlock()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(reused, fresh) {
+			t.Fatalf("%dx%d: a reused encoder gives %d bytes, a fresh one %d", w, h, len(reused), len(fresh))
+		}
+		dec, err := png.Decode(bytes.NewReader(fresh))
+		if err != nil {
+			t.Fatalf("%dx%d: %v", w, h, err)
+		}
+		if b := dec.Bounds(); b != image.Rect(0, 0, w, h) {
+			t.Fatalf("%dx%d decodes to %v", w, h, b)
+		}
+		q := func(x float64) uint32 { return uint32(uint8(math.Min(math.Max(x, 0), 1)*255 + 0.5)) }
+		for i, p := range img.Pix {
+			c := p.Over(RGBA{A: 1})
+			want := [4]uint32{q(c.R), q(c.G), q(c.B), 255}
+			r, g, b, a := dec.At(i%w, i/w).RGBA()
+			if got := [4]uint32{r >> 8, g >> 8, b >> 8, a >> 8}; got != want {
+				t.Fatalf("%dx%d pixel (%d,%d) %+v decodes to %v, want %v", w, h, i%w, i/w, p, got, want)
+			}
+		}
+	})
 }

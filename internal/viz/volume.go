@@ -50,11 +50,12 @@ func (o VolumeOptions) withDefaults() VolumeOptions {
 	return o
 }
 
-func (o VolumeOptions) validate() error {
+// validate checks the options; a scaled render makes its own TF.
+func (o VolumeOptions) validate(scaled bool) error {
 	if o.W <= 0 || o.H <= 0 {
 		return fmt.Errorf("viz: image size %dx%d", o.W, o.H)
 	}
-	if o.Camera == nil || o.TF == nil {
+	if o.Camera == nil || (o.TF == nil && !scaled) {
 		return fmt.Errorf("viz: camera and transfer function required")
 	}
 	return nil
@@ -68,7 +69,7 @@ func (o VolumeOptions) validate() error {
 // parallelise. The per-pixel depth of the first contribution supports
 // the later sort-last merge.
 func RenderVolume(f *field.Field, opt VolumeOptions) (*render.Image, error) {
-	return new(VolumeBuffers).render(f, opt, 1)
+	return new(VolumeBuffers).render(f, opt, nil, 1)
 }
 
 // VolumeBuffers is the storage one volume render needs — the image it
@@ -90,7 +91,16 @@ type VolumeBuffers struct {
 // of several that already share the machine. The image does not depend
 // on how many (see render).
 func (b *VolumeBuffers) Render(f *field.Field, opt VolumeOptions) (*render.Image, error) {
-	return b.render(f, opt, runtime.GOMAXPROCS(0))
+	return b.render(f, opt, nil, runtime.GOMAXPROCS(0))
+}
+
+// RenderScaled is Render with the transfer function tf(m), where m is
+// the largest scalar of the field's valid sites (field.MaxScalar's
+// value); opt.TF is not used. m is read off the per-site table the rays
+// sample, so a frame computes each site's scalar once, and the image is
+// the one Render gives with opt.TF = tf(f.MaxScalar(opt.Scalar)).
+func (b *VolumeBuffers) RenderScaled(f *field.Field, opt VolumeOptions, tf func(m float64) *render.TransferFunction) (*render.Image, error) {
+	return b.render(f, opt, tf, runtime.GOMAXPROCS(0))
 }
 
 // parcelRows is how many image rows a participant claims at a time. Most
@@ -99,11 +109,12 @@ func (b *VolumeBuffers) Render(f *field.Field, opt VolumeOptions) (*render.Image
 const parcelRows = 4
 
 // render casts the image in parcels of rows claimed by up to workers
-// participants. Every pixel is its own ray and a parcel writes only its
+// participants, with opt.TF or, if scaled is set, scaled(m) (see
+// RenderScaled). Every pixel is its own ray and a parcel writes only its
 // own rows, so the image is the same, bit for bit, for any worker count.
-func (b *VolumeBuffers) render(f *field.Field, opt VolumeOptions, workers int) (*render.Image, error) {
+func (b *VolumeBuffers) render(f *field.Field, opt VolumeOptions, scaled func(float64) *render.TransferFunction, workers int) (*render.Image, error) {
 	opt = opt.withDefaults()
-	if err := opt.validate(); err != nil {
+	if err := opt.validate(scaled != nil); err != nil {
 		return nil, err
 	}
 	if err := f.Validate(); err != nil {
@@ -111,6 +122,9 @@ func (b *VolumeBuffers) render(f *field.Field, opt VolumeOptions, workers int) (
 	}
 	b.img.Reset(opt.W, opt.H)
 	shared := newCaster(f, opt, &b.scalar)
+	if scaled != nil {
+		shared.opt.TF = scaled(shared.scalarMax)
+	}
 	var sum struct{ rows, evaluated, fluid atomic.Int64 } // over the parcels cast
 	guard.ForChunks((opt.H+parcelRows-1)/parcelRows, workers, func(parcel int) {
 		c := *shared // the sample counters are this parcel's own
@@ -141,8 +155,10 @@ type caster struct {
 	bricks *geometry.Bricks
 	owned  []bool
 	scalar []float64 // ScalarAtSite of every site
-	opt    VolumeOptions
-	bounds vec.Box
+	// scalarMax is the table's largest value, f.MaxScalar(opt.Scalar).
+	scalarMax float64
+	opt       VolumeOptions
+	bounds    vec.Box
 	// maxSpan bounds the samples of one ray: the box diagonal in steps.
 	maxSpan          float64
 	evaluated, fluid int
@@ -157,21 +173,7 @@ func newCaster(f *field.Field, opt VolumeOptions, buf *[]float64) *caster {
 		bounds:  vec.NewBox(vec.V3{}, dims),
 		maxSpan: dims.Len()/opt.Step + 2,
 	}
-	switch {
-	case opt.Scalar == field.ScalarRho:
-		c.scalar = f.Rho
-	case opt.Scalar == field.ScalarWSS && f.WSS != nil:
-		c.scalar = f.WSS
-	default:
-		n := f.Dom.NumSites()
-		if cap(*buf) < n {
-			*buf = make([]float64, n)
-		}
-		c.scalar = (*buf)[:n]
-		for id := range c.scalar {
-			c.scalar[id] = f.ScalarAtSite(id, opt.Scalar)
-		}
-	}
+	c.scalar, c.scalarMax = f.ScalarTable(opt.Scalar, buf)
 	return c
 }
 

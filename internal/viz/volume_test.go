@@ -144,7 +144,7 @@ func TestVolumeSkipMatchesBruteForce(t *testing.T) {
 				masks = append(masks, field.OwnedMask(p.Parts, r))
 			}
 		}
-		var bufs VolumeBuffers // reused across views, as a render worker does
+		var bufs, scaledBufs VolumeBuffers // reused across views, as a render worker does
 		for i := 0; i < 3*len(scalars)*len(masks); i++ {
 			f := *full
 			f.Owned = masks[i/len(scalars)%len(masks)]
@@ -166,6 +166,20 @@ func TestVolumeSkipMatchesBruteForce(t *testing.T) {
 			if d := firstDiff(got, want); d != "" {
 				t.Fatalf("%s seed %d view %d (%dx%d %v, mask %d, eye %+v): %s", preset, seed, i,
 					opt.W, opt.H, opt.Scalar, i/len(scalars)%len(masks), opt.Camera.Eye, d)
+			}
+			// A scaled render reads MaxScalar's value off its own table.
+			var m float64
+			scaled, err := scaledBufs.RenderScaled(&f, VolumeOptions{W: opt.W, H: opt.H, Scalar: opt.Scalar, Camera: opt.Camera},
+				func(top float64) *render.TransferFunction { m = top; return opt.TF })
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := f.MaxScalar(opt.Scalar); m != want {
+				t.Fatalf("%s view %d (%v, mask %d): scaled render's maximum %v, MaxScalar %v", preset, i, opt.Scalar,
+					i/len(scalars)%len(masks), m, want)
+			}
+			if d := firstDiff(scaled, got); d != "" {
+				t.Fatalf("%s view %d: scaled render differs: %s", preset, i, d)
 			}
 			if i%4 != 3 && i/len(scalars)%len(masks) == 0 && want.CoveredFraction() == 0 && opt.Camera.Eye.Dist(dom.Dims.F().Mul(0.5)) > float64(dom.Dims.Z) {
 				t.Errorf("%s view %d: reference image is blank, the comparison proves nothing", preset, i)
@@ -205,7 +219,7 @@ func TestVolumeParallelMatchesSerial(t *testing.T) {
 				opt := VolumeOptions{W: size[0], H: size[1], Scalar: field.ScalarSpeed,
 					Camera: testCamera(f, size[0], size[1]), TF: render.BlueRed(0, f.MaxScalar(field.ScalarSpeed))}
 				var serial, bufs VolumeBuffers
-				want, err := serial.render(f, opt, 1)
+				want, err := serial.render(f, opt, nil, 1)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -213,7 +227,7 @@ func TestVolumeParallelMatchesSerial(t *testing.T) {
 					t.Fatalf("%s %dx%d: the serial image is blank, the comparison proves nothing", preset, opt.W, opt.H)
 				}
 				for _, workers := range []int{1, 2, 3, 8} {
-					got, err := bufs.render(f, opt, workers)
+					got, err := bufs.render(f, opt, nil, workers)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -393,6 +407,42 @@ func BenchmarkRenderVolume(b *testing.B) {
 			}
 			b.ReportMetric(float64(bufs.evaluated), "samples/frame")
 			b.ReportMetric(float64(bufs.fluid)/float64(bufs.evaluated), "fluid-share")
+		})
+	}
+}
+
+// BenchmarkFramePNG times the PNG encode of a 256×192 frame of both
+// bench/ domains with a kept encoder, the serial step after the cast.
+func BenchmarkFramePNG(b *testing.B) {
+	for _, d := range []struct {
+		preset string
+		scale  float64
+	}{{"tree", 3}, {"aneurysm", 2}} {
+		b.Run(fmt.Sprintf("%s@%.1f", d.preset, d.scale), func(b *testing.B) {
+			v, err := geometry.VesselByName(d.preset, d.scale)
+			if err != nil {
+				b.Fatal(err)
+			}
+			f := flowField(b, v, 40)
+			const w, h = 256, 192
+			img, err := RenderVolume(f, VolumeOptions{W: w, H: h, Camera: testCamera(f, w, h),
+				TF: render.BlueRed(0, f.MaxScalar(field.ScalarSpeed)), Scalar: field.ScalarSpeed})
+			if err != nil {
+				b.Fatal(err)
+			}
+			var enc render.PNGEncoder
+			png, err := enc.Encode(img)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if png, err = enc.Encode(img); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(len(png)), "bytes/frame")
 		})
 	}
 }
