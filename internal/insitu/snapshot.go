@@ -59,10 +59,13 @@ func (b *FrameBuffers) render(f *field.Field, req Request) (*render.Image, error
 	if req.W <= 0 || req.H <= 0 {
 		return nil, fmt.Errorf("insitu: image size %dx%d", req.W, req.H)
 	}
+	if err := f.Validate(); err != nil { // before any mode reads a site
+		return nil, err
+	}
 	cam := CameraFor(f.Dom.Dims, req)
 	switch req.Mode {
 	case ModeVolume: // the scalar table the rays sample gives the TF's range
-		return b.vol.RenderScaled(f, viz.VolumeOptions{
+		return b.vol.Render(f, viz.VolumeOptions{
 			W: req.W, H: req.H, Camera: cam, Scalar: req.Scalar,
 		}, scalarTF)
 	case ModeStreamlines:

@@ -58,6 +58,23 @@ func TestFrameBuffersMatchFreshRender(t *testing.T) {
 	}
 }
 
+// TestFrameRejectsShortField: a snapshot whose arrays are shorter than
+// its domain fails Field.Validate in every snapshot mode, before any
+// mode reads a site — a wall frame once indexed past a short WSS while
+// taking its colour range.
+func TestFrameRejectsShortField(t *testing.T) {
+	dom := liveSolver(t, 1).Dom
+	short := &field.Field{Dom: dom, Rho: []float64{1}, Ux: []float64{0}, Uy: []float64{0}, Uz: []float64{0}, WSS: []float64{0}}
+	var bufs FrameBuffers
+	for _, mode := range []Mode{ModeVolume, ModeStreamlines, ModeLIC, ModeWall} {
+		req := DefaultRequest()
+		req.Mode, req.W, req.H = mode, 16, 12
+		if _, _, _, err := bufs.FramePNG(short, req); err == nil {
+			t.Errorf("%v: a field of 1 site on a domain of %d accepted", mode, dom.NumSites())
+		}
+	}
+}
+
 // TestFramePNGBytesStable: the frame a render worker returns decodes to
 // exactly the one-goroutine render flattened pixel by pixel over black
 // and quantised — whatever GOMAXPROCS the row parcels were cast on, and

@@ -222,11 +222,13 @@ func (e *PNGEncoder) encode(im *Image) error {
 		}
 		e.raw[i] = e.raw[i][:3*w]
 	}
-	prevBlank := true // row −1, and any fully background row, is zeros
+	clear(e.raw[1]) // row −1 is zeros
+	prevBlank := true
 	for y := 0; y < h; y++ {
 		line := e.lines[y*stride : (y+1)*stride]
 		line[0] = pngUp
 		up, pix := line[1:], im.Pix[y*w:(y+1)*w]
+		cur, prev := e.raw[y&1], e.raw[y&1^1]
 		blank := true
 		for i := range pix {
 			if pix[i].A != 0 {
@@ -234,15 +236,10 @@ func (e *PNGEncoder) encode(im *Image) error {
 				break
 			}
 		}
-		cur, prev := e.raw[y&1], e.raw[y&1^1]
-		switch {
-		case blank && prevBlank: // most rows of a frame: zeros under zeros
+		if blank && prevBlank { // most rows of a frame: zeros under zeros
 			clear(up)
-		case blank:
-			for i, p := range prev {
-				up[i] = -p
-			}
-		default:
+			clear(cur)
+		} else {
 			for x := range pix {
 				c := cur[3*x : 3*x+3 : 3*x+3]
 				c[0], c[1], c[2] = 0, 0, 0
@@ -250,12 +247,8 @@ func (e *PNGEncoder) encode(im *Image) error {
 					c[0], c[1], c[2] = im.rgb8(y*w + x)
 				}
 			}
-			if prevBlank {
-				copy(up, cur)
-			} else {
-				for i, p := range prev {
-					up[i] = cur[i] - p
-				}
+			for i, p := range prev {
+				up[i] = cur[i] - p
 			}
 		}
 		prevBlank = blank

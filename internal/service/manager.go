@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/field"
 	"repro/internal/geometry"
 	"repro/internal/guard"
 	"repro/internal/insitu"
@@ -327,6 +328,10 @@ type Manager struct {
 	// and gives the set back, so the channel bounds concurrent renders
 	// and each set's image, scalar table and PNG state are reused.
 	frameBufs chan *insitu.FrameBuffers
+	// framePNG casts and encodes a frame on a set of frame buffers:
+	// (*insitu.FrameBuffers).FramePNG, which a test wraps to make a
+	// render panic on purpose.
+	framePNG func(*insitu.FrameBuffers, *field.Field, insitu.Request) ([]byte, int, int, error)
 	// One cache type, three instances, each keyed by what its values
 	// derive from: rendered frames by (snapshot, view), so N viewers of
 	// a snapshot cost one render whether they poll or stream; voxelised
@@ -396,6 +401,7 @@ func NewManagerOpts(o Options) *Manager {
 		store:     o.Store,
 		slots:     make(chan struct{}, o.Workers),
 		frameBufs: make(chan *insitu.FrameBuffers, o.Workers),
+		framePNG:  (*insitu.FrameBuffers).FramePNG,
 		frames: newLRU[frameKey](frameEntries, func(frame) int { return 1 },
 			&o.Metrics.frameHits, &o.Metrics.frameMiss, &o.Metrics.frameEvict),
 		domains: newLRU[domainKey](siteBudget, func(d *geometry.Domain) int { return d.NumSites() },

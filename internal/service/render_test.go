@@ -94,18 +94,22 @@ func TestFramePanicReturnsBuffers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A render of a field marked with a negative first density panics
+	// on purpose, holding its set of frame buffers.
+	m.framePNG = func(b *insitu.FrameBuffers, f *field.Field, req insitu.Request) ([]byte, int, int, error) {
+		if f.Rho[0] < 0 {
+			panic("deliberate render panic")
+		}
+		return b.FramePNG(f, req)
+	}
 	req := insitu.DefaultRequest()
-	wall := req
-	wall.Mode = insitu.ModeWall
 	done := make(chan error, 1)
 	go func() {
 		for i := range workers + 1 {
-			// A field shorter than its domain: the wall renderer's WSS
-			// range indexes past it. (A volume frame checks the field
-			// before it reads a site.)
-			bad := &core.Snapshot{Seq: uint64(i + 1), Field: &field.Field{Dom: dom, Rho: []float64{1}, Ux: []float64{0}, Uy: []float64{0}, Uz: []float64{0}, WSS: []float64{0}}}
-			if _, _, _, err := m.frameFromSnapshot(bad, wall); !errors.Is(err, ErrInternal) {
-				done <- errors.Join(errors.New("a malformed snapshot did not fail with ErrInternal"), err)
+			bad := &core.Snapshot{Seq: uint64(i + 1), Field: randomField(dom, 1)}
+			bad.Field.Rho[0] = -1
+			if _, _, _, err := m.frameFromSnapshot(bad, req); !errors.Is(err, ErrInternal) {
+				done <- errors.Join(errors.New("a panicking render did not fail with ErrInternal"), err)
 				return
 			}
 		}

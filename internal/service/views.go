@@ -157,7 +157,7 @@ func (m *Manager) render(snap *core.Snapshot, req insitu.Request) (f frame, err 
 	defer func() { m.frameBufs <- bufs }()
 	err = guard.Capture("render", func() error {
 		return snap.Frame(func() (err error) {
-			f.png, f.w, f.h, err = bufs.FramePNG(snap.Field, req)
+			f.png, f.w, f.h, err = m.framePNG(bufs, snap.Field, req)
 			return err
 		})
 	})

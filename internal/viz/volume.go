@@ -50,12 +50,13 @@ func (o VolumeOptions) withDefaults() VolumeOptions {
 	return o
 }
 
-// validate checks the options; a scaled render makes its own TF.
-func (o VolumeOptions) validate(scaled bool) error {
+// validate checks the options; the transfer function is checked once
+// the render has made it.
+func (o VolumeOptions) validate() error {
 	if o.W <= 0 || o.H <= 0 {
 		return fmt.Errorf("viz: image size %dx%d", o.W, o.H)
 	}
-	if o.Camera == nil || (o.TF == nil && !scaled) {
+	if o.Camera == nil {
 		return fmt.Errorf("viz: camera and transfer function required")
 	}
 	return nil
@@ -69,7 +70,13 @@ func (o VolumeOptions) validate(scaled bool) error {
 // parallelise. The per-pixel depth of the first contribution supports
 // the later sort-last merge.
 func RenderVolume(f *field.Field, opt VolumeOptions) (*render.Image, error) {
-	return new(VolumeBuffers).render(f, opt, nil, 1)
+	return new(VolumeBuffers).render(f, opt, fixedTF(opt.TF), 1)
+}
+
+// fixedTF is the transfer-function rule that gives tf whatever the
+// field's range.
+func fixedTF(tf *render.TransferFunction) func(float64) *render.TransferFunction {
+	return func(float64) *render.TransferFunction { return tf }
 }
 
 // VolumeBuffers is the storage one volume render needs — the image it
@@ -89,17 +96,11 @@ type VolumeBuffers struct {
 // guard's idle helpers): a render worker's
 // frame is the whole product, where RenderVolume's caller is one rank
 // of several that already share the machine. The image does not depend
-// on how many (see render).
-func (b *VolumeBuffers) Render(f *field.Field, opt VolumeOptions) (*render.Image, error) {
-	return b.render(f, opt, nil, runtime.GOMAXPROCS(0))
-}
-
-// RenderScaled is Render with the transfer function tf(m), where m is
+// on how many (see render). The transfer function is tf(m), where m is
 // the largest scalar of the field's valid sites (field.MaxScalar's
 // value); opt.TF is not used. m is read off the per-site table the rays
-// sample, so a frame computes each site's scalar once, and the image is
-// the one Render gives with opt.TF = tf(f.MaxScalar(opt.Scalar)).
-func (b *VolumeBuffers) RenderScaled(f *field.Field, opt VolumeOptions, tf func(m float64) *render.TransferFunction) (*render.Image, error) {
+// sample, so a frame computes each site's scalar once.
+func (b *VolumeBuffers) Render(f *field.Field, opt VolumeOptions, tf func(m float64) *render.TransferFunction) (*render.Image, error) {
 	return b.render(f, opt, tf, runtime.GOMAXPROCS(0))
 }
 
@@ -108,23 +109,23 @@ func (b *VolumeBuffers) RenderScaled(f *field.Field, opt VolumeOptions, tf func(
 // are handed out in small parcels rather than split in equal shares.
 const parcelRows = 4
 
-// render casts the image in parcels of rows claimed by up to workers
-// participants, with opt.TF or, if scaled is set, scaled(m) (see
-// RenderScaled). Every pixel is its own ray and a parcel writes only its
-// own rows, so the image is the same, bit for bit, for any worker count.
-func (b *VolumeBuffers) render(f *field.Field, opt VolumeOptions, scaled func(float64) *render.TransferFunction, workers int) (*render.Image, error) {
+// render casts the image with the transfer function tf(m) (see Render)
+// in parcels of rows claimed by up to workers participants. Every pixel
+// is its own ray and a parcel writes only its own rows, so the image is
+// the same, bit for bit, for any worker count.
+func (b *VolumeBuffers) render(f *field.Field, opt VolumeOptions, tf func(m float64) *render.TransferFunction, workers int) (*render.Image, error) {
 	opt = opt.withDefaults()
-	if err := opt.validate(scaled != nil); err != nil {
+	if err := opt.validate(); err != nil {
 		return nil, err
 	}
 	if err := f.Validate(); err != nil {
 		return nil, err
 	}
-	b.img.Reset(opt.W, opt.H)
 	shared := newCaster(f, opt, &b.scalar)
-	if scaled != nil {
-		shared.opt.TF = scaled(shared.scalarMax)
+	if shared.opt.TF = tf(shared.scalarMax); shared.opt.TF == nil {
+		return nil, fmt.Errorf("viz: camera and transfer function required")
 	}
+	b.img.Reset(opt.W, opt.H)
 	var sum struct{ rows, evaluated, fluid atomic.Int64 } // over the parcels cast
 	guard.ForChunks((opt.H+parcelRows-1)/parcelRows, workers, func(parcel int) {
 		c := *shared // the sample counters are this parcel's own

@@ -144,7 +144,7 @@ func TestVolumeSkipMatchesBruteForce(t *testing.T) {
 				masks = append(masks, field.OwnedMask(p.Parts, r))
 			}
 		}
-		var bufs, scaledBufs VolumeBuffers // reused across views, as a render worker does
+		var bufs VolumeBuffers // reused across views, as a render worker does
 		for i := 0; i < 3*len(scalars)*len(masks); i++ {
 			f := *full
 			f.Owned = masks[i/len(scalars)%len(masks)]
@@ -158,28 +158,20 @@ func TestVolumeSkipMatchesBruteForce(t *testing.T) {
 			if i%2 == 1 {
 				opt.TF = render.Grayscale(0, f.MaxScalar(opt.Scalar))
 			}
-			got, err := bufs.Render(&f, opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := renderVolumeBrute(&f, opt)
-			if d := firstDiff(got, want); d != "" {
-				t.Fatalf("%s seed %d view %d (%dx%d %v, mask %d, eye %+v): %s", preset, seed, i,
-					opt.W, opt.H, opt.Scalar, i/len(scalars)%len(masks), opt.Camera.Eye, d)
-			}
-			// A scaled render reads MaxScalar's value off its own table.
-			var m float64
-			scaled, err := scaledBufs.RenderScaled(&f, VolumeOptions{W: opt.W, H: opt.H, Scalar: opt.Scalar, Camera: opt.Camera},
+			var m float64 // the maximum the render read off its own table
+			got, err := bufs.Render(&f, VolumeOptions{W: opt.W, H: opt.H, Scalar: opt.Scalar, Camera: opt.Camera},
 				func(top float64) *render.TransferFunction { m = top; return opt.TF })
 			if err != nil {
 				t.Fatal(err)
 			}
 			if want := f.MaxScalar(opt.Scalar); m != want {
-				t.Fatalf("%s view %d (%v, mask %d): scaled render's maximum %v, MaxScalar %v", preset, i, opt.Scalar,
+				t.Fatalf("%s view %d (%v, mask %d): render's maximum %v, MaxScalar %v", preset, i, opt.Scalar,
 					i/len(scalars)%len(masks), m, want)
 			}
-			if d := firstDiff(scaled, got); d != "" {
-				t.Fatalf("%s view %d: scaled render differs: %s", preset, i, d)
+			want := renderVolumeBrute(&f, opt)
+			if d := firstDiff(got, want); d != "" {
+				t.Fatalf("%s seed %d view %d (%dx%d %v, mask %d, eye %+v): %s", preset, seed, i,
+					opt.W, opt.H, opt.Scalar, i/len(scalars)%len(masks), opt.Camera.Eye, d)
 			}
 			if i%4 != 3 && i/len(scalars)%len(masks) == 0 && want.CoveredFraction() == 0 && opt.Camera.Eye.Dist(dom.Dims.F().Mul(0.5)) > float64(dom.Dims.Z) {
 				t.Errorf("%s view %d: reference image is blank, the comparison proves nothing", preset, i)
@@ -219,7 +211,7 @@ func TestVolumeParallelMatchesSerial(t *testing.T) {
 				opt := VolumeOptions{W: size[0], H: size[1], Scalar: field.ScalarSpeed,
 					Camera: testCamera(f, size[0], size[1]), TF: render.BlueRed(0, f.MaxScalar(field.ScalarSpeed))}
 				var serial, bufs VolumeBuffers
-				want, err := serial.render(f, opt, nil, 1)
+				want, err := serial.render(f, opt, fixedTF(opt.TF), 1)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -227,7 +219,7 @@ func TestVolumeParallelMatchesSerial(t *testing.T) {
 					t.Fatalf("%s %dx%d: the serial image is blank, the comparison proves nothing", preset, opt.W, opt.H)
 				}
 				for _, workers := range []int{1, 2, 3, 8} {
-					got, err := bufs.render(f, opt, nil, workers)
+					got, err := bufs.render(f, opt, fixedTF(opt.TF), workers)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -258,7 +250,7 @@ func TestRenderPanicFailsOneFrame(t *testing.T) {
 	var bufs VolumeBuffers
 	for round := 0; round < 20; round++ { // either goroutine may reach the fluid first
 		err := guard.Capture("render", func() error {
-			_, err := bufs.Render(f, opt)
+			_, err := bufs.Render(f, opt, fixedTF(opt.TF))
 			return err
 		})
 		var pe *guard.PanicError
@@ -271,7 +263,7 @@ func TestRenderPanicFailsOneFrame(t *testing.T) {
 	}
 	// The same buffers serve the next frame.
 	opt.TF = render.BlueRed(0, f.MaxScalar(field.ScalarSpeed))
-	if img, err := bufs.Render(f, opt); err != nil || img.CoveredFraction() == 0 {
+	if img, err := bufs.Render(f, opt, fixedTF(opt.TF)); err != nil || img.CoveredFraction() == 0 {
 		t.Fatalf("frame after the panics: err %v", err)
 	}
 }
@@ -395,13 +387,13 @@ func BenchmarkRenderVolume(b *testing.B) {
 			opt := VolumeOptions{W: w, H: h, Camera: testCamera(f, w, h),
 				TF: render.BlueRed(0, f.MaxScalar(field.ScalarSpeed)), Scalar: field.ScalarSpeed}
 			var bufs VolumeBuffers
-			if _, err := bufs.Render(f, opt); err != nil { // builds the domain's bricks
+			if _, err := bufs.Render(f, opt, fixedTF(opt.TF)); err != nil { // builds the domain's bricks
 				b.Fatal(err)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := bufs.Render(f, opt); err != nil {
+				if _, err := bufs.Render(f, opt, fixedTF(opt.TF)); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -412,37 +404,61 @@ func BenchmarkRenderVolume(b *testing.B) {
 }
 
 // BenchmarkFramePNG times the PNG encode of a 256×192 frame of both
-// bench/ domains with a kept encoder, the serial step after the cast.
+// bench/ domains with a kept encoder, the serial step after the cast:
+// the volume frame bench/ asks for, and a wall, a streamline and a LIC
+// frame of the same field and view, rendered as the service renders
+// them.
 func BenchmarkFramePNG(b *testing.B) {
 	for _, d := range []struct {
 		preset string
 		scale  float64
 	}{{"tree", 3}, {"aneurysm", 2}} {
-		b.Run(fmt.Sprintf("%s@%.1f", d.preset, d.scale), func(b *testing.B) {
-			v, err := geometry.VesselByName(d.preset, d.scale)
-			if err != nil {
-				b.Fatal(err)
-			}
-			f := flowField(b, v, 40)
-			const w, h = 256, 192
-			img, err := RenderVolume(f, VolumeOptions{W: w, H: h, Camera: testCamera(f, w, h),
-				TF: render.BlueRed(0, f.MaxScalar(field.ScalarSpeed)), Scalar: field.ScalarSpeed})
-			if err != nil {
-				b.Fatal(err)
-			}
-			var enc render.PNGEncoder
-			png, err := enc.Encode(img)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if png, err = enc.Encode(img); err != nil {
+		v, err := geometry.VesselByName(d.preset, d.scale)
+		if err != nil {
+			b.Fatal(err)
+		}
+		f := flowField(b, v, 40)
+		const w, h = 256, 192
+		cam := testCamera(f, w, h)
+		speedTF := render.BlueRed(0, f.MaxScalar(field.ScalarSpeed))
+		for _, mode := range []struct {
+			name   string
+			render func() (*render.Image, error)
+		}{
+			{"volume", func() (*render.Image, error) {
+				return RenderVolume(f, VolumeOptions{W: w, H: h, Camera: cam, TF: speedTF, Scalar: field.ScalarSpeed})
+			}},
+			{"wall", func() (*render.Image, error) {
+				return RenderWallWSS(f, WallOptions{W: w, H: h, Camera: cam, TF: render.BlueRed(0, f.MaxScalar(field.ScalarWSS))})
+			}},
+			{"streamlines", func() (*render.Image, error) {
+				lines, err := TraceStreamlines(f, LineOptions{Seeds: SeedsAcrossInlet(f.Dom, 12), MaxSteps: 600, Dt: 0.5})
+				if err != nil {
+					return nil, err
+				}
+				return RenderLines(lines, cam, w, h, speedTF)
+			}},
+			{"lic", func() (*render.Image, error) { return LIC(f, AxialSlice(f.Dom.Dims), LICOptions{W: w, H: h}) }},
+		} {
+			b.Run(fmt.Sprintf("%s@%.1f/%s", d.preset, d.scale, mode.name), func(b *testing.B) {
+				img, err := mode.render()
+				if err != nil {
 					b.Fatal(err)
 				}
-			}
-			b.ReportMetric(float64(len(png)), "bytes/frame")
-		})
+				var enc render.PNGEncoder
+				png, err := enc.Encode(img)
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if png, err = enc.Encode(img); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(len(png)), "bytes/frame")
+			})
+		}
 	}
 }
