@@ -57,13 +57,15 @@ func (sn *Snapshot) Frame(fn func() error) error {
 }
 
 // Octree builds the §V multi-resolution tree over the snapshot's
-// fields. Building costs O(sites); callers that answer many queries
-// from one snapshot should keep the tree per snapshot (the service
-// layer's octree lru does, keyed by Seq), turning the data plane into
-// a pure snapshot consumer with no solver-loop involvement.
+// fields, wall shear stress included. Building costs O(sites) and
+// copies no site: the tree's leaves are the snapshot's own arrays, so
+// a kept tree keeps them alive. Callers that answer many queries from
+// one snapshot should keep the tree per snapshot (the service layer's
+// octree lru does, keyed by Seq), turning the data plane into a pure
+// snapshot consumer with no solver-loop involvement.
 func (sn *Snapshot) Octree() (*octree.Tree, error) {
 	f := sn.Field
-	return octree.Build(f.Dom, octree.Fields{Rho: f.Rho, Ux: f.Ux, Uy: f.Uy, Uz: f.Uz})
+	return octree.Build(f.Dom, octree.Fields{Rho: f.Rho, Ux: f.Ux, Uy: f.Uy, Uz: f.Uz, WSS: f.WSS})
 }
 
 // ReducedReply sizes the context+detail cover of an ROI from a built

@@ -9,7 +9,6 @@
 package octree
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -38,32 +37,25 @@ type Node struct {
 }
 
 // Origin returns the cell's minimum corner in lattice coordinates.
-func (n *Node) Origin() vec.I3 {
-	x, y, z := unmorton(n.Key)
-	s := 1 << n.Level
-	return vec.I3{X: x * s, Y: y * s, Z: z * s}
-}
+func (n *Node) Origin() vec.I3 { return cellOrigin(n.Level, n.Key) }
 
 // Size returns the cell edge length in lattice units.
 func (n *Node) Size() int { return 1 << n.Level }
 
 // Box returns the cell bounds in lattice coordinates.
-func (n *Node) Box() vec.Box {
-	o := n.Origin().F()
-	s := float64(n.Size())
-	return vec.NewBox(o, o.Add(vec.Splat(s)))
-}
+func (n *Node) Box() vec.Box { return cellBox(n.Level, n.Key) }
 
-// Tree is the level-indexed hierarchy. levels[0] holds the finest
-// cells; levels[len-1] holds the single root. Each level is one slab of
-// cells in ascending Z-order, so a cell's children are a contiguous run
-// of the level below: firstChild[l][i] is where the run of cell i of
-// level l starts and firstChild[l][i+1] where it ends (firstChild[0] is
-// nil — sites have no children); it is the domain layout's, shared.
+// Tree is the level-indexed hierarchy. levels[l] for l ≥ 1 holds level
+// l's cells in ascending Z-order; levels[len-1] holds the single root.
+// The finest level is not copied: the at-th leaf is site lay.site[at],
+// read from the fields the tree was built over, which the tree keeps
+// and must never see written. A cell's children are a contiguous run
+// of the level below: lay.firstChild[l][i] is where the run of cell i
+// of level l starts and lay.firstChild[l][i+1] where it ends.
 type Tree struct {
-	levels     [][]Node
-	firstChild [][]int32
-	dims       vec.I3
+	levels [][]Node
+	lay    *layout
+	f      Fields
 }
 
 // Fields carries per-site scalar inputs for aggregation. Velocity
@@ -176,6 +168,8 @@ func buildLayout(dom *geometry.Domain) *layout {
 // domain's layout, derived on the first Build over dom; a Build is the
 // value aggregation along it. Children fold into their parent in
 // Z-order, so the same fields always give the same tree, bit for bit.
+// The leaves are not copied: the tree reads them from f, so f's arrays
+// must not be written while the tree is in use.
 func Build(dom *geometry.Domain, f Fields) (*Tree, error) {
 	n := dom.NumSites()
 	if len(f.Rho) != n || len(f.Ux) != n || len(f.Uy) != n || len(f.Uz) != n {
@@ -186,50 +180,75 @@ func Build(dom *geometry.Domain, f Fields) (*Tree, error) {
 	}
 	lay := layoutOf(dom)
 	depth := len(lay.keys)
-	t := &Tree{levels: make([][]Node, depth), firstChild: lay.firstChild, dims: dom.Dims}
-
-	leaves := make([]Node, n)
-	for at, i := range lay.site {
-		wss := 0.0
-		if f.WSS != nil {
-			wss = f.WSS[i]
-		}
-		leaves[at] = Node{
-			Level:   0,
-			Key:     lay.keys[0][at],
-			Count:   1,
-			MeanRho: f.Rho[i],
-			MeanU:   vec.New(f.Ux[i], f.Uy[i], f.Uz[i]),
-			MaxWSS:  wss,
-			MeanWSS: wss,
-		}
-	}
-	t.levels[0] = leaves
-
+	t := &Tree{levels: make([][]Node, depth), lay: lay, f: f}
 	for l := 1; l < depth; l++ {
-		kids := t.levels[l-1]
 		first := lay.firstChild[l]
 		level := make([]Node, len(lay.keys[l]))
 		for i := range level {
 			p := &level[i]
 			p.Level, p.Key = l, lay.keys[l][i]
-			for c := first[i]; c < first[i+1]; c++ {
-				child := &kids[c]
-				w := float64(child.Count)
-				pw := float64(p.Count)
-				tot := pw + w
-				p.MeanRho = (p.MeanRho*pw + child.MeanRho*w) / tot
-				p.MeanU = p.MeanU.Mul(pw / tot).Add(child.MeanU.Mul(w / tot))
-				p.MeanWSS = (p.MeanWSS*pw + child.MeanWSS*w) / tot
-				if child.MaxWSS > p.MaxWSS {
-					p.MaxWSS = child.MaxWSS
+			if l == 1 { // the children are leaves: fold them from the fields
+				for at := first[i]; at < first[i+1]; at++ {
+					s := lay.site[at]
+					wss := f.wss(s)
+					p.fold(1, f.Rho[s], vec.New(f.Ux[s], f.Uy[s], f.Uz[s]), wss, wss)
 				}
-				p.Count += child.Count
+				continue
+			}
+			for _, c := range t.levels[l-1][first[i]:first[i+1]] {
+				p.fold(c.Count, c.MeanRho, c.MeanU, c.MaxWSS, c.MeanWSS)
 			}
 		}
 		t.levels[l] = level
 	}
 	return t, nil
+}
+
+// wss returns site s's wall shear stress, 0 without a WSS field.
+func (f *Fields) wss(s int32) float64 {
+	if f.WSS == nil {
+		return 0
+	}
+	return f.WSS[s]
+}
+
+// fold adds a child cell of count sites with the given aggregates to p.
+func (p *Node) fold(count int, rho float64, u vec.V3, maxWSS, meanWSS float64) {
+	w := float64(count)
+	pw := float64(p.Count)
+	tot := pw + w
+	p.MeanRho = (p.MeanRho*pw + rho*w) / tot
+	p.MeanU = p.MeanU.Mul(pw / tot).Add(u.Mul(w / tot))
+	p.MeanWSS = (p.MeanWSS*pw + meanWSS*w) / tot
+	if maxWSS > p.MaxWSS {
+		p.MaxWSS = maxWSS
+	}
+	p.Count += count
+}
+
+// leaf returns the at-th leaf in Z-order, made from the fields.
+func (t *Tree) leaf(at int) Node {
+	s := t.lay.site[at]
+	wss := t.f.wss(s)
+	return Node{
+		Level:   0,
+		Key:     t.lay.keys[0][at],
+		Count:   1,
+		MeanRho: t.f.Rho[s],
+		MeanU:   vec.New(t.f.Ux[s], t.f.Uy[s], t.f.Uz[s]),
+		MaxWSS:  wss,
+		MeanWSS: wss,
+	}
+}
+
+// cell returns cell i of a level: a leaf is made on the heap, any other
+// cell is the tree's own.
+func (t *Tree) cell(level, i int) *Node {
+	if level == 0 {
+		n := t.leaf(i)
+		return &n
+	}
+	return &t.levels[level][i]
 }
 
 // Depth returns the number of levels (finest = 0).
@@ -240,14 +259,7 @@ func (t *Tree) NodeCount(level int) int {
 	if level < 0 || level >= len(t.levels) {
 		return 0
 	}
-	return len(t.levels[level])
-}
-
-// search returns the index in level of the first cell whose key is at
-// least key.
-func (t *Tree) search(level int, key uint64) int {
-	i, _ := slices.BinarySearchFunc(t.levels[level], key, func(n Node, key uint64) int { return cmp.Compare(n.Key, key) })
-	return i
+	return len(t.lay.keys[level])
 }
 
 // At returns the node with the given key at a level, or nil.
@@ -255,20 +267,26 @@ func (t *Tree) At(level int, key uint64) *Node {
 	if level < 0 || level >= len(t.levels) {
 		return nil
 	}
-	nodes := t.levels[level]
-	if i := t.search(level, key); i < len(nodes) && nodes[i].Key == key {
-		return &nodes[i]
+	if i, ok := slices.BinarySearch(t.lay.keys[level], key); ok {
+		return t.cell(level, i)
 	}
 	return nil
 }
 
 // Level returns all cells of one level in ascending Z-order — the
-// adaptive-traversal order of the hierarchical index.
+// adaptive-traversal order of the hierarchical index. The leaves of
+// level 0 are made for the call, in one slab.
 func (t *Tree) Level(level int) []*Node {
 	if level < 0 || level >= len(t.levels) {
 		return nil
 	}
 	nodes := t.levels[level]
+	if level == 0 {
+		nodes = make([]Node, t.NodeCount(0))
+		for at := range nodes {
+			nodes[at] = t.leaf(at)
+		}
+	}
 	out := make([]*Node, len(nodes))
 	for i := range nodes {
 		out[i] = &nodes[i]
@@ -285,10 +303,12 @@ func (t *Tree) Children(n *Node) []*Node {
 	if n.Level <= 0 || n.Level >= len(t.levels) {
 		return nil
 	}
-	kids := t.levels[n.Level-1]
+	l := n.Level - 1
+	keys := t.lay.keys[l]
 	var out []*Node
-	for i := t.search(n.Level-1, n.Key<<3); i < len(kids) && kids[i].Key>>3 == n.Key; i++ {
-		out = append(out, &kids[i])
+	i, _ := slices.BinarySearch(keys, n.Key<<3)
+	for ; i < len(keys) && keys[i]>>3 == n.Key; i++ {
+		out = append(out, t.cell(l, i))
 	}
 	return out
 }
@@ -305,13 +325,32 @@ type ROI struct {
 // Query returns a non-overlapping cover of the fluid domain honouring
 // the ROI: the paper's "context and detail" access pattern. Nodes
 // outside the ROI appear at ContextLevel; nodes intersecting it are
-// subdivided down to DetailLevel.
+// subdivided down to DetailLevel. The cover's leaves are made for the
+// call, in one slab.
 func (t *Tree) Query(roi ROI) ([]*Node, error) {
 	if err := t.checkROI(roi); err != nil {
 		return nil, err
 	}
-	var out []*Node
-	t.visit(&roi, func(n *Node) { out = append(out, n) })
+	total, leaves := 0, 0
+	t.runs(&roi, func(level, lo, hi int) {
+		total += hi - lo
+		if level == 0 {
+			leaves += hi - lo
+		}
+	})
+	out := make([]*Node, 0, total)
+	slab := make([]Node, leaves)
+	t.runs(&roi, func(level, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			if level == 0 {
+				slab[0] = t.leaf(i)
+				out = append(out, &slab[0])
+				slab = slab[1:]
+			} else {
+				out = append(out, &t.levels[level][i])
+			}
+		}
+	})
 	return out, nil
 }
 
@@ -323,21 +362,41 @@ func (t *Tree) checkROI(roi ROI) error {
 	return nil
 }
 
-// visit calls fn on every node of roi's cover, in Z-order.
-func (t *Tree) visit(roi *ROI, fn func(*Node)) {
-	if top := len(t.levels) - 1; len(t.levels[top]) > 0 {
+// runs calls fn on roi's cover in Z-order, as runs [lo, hi) of the
+// cells of one level.
+func (t *Tree) runs(roi *ROI, fn func(level, lo, hi int)) {
+	if top := len(t.levels) - 1; t.NodeCount(top) > 0 {
 		t.cover(roi, top, 0, fn)
 	}
 }
 
-// cover visits the cover of cell i of the given level.
-func (t *Tree) cover(roi *ROI, level, i int, fn func(*Node)) {
-	n := &t.levels[level][i]
-	if level <= roi.DetailLevel || (level <= roi.ContextLevel && !boxesIntersect(n.Box(), roi.Box)) {
-		fn(n)
+// cover covers cell i of the given level. A cell at or below the
+// detail level, or at or below the context level and apart from the
+// box, is its own cover; a cell wholly inside the box is covered by all
+// its descendants at the detail level, which in Z-order are one run of
+// that level, found by following the first children down from the
+// cell's run [i, i+1). Only the cells that straddle the box's boundary
+// are covered child by child.
+func (t *Tree) cover(roi *ROI, level, i int, fn func(level, lo, hi int)) {
+	if level <= roi.DetailLevel {
+		fn(level, i, i+1)
 		return
 	}
-	first := t.firstChild[level]
+	box := cellBox(level, t.lay.keys[level][i])
+	if level <= roi.ContextLevel && !boxesIntersect(box, roi.Box) {
+		fn(level, i, i+1)
+		return
+	}
+	if boxInside(box, roi.Box) {
+		lo, hi := i, i+1
+		for l := level; l > roi.DetailLevel; l-- {
+			first := t.lay.firstChild[l]
+			lo, hi = int(first[lo]), int(first[hi])
+		}
+		fn(roi.DetailLevel, lo, hi)
+		return
+	}
+	first := t.lay.firstChild[level]
 	for c := int(first[i]); c < int(first[i+1]); c++ {
 		t.cover(roi, level-1, c, fn)
 	}
@@ -365,6 +424,29 @@ func boxesIntersect(a, b vec.Box) bool {
 	return a.Min.X < b.Max.X && b.Min.X < a.Max.X &&
 		a.Min.Y < b.Max.Y && b.Min.Y < a.Max.Y &&
 		a.Min.Z < b.Max.Z && b.Min.Z < a.Max.Z
+}
+
+// boxInside reports whether a lies within b, faces included. A cell
+// (never empty) inside b also intersects it, and so do all its
+// descendants.
+func boxInside(a, b vec.Box) bool {
+	return b.Min.X <= a.Min.X && a.Max.X <= b.Max.X &&
+		b.Min.Y <= a.Min.Y && a.Max.Y <= b.Max.Y &&
+		b.Min.Z <= a.Min.Z && a.Max.Z <= b.Max.Z
+}
+
+// cellOrigin returns the minimum corner of the cell with the given key
+// at a level.
+func cellOrigin(level int, key uint64) vec.I3 {
+	x, y, z := unmorton(key)
+	s := 1 << level
+	return vec.I3{X: x * s, Y: y * s, Z: z * s}
+}
+
+// cellBox returns the bounds of the cell with the given key at a level.
+func cellBox(level int, key uint64) vec.Box {
+	o := cellOrigin(level, key).F()
+	return vec.NewBox(o, o.Add(vec.Splat(float64(int(1)<<level))))
 }
 
 // morton interleaves three 21-bit coordinates into a 63-bit key.

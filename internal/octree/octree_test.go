@@ -268,32 +268,52 @@ func TestLevelResolution(t *testing.T) {
 	}
 }
 
+// benchCases are bench/'s two domains: tree@3.0 (kernel-large) and
+// aneurysm@2.0 (kernel-small, ckpt-long).
+var benchCases = []struct {
+	preset string
+	scale  float64
+}{{"tree", 3.0}, {"aneurysm", 2.0}}
+
+// BenchmarkBuild is a Build along the kept layout on both bench/
+// domains: the octree a /data read of a new snapshot waits for.
 func BenchmarkBuild(b *testing.B) {
-	dom, _, _ := testTree(b)
-	n := dom.NumSites()
-	f := Fields{
-		Rho: make([]float64, n), Ux: make([]float64, n),
-		Uy: make([]float64, n), Uz: make([]float64, n),
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Build(dom, f); err != nil {
-			b.Fatal(err)
-		}
+	for _, dc := range benchCases {
+		b.Run(dc.preset, func(b *testing.B) {
+			dom, f := benchDomain(b, dc.preset, dc.scale)
+			if _, err := Build(dom, f); err != nil { // derive the layout
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := Build(dom, f); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
+// BenchmarkQueryROI is the node-list cover of the eight octants at
+// detail 0 / context 3 on both bench/ domains.
 func BenchmarkQueryROI(b *testing.B) {
-	_, tree, _ := testTree(b)
-	roi := ROI{
-		Box:          vec.NewBox(vec.New(8, 8, 8), vec.New(16, 16, 16)),
-		DetailLevel:  0,
-		ContextLevel: 3,
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := tree.Query(roi); err != nil {
-			b.Fatal(err)
-		}
+	for _, dc := range benchCases {
+		b.Run(dc.preset, func(b *testing.B) {
+			dom, f := benchDomain(b, dc.preset, dc.scale)
+			tree, err := Build(dom, f)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, box := range octants(dom) {
+					if _, err := tree.Query(ROI{Box: box, DetailLevel: 0, ContextLevel: 3}); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
 	}
 }

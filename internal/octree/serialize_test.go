@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/vec"
@@ -41,70 +42,135 @@ func (w *countingWriter) Write(p []byte) (int, error) {
 	return w.Buffer.Write(p)
 }
 
-// TestReplyMatchesOldEncoder sweeps the eight octants of the domain,
-// and the whole of it, over every valid (detail, context) pair: the
-// streamed reply and the one-buffer reply are byte for byte what the
-// old encoder made of the Query node list, and decode back to that
-// list's identities.
-func TestReplyMatchesOldEncoder(t *testing.T) {
-	dom, f := benchSmallDomain(t)
-	tree, err := Build(dom, f)
+// sameNode reports whether a and b are the same node bit for bit.
+func sameNode(a, b *Node) bool {
+	bits := math.Float64bits
+	return a.Level == b.Level && a.Key == b.Key && a.Count == b.Count &&
+		bits(a.MeanRho) == bits(b.MeanRho) && bits(a.MeanU.X) == bits(b.MeanU.X) &&
+		bits(a.MeanU.Y) == bits(b.MeanU.Y) && bits(a.MeanU.Z) == bits(b.MeanU.Z) &&
+		bits(a.MaxWSS) == bits(b.MaxWSS) && bits(a.MeanWSS) == bits(b.MeanWSS)
+}
+
+// checkReply holds tree's reply to roi to the oracle's: Query's cover
+// is the old Query's over the leaf-copying build node for node, bit for
+// bit; the streamed reply and the one-buffer reply are the old
+// encoder's bytes of that cover; and DecodeNodes gives back its
+// identities. It reports whether the streamed reply took more than one
+// Write.
+func checkReply(t *testing.T, tree *Tree, oracle *leafTree, roi ROI) bool {
+	t.Helper()
+	nodes, err := oracle.query(roi)
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := dom.Dims.F().Mul(0.5)
-	boxes := []vec.Box{vec.NewBox(vec.New(0, 0, 0), dom.Dims.F())}
-	for o := 0; o < 8; o++ {
-		lo := vec.New(float64(o&1)*h.X, float64(o>>1&1)*h.Y, float64(o>>2&1)*h.Z)
-		boxes = append(boxes, vec.NewBox(lo, lo.Add(h)))
+	want := encodeNodes(nodes)
+	got, err := tree.Query(roi)
+	if err != nil {
+		t.Fatal(err)
 	}
+	if len(got) != len(nodes) {
+		t.Fatalf("%+v: Query has %d nodes, the oracle %d", roi, len(got), len(nodes))
+	}
+	for i := range got {
+		if !sameNode(got[i], nodes[i]) {
+			t.Fatalf("%+v: Query node %d is %+v, the oracle's %+v", roi, i, *got[i], *nodes[i])
+		}
+	}
+	reply, err := tree.Encode(roi)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reply.Nodes() != len(nodes) || reply.Size() != len(want) {
+		t.Fatalf("%+v: reply sized %d nodes / %d bytes, the oracle's cover has %d / %d",
+			roi, reply.Nodes(), reply.Size(), len(nodes), len(want))
+	}
+	var w countingWriter
+	n, err := reply.WriteTo(&w)
+	if err != nil || n != int64(len(want)) {
+		t.Fatalf("WriteTo: %d bytes, err %v; want %d", n, err, len(want))
+	}
+	if !bytes.Equal(w.Bytes(), want) {
+		t.Fatalf("%+v: streamed reply differs from the old encoder", roi)
+	}
+	if !bytes.Equal(reply.Bytes(), want) {
+		t.Fatalf("%+v: Bytes differs from the old encoder", roi)
+	}
+	decoded, err := DecodeNodes(w.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, n := range nodes {
+		if decoded[i].Level != n.Level || decoded[i].Key != n.Key || decoded[i].Count != n.Count {
+			t.Fatalf("%+v: node %d decoded as %+v, cover has %+v", roi, i, *decoded[i], *n)
+		}
+	}
+	return w.writes > 1
+}
+
+// TestReplyMatchesOldEncoder generates ROIs on both bench/ domains —
+// the whole domain, a box around it, its eight octants, random boxes,
+// and boxes that are empty, flat, inverted, outside the domain, and
+// cell-aligned ones that make whole subtrees fall inside — and holds
+// the reply to each, at every valid (detail, context) pair, to the
+// oracle's (checkReply); on the small domain also without wall shear
+// stress.
+func TestReplyMatchesOldEncoder(t *testing.T) {
 	chunked := false
-	for bi, box := range boxes {
-		for ctx := 0; ctx < tree.Depth(); ctx++ {
-			for detail := 0; detail <= ctx; detail++ {
-				roi := ROI{Box: box, DetailLevel: detail, ContextLevel: ctx}
-				nodes, err := tree.Query(roi)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want := encodeNodes(nodes)
-				reply, err := tree.Encode(roi)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if reply.Nodes() != len(nodes) || reply.Size() != len(want) {
-					t.Fatalf("box %d detail %d context %d: reply sized %d nodes / %d bytes, cover has %d / %d",
-						bi, detail, ctx, reply.Nodes(), reply.Size(), len(nodes), len(want))
-				}
-				var w countingWriter
-				n, err := reply.WriteTo(&w)
-				if err != nil || n != int64(len(want)) {
-					t.Fatalf("WriteTo: %d bytes, err %v; want %d", n, err, len(want))
-				}
-				chunked = chunked || w.writes > 1
-				if !bytes.Equal(w.Bytes(), want) {
-					t.Fatalf("box %d detail %d context %d: streamed reply differs from the old encoder", bi, detail, ctx)
-				}
-				if !bytes.Equal(reply.Bytes(), want) {
-					t.Fatalf("box %d detail %d context %d: Bytes differs from the old encoder", bi, detail, ctx)
-				}
-				got, err := DecodeNodes(w.Bytes())
-				if err != nil {
-					t.Fatal(err)
-				}
-				for i, n := range nodes {
-					if got[i].Level != n.Level || got[i].Key != n.Key || got[i].Count != n.Count {
-						t.Fatalf("node %d decoded as %+v, cover has %+v", i, got[i], n)
+	for _, dc := range []struct {
+		preset string
+		scale  float64
+		random int
+	}{{"aneurysm", 2.0, 24}, {"tree", 3.0, 6}} {
+		dom, f := benchDomain(t, dc.preset, dc.scale)
+		rng := rand.New(rand.NewSource(int64(dom.NumSites())))
+		d := dom.Dims.F()
+		point := func() vec.V3 {
+			return vec.New(d.X*(1.2*rng.Float64()-0.1), d.Y*(1.2*rng.Float64()-0.1), d.Z*(1.2*rng.Float64()-0.1))
+		}
+		mid := d.Mul(0.5)
+		boxes := []vec.Box{
+			vec.NewBox(vec.New(0, 0, 0), d),                            // the whole domain
+			vec.NewBox(vec.Splat(-50), d.Add(vec.Splat(50))),           // around it
+			vec.NewBox(mid, mid),                                       // empty
+			vec.NewBox(vec.New(0, 0, mid.Z), vec.New(d.X, d.Y, mid.Z)), // flat
+			vec.NewBox(d, vec.New(0, 0, 0)),                            // inverted
+			vec.NewBox(d.Add(vec.Splat(1)), d.Add(vec.Splat(40))),      // outside
+			vec.NewBox(vec.Splat(-40), vec.Splat(-1)),                  // outside, below
+			vec.NewBox(vec.New(8, 8, 8), vec.New(40, 32, 48)),          // cell-aligned
+			vec.NewBox(vec.New(16, 0, 0), vec.New(32, d.Y, d.Z)),       // cell-aligned slab
+		}
+		boxes = append(boxes, octants(dom)...)
+		for i := 0; i < dc.random; i++ {
+			a, b := point(), point()
+			boxes = append(boxes, vec.NewBox(a.Min(b), a.Max(b)))
+		}
+		fields := []Fields{f}
+		if dc.preset == "aneurysm" {
+			fields = append(fields, Fields{Rho: f.Rho, Ux: f.Ux, Uy: f.Uy, Uz: f.Uz})
+		}
+		for _, f := range fields {
+			tree, err := Build(dom, f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			oracle, err := buildLeaves(dom, f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, box := range boxes {
+				for ctx := 0; ctx < tree.Depth(); ctx++ {
+					for detail := 0; detail <= ctx; detail++ {
+						chunked = checkReply(t, tree, oracle, ROI{Box: box, DetailLevel: detail, ContextLevel: ctx}) || chunked
 					}
 				}
+			}
+			if _, err := tree.Encode(ROI{DetailLevel: 2, ContextLevel: 1}); err == nil {
+				t.Error("Encode accepted detail > context")
 			}
 		}
 	}
 	if !chunked {
 		t.Error("no reply of the sweep spanned more than one chunk: the flush path is untested")
-	}
-	if _, err := tree.Encode(ROI{DetailLevel: 2, ContextLevel: 1}); err == nil {
-		t.Error("Encode accepted detail > context")
 	}
 }
 
@@ -180,5 +246,122 @@ func TestEncodeNodesEmpty(t *testing.T) {
 	}
 	if len(got) != 0 {
 		t.Errorf("decoded %d nodes from empty stream", len(got))
+	}
+}
+
+// octantReplies returns the replies of the eight octants of the small
+// bench/ domain at the given levels; detail 0 / context 3 is what
+// bench/'s /data reads get.
+func octantReplies(t testing.TB, detail, context int) [][]byte {
+	dom, f := benchSmallDomain(t)
+	tree, err := Build(dom, f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out [][]byte
+	for _, box := range octants(dom) {
+		reply, err := tree.Encode(ROI{Box: box, DetailLevel: detail, ContextLevel: context})
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, reply.Bytes())
+	}
+	return out
+}
+
+// TestDecodeNodesAllocatesFixed: a decode makes the node slab and the
+// pointer slice it returns, whatever the node count.
+func TestDecodeNodesAllocatesFixed(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	replies := octantReplies(t, 0, 3)
+	replies = append(replies,
+		encodeNodes([]*Node{{Level: 2, Key: 9, Count: 4}}),
+		encodeNodes([]*Node{{}, {Level: 1}, {Level: 3, Count: 17}}))
+	for _, data := range replies {
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, err := DecodeNodes(data); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 2 {
+			t.Errorf("decoding %d nodes makes %.0f objects, want 2", (len(data)-4)/nodeBytes, allocs)
+		}
+	}
+}
+
+// FuzzDecodeNodes runs DecodeNodes against the decoder it replaced,
+// which reads the stream node by node and field by field: on any input
+// both return the same nodes, bit for bit, or both fail with the same
+// error. The seeds are real octant replies: the eight at detail 2 /
+// context 4 (a few kilobytes, so the fuzzer's mutations and its
+// minimisation stay quick) and one as bench/ reads it.
+func FuzzDecodeNodes(f *testing.F) {
+	for _, data := range append(octantReplies(f, 2, 4), octantReplies(f, 0, 3)[0]) {
+		f.Add(data)
+		f.Add(data[:len(data)/2])                       // truncated inside the body
+		f.Add(data[:4+nodeBytes+13])                    // truncated at a field
+		f.Add(append(data[:len(data):len(data)], 0, 1)) // trailing bytes
+	}
+	f.Add([]byte{})
+	f.Add([]byte{1, 0})
+	f.Add([]byte{0, 0, 0, 0})
+	f.Add([]byte{0, 0, 0, 4, 1})          // oversized count
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff}) // oversized count
+	f.Add([]byte{0, 0, 0, 4})             // the largest plausible count, no body
+	f.Fuzz(func(t *testing.T, data []byte) {
+		got, err := DecodeNodes(data)
+		want, werr := decodeNodesOld(data)
+		if (err == nil) != (werr == nil) {
+			t.Fatalf("DecodeNodes error %v, old decoder %v", err, werr)
+		}
+		if err != nil {
+			if err.Error() != werr.Error() {
+				t.Fatalf("DecodeNodes error %q, old decoder %q", err, werr)
+			}
+			return
+		}
+		if len(got) != len(want) {
+			t.Fatalf("DecodeNodes gave %d nodes, old decoder %d", len(got), len(want))
+		}
+		for i := range got {
+			if !sameNode(got[i], want[i]) {
+				t.Fatalf("node %d: %+v, old decoder %+v", i, *got[i], *want[i])
+			}
+		}
+	})
+}
+
+// BenchmarkDataReply is one /data sweep after the tree is built, on
+// both bench/ domains: the eight octants at detail 0 / context 3, each
+// sized, written and decoded as a client would.
+func BenchmarkDataReply(b *testing.B) {
+	for _, dc := range benchCases {
+		b.Run(dc.preset, func(b *testing.B) {
+			dom, f := benchDomain(b, dc.preset, dc.scale)
+			tree, err := Build(dom, f)
+			if err != nil {
+				b.Fatal(err)
+			}
+			var buf bytes.Buffer
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, box := range octants(dom) {
+					reply, err := tree.Encode(ROI{Box: box, DetailLevel: 0, ContextLevel: 3})
+					if err != nil {
+						b.Fatal(err)
+					}
+					buf.Reset()
+					if _, err := reply.WriteTo(&buf); err != nil {
+						b.Fatal(err)
+					}
+					if _, err := DecodeNodes(buf.Bytes()); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
 	}
 }

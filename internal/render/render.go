@@ -15,6 +15,8 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"sync"
+	"unsafe"
 )
 
 // RGBA is a straight-alpha colour with float components in [0,1].
@@ -306,12 +308,33 @@ func (e *PNGEncoder) Encode(im *Image) ([]byte, error) {
 	return append([]byte(nil), e.out.Bytes()...), nil
 }
 
+// pngEncoders keeps the encoders of EncodePNG and EncodePNGBytes, so a
+// call reuses a compressor and scanline buffers instead of allocating
+// them (a fresh zlib writer alone is ≈ 1.7 MB). It holds them as
+// unsafe.Pointer: boxing a *PNGEncoder in an interface would make the
+// linker keep compress/flate methods it otherwise drops, and that code
+// is laid out ahead of internal/lb, whose every function would then sit
+// 32 bytes off its 64-byte phase (docs/TESTING.md §Conventions).
+var pngEncoders = sync.Pool{New: func() any { return unsafe.Pointer(new(PNGEncoder)) }}
+
+func getPNGEncoder() *PNGEncoder { return (*PNGEncoder)(pngEncoders.Get().(unsafe.Pointer)) }
+
+func putPNGEncoder(e *PNGEncoder) { pngEncoders.Put(unsafe.Pointer(e)) }
+
 // EncodePNG writes the image as PNG over an opaque black background.
-func (im *Image) EncodePNG(w io.Writer) error { return new(PNGEncoder).encodeTo(w, im) }
+func (im *Image) EncodePNG(w io.Writer) error {
+	e := getPNGEncoder()
+	defer putPNGEncoder(e)
+	return e.encodeTo(w, im)
+}
 
 // EncodePNGBytes encodes the image to an in-memory PNG — the frame
 // format every service consumer (poll, stream) shares.
-func EncodePNGBytes(im *Image) ([]byte, error) { return new(PNGEncoder).Encode(im) }
+func EncodePNGBytes(im *Image) ([]byte, error) {
+	e := getPNGEncoder()
+	defer putPNGEncoder(e)
+	return e.Encode(im)
+}
 
 // CoveredFraction returns the share of pixels with non-negligible
 // alpha, a cheap "did we draw anything" check for tests and steering

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"image"
 	"image/png"
+	"io"
 	"math"
 	"math/rand"
 	"sync"
@@ -145,6 +146,37 @@ func TestEncodePNG(t *testing.T) {
 	}
 }
 
+// TestEncodePNGBytesAllocatesItsResult: a warm EncodePNGBytes takes an
+// encoder from the package's pool, so it allocates only the PNG it
+// returns; EncodePNG into a writer that keeps nothing allocates
+// nothing.
+func TestEncodePNGBytesAllocatesItsResult(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops pooled encoders at random")
+	}
+	img := NewImage(64, 48)
+	for i := 0; i < 64; i++ {
+		img.Set(i, i*3/4, RGBA{0.2, 0.4, 0.9, 1}, 0)
+	}
+	if _, err := EncodePNGBytes(img); err != nil { // warm the pool
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(50, func() {
+		if _, err := EncodePNGBytes(img); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 1 {
+		t.Errorf("a warm EncodePNGBytes allocates %.0f objects, want 1 (the returned PNG)", n)
+	}
+	if n := testing.AllocsPerRun(50, func() {
+		if err := img.EncodePNG(io.Discard); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("a warm EncodePNG allocates %.0f objects, want 0", n)
+	}
+}
+
 // TestPNGEncoderReuse: one encoder across frames of changing size gives
 // the bytes a fresh encoder gives, the pixels survive a decode, and a
 // returned frame is not overwritten by the next one.
@@ -160,12 +192,19 @@ func TestPNGEncoderReuse(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := EncodePNGBytes(img)
+		want, err := new(PNGEncoder).Encode(img)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(got, want) {
 			t.Fatalf("frame %d: reused encoder and fresh encoder disagree", i)
+		}
+		pooled, err := EncodePNGBytes(img)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(pooled, want) {
+			t.Fatalf("frame %d: pooled encoder and fresh encoder disagree", i)
 		}
 		dec, err := png.Decode(bytes.NewReader(got))
 		if err != nil {

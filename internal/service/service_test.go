@@ -457,3 +457,38 @@ func TestGracefulShutdownReapsPausedJob(t *testing.T) {
 		t.Errorf("paused job ended in state %s, want cancelled", st)
 	}
 }
+
+// TestDataCarriesWSS: /data's octree is built over the snapshot's wall
+// shear stress too. The root of a finished, flowing job's reply carries
+// the largest WSS of the snapshot it was served from, as a float32, and
+// that is above zero.
+func TestDataCarriesWSS(t *testing.T) {
+	srv, base := startServer(t, 1, 4)
+	id := submit(t, base, `{"preset":"pipe","steps":300}`).ID
+	waitState(t, base, id, StateDone)
+	// Detail and context beyond the tree's depth clamp to its top: the
+	// reply is the root alone.
+	code, payload := httpGetRaw(t, base+"/api/v1/jobs/"+id+"/data?detail=99&context=99")
+	if code != http.StatusOK {
+		t.Fatalf("data status %d: %s", code, payload)
+	}
+	nodes, err := octree.DecodeNodes(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, err := srv.mgr.Get(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, _ := j.LatestSnapshot()
+	if len(nodes) != 1 || snap == nil || nodes[0].Count != snap.Field.Dom.NumSites() {
+		t.Fatalf("reply of %d nodes for snapshot %v, want the root alone", len(nodes), snap)
+	}
+	want := slices.Max(snap.Field.WSS)
+	if got := nodes[0].MaxWSS; got != float64(float32(want)) || got <= 0 {
+		t.Errorf("root MaxWSS %v, want the snapshot's largest WSS %v as a float32, above 0", got, float32(want))
+	}
+	if nodes[0].MeanWSS <= 0 {
+		t.Errorf("root MeanWSS %v, want above 0", nodes[0].MeanWSS)
+	}
+}
