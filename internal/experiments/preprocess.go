@@ -241,7 +241,7 @@ func MultiresSweep() ([]MultiresRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	fullBytes := octree.DataVolume(tree.Level(0))
+	fullBytes := tree.NodeCount(0) * octree.NodeBytes
 	var rows []MultiresRow
 	add := func(label string, nodes []*octree.Node, dt time.Duration) {
 		b := octree.DataVolume(nodes)

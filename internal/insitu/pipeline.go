@@ -139,9 +139,8 @@ func (p *Pipeline) Run(req Request) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	full := tree.Level(0)
-	res.FullNodes = len(full)
-	res.FullBytes = octree.DataVolume(full)
+	res.FullNodes = tree.NodeCount(0) // the leaves, counted without making them
+	res.FullBytes = res.FullNodes * octree.NodeBytes
 	roi := req.ROI
 	if roi.Size().Len2() == 0 {
 		dims := p.solver.Dom.Dims

@@ -7,6 +7,7 @@ import (
 	"repro/internal/geometry"
 	"repro/internal/lattice"
 	"repro/internal/lb"
+	"repro/internal/octree"
 	"repro/internal/vec"
 )
 
@@ -62,6 +63,30 @@ func TestPipelineReductionReported(t *testing.T) {
 	}
 	if res.ReducedBytes >= res.FullBytes {
 		t.Errorf("no byte reduction: %d vs %d", res.ReducedBytes, res.FullBytes)
+	}
+}
+
+// TestPipelineFullLevelCounted: the Filter stage counts the finest
+// level without making its nodes, and reports what the node list it
+// used to make would have: its length and DataVolume.
+func TestPipelineFullLevelCounted(t *testing.T) {
+	s := liveSolver(t, 20)
+	res, err := NewPipeline(s).Run(DefaultRequest())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rho, ux, uy, uz, wss := s.Fields(nil, nil, nil, nil, nil)
+	tree, err := octree.Build(s.Dom, octree.Fields{Rho: rho, Ux: ux, Uy: uy, Uz: uz, WSS: wss})
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := tree.Level(0)
+	if res.FullNodes != len(full) || res.FullBytes != octree.DataVolume(full) {
+		t.Fatalf("full level: %d nodes, %d bytes; the leaf list has %d nodes, %d bytes",
+			res.FullNodes, res.FullBytes, len(full), octree.DataVolume(full))
+	}
+	if len(full) != s.Dom.NumSites() {
+		t.Fatalf("%d leaves for %d sites", len(full), s.Dom.NumSites())
 	}
 }
 

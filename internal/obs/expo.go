@@ -118,13 +118,15 @@ func (s *HistogramSet) sorted() []labelledHist {
 }
 
 // WriteRuntimeMetrics emits the Go runtime gauges every scrape should
-// carry: goroutine count, heap occupancy and GC activity.
+// carry: goroutine count, heap occupancy, bytes allocated and GC
+// activity.
 func WriteRuntimeMetrics(w io.Writer) {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	WriteGauge(w, "go_goroutines", "Number of live goroutines.", int64(runtime.NumGoroutine()))
 	WriteGauge(w, "go_memstats_heap_alloc_bytes", "Bytes of allocated heap objects.", int64(ms.HeapAlloc))
 	WriteGauge(w, "go_memstats_heap_objects", "Number of allocated heap objects.", int64(ms.HeapObjects))
+	WriteCounter(w, "go_memstats_alloc_bytes_total", "Cumulative bytes allocated for heap objects.", int64(ms.TotalAlloc))
 	WriteCounter(w, "go_gc_cycles_total", "Completed GC cycles.", int64(ms.NumGC))
 	WriteCounterFloat(w, "go_gc_pause_seconds_total", "Cumulative GC stop-the-world pause time.", float64(ms.PauseTotalNs)/1e9)
 }

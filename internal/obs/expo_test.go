@@ -89,4 +89,35 @@ func TestWriteRuntimeMetricsParses(t *testing.T) {
 	if samples < 4 {
 		t.Fatalf("too few runtime metrics:\n%s", buf.String())
 	}
+	// The allocation counter is a counter, and counts: a scrape after
+	// allocating reads at least those bytes more.
+	if !strings.Contains(buf.String(), "# TYPE go_memstats_alloc_bytes_total counter\n") {
+		t.Fatalf("no go_memstats_alloc_bytes_total counter:\n%s", buf.String())
+	}
+	before := runtimeSample(t, buf.String(), "go_memstats_alloc_bytes_total")
+	sink = make([]byte, 1<<20)
+	buf.Reset()
+	WriteRuntimeMetrics(&buf)
+	if after := runtimeSample(t, buf.String(), "go_memstats_alloc_bytes_total"); after < before+1<<20 {
+		t.Fatalf("go_memstats_alloc_bytes_total %v after allocating 1 MiB, %v before", after, before)
+	}
+}
+
+// sink keeps an allocation the compiler cannot remove.
+var sink []byte
+
+// runtimeSample returns the value of the sample named name in text.
+func runtimeSample(t *testing.T, text, name string) float64 {
+	t.Helper()
+	for _, line := range strings.Split(text, "\n") {
+		if f := strings.Fields(line); len(f) == 2 && f[0] == name {
+			v, err := strconv.ParseFloat(f[1], 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return v
+		}
+	}
+	t.Fatalf("no sample %s in:\n%s", name, text)
+	return 0
 }

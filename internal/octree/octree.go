@@ -412,13 +412,14 @@ func CoverCount(nodes []*Node) int {
 	return total
 }
 
+// NodeBytes is what one node costs a post-processing client (the
+// reduction §V is after): one position key + the aggregated fields
+// (key, rho, u, maxWSS, meanWSS).
+const NodeBytes = 8 + 8 + 3*8 + 8 + 8
+
 // DataVolume returns the bytes needed to ship a node list to a
-// post-processing client (the reduction §V is after): each node costs
-// one position key + the aggregated fields.
-func DataVolume(nodes []*Node) int {
-	const perNode = 8 + 8 + 3*8 + 8 + 8 // key, rho, u, maxWSS, meanWSS
-	return perNode * len(nodes)
-}
+// post-processing client, NodeBytes per node.
+func DataVolume(nodes []*Node) int { return NodeBytes * len(nodes) }
 
 func boxesIntersect(a, b vec.Box) bool {
 	return a.Min.X < b.Max.X && b.Min.X < a.Max.X &&

@@ -9,6 +9,7 @@ package viz
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"runtime"
 	"sync/atomic"
 
@@ -80,12 +81,33 @@ func fixedTF(tf *render.TransferFunction) func(float64) *render.TransferFunction
 }
 
 // VolumeBuffers is the storage one volume render needs — the image it
-// draws and the per-site scalar it samples — kept by a render worker so
+// draws, the per-site scalar table and the scalar at every corner of
+// the domain's corner blocks it samples — kept by a render worker so
 // that a frame allocates nothing. The zero value is ready; it must not
-// be used from two goroutines at once.
+// be used from two goroutines at once, nor copied after its first use.
 type VolumeBuffers struct {
 	img    render.Image
 	scalar []float64
+	// corners holds the frame's scalar at each corner slot of the
+	// domain's geometry.CornerBlocks; masks their cell masks with the
+	// corners of sites the field does not own cleared (a partial field
+	// only: a whole field samples the table's own masks).
+	corners []float64
+	masks   []uint8
+	// c is what every ray of the frame shares; table, vals and owned
+	// are the domain's corner blocks and the field's per-site table and
+	// Owned mask while the blocks fill.
+	c     caster
+	table *geometry.CornerBlocks
+	vals  []float64
+	owned []bool
+	// One runner for both passes of a frame, with its two parcel
+	// functions kept, so that neither pass allocates.
+	parcels    guard.Parcels
+	fill, cast func(slot, i int)
+	// What the passes' parcels did, checked against what they were
+	// given; the sample counters are summed over the row parcels.
+	filled, rows, evaluatedSum, fluidSum atomic.Int64
 	// Samples the last render evaluated and how many of them found
 	// fluid: the wasted-work ratio of the brick walk.
 	evaluated, fluid int
@@ -98,8 +120,9 @@ type VolumeBuffers struct {
 // of several that already share the machine. The image does not depend
 // on how many (see render). The transfer function is tf(m), where m is
 // the largest scalar of the field's valid sites (field.MaxScalar's
-// value); opt.TF is not used. m is read off the per-site table the rays
-// sample, so a frame computes each site's scalar once.
+// value); opt.TF is not used. m is read off the per-site table the
+// corner blocks are filled from, so a frame computes each site's scalar
+// once.
 func (b *VolumeBuffers) Render(f *field.Field, opt VolumeOptions, tf func(m float64) *render.TransferFunction) (*render.Image, error) {
 	return b.render(f, opt, tf, runtime.GOMAXPROCS(0))
 }
@@ -108,6 +131,9 @@ func (b *VolumeBuffers) Render(f *field.Field, opt VolumeOptions, tf func(m floa
 // rows of a frame are background and cost next to nothing, so the rows
 // are handed out in small parcels rather than split in equal shares.
 const parcelRows = 4
+
+// parcelBlocks is how many corner blocks a participant fills at a time.
+const parcelBlocks = 64
 
 // render casts the image with the transfer function tf(m) (see Render)
 // in parcels of rows claimed by up to workers participants. Every pixel
@@ -121,61 +147,148 @@ func (b *VolumeBuffers) render(f *field.Field, opt VolumeOptions, tf func(m floa
 	if err := f.Validate(); err != nil {
 		return nil, err
 	}
-	shared := newCaster(f, opt, &b.scalar)
-	if shared.opt.TF = tf(shared.scalarMax); shared.opt.TF == nil {
+	c := b.prepare(f, opt, workers)
+	defer func() { b.c = caster{} }() // keeps nothing of the domain past the frame
+	if c.opt.TF = tf(c.scalarMax); c.opt.TF == nil {
 		return nil, fmt.Errorf("viz: camera and transfer function required")
 	}
 	b.img.Reset(opt.W, opt.H)
-	var sum struct{ rows, evaluated, fluid atomic.Int64 } // over the parcels cast
-	guard.ForChunks((opt.H+parcelRows-1)/parcelRows, workers, func(parcel int) {
-		c := *shared // the sample counters are this parcel's own
-		first, end := parcel*parcelRows, min((parcel+1)*parcelRows, opt.H)
-		for py := first; py < end; py++ {
-			v := (float64(py) + 0.5) / float64(opt.H)
-			for px := 0; px < opt.W; px++ {
-				u := (float64(px) + 0.5) / float64(opt.W)
-				if acc, depth := c.cast(opt.Camera.Ray(u, v)); acc.A > 0 {
-					b.img.Set(px, py, acc, depth)
-				}
-			}
-		}
-		sum.rows.Add(int64(end - first))
-		sum.evaluated.Add(int64(c.evaluated))
-		sum.fluid.Add(int64(c.fluid))
-	})
-	if got := int(sum.rows.Load()); got != opt.H {
+	b.rows.Store(0)
+	b.evaluatedSum.Store(0)
+	b.fluidSum.Store(0)
+	b.parcels.Run((opt.H+parcelRows-1)/parcelRows, workers, b.cast)
+	if got := int(b.rows.Load()); got != opt.H {
 		panic(fmt.Sprintf("viz: the row parcels cast %d of %d rows", got, opt.H))
 	}
-	b.evaluated, b.fluid = int(sum.evaluated.Load()), int(sum.fluid.Load())
+	b.evaluated, b.fluid = int(b.evaluatedSum.Load()), int(b.fluidSum.Load())
 	return &b.img, nil
+}
+
+// prepare makes b.c the caster of a frame of f: the scalar tabulated per
+// site (one sqrt per site for speed, not eight per sample), into
+// b.scalar unless the field's own array serves, then copied into the
+// corner blocks on up to workers participants.
+func (b *VolumeBuffers) prepare(f *field.Field, opt VolumeOptions, workers int) *caster {
+	t := f.Dom.CornerBlocks()
+	dims := f.Dom.Dims.F()
+	b.c = caster{
+		block:   t.Block,
+		masks:   t.Mask,
+		cells:   [3]uint{uint(t.Dims.X * geometry.BrickCells), uint(t.Dims.Y * geometry.BrickCells), uint(t.Dims.Z * geometry.BrickCells)},
+		bricks:  [3]uint{uint(t.Dims.X), uint(t.Dims.Y), uint(t.Dims.Z)},
+		opt:     opt,
+		bounds:  vec.NewBox(vec.V3{}, dims),
+		maxSpan: dims.Len()/opt.Step + 2,
+	}
+	b.table = t
+	b.vals, b.c.scalarMax = f.ScalarTable(opt.Scalar, &b.scalar)
+	b.corners = grow(b.corners, len(t.Sites))
+	b.c.corners = b.corners
+	if b.owned = f.Owned; b.owned != nil {
+		b.masks = grow(b.masks, len(t.Mask))
+		b.c.masks = b.masks
+	}
+	if b.fill == nil {
+		b.fill, b.cast = b.fillParcel, b.castParcel
+	}
+	b.filled.Store(0)
+	nb := t.NumBlocks()
+	b.parcels.Run((nb+parcelBlocks-1)/parcelBlocks, workers, b.fill)
+	if got := int(b.filled.Load()); got != nb {
+		panic(fmt.Sprintf("viz: the block parcels filled %d of %d blocks", got, nb))
+	}
+	b.table, b.vals, b.owned = nil, nil, nil
+	return &b.c
+}
+
+// grow returns buf resized to n, reallocated only when it is too small.
+func grow[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
+}
+
+// fillParcel copies the per-site scalar into the corner slots of blocks
+// [parcel·parcelBlocks, +parcelBlocks) and, for a partial field, clears
+// the mask bits of the corners it does not own: a skipped corner stays
+// skipped, never added as zero.
+func (b *VolumeBuffers) fillParcel(_, parcel int) {
+	const corners, cells = geometry.BlockCorners, geometry.BlockCells
+	first := parcel * parcelBlocks
+	end := min(first+parcelBlocks, b.table.NumBlocks())
+	ids := b.table.Sites[first*corners : end*corners]
+	dst := b.corners[first*corners : end*corners]
+	vals := b.vals
+	for i, id := range ids {
+		if id >= 0 {
+			dst[i] = vals[id]
+		}
+	}
+	if owned := b.owned; owned != nil {
+		masks := b.masks[first*cells : end*cells]
+		copy(masks, b.table.Mask[first*cells:end*cells])
+		for i, id := range ids {
+			if id >= 0 && !owned[id] {
+				clearCorner(masks[i/corners*cells:][:cells], i%corners)
+			}
+		}
+	}
+	b.filled.Add(int64(end - first))
+}
+
+// clearCorner clears corner slot s of a block in the masks of the ≤ 8
+// cells it is a corner of.
+func clearCorner(masks []uint8, s int) {
+	const side, bc = geometry.BlockSide, geometry.BrickCells
+	x, y, z := s%side, s/side%side, s/(side*side)
+	for cz := max(z-1, 0); cz <= min(z, bc-1); cz++ {
+		for cy := max(y-1, 0); cy <= min(y, bc-1); cy++ {
+			for cx := max(x-1, 0); cx <= min(x, bc-1); cx++ {
+				masks[(cz*bc+cy)*bc+cx] &^= 1 << ((x - cx) | (y-cy)<<1 | (z-cz)<<2)
+			}
+		}
+	}
+}
+
+// castParcel casts the rows [parcel·parcelRows, +parcelRows) with its
+// own copy of the frame's caster, whose sample counters are the
+// parcel's own.
+func (b *VolumeBuffers) castParcel(_, parcel int) {
+	c := b.c
+	opt := &c.opt
+	first, end := parcel*parcelRows, min((parcel+1)*parcelRows, opt.H)
+	for py := first; py < end; py++ {
+		v := (float64(py) + 0.5) / float64(opt.H)
+		for px := 0; px < opt.W; px++ {
+			u := (float64(px) + 0.5) / float64(opt.W)
+			if acc, depth := c.cast(opt.Camera.Ray(u, v)); acc.A > 0 {
+				b.img.Set(px, py, acc, depth)
+			}
+		}
+	}
+	b.rows.Add(int64(end - first))
+	b.evaluatedSum.Add(int64(c.evaluated))
+	b.fluidSum.Add(int64(c.fluid))
 }
 
 // caster holds what every ray of one render shares.
 type caster struct {
-	dom    *geometry.Domain
-	bricks *geometry.Bricks
-	owned  []bool
-	scalar []float64 // ScalarAtSite of every site
-	// scalarMax is the table's largest value, f.MaxScalar(opt.Scalar).
+	// block, bricks and cells are the corner-block table's brick grid
+	// and its extent in bricks and in cells; corners and masks the
+	// frame's filled blocks.
+	block         []int32
+	bricks, cells [3]uint
+	corners       []float64
+	masks         []uint8
+	// scalarMax is the largest scalar of the field's valid sites,
+	// f.MaxScalar(opt.Scalar).
 	scalarMax float64
 	opt       VolumeOptions
 	bounds    vec.Box
 	// maxSpan bounds the samples of one ray: the box diagonal in steps.
 	maxSpan          float64
 	evaluated, fluid int
-}
-
-// newCaster tabulates the scalar per site (one sqrt per site for speed,
-// not eight per sample), into *buf unless the field's own array serves.
-func newCaster(f *field.Field, opt VolumeOptions, buf *[]float64) *caster {
-	dims := f.Dom.Dims.F()
-	c := &caster{
-		dom: f.Dom, bricks: f.Dom.Bricks(), owned: f.Owned, opt: opt,
-		bounds:  vec.NewBox(vec.V3{}, dims),
-		maxSpan: dims.Len()/opt.Step + 2,
-	}
-	c.scalar, c.scalarMax = f.ScalarTable(opt.Scalar, buf)
-	return c
 }
 
 // samples clips a ray to the bounding lattice: sample k of n sits at
@@ -215,12 +328,12 @@ func rayPoint(origin, dir vec.V3, t float64) vec.V3 {
 }
 
 // cast composites one ray front to back. A 3-D DDA walks the ray through
-// the domain's occupancy bricks and only the samples inside occupied
-// bricks are evaluated. Every evaluated sample still runs the full fluid
-// test, so the grid needs only to be conservative: a sample the walk
+// the domain's bricks and only the samples inside walk-occupied bricks
+// are evaluated. Every evaluated sample still reads its own cell's mask,
+// so the occupancy needs only to be conservative: a sample the walk
 // skips is one the full march would have discarded, and the image is
 // identical to marching every sample. The DDA's own rounding (far below
-// one cell) is covered by the one-cell dilation of the grid.
+// one cell) is covered by the one-cell dilation of the occupancy.
 func (c *caster) cast(origin, dir vec.V3) (acc render.RGBA, depth float64) {
 	depth = math.Inf(1)
 	t0, n := c.samples(origin, dir)
@@ -232,7 +345,7 @@ func (c *caster) cast(origin, dir vec.V3) (acc render.RGBA, depth float64) {
 	g := rayPoint(origin, dir, t0)
 	pos := [3]float64{g.X + geometry.BrickMargin, g.Y + geometry.BrickMargin, g.Z + geometry.BrickMargin}
 	d := [3]float64{dir.X, dir.Y, dir.Z}
-	dims := [3]int{c.bricks.Dims.X, c.bricks.Dims.Y, c.bricks.Dims.Z}
+	dims := [3]int{int(c.bricks[0]), int(c.bricks[1]), int(c.bricks[2])}
 	var ix, inc [3]int
 	var tMax, tDelta [3]float64 // next boundary crossing per axis, and their spacing
 	for a := range pos {
@@ -264,7 +377,7 @@ func (c *caster) cast(origin, dir vec.V3) (acc render.RGBA, depth float64) {
 			a = 2
 		}
 		tOut := tMax[a]
-		if c.bricks.Occupied[(ix[2]*dims[1]+ix[1])*dims[0]+ix[0]] {
+		if c.block[(ix[2]*dims[1]+ix[1])*dims[0]+ix[0]] != geometry.BrickEmpty {
 			// Samples with t in [tIn, tOut], one more at the far end for
 			// the rounding of the division.
 			lo, hi := int((tIn-t0)/step), n-1
@@ -308,31 +421,90 @@ func (c *caster) cast(origin, dir vec.V3) (acc render.RGBA, depth float64) {
 	return acc, depth
 }
 
-// sample is field.ScalarAt over the tabulated scalar: same corner order,
-// zero-weight skip and Owned test, so the sum is the same to the bit.
+// sample is field.ScalarAt over the filled corner blocks: the same
+// corners in the same order, the same zero-weight skip, and a corner
+// skipped when it is solid or not owned, so the sum is the same to the
+// bit. The cell is floor(p)'s, never the walk's brick, which can be one
+// off (see cast).
 func (c *caster) sample(p vec.V3) (float64, bool) {
 	c.evaluated++
+	const bc, side = geometry.BrickCells, geometry.BlockSide
 	bx, by, bz := math.Floor(p.X), math.Floor(p.Y), math.Floor(p.Z)
-	var ids [8]int32
-	if !c.dom.CellSites(vec.I3{X: int(bx), Y: int(by), Z: int(bz)}, &ids) {
+	// The cell on the brick grid. One off the grid, below it or beyond
+	// int range included, compares above it as unsigned: no fluid.
+	gx, gy, gz := uint(int(bx)+geometry.BrickMargin), uint(int(by)+geometry.BrickMargin), uint(int(bz)+geometry.BrickMargin)
+	if gx >= c.cells[0] || gy >= c.cells[1] || gz >= c.cells[2] {
 		return 0, false
 	}
+	blk := int(c.block[(gz/bc*c.bricks[1]+gy/bc)*c.bricks[0]+gx/bc])
+	if blk < 0 {
+		return 0, false
+	}
+	lx, ly, lz := int(gx%bc), int(gy%bc), int(gz%bc)
+	mask := c.masks[blk*geometry.BlockCells+(lz*bc+ly)*bc+lx]
+	if mask == 0 {
+		return 0, false
+	}
+	v := c.corners[blk*geometry.BlockCorners+(lz*side+ly)*side+lx:]
+	v = v[:side*side+side+2] // corners 0..7 at 0, 1, side, side+1, side², …
 	fx, fy, fz := p.X-bx, p.Y-by, p.Z-bz
-	wx, wy, wz := [2]float64{1 - fx, fx}, [2]float64{1 - fy, fy}, [2]float64{1 - fz, fz}
-	acc, found := 0.0, false
-	for i, id := range ids {
-		w := wx[i&1] * wy[i>>1&1] * wz[i>>2]
-		if w == 0 || id < 0 || (c.owned != nil && !c.owned[id]) {
+	// Corner i's weight is (wx·wy)·wz, as field.ScalarAt makes it.
+	x0, x1, y0, y1, z0, z1 := 1-fx, fx, 1-fy, fy, 1-fz, fz
+	w00, w10, w01, w11 := x0*y0, x1*y0, x0*y1, x1*y1
+	acc := 0.0
+	if mask == 0xFF {
+		// Every corner fluid. fx, fy, fz lie in [0, 1) (or are NaN), so
+		// corner 0's weight is above zero (or NaN) and the sample is
+		// found.
+		if w := w00 * z0; w != 0 {
+			acc += float64(v[0] * w)
+		}
+		if w := w10 * z0; w != 0 {
+			acc += float64(v[1] * w)
+		}
+		if w := w01 * z0; w != 0 {
+			acc += float64(v[side] * w)
+		}
+		if w := w11 * z0; w != 0 {
+			acc += float64(v[side+1] * w)
+		}
+		if w := w00 * z1; w != 0 {
+			acc += float64(v[side*side] * w)
+		}
+		if w := w10 * z1; w != 0 {
+			acc += float64(v[side*side+1] * w)
+		}
+		if w := w01 * z1; w != 0 {
+			acc += float64(v[side*side+side] * w)
+		}
+		if w := w11 * z1; w != 0 {
+			acc += float64(v[side*side+side+1] * w)
+		}
+		c.fluid++
+		return acc, true
+	}
+	wxy, wz := [4]float64{w00, w10, w01, w11}, [2]float64{z0, z1}
+	found := false
+	for m := mask; m != 0; m &= m - 1 { // the fluid corners, in order
+		i := bits.TrailingZeros8(m)
+		w := wxy[i&3] * wz[i>>2]
+		if w == 0 {
 			continue
 		}
 		found = true
-		acc += float64(c.scalar[id] * w)
+		acc += float64(v[cornerSlots[i]] * w)
 	}
 	if found {
 		c.fluid++
 	}
 	return acc, found
 }
+
+// cornerSlots is the slot of corner i of a cell relative to the cell's
+// base corner in its block.
+var cornerSlots = [8]int{0, 1, geometry.BlockSide, geometry.BlockSide + 1,
+	geometry.BlockSide * geometry.BlockSide, geometry.BlockSide*geometry.BlockSide + 1,
+	geometry.BlockSide*geometry.BlockSide + geometry.BlockSide, geometry.BlockSide*geometry.BlockSide + geometry.BlockSide + 1}
 
 // RenderVolumeDist renders each rank's owned sites locally and merges
 // the partial images with a binary-swap-style pairwise reduction to

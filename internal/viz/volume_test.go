@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/field"
 	"repro/internal/geometry"
@@ -39,13 +40,26 @@ func renderVolumeBrute(f *field.Field, opt VolumeOptions) *render.Image {
 	return img
 }
 
+// newCaster is the caster of a serial render of f with options opt
+// (defaults applied), its blocks filled from a scalar table in *buf.
+func newCaster(f *field.Field, opt VolumeOptions, buf *[]float64) *caster {
+	b := &VolumeBuffers{scalar: *buf}
+	return b.prepare(f, opt, 1)
+}
+
 // bruteCast is cast without the bricks: the full march of one ray.
 func (c *caster) bruteCast(f *field.Field, origin, dir vec.V3) (acc render.RGBA, depth float64) {
+	return c.march(func(p vec.V3) (float64, bool) { return f.ScalarAt(p, c.opt.Scalar) }, origin, dir)
+}
+
+// march is the full march of one ray through c's sample train, each
+// sample read with sample.
+func (c *caster) march(sample func(vec.V3) (float64, bool), origin, dir vec.V3) (acc render.RGBA, depth float64) {
 	depth = math.Inf(1)
 	t0, n := c.samples(origin, dir)
 	for k := 0; k < n; k++ {
 		t := sampleT(t0, k, c.opt.Step)
-		s, ok := f.ScalarAt(rayPoint(origin, dir, t), c.opt.Scalar)
+		s, ok := sample(rayPoint(origin, dir, t))
 		if !ok {
 			continue
 		}
@@ -63,6 +77,46 @@ func (c *caster) bruteCast(f *field.Field, origin, dir vec.V3) (acc render.RGBA,
 		}
 	}
 	return acc, depth
+}
+
+// siteSampler is the sampler the corner blocks replaced, kept as their
+// oracle: the eight corner ids of floor(p)'s cell from the id grid,
+// then the per-site scalar of each fluid, owned corner with a weight
+// other than zero, in corner order.
+type siteSampler struct {
+	dom    *geometry.Domain
+	scalar []float64 // field.ScalarTable's, by site id
+	owned  []bool
+}
+
+func (s *siteSampler) sample(p vec.V3) (float64, bool) {
+	bx, by, bz := math.Floor(p.X), math.Floor(p.Y), math.Floor(p.Z)
+	var ids [8]int32
+	if !cellSites(s.dom, vec.I3{X: int(bx), Y: int(by), Z: int(bz)}, &ids) {
+		return 0, false
+	}
+	fx, fy, fz := p.X-bx, p.Y-by, p.Z-bz
+	wx, wy, wz := [2]float64{1 - fx, fx}, [2]float64{1 - fy, fy}, [2]float64{1 - fz, fz}
+	acc, found := 0.0, false
+	for i, id := range ids {
+		w := wx[i&1] * wy[i>>1&1] * wz[i>>2]
+		if w == 0 || id < 0 || (s.owned != nil && !s.owned[id]) {
+			continue
+		}
+		found = true
+		acc += float64(s.scalar[id] * w)
+	}
+	return acc, found
+}
+
+// cellSites fills ids with the site ids (-1: solid or outside) of the
+// eight corners base+{0,1}³ of a sample cell, x fastest, then y, then z,
+// and reports whether any corner is fluid.
+func cellSites(d *geometry.Domain, base vec.I3, ids *[8]int32) bool {
+	for i := range ids {
+		ids[i] = int32(d.SiteAt(base.Add(vec.I3{X: i & 1, Y: i >> 1 & 1, Z: i >> 2})))
+	}
+	return ids[0]&ids[1]&ids[2]&ids[3]&ids[4]&ids[5]&ids[6]&ids[7] >= 0
 }
 
 // firstDiff returns the first pixel whose colour or depth differs in any
@@ -368,10 +422,104 @@ func TestVolumeWalkDegenerateRays(t *testing.T) {
 	})
 }
 
+// FuzzCastMatchesOracle holds the corner-block sampler to the kept
+// oracle, bit for bit, on fuzzed rays, steps and transfer-function
+// ranges through a small domain: every sample of the ray's full march
+// and the fuzzed origin itself (any position, non-finite and far beyond
+// int range included) read the same from both, and cast's image of the
+// ray equals the full march with the oracle's samples. The fields are
+// whole or under a seeded Owned mask, and carry NaN, ±Inf, −0 and
+// negative values at seeded sites. The seeds are the rays of
+// TestVolumeWalkDegenerateRays.
+func FuzzCastMatchesOracle(f *testing.F) {
+	dom, err := geometry.Voxelise(geometry.Aneurysm(16, 3, 4), 1.0, lattice.D3Q19())
+	if err != nil {
+		f.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(20261018))
+	plain := noiseField(dom, rng)
+	special := noiseField(dom, rng)
+	for _, vals := range [][]float64{special.Rho, special.Ux, special.WSS} {
+		for i := 0; i < 12; i++ {
+			vals[rng.Intn(len(vals))] = [...]float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1), -0.5, 1e300}[i%6]
+		}
+	}
+	owned := make([]bool, dom.NumSites())
+	for i := range owned {
+		owned[i] = rng.Intn(3) > 0
+	}
+	var fields []*field.Field
+	for _, fl := range []*field.Field{plain, special} {
+		masked := *fl
+		masked.Owned = owned
+		fields = append(fields, fl, &masked)
+	}
+	scalars := [...]field.Scalar{field.ScalarSpeed, field.ScalarRho, field.ScalarWSS}
+
+	center := dom.Dims.F().Mul(0.5)
+	dx, dy := float64(dom.Dims.X), float64(dom.Dims.Y)
+	nan, inf := math.NaN(), math.Inf(1)
+	for i, ray := range [][2]vec.V3{
+		{vec.New(-1, 1, center.Z), vec.New(1, -1, 0).Norm()},
+		{vec.New(dx, dy, 0), vec.New(1, 1, -1).Norm()},
+		{vec.New(0, -3, center.Z), vec.New(0, 1, 0)},
+		{vec.New(dx, -3, center.Z), vec.New(0, 1, 0)},
+		{vec.New(geometry.BrickCells-geometry.BrickMargin, -3, center.Z), vec.New(0, 1, 0)},
+		{vec.New(math.Nextafter(geometry.BrickCells-geometry.BrickMargin, 0), -3, center.Z), vec.New(0, 1, 0)},
+		{vec.New(center.X, -3, center.Z), vec.New(1e-300, 1, -1e-300)},
+		{center, vec.New(nan, 1, 0)},
+		{center, vec.New(inf, 0, 0)},
+		{vec.New(nan, 0, 0), vec.New(1, 0, 0)},
+		{center, vec.V3{}},
+		{vec.New(1e300, 0, 0), center.Sub(vec.New(1e300, 0, 0)).Norm()},
+		{vec.New(-20, center.Y, center.Z), vec.New(1, 0, 0)},
+	} {
+		o, d := ray[0], ray[1]
+		f.Add(o.X, o.Y, o.Z, d.X, d.Y, d.Z, 0.5, 0.0, 0.2, uint8(i))
+	}
+	f.Add(center.X, center.Y, -5.0, 0.3, 0.2, 1.0, 0.25, -1.0, 2.0, uint8(5))
+	// Samples in the plane x = 6 next to a NaN speed: only the
+	// zero-weight skip keeps the NaN out of the sum.
+	f.Add(25.0, -0.16666666666666666, 7.777777777777778, -3.0, 1.0, 2.333333333333333, 0.08333333333333333, -37.0, 0.2, uint8(98))
+	f.Fuzz(func(t *testing.T, ox, oy, oz, dx, dy, dz, step, lo, hi float64, variant uint8) {
+		if !(step >= 1.0/16 && step <= 8) {
+			t.Skip("step outside 1/16..8: the march would be empty or unbounded")
+		}
+		fl := fields[int(variant)%len(fields)]
+		opt := VolumeOptions{W: 1, H: 1, Step: step, Scalar: scalars[int(variant)/len(fields)%len(scalars)],
+			TF: render.BlueRed(lo, hi)}.withDefaults()
+		var buf []float64
+		c := newCaster(fl, opt, &buf)
+		table, _ := fl.ScalarTable(opt.Scalar, new([]float64))
+		oracle := &siteSampler{dom: dom, scalar: table, owned: fl.Owned}
+		same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+		origin, dir := vec.New(ox, oy, oz), vec.New(dx, dy, dz)
+		check := func(p vec.V3) {
+			got, gotOK := c.sample(p)
+			want, wantOK := oracle.sample(p)
+			if gotOK != wantOK || !same(got, want) {
+				t.Fatalf("sample at %+v: %v (%v), oracle %v (%v)", p, got, gotOK, want, wantOK)
+			}
+		}
+		check(origin)
+		t0, n := c.samples(origin, dir)
+		for k := 0; k < n; k++ {
+			check(rayPoint(origin, dir, sampleT(t0, k, step)))
+		}
+		acc, depth := c.cast(origin, dir)
+		wantAcc, wantDepth := c.march(oracle.sample, origin, dir)
+		if !same(acc.R, wantAcc.R) || !same(acc.G, wantAcc.G) || !same(acc.B, wantAcc.B) || !same(acc.A, wantAcc.A) || !same(depth, wantDepth) {
+			t.Fatalf("ray %+v %+v: acc %+v depth %v, oracle march %+v depth %v", origin, dir, acc, depth, wantAcc, wantDepth)
+		}
+	})
+}
+
 // BenchmarkRenderVolume renders the frame bench/ asks hemeserved for —
 // 256×192, default view, speed — on its two domains, with a worker's
 // reused buffers. samples/frame is what the brick walk evaluated,
 // fluid-share the part of it that found fluid: the walk's wasted work.
+// table-bytes is the domain's corner-block table, buffer-bytes the
+// worker's filled blocks, fill-share the fill's part of a frame.
 func BenchmarkRenderVolume(b *testing.B) {
 	for _, d := range []struct {
 		preset string
@@ -397,8 +545,27 @@ func BenchmarkRenderVolume(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
+			frame := b.Elapsed()
 			b.ReportMetric(float64(bufs.evaluated), "samples/frame")
 			b.ReportMetric(float64(bufs.fluid)/float64(bufs.evaluated), "fluid-share")
+			// The blocks' share of the frame: the shared table, the
+			// worker's buffers that keep the frame's corner scalars, and
+			// the fill's time (a frame's prepare less its scalar table).
+			b.StopTimer()
+			var buf []float64
+			start := time.Now()
+			for i := 0; i < b.N; i++ {
+				bufs.prepare(f, opt.withDefaults(), runtime.GOMAXPROCS(0))
+			}
+			prepare := time.Since(start)
+			start = time.Now()
+			for i := 0; i < b.N; i++ {
+				f.ScalarTable(opt.Scalar, &buf)
+			}
+			fill := prepare - time.Since(start)
+			b.ReportMetric(float64(f.Dom.CornerBlocks().Bytes()), "table-bytes")
+			b.ReportMetric(float64(8*cap(bufs.corners)+cap(bufs.masks)), "buffer-bytes")
+			b.ReportMetric(float64(fill)/float64(frame), "fill-share")
 		})
 	}
 }
