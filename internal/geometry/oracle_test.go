@@ -100,7 +100,7 @@ func voxeliseOracle(v *Vessel, h float64, model *lattice.Model) (*Domain, []floa
 					link.Type = LinkOutlet
 					s.Flags |= FlagOutlet
 				}
-				link.Iolet = idx
+				link.Iolet = int16(idx)
 				dists[si*(model.Q-1)+q-1] = t
 				continue
 			}
@@ -113,6 +113,19 @@ func voxeliseOracle(v *Vessel, h float64, model *lattice.Model) (*Domain, []floa
 		}
 	}
 	return d, dists, nil
+}
+
+// Neighbour returns the site id of the neighbour of site si in model
+// direction q (1-based), or -1 when the link is not a fluid link: the
+// one-link lookup Neighbours replaced in the voxeliser, the plan and
+// the site graph, kept as its oracle.
+func (d *Domain) Neighbour(si, q int) int {
+	s := &d.Sites[si]
+	if s.Links[q-1].Type != LinkFluid {
+		return -1
+	}
+	c := d.Model.C[q]
+	return d.SiteAt(s.Pos.Add(vec.I3{X: c[0], Y: c[1], Z: c[2]}))
 }
 
 // wallCrossingOracle is wallCrossing on the full SDF.
@@ -163,49 +176,64 @@ func TestVoxeliseMatchesOracle(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, wantDists, err := voxeliseOracle(v, sz.h, lattice.D3Q19())
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, workers := range []int{1, 2, 3, 7} {
-				got, err := voxelise(v, sz.h, lattice.D3Q19(), workers)
-				if err != nil {
-					t.Fatal(err)
-				}
-				where := fmt.Sprintf("%s@%g h=%g, %d workers", name, sz.scale, sz.h, workers)
-				if got.Dims != want.Dims || got.Origin != want.Origin || got.H != want.H || got.BlockDims != want.BlockDims {
-					t.Fatalf("%s: lattice %+v %+v %g %+v, oracle %+v %+v %g %+v", where,
-						got.Dims, got.Origin, got.H, got.BlockDims, want.Dims, want.Origin, want.H, want.BlockDims)
-				}
-				if len(got.Sites) != len(want.Sites) {
-					t.Fatalf("%s: %d sites, oracle %d", where, len(got.Sites), len(want.Sites))
-				}
-				for i := range want.Sites {
-					g, w := &got.Sites[i], &want.Sites[i]
-					if g.Pos != w.Pos || g.Flags != w.Flags || g.WallNormal != w.WallNormal || !slices.Equal(g.Links, w.Links) {
-						t.Fatalf("%s: site %d is %+v, oracle %+v", where, i, got.Sites[i], want.Sites[i])
-					}
-				}
-				if !slices.Equal(got.index, want.index) {
-					t.Fatalf("%s: dense index differs from the oracle's", where)
-				}
-				if !slices.Equal(got.BlockFluidCount, want.BlockFluidCount) {
-					t.Fatalf("%s: BlockFluidCount differs from the oracle's", where)
-				}
-				if !slices.Equal(got.Iolets, want.Iolets) {
-					t.Fatalf("%s: iolets differ from the oracle's", where)
-				}
-				if err := sameDists(got.linkDists(workers), wantDists, got.Model.Q); err != nil {
-					t.Fatalf("%s: %v", where, err)
-				}
-				if workers == 1 {
-					if err := sameDists(got.LinkDists(), wantDists, got.Model.Q); err != nil {
-						t.Fatalf("%s, LinkDists: %v", where, err)
-					}
-				}
+			if err := matchesOracle(v, sz.h, oracleWorkers); err != nil {
+				t.Fatalf("%s@%g h=%g: %v", name, sz.scale, sz.h, err)
 			}
 		}
 	}
+}
+
+// oracleWorkers are the worker counts matchesOracle voxelises at:
+// below, at and above the core count.
+var oracleWorkers = []int{1, 2, 3, 7}
+
+// matchesOracle voxelises v at spacing h on each of workers and reports
+// the first way a result differs from voxeliseOracle's: the lattice,
+// the sites in order with their links, flags and normals, the dense
+// index, the block counts, the iolets and the distance table, bit for
+// bit. A vessel the oracle refuses must be refused with its error.
+func matchesOracle(v *Vessel, h float64, workers []int) error {
+	want, wantDists, wantErr := voxeliseOracle(v, h, lattice.D3Q19())
+	for _, w := range workers {
+		got, err := voxelise(v, h, lattice.D3Q19(), w)
+		if wantErr != nil || err != nil {
+			if wantErr == nil || err == nil || err.Error() != wantErr.Error() {
+				return fmt.Errorf("%d workers: error %v, oracle %v", w, err, wantErr)
+			}
+			continue
+		}
+		if got.Dims != want.Dims || got.Origin != want.Origin || got.H != want.H || got.BlockDims != want.BlockDims {
+			return fmt.Errorf("%d workers: lattice %+v %+v %g %+v, oracle %+v %+v %g %+v", w,
+				got.Dims, got.Origin, got.H, got.BlockDims, want.Dims, want.Origin, want.H, want.BlockDims)
+		}
+		if len(got.Sites) != len(want.Sites) {
+			return fmt.Errorf("%d workers: %d sites, oracle %d", w, len(got.Sites), len(want.Sites))
+		}
+		for i := range want.Sites {
+			g, o := &got.Sites[i], &want.Sites[i]
+			if g.Pos != o.Pos || g.Flags != o.Flags || g.WallNormal != o.WallNormal || !slices.Equal(g.Links, o.Links) {
+				return fmt.Errorf("%d workers: site %d is %+v, oracle %+v", w, i, *g, *o)
+			}
+		}
+		if !slices.Equal(got.index, want.index) {
+			return fmt.Errorf("%d workers: dense index differs from the oracle's", w)
+		}
+		if !slices.Equal(got.BlockFluidCount, want.BlockFluidCount) {
+			return fmt.Errorf("%d workers: BlockFluidCount differs from the oracle's", w)
+		}
+		if !slices.Equal(got.Iolets, want.Iolets) {
+			return fmt.Errorf("%d workers: iolets differ from the oracle's", w)
+		}
+		if err := sameDists(got.linkDists(w), wantDists, got.Model.Q); err != nil {
+			return fmt.Errorf("%d workers: %v", w, err)
+		}
+		if w == 1 {
+			if err := sameDists(got.LinkDists(), wantDists, got.Model.Q); err != nil {
+				return fmt.Errorf("LinkDists: %v", err)
+			}
+		}
+	}
+	return nil
 }
 
 // sameDists reports the first link whose distance differs in its bits
@@ -223,8 +251,12 @@ func sameDists(got, want []float64, Q int) error {
 }
 
 // TestVoxeliseLinksShareOneSlab: the per-site Links are windows of one
-// allocation, capped so that appending to one cannot reach the next.
+// allocation of 4-byte links, capped so that appending to one cannot
+// reach the next.
 func TestVoxeliseLinksShareOneSlab(t *testing.T) {
+	if n := unsafe.Sizeof(Link{}); n != 4 {
+		t.Fatalf("Link is %d bytes, want 4", n)
+	}
 	d := voxelPipe(t)
 	for i := range d.Sites {
 		l := d.Sites[i].Links
@@ -347,7 +379,9 @@ var benchDomain *Domain
 
 // BenchmarkVoxelise times the voxeliser against its oracle on the two
 // domains bench/ runs and reports how many primitive SDF evaluations
-// each spends per fluid site (counted in a separate, untimed build).
+// each spends per fluid site (counted in a separate, untimed build) and
+// tested/point, the share of lattice points pass 1 asks about: all of
+// them for the oracle, those of the row spans (rowSpan) for Voxelise.
 //
 //	go test -run '^$' -bench Voxelise -benchtime 3x ./internal/geometry
 func BenchmarkVoxelise(b *testing.B) {
@@ -356,14 +390,23 @@ func BenchmarkVoxelise(b *testing.B) {
 		scale  float64
 	}{{"aneurysm", 2.0}, {"tree", 3.0}} {
 		for _, impl := range []struct {
-			name  string
-			build func(*Vessel) (*Domain, error)
+			name   string
+			build  func(*Vessel) (*Domain, error)
+			tested func(*Domain) int
 		}{
 			{"oracle", func(v *Vessel) (*Domain, error) {
 				d, _, err := voxeliseOracle(v, 1, lattice.D3Q19())
 				return d, err
+			}, func(d *Domain) int { return len(d.index) }},
+			{"new", func(v *Vessel) (*Domain, error) { return Voxelise(v, 1, lattice.D3Q19()) }, func(d *Domain) (n int) {
+				for z := 0; z < d.Dims.Z; z++ {
+					for y := 0; y < d.Dims.Y; y++ {
+						lo, hi := d.rowSpan(y, z)
+						n += hi - lo
+					}
+				}
+				return n
 			}},
-			{"new", func(v *Vessel) (*Domain, error) { return Voxelise(v, 1, lattice.D3Q19()) }},
 		} {
 			b.Run(fmt.Sprintf("%s@%g/%s", dc.preset, dc.scale, impl.name), func(b *testing.B) {
 				v, err := VesselByName(dc.preset, dc.scale)
@@ -385,6 +428,7 @@ func BenchmarkVoxelise(b *testing.B) {
 					b.Fatal(err)
 				}
 				b.ReportMetric(float64(n.Load())/float64(d.NumSites()), "sdf-evals/site")
+				b.ReportMetric(float64(impl.tested(d))/float64(len(d.index)), "tested/point")
 			})
 		}
 	}

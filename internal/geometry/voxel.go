@@ -21,14 +21,16 @@ const (
 	LinkOutlet                 // link crosses an outlet disk
 )
 
-// Link describes one lattice direction leaving a fluid site. Where
-// along a non-fluid link the wall or iolet disk is crossed is not kept
-// here but in the domain's distance table (Domain.LinkDists).
+// Link describes one lattice direction leaving a fluid site, in 4
+// bytes. Where along a non-fluid link the wall or iolet disk is crossed
+// is not kept here but in the domain's distance table
+// (Domain.LinkDists).
 type Link struct {
 	Type LinkType
 	// Iolet is the index into the vessel's iolet list for
-	// LinkInlet/LinkOutlet links, -1 otherwise.
-	Iolet int
+	// LinkInlet/LinkOutlet links, -1 otherwise. Voxelise refuses a
+	// vessel with more than math.MaxInt16 iolets.
+	Iolet int16
 }
 
 // SiteFlags classifies a fluid site by the kinds of links it has.
@@ -169,13 +171,18 @@ const linkChunk = 512
 // lattice one block layer of z (BlockSize planes) per claim and keeps
 // each layer's fluid points in scan order; numbering the layers' points
 // one after another in z order is the serial scan order, so site ids,
-// index and BlockFluidCount are the same for any worker count. Pass 2
+// index and BlockFluidCount are the same for any worker count. Within a
+// row of x it asks only the points of the row's span (rowSpan): every
+// other point lies outside every primitive's box and is solid. Pass 2
 // classifies the links of disjoint site ranges. Everything but the
 // wall normal needs only the sign of the SDF and asks a signField,
 // which the domain keeps for its distance table.
 func voxelise(v *Vessel, h float64, model *lattice.Model, workers int) (*Domain, error) {
 	if h <= 0 {
 		return nil, fmt.Errorf("geometry: lattice spacing must be positive, got %g", h)
+	}
+	if len(v.Iolets) > math.MaxInt16 {
+		return nil, fmt.Errorf("geometry: vessel %q has %d iolets, a link names at most %d", v.Name, len(v.Iolets), math.MaxInt16)
 	}
 	b := v.Bounds()
 	size := b.Size()
@@ -216,6 +223,9 @@ func voxelise(v *Vessel, h float64, model *lattice.Model, workers int) (*Domain,
 				row := (z*ny + y) * nx
 				for x := 0; x < nx; x++ {
 					d.index[row+x] = -1
+				}
+				lo, hi := d.rowSpan(y, z)
+				for x := lo; x < hi; x++ {
 					if d.fluidAt(d.World(vec.I3{X: x, Y: y, Z: z})) {
 						fluid = append(fluid, int32(row+x))
 					}
@@ -246,21 +256,23 @@ func voxelise(v *Vessel, h float64, model *lattice.Model, workers int) (*Domain,
 
 	// Pass 2: link classification.
 	guard.ForChunks((n+linkChunk-1)/linkChunk, workers, func(chunk int) {
+		nb := make([]int32, model.Q-1)
 		for si := chunk * linkChunk; si < min((chunk+1)*linkChunk, n); si++ {
 			s := &d.Sites[si]
 			s.Links = links[si*(model.Q-1) : (si+1)*(model.Q-1) : (si+1)*(model.Q-1)]
+			d.Neighbours(si, nb)
 			wp := d.World(s.Pos)
 			for q := 1; q < model.Q; q++ {
-				c := model.C[q]
-				np := s.Pos.Add(vec.I3{X: c[0], Y: c[1], Z: c[2]})
 				link := &s.Links[q-1]
 				link.Iolet = -1
-				if d.SiteAt(np) >= 0 {
+				if nb[q-1] >= 0 {
 					link.Type = LinkFluid
 					continue
 				}
 				// The link leaves the fluid. Decide whether it crosses an
 				// iolet disk or the vessel wall.
+				c := model.C[q]
+				np := s.Pos.Add(vec.I3{X: c[0], Y: c[1], Z: c[2]})
 				if idx, _ := d.ioletCrossing(wp, d.World(np)); idx >= 0 {
 					if v.Iolets[idx].IsInlet {
 						link.Type = LinkInlet
@@ -269,7 +281,7 @@ func voxelise(v *Vessel, h float64, model *lattice.Model, workers int) (*Domain,
 						link.Type = LinkOutlet
 						s.Flags |= FlagOutlet
 					}
-					link.Iolet = idx
+					link.Iolet = int16(idx)
 					continue
 				}
 				link.Type = LinkWall
@@ -281,6 +293,58 @@ func voxelise(v *Vessel, h float64, model *lattice.Model, workers int) (*Domain,
 		}
 	})
 	return d, nil
+}
+
+// rowSpan returns the x range [lo, hi) of lattice row (y, z) that pass 1
+// evaluates: the hull of the points whose world position passes the box
+// test of a sign-field leaf (signField.negative). A point outside every
+// leaf's box is solid whatever the SDF says there, so skipping it is
+// exact. Each leaf's range is first estimated by division, then moved
+// to where the comparisons negative makes on the world coordinate
+// (World, the same arithmetic pass 1 uses) actually change, so rounding
+// neither drops a point a box holds nor adds one it does not.
+func (d *Domain) rowSpan(y, z int) (lo, hi int) {
+	nx := d.Dims.X
+	w := d.World(vec.I3{Y: y, Z: z})
+	wx := func(x int) float64 { return d.World(vec.I3{X: x, Y: y, Z: z}).X }
+	// at estimates the first x whose world X is at or past e.
+	at := func(e float64) int {
+		f := math.Ceil((e - d.Origin.X) / d.H)
+		if !(f > 0) { // NaN included
+			return 0
+		}
+		return int(min(f, float64(nx)))
+	}
+	lo, hi = nx, 0
+	for i := range d.sign.leaves {
+		l := &d.sign.leaves[i]
+		if w.Y < l.min.Y || w.Y > l.max.Y || w.Z < l.min.Z || w.Z > l.max.Z {
+			continue
+		}
+		// a: the first x with wx(x) >= min.X.
+		a := at(l.min.X)
+		for a > 0 && wx(a-1) >= l.min.X {
+			a--
+		}
+		for a < nx && wx(a) < l.min.X {
+			a++
+		}
+		// b: the first x with wx(x) > max.X.
+		b := at(l.max.X)
+		for b > 0 && wx(b-1) > l.max.X {
+			b--
+		}
+		for b < nx && wx(b) <= l.max.X {
+			b++
+		}
+		if a < b {
+			lo, hi = min(lo, a), max(hi, b)
+		}
+	}
+	if lo >= hi {
+		return 0, 0
+	}
+	return lo, hi
 }
 
 // fluidAt reports whether world point p is fluid: on the interior side
@@ -328,13 +392,30 @@ func sdfGradient(s Shape, p vec.V3, eps float64) vec.V3 {
 	return g.Norm()
 }
 
-// Neighbour returns the site id of the neighbour of site si in model
-// direction q (1-based), or -1 when the link is not a fluid link.
-func (d *Domain) Neighbour(si, q int) int {
-	s := &d.Sites[si]
-	if s.Links[q-1].Type != LinkFluid {
-		return -1
+// Neighbours writes into dst[q-1], for every direction q = 1..Q-1 of
+// the domain's model, the id of the site at lattice point Pos + C[q] of
+// site si: -1 where that point is solid or off the lattice, whatever
+// the link's Type says. dst must hold at least Q-1 entries. A site
+// inside the lattice reads its neighbours at its dense offset plus each
+// direction's delta; a site on a lattice face, whose neighbours may lie
+// off it, asks SiteAt per direction. Every model moves at most one site
+// per axis in a step (TestNeighboursMatchSiteAt checks D3Q15 and
+// D3Q19), so one layer of face sites is all the fallback covers.
+func (d *Domain) Neighbours(si int, dst []int32) {
+	c := d.Model.C
+	dst = dst[:len(c)-1]
+	p := d.Sites[si].Pos
+	nx, ny := d.Dims.X, d.Dims.Y
+	if p.X > 0 && p.Y > 0 && p.Z > 0 && p.X < nx-1 && p.Y < ny-1 && p.Z < d.Dims.Z-1 {
+		off := (p.Z*ny+p.Y)*nx + p.X
+		for i := range dst {
+			cq := c[i+1]
+			dst[i] = d.index[off+cq[0]+nx*(cq[1]+ny*cq[2])]
+		}
+		return
 	}
-	c := d.Model.C[q]
-	return d.SiteAt(s.Pos.Add(vec.I3{X: c[0], Y: c[1], Z: c[2]}))
+	for i := range dst {
+		cq := c[i+1]
+		dst[i] = int32(d.SiteAt(p.Add(vec.I3{X: cq[0], Y: cq[1], Z: cq[2]})))
+	}
 }

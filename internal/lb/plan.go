@@ -112,11 +112,12 @@ func buildWholePlan(dom *geometry.Domain, workers int) (*plan, error) {
 		site := &dom.Sites[g]
 		base := g * Q
 		row := pl.stream[base : base+Q]
-		row[0] = int32(base) // rest population stays
+		dom.Neighbours(g, row[1:]) // neighbour ids, turned into destinations below
+		row[0] = int32(base)       // rest population stays
 		for q := 1; q < Q; q++ {
 			switch link := &site.Links[q-1]; link.Type {
 			case geometry.LinkFluid:
-				j := dom.Neighbour(g, q)
+				j := int(row[q])
 				if j < 0 {
 					return fmt.Errorf("lb: inconsistent geometry: fluid link %d of site %v leads to no site", q, site.Pos)
 				}
@@ -124,7 +125,7 @@ func buildWholePlan(dom *geometry.Domain, workers int) (*plan, error) {
 			case geometry.LinkWall:
 				row[q] = int32(base + m.Opp[q])
 			default: // inlet or outlet
-				if link.Iolet < 0 || link.Iolet >= len(dom.Iolets) {
+				if link.Iolet < 0 || int(link.Iolet) >= len(dom.Iolets) {
 					return fmt.Errorf("lb: inconsistent geometry: site %v names iolet %d of %d", site.Pos, link.Iolet, len(dom.Iolets))
 				}
 				row[q] = int32(encodeIolet - link.Iolet)

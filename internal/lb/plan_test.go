@@ -14,6 +14,18 @@ import (
 	"repro/internal/vec"
 )
 
+// linkNeighbour is the site a fluid link of site g in direction q
+// leads to, -1 for any other link: the per-link lookup the oracles
+// below resolve neighbours with, independent of Domain.Neighbours.
+func linkNeighbour(dom *geometry.Domain, g, q int) int {
+	s := &dom.Sites[g]
+	if s.Links[q-1].Type != geometry.LinkFluid {
+		return -1
+	}
+	c := dom.Model.C[q]
+	return dom.SiteAt(s.Pos.Add(vec.I3{X: c[0], Y: c[1], Z: c[2]}))
+}
+
 // oraclePlan is the plan the way newKernel + NewDist built it on every
 // call before plans were kept on the Domain: the rank's stream table
 // read off Site.Links, cross-rank links collected and patched in, the
@@ -84,7 +96,7 @@ func oraclePlan(dom *geometry.Domain, part *partition.Partition, me int) *plan {
 			if dom.Sites[g].Links[q-1].Type != geometry.LinkFluid {
 				continue
 			}
-			if lj := pl.local[dom.Neighbour(g, q)]; lj >= 0 {
+			if lj := pl.local[linkNeighbour(dom, g, q)]; lj >= 0 {
 				pl.recvFix[r] = append(pl.recvFix[r], lj*int32(Q)+int32(q))
 			}
 		}
@@ -147,7 +159,7 @@ func checkHalo(dom *geometry.Domain, part *partition.Partition, plans []*plan) e
 	var links []link
 	for g := range dom.Sites {
 		for q := 1; q < Q; q++ {
-			if j := dom.Neighbour(g, q); j >= 0 && part.Parts[j] != part.Parts[g] {
+			if j := linkNeighbour(dom, g, q); j >= 0 && part.Parts[j] != part.Parts[g] {
 				links = append(links, link{int(part.Parts[g]), int(part.Parts[j]), g, q, j})
 			}
 		}
@@ -259,7 +271,7 @@ func serialWholePlan(dom *geometry.Domain) (*plan, error) {
 		for q := 1; q < Q; q++ {
 			switch link := &site.Links[q-1]; link.Type {
 			case geometry.LinkFluid:
-				j := dom.Neighbour(g, q)
+				j := linkNeighbour(dom, g, q)
 				if j < 0 {
 					return nil, fmt.Errorf("lb: inconsistent geometry: fluid link %d of site %v leads to no site", q, site.Pos)
 				}
@@ -267,7 +279,7 @@ func serialWholePlan(dom *geometry.Domain) (*plan, error) {
 			case geometry.LinkWall:
 				row[q] = int32(base + m.Opp[q])
 			default: // inlet or outlet
-				if link.Iolet < 0 || link.Iolet >= len(dom.Iolets) {
+				if link.Iolet < 0 || int(link.Iolet) >= len(dom.Iolets) {
 					return nil, fmt.Errorf("lb: inconsistent geometry: site %v names iolet %d of %d", site.Pos, link.Iolet, len(dom.Iolets))
 				}
 				row[q] = int32(encodeIolet - link.Iolet)

@@ -294,25 +294,6 @@ func (t *Tree) Level(level int) []*Node {
 	return out
 }
 
-// Root returns the top-level node containing everything (key 0 at the
-// top level).
-func (t *Tree) Root() *Node { return t.At(len(t.levels)-1, 0) }
-
-// Children returns the up-to-8 children of a node in Z-order.
-func (t *Tree) Children(n *Node) []*Node {
-	if n.Level <= 0 || n.Level >= len(t.levels) {
-		return nil
-	}
-	l := n.Level - 1
-	keys := t.lay.keys[l]
-	var out []*Node
-	i, _ := slices.BinarySearch(keys, n.Key<<3)
-	for ; i < len(keys) && keys[i]>>3 == n.Key; i++ {
-		out = append(out, t.cell(l, i))
-	}
-	return out
-}
-
 // ROI is a region-of-interest request: cells intersecting Box are
 // refined to DetailLevel; everything else is reported at ContextLevel
 // (coarser). Box is in lattice coordinates.

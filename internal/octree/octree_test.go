@@ -3,6 +3,7 @@ package octree
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -10,6 +11,25 @@ import (
 	"repro/internal/lattice"
 	"repro/internal/vec"
 )
+
+// Root returns the top-level node containing everything (key 0 at the
+// top level). Only the tests walk the tree from its root.
+func (t *Tree) Root() *Node { return t.At(len(t.levels)-1, 0) }
+
+// Children returns the up-to-8 children of a node in Z-order.
+func (t *Tree) Children(n *Node) []*Node {
+	if n.Level <= 0 || n.Level >= len(t.levels) {
+		return nil
+	}
+	l := n.Level - 1
+	keys := t.lay.keys[l]
+	var out []*Node
+	i, _ := slices.BinarySearch(keys, n.Key<<3)
+	for ; i < len(keys) && keys[i]>>3 == n.Key; i++ {
+		out = append(out, t.cell(l, i))
+	}
+	return out
+}
 
 func testTree(t testing.TB) (*geometry.Domain, *Tree, Fields) {
 	t.Helper()

@@ -69,11 +69,13 @@ func FromDomain(d *geometry.Domain) *Graph {
 	}
 	g.Adjncy = make([]int32, g.Xadj[n])
 	g.EWgt = make([]float64, g.Xadj[n])
+	var nb [32]int32 // room for any model's Q-1 directions
 	for si := range d.Sites {
 		at := g.Xadj[si]
-		for q := 1; q < d.Model.Q; q++ {
-			if nb := d.Neighbour(si, q); nb >= 0 {
-				g.Adjncy[at] = int32(nb)
+		d.Neighbours(si, nb[:])
+		for i, l := range d.Sites[si].Links {
+			if l.Type == geometry.LinkFluid && nb[i] >= 0 {
+				g.Adjncy[at] = nb[i]
 				g.EWgt[at] = 1
 				at++
 			}

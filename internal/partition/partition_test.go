@@ -11,6 +11,18 @@ import (
 	"repro/internal/vec"
 )
 
+// linkNeighbour is the site a fluid link of site si in direction q
+// leads to, -1 for any other link: the per-link lookup the graph
+// oracle resolves neighbours with, independent of Domain.Neighbours.
+func linkNeighbour(d *geometry.Domain, si, q int) int {
+	s := &d.Sites[si]
+	if s.Links[q-1].Type != geometry.LinkFluid {
+		return -1
+	}
+	c := d.Model.C[q]
+	return d.SiteAt(s.Pos.Add(vec.I3{X: c[0], Y: c[1], Z: c[2]}))
+}
+
 // gridGraph builds an nx x ny 2D grid graph with unit weights.
 func gridGraph(nx, ny int) *Graph {
 	n := nx * ny
@@ -472,7 +484,7 @@ func fromDomainOld(d *geometry.Domain) *Graph {
 	deg := make([]int32, n)
 	for si := range d.Sites {
 		for q := 1; q < d.Model.Q; q++ {
-			if d.Neighbour(si, q) >= 0 {
+			if linkNeighbour(d, si, q) >= 0 {
 				deg[si]++
 			}
 		}
@@ -487,7 +499,7 @@ func fromDomainOld(d *geometry.Domain) *Graph {
 	fill := make([]int32, n)
 	for si := range d.Sites {
 		for q := 1; q < d.Model.Q; q++ {
-			nb := d.Neighbour(si, q)
+			nb := linkNeighbour(d, si, q)
 			if nb < 0 {
 				continue
 			}

@@ -17,7 +17,7 @@ const (
 	frameEntries = 512
 	// siteBudget bounds the fluid sites kept resident by the domain
 	// cache and, separately, by the octree cache, summed over entries:
-	// room for the largest bench/ domain three times over (≈ 0.66 kB a
+	// room for the largest bench/ domain three times over (≈ 0.32 kB a
 	// site for a domain with the stream table and octree layout a job
 	// leaves on it, 84 B a site for an octree; see docs/OPERATIONS.md).
 	siteBudget = 1 << 18

@@ -124,6 +124,14 @@ func TestDomainCacheSingleFlight(t *testing.T) {
 	if n := m.metrics.Preprocess.Count(); n != 2 {
 		t.Errorf("preprocess histogram has %d samples, want 2", n)
 	}
+	// The cold layers are sampled on their misses only: one build of
+	// the domain, one of its stream table.
+	if n := m.metrics.Voxelise.Count(); n != 1 {
+		t.Errorf("voxelise histogram has %d samples, want 1 (the miss)", n)
+	}
+	if n, miss := m.metrics.Plan.Count(), m.metrics.SolverPlanMiss.Load(); n != 1 || miss != 1 {
+		t.Errorf("plan histogram has %d samples for %d plan misses, want 1 and 1", n, miss)
+	}
 	details := dispatchDetail(t, jobs[0]) + " | " + dispatchDetail(t, jobs[1])
 	if strings.Count(details, "cache=miss") != 1 || strings.Count(details, "cache=hit") != 1 || strings.Count(details, "voxelise_ms=") != 2 {
 		t.Errorf("dispatched events carry %q; want one cache=miss, one cache=hit, voxelise_ms on both", details)

@@ -134,7 +134,9 @@ type Metrics struct {
 	// dispatch from the domain-cache lookup to core.New returning
 	// (voxelise or cache hit; partition, stream tables and halo plans
 	// unless the domain keeps them) — what stands between a worker slot
-	// and the first step.
+	// and the first step. Voxelise and Plan are its two cold layers:
+	// Voxelise times the build on a domain-cache miss, Plan the
+	// whole-domain stream table on a plan miss.
 	StepDuration     obs.Histogram
 	CollectiveWait   obs.Histogram
 	FieldGather      obs.Histogram
@@ -143,6 +145,8 @@ type Metrics struct {
 	CheckpointWrite  obs.Histogram
 	RenderLatency    obs.Histogram
 	Preprocess       obs.Histogram
+	Voxelise         obs.Histogram
+	Plan             obs.Histogram
 	HTTPLatency      obs.HistogramSet
 }
 
@@ -223,6 +227,8 @@ func (m *Metrics) histograms() []histogramRow {
 		{"hemeserved_checkpoint_write", &m.CheckpointWrite, "Checkpoint encode+fsync duration on the writer goroutine."},
 		{"hemeserved_render_latency", &m.RenderLatency, "Cache-miss frame latency, wait for frame buffers to PNG encoded."},
 		{"hemeserved_preprocess", &m.Preprocess, "Job pre-processing at dispatch: domain cache lookup or voxelise, then the solver: the whole-domain plan on a domain's first job, graph and partition for multi-rank jobs, populations at equilibrium."},
+		{"hemeserved_voxelise", &m.Voxelise, "Voxelisation of a geometry on a domain-cache miss (the build alone)."},
+		{"hemeserved_plan", &m.Plan, "Whole-domain stream table build on a plan miss (a domain's first job)."},
 	}
 }
 

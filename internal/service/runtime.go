@@ -136,7 +136,10 @@ func (m *Manager) run(j *Job) {
 	preStart := time.Now()
 	var hit bool
 	cfg.Domain, hit, err = m.domains.get(j.Spec.domainKey(), func() (*geometry.Domain, error) {
-		return geometry.Voxelise(cfg.Vessel, cfg.H, lattice.D3Q19())
+		start := time.Now()
+		d, err := geometry.Voxelise(cfg.Vessel, cfg.H, lattice.D3Q19())
+		m.metrics.Voxelise.Observe(time.Since(start).Nanoseconds())
+		return d, err
 	})
 	voxelise := time.Since(preStart)
 	var sim *core.Simulation
@@ -164,6 +167,7 @@ func (m *Manager) run(j *Job) {
 		m.metrics.SolverPlanHits.Add(1)
 	} else {
 		m.metrics.SolverPlanMiss.Add(1)
+		m.metrics.Plan.Observe(sim.PlanTime.Nanoseconds())
 	}
 	detail += fmt.Sprintf(" voxelise_ms=%.3f plan=%s plan_ms=%.3f participants=%d",
 		float64(voxelise.Nanoseconds())/1e6, plan, float64(sim.PlanTime.Nanoseconds())/1e6, sim.Participants)
