@@ -176,7 +176,11 @@ func TestVoxeliseMatchesOracle(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := matchesOracle(v, sz.h, oracleWorkers); err != nil {
+			refused, err := matchesOracle(v, sz.h, oracleWorkers)
+			if err == nil && refused != nil {
+				err = fmt.Errorf("both refused to build it: %v", refused)
+			}
+			if err != nil {
 				t.Fatalf("%s@%g h=%g: %v", name, sz.scale, sz.h, err)
 			}
 		}
@@ -191,49 +195,51 @@ var oracleWorkers = []int{1, 2, 3, 7}
 // the first way a result differs from voxeliseOracle's: the lattice,
 // the sites in order with their links, flags and normals, the dense
 // index, the block counts, the iolets and the distance table, bit for
-// bit. A vessel the oracle refuses must be refused with its error.
-func matchesOracle(v *Vessel, h float64, workers []int) error {
+// bit. A vessel the oracle refuses must be refused with its error, and
+// refused is then that error, so that a caller which expects a domain
+// can tell a shared refusal from a match.
+func matchesOracle(v *Vessel, h float64, workers []int) (refused, err error) {
 	want, wantDists, wantErr := voxeliseOracle(v, h, lattice.D3Q19())
 	for _, w := range workers {
 		got, err := voxelise(v, h, lattice.D3Q19(), w)
 		if wantErr != nil || err != nil {
 			if wantErr == nil || err == nil || err.Error() != wantErr.Error() {
-				return fmt.Errorf("%d workers: error %v, oracle %v", w, err, wantErr)
+				return nil, fmt.Errorf("%d workers: error %v, oracle %v", w, err, wantErr)
 			}
 			continue
 		}
 		if got.Dims != want.Dims || got.Origin != want.Origin || got.H != want.H || got.BlockDims != want.BlockDims {
-			return fmt.Errorf("%d workers: lattice %+v %+v %g %+v, oracle %+v %+v %g %+v", w,
+			return nil, fmt.Errorf("%d workers: lattice %+v %+v %g %+v, oracle %+v %+v %g %+v", w,
 				got.Dims, got.Origin, got.H, got.BlockDims, want.Dims, want.Origin, want.H, want.BlockDims)
 		}
 		if len(got.Sites) != len(want.Sites) {
-			return fmt.Errorf("%d workers: %d sites, oracle %d", w, len(got.Sites), len(want.Sites))
+			return nil, fmt.Errorf("%d workers: %d sites, oracle %d", w, len(got.Sites), len(want.Sites))
 		}
 		for i := range want.Sites {
 			g, o := &got.Sites[i], &want.Sites[i]
 			if g.Pos != o.Pos || g.Flags != o.Flags || g.WallNormal != o.WallNormal || !slices.Equal(g.Links, o.Links) {
-				return fmt.Errorf("%d workers: site %d is %+v, oracle %+v", w, i, *g, *o)
+				return nil, fmt.Errorf("%d workers: site %d is %+v, oracle %+v", w, i, *g, *o)
 			}
 		}
 		if !slices.Equal(got.index, want.index) {
-			return fmt.Errorf("%d workers: dense index differs from the oracle's", w)
+			return nil, fmt.Errorf("%d workers: dense index differs from the oracle's", w)
 		}
 		if !slices.Equal(got.BlockFluidCount, want.BlockFluidCount) {
-			return fmt.Errorf("%d workers: BlockFluidCount differs from the oracle's", w)
+			return nil, fmt.Errorf("%d workers: BlockFluidCount differs from the oracle's", w)
 		}
 		if !slices.Equal(got.Iolets, want.Iolets) {
-			return fmt.Errorf("%d workers: iolets differ from the oracle's", w)
+			return nil, fmt.Errorf("%d workers: iolets differ from the oracle's", w)
 		}
 		if err := sameDists(got.linkDists(w), wantDists, got.Model.Q); err != nil {
-			return fmt.Errorf("%d workers: %v", w, err)
+			return nil, fmt.Errorf("%d workers: %v", w, err)
 		}
 		if w == 1 {
 			if err := sameDists(got.LinkDists(), wantDists, got.Model.Q); err != nil {
-				return fmt.Errorf("LinkDists: %v", err)
+				return nil, fmt.Errorf("LinkDists: %v", err)
 			}
 		}
 	}
-	return nil
+	return wantErr, nil
 }
 
 // sameDists reports the first link whose distance differs in its bits
@@ -399,9 +405,10 @@ func BenchmarkVoxelise(b *testing.B) {
 				return d, err
 			}, func(d *Domain) int { return len(d.index) }},
 			{"new", func(v *Vessel) (*Domain, error) { return Voxelise(v, 1, lattice.D3Q19()) }, func(d *Domain) (n int) {
+				boxes := d.leafBoxes()
 				for z := 0; z < d.Dims.Z; z++ {
 					for y := 0; y < d.Dims.Y; y++ {
-						lo, hi := d.rowSpan(y, z)
+						lo, hi := rowSpan(boxes, y, z)
 						n += hi - lo
 					}
 				}

@@ -216,6 +216,7 @@ func voxelise(v *Vessel, h float64, model *lattice.Model, workers int) (*Domain,
 	// owns its planes of index and its blocks of BlockFluidCount, so
 	// the workers share nothing they write.
 	layers := make([][]int32, d.BlockDims.Z) // fluid lattice offsets, scan order
+	boxes := d.leafBoxes()
 	guard.ForChunks(len(layers), workers, func(l int) {
 		var fluid []int32
 		for z := l * BlockSize; z < min((l+1)*BlockSize, nz); z++ {
@@ -224,7 +225,7 @@ func voxelise(v *Vessel, h float64, model *lattice.Model, workers int) (*Domain,
 				for x := 0; x < nx; x++ {
 					d.index[row+x] = -1
 				}
-				lo, hi := d.rowSpan(y, z)
+				lo, hi := rowSpan(boxes, y, z)
 				for x := lo; x < hi; x++ {
 					if d.fluidAt(d.World(vec.I3{X: x, Y: y, Z: z})) {
 						fluid = append(fluid, int32(row+x))
@@ -295,54 +296,72 @@ func voxelise(v *Vessel, h float64, model *lattice.Model, workers int) (*Domain,
 	return d, nil
 }
 
-// rowSpan returns the x range [lo, hi) of lattice row (y, z) that pass 1
-// evaluates: the hull of the points whose world position passes the box
-// test of a sign-field leaf (signField.negative). A point outside every
-// leaf's box is solid whatever the SDF says there, so skipping it is
-// exact. Each leaf's range is first estimated by division, then moved
-// to where the comparisons negative makes on the world coordinate
-// (World, the same arithmetic pass 1 uses) actually change, so rounding
-// neither drops a point a box holds nor adds one it does not.
-func (d *Domain) rowSpan(y, z int) (lo, hi int) {
-	nx := d.Dims.X
-	w := d.World(vec.I3{Y: y, Z: z})
-	wx := func(x int) float64 { return d.World(vec.I3{X: x, Y: y, Z: z}).X }
-	// at estimates the first x whose world X is at or past e.
+// indexBox is a box of lattice points: those p with lo ≤ p < hi on
+// every axis.
+type indexBox struct{ lo, hi vec.I3 }
+
+// leafBoxes returns each sign-field leaf's box in lattice points: on
+// each axis the points whose World coordinate passes that axis's box
+// test of signField.negative (axisRange). World's coordinate on one
+// axis does not depend on the other two, so a point passes a leaf's
+// whole box test exactly when it lies in the leaf's indexBox.
+func (d *Domain) leafBoxes() []indexBox {
+	boxes := make([]indexBox, len(d.sign.leaves))
+	for i := range d.sign.leaves {
+		l, b := &d.sign.leaves[i], &boxes[i]
+		b.lo.X, b.hi.X = axisRange(d.Dims.X, d.Origin.X, d.H, l.min.X, l.max.X, func(k int) float64 { return d.World(vec.I3{X: k}).X })
+		b.lo.Y, b.hi.Y = axisRange(d.Dims.Y, d.Origin.Y, d.H, l.min.Y, l.max.Y, func(k int) float64 { return d.World(vec.I3{Y: k}).Y })
+		b.lo.Z, b.hi.Z = axisRange(d.Dims.Z, d.Origin.Z, d.H, l.min.Z, l.max.Z, func(k int) float64 { return d.World(vec.I3{Z: k}).Z })
+	}
+	return boxes
+}
+
+// axisRange returns the range [a, b) of the n points along an axis of
+// origin o and spacing h whose coordinate c(k) lies in [mn, mx]: a is
+// the first point with c(a) ≥ mn, b the first with c(b) > mx. Each end
+// is estimated by division, then moved to where c, World's own
+// arithmetic, actually crosses the comparison, so rounding neither
+// drops a point the box holds nor adds one it does not.
+func axisRange(n int, o, h, mn, mx float64, c func(k int) float64) (a, b int) {
 	at := func(e float64) int {
-		f := math.Ceil((e - d.Origin.X) / d.H)
+		f := math.Ceil((e - o) / h)
 		if !(f > 0) { // NaN included
 			return 0
 		}
-		return int(min(f, float64(nx)))
+		return int(min(f, float64(n)))
 	}
-	lo, hi = nx, 0
-	for i := range d.sign.leaves {
-		l := &d.sign.leaves[i]
-		if w.Y < l.min.Y || w.Y > l.max.Y || w.Z < l.min.Z || w.Z > l.max.Z {
+	a = at(mn)
+	for a > 0 && c(a-1) >= mn {
+		a--
+	}
+	for a < n && c(a) < mn {
+		a++
+	}
+	b = at(mx)
+	for b > 0 && c(b-1) > mx {
+		b--
+	}
+	for b < n && c(b) <= mx {
+		b++
+	}
+	return a, b
+}
+
+// rowSpan returns the x range [lo, hi) of lattice row (y, z) that pass
+// 1 evaluates: the hull of the x ranges of the leaf boxes (leafBoxes)
+// that hold the row. A point outside every leaf's box is solid whatever
+// the SDF says there, so skipping it is exact.
+func rowSpan(boxes []indexBox, y, z int) (lo, hi int) {
+	for i := range boxes {
+		b := &boxes[i]
+		if y < b.lo.Y || y >= b.hi.Y || z < b.lo.Z || z >= b.hi.Z || b.lo.X >= b.hi.X {
 			continue
 		}
-		// a: the first x with wx(x) >= min.X.
-		a := at(l.min.X)
-		for a > 0 && wx(a-1) >= l.min.X {
-			a--
+		if lo == hi { // the first box the row meets
+			lo, hi = b.lo.X, b.hi.X
+		} else {
+			lo, hi = min(lo, b.lo.X), max(hi, b.hi.X)
 		}
-		for a < nx && wx(a) < l.min.X {
-			a++
-		}
-		// b: the first x with wx(x) > max.X.
-		b := at(l.max.X)
-		for b > 0 && wx(b-1) > l.max.X {
-			b--
-		}
-		for b < nx && wx(b) <= l.max.X {
-			b++
-		}
-		if a < b {
-			lo, hi = min(lo, a), max(hi, b)
-		}
-	}
-	if lo >= hi {
-		return 0, 0
 	}
 	return lo, hi
 }
