@@ -254,7 +254,7 @@ func TestVoxeliseBifurcation(t *testing.T) {
 		t.Fatalf("Voxelise: %v", err)
 	}
 	var nIn, nOut int
-	outIDs := map[int16]bool{}
+	outIDs := map[int]bool{}
 	for _, s := range d.Sites {
 		if s.Flags&FlagInlet != 0 {
 			nIn++

@@ -4,10 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
-	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/lattice"
 	"repro/internal/vec"
@@ -415,49 +412,4 @@ func abs(x int) int {
 		return -x
 	}
 	return x
-}
-
-// TestVoxeliseIoletLimit: a link names its iolet in an int16, so
-// Voxelise refuses math.MaxInt16+1 iolets at once — no lattice
-// allocated, no point classified — and accepts math.MaxInt16, naming
-// the last one.
-func TestVoxeliseIoletLimit(t *testing.T) {
-	v := Pipe(400, 30) // a lattice of ≈ 1.6 M points, 6.5 MB of index
-	v.Iolets = make([]Iolet, math.MaxInt16+1)
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	start := time.Now()
-	_, err := Voxelise(v, 1, lattice.D3Q19())
-	took := time.Since(start)
-	runtime.ReadMemStats(&after)
-	if err == nil || !strings.Contains(err.Error(), "iolets") {
-		t.Fatalf("%d iolets: error %v, want a refusal", len(v.Iolets), err)
-	}
-	if grew := after.TotalAlloc - before.TotalAlloc; grew > 64<<10 {
-		t.Errorf("refusing %d iolets allocated %d bytes", len(v.Iolets), grew)
-	}
-	if took > 100*time.Millisecond {
-		t.Errorf("refusing %d iolets took %v", len(v.Iolets), took)
-	}
-
-	// The most a link can name: every iolet but the last lies far below
-	// a small sphere, and the last cuts it.
-	v = &Vessel{Name: "many", Shape: Sphere{Radius: 2}, Iolets: make([]Iolet, math.MaxInt16)}
-	for i := range v.Iolets {
-		v.Iolets[i] = Iolet{Center: vec.New(0, 0, -100), Normal: vec.New(0, 0, 1), Radius: 1}
-	}
-	v.Iolets[len(v.Iolets)-1] = Iolet{Center: vec.New(0, 0, 0.1), Normal: vec.New(0, 0, 1), Radius: 3}
-	d, err := Voxelise(v, 1, lattice.D3Q19())
-	if err != nil {
-		t.Fatal(err)
-	}
-	named := false
-	for _, s := range d.Sites {
-		for _, l := range s.Links {
-			named = named || (l.Type == LinkOutlet && l.Iolet == math.MaxInt16-1)
-		}
-	}
-	if !named {
-		t.Errorf("no link names iolet %d", math.MaxInt16-1)
-	}
 }

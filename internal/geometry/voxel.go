@@ -21,16 +21,14 @@ const (
 	LinkOutlet                 // link crosses an outlet disk
 )
 
-// Link describes one lattice direction leaving a fluid site, in 4
-// bytes. Where along a non-fluid link the wall or iolet disk is crossed
-// is not kept here but in the domain's distance table
-// (Domain.LinkDists).
+// Link describes one lattice direction leaving a fluid site. Where
+// along a non-fluid link the wall or iolet disk is crossed is not kept
+// here but in the domain's distance table (Domain.LinkDists).
 type Link struct {
 	Type LinkType
 	// Iolet is the index into the vessel's iolet list for
-	// LinkInlet/LinkOutlet links, -1 otherwise. Voxelise refuses a
-	// vessel with more than math.MaxInt16 iolets.
-	Iolet int16
+	// LinkInlet/LinkOutlet links, -1 otherwise.
+	Iolet int
 }
 
 // SiteFlags classifies a fluid site by the kinds of links it has.
@@ -181,9 +179,6 @@ func voxelise(v *Vessel, h float64, model *lattice.Model, workers int) (*Domain,
 	if h <= 0 {
 		return nil, fmt.Errorf("geometry: lattice spacing must be positive, got %g", h)
 	}
-	if len(v.Iolets) > math.MaxInt16 {
-		return nil, fmt.Errorf("geometry: vessel %q has %d iolets, a link names at most %d", v.Name, len(v.Iolets), math.MaxInt16)
-	}
 	b := v.Bounds()
 	size := b.Size()
 	nx := int(math.Ceil(size.X/h)) + 1
@@ -282,7 +277,7 @@ func voxelise(v *Vessel, h float64, model *lattice.Model, workers int) (*Domain,
 						link.Type = LinkOutlet
 						s.Flags |= FlagOutlet
 					}
-					link.Iolet = int16(idx)
+					link.Iolet = idx
 					continue
 				}
 				link.Type = LinkWall

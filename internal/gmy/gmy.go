@@ -286,7 +286,7 @@ func decodeSite(r *bytes.Reader, q int, dists []float64) (geometry.Site, error) 
 		if ib == 255 {
 			s.Links[i].Iolet = -1
 		} else {
-			s.Links[i].Iolet = int16(ib)
+			s.Links[i].Iolet = int(ib)
 		}
 	}
 	return s, nil

@@ -138,7 +138,7 @@ func loneDomain(t *testing.T, pos vec.I3, nIolets int) *geometry.Domain {
 		dists[q] = float64(q+1) / float64(m.Q)
 	}
 	if nIolets > 0 {
-		site.Links[0] = geometry.Link{Type: geometry.LinkInlet, Iolet: int16(nIolets - 1)}
+		site.Links[0] = geometry.Link{Type: geometry.LinkInlet, Iolet: nIolets - 1}
 		site.Flags |= geometry.FlagInlet
 	}
 	dims := vec.I3{X: pos.X + 1, Y: pos.Y + 1, Z: pos.Z + 1}

@@ -125,7 +125,7 @@ func buildWholePlan(dom *geometry.Domain, workers int) (*plan, error) {
 			case geometry.LinkWall:
 				row[q] = int32(base + m.Opp[q])
 			default: // inlet or outlet
-				if link.Iolet < 0 || int(link.Iolet) >= len(dom.Iolets) {
+				if link.Iolet < 0 || link.Iolet >= len(dom.Iolets) {
 					return fmt.Errorf("lb: inconsistent geometry: site %v names iolet %d of %d", site.Pos, link.Iolet, len(dom.Iolets))
 				}
 				row[q] = int32(encodeIolet - link.Iolet)

@@ -279,7 +279,7 @@ func serialWholePlan(dom *geometry.Domain) (*plan, error) {
 			case geometry.LinkWall:
 				row[q] = int32(base + m.Opp[q])
 			default: // inlet or outlet
-				if link.Iolet < 0 || int(link.Iolet) >= len(dom.Iolets) {
+				if link.Iolet < 0 || link.Iolet >= len(dom.Iolets) {
 					return nil, fmt.Errorf("lb: inconsistent geometry: site %v names iolet %d of %d", site.Pos, link.Iolet, len(dom.Iolets))
 				}
 				row[q] = int32(encodeIolet - link.Iolet)
