@@ -184,6 +184,92 @@ func TestSharedPlanIsReadOnly(t *testing.T) {
 	}
 }
 
+// TestWarmRunTakesSpare: a job started on a domain the size of the
+// last finished one steps in that job's released populations, so its
+// New + Run(1), snapshots off, allocates less than one population
+// array (n·Q·8 bytes) where a fresh f and fNew would be two.
+func TestWarmRunTakesSpare(t *testing.T) {
+	defer lb.DropSpare()
+	dom := voxelised(t, geometry.Pipe(40, 5))
+	population := uint64(dom.NumSites() * dom.Model.Q * 8)
+	run := func() uint64 {
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		s, err := New(Config{Domain: dom, Tau: 0.9})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Run(1); err != nil {
+			t.Fatal(err)
+		}
+		s.Close()
+		runtime.ReadMemStats(&m1)
+		return m1.TotalAlloc - m0.TotalAlloc
+	}
+	lb.DropSpare()
+	cold := run() // derives the plan, then releases the populations
+	warm := uint64(math.MaxUint64)
+	for try := 0; try < 3; try++ {
+		warm = min(warm, run())
+	}
+	t.Logf("%d sites: cold start %d B, warm %d B, one population array %d B", dom.NumSites(), cold, warm, population)
+	if warm >= population {
+		t.Errorf("a warm New + Run(1) allocates %d B, want less than one population array (%d B)", warm, population)
+	}
+}
+
+// TestConcurrentJobsShareSpare: jobs that start and finish beside each
+// other on one domain, at 1 and 2 ranks, hand the spare population
+// pair around, and every one ends on the fields a job on fresh memory
+// reaches. CI also runs it under -race at GOMAXPROCS=4, where a pair
+// one job still steps in while another writes it is a reported race.
+func TestConcurrentJobsShareSpare(t *testing.T) {
+	defer lb.DropSpare()
+	dom := voxelised(t, geometry.Pipe(16, 3))
+	const steps = 24
+	final := func(ranks int) (*Snapshot, error) {
+		var last *Snapshot
+		s, err := New(Config{Domain: dom, Tau: 0.9, Ranks: ranks, Seed: 1,
+			SnapshotEvery: steps, OnSnapshot: func(sn *Snapshot) { last = sn }})
+		if err != nil {
+			return nil, err
+		}
+		defer s.Close()
+		if err := s.Run(steps); err != nil {
+			return nil, err
+		}
+		return last, nil
+	}
+	lb.DropSpare()
+	want, err := final(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 3; w++ {
+		wg.Add(1)
+		go func(ranks int) {
+			defer wg.Done()
+			for i := 0; i < 4; i++ {
+				got, err := final(ranks)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for _, f := range [][2][]float64{{got.Field.Rho, want.Field.Rho}, {got.Field.Ux, want.Field.Ux}, {got.Field.Uy, want.Field.Uy}, {got.Field.Uz, want.Field.Uz}} {
+					for g := range f[1] {
+						if math.Float64bits(f[0][g]) != math.Float64bits(f[1][g]) {
+							t.Errorf("ranks=%d job %d: site %d differs from a job on fresh memory", ranks, i, g)
+							return
+						}
+					}
+				}
+			}
+		}(1 + w%2)
+	}
+	wg.Wait()
+}
+
 // BenchmarkWarmStart is what stands between a worker slot and a job's
 // first step once its geometry is voxelised — core.New + Run(1) — on
 // both bench/ domains at 1 and 2 ranks: cold on a Domain nothing has
@@ -209,6 +295,7 @@ func BenchmarkWarmStart(b *testing.B) {
 			for _, warm := range []bool{false, true} {
 				state := map[bool]string{false: "cold", true: "warm"}[warm]
 				b.Run(fmt.Sprintf("%s@%g/ranks=%d/%s", dc.preset, dc.scale, ranks, state), func(b *testing.B) {
+					b.ReportAllocs()
 					if warm { // make sure the domain keeps its plan
 						if _, err := lb.Prepare(dom); err != nil {
 							b.Fatal(err)

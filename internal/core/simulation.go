@@ -712,6 +712,10 @@ func (s *Simulation) Run(totalSteps int) error {
 		} else {
 			c.GatherInts(0, []int{d.NumOwned()})
 		}
+		// Nothing reads this rank's populations again: the next job's
+		// solver of the same size starts in them. Not deferred, so a
+		// rank that panicked gives nothing back.
+		d.Release()
 	})
 	s.Elapsed = time.Since(start)
 	s.HaloBytes = s.RT.Traffic().Bytes()

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"sync/atomic"
 	"time"
 
@@ -32,10 +31,11 @@ type Snapshot struct {
 	// site id (WSS is zero away from walls), so wall-mode renders work
 	// on the offload path too.
 	Field *field.Field
-	// Diverged reports that the gathered fields contain a non-finite
-	// value — the simulation has blown up. Detection rides the gather
-	// (an O(N) scan on an already-O(N) infrequent path) so a diverged
-	// job is flagged loudly instead of rendering NaN-grey frames.
+	// Diverged reports that the gathered density or velocity contains
+	// a non-finite value — the simulation has blown up. The test rides
+	// the gather's own writes (Dist.GatherFieldsChecked), so a diverged
+	// job is flagged loudly instead of rendering NaN-grey frames at no
+	// extra pass over the fields.
 	Diverged bool
 
 	// frames are the frames in flight of the simulation that published
@@ -126,7 +126,7 @@ func (s *Simulation) publishSnapshot(c *par.Comm, d *lb.Dist) {
 	if master && s.Cfg.Phases != nil {
 		t0 = time.Now()
 	}
-	rho, ux, uy, uz, wss := d.GatherFields(0)
+	rho, ux, uy, uz, wss, diverged := d.GatherFieldsChecked(0)
 	if !master {
 		return
 	}
@@ -137,21 +137,9 @@ func (s *Simulation) publishSnapshot(c *par.Comm, d *lb.Dist) {
 		Step:     d.StepCount(),
 		Seq:      snapshotSeq.Add(1),
 		Field:    &field.Field{Dom: s.Dom, Rho: rho, Ux: ux, Uy: uy, Uz: uz, WSS: wss},
-		Diverged: anyNonFinite(rho) || anyNonFinite(ux) || anyNonFinite(uy) || anyNonFinite(uz),
+		Diverged: diverged,
 		frames:   &s.frames,
 	})
-}
-
-// anyNonFinite reports whether xs contains a NaN or Inf. Written
-// against v != v (NaN) and the float64 overflow bound rather than
-// math.IsNaN per element to keep the scan branch-cheap.
-func anyNonFinite(xs []float64) bool {
-	for _, v := range xs {
-		if v != v || v > math.MaxFloat64 || v < -math.MaxFloat64 {
-			return true
-		}
-	}
-	return false
 }
 
 // checkpointDurable gathers the solver state (collective — every rank

@@ -329,38 +329,50 @@ func (st *CheckpointState) EncodeTo(w io.Writer) error {
 // it at the same step; non-root ranks pass nil and receive nil. This
 // is the in-loop half of an async checkpoint — a memory-only gather
 // with no encoding, CRC or I/O — and with a recycled st it allocates
-// nothing. States filled here are private to the caller; they do not
+// nothing. The root copies its own rows straight into st.F, one copy
+// per run of consecutive global ids (a single one when it owns every
+// site); other ranks pack theirs and send, and the root scatters only
+// those. States filled here are private to the caller; they do not
 // carry the read-only sharing convention DecodeCheckpoint states do.
 func (d *Dist) GatherState(st *CheckpointState) *CheckpointState {
 	q := d.M.Q
-	if d.Comm.Size() == 1 {
-		// A single rank owns every site in ascending global order, so
-		// its population vector already is the global-site-major body:
-		// one straight copy, no packing or transport.
-		st = d.prepState(st)
-		copy(st.F, d.f)
-		return st
-	}
-	buf := d.pack(len(d.Owned) * (q + 1))
-	for li, g := range d.Owned {
-		at := li * (q + 1)
-		buf[at] = float64(g)
-		copy(buf[at+1:at+1+q], d.f[li*q:(li+1)*q])
-	}
 	root := 0
 	if d.Comm.Rank() != root {
+		buf := d.pack(len(d.Owned) * (q + 1))
+		for li, g := range d.Owned {
+			at := li * (q + 1)
+			buf[at] = float64(g)
+			copy(buf[at+1:at+1+q], d.f[li*q:(li+1)*q])
+		}
 		d.Comm.GatherConsume(root, buf, nil)
 		return nil
 	}
 	st = d.prepState(st)
-	f := st.F
-	d.Comm.GatherConsume(root, buf, func(_ int, p []float64) {
-		for i := 0; i+q < len(p); i += q + 1 {
-			g := int(p[i])
-			copy(f[g*q:(g+1)*q], p[i+1:i+1+q])
+	own := d.Owned
+	for lo := 0; lo < len(own); {
+		hi := lo + 1
+		for hi < len(own) && own[hi] == own[hi-1]+1 {
+			hi++
 		}
-	})
+		copy(st.F[own[lo]*q:(own[hi-1]+1)*q], d.f[lo*q:hi*q])
+		lo = hi
+	}
+	d.stateOut = st.F
+	// The root's own rows are already in place: it contributes nothing.
+	d.Comm.GatherConsume(root, nil, d.consumeStateFn)
+	d.stateOut = nil
 	return st
+}
+
+// consumeState scatters one remote rank's packed rows into the state
+// the root is gathering.
+func (d *Dist) consumeState(_ int, p []float64) {
+	q := d.M.Q
+	f := d.stateOut
+	for i := 0; i+q < len(p); i += q + 1 {
+		g := int(p[i])
+		copy(f[g*q:(g+1)*q], p[i+1:i+1+q])
+	}
 }
 
 // prepState sizes st (allocating as needed) and fills header and iolet

@@ -2,6 +2,7 @@ package lb
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"repro/internal/geometry"
 	"repro/internal/par"
@@ -29,12 +30,23 @@ type Dist struct {
 	// it: read-only.
 	Owned []int
 
-	// packBuf is the reusable payload for field and state gathers, so
-	// steady-state snapshots and checkpoints allocate no transport.
+	// packBuf is the reusable payload a non-root rank sends in field
+	// and state gathers, so steady-state snapshots and checkpoints
+	// allocate no transport. The root writes its own sites in place and
+	// never grows one.
 	packBuf []float64
-	// gatherFn is the kept method value GatherFields runs its site
-	// parcels through, so a threaded gather allocates no closure.
-	gatherFn func(slot, i int)
+	// fieldsOut and stateOut are where the root's gather writes while
+	// it runs: the five global field arrays, or a state's population
+	// body. They are cleared when the gather returns, so a Dist keeps no
+	// snapshot or checkpoint alive. nonFinite is set when a ρ or u value
+	// written to fieldsOut is NaN or ±Inf.
+	fieldsOut fieldArrays
+	stateOut  []float64
+	nonFinite atomic.Bool
+	// gatherFn and consumeStateFn are kept method values, so a
+	// threaded field gather and a state gather allocate no closure.
+	gatherFn       func(slot, i int)
+	consumeStateFn func(src int, part []float64)
 }
 
 // NewDist builds the distributed solver. All ranks must pass identical
@@ -57,6 +69,7 @@ func NewDist(comm *par.Comm, dom *geometry.Domain, part *partition.Partition, p 
 	}
 	d := &Dist{kernel: newKernel(dom, p, pl), Comm: comm, Dom: dom, Owned: pl.owned}
 	d.gatherFn = d.gatherParcel
+	d.consumeStateFn = d.consumeState
 	return d, nil
 }
 
@@ -121,10 +134,10 @@ func (d *Dist) TotalMass() float64 {
 }
 
 // pack returns the reusable gather payload buffer, grown to length n.
-// One buffer serves every collective a rank initiates (field gathers,
-// checkpoint gathers); they are serialised by the SPMD structure, and
-// GatherConsume's pooled transport means it may be refilled the moment
-// the collective returns.
+// One buffer serves every collective a non-root rank initiates (field
+// gathers, checkpoint gathers); they are serialised by the SPMD
+// structure, and GatherConsume's pooled transport means it may be
+// refilled the moment the collective returns.
 func (d *Dist) pack(n int) []float64 {
 	if cap(d.packBuf) < n {
 		d.packBuf = make([]float64, n)
@@ -136,57 +149,109 @@ func (d *Dist) pack(n int) []float64 {
 // global site id, then rho, ux, uy, uz and wss.
 const fieldStride = 6
 
-// GatherFields collects the full global (rho, ux, uy, uz, wss) fields
-// at root rank, indexed by global site id; non-root ranks receive
-// nils. The §V octree and every snapshot render are built from this;
-// wall shear stress rides along so wall-mode views work on the
-// offload path too (zero for non-wall sites). The pack buffer is
-// filled over the kernel's site parcels on its participants, each
-// site exactly as a serial loop would. The result arrays are freshly
-// allocated — published snapshots must be immutable — but the
-// transport reuses the rank-local pack buffer and the runtime pool.
+// fieldArrays is the five global fields of a gather, indexed by site id.
+type fieldArrays struct {
+	rho, ux, uy, uz, wss []float64
+}
+
+// GatherFields is GatherFieldsChecked without the divergence flag.
 func (d *Dist) GatherFields(root int) (rho, ux, uy, uz, wss []float64) {
-	buf := d.pack(fieldStride * d.n)
-	if d.workers > 1 {
-		d.parcels.Run((d.n+parcelSites-1)/parcelSites, d.workers, d.gatherFn)
-	} else {
-		d.packFields(0, d.n)
-	}
-	if d.Comm.Rank() != root {
-		d.Comm.GatherConsume(root, buf, nil)
-		return nil, nil, nil, nil, nil
-	}
-	N := d.Dom.NumSites()
-	rho = make([]float64, N)
-	ux = make([]float64, N)
-	uy = make([]float64, N)
-	uz = make([]float64, N)
-	wss = make([]float64, N)
-	d.Comm.GatherConsume(root, buf, func(_ int, p []float64) {
-		for i := 0; i+fieldStride-1 < len(p); i += fieldStride {
-			g := int(p[i])
-			rho[g], ux[g], uy[g], uz[g], wss[g] = p[i+1], p[i+2], p[i+3], p[i+4], p[i+5]
-		}
-	})
+	rho, ux, uy, uz, wss, _ = d.GatherFieldsChecked(root)
 	return rho, ux, uy, uz, wss
 }
 
-// gatherParcel packs the fields of site parcel i of a threaded gather.
-func (d *Dist) gatherParcel(_, i int) {
-	lo := i * parcelSites
-	d.packFields(lo, min(lo+parcelSites, d.n))
+// GatherFieldsChecked collects the full global (rho, ux, uy, uz, wss)
+// fields at root rank, indexed by global site id; non-root ranks
+// receive nils. The §V octree and every snapshot render are built from
+// this; wall shear stress rides along so wall-mode views work on the
+// offload path too (zero for non-wall sites). nonFinite reports that a
+// rho or velocity value is NaN or ±Inf: the test rides the writes, so
+// a blown-up simulation is flagged without a second pass.
+//
+// The site moments are computed over the kernel's site parcels on its
+// participants, each site exactly as a serial loop would. The root's
+// parcels write its own sites straight into the result arrays; other
+// ranks fill their pack buffer and send it, and the root scatters only
+// those remote parts. The result arrays are freshly allocated —
+// published snapshots must be immutable — but the transport reuses the
+// senders' pack buffers and the runtime pool.
+func (d *Dist) GatherFieldsChecked(root int) (rho, ux, uy, uz, wss []float64, nonFinite bool) {
+	if d.Comm.Rank() != root {
+		buf := d.pack(fieldStride * d.n)
+		d.fieldParcels()
+		d.Comm.GatherConsume(root, buf, nil)
+		return nil, nil, nil, nil, nil, false
+	}
+	N := d.Dom.NumSites()
+	out := fieldArrays{make([]float64, N), make([]float64, N), make([]float64, N), make([]float64, N), make([]float64, N)}
+	d.fieldsOut = out
+	d.nonFinite.Store(false)
+	d.fieldParcels()
+	// The root's own part is already in place: it contributes nothing.
+	d.Comm.GatherConsume(root, nil, d.consumeFields)
+	d.fieldsOut = fieldArrays{}
+	return out.rho, out.ux, out.uy, out.uz, out.wss, d.nonFinite.Load()
 }
 
-// packFields writes local sites [lo, hi) into the pack buffer, one
-// moment pass per site: the WSS kernel reuses the moments density and
-// velocity came from.
-func (d *Dist) packFields(lo, hi int) {
+// fieldParcels runs the field pass over every local site, threaded
+// when the kernel has more than one participant.
+func (d *Dist) fieldParcels() {
+	if d.workers > 1 {
+		d.parcels.Run((d.n+parcelSites-1)/parcelSites, d.workers, d.gatherFn)
+	} else {
+		d.fieldSites(0, d.n)
+	}
+}
+
+// gatherParcel runs the field pass over site parcel i of a threaded
+// gather.
+func (d *Dist) gatherParcel(_, i int) {
+	lo := i * parcelSites
+	d.fieldSites(lo, min(lo+parcelSites, d.n))
+}
+
+// fieldSites computes the fields of local sites [lo, hi), one moment
+// pass per site (the WSS kernel reuses the moments density and
+// velocity came from), and writes them in place on the root or into
+// the pack buffer elsewhere.
+func (d *Dist) fieldSites(lo, hi int) {
+	if o := &d.fieldsOut; o.rho != nil {
+		// v-v is 0 for a finite v and NaN otherwise, so one sum over
+		// the written values tests them all without a branch per value.
+		bad := 0.0
+		for li := lo; li < hi; li++ {
+			g := d.Owned[li]
+			r, x, y, z, w := d.fields(li, &d.Dom.Sites[g])
+			o.rho[g], o.ux[g], o.uy[g], o.uz[g], o.wss[g] = r, x, y, z, w
+			bad += (r - r) + (x - x) + (y - y) + (z - z)
+		}
+		if bad != 0 {
+			d.nonFinite.Store(true)
+		}
+		return
+	}
 	buf := d.packBuf
 	for li := lo; li < hi; li++ {
 		g := d.Owned[li]
 		at := fieldStride * li
 		buf[at] = float64(g)
 		buf[at+1], buf[at+2], buf[at+3], buf[at+4], buf[at+5] = d.fields(li, &d.Dom.Sites[g])
+	}
+}
+
+// consumeFields scatters one remote rank's packed fields into the
+// root's result arrays, testing the ρ and u values as fieldSites does.
+func (d *Dist) consumeFields(_ int, p []float64) {
+	o := &d.fieldsOut
+	bad := 0.0
+	for i := 0; i+fieldStride-1 < len(p); i += fieldStride {
+		g := int(p[i])
+		r, x, y, z := p[i+1], p[i+2], p[i+3], p[i+4]
+		o.rho[g], o.ux[g], o.uy[g], o.uz[g], o.wss[g] = r, x, y, z, p[i+5]
+		bad += (r - r) + (x - x) + (y - y) + (z - z)
+	}
+	if bad != 0 {
+		d.nonFinite.Store(true)
 	}
 }
 

@@ -2,6 +2,7 @@ package lb
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/geometry"
@@ -268,9 +269,11 @@ func serialGatherFields(d *Dist, root int) (rho, ux, uy, uz, wss []float64) {
 	return rho, ux, uy, uz, wss
 }
 
-// TestGatherFieldsMatchesSerial: GatherFields, whose pack buffer is
-// filled over the kernel's site parcels, equals the serial oracle bit
-// for bit at 1–4 participants, on 1 and on 2 ranks.
+// TestGatherFieldsMatchesSerial: GatherFields, whose root writes its
+// own sites in place and whose other ranks fill their pack buffers,
+// both over the kernel's site parcels, equals the serial oracle bit for
+// bit at 1–4 participants, on 1 and on 2 ranks, after a state gather
+// has grown the pack buffers.
 func TestGatherFieldsMatchesSerial(t *testing.T) {
 	dom := pipeDomain(t, 40, 4, 1.0)
 	if parcels := dom.NumSites() / parcelSites; parcels < 8 {
@@ -291,6 +294,9 @@ func TestGatherFieldsMatchesSerial(t *testing.T) {
 					panic(err)
 				}
 				d.Advance(21)
+				// A state gather first leaves a sender's pack buffer
+				// longer than the field payload it must send.
+				d.GatherState(nil)
 				g0, g1, g2, g3, g4 := d.GatherFields(0)
 				w0, w1, w2, w3, w4 := serialGatherFields(d, 0)
 				if c.Rank() == 0 {
@@ -305,6 +311,50 @@ func TestGatherFieldsMatchesSerial(t *testing.T) {
 					if math.Float64bits(got[f][g]) != math.Float64bits(want[f][g]) {
 						t.Errorf("ranks=%d workers=%d: %s[%d] = %v, oracle %v", ranks, workers, name, g, got[f][g], want[f][g])
 						break
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestGatherFieldsFlagsNonFinite: one NaN or +Inf population, on the
+// root (written in place) or on the other rank (scattered from its
+// pack), in the first or the second parcel, makes GatherFieldsChecked
+// report a non-finite field at 1 and 2 ranks × 1 and 2 participants; a
+// healthy state reports none.
+func TestGatherFieldsFlagsNonFinite(t *testing.T) {
+	dom := pipeDomain(t, 40, 4, 1.0)
+	for _, ranks := range []int{1, 2} {
+		part := pipePartition(t, dom, ranks, partition.MethodMultilevel)
+		for workers := 1; workers <= 2; workers++ {
+			for _, bad := range []float64{0, math.NaN(), math.Inf(1)} {
+				for at := 0; at < ranks; at++ {
+					var flagged, seen bool
+					rt := par.NewRuntime(ranks)
+					rt.Run(func(c *par.Comm) {
+						d, err := NewDist(c, dom, part, Params{Tau: 0.9})
+						if err != nil {
+							panic(err)
+						}
+						d.setWorkers(workers)
+						d.Advance(3)
+						// A site in the last parcel: with 2 participants,
+						// not the parcel the pass claims first.
+						li := d.n - 1
+						if bad != 0 && c.Rank() == at {
+							d.f[li*d.M.Q+1] = bad
+						}
+						rho, _, _, _, _, nonFinite := d.GatherFieldsChecked(0)
+						if c.Rank() == 0 {
+							flagged = nonFinite
+							seen = slices.ContainsFunc(rho, func(v float64) bool { return math.IsNaN(v) || math.IsInf(v, 0) })
+						}
+					})
+					want := bad != 0
+					if flagged != want || seen != want {
+						t.Errorf("ranks=%d workers=%d population %v on rank %d: flagged %v, non-finite rho %v, want %v",
+							ranks, workers, bad, at, flagged, seen, want)
 					}
 				}
 			}

@@ -50,37 +50,7 @@ func TestGoldenStateHash(t *testing.T) {
 		// changes the low bits.
 		t.Skipf("golden hashes are amd64 values; %s may fuse multiply-add", runtime.GOARCH)
 	}
-	voxelise := func(v *geometry.Vessel, m *lattice.Model) *geometry.Domain {
-		dom, err := geometry.Voxelise(v, 1.0, m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return dom
-	}
-	must := func(err error) {
-		if err != nil {
-			panic(err)
-		}
-	}
-	advance40 := func(s goldenStepper) { s.Advance(40) }
-	cases := []struct {
-		name  string
-		dom   *geometry.Domain
-		kind  Collision
-		drive func(goldenStepper)
-		want  uint64
-	}{
-		{"pipe-bgk", voxelise(geometry.Pipe(16, 3), lattice.D3Q19()), BGK, advance40, goldenPipeBGK},
-		{"pipe-trt", voxelise(geometry.Pipe(16, 3), lattice.D3Q19()), TRT, advance40, goldenPipeTRT},
-		{"aneurysm-pulsed-steered", voxelise(geometry.Aneurysm(16, 3, 5), lattice.D3Q19()), BGK, func(s goldenStepper) {
-			must(s.SetPulse(0, &Pulse{Amp: 0.01, Period: 20}))
-			s.Advance(25)
-			must(s.SetIoletDensity(1, 0.99))
-			s.Advance(25)
-		}, goldenAneurysm},
-		{"pipe-d3q15", voxelise(geometry.Pipe(16, 3), lattice.D3Q15()), BGK, advance40, goldenPipeD3Q15},
-	}
-	for _, tc := range cases {
+	for _, tc := range goldenCases(t) {
 		t.Run(tc.name, func(t *testing.T) {
 			var serialCkpt bytes.Buffer
 			for _, threads := range []int{1, 3} {
@@ -124,6 +94,46 @@ func TestGoldenStateHash(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// must panics on err: golden drives run inside rank goroutines.
+func must(err error) {
+	if err != nil {
+		panic(err)
+	}
+}
+
+// goldenCase is one configuration TestGoldenStateHash pins: a domain,
+// a collision kind, a drive script and the state hash it must end at.
+type goldenCase struct {
+	name  string
+	dom   *geometry.Domain
+	kind  Collision
+	drive func(goldenStepper)
+	want  uint64
+}
+
+// goldenCases builds the golden configurations.
+func goldenCases(t testing.TB) []goldenCase {
+	voxelise := func(v *geometry.Vessel, m *lattice.Model) *geometry.Domain {
+		dom, err := geometry.Voxelise(v, 1.0, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return dom
+	}
+	advance40 := func(s goldenStepper) { s.Advance(40) }
+	return []goldenCase{
+		{"pipe-bgk", voxelise(geometry.Pipe(16, 3), lattice.D3Q19()), BGK, advance40, goldenPipeBGK},
+		{"pipe-trt", voxelise(geometry.Pipe(16, 3), lattice.D3Q19()), TRT, advance40, goldenPipeTRT},
+		{"aneurysm-pulsed-steered", voxelise(geometry.Aneurysm(16, 3, 5), lattice.D3Q19()), BGK, func(s goldenStepper) {
+			must(s.SetPulse(0, &Pulse{Amp: 0.01, Period: 20}))
+			s.Advance(25)
+			must(s.SetIoletDensity(1, 0.99))
+			s.Advance(25)
+		}, goldenAneurysm},
+		{"pipe-d3q15", voxelise(geometry.Pipe(16, 3), lattice.D3Q15()), BGK, advance40, goldenPipeD3Q15},
 	}
 }
 

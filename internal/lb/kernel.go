@@ -102,17 +102,22 @@ type kernel struct {
 }
 
 // newKernel allocates the state that steps pl on dom, at the initial
-// equilibrium. p must already be validated.
+// equilibrium; its populations are the process's spare pair when that
+// has exactly their size (spare.go). p must already be validated.
 func newKernel(dom *geometry.Domain, p Params, pl *plan) *kernel {
 	m := dom.Model
+	f, fNew := takeSpare(pl.n * m.Q)
+	if f == nil {
+		f, fNew = make([]float64, pl.n*m.Q), make([]float64, pl.n*m.Q)
+	}
 	k := &kernel{
 		plan:     pl,
 		M:        m,
 		Tau:      p.Tau,
 		Kind:     p.Kind,
 		d3q19:    isD3Q19(m),
-		f:        make([]float64, pl.n*m.Q),
-		fNew:     make([]float64, pl.n*m.Q),
+		f:        f,
+		fNew:     fNew,
 		sendBuf:  make([]float64, pl.sendOff[len(pl.sendOff)-1]),
 		ioletRho: make([]float64, len(dom.Iolets)),
 		pulses:   make([]*Pulse, len(dom.Iolets)),

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/lb"
 	"repro/internal/obs"
 	"repro/internal/steering"
 )
@@ -32,8 +33,10 @@ func (m *Manager) SubmitAs(tenant string, spec JobSpec) (*Job, error) {
 	spec = spec.withDefaults()
 	if m.memWM.Exceeded() {
 		// Shedding load and keeping geometries nobody runs resident
-		// would work against each other.
+		// (or the last finished job's populations) would work against
+		// each other.
 		m.domains.purge()
+		lb.DropSpare()
 		m.metrics.SubmitsShed.Add(1)
 		m.metrics.JobsRejected.Add(1)
 		return nil, ErrOverloaded
