@@ -34,25 +34,27 @@ func main() {
 	}
 	fmt.Printf("octree over %d fluid sites: %d levels\n", dom.NumSites(), tree.Depth())
 	for l := 0; l < tree.Depth(); l++ {
-		fmt.Printf("  level %d: %6d cells (resolution 1/%g)\n",
-			l, tree.NodeCount(l), octree.LevelResolution(l))
+		fmt.Printf("  level %d: %6d cells (resolution 1/%d)\n", l, tree.NodeCount(l), 1<<l)
 	}
 
-	full := octree.DataVolume(tree.Level(0))
-	fmt.Printf("\nfull-resolution extraction: %d bytes\n", full)
+	// Every view below is a /data reply: asked for with the client's
+	// (min, max, detail, context), received as bytes, decoded.
+	dims := dom.Dims.F()
+	full := tree.Answer(dims, vec.V3{}, vec.V3{}, 0, 0).Size()
+	fmt.Printf("\nfull-resolution reply: %d bytes\n", full)
 
 	// Step 1: the context view — everything at a coarse level.
-	ctxLevel := 3
-	if ctxLevel >= tree.Depth() {
-		ctxLevel = tree.Depth() - 1
+	ctxLevel := min(3, tree.Depth()-1)
+	msg := tree.Answer(dims, vec.V3{}, vec.V3{}, ctxLevel, ctxLevel).Bytes()
+	ctx, err := octree.DecodeNodes(msg)
+	if err != nil {
+		log.Fatal(err)
 	}
-	ctx := tree.Level(ctxLevel)
 	fmt.Printf("context view (level %d): %d cells, %d bytes (%.1f%% of full)\n",
-		ctxLevel, len(ctx), octree.DataVolume(ctx),
-		100*float64(octree.DataVolume(ctx))/float64(full))
+		ctxLevel, len(ctx), len(msg), 100*float64(len(msg))/float64(full))
 
 	// Step 2: the user outlines the sac as the region of interest.
-	// Find it as the region of maximal mean WSS at the context level.
+	// Find it as the region of maximal WSS at the context level.
 	var hot *octree.Node
 	for _, n := range ctx {
 		if hot == nil || n.MaxWSS > hot.MaxWSS {
@@ -63,22 +65,19 @@ func main() {
 	fmt.Printf("\nROI chosen around the peak-WSS context cell at %v\n", hot.Origin())
 
 	// Step 3: context + detail query.
-	nodes, err := tree.Query(octree.ROI{Box: roiBox, DetailLevel: 0, ContextLevel: ctxLevel})
+	msg = tree.Answer(dims, roiBox.Min, roiBox.Max, 0, ctxLevel).Bytes()
+	nodes, err := octree.DecodeNodes(msg)
 	if err != nil {
 		log.Fatal(err)
 	}
-	vol := octree.DataVolume(nodes)
 	fmt.Printf("context+detail query: %d cells, %d bytes (%.1f%% of full)\n",
-		len(nodes), vol, 100*float64(vol)/float64(full))
-	if octree.CoverCount(nodes) != dom.NumSites() {
-		log.Fatalf("query cover mismatch: %d vs %d sites", octree.CoverCount(nodes), dom.NumSites())
+		len(nodes), len(msg), 100*float64(len(msg))/float64(full))
+	covered := 0
+	for _, n := range nodes {
+		covered += n.Count
 	}
-
-	// Step 4: sample the reduced representation where the detail is.
-	probe := hot.Origin().Add(vec.NewI(hot.Size()/2, hot.Size()/2, hot.Size()/2))
-	if u, ok := tree.SampleVelocity(probe, 0); ok {
-		fmt.Printf("\nvelocity sampled from the hierarchy at %v: (%.4f, %.4f, %.4f)\n",
-			probe, u.X, u.Y, u.Z)
+	if covered != dom.NumSites() {
+		log.Fatalf("query cover mismatch: %d vs %d sites", covered, dom.NumSites())
 	}
 	fmt.Println("\nthe reduced stream is what an exascale run would ship to the")
 	fmt.Println("steering client instead of the raw fields (paper, §V).")

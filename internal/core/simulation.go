@@ -25,7 +25,6 @@ import (
 	"repro/internal/render"
 	"repro/internal/stats"
 	"repro/internal/steering"
-	"repro/internal/vec"
 	"repro/internal/viz"
 )
 
@@ -125,15 +124,11 @@ type Config struct {
 	// decodes (and thereby CRC-checks) once, every rank shares it.
 	Restore *lb.CheckpointState
 	// Phases, when set, receives sampled phase timings on rank 0: step
-	// duration every PhaseSampleEvery steps, plus every command-word
+	// duration every phaseSampleEvery steps, plus every command-word
 	// broadcast wait, snapshot field gather and checkpoint state
 	// gather. The observer runs on the stepping goroutine and must be
 	// allocation-free (obs histograms and the flight recorder are).
 	Phases obs.PhaseObserver
-	// PhaseSampleEvery is the step-duration sampling cadence in steps
-	// (default 16). Collectives, gathers and checkpoint stalls are
-	// infrequent already and are always timed.
-	PhaseSampleEvery int
 	// PulseAmp/PulsePeriod add a sinusoidal modulation to the first
 	// inlet (cardiac waveform; 0 amplitude = steady).
 	PulseAmp    float64
@@ -163,6 +158,11 @@ type IoletOverride struct {
 	Density float64
 }
 
+// phaseSampleEvery is the step-duration sampling cadence in steps.
+// Collectives, gathers and checkpoint stalls are infrequent already and
+// are always timed.
+const phaseSampleEvery = 16
+
 func (c Config) withDefaults() Config {
 	if c.Ranks == 0 {
 		c.Ranks = 1
@@ -175,9 +175,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.VizRequest.W == 0 {
 		c.VizRequest = insitu.DefaultRequest()
-	}
-	if c.PhaseSampleEvery <= 0 {
-		c.PhaseSampleEvery = 16
 	}
 	return c
 }
@@ -436,7 +433,7 @@ func (s *Simulation) Run(totalSteps int) error {
 		}
 		var stepTimer stats.Timer
 		// Phase observation (rank 0 only): step timing is sampled every
-		// PhaseSampleEvery steps so instrumentation stays off the
+		// phaseSampleEvery steps so instrumentation stays off the
 		// steady-state hot path; the infrequent collectives are always
 		// timed. phaseStart is reused across phases — it is plain local
 		// state, no allocation.
@@ -468,7 +465,7 @@ func (s *Simulation) Run(totalSteps int) error {
 						observe.ObservePhase(obs.PhaseYield, d.StepCount(), wait.Nanoseconds())
 					}
 				}
-				sampled := observe != nil && step%cfg.PhaseSampleEvery == 0
+				sampled := observe != nil && step%phaseSampleEvery == 0
 				if sampled {
 					phaseStart = time.Now()
 				}
@@ -751,12 +748,7 @@ func reqFromCmd(req insitu.Request, cmd []float64) insitu.Request {
 func (s *Simulation) renderDistributed(c *par.Comm, d *lb.Dist, req insitu.Request, part *partition.Partition) *render.Image {
 	f := s.localField(c, d, part)
 	dims := s.Dom.Dims
-	center := vec.New(float64(dims.X)/2, float64(dims.Y)/2, float64(dims.Z)/2)
-	radius := float64(dims.Z) * req.DistFactor
-	if radius == 0 {
-		radius = 40
-	}
-	cam := vec.Orbit(center, radius, req.Azimuth, req.Elevation, 40, float64(req.W)/float64(req.H))
+	cam := insitu.CameraFor(dims, req)
 	// Auto-range the transfer function collectively.
 	localMax := f.MaxScalar(req.Scalar)
 	globalMax := c.AllreduceScalar(par.OpMax, localMax)

@@ -68,35 +68,10 @@ func (sn *Snapshot) Octree() (*octree.Tree, error) {
 	return octree.Build(f.Dom, octree.Fields{Rho: f.Rho, Ux: f.Ux, Uy: f.Uy, Uz: f.Uz, WSS: f.WSS})
 }
 
-// ReducedReply sizes the context+detail cover of an ROI from a built
-// octree — the §V query path behind the snapshot-served HTTP data
-// plane, which streams the reply straight into its response. A
-// zero-size box means the whole domain; detail/context levels are
-// clamped to the tree.
-func ReducedReply(tree *octree.Tree, dims vec.V3, roiMin, roiMax vec.V3, detail, ctx int) (octree.Reply, error) {
-	if ctx >= tree.Depth() {
-		ctx = tree.Depth() - 1
-	}
-	if detail < 0 {
-		detail = 0
-	}
-	if detail > ctx {
-		detail = ctx
-	}
-	box := vec.NewBox(roiMin, roiMax)
-	if box.Size().Len2() == 0 {
-		box = vec.NewBox(vec.New(0, 0, 0), dims)
-	}
-	return tree.Encode(octree.ROI{Box: box, DetailLevel: detail, ContextLevel: ctx})
-}
-
-// QueryReduced is ReducedReply as one message.
+// QueryReduced is a tree's answer to an ROI request
+// (octree.Tree.Answer) as one message.
 func QueryReduced(tree *octree.Tree, dims vec.V3, roiMin, roiMax vec.V3, detail, ctx int) ([]byte, error) {
-	reply, err := ReducedReply(tree, dims, roiMin, roiMax, detail, ctx)
-	if err != nil {
-		return nil, err
-	}
-	return reply.Bytes(), nil
+	return tree.Answer(dims, roiMin, roiMax, detail, ctx).Bytes(), nil
 }
 
 // CheckpointSink receives gathered solver state for durable

@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"strings"
 	"time"
 
@@ -213,8 +214,8 @@ func FormatRepartition(rows []RepartitionRow) string {
 	return b.String()
 }
 
-// MultiresRow records E10: data volume and query latency at each
-// level-of-detail / ROI configuration.
+// MultiresRow records E10: the /data reply's nodes and wire bytes at
+// each level-of-detail / ROI configuration, and the time to produce it.
 type MultiresRow struct {
 	Label        string
 	Nodes        int
@@ -224,8 +225,9 @@ type MultiresRow struct {
 }
 
 // MultiresSweep builds the octree over a developed aneurysm flow and
-// compares full-resolution extraction against LOD levels and
-// context+detail ROI queries.
+// compares the full-resolution reply (the whole domain at detail 0)
+// against LOD replies (detail = context = l) and a context+detail ROI
+// reply, each produced the way the /data route streams it.
 func MultiresSweep() ([]MultiresRow, error) {
 	dom, err := geometry.Voxelise(geometry.Aneurysm(20, 3.5, 5), 1.0, lattice.D3Q19())
 	if err != nil {
@@ -241,48 +243,28 @@ func MultiresSweep() ([]MultiresRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	fullBytes := tree.NodeCount(0) * octree.NodeBytes
+	dims := dom.Dims.F()
+	fullBytes := tree.Answer(dims, vec.V3{}, vec.V3{}, 0, 0).Size()
 	var rows []MultiresRow
-	add := func(label string, nodes []*octree.Node, dt time.Duration) {
-		b := octree.DataVolume(nodes)
+	add := func(label string, lo, hi vec.V3, detail, context int) {
+		t0 := time.Now()
+		reply := tree.Answer(dims, lo, hi, detail, context)
+		_, _ = reply.WriteTo(io.Discard) // io.Discard never fails
+		dt := time.Since(t0)
 		rows = append(rows, MultiresRow{
-			Label: label, Nodes: len(nodes), Bytes: b,
-			ReductionPct: 100 * (1 - float64(b)/float64(fullBytes)),
+			Label: label, Nodes: reply.Nodes(), Bytes: reply.Size(),
+			ReductionPct: 100 * (1 - float64(reply.Size())/float64(fullBytes)),
 			QueryTime:    dt,
 		})
 	}
-	t0 := time.Now()
-	full := tree.Level(0)
-	add("full-res", full, time.Since(t0))
-	for _, l := range []int{1, 2, 3} {
-		if l >= tree.Depth() {
-			break
-		}
-		t0 = time.Now()
-		nodes := tree.Level(l)
-		add(fmt.Sprintf("lod-%d (1/%d)", l, 1<<l), nodes, time.Since(t0))
+	add("full-res", vec.V3{}, vec.V3{}, 0, 0)
+	for l := 1; l <= 3 && l < tree.Depth(); l++ {
+		add(fmt.Sprintf("lod-%d (1/%d)", l, 1<<l), vec.V3{}, vec.V3{}, l, l)
 	}
 	// ROI query: detail on the sac, coarse context elsewhere.
 	mid := dom.Sites[dom.NumSites()/2].Pos.F()
-	roi := octree.ROI{
-		Box:          vec.NewBox(mid.Sub(vec.Splat(6)), mid.Add(vec.Splat(6))),
-		DetailLevel:  0,
-		ContextLevel: min(3, tree.Depth()-1),
-	}
-	t0 = time.Now()
-	nodes, err := tree.Query(roi)
-	if err != nil {
-		return nil, err
-	}
-	add("roi+context", nodes, time.Since(t0))
+	add("roi+context", mid.Sub(vec.Splat(6)), mid.Add(vec.Splat(6)), 0, 3)
 	return rows, nil
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // FormatMultires renders E10 rows.

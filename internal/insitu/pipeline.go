@@ -86,7 +86,8 @@ func DefaultRequest() Request {
 type Result struct {
 	Image *render.Image
 	// ReducedNodes / FullNodes document the filter stage's data
-	// reduction.
+	// reduction: the request's /data reply against the whole domain's
+	// at detail 0, in nodes and in wire bytes.
 	ReducedNodes int
 	FullNodes    int
 	ReducedBytes int
@@ -139,23 +140,12 @@ func (p *Pipeline) Run(req Request) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res.FullNodes = tree.NodeCount(0) // the leaves, counted without making them
-	res.FullBytes = res.FullNodes * octree.NodeBytes
-	roi := req.ROI
-	if roi.Size().Len2() == 0 {
-		dims := p.solver.Dom.Dims
-		roi = vec.NewBox(vec.New(0, 0, 0), dims.F())
-	}
-	ctx := req.ContextLevel
-	if ctx >= tree.Depth() {
-		ctx = tree.Depth() - 1
-	}
-	reduced, err := tree.Query(octree.ROI{Box: roi, DetailLevel: req.DetailLevel, ContextLevel: ctx})
-	if err != nil {
-		return nil, err
-	}
-	res.ReducedNodes = len(reduced)
-	res.ReducedBytes = octree.DataVolume(reduced)
+	dims := p.solver.Dom.Dims.F()
+	res.FullNodes = tree.NodeCount(0)
+	res.FullBytes = tree.Answer(dims, vec.V3{}, vec.V3{}, 0, 0).Size()
+	reduced := tree.Answer(dims, req.ROI.Min, req.ROI.Max, req.DetailLevel, req.ContextLevel)
+	res.ReducedNodes = reduced.Nodes()
+	res.ReducedBytes = reduced.Size()
 	res.Filter = time.Since(t0)
 
 	// Stage 3: map + render.

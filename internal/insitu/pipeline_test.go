@@ -67,8 +67,8 @@ func TestPipelineReductionReported(t *testing.T) {
 }
 
 // TestPipelineFullLevelCounted: the Filter stage counts the finest
-// level without making its nodes, and reports what the node list it
-// used to make would have: its length and DataVolume.
+// level without making its nodes, and sizes it as the /data reply of
+// the whole domain at detail 0: a 4-byte count, then 37 bytes a node.
 func TestPipelineFullLevelCounted(t *testing.T) {
 	s := liveSolver(t, 20)
 	res, err := NewPipeline(s).Run(DefaultRequest())
@@ -80,13 +80,45 @@ func TestPipelineFullLevelCounted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full := tree.Level(0)
-	if res.FullNodes != len(full) || res.FullBytes != octree.DataVolume(full) {
-		t.Fatalf("full level: %d nodes, %d bytes; the leaf list has %d nodes, %d bytes",
-			res.FullNodes, res.FullBytes, len(full), octree.DataVolume(full))
+	full, err := octree.DecodeNodes(tree.Answer(s.Dom.Dims.F(), vec.V3{}, vec.V3{}, 0, 0).Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.FullNodes != len(full) || res.FullBytes != 4+37*len(full) {
+		t.Fatalf("full level: %d nodes, %d bytes; the whole-domain reply has %d nodes, %d bytes",
+			res.FullNodes, res.FullBytes, len(full), 4+37*len(full))
 	}
 	if len(full) != s.Dom.NumSites() {
 		t.Fatalf("%d leaves for %d sites", len(full), s.Dom.NumSites())
+	}
+}
+
+// TestPipelineClampsLevelsLikeData: the Filter stage applies the
+// /data route's request rule (octree.Tree.Answer), so a request whose
+// levels /data clamps runs here too, and reports that reply's size.
+func TestPipelineClampsLevelsLikeData(t *testing.T) {
+	s := liveSolver(t, 20)
+	p := NewPipeline(s)
+	rho, ux, uy, uz, wss := s.Fields(nil, nil, nil, nil, nil)
+	tree, err := octree.Build(s.Dom, octree.Fields{Rho: rho, Ux: ux, Uy: uy, Uz: uz, WSS: wss})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mid := s.Dom.Sites[s.Dom.NumSites()/2].Pos.F()
+	for _, lv := range [][2]int{{5, 2}, {99, 3}, {0, 99}, {-1, -1}} {
+		req := DefaultRequest()
+		req.W, req.H = 16, 12
+		req.ROI = vec.NewBox(mid.Sub(vec.Splat(3)), mid.Add(vec.Splat(3)))
+		req.DetailLevel, req.ContextLevel = lv[0], lv[1]
+		res, err := p.Run(req)
+		if err != nil {
+			t.Fatalf("detail %d context %d: %v", lv[0], lv[1], err)
+		}
+		want := tree.Answer(s.Dom.Dims.F(), req.ROI.Min, req.ROI.Max, lv[0], lv[1])
+		if res.ReducedNodes != want.Nodes() || res.ReducedBytes != want.Size() {
+			t.Errorf("detail %d context %d: %d nodes / %d bytes, the /data reply %d / %d",
+				lv[0], lv[1], res.ReducedNodes, res.ReducedBytes, want.Nodes(), want.Size())
+		}
 	}
 }
 

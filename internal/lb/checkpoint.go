@@ -214,15 +214,6 @@ func readF64s(r io.Reader, count int) ([]float64, error) {
 	return out, nil
 }
 
-// PeekCheckpoint parses and sanity-checks only the fixed header —
-// magic and shape, no body read, no CRC — the cheap pre-check for
-// domain compatibility. Use VerifyCheckpointBytes when integrity
-// matters.
-func PeekCheckpoint(r io.Reader) (CheckpointInfo, error) {
-	ci, _, err := readCheckpointHeader(bufio.NewReader(r))
-	return ci, err
-}
-
 // CheckpointState is a fully decoded checkpoint: the header plus the
 // replicated iolet densities and the global population vector. The
 // arrays are read-only by convention, so one decoded state can be
@@ -435,9 +426,4 @@ func (d *Dist) Restore(r io.Reader) error {
 		return err
 	}
 	return d.RestoreState(st)
-}
-
-// RestoreBytes is Restore over an in-memory checkpoint.
-func (d *Dist) RestoreBytes(data []byte) error {
-	return d.Restore(bytes.NewReader(data))
 }

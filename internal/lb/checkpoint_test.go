@@ -84,7 +84,7 @@ func TestDistRestoreContinuesBitExact(t *testing.T) {
 		if err != nil {
 			panic(err)
 		}
-		if err := d.RestoreBytes(cp.Bytes()); err != nil {
+		if err := d.Restore(bytes.NewReader(cp.Bytes())); err != nil {
 			panic(err)
 		}
 		if d.StepCount() != 30 {

@@ -1,6 +1,7 @@
 package octree
 
 import (
+	"bytes"
 	"cmp"
 	"io"
 	"math"
@@ -61,9 +62,10 @@ func buildByMap(dom *geometry.Domain, f Fields, depth int) []map[uint64]*Node {
 
 // TestBuildMatchesMapReference: on a seeded field the slab build has
 // the cells the map build has — same keys and counts on every level,
-// level 0 identical, upper-level means equal up to the order the
-// children were folded in (the map build's order changes from run to
-// run; the slab build's does not, which TestBuildIsDeterministic pins).
+// the leaves of the whole-domain reply the reference's as a reply
+// carries them, upper-level means equal up to the order the children
+// were folded in (the map build's order changes from run to run; the
+// slab build's does not, which TestBuildIsDeterministic pins).
 func TestBuildMatchesMapReference(t *testing.T) {
 	dom, tree, f := testTree(t)
 	ref := buildByMap(dom, f, tree.Depth())
@@ -74,16 +76,22 @@ func TestBuildMatchesMapReference(t *testing.T) {
 		if tree.NodeCount(l) != len(ref[l]) {
 			t.Fatalf("level %d: %d cells, reference has %d", l, tree.NodeCount(l), len(ref[l]))
 		}
-		for _, n := range tree.Level(l) {
+		if l == 0 {
+			for _, n := range levelReply(t, dom, tree, 0) {
+				if want := ref[0][n.Key]; want == nil || !sameNode(n, onWire(want)) {
+					t.Fatalf("leaf %d: %+v, reference %+v", n.Key, *n, want)
+				}
+			}
+			continue
+		}
+		for i := range tree.levels[l] {
+			n := &tree.levels[l][i]
 			want := ref[l][n.Key]
 			if want == nil {
 				t.Fatalf("level %d: cell %d not in the reference", l, n.Key)
 			}
 			if n.Level != l || n.Count != want.Count {
 				t.Fatalf("level %d cell %d: level %d count %d, reference count %d", l, n.Key, n.Level, n.Count, want.Count)
-			}
-			if l == 0 && *n != *want {
-				t.Fatalf("leaf %d: %+v, reference %+v", n.Key, *n, *want)
 			}
 			if n.MaxWSS != want.MaxWSS {
 				t.Fatalf("level %d cell %d: MaxWSS %v, reference %v", l, n.Key, n.MaxWSS, want.MaxWSS)
@@ -164,20 +172,12 @@ func buildSorting(dom *geometry.Domain, f Fields) *leafTree {
 	return t
 }
 
-// levelValues returns the cells of one level of t by value.
-func levelValues(t *Tree, l int) []Node {
-	var out []Node
-	for _, n := range t.Level(l) {
-		out = append(out, *n)
-	}
-	return out
-}
-
 // TestBuildMatchesSortingBuild: on both bench/ domains, with and
 // without wall shear stress, a Build along the kept layout — the one
 // that derives it and the ones that find it — is the sorting build and
-// the leaf-copying build node for node (the leaves as read from the
-// fields, every upper level bit for bit) and child run for child run.
+// the leaf-copying build node for node (the leaves as the whole-domain
+// reply carries them, every upper level bit for bit) and child run for
+// child run.
 func TestBuildMatchesSortingBuild(t *testing.T) {
 	for _, dc := range []struct {
 		preset string
@@ -216,10 +216,10 @@ func TestBuildMatchesSortingBuild(t *testing.T) {
 				if got.Depth() != len(want.levels) {
 					t.Fatalf("%s@%g: depth %d, reference %d", dc.preset, dc.scale, got.Depth(), len(want.levels))
 				}
+				if !bytes.Equal(got.Answer(dom.Dims.F(), vec.V3{}, vec.V3{}, 0, 0).Bytes(), encodeNodes(pointers(want.levels[0]))) {
+					t.Fatalf("%s@%g round %d: leaves differ from the reference", dc.preset, dc.scale, round)
+				}
 				for l := range want.levels {
-					if !slices.Equal(levelValues(got, l), want.levels[l]) {
-						t.Fatalf("%s@%g round %d: level %d differs from the reference", dc.preset, dc.scale, round, l)
-					}
 					if l > 0 && !slices.Equal(got.levels[l], want.levels[l]) {
 						t.Fatalf("%s@%g round %d: kept level %d differs from the reference", dc.preset, dc.scale, round, l)
 					}
@@ -241,14 +241,12 @@ func TestBuildIsDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	for l := 0; l < a.Depth(); l++ {
-		la, lb := a.Level(l), b.Level(l)
-		if len(la) != len(lb) {
-			t.Fatalf("level %d: %d vs %d cells", l, len(la), len(lb))
+		if l > 0 && !slices.Equal(a.levels[l], b.levels[l]) {
+			t.Fatalf("level %d differs between builds", l)
 		}
-		for i := range la {
-			if *la[i] != *lb[i] {
-				t.Fatalf("level %d cell %d differs between builds: %+v vs %+v", l, i, *la[i], *lb[i])
-			}
+		dims := dom.Dims.F()
+		if !bytes.Equal(a.Answer(dims, vec.V3{}, vec.V3{}, l, l).Bytes(), b.Answer(dims, vec.V3{}, vec.V3{}, l, l).Bytes()) {
+			t.Fatalf("level %d reply differs between builds", l)
 		}
 	}
 }
@@ -319,7 +317,8 @@ func octants(dom *geometry.Domain) []vec.Box {
 func TestDataSweepAllocationBudget(t *testing.T) {
 	dom, f := benchSmallDomain(t)
 	n := dom.NumSites()
-	h := dom.Dims.F().Mul(0.5)
+	dims := dom.Dims.F()
+	h := dims.Mul(0.5)
 	sweep := func() {
 		tree, err := Build(dom, f)
 		if err != nil {
@@ -327,10 +326,7 @@ func TestDataSweepAllocationBudget(t *testing.T) {
 		}
 		for o := 0; o < 8; o++ {
 			lo := vec.New(float64(o&1)*h.X, float64(o>>1&1)*h.Y, float64(o>>2&1)*h.Z)
-			reply, err := tree.Encode(ROI{Box: vec.NewBox(lo, lo.Add(h)), DetailLevel: 0, ContextLevel: 3})
-			if err != nil {
-				t.Fatal(err)
-			}
+			reply := tree.Answer(dims, lo, lo.Add(h), 0, 3)
 			if written, err := reply.WriteTo(io.Discard); err != nil || written != int64(reply.Size()) || reply.Nodes() == 0 {
 				t.Fatalf("octant %d: wrote %d of %d bytes (%d nodes), err %v", o, written, reply.Size(), reply.Nodes(), err)
 			}

@@ -10,8 +10,6 @@ package octree
 
 import (
 	"fmt"
-	"math"
-	"slices"
 
 	"repro/internal/geometry"
 	"repro/internal/vec"
@@ -226,31 +224,6 @@ func (p *Node) fold(count int, rho float64, u vec.V3, maxWSS, meanWSS float64) {
 	p.Count += count
 }
 
-// leaf returns the at-th leaf in Z-order, made from the fields.
-func (t *Tree) leaf(at int) Node {
-	s := t.lay.site[at]
-	wss := t.f.wss(s)
-	return Node{
-		Level:   0,
-		Key:     t.lay.keys[0][at],
-		Count:   1,
-		MeanRho: t.f.Rho[s],
-		MeanU:   vec.New(t.f.Ux[s], t.f.Uy[s], t.f.Uz[s]),
-		MaxWSS:  wss,
-		MeanWSS: wss,
-	}
-}
-
-// cell returns cell i of a level: a leaf is made on the heap, any other
-// cell is the tree's own.
-func (t *Tree) cell(level, i int) *Node {
-	if level == 0 {
-		n := t.leaf(i)
-		return &n
-	}
-	return &t.levels[level][i]
-}
-
 // Depth returns the number of levels (finest = 0).
 func (t *Tree) Depth() int { return len(t.levels) }
 
@@ -262,38 +235,6 @@ func (t *Tree) NodeCount(level int) int {
 	return len(t.lay.keys[level])
 }
 
-// At returns the node with the given key at a level, or nil.
-func (t *Tree) At(level int, key uint64) *Node {
-	if level < 0 || level >= len(t.levels) {
-		return nil
-	}
-	if i, ok := slices.BinarySearch(t.lay.keys[level], key); ok {
-		return t.cell(level, i)
-	}
-	return nil
-}
-
-// Level returns all cells of one level in ascending Z-order — the
-// adaptive-traversal order of the hierarchical index. The leaves of
-// level 0 are made for the call, in one slab.
-func (t *Tree) Level(level int) []*Node {
-	if level < 0 || level >= len(t.levels) {
-		return nil
-	}
-	nodes := t.levels[level]
-	if level == 0 {
-		nodes = make([]Node, t.NodeCount(0))
-		for at := range nodes {
-			nodes[at] = t.leaf(at)
-		}
-	}
-	out := make([]*Node, len(nodes))
-	for i := range nodes {
-		out[i] = &nodes[i]
-	}
-	return out
-}
-
 // ROI is a region-of-interest request: cells intersecting Box are
 // refined to DetailLevel; everything else is reported at ContextLevel
 // (coarser). Box is in lattice coordinates.
@@ -301,46 +242,6 @@ type ROI struct {
 	Box          vec.Box
 	DetailLevel  int // finer (smaller) level, e.g. 0
 	ContextLevel int // coarser level, e.g. 3
-}
-
-// Query returns a non-overlapping cover of the fluid domain honouring
-// the ROI: the paper's "context and detail" access pattern. Nodes
-// outside the ROI appear at ContextLevel; nodes intersecting it are
-// subdivided down to DetailLevel. The cover's leaves are made for the
-// call, in one slab.
-func (t *Tree) Query(roi ROI) ([]*Node, error) {
-	if err := t.checkROI(roi); err != nil {
-		return nil, err
-	}
-	total, leaves := 0, 0
-	t.runs(&roi, func(level, lo, hi int) {
-		total += hi - lo
-		if level == 0 {
-			leaves += hi - lo
-		}
-	})
-	out := make([]*Node, 0, total)
-	slab := make([]Node, leaves)
-	t.runs(&roi, func(level, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			if level == 0 {
-				slab[0] = t.leaf(i)
-				out = append(out, &slab[0])
-				slab = slab[1:]
-			} else {
-				out = append(out, &t.levels[level][i])
-			}
-		}
-	})
-	return out, nil
-}
-
-func (t *Tree) checkROI(roi ROI) error {
-	if roi.DetailLevel < 0 || roi.ContextLevel >= len(t.levels) || roi.DetailLevel > roi.ContextLevel {
-		return fmt.Errorf("octree: invalid ROI levels detail=%d context=%d depth=%d",
-			roi.DetailLevel, roi.ContextLevel, len(t.levels))
-	}
-	return nil
 }
 
 // runs calls fn on roi's cover in Z-order, as runs [lo, hi) of the
@@ -382,25 +283,6 @@ func (t *Tree) cover(roi *ROI, level, i int, fn func(level, lo, hi int)) {
 		t.cover(roi, level-1, c, fn)
 	}
 }
-
-// CoverCount returns the total fluid sites covered by a node list —
-// used to assert Query covers the domain exactly once.
-func CoverCount(nodes []*Node) int {
-	total := 0
-	for _, n := range nodes {
-		total += n.Count
-	}
-	return total
-}
-
-// NodeBytes is what one node costs a post-processing client (the
-// reduction §V is after): one position key + the aggregated fields
-// (key, rho, u, maxWSS, meanWSS).
-const NodeBytes = 8 + 8 + 3*8 + 8 + 8
-
-// DataVolume returns the bytes needed to ship a node list to a
-// post-processing client, NodeBytes per node.
-func DataVolume(nodes []*Node) int { return NodeBytes * len(nodes) }
 
 func boxesIntersect(a, b vec.Box) bool {
 	return a.Min.X < b.Max.X && b.Min.X < a.Max.X &&
@@ -460,25 +342,3 @@ func compact(x uint64) uint64 {
 	x = (x | x>>32) & 0x1fffff
 	return x
 }
-
-// SampleVelocity returns the mean velocity of the finest cell
-// containing lattice point p at or above minLevel, or (zero, false) if
-// no fluid exists there. Visualisation uses it to interpolate on
-// reduced data.
-func (t *Tree) SampleVelocity(p vec.I3, minLevel int) (vec.V3, bool) {
-	if minLevel < 0 {
-		minLevel = 0
-	}
-	key := morton(p.X, p.Y, p.Z) >> (3 * uint(minLevel))
-	for l := minLevel; l < len(t.levels); l++ {
-		if n := t.At(l, key); n != nil {
-			return n.MeanU, true
-		}
-		key >>= 3
-	}
-	return vec.V3{}, false
-}
-
-// LevelResolution returns the effective lattice spacing multiplier of a
-// level (2^level).
-func LevelResolution(level int) float64 { return math.Pow(2, float64(level)) }

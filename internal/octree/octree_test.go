@@ -3,7 +3,6 @@ package octree
 import (
 	"math"
 	"math/rand"
-	"slices"
 	"testing"
 	"testing/quick"
 
@@ -12,23 +11,28 @@ import (
 	"repro/internal/vec"
 )
 
-// Root returns the top-level node containing everything (key 0 at the
-// top level). Only the tests walk the tree from its root.
-func (t *Tree) Root() *Node { return t.At(len(t.levels)-1, 0) }
+// Root returns the top-level node containing everything: the one cell
+// of the top level. Only the tests walk the tree from its root.
+func (t *Tree) Root() *Node { return &t.levels[len(t.levels)-1][0] }
 
-// Children returns the up-to-8 children of a node in Z-order.
-func (t *Tree) Children(n *Node) []*Node {
-	if n.Level <= 0 || n.Level >= len(t.levels) {
-		return nil
+// levelReply decodes tree's /data reply of the whole domain at
+// detail = context = level: the level's cells in Z-order.
+func levelReply(t testing.TB, dom *geometry.Domain, tree *Tree, level int) []*Node {
+	t.Helper()
+	nodes, err := DecodeNodes(tree.Answer(dom.Dims.F(), vec.V3{}, vec.V3{}, level, level).Bytes())
+	if err != nil {
+		t.Fatal(err)
 	}
-	l := n.Level - 1
-	keys := t.lay.keys[l]
-	var out []*Node
-	i, _ := slices.BinarySearch(keys, n.Key<<3)
-	for ; i < len(keys) && keys[i]>>3 == n.Key; i++ {
-		out = append(out, t.cell(l, i))
+	return nodes
+}
+
+// covered returns the fluid sites a node list covers.
+func covered(nodes []*Node) int {
+	total := 0
+	for _, n := range nodes {
+		total += n.Count
 	}
-	return out
+	return total
 }
 
 func testTree(t testing.TB) (*geometry.Domain, *Tree, Fields) {
@@ -139,30 +143,35 @@ func TestAggregationConservesMeans(t *testing.T) {
 func TestCountConservationPerLevel(t *testing.T) {
 	dom, tree, _ := testTree(t)
 	for l := 0; l < tree.Depth(); l++ {
-		total := 0
-		for _, n := range tree.Level(l) {
-			total += n.Count
-		}
-		if total != dom.NumSites() {
+		if total := covered(levelReply(t, dom, tree, l)); total != dom.NumSites() {
 			t.Errorf("level %d covers %d sites, want %d", l, total, dom.NumSites())
 		}
 	}
 }
 
+// TestChildrenLinkage: every cell of level l ≥ 1 has a non-empty run of
+// children in the level below, each under its key, whose counts (1 for
+// a leaf) add up to its own.
 func TestChildrenLinkage(t *testing.T) {
 	_, tree, _ := testTree(t)
 	for l := 1; l < tree.Depth(); l++ {
-		for _, n := range tree.Level(l) {
-			kids := tree.Children(n)
-			if len(kids) == 0 {
+		first := tree.lay.firstChild[l]
+		for i, n := range tree.levels[l] {
+			lo, hi := int(first[i]), int(first[i+1])
+			if lo >= hi {
 				t.Fatalf("level %d node %d has no children", l, n.Key)
 			}
-			count := 0
-			for _, c := range kids {
-				if c.Key>>3 != n.Key {
-					t.Fatalf("child key %d not under parent %d", c.Key, n.Key)
+			count := hi - lo
+			if l > 1 {
+				count = 0
+				for _, c := range tree.levels[l-1][lo:hi] {
+					count += c.Count
 				}
-				count += c.Count
+			}
+			for _, k := range tree.lay.keys[l-1][lo:hi] {
+				if k>>3 != n.Key {
+					t.Fatalf("child key %d not under parent %d", k, n.Key)
+				}
 			}
 			if count != n.Count {
 				t.Fatalf("children cover %d, parent says %d", count, n.Count)
@@ -172,11 +181,11 @@ func TestChildrenLinkage(t *testing.T) {
 }
 
 func TestLevelIsZOrdered(t *testing.T) {
-	_, tree, _ := testTree(t)
-	nodes := tree.Level(1)
+	dom, tree, _ := testTree(t)
+	nodes := levelReply(t, dom, tree, 1)
 	for i := 1; i < len(nodes); i++ {
 		if nodes[i-1].Key >= nodes[i].Key {
-			t.Fatal("Level output not in ascending Z-order")
+			t.Fatal("level reply not in ascending Z-order")
 		}
 	}
 }
@@ -184,17 +193,12 @@ func TestLevelIsZOrdered(t *testing.T) {
 func TestQueryCoversDomainOnce(t *testing.T) {
 	dom, tree, _ := testTree(t)
 	mid := dom.Sites[dom.NumSites()/2].Pos.F()
-	roi := ROI{
-		Box:          vec.NewBox(mid.Sub(vec.Splat(4)), mid.Add(vec.Splat(4))),
-		DetailLevel:  0,
-		ContextLevel: 3,
-	}
-	nodes, err := tree.Query(roi)
+	nodes, err := DecodeNodes(tree.Answer(dom.Dims.F(), mid.Sub(vec.Splat(4)), mid.Add(vec.Splat(4)), 0, 3).Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if CoverCount(nodes) != dom.NumSites() {
-		t.Errorf("query covers %d sites, want %d", CoverCount(nodes), dom.NumSites())
+	if covered(nodes) != dom.NumSites() {
+		t.Errorf("query covers %d sites, want %d", covered(nodes), dom.NumSites())
 	}
 	// There must be a mix of levels: detail inside, context outside.
 	levels := map[int]int{}
@@ -217,53 +221,11 @@ func TestQueryCoversDomainOnce(t *testing.T) {
 
 func TestQueryReducesDataVolume(t *testing.T) {
 	dom, tree, _ := testTree(t)
-	full := tree.Level(0)
-	roi := ROI{
-		Box:          vec.NewBox(vec.New(10, 10, 10), vec.New(14, 14, 14)),
-		DetailLevel:  0,
-		ContextLevel: 4,
-	}
-	nodes, err := tree.Query(roi)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if DataVolume(nodes) >= DataVolume(full) {
-		t.Errorf("ROI volume %d should be below full-res %d", DataVolume(nodes), DataVolume(full))
-	}
-	_ = dom
-}
-
-func TestQueryValidatesLevels(t *testing.T) {
-	_, tree, _ := testTree(t)
-	if _, err := tree.Query(ROI{DetailLevel: 5, ContextLevel: 2}); err == nil {
-		t.Error("detail > context accepted")
-	}
-	if _, err := tree.Query(ROI{DetailLevel: -1, ContextLevel: 2}); err == nil {
-		t.Error("negative detail accepted")
-	}
-	if _, err := tree.Query(ROI{DetailLevel: 0, ContextLevel: 99}); err == nil {
-		t.Error("context beyond depth accepted")
-	}
-}
-
-func TestSampleVelocity(t *testing.T) {
-	dom, tree, f := testTree(t)
-	// At level 0 the sample equals the site value exactly.
-	for i := 0; i < dom.NumSites(); i += 13 {
-		p := dom.Sites[i].Pos
-		u, ok := tree.SampleVelocity(p, 0)
-		if !ok {
-			t.Fatalf("no sample at fluid site %v", p)
-		}
-		want := vec.New(f.Ux[i], f.Uy[i], f.Uz[i])
-		if u.Dist(want) > 1e-12 {
-			t.Fatalf("sample at %v = %v, want %v", p, u, want)
-		}
-	}
-	// Outside the fluid but within the root cell, coarse levels answer.
-	if _, ok := tree.SampleVelocity(vec.I3{X: 0, Y: 0, Z: 0}, 0); ok {
-		// corner may or may not be fluid; just ensure no panic.
-		_ = ok
+	dims := dom.Dims.F()
+	full := tree.Answer(dims, vec.V3{}, vec.V3{}, 0, 0)
+	roi := tree.Answer(dims, vec.New(10, 10, 10), vec.New(14, 14, 14), 0, 4)
+	if roi.Size() >= full.Size() {
+		t.Errorf("ROI reply %d bytes should be below full-res %d", roi.Size(), full.Size())
 	}
 }
 
@@ -279,12 +241,6 @@ func TestNodeGeometry(t *testing.T) {
 	b := n.Box()
 	if b.Min.X != 4 || b.Max.X != 8 {
 		t.Errorf("box = %+v", b)
-	}
-}
-
-func TestLevelResolution(t *testing.T) {
-	if LevelResolution(0) != 1 || LevelResolution(3) != 8 {
-		t.Error("LevelResolution wrong")
 	}
 }
 
@@ -309,29 +265,6 @@ func BenchmarkBuild(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := Build(dom, f); err != nil {
 					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkQueryROI is the node-list cover of the eight octants at
-// detail 0 / context 3 on both bench/ domains.
-func BenchmarkQueryROI(b *testing.B) {
-	for _, dc := range benchCases {
-		b.Run(dc.preset, func(b *testing.B) {
-			dom, f := benchDomain(b, dc.preset, dc.scale)
-			tree, err := Build(dom, f)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for _, box := range octants(dom) {
-					if _, err := tree.Query(ROI{Box: box, DetailLevel: 0, ContextLevel: 3}); err != nil {
-						b.Fatal(err)
-					}
 				}
 			}
 		})

@@ -80,9 +80,10 @@ func buildLeaves(dom *geometry.Domain, f Fields) (*leafTree, error) {
 	return t, nil
 }
 
-// query is Query before covers were runs: it descends every cell that
-// meets the box down to the detail level, one node at a time. It is
-// the oracle of the cover Query, Encode, WriteTo and Bytes produce.
+// query is the node-list Query before covers were runs: it descends
+// every cell that meets the box down to the detail level, one node at
+// a time. It is the oracle of the cover Encode, WriteTo and Bytes
+// produce.
 func (t *leafTree) query(roi ROI) ([]*Node, error) {
 	if roi.DetailLevel < 0 || roi.ContextLevel >= len(t.levels) || roi.DetailLevel > roi.ContextLevel {
 		return nil, fmt.Errorf("octree: invalid ROI levels detail=%d context=%d depth=%d",
@@ -160,4 +161,24 @@ func decodeNodesOld(data []byte) ([]*Node, error) {
 		return nil, fmt.Errorf("octree: %d trailing bytes in node stream", r.Len())
 	}
 	return nodes, nil
+}
+
+// pointers returns a pointer to each node of a slab.
+func pointers(slab []Node) []*Node {
+	out := make([]*Node, len(slab))
+	for i := range slab {
+		out[i] = &slab[i]
+	}
+	return out
+}
+
+// onWire returns n as a reply carries it: its fields rounded to
+// float32.
+func onWire(n *Node) *Node {
+	r := func(v float64) float64 { return float64(float32(v)) }
+	return &Node{
+		Level: n.Level, Key: n.Key, Count: n.Count,
+		MeanRho: r(n.MeanRho), MeanU: vec.New(r(n.MeanU.X), r(n.MeanU.Y), r(n.MeanU.Z)),
+		MaxWSS: r(n.MaxWSS), MeanWSS: r(n.MeanWSS),
+	}
 }

@@ -54,7 +54,7 @@ func (t *Tree) putCells(dst []byte, level, lo int) {
 // receives instead of raw fields — a node count, then the cover's nodes
 // in Z-order — sized but not yet produced. The cover is a list of runs
 // of one level each: a cell wholly inside the box is the run of its
-// descendants at the detail level, so Encode counts it from the run's
+// descendants at the detail level, so sizing counts it from the run's
 // bounds without descending, and WriteTo encodes the run in one loop,
 // leaves straight from the snapshot's fields. Neither a node list nor a
 // full-size buffer exists in between, so answering a query allocates
@@ -66,14 +66,28 @@ type Reply struct {
 	nodes int
 }
 
-// Encode validates roi and sizes its reply.
-func (t *Tree) Encode(roi ROI) (Reply, error) {
-	if err := t.checkROI(roi); err != nil {
-		return Reply{}, err
+// Answer sizes the reply to a client's request, the one way the
+// /data route, the in situ pipeline and the §V sweep read a tree:
+// cells meeting the box [lo, hi] refined to the detail level, the rest
+// of the domain at the context level. A zero-size box means the whole
+// domain, [0, dims]. The levels are clamped to the tree: context to
+// [0, Depth()-1], detail to [0, context].
+func (t *Tree) Answer(dims, lo, hi vec.V3, detail, context int) Reply {
+	context = min(max(context, 0), len(t.levels)-1)
+	detail = min(max(detail, 0), context)
+	box := vec.NewBox(lo, hi)
+	if box.Size().Len2() == 0 {
+		box = vec.NewBox(vec.V3{}, dims)
 	}
+	return t.reply(ROI{Box: box, DetailLevel: detail, ContextLevel: context})
+}
+
+// reply sizes the reply to roi, whose levels must be in the tree with
+// detail at most context.
+func (t *Tree) reply(roi ROI) Reply {
 	r := Reply{t: t, roi: roi}
 	t.runs(&r.roi, func(_, lo, hi int) { r.nodes += hi - lo })
-	return r, nil
+	return r
 }
 
 // Nodes returns the number of nodes in the reply.

@@ -3,6 +3,7 @@ package octree
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -31,6 +32,17 @@ func encodeNodes(nodes []*Node) []byte {
 	return out
 }
 
+// Encode sizes the reply to an explicit roi, refusing levels the tree
+// does not have. The tests ask for covers through it that Answer's
+// request rule would change, such as those of empty and flat boxes.
+func (t *Tree) Encode(roi ROI) (Reply, error) {
+	if roi.DetailLevel < 0 || roi.ContextLevel >= len(t.levels) || roi.DetailLevel > roi.ContextLevel {
+		return Reply{}, fmt.Errorf("octree: invalid ROI levels detail=%d context=%d depth=%d",
+			roi.DetailLevel, roi.ContextLevel, len(t.levels))
+	}
+	return t.reply(roi), nil
+}
+
 // countingWriter counts the Writes a reply arrives in.
 type countingWriter struct {
 	bytes.Buffer
@@ -51,12 +63,11 @@ func sameNode(a, b *Node) bool {
 		bits(a.MaxWSS) == bits(b.MaxWSS) && bits(a.MeanWSS) == bits(b.MeanWSS)
 }
 
-// checkReply holds tree's reply to roi to the oracle's: Query's cover
-// is the old Query's over the leaf-copying build node for node, bit for
-// bit; the streamed reply and the one-buffer reply are the old
-// encoder's bytes of that cover; and DecodeNodes gives back its
-// identities. It reports whether the streamed reply took more than one
-// Write.
+// checkReply holds tree's reply to roi to the oracle's: the streamed
+// reply and the one-buffer reply are the old encoder's bytes of the old
+// Query's cover over the leaf-copying build, and DecodeNodes gives back
+// that cover as a reply carries it, node for node. It reports whether
+// the streamed reply took more than one Write.
 func checkReply(t *testing.T, tree *Tree, oracle *leafTree, roi ROI) bool {
 	t.Helper()
 	nodes, err := oracle.query(roi)
@@ -64,18 +75,6 @@ func checkReply(t *testing.T, tree *Tree, oracle *leafTree, roi ROI) bool {
 		t.Fatal(err)
 	}
 	want := encodeNodes(nodes)
-	got, err := tree.Query(roi)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(nodes) {
-		t.Fatalf("%+v: Query has %d nodes, the oracle %d", roi, len(got), len(nodes))
-	}
-	for i := range got {
-		if !sameNode(got[i], nodes[i]) {
-			t.Fatalf("%+v: Query node %d is %+v, the oracle's %+v", roi, i, *got[i], *nodes[i])
-		}
-	}
 	reply, err := tree.Encode(roi)
 	if err != nil {
 		t.Fatal(err)
@@ -100,7 +99,7 @@ func checkReply(t *testing.T, tree *Tree, oracle *leafTree, roi ROI) bool {
 		t.Fatal(err)
 	}
 	for i, n := range nodes {
-		if decoded[i].Level != n.Level || decoded[i].Key != n.Key || decoded[i].Count != n.Count {
+		if !sameNode(decoded[i], onWire(n)) {
 			t.Fatalf("%+v: node %d decoded as %+v, cover has %+v", roi, i, *decoded[i], *n)
 		}
 	}
@@ -164,9 +163,6 @@ func TestReplyMatchesOldEncoder(t *testing.T) {
 					}
 				}
 			}
-			if _, err := tree.Encode(ROI{DetailLevel: 2, ContextLevel: 1}); err == nil {
-				t.Error("Encode accepted detail > context")
-			}
 		}
 	}
 	if !chunked {
@@ -175,13 +171,17 @@ func TestReplyMatchesOldEncoder(t *testing.T) {
 }
 
 func TestEncodeDecodeNodesRoundTrip(t *testing.T) {
-	_, tree, _ := testTree(t)
+	dom, _, f := testTree(t)
+	oracle, err := buildLeaves(dom, f)
+	if err != nil {
+		t.Fatal(err)
+	}
 	roi := ROI{
 		Box:          vec.NewBox(vec.New(8, 8, 8), vec.New(16, 16, 16)),
 		DetailLevel:  0,
 		ContextLevel: 3,
 	}
-	nodes, err := tree.Query(roi)
+	nodes, err := oracle.query(roi)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +210,7 @@ func TestEncodeDecodeNodesRoundTrip(t *testing.T) {
 		}
 	}
 	// Coverage must survive the wire.
-	if CoverCount(got) != CoverCount(nodes) {
+	if covered(got) != covered(nodes) {
 		t.Error("cover count changed across serialisation")
 	}
 }
@@ -231,8 +231,8 @@ func TestDecodeNodesRejectsGarbage(t *testing.T) {
 		t.Error("huge count accepted")
 	}
 	// Trailing junk.
-	_, tree, _ := testTree(t)
-	data := encodeNodes(tree.Level(3))
+	dom, tree, _ := testTree(t)
+	data := tree.Answer(dom.Dims.F(), vec.V3{}, vec.V3{}, 3, 3).Bytes()
 	if _, err := DecodeNodes(append(data, 0)); err == nil {
 		t.Error("trailing bytes accepted")
 	}
@@ -363,5 +363,68 @@ func BenchmarkDataReply(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// reducedReply is the request rule the /data route applied before
+// Answer: a zero-size box is the whole domain, context is capped at the
+// top level, detail raised to 0 and then capped at context. It is
+// Answer's oracle wherever it answered.
+func reducedReply(tree *Tree, dims, roiMin, roiMax vec.V3, detail, ctx int) (Reply, error) {
+	if ctx >= tree.Depth() {
+		ctx = tree.Depth() - 1
+	}
+	if detail < 0 {
+		detail = 0
+	}
+	if detail > ctx {
+		detail = ctx
+	}
+	box := vec.NewBox(roiMin, roiMax)
+	if box.Size().Len2() == 0 {
+		box = vec.NewBox(vec.New(0, 0, 0), dims)
+	}
+	return tree.Encode(ROI{Box: box, DetailLevel: detail, ContextLevel: ctx})
+}
+
+// TestAnswerMatchesReducedReply: on the small bench/ domain, for zero,
+// whole, inside, outside and inverted boxes and every (detail, context)
+// in [-2, depth+1]², Answer gives the old rule's bytes. The old rule
+// refused a negative context; Answer clamps it to 0, so there it gives
+// the old rule's bytes at context 0.
+func TestAnswerMatchesReducedReply(t *testing.T) {
+	dom, f := benchSmallDomain(t)
+	tree, err := Build(dom, f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := dom.Dims.F()
+	mid := d.Mul(0.5)
+	boxes := [][2]vec.V3{
+		{{}, {}},   // zero
+		{mid, mid}, // zero size, inside
+		{{}, d},    // the whole domain
+		{mid.Sub(vec.Splat(5)), mid.Add(vec.Splat(7))}, // inside
+		{d.Add(vec.Splat(1)), d.Add(vec.Splat(30))},    // outside
+		{d, {}}, // inverted
+	}
+	for _, b := range boxes {
+		for ctx := -2; ctx <= tree.Depth()+1; ctx++ {
+			for detail := -2; detail <= tree.Depth()+1; detail++ {
+				got := tree.Answer(d, b[0], b[1], detail, ctx).Bytes()
+				want, err := reducedReply(tree, d, b[0], b[1], detail, ctx)
+				if err != nil {
+					if ctx >= 0 {
+						t.Fatalf("box %v detail %d context %d: the old rule refused: %v", b, detail, ctx, err)
+					}
+					if want, err = reducedReply(tree, d, b[0], b[1], detail, 0); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if !bytes.Equal(got, want.Bytes()) {
+					t.Fatalf("box %v detail %d context %d: Answer differs from the old rule", b, detail, ctx)
+				}
+			}
+		}
 	}
 }

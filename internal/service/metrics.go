@@ -122,7 +122,7 @@ type Metrics struct {
 
 	// Latency histograms (log-bucketed, nanosecond samples). The solver
 	// phase histograms fold rank-0 timings from every running job:
-	// StepDuration samples d.Step() every PhaseSampleEvery steps,
+	// StepDuration samples d.Step() every 16th step,
 	// CollectiveWait times the per-step command-word broadcast,
 	// FieldGather the snapshot field gather, CheckpointGather the
 	// in-loop checkpoint state gather (the same time CheckpointStallNs

@@ -492,3 +492,26 @@ func TestDataCarriesWSS(t *testing.T) {
 		t.Errorf("root MeanWSS %v, want above 0", nodes[0].MeanWSS)
 	}
 }
+
+// TestDataClampsNegativeLevels: a negative level is clamped to 0 as the
+// API says, not refused: context=-1 answers 200 with context=0's bytes
+// and detail=-3 with detail=0's.
+func TestDataClampsNegativeLevels(t *testing.T) {
+	_, base := startServer(t, 1, 4)
+	id := submit(t, base, `{"preset":"pipe","steps":300}`).ID
+	waitState(t, base, id, StateDone)
+	data := base + "/api/v1/jobs/" + id + "/data?min=2,2,2&max=9,9,9&"
+	for _, c := range [][2]string{{"context=-1", "context=0"}, {"detail=-3", "detail=0"}} {
+		code, got := httpGetRaw(t, data+c[0])
+		if code != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", c[0], code, got)
+		}
+		code, want := httpGetRaw(t, data+c[1])
+		if code != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", c[1], code, want)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s answers %d bytes, %s %d bytes: the replies differ", c[0], len(got), c[1], len(want))
+		}
+	}
+}

@@ -108,9 +108,9 @@ func (m *Manager) Data(j *Job, roiMin, roiMax [3]float64, detail, context int) (
 	if err != nil {
 		return octree.Reply{}, err
 	}
-	return core.ReducedReply(tree, snap.Field.Dom.Dims.F(),
+	return tree.Answer(snap.Field.Dom.Dims.F(),
 		vec.New(roiMin[0], roiMin[1], roiMin[2]),
-		vec.New(roiMax[0], roiMax[1], roiMax[2]), detail, context)
+		vec.New(roiMax[0], roiMax[1], roiMax[2]), detail, context), nil
 }
 
 // Frame produces the current frame for a request. Pollers drive

@@ -517,8 +517,14 @@ func RenderVolumeDist(comm *par.Comm, f *field.Field, opt VolumeOptions) (*rende
 	if err != nil {
 		return nil, err
 	}
-	// Pairwise tree merge: at each round, odd-indexed survivors send
-	// their image to the even partner, which composites.
+	return compositeToRoot(comm, img)
+}
+
+// compositeToRoot merges every rank's partial image into rank 0's, in
+// a pairwise tree: at each round, odd-indexed survivors send their
+// image to the even partner, which composites it under its own. It
+// returns the full image at rank 0 and nil elsewhere.
+func compositeToRoot(comm *par.Comm, img *render.Image) (*render.Image, error) {
 	rank, size := comm.Rank(), comm.Size()
 	for step := 1; step < size; step <<= 1 {
 		if rank&step != 0 {

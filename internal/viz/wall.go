@@ -123,22 +123,5 @@ func RenderWallWSSDist(comm *par.Comm, f *field.Field, opt WallOptions) (*render
 	if err != nil {
 		return nil, err
 	}
-	rank, size := comm.Rank(), comm.Size()
-	for step := 1; step < size; step <<= 1 {
-		if rank&step != 0 {
-			comm.SendBytes(rank-step, tagImage, img.SerializeCompact())
-			return nil, nil
-		}
-		if rank+step < size {
-			data, _ := comm.RecvBytes(rank+step, tagImage)
-			other, err := render.DeserializeCompact(data)
-			if err != nil {
-				return nil, err
-			}
-			if err := img.CompositeUnder(other); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return img, nil
+	return compositeToRoot(comm, img)
 }
