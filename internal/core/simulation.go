@@ -115,7 +115,8 @@ type Config struct {
 	// CheckpointEvery is the checkpoint cadence in steps; 0 disables.
 	CheckpointEvery int
 	// Restore, when set, holds a decoded checkpoint the run resumes
-	// from (lb.DecodeCheckpoint; the arrays are treated read-only):
+	// from (lb.DecodeCheckpointBytes or the service store's
+	// CheckpointState; the arrays are treated read-only):
 	// Run validates it against the domain, installs it on every rank
 	// before the first step, and counts steps from the checkpoint's
 	// step onward — Run(total) then advances only the remaining

@@ -123,7 +123,6 @@ type Mem struct {
 	mu   sync.Mutex
 	root *memDir
 	rng  *rand.Rand
-	seed int64
 
 	ops     int64
 	faults  []Fault // sorted by Op, consumed as they fire
@@ -142,11 +141,8 @@ type Mem struct {
 // crash tearing randomness derives from seed, so a failing fault
 // schedule reproduces from (seed, op index) alone.
 func NewMem(seed int64) *Mem {
-	return &Mem{root: newMemDir(), rng: rand.New(rand.NewSource(seed)), seed: seed}
+	return &Mem{root: newMemDir(), rng: rand.New(rand.NewSource(seed))}
 }
-
-// Seed returns the seed the Mem was built with.
-func (m *Mem) Seed() int64 { return m.seed }
 
 // Inject schedules faults (by counted-operation index). May be called
 // any time; faults whose index already passed never fire.
@@ -187,13 +183,6 @@ func (m *Mem) SetFull(full bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.full = full
-}
-
-// Full reports whether the filesystem is currently out of space.
-func (m *Mem) Full() bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.full
 }
 
 // Crashed reports whether the filesystem is dead (crash fault or

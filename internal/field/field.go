@@ -90,17 +90,6 @@ func (f *Field) ScalarAtSite(id int, s Scalar) float64 {
 	}
 }
 
-// Nearest returns the site id nearest to continuous lattice position p
-// (rounded), or -1 if that lattice point is solid, unowned or outside.
-func (f *Field) Nearest(p vec.V3) int {
-	ip := vec.Floor(p.Add(vec.Splat(0.5)))
-	id := f.Dom.SiteAt(ip)
-	if !f.siteValid(id) {
-		return -1
-	}
-	return id
-}
-
 // Velocity trilinearly interpolates the velocity at continuous lattice
 // position p. Solid or unowned corners contribute zero velocity with
 // full weight (no-slip behaviour at walls). ok is false when no fluid

@@ -128,17 +128,28 @@ func TestVelocityNearWallDamps(t *testing.T) {
 	}
 }
 
+// nearest returns the site id nearest to continuous lattice position p
+// (rounded), or -1 if that lattice point is solid, unowned or outside:
+// the site validity every sampler applies, probed at one point.
+func nearest(f *Field, p vec.V3) int {
+	id := f.Dom.SiteAt(vec.Floor(p.Add(vec.Splat(0.5))))
+	if !f.siteValid(id) {
+		return -1
+	}
+	return id
+}
+
 func TestNearest(t *testing.T) {
 	f := uniformField(t)
 	s := f.Dom.Sites[10]
-	if got := f.Nearest(s.Pos.F()); got != 10 {
+	if got := nearest(f, s.Pos.F()); got != 10 {
 		t.Errorf("nearest = %d, want 10", got)
 	}
 	// Slight offset still rounds to the same site.
-	if got := f.Nearest(s.Pos.F().Add(vec.New(0.3, -0.2, 0.1))); got != 10 {
+	if got := nearest(f, s.Pos.F().Add(vec.New(0.3, -0.2, 0.1))); got != 10 {
 		t.Errorf("offset nearest = %d", got)
 	}
-	if got := f.Nearest(vec.New(-9, -9, -9)); got != -1 {
+	if got := nearest(f, vec.New(-9, -9, -9)); got != -1 {
 		t.Errorf("outside nearest = %d", got)
 	}
 }
@@ -152,10 +163,10 @@ func TestOwnedMaskRestricts(t *testing.T) {
 	}
 	f.Owned = OwnedMask(parts, 0)
 	// Sites in the second half must be invisible.
-	if f.Nearest(f.Dom.Sites[n-1].Pos.F()) != -1 {
+	if nearest(f, f.Dom.Sites[n-1].Pos.F()) != -1 {
 		t.Error("unowned site visible through Nearest")
 	}
-	if f.Nearest(f.Dom.Sites[0].Pos.F()) < 0 {
+	if nearest(f, f.Dom.Sites[0].Pos.F()) < 0 {
 		t.Error("owned site invisible")
 	}
 	// MaxScalar only sees owned sites.

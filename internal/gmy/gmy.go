@@ -348,9 +348,6 @@ func ReadHeader(r io.Reader) (*Header, error) {
 	return h, nil
 }
 
-// BlockPayloadLen returns the compressed payload length of block b.
-func (h *Header) BlockPayloadLen(b int) int { return int(h.blockLen[b]) }
-
 // Block is one decoded block payload: its site records, and their link
 // distances, q-1 per site in site order (the layout geometry.Reassemble
 // takes).

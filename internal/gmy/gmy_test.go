@@ -282,7 +282,7 @@ func TestHeaderSizeMatchesStream(t *testing.T) {
 	// headerSize + sum(blockLen) must equal the stream length.
 	total := headerSize(h)
 	for b := 0; b < h.NumBlocks(); b++ {
-		total += h.BlockPayloadLen(b)
+		total += int(h.blockLen[b])
 	}
 	if total != buf.Len() {
 		t.Errorf("computed size %d, stream is %d", total, buf.Len())
@@ -361,14 +361,6 @@ func TestParallelReadTrafficTradeoff(t *testing.T) {
 	t4 := traffic(4)
 	if t4 >= t1 {
 		t.Errorf("readers=ranks should reduce distribution traffic: 1 reader %d bytes, 4 readers %d", t1, t4)
-	}
-}
-
-func TestSortedBlockIDs(t *testing.T) {
-	m := map[int]Block{5: {}, 1: {}, 3: {}}
-	ids := SortedBlockIDs(m)
-	if len(ids) != 3 || ids[0] != 1 || ids[1] != 3 || ids[2] != 5 {
-		t.Errorf("ids = %v", ids)
 	}
 }
 

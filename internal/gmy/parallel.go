@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"sort"
 
 	"repro/internal/par"
 )
@@ -189,15 +188,4 @@ func headerSize(h *Header) int {
 		4*8 + // origin + h
 		len(h.Iolets)*(8*8+4) + // iolet floats + flag
 		h.NumBlocks()*8 // block table pairs
-}
-
-// SortedBlockIDs returns the keys of an owned-blocks map in ascending
-// order, for deterministic iteration.
-func SortedBlockIDs(owned map[int]Block) []int {
-	ids := make([]int, 0, len(owned))
-	for b := range owned {
-		ids = append(ids, b)
-	}
-	sort.Ints(ids)
-	return ids
 }

@@ -3,9 +3,11 @@
 // live solver state, sharing memory with the simulation ("applying the
 // simulation and visualisation processes in parallel in an in situ
 // manner allows the sharing of data, hence avoiding unnecessary data
-// movement and output"). The Filter stage performs the §V
-// multi-resolution reduction: fields are cached in an octree and only
-// the ROI-refined subset flows to rendering.
+// movement and output"). The Filter stage builds the §V octree over
+// the extracted fields and measures the reduction a /data client would
+// get: the size of the request's reply against the whole domain's at
+// full resolution. Nothing flows from it to rendering — the render
+// stage reads the full extracted field.
 package insitu
 
 import (
@@ -85,9 +87,10 @@ func DefaultRequest() Request {
 // the Fig. 3 loop instrumented.
 type Result struct {
 	Image *render.Image
-	// ReducedNodes / FullNodes document the filter stage's data
+	// ReducedNodes / FullNodes measure the filter stage's data
 	// reduction: the request's /data reply against the whole domain's
-	// at detail 0, in nodes and in wire bytes.
+	// at detail 0, in nodes and in wire bytes. They are sizes, not
+	// inputs: the Image is rendered from the full field either way.
 	ReducedNodes int
 	FullNodes    int
 	ReducedBytes int

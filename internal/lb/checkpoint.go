@@ -1,7 +1,6 @@
 package lb
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"fmt"
@@ -16,9 +15,12 @@ import (
 // vector with a CRC so silent corruption is detected on restore.
 //
 // The binary layout (header, body, CRC64-ECMA trailer, and the rules
-// for evolving it) is documented in docs/CHECKPOINT_FORMAT.md. Solver
-// and Dist write the same global-site-major format, so a checkpoint
-// taken by either restores into the other for the same domain.
+// for evolving it) is documented in docs/CHECKPOINT_FORMAT.md. One
+// codec over bytes serves both record kinds, full ("lbcq") and delta
+// ("lbcd", checkpoint_delta.go): a record is appended into a slice,
+// verified in place, and decoded only once every check has passed.
+// States are global-site-major whatever rank count gathered them, so a
+// checkpoint restores into any partition of the same domain.
 
 // checkpointMagic identifies a checkpoint stream. Incompatible layout
 // changes must change this value — there is no version field; the
@@ -46,9 +48,8 @@ type CheckpointInfo struct {
 	Iolets int
 }
 
-// maxCheckpointSites bounds header-driven allocations so a corrupted
-// header cannot make a reader allocate terabytes before the CRC check
-// has a chance to reject it.
+// maxCheckpointSites bounds the shape a header may claim, so the
+// lengths computed from it cannot overflow.
 const maxCheckpointSites = 1 << 28
 
 func (ci CheckpointInfo) validate() error {
@@ -70,148 +71,124 @@ func (ci CheckpointInfo) EncodedLen() int {
 	return checkpointHeaderLen + 8*(ci.Iolets+ci.Sites*ci.Q) + 8
 }
 
-// writeCheckpoint emits the canonical stream: header and body (iolet
-// densities then populations), both CRC-covered, then the CRC trailer.
-func writeCheckpoint(w io.Writer, step int, ioletRho, f []float64, sites, q int) error {
-	// bufio amortizes syscalls for real sinks; an in-memory buffer is
-	// already its own buffer, and skipping the wrapper saves a full
-	// extra copy of the population vector per checkpoint.
-	var bw io.Writer
-	var fl *bufio.Writer
-	if mem, ok := w.(*bytes.Buffer); ok {
-		bw = mem
+// parseHeader is the one header parser of both record kinds. It reads
+// the header words of a record with the given magic (checkpointMagic
+// or deltaMagic) straight from data, checks them, and checks that
+// len(data) is a length the header implies, so every offset computed
+// from the header lies inside data. A full record sets only Info.
+func parseHeader(data []byte, magic uint64) (DeltaInfo, error) {
+	kind, headerLen := "checkpoint", checkpointHeaderLen
+	if magic == deltaMagic {
+		kind, headerLen = "delta checkpoint", deltaHeaderLen
+	}
+	if len(data) < headerLen+8 {
+		return DeltaInfo{}, fmt.Errorf("lb: %s record too short (%d bytes)", kind, len(data))
+	}
+	word := func(i int) uint64 { return binary.LittleEndian.Uint64(data[8*i:]) }
+	if m := word(0); m != magic {
+		return DeltaInfo{}, fmt.Errorf("lb: not a %s (magic %#x)", kind, m)
+	}
+	di := DeltaInfo{Info: CheckpointInfo{
+		Step:   int(word(1)),
+		Sites:  int(word(2)),
+		Q:      int(word(3)),
+		Iolets: int(word(4)),
+	}}
+	if err := di.Info.validate(); err != nil {
+		return DeltaInfo{}, err
+	}
+	if magic == checkpointMagic {
+		if want := di.Info.EncodedLen(); len(data) != want {
+			return DeltaInfo{}, fmt.Errorf("lb: checkpoint is %d bytes, header implies %d", len(data), want)
+		}
+		return di, nil
+	}
+	di.Seq, di.PrevCRC = word(5), word(6)
+	di.TileSites, di.DirtyTiles = int(word(7)), int(word(8))
+	if di.Seq == 0 {
+		return DeltaInfo{}, fmt.Errorf("lb: delta seq 0 (chain positions are 1-based)")
+	}
+	// A tile size above the site count is legal (one short tile covers
+	// the whole domain — small domains under the default granularity);
+	// only nonsense values are rejected.
+	if di.TileSites <= 0 || di.TileSites > maxCheckpointSites {
+		return DeltaInfo{}, fmt.Errorf("lb: delta tile size %d out of range", di.TileSites)
+	}
+	tiles := NumDeltaTiles(di.Info.Sites, di.TileSites)
+	if di.DirtyTiles < 0 || di.DirtyTiles > tiles {
+		return DeltaInfo{}, fmt.Errorf("lb: delta claims %d dirty tiles of %d", di.DirtyTiles, tiles)
+	}
+	// The record length is fully determined by the header except for
+	// whether the (possibly short) last tile is among the dirty set, so
+	// both admissible lengths are accepted here; the tile walk settles
+	// which one the record is.
+	q := di.Info.Q
+	wantFull := deltaHeaderLen + 8*di.Info.Iolets + 8 + di.DirtyTiles*(8+8*di.TileSites*q)
+	lastLen := deltaTileLen(tiles-1, di.Info.Sites, di.TileSites)
+	wantShort := wantFull - 8*(di.TileSites-lastLen)*q
+	if len(data) != wantFull && !(di.DirtyTiles > 0 && len(data) == wantShort) {
+		return DeltaInfo{}, fmt.Errorf("lb: delta record is %d bytes, header implies %d (or %d with the tail tile)",
+			len(data), wantFull, wantShort)
+	}
+	return di, nil
+}
+
+// checkTrailer is the one trailer check of both record kinds: the last
+// eight bytes must be the CRC64-ECMA of everything before them. It
+// returns the trailer, the record's chain identity.
+func checkTrailer(data []byte) (uint64, error) {
+	n := len(data)
+	want := binary.LittleEndian.Uint64(data[n-8:])
+	if got := crc64.Checksum(data[:n-8], crcTable); got != want {
+		return 0, fmt.Errorf("lb: checkpoint record corrupt (crc %#x, want %#x)", got, want)
+	}
+	return want, nil
+}
+
+// writeRecord is the one encoder of both record kinds. appendBody
+// appends the header words and the body to the slice it is given;
+// writeRecord adds the CRC64 trailer over what it appended and hands
+// the record to w in one Write. n is the record's length: a
+// *bytes.Buffer grows to hold it and the record is appended straight
+// into its spare capacity, so a recycled buffer allocates nothing (its
+// Write then copies the record onto itself, which moves no bytes); any
+// other writer gets a slice of n bytes.
+func writeRecord(w io.Writer, n int, appendBody func([]byte) []byte) (uint64, error) {
+	var b []byte
+	if buf, ok := w.(*bytes.Buffer); ok {
+		buf.Grow(n)
+		b = buf.AvailableBuffer()
 	} else {
-		fl = bufio.NewWriter(w)
-		bw = fl
+		b = make([]byte, 0, n)
 	}
-	crc := crc64.New(crcTable)
-	mw := io.MultiWriter(bw, crc)
-	head := []uint64{
-		checkpointMagic,
-		uint64(step),
-		uint64(sites),
-		uint64(q),
-		uint64(len(ioletRho)),
-	}
-	for _, v := range head {
-		if err := binary.Write(mw, binary.LittleEndian, v); err != nil {
-			return fmt.Errorf("lb: checkpoint header: %w", err)
-		}
-	}
-	// The float vectors stream through a fixed scratch chunk instead of
-	// binary.Write, which would allocate a transient byte buffer the
-	// size of the whole population vector per checkpoint.
-	var scratch [4096]byte
-	if err := writeF64s(mw, ioletRho, scratch[:]); err != nil {
-		return fmt.Errorf("lb: checkpoint iolets: %w", err)
-	}
-	if err := writeF64s(mw, f, scratch[:]); err != nil {
-		return fmt.Errorf("lb: checkpoint populations: %w", err)
-	}
-	if err := binary.Write(bw, binary.LittleEndian, crc.Sum64()); err != nil {
-		return fmt.Errorf("lb: checkpoint crc: %w", err)
-	}
-	if fl != nil {
-		return fl.Flush()
-	}
-	return nil
+	b = appendBody(b)
+	sum := crc64.Checksum(b, crcTable)
+	_, err := w.Write(binary.LittleEndian.AppendUint64(b, sum))
+	return sum, err
 }
 
-// writeF64s little-endian-encodes vals through the caller's scratch
-// chunk (len a multiple of 8).
-func writeF64s(w io.Writer, vals []float64, scratch []byte) error {
-	per := len(scratch) / 8
-	for at := 0; at < len(vals); at += per {
-		end := at + per
-		if end > len(vals) {
-			end = len(vals)
-		}
-		n := 0
-		for _, v := range vals[at:end] {
-			binary.LittleEndian.PutUint64(scratch[n:], math.Float64bits(v))
-			n += 8
-		}
-		if _, err := w.Write(scratch[:n]); err != nil {
-			return err
-		}
+// appendWords appends little-endian uint64 words to b.
+func appendWords(b []byte, ws ...uint64) []byte {
+	for _, w := range ws {
+		b = binary.LittleEndian.AppendUint64(b, w)
 	}
-	return nil
+	return b
 }
 
-// readCheckpointHeader parses and sanity-checks the fixed header,
-// leaving the reader positioned at the body. It also returns the raw
-// header bytes so the body reader can fold them into the CRC.
-func readCheckpointHeader(br *bufio.Reader) (CheckpointInfo, []byte, error) {
-	raw := make([]byte, checkpointHeaderLen)
-	if _, err := io.ReadFull(br, raw); err != nil {
-		return CheckpointInfo{}, nil, fmt.Errorf("lb: restore header: %w", err)
+// appendF64s appends the little-endian bit patterns of vs to b.
+func appendF64s(b []byte, vs []float64) []byte {
+	for _, v := range vs {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
 	}
-	if magic := binary.LittleEndian.Uint64(raw); magic != checkpointMagic {
-		return CheckpointInfo{}, nil, fmt.Errorf("lb: not a checkpoint (magic %#x)", magic)
-	}
-	ci := CheckpointInfo{
-		Step:   int(binary.LittleEndian.Uint64(raw[8:])),
-		Sites:  int(binary.LittleEndian.Uint64(raw[16:])),
-		Q:      int(binary.LittleEndian.Uint64(raw[24:])),
-		Iolets: int(binary.LittleEndian.Uint64(raw[32:])),
-	}
-	if err := ci.validate(); err != nil {
-		return CheckpointInfo{}, nil, err
-	}
-	return ci, raw, nil
+	return b
 }
 
-// readCheckpointBody reads the iolet densities and populations the
-// header describes and verifies the CRC trailer over header + body.
-func readCheckpointBody(br *bufio.Reader, ci CheckpointInfo, rawHeader []byte) (iolets, f []float64, err error) {
-	crc := crc64.New(crcTable)
-	crc.Write(rawHeader)
-	tr := io.TeeReader(br, crc)
-	if iolets, err = readF64s(tr, ci.Iolets); err != nil {
-		return nil, nil, fmt.Errorf("lb: restore iolets: %w", err)
+// getF64s fills dst from the little-endian float64s at the start of
+// raw, which must hold at least len(dst) of them.
+func getF64s(dst []float64, raw []byte) {
+	for i := range dst {
+		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
 	}
-	if f, err = readF64s(tr, ci.Sites*ci.Q); err != nil {
-		return nil, nil, fmt.Errorf("lb: restore populations: %w", err)
-	}
-	var trail [8]byte
-	if _, err := io.ReadFull(br, trail[:]); err != nil {
-		return nil, nil, fmt.Errorf("lb: restore crc: %w", err)
-	}
-	if got, want := crc.Sum64(), binary.LittleEndian.Uint64(trail[:]); got != want {
-		return nil, nil, fmt.Errorf("lb: checkpoint corrupt (crc %#x, want %#x)", got, want)
-	}
-	return iolets, f, nil
-}
-
-// readF64s decodes count little-endian float64s from r through a
-// bounded scratch chunk, growing the result only as bytes actually
-// arrive. The header's claimed shape therefore sizes nothing up front:
-// a corrupted-but-plausible header over a truncated stream fails at
-// EOF after one chunk, where handing the count straight to make (or
-// binary.Read, which shadow-allocates count*8 bytes) would commit
-// gigabytes before the CRC could object. The fault-injection harness
-// caught this on bit-flipped header sweeps.
-func readF64s(r io.Reader, count int) ([]float64, error) {
-	const per = 8192 // floats per read: 64 KiB chunks
-	var scratch [per * 8]byte
-	cap0 := count
-	if cap0 > per {
-		cap0 = per
-	}
-	out := make([]float64, 0, cap0)
-	for len(out) < count {
-		n := count - len(out)
-		if n > per {
-			n = per
-		}
-		if _, err := io.ReadFull(r, scratch[:n*8]); err != nil {
-			return nil, err
-		}
-		for i := 0; i < n; i++ {
-			out = append(out, math.Float64frombits(binary.LittleEndian.Uint64(scratch[i*8:])))
-		}
-	}
-	return out, nil
 }
 
 // CheckpointState is a fully decoded checkpoint: the header plus the
@@ -224,86 +201,41 @@ type CheckpointState struct {
 	F        []float64
 }
 
-// DecodeCheckpoint fully parses and CRC-verifies a checkpoint stream
-// into its decoded state. Decode once, then install on each rank with
-// Dist.RestoreState — parsing per rank would multiply the transient
-// memory by the rank count.
-func DecodeCheckpoint(r io.Reader) (*CheckpointState, error) {
-	br := bufio.NewReader(r)
-	ci, raw, err := readCheckpointHeader(br)
-	if err != nil {
-		return nil, err
-	}
-	iolets, f, err := readCheckpointBody(br, ci, raw)
-	if err != nil {
-		return nil, err
-	}
-	return &CheckpointState{Info: ci, IoletRho: iolets, F: f}, nil
-}
-
-// VerifyCheckpoint fully parses a checkpoint stream — header sanity,
-// body, CRC — without needing a solver, and reports what it holds.
-func VerifyCheckpoint(r io.Reader) (CheckpointInfo, error) {
-	st, err := DecodeCheckpoint(r)
-	if err != nil {
-		return CheckpointInfo{}, err
-	}
-	return st.Info, nil
-}
-
-// DecodeCheckpointBytes is DecodeCheckpoint for an in-memory stream,
-// with one extra defence the reader form cannot have: the header's
-// claimed shape must match the actual byte length exactly before any
-// body buffer is allocated, so a corrupted size field fails fast
-// instead of attempting a huge allocation. The durable job store
-// loads every checkpoint through this path.
-func DecodeCheckpointBytes(data []byte) (*CheckpointState, error) {
-	ci, _, err := readCheckpointHeader(bufio.NewReader(bytes.NewReader(data)))
-	if err != nil {
-		return nil, err
-	}
-	if want := ci.EncodedLen(); len(data) != want {
-		return nil, fmt.Errorf("lb: checkpoint is %d bytes, header implies %d", len(data), want)
-	}
-	return DecodeCheckpoint(bytes.NewReader(data))
-}
-
-// VerifyCheckpointBytes is DecodeCheckpointBytes when only validity
-// and the header are wanted.
+// VerifyCheckpointBytes checks a full checkpoint record in place —
+// magic, header sanity, the exact length the header implies, the CRC
+// trailer — and reports its header. It decodes no floats and allocates
+// nothing on success, and it accepts exactly what DecodeCheckpointBytes
+// accepts.
 func VerifyCheckpointBytes(data []byte) (CheckpointInfo, error) {
-	st, err := DecodeCheckpointBytes(data)
+	di, err := parseHeader(data, checkpointMagic)
 	if err != nil {
 		return CheckpointInfo{}, err
 	}
-	return st.Info, nil
+	if _, err := checkTrailer(data); err != nil {
+		return CheckpointInfo{}, err
+	}
+	return di.Info, nil
 }
 
-// Checkpoint writes the solver state (step counter, iolet settings,
-// populations) so a later Restore continues bit-exactly.
-func (s *Solver) Checkpoint(w io.Writer) error {
-	return writeCheckpoint(w, s.step, s.ioletRho, s.f, s.n, s.M.Q)
-}
-
-// Restore loads a checkpoint written by Checkpoint into this solver.
-// The domain (site count, model) must match; the CRC must verify.
-func (s *Solver) Restore(r io.Reader) error {
-	br := bufio.NewReader(r)
-	ci, raw, err := readCheckpointHeader(br)
+// DecodeCheckpointBytes verifies a full checkpoint record and decodes
+// it into a state. Each array is allocated once, sized from the length
+// the header was checked against, so a corrupted size field fails
+// before anything is allocated. Decode once, then install on each rank
+// with Dist.RestoreState — decoding per rank would multiply the memory
+// by the rank count.
+func DecodeCheckpointBytes(data []byte) (*CheckpointState, error) {
+	ci, err := VerifyCheckpointBytes(data)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	if err := s.checkShape(ci, s.n); err != nil {
-		return err
+	st := &CheckpointState{
+		Info:     ci,
+		IoletRho: make([]float64, ci.Iolets),
+		F:        make([]float64, ci.Sites*ci.Q),
 	}
-	iolets, f, err := readCheckpointBody(br, ci, raw)
-	if err != nil {
-		return err
-	}
-	// Only commit after full validation.
-	s.step = ci.Step
-	copy(s.ioletRho, iolets)
-	copy(s.f, f)
-	return nil
+	getF64s(st.IoletRho, data[checkpointHeaderLen:])
+	getF64s(st.F, data[checkpointHeaderLen+8*ci.Iolets:])
+	return st, nil
 }
 
 // EncodeTo writes the canonical checkpoint stream for a decoded (or
@@ -311,7 +243,16 @@ func (s *Solver) Restore(r io.Reader) error {
 // a writer goroutine encodes and persists what GatherState captured
 // while the solver keeps stepping.
 func (st *CheckpointState) EncodeTo(w io.Writer) error {
-	return writeCheckpoint(w, st.Info.Step, st.IoletRho, st.F, st.Info.Sites, st.Info.Q)
+	ci := st.Info
+	_, err := writeRecord(w, ci.EncodedLen(), func(b []byte) []byte {
+		b = appendWords(b, checkpointMagic, uint64(ci.Step), uint64(ci.Sites), uint64(ci.Q), uint64(len(st.IoletRho)))
+		b = appendF64s(b, st.IoletRho)
+		return appendF64s(b, st.F)
+	})
+	if err != nil {
+		return fmt.Errorf("lb: checkpoint write: %w", err)
+	}
+	return nil
 }
 
 // GatherState collects the distributed solver state into st at rank 0,
@@ -324,7 +265,7 @@ func (st *CheckpointState) EncodeTo(w io.Writer) error {
 // per run of consecutive global ids (a single one when it owns every
 // site); other ranks pack theirs and send, and the root scatters only
 // those. States filled here are private to the caller; they do not
-// carry the read-only sharing convention DecodeCheckpoint states do.
+// carry the read-only sharing convention decoded states do.
 func (d *Dist) GatherState(st *CheckpointState) *CheckpointState {
 	q := d.M.Q
 	root := 0
@@ -385,21 +326,6 @@ func (d *Dist) prepState(st *CheckpointState) *CheckpointState {
 	return st
 }
 
-// Checkpoint gathers the distributed state to rank 0 and writes it in
-// the same global-site-major format Solver.Checkpoint uses, so a Dist
-// checkpoint restores into a Solver (and vice versa) for the same
-// domain. It is collective: every rank must call it at the same step;
-// only rank 0 writes to w (other ranks may pass nil) and only rank 0
-// can return an error. The synchronous convenience form of
-// GatherState + EncodeTo.
-func (d *Dist) Checkpoint(w io.Writer) error {
-	st := d.GatherState(nil)
-	if st == nil {
-		return nil // non-root
-	}
-	return st.EncodeTo(w)
-}
-
 // RestoreState installs a decoded global checkpoint into this rank's
 // subdomain: the populations of the sites it owns, the replicated
 // iolet densities, and the step counter. All ranks must call it with
@@ -415,15 +341,4 @@ func (d *Dist) RestoreState(st *CheckpointState) error {
 	copy(d.ioletRho, st.IoletRho)
 	d.step = ci.Step
 	return nil
-}
-
-// Restore loads a global checkpoint stream into this rank's
-// subdomain. When many ranks restore the same bytes, decode once with
-// DecodeCheckpoint and share the state via RestoreState instead.
-func (d *Dist) Restore(r io.Reader) error {
-	st, err := DecodeCheckpoint(r)
-	if err != nil {
-		return err
-	}
-	return d.RestoreState(st)
 }

@@ -1,11 +1,8 @@
 package lb
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/binary"
 	"fmt"
-	"hash/crc64"
 	"io"
 	"math"
 )
@@ -162,62 +159,30 @@ func (st *CheckpointState) EncodeDeltaTo(w io.Writer, base *CheckpointState, seq
 			return DeltaStats{}, err
 		}
 	}
-	var bw io.Writer
-	var fl *bufio.Writer
-	if mem, ok := w.(*bytes.Buffer); ok {
-		bw = mem
-	} else {
-		fl = bufio.NewWriter(w)
-		bw = fl
-	}
-	crc := crc64.New(crcTable)
-	mw := io.MultiWriter(bw, crc)
-	head := []uint64{
-		deltaMagic,
-		uint64(st.Info.Step),
-		uint64(st.Info.Sites),
-		uint64(st.Info.Q),
-		uint64(len(st.IoletRho)),
-		seq,
-		prevCRC,
-		uint64(tileSites),
-		uint64(len(dirty)),
-	}
-	var scratch [4096]byte
-	for _, v := range head {
-		if err := binary.Write(mw, binary.LittleEndian, v); err != nil {
-			return DeltaStats{}, fmt.Errorf("lb: delta header: %w", err)
-		}
-	}
-	if err := writeF64s(mw, st.IoletRho, scratch[:]); err != nil {
-		return DeltaStats{}, fmt.Errorf("lb: delta iolets: %w", err)
-	}
-	q := st.Info.Q
-	bytes := deltaHeaderLen + 8*len(st.IoletRho) + 8
+	ci := st.Info
+	q := ci.Q
+	n := deltaHeaderLen + 8*len(st.IoletRho) + 8
 	for _, t := range dirty {
-		if err := binary.Write(mw, binary.LittleEndian, uint64(t)); err != nil {
-			return DeltaStats{}, fmt.Errorf("lb: delta tile index: %w", err)
-		}
-		lo := t * tileSites * q
-		n := deltaTileLen(t, st.Info.Sites, tileSites) * q
-		if err := writeF64s(mw, st.F[lo:lo+n], scratch[:]); err != nil {
-			return DeltaStats{}, fmt.Errorf("lb: delta tile %d: %w", t, err)
-		}
-		bytes += 8 + 8*n
+		n += 8 + 8*deltaTileLen(t, ci.Sites, tileSites)*q
 	}
-	sum := crc.Sum64()
-	if err := binary.Write(bw, binary.LittleEndian, sum); err != nil {
-		return DeltaStats{}, fmt.Errorf("lb: delta crc: %w", err)
-	}
-	if fl != nil {
-		if err := fl.Flush(); err != nil {
-			return DeltaStats{}, err
+	sum, err := writeRecord(w, n, func(b []byte) []byte {
+		b = appendWords(b, deltaMagic, uint64(ci.Step), uint64(ci.Sites), uint64(q), uint64(len(st.IoletRho)),
+			seq, prevCRC, uint64(tileSites), uint64(len(dirty)))
+		b = appendF64s(b, st.IoletRho)
+		for _, t := range dirty {
+			lo := t * tileSites * q
+			b = appendWords(b, uint64(t))
+			b = appendF64s(b, st.F[lo:lo+deltaTileLen(t, ci.Sites, tileSites)*q])
 		}
+		return b
+	})
+	if err != nil {
+		return DeltaStats{}, fmt.Errorf("lb: delta write: %w", err)
 	}
 	return DeltaStats{
-		Tiles: NumDeltaTiles(st.Info.Sites, tileSites),
+		Tiles: NumDeltaTiles(ci.Sites, tileSites),
 		Dirty: len(dirty),
-		Bytes: bytes,
+		Bytes: n,
 		CRC:   sum,
 	}, nil
 }
@@ -233,109 +198,73 @@ func CheckpointCRC(data []byte) (uint64, error) {
 	return binary.LittleEndian.Uint64(data[len(data)-8:]), nil
 }
 
-// DecodeDeltaBytes fully parses and CRC-verifies one delta record. All
-// allocations are bounded by the actual input length, never by header
-// claims, so a corrupted header cannot commit memory before the checks
-// reject it.
-func DecodeDeltaBytes(data []byte) (*CheckpointDelta, error) {
-	if len(data) < deltaHeaderLen+8 {
-		return nil, fmt.Errorf("lb: delta record too short (%d bytes)", len(data))
-	}
-	if magic := binary.LittleEndian.Uint64(data); magic != deltaMagic {
-		return nil, fmt.Errorf("lb: not a delta checkpoint (magic %#x)", magic)
-	}
-	d := &CheckpointDelta{DeltaInfo: DeltaInfo{
-		Info: CheckpointInfo{
-			Step:   int(binary.LittleEndian.Uint64(data[8:])),
-			Sites:  int(binary.LittleEndian.Uint64(data[16:])),
-			Q:      int(binary.LittleEndian.Uint64(data[24:])),
-			Iolets: int(binary.LittleEndian.Uint64(data[32:])),
-		},
-		Seq:        binary.LittleEndian.Uint64(data[40:]),
-		PrevCRC:    binary.LittleEndian.Uint64(data[48:]),
-		TileSites:  int(binary.LittleEndian.Uint64(data[56:])),
-		DirtyTiles: int(binary.LittleEndian.Uint64(data[64:])),
-	}}
-	if err := d.Info.validate(); err != nil {
-		return nil, err
-	}
-	if d.Seq == 0 {
-		return nil, fmt.Errorf("lb: delta seq 0 (chain positions are 1-based)")
-	}
-	// A tile size above the site count is legal (one short tile covers
-	// the whole domain — small domains under the default granularity);
-	// only nonsense values are rejected.
-	if d.TileSites <= 0 || d.TileSites > maxCheckpointSites {
-		return nil, fmt.Errorf("lb: delta tile size %d out of range", d.TileSites)
-	}
-	tiles := NumDeltaTiles(d.Info.Sites, d.TileSites)
-	if d.DirtyTiles < 0 || d.DirtyTiles > tiles {
-		return nil, fmt.Errorf("lb: delta claims %d dirty tiles of %d", d.DirtyTiles, tiles)
-	}
-	// The record length is fully determined by the header except for
-	// whether the (possibly short) last tile is among the dirty set, so
-	// the exact-length fail-fast checks both admissible lengths before
-	// any body allocation.
-	q := d.Info.Q
-	fullTile := 8 + 8*d.TileSites*q
-	base := deltaHeaderLen + 8*d.Info.Iolets + 8
-	wantFull := base + d.DirtyTiles*fullTile
-	lastLen := deltaTileLen(tiles-1, d.Info.Sites, d.TileSites)
-	wantShort := wantFull - 8*(d.TileSites-lastLen)*q
-	if len(data) != wantFull && !(d.DirtyTiles > 0 && len(data) == wantShort) {
-		return nil, fmt.Errorf("lb: delta record is %d bytes, header implies %d (or %d with the tail tile)",
-			len(data), wantFull, wantShort)
-	}
-	body := data[:len(data)-8]
-	wantCRC := binary.LittleEndian.Uint64(data[len(data)-8:])
-	if got := crc64.Checksum(body, crcTable); got != wantCRC {
-		return nil, fmt.Errorf("lb: delta record corrupt (crc %#x, want %#x)", got, wantCRC)
-	}
-	d.CRC = wantCRC
-	at := deltaHeaderLen
-	d.IoletRho = decodeF64s(data[at:at+8*d.Info.Iolets], nil)
-	at += 8 * d.Info.Iolets
-	d.TileIdx = make([]int, 0, d.DirtyTiles)
-	d.TileF = make([]float64, 0, (len(data)-at-8)/8)
-	prev := -1
-	for i := 0; i < d.DirtyTiles; i++ {
-		t := int(binary.LittleEndian.Uint64(data[at:]))
-		at += 8
-		if t <= prev || t >= tiles {
-			return nil, fmt.Errorf("lb: delta tile index %d out of order or range (tiles=%d)", t, tiles)
-		}
-		n := deltaTileLen(t, d.Info.Sites, d.TileSites) * q
-		if at+8*n > len(body) {
-			return nil, fmt.Errorf("lb: delta tile %d overruns the record", t)
-		}
-		d.TileIdx = append(d.TileIdx, t)
-		d.TileF = decodeF64s(data[at:at+8*n], d.TileF)
-		at += 8 * n
-		prev = t
-	}
-	if at != len(body) {
-		return nil, fmt.Errorf("lb: delta record has %d trailing bytes", len(body)-at)
-	}
-	return d, nil
-}
-
-// decodeF64s appends the little-endian float64s in raw to dst.
-func decodeF64s(raw []byte, dst []float64) []float64 {
-	for i := 0; i+8 <= len(raw); i += 8 {
-		dst = append(dst, math.Float64frombits(binary.LittleEndian.Uint64(raw[i:])))
-	}
-	return dst
-}
-
-// VerifyDeltaCheckpointBytes fully parses and CRC-verifies a delta
-// record, reporting its header. The store's chain verification and the
+// VerifyDeltaCheckpointBytes checks a delta record in place — header
+// sanity, an admissible length, the CRC trailer, then the tile indices
+// (strictly increasing, in range, each payload inside the record, no
+// bytes left over) — and reports its header. It decodes no floats and
+// allocates nothing on success, and it accepts exactly what
+// DecodeDeltaBytes accepts. The store's chain verification and the
 // fuzzer drive this.
 func VerifyDeltaCheckpointBytes(data []byte) (DeltaInfo, error) {
-	d, err := DecodeDeltaBytes(data)
+	di, err := parseHeader(data, deltaMagic)
 	if err != nil {
 		return DeltaInfo{}, err
 	}
-	return d.DeltaInfo, nil
+	if di.CRC, err = checkTrailer(data); err != nil {
+		return DeltaInfo{}, err
+	}
+	tiles := NumDeltaTiles(di.Info.Sites, di.TileSites)
+	end := len(data) - 8
+	at := deltaHeaderLen + 8*di.Info.Iolets
+	prev := -1
+	for i := 0; i < di.DirtyTiles; i++ {
+		t := int(binary.LittleEndian.Uint64(data[at:]))
+		at += 8
+		if t <= prev || t >= tiles {
+			return DeltaInfo{}, fmt.Errorf("lb: delta tile index %d out of order or range (tiles=%d)", t, tiles)
+		}
+		n := deltaTileLen(t, di.Info.Sites, di.TileSites) * di.Info.Q
+		if at+8*n > end {
+			return DeltaInfo{}, fmt.Errorf("lb: delta tile %d overruns the record", t)
+		}
+		at += 8 * n
+		prev = t
+	}
+	if at != end {
+		return DeltaInfo{}, fmt.Errorf("lb: delta record has %d trailing bytes", end-at)
+	}
+	return di, nil
+}
+
+// DecodeDeltaBytes verifies one delta record and decodes it. Each
+// array is allocated once, sized from the length the header was
+// checked against, and only after every check has passed, so a
+// corrupted header cannot commit memory.
+func DecodeDeltaBytes(data []byte) (*CheckpointDelta, error) {
+	di, err := VerifyDeltaCheckpointBytes(data)
+	if err != nil {
+		return nil, err
+	}
+	at := deltaHeaderLen + 8*di.Info.Iolets
+	d := &CheckpointDelta{
+		DeltaInfo: di,
+		IoletRho:  make([]float64, di.Info.Iolets),
+		TileIdx:   make([]int, di.DirtyTiles),
+		// What follows the iolets is one index word per tile, then
+		// floats, then the trailer.
+		TileF: make([]float64, (len(data)-at-8)/8-di.DirtyTiles),
+	}
+	getF64s(d.IoletRho, data[deltaHeaderLen:])
+	off := 0
+	for i := range d.TileIdx {
+		t := int(binary.LittleEndian.Uint64(data[at:]))
+		n := deltaTileLen(t, di.Info.Sites, di.TileSites) * di.Info.Q
+		d.TileIdx[i] = t
+		getF64s(d.TileF[off:off+n], data[at+8:])
+		at += 8 + 8*n
+		off += n
+	}
+	return d, nil
 }
 
 // ApplyDelta advances st (the chain state so far) by one decoded delta

@@ -283,26 +283,13 @@ func TestDeltaRejectsStaleStep(t *testing.T) {
 	}
 }
 
-// TestDeltaRejectsBitFlips sweeps a single bit flip over every byte:
-// the CRC covers the whole record, so each must be rejected.
+// TestDeltaRejectsBitFlips sweeps a delta record (sweepBitFlips), then
+// truncations of it.
 func TestDeltaRejectsBitFlips(t *testing.T) {
-	base := deltaBaseState(18, 3, 2)
-	st := base.Clone()
-	st.Info.Step = 11
-	st.F[3] += 1
-	st.F[50] += 1
-	var buf bytes.Buffer
-	if _, err := st.EncodeDeltaTo(&buf, base, 1, 42, 4, nil); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
-	for i := range data {
-		bad := append([]byte(nil), data...)
-		bad[i] ^= 0x10
-		if _, err := VerifyDeltaCheckpointBytes(bad); err == nil {
-			t.Fatalf("bit flip at byte %d/%d verified", i, len(data))
-		}
-	}
+	data := tinyDelta(t)
+	sweepBitFlips(t, data,
+		func(b []byte) error { _, err := VerifyDeltaCheckpointBytes(b); return err },
+		func(b []byte) error { _, err := DecodeDeltaBytes(b); return err })
 	for cut := 1; cut < len(data); cut += 7 {
 		if _, err := VerifyDeltaCheckpointBytes(data[:len(data)-cut]); err == nil {
 			t.Fatalf("truncation by %d bytes verified", cut)
@@ -372,12 +359,12 @@ func FuzzVerifyDeltaCheckpoint(f *testing.F) {
 	f.Add(corrupt)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		info, err := VerifyDeltaCheckpointBytes(data)
+		d, derr := DecodeDeltaBytes(data)
+		if (err == nil) != (derr == nil) {
+			t.Fatalf("verify and decode disagree: %v vs %v", err, derr)
+		}
 		if err != nil {
 			return
-		}
-		d, derr := DecodeDeltaBytes(data)
-		if derr != nil {
-			t.Fatalf("verify accepted, decode rejected: %v", derr)
 		}
 		if d.DeltaInfo != info {
 			t.Fatalf("decode header %+v != verify header %+v", d.DeltaInfo, info)

@@ -15,12 +15,11 @@ import (
 // that corpus minimization stays cheap.
 func tinyCheckpoint(t testing.TB) []byte {
 	t.Helper()
-	var buf bytes.Buffer
-	f := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}
-	if err := writeCheckpoint(&buf, 7, []float64{1.01, 0.99}, f, 4, 3); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
+	return stateRecord(&CheckpointState{
+		Info:     CheckpointInfo{Step: 7, Sites: 4, Q: 3, Iolets: 2},
+		IoletRho: []float64{1.01, 0.99},
+		F:        []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12},
+	})
 }
 
 // TestSolverCheckpointVerifies keeps the synthetic fuzz seed honest: a
@@ -32,11 +31,7 @@ func TestSolverCheckpointVerifies(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Advance(7)
-	var buf bytes.Buffer
-	if err := s.Checkpoint(&buf); err != nil {
-		t.Fatal(err)
-	}
-	info, err := VerifyCheckpointBytes(buf.Bytes())
+	info, err := VerifyCheckpointBytes(solverRecord(s))
 	if err != nil || info.Step != 7 {
 		t.Fatalf("real checkpoint: (%+v, %v)", info, err)
 	}
@@ -52,47 +47,62 @@ func bigHeader() []byte {
 	return buf.Bytes()
 }
 
-// TestTruncatedBigHeaderFailsFast pins the decode-hardening fix the
-// chaos harness motivated: a truncated stream whose (plausible) header
-// claims ~2^34 floats used to size the population buffer up front —
-// committing gigabytes before EOF — where the chunked reader now fails
-// after one 64 KiB chunk.
+// TestTruncatedBigHeaderFailsFast pins the decode hardening the chaos
+// harness motivated: a truncated stream whose (plausible) header
+// claims ~2^34 floats must fail on the length the header implies,
+// before anything is sized from that claim.
 func TestTruncatedBigHeaderFailsFast(t *testing.T) {
 	data := bigHeader()
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	_, err := DecodeCheckpoint(bytes.NewReader(data))
-	runtime.ReadMemStats(&after)
-	if err == nil {
-		t.Fatal("truncated big-header stream decoded successfully")
-	}
-	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 16<<20 {
-		t.Fatalf("decoding a truncated big-header stream allocated %d bytes", alloc)
-	}
-}
-
-// TestReaderPathRejectsBitFlips sweeps a single bit flip over every
-// byte of a valid stream through the io.Reader decode path (the store
-// uses the stricter bytes path; Solver.Restore and Dist.Restore use
-// this one).
-func TestReaderPathRejectsBitFlips(t *testing.T) {
-	data := tinyCheckpoint(t)
-	for i := range data {
-		bad := append([]byte(nil), data...)
-		bad[i] ^= 0x10
-		if _, err := VerifyCheckpoint(bytes.NewReader(bad)); err == nil {
-			t.Fatalf("bit flip at byte %d/%d verified", i, len(data))
+	for name, try := range map[string]func() error{
+		"DecodeCheckpointBytes": func() error { _, err := DecodeCheckpointBytes(data); return err },
+		"VerifyCheckpointBytes": func() error { _, err := VerifyCheckpointBytes(data); return err },
+	} {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		err := try()
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatalf("%s accepted a truncated big-header stream", name)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 64<<10 {
+			t.Fatalf("%s allocated %d bytes on a truncated big-header stream", name, alloc)
 		}
 	}
 }
 
-// FuzzVerifyCheckpoint drives the checkpoint decoder with arbitrary
+// sweepBitFlips flips one bit in every byte of a valid record in turn;
+// the CRC covers the whole record, so verify and decode must each
+// reject every copy.
+func sweepBitFlips(t *testing.T, data []byte, verify, decode func([]byte) error) {
+	t.Helper()
+	for i := range data {
+		bad := append([]byte(nil), data...)
+		bad[i] ^= 0x10
+		if verify(bad) == nil {
+			t.Fatalf("bit flip at byte %d/%d verified", i, len(data))
+		}
+		if decode(bad) == nil {
+			t.Fatalf("bit flip at byte %d/%d decoded", i, len(data))
+		}
+	}
+}
+
+// TestCheckpointRejectsBitFlips sweeps a full record; the delta twin is
+// TestDeltaRejectsBitFlips.
+func TestCheckpointRejectsBitFlips(t *testing.T) {
+	sweepBitFlips(t, tinyCheckpoint(t),
+		func(b []byte) error { _, err := VerifyCheckpointBytes(b); return err },
+		func(b []byte) error { _, err := DecodeCheckpointBytes(b); return err })
+}
+
+// FuzzVerifyCheckpoint drives the checkpoint codec with arbitrary
 // bytes. Properties: never panic, never allocate past a truncated
 // stream's actual length (enforced by the fail-fast test above and the
-// fuzzer's resource limits), and on acceptance: the reader and bytes
-// paths agree, and the decoded state re-encodes to the exact input —
-// the format is canonical, so accept implies bit-exact round trip.
+// fuzzer's resource limits), the verifier accepts exactly what the
+// decoder accepts, and on acceptance the decoded state re-encodes to
+// the exact input — the format is canonical, so accept implies
+// bit-exact round trip.
 func FuzzVerifyCheckpoint(f *testing.F) {
 	valid := tinyCheckpoint(f)
 	f.Add([]byte{})
@@ -107,14 +117,12 @@ func FuzzVerifyCheckpoint(f *testing.F) {
 	f.Add(corrupt)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		info, err := VerifyCheckpointBytes(data)
-		st, rerr := DecodeCheckpoint(bytes.NewReader(data))
+		st, derr := DecodeCheckpointBytes(data)
+		if (err == nil) != (derr == nil) {
+			t.Fatalf("verify and decode disagree: %v vs %v", err, derr)
+		}
 		if err != nil {
 			return
-		}
-		// The bytes path is the stricter one (exact-length pre-check):
-		// anything it accepts the reader path must accept identically.
-		if rerr != nil {
-			t.Fatalf("bytes path accepted, reader path rejected: %v", rerr)
 		}
 		if st.Info != info {
 			t.Fatalf("decoded header %+v != verified header %+v", st.Info, info)
@@ -123,13 +131,9 @@ func FuzzVerifyCheckpoint(f *testing.F) {
 			t.Fatalf("decoded shape (%d iolets, %d floats) disagrees with header %+v",
 				len(st.IoletRho), len(st.F), info)
 		}
-		var out bytes.Buffer
-		if err := st.EncodeTo(&out); err != nil {
-			t.Fatalf("re-encode of accepted checkpoint failed: %v", err)
-		}
-		if !bytes.Equal(out.Bytes(), data) {
+		if out := stateRecord(st); !bytes.Equal(out, data) {
 			t.Fatalf("accepted checkpoint does not re-encode canonically (%d vs %d bytes)",
-				out.Len(), len(data))
+				len(out), len(data))
 		}
 	})
 }

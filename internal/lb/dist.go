@@ -254,32 +254,3 @@ func (d *Dist) consumeFields(_ int, p []float64) {
 		d.nonFinite.Store(true)
 	}
 }
-
-// GatherVelocity collects the full global velocity field at root rank
-// as (ux, uy, uz) indexed by global site id; non-root ranks receive
-// nils. Used by the naive (non-in-situ) post-processing baseline.
-func (d *Dist) GatherVelocity(root int) (ux, uy, uz []float64) {
-	buf := make([]float64, 4*d.n)
-	for li, g := range d.Owned {
-		vx, vy, vz := d.Velocity(li)
-		buf[4*li] = float64(g)
-		buf[4*li+1] = vx
-		buf[4*li+2] = vy
-		buf[4*li+3] = vz
-	}
-	parts := d.Comm.Gather(root, buf)
-	if parts == nil {
-		return nil, nil, nil
-	}
-	N := d.Dom.NumSites()
-	ux = make([]float64, N)
-	uy = make([]float64, N)
-	uz = make([]float64, N)
-	for _, p := range parts {
-		for i := 0; i+3 < len(p); i += 4 {
-			g := int(p[i])
-			ux[g], uy[g], uz[g] = p[i+1], p[i+2], p[i+3]
-		}
-	}
-	return ux, uy, uz
-}

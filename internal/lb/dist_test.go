@@ -190,7 +190,7 @@ func TestDistGatherVelocity(t *testing.T) {
 			panic(err)
 		}
 		d.Advance(20)
-		ux, uy, uz := d.GatherVelocity(0)
+		_, ux, uy, uz, _ := d.GatherFields(0)
 		if c.Rank() == 0 {
 			gx, gy, gz = ux, uy, uz
 		} else if ux != nil {

@@ -1,7 +1,6 @@
 package lb
 
 import (
-	"bytes"
 	"math"
 	"testing"
 
@@ -216,16 +215,13 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	if err := s.SetIoletDensity(0, 1.017); err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := s.Checkpoint(&buf); err != nil {
-		t.Fatal(err)
-	}
+	data := solverRecord(s)
 	// Continue the original for reference.
 	ref, err := New(dom, Params{Tau: 0.9})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ref.Restore(bytes.NewReader(buf.Bytes())); err != nil {
+	if err := restoreSolver(ref, data); err != nil {
 		t.Fatal(err)
 	}
 	if ref.StepCount() != 123 {
@@ -251,26 +247,22 @@ func TestRestoreRejectsCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Advance(20)
-	var buf bytes.Buffer
-	if err := s.Checkpoint(&buf); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
+	data := solverRecord(s)
 
 	// Flip one byte in the population payload: CRC must catch it.
 	corrupt := append([]byte(nil), data...)
 	corrupt[len(corrupt)/2] ^= 0xff
-	if err := s.Restore(bytes.NewReader(corrupt)); err == nil {
+	if err := restoreSolver(s, corrupt); err == nil {
 		t.Error("corrupt checkpoint accepted")
 	}
 	// Truncation must fail.
-	if err := s.Restore(bytes.NewReader(data[:len(data)/2])); err == nil {
+	if err := restoreSolver(s, data[:len(data)/2]); err == nil {
 		t.Error("truncated checkpoint accepted")
 	}
 	// Wrong magic must fail.
 	bad := append([]byte(nil), data...)
 	bad[0] ^= 0xff
-	if err := s.Restore(bytes.NewReader(bad)); err == nil {
+	if err := restoreSolver(s, bad); err == nil {
 		t.Error("bad magic accepted")
 	}
 	// Wrong domain must fail.
@@ -278,7 +270,7 @@ func TestRestoreRejectsCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := other.Restore(bytes.NewReader(data)); err == nil {
+	if err := restoreSolver(other, data); err == nil {
 		t.Error("checkpoint restored into mismatched domain")
 	}
 	// Failed restore must not have clobbered state.

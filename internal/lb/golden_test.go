@@ -52,7 +52,7 @@ func TestGoldenStateHash(t *testing.T) {
 	}
 	for _, tc := range goldenCases(t) {
 		t.Run(tc.name, func(t *testing.T) {
-			var serialCkpt bytes.Buffer
+			var serialCkpt []byte
 			for _, threads := range []int{1, 3} {
 				s, err := New(tc.dom, Params{Tau: 0.9, Kind: tc.kind, Threads: threads})
 				if err != nil {
@@ -64,7 +64,7 @@ func TestGoldenStateHash(t *testing.T) {
 					t.Errorf("Solver threads=%d: state hash %#016x, want %#016x", threads, got, tc.want)
 				}
 				if threads == 1 {
-					must(s.Checkpoint(&serialCkpt))
+					serialCkpt = solverRecord(s)
 				}
 				s.Close()
 			}
@@ -72,7 +72,7 @@ func TestGoldenStateHash(t *testing.T) {
 				part := pipePartition(t, tc.dom, k, partition.MethodMultilevel)
 				for _, threads := range []int{1, 3} {
 					var got uint64
-					var ckpt bytes.Buffer
+					var ckpt []byte
 					par.NewRuntime(k).Run(func(c *par.Comm) {
 						d, err := NewDist(c, tc.dom, part, Params{Tau: 0.9, Kind: tc.kind, Threads: threads})
 						must(err)
@@ -81,15 +81,15 @@ func TestGoldenStateHash(t *testing.T) {
 						tc.drive(d)
 						if st := d.GatherState(nil); st != nil {
 							got = stateHash(st.F)
+							ckpt = stateRecord(st)
 						}
-						must(d.Checkpoint(&ckpt))
 					})
 					id := fmt.Sprintf("Dist ranks=%d threads=%d", k, threads)
 					if got != tc.want {
 						t.Errorf("%s: state hash %#016x, want %#016x", id, got, tc.want)
 					}
-					if !bytes.Equal(ckpt.Bytes(), serialCkpt.Bytes()) {
-						t.Errorf("%s: checkpoint bytes differ from Solver.Checkpoint", id)
+					if !bytes.Equal(ckpt, serialCkpt) {
+						t.Errorf("%s: checkpoint bytes differ from the Solver's", id)
 					}
 				}
 			}

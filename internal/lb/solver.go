@@ -11,9 +11,10 @@
 // is a plan (plan.go), built once per Domain and shared read-only.
 // Solver (this file) is a kernel over the whole domain plus the serial
 // diagnostics; Dist (dist.go) is a kernel over the sites one rank of a
-// par communicator owns plus the halo exchange and the gathers. Both checkpoint/restore their full state bit-exactly and
-// interchangeably (checkpoint.go); the on-disk binary format is
-// specified in docs/CHECKPOINT_FORMAT.md.
+// par communicator owns plus the halo exchange and the gathers. A Dist
+// gathers its full state into a CheckpointState and restores from one
+// bit-exactly, at any rank count (checkpoint.go); the on-disk binary
+// format is specified in docs/CHECKPOINT_FORMAT.md.
 package lb
 
 import (

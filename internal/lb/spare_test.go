@@ -1,7 +1,6 @@
 package lb
 
 import (
-	"bytes"
 	"fmt"
 	"math"
 	"runtime"
@@ -67,14 +66,13 @@ func TestSpareIsOverwritten(t *testing.T) {
 			must(err)
 			tc.drive(fresh)
 			want := append([]float64(nil), fresh.F()...)
-			var ckpt bytes.Buffer
-			must(fresh.Checkpoint(&ckpt))
+			ckpt := solverRecord(fresh)
 			// A checkpoint carries no pulse, so the steps after a restore
 			// are held to a fresh solver restored from the same bytes.
 			DropSpare()
 			freshRestored, err := New(tc.dom, Params{Tau: 0.9, Kind: tc.kind})
 			must(err)
-			must(freshRestored.Restore(bytes.NewReader(ckpt.Bytes())))
+			must(restoreSolver(freshRestored, ckpt))
 			freshRestored.Advance(5)
 			wantLater := freshRestored.F()
 
@@ -93,7 +91,7 @@ func TestSpareIsOverwritten(t *testing.T) {
 			primeSpare(n)
 			s, err := New(tc.dom, Params{Tau: 0.9, Kind: tc.kind})
 			must(err)
-			must(s.Restore(bytes.NewReader(ckpt.Bytes())))
+			must(restoreSolver(s, ckpt))
 			check("restored", s.F(), want)
 			s.Advance(5)
 			if i := sameBits(s.F(), wantLater); i >= 0 {

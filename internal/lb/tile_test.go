@@ -47,14 +47,7 @@ func TestSolverTiledBitIdentical(t *testing.T) {
 		}
 		// Checkpoints must be byte-identical too: a resume taken from a
 		// tiled run replays bit-exactly on a serial one and vice versa.
-		var sb, tb bytes.Buffer
-		if err := serial.Checkpoint(&sb); err != nil {
-			t.Fatal(err)
-		}
-		if err := tiled.Checkpoint(&tb); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(sb.Bytes(), tb.Bytes()) {
+		if !bytes.Equal(solverRecord(serial), solverRecord(tiled)) {
 			t.Errorf("threads=%d: checkpoint bytes differ from serial", threads)
 		}
 		tiled.Close()
@@ -95,12 +88,8 @@ func TestDistTiledBitIdentical(t *testing.T) {
 					panic(err)
 				}
 				d.Advance(steps)
-				var buf bytes.Buffer
-				if err := d.Checkpoint(&buf); err != nil {
-					panic(err)
-				}
-				if c.Rank() == 0 {
-					ckpt = buf.Bytes()
+				if rec := distRecord(d); c.Rank() == 0 {
+					ckpt = rec
 				}
 			})
 			return ckpt
@@ -146,12 +135,8 @@ func TestRedistributeCarriesThreads(t *testing.T) {
 			}
 			d.setWorkers(threads)
 			d.Advance(9)
-			var buf bytes.Buffer
-			if err := d.Checkpoint(&buf); err != nil {
-				panic(err)
-			}
-			if c.Rank() == 0 {
-				ckpt = buf.Bytes()
+			if rec := distRecord(d); c.Rank() == 0 {
+				ckpt = rec
 			}
 		})
 		return ckpt

@@ -24,11 +24,6 @@ func WriteGauge(w io.Writer, name, help string, v int64) {
 	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %d\n", name, help, name, name, v)
 }
 
-// WriteGaugeFloat emits one float-valued gauge.
-func WriteGaugeFloat(w io.Writer, name, help string, v float64) {
-	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %g\n", name, help, name, name, v)
-}
-
 // WriteCounterFloat emits one float-valued counter.
 func WriteCounterFloat(w io.Writer, name, help string, v float64) {
 	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %g\n", name, help, name, name, v)

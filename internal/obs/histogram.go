@@ -56,10 +56,6 @@ func BucketBoundNs(i int) int64 {
 	return histMinNs << i
 }
 
-// NumBuckets returns the number of finite buckets (the exposition
-// emits one more, the +Inf slot).
-func NumBuckets() int { return histBuckets }
-
 // Observe folds one duration into the histogram. Safe for concurrent
 // use; never allocates.
 func (h *Histogram) Observe(ns int64) {

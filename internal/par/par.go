@@ -210,9 +210,6 @@ func NewRuntime(size int) *Runtime {
 	return r
 }
 
-// Size returns the number of ranks in the runtime.
-func (r *Runtime) Size() int { return r.size }
-
 // Traffic returns the runtime's traffic meter.
 func (r *Runtime) Traffic() *Traffic { return r.traffic }
 

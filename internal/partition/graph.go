@@ -30,9 +30,6 @@ type Graph struct {
 	Coords []vec.V3
 }
 
-// Degree returns the number of neighbours of vertex v.
-func (g *Graph) Degree(v int) int { return int(g.Xadj[v+1] - g.Xadj[v]) }
-
 // TotalVWgt returns the sum of all vertex weights.
 func (g *Graph) TotalVWgt() float64 {
 	s := 0.0

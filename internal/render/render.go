@@ -24,11 +24,8 @@ type RGBA struct {
 	R, G, B, A float64
 }
 
-// Over composites src over dst (both straight alpha) and returns the
-// result; the standard Porter-Duff operator.
-func (dst RGBA) Under(src RGBA) RGBA { return src.Over(dst) }
-
-// Over returns c composited over d.
+// Over returns c composited over d (both straight alpha); the standard
+// Porter-Duff operator.
 func (c RGBA) Over(d RGBA) RGBA {
 	a := c.A + d.A*(1-c.A)
 	if a == 0 {
@@ -40,12 +37,6 @@ func (c RGBA) Over(d RGBA) RGBA {
 		B: (c.B*c.A + d.B*d.A*(1-c.A)) / a,
 		A: a,
 	}
-}
-
-// Scale returns the colour with all channels multiplied by s (clamped
-// on output elsewhere).
-func (c RGBA) Scale(s float64) RGBA {
-	return RGBA{c.R * s, c.G * s, c.B * s, c.A * s}
 }
 
 // Lerp interpolates between c and d.
@@ -141,29 +132,6 @@ func (im *Image) Fill(c RGBA) {
 		im.Pix[i] = c
 		im.Depth[i] = math.Inf(1)
 	}
-}
-
-// Serialize packs the image (colour + depth) into a float64 slice for
-// transport over the par runtime: [r g b a depth]*.
-func (im *Image) Serialize() []float64 {
-	out := make([]float64, 0, len(im.Pix)*5)
-	for i, p := range im.Pix {
-		out = append(out, p.R, p.G, p.B, p.A, im.Depth[i])
-	}
-	return out
-}
-
-// DeserializeImage unpacks a Serialize payload.
-func DeserializeImage(w, h int, data []float64) (*Image, error) {
-	if len(data) != w*h*5 {
-		return nil, fmt.Errorf("render: payload %d values, want %d", len(data), w*h*5)
-	}
-	im := NewImage(w, h)
-	for i := 0; i < w*h; i++ {
-		im.Pix[i] = RGBA{data[5*i], data[5*i+1], data[5*i+2], data[5*i+3]}
-		im.Depth[i] = data[5*i+4]
-	}
-	return im, nil
 }
 
 // rgb8 flattens pixel i over opaque black and quantises it.

@@ -91,28 +91,6 @@ func TestCompositeUnder(t *testing.T) {
 	}
 }
 
-func TestSerializeRoundTrip(t *testing.T) {
-	img := NewImage(3, 2)
-	img.Set(1, 1, RGBA{0.1, 0.2, 0.3, 0.4}, 7)
-	img.Set(2, 0, RGBA{0.9, 0.8, 0.7, 1.0}, 2)
-	data := img.Serialize()
-	got, err := DeserializeImage(3, 2, data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range img.Pix {
-		if img.Pix[i] != got.Pix[i] {
-			t.Fatalf("pixel %d: %+v vs %+v", i, img.Pix[i], got.Pix[i])
-		}
-		if img.Depth[i] != got.Depth[i] && !(math.IsInf(img.Depth[i], 1) && math.IsInf(got.Depth[i], 1)) {
-			t.Fatalf("depth %d: %v vs %v", i, img.Depth[i], got.Depth[i])
-		}
-	}
-	if _, err := DeserializeImage(3, 2, data[:5]); err == nil {
-		t.Error("short payload accepted")
-	}
-}
-
 func TestEncodePPM(t *testing.T) {
 	img := NewImage(4, 3)
 	img.Set(0, 0, RGBA{1, 1, 1, 1}, 0)

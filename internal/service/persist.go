@@ -140,10 +140,11 @@ func (m *Manager) recoverFromStore() []*Job {
 			// paused: its re-run starts parked and waits for an explicit
 			// resume, instead of silently burning its remaining steps.
 			j.resumePaused = rec.Paused || rec.State == string(StatePaused)
-			// Verify the checkpoint chain now but keep only its step —
-			// the state is re-read at dispatch, so a crash with a big
-			// backlog doesn't hold every solver state in memory while
-			// jobs wait for a slot. The step doubles as the reported
+			// Verify the checkpoint chain now, in place, and keep only
+			// its step: no record is decoded here. The state is read and
+			// decoded at dispatch, so a crash with a big backlog doesn't
+			// hold every solver state in memory while jobs wait for a
+			// slot. The step doubles as the reported
 			// progress; without a usable checkpoint it stays 0 so the
 			// step counter never runs backwards once the re-run starts.
 			if step, err := m.store.VerifyCheckpoint(id); err == nil {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"repro/internal/lb"
@@ -224,5 +225,64 @@ func TestDropCheckpointDeltas(t *testing.T) {
 	putChain(t, s, "k", full, deltas) // silently dropped
 	if err := s.DropCheckpointDeltas("j"); err != nil {
 		t.Fatalf("frozen drop: %v", err)
+	}
+}
+
+// TestVerifyCheckpointAllocatesOnlyReads: verifying a chain of the
+// kernel-large workload's shape (tree at voxel scale 3.0: 79 746 D3Q19
+// sites, a 12 MB base and three deltas) allocates the file bytes it
+// reads and little else — no record is decoded to learn the step.
+func TestVerifyCheckpointAllocatesOnlyReads(t *testing.T) {
+	if testing.Short() {
+		t.Skip("encodes a 12 MB chain")
+	}
+	s, _ := openMem(t, 1)
+	const sites, q = 79746, 19
+	cur := &lb.CheckpointState{
+		Info:     lb.CheckpointInfo{Step: 100, Sites: sites, Q: q, Iolets: 4},
+		IoletRho: []float64{1.01, 1, 1, 1},
+		F:        make([]float64, sites*q),
+	}
+	for i := range cur.F {
+		cur.F[i] = float64(i%97) * 0.01
+	}
+	var buf bytes.Buffer
+	if err := cur.EncodeTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	full := append([]byte(nil), buf.Bytes()...)
+	prevCRC, err := lb.CheckpointCRC(full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	read := len(full)
+	var deltas [][]byte
+	for seq := uint64(1); seq <= 3; seq++ {
+		next := cur.Clone()
+		next.Info.Step += 100
+		for i := int(seq); i < len(next.F); i += 5 * lb.DefaultDeltaTileSites * q {
+			next.F[i] += 1
+		}
+		buf.Reset()
+		stats, err := next.EncodeDeltaTo(&buf, cur, seq, prevCRC, lb.DefaultDeltaTileSites, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		deltas = append(deltas, append([]byte(nil), buf.Bytes()...))
+		read += stats.Bytes
+		prevCRC, cur = stats.CRC, next
+	}
+	putChain(t, s, "j", full, deltas)
+
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	step, err := s.VerifyCheckpoint("j")
+	runtime.ReadMemStats(&after)
+	if err != nil || step != cur.Info.Step {
+		t.Fatalf("VerifyCheckpoint = (%d, %v), want step %d", step, err, cur.Info.Step)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > uint64(read)+64<<10 {
+		t.Fatalf("VerifyCheckpoint allocated %d bytes reading %d", alloc, read)
 	}
 }

@@ -136,8 +136,16 @@ func checkpointBytes(t *testing.T) []byte {
 		t.Fatal(err)
 	}
 	solver.Advance(17)
+	st := &lb.CheckpointState{
+		Info:     lb.CheckpointInfo{Step: solver.StepCount(), Sites: solver.NumSites(), Q: dom.Model.Q, Iolets: len(dom.Iolets)},
+		IoletRho: make([]float64, len(dom.Iolets)),
+		F:        solver.F(),
+	}
+	for i := range st.IoletRho {
+		st.IoletRho[i] = solver.IoletDensity(i)
+	}
 	var buf bytes.Buffer
-	if err := solver.Checkpoint(&buf); err != nil {
+	if err := st.EncodeTo(&buf); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()

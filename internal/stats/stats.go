@@ -6,7 +6,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 	"time"
 )
 
@@ -96,24 +95,6 @@ func ImbalanceI64(vals []int64) float64 {
 		f[i] = float64(v)
 	}
 	return Imbalance(f)
-}
-
-// Percentile returns the p-th percentile (0-100) of vals by
-// nearest-rank on a sorted copy.
-func Percentile(vals []float64, p float64) float64 {
-	if len(vals) == 0 {
-		return 0
-	}
-	cp := append([]float64(nil), vals...)
-	sort.Float64s(cp)
-	idx := int(math.Ceil(p/100*float64(len(cp)))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(cp) {
-		idx = len(cp) - 1
-	}
-	return cp[idx]
 }
 
 // String renders the summary compactly.

@@ -57,26 +57,6 @@ func TestImbalance(t *testing.T) {
 	}
 }
 
-func TestPercentile(t *testing.T) {
-	vals := []float64{5, 1, 3, 2, 4}
-	if got := Percentile(vals, 50); got != 3 {
-		t.Errorf("p50 = %v", got)
-	}
-	if got := Percentile(vals, 100); got != 5 {
-		t.Errorf("p100 = %v", got)
-	}
-	if got := Percentile(vals, 0); got != 1 {
-		t.Errorf("p0 = %v", got)
-	}
-	if got := Percentile(nil, 50); got != 0 {
-		t.Errorf("empty percentile = %v", got)
-	}
-	// Input must not be reordered.
-	if vals[0] != 5 {
-		t.Error("percentile mutated input")
-	}
-}
-
 func TestSummaryString(t *testing.T) {
 	s := Summarise([]float64{1, 2})
 	if s.String() == "" {

@@ -242,13 +242,3 @@ func (t *DistTracer) Step() int {
 	}
 	return sent
 }
-
-// CountGlobal returns the global number of live particles.
-func (t *DistTracer) CountGlobal() int {
-	return int(t.Comm.AllreduceScalar(par.OpSum, float64(len(t.local))))
-}
-
-// LocalCount returns this rank's live particle count (the load-balance
-// observable: particle clustering makes this very uneven, which is why
-// Table I flags particle methods as hard to balance).
-func (t *DistTracer) LocalCount() int { return len(t.local) }

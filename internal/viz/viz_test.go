@@ -350,8 +350,8 @@ func TestDistTracerMigration(t *testing.T) {
 		for s := 0; s < 400; s++ {
 			totalSent[c.Rank()] += dt.Step()
 		}
-		counts[c.Rank()] = dt.LocalCount()
-		if g := dt.CountGlobal(); g < 0 {
+		counts[c.Rank()] = len(dt.local)
+		if g := c.AllreduceScalar(par.OpSum, float64(len(dt.local))); g < 0 {
 			panic("negative count")
 		}
 	})
@@ -449,7 +449,7 @@ func TestSeedsAcrossInletInsideFluid(t *testing.T) {
 	seeds := SeedsAcrossInlet(f.Dom, 16)
 	inside := 0
 	for _, s := range seeds {
-		if f.Nearest(s) >= 0 {
+		if f.Dom.SiteAt(vec.Floor(s.Add(vec.Splat(0.5)))) >= 0 {
 			inside++
 		}
 	}
